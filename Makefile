@@ -1,7 +1,7 @@
 # Single source of truth for the commands CI and humans run.
 GO ?= go
 
-.PHONY: all build lint test bench bench-baseline examples fuzz-smoke pooldebug spill-check throughput-smoke dist-smoke calibrate-smoke serve-smoke ivm-smoke clean
+.PHONY: all build lint test bench bench-baseline examples fuzz-smoke pooldebug spill-check throughput-smoke dist-smoke calibrate-smoke serve-smoke ivm-smoke loc clean
 
 all: build lint test
 
@@ -16,8 +16,13 @@ lint:
 	fi
 	$(GO) vet ./...
 
+# bench/ is a module of its own (the repository benchmark, see
+# BENCHMARK.json) that imports this module's internal packages and is
+# outside `./...`: vetting and testing it here is what makes an internal
+# rename that breaks the benchmark fail tier-1 instead of failing silently.
 test:
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Spill equivalence under a forcing budget (a subset of `make test`, pinned
 # as its own target so CI shows the out-of-core path exercised on every
@@ -45,12 +50,13 @@ fuzz-smoke:
 ivm-smoke:
 	$(GO) test -race -run 'TestViewSmoke' -count=1 ./internal/ivm
 
-# Pool-discipline check: the relation and hashjoin tests (the columnar
-# codec round-trip property and the ProbeBatchInto differential among
-# them) with the pooldebug double-Put / use-after-Put detector armed
-# (poisoned batches verified on every Get).
+# Pool-discipline check: the relation, hashjoin and operator-kernel tests
+# (the columnar codec round-trip property, the ProbeBatchInto differential
+# and the outbox's cancelled-delivery rule among them) with the pooldebug
+# double-Put / use-after-Put detector armed (poisoned batches verified on
+# every Get).
 pooldebug:
-	$(GO) test -tags pooldebug -race ./internal/relation ./internal/hashjoin
+	$(GO) test -tags pooldebug -race ./internal/relation ./internal/hashjoin ./internal/operator
 
 # Throughput smoke: one shared Engine serving concurrent mixed-strategy
 # queries across the parallel and spill runtimes, results drained through
@@ -138,6 +144,16 @@ examples:
 	$(GO) build -o .bin/ ./examples/...
 	@set -e; for b in .bin/*; do echo "== $$b"; "$$b" > /dev/null; done
 	@echo "all examples ran"
+
+# Code size: non-test, non-blank, non-comment Go lines per internal package
+# and for the whole repository (bench/ excluded) — the measure the design
+# items of ROADMAP.md are held to, so comments and test files cannot game it.
+LOC = xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
+loc:
+	@for p in internal/*; do \
+		printf '%-22s %6d\n' $$p $$(find $$p -name '*.go' ! -name '*_test.go' | $(LOC)); \
+	done
+	@printf '%-22s %6d\n' 'repo (without bench/)' $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | $(LOC))
 
 clean:
 	rm -f BENCH_parallel.json BENCH_alloc.json

@@ -188,15 +188,15 @@ func benchParallelVsSim(b *testing.B, kind strategy.Kind) {
 		b.Fatal(err)
 	}
 	// Plans target 16 processors (RD and FP need one per concurrent join);
-	// the runtime's semaphore caps real concurrency at the host cores.
+	// the runtime's dispatcher count caps real concurrency at the host cores.
 	const procs = 16
 	maxProcs := multijoin.HostCap(procs)
 	q := multijoin.Query{DB: db, Tree: tree, Strategy: kind, Procs: procs, Params: multijoin.DefaultParams()}
-	simRes, err := multijoin.Run(q)
+	ctx := context.Background()
+	simRes, err := multijoin.Exec(ctx, q)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context.Background()
 	var wall time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -209,7 +209,7 @@ func benchParallelVsSim(b *testing.B, kind strategy.Kind) {
 		wall = res.Time
 	}
 	b.StopTimer()
-	b.ReportMetric(simRes.ResponseTime.Seconds(), "sim-resp-s")
+	b.ReportMetric(simRes.Time.Seconds(), "sim-resp-s")
 	b.ReportMetric(wall.Seconds(), "real-wall-s")
 }
 

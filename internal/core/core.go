@@ -15,7 +15,6 @@ import (
 	"multijoin/internal/engine"
 	"multijoin/internal/jointree"
 	"multijoin/internal/optimizer"
-	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
 	"multijoin/internal/wisconsin"
@@ -52,10 +51,11 @@ func (q Query) Plan() (*xra.Plan, error) {
 	return strategy.Plan(q.Strategy, q.Tree, cfg)
 }
 
-// Run plans and executes the query on the simulated machine.
-//
-// Deprecated: use Exec, which executes on any registered runtime with
-// context cancellation and returns the unified Result.
+// Run plans and executes the query on the simulated machine and returns
+// the simulator's own result type — the entry point for callers that need
+// what only the simulator has, the per-processor busy intervals behind the
+// paper's utilization diagrams (RunResult.Procs). Everything else goes
+// through Exec.
 func (q Query) Run() (*engine.RunResult, error) {
 	plan, err := q.Plan()
 	if err != nil {
@@ -81,7 +81,7 @@ func (q Query) tupleBytes() int {
 }
 
 // estResultCard is the upper-bound result cardinality used to presize
-// materialized results (gatherSink, Rows.All): the chain query's joins are
+// materialized results (Exec, Rows.All): the chain query's joins are
 // 1:1, so the largest base relation bounds the output — the same estimate
 // the runtimes use to size hash tables and collect buffers.
 func (q Query) estResultCard() int {
@@ -97,37 +97,6 @@ func (q Query) estResultCard() int {
 	return est
 }
 
-// ExecuteParallel plans the query and executes the plan with real
-// goroutine concurrency (package parallel) instead of the simulator: one
-// worker goroutine per operation process, buffered channels as tuple
-// streams, and a processor-cap semaphore. The returned result is the same
-// multiset the simulator and the sequential reference produce.
-//
-// Deprecated: use Exec with WithRuntime("parallel").
-func ExecuteParallel(q Query, cfg parallel.Config) (*parallel.RunResult, error) {
-	plan, err := q.Plan()
-	if err != nil {
-		return nil, err
-	}
-	return parallel.Run(plan, q.baseRelation, cfg)
-}
-
-// VerifyParallel executes the query on the goroutine runtime and checks the
-// result against the sequential reference.
-//
-// Deprecated: use Exec with WithRuntime("parallel") and WithVerify.
-func VerifyParallel(q Query, cfg parallel.Config) (*parallel.RunResult, error) {
-	res, err := ExecuteParallel(q, cfg)
-	if err != nil {
-		return nil, err
-	}
-	want := Reference(q.DB, q.Tree)
-	if diff := relation.DiffMultiset(res.Result, want); diff != "" {
-		return nil, fmt.Errorf("core: parallel %v result differs from reference: %s", q.Strategy, diff)
-	}
-	return res, nil
-}
-
 // Reference evaluates the tree sequentially with real hash joins — the
 // oracle result, with provenance checksums, that every strategy must
 // reproduce exactly.
@@ -135,23 +104,6 @@ func Reference(db *wisconsin.Database, tree *jointree.Node) *relation.Relation {
 	return jointree.Reference(tree, func(leaf int) *relation.Relation {
 		return db.Relation(leaf)
 	})
-}
-
-// Verify runs the query and checks the result against the sequential
-// reference, returning the run result or an error describing the first
-// discrepancy.
-//
-// Deprecated: use Exec with WithVerify.
-func Verify(q Query) (*engine.RunResult, error) {
-	res, err := q.Run()
-	if err != nil {
-		return nil, err
-	}
-	want := Reference(q.DB, q.Tree)
-	if diff := relation.DiffMultiset(res.Result, want); diff != "" {
-		return nil, fmt.Errorf("core: %v result differs from reference: %s", q.Strategy, diff)
-	}
-	return res, nil
 }
 
 // TwoPhase performs the full two-phase pipeline of Section 1.2: phase 1

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"multijoin/internal/costmodel"
@@ -32,18 +33,18 @@ func TestAllStrategiesAllShapesMatchReference(t *testing.T) {
 		for _, kind := range strategy.Kinds {
 			kind, tree, shape := kind, tree, shape
 			t.Run(shape.String()+"/"+kind.String(), func(t *testing.T) {
-				res, err := Verify(Query{
+				res, err := Exec(context.Background(), Query{
 					DB: db, Tree: tree, Strategy: kind, Procs: 12,
 					Params: costmodel.Default(),
-				})
+				}, WithVerify())
 				if err != nil {
 					t.Fatal(err)
 				}
 				if res.Stats.ResultTuples != db.Cardinality() {
 					t.Errorf("result tuples = %d, want %d", res.Stats.ResultTuples, db.Cardinality())
 				}
-				if res.ResponseTime <= 0 {
-					t.Errorf("non-positive response time %v", res.ResponseTime)
+				if res.Time <= 0 {
+					t.Errorf("non-positive response time %v", res.Time)
 				}
 				ok, err := db.SamePairs(res.Result, 0, db.NumRelations()-1)
 				if err != nil {
@@ -79,10 +80,10 @@ func TestExampleTree(t *testing.T) {
 	db := testDB(t, 5, 150)
 	tree := jointree.Example()
 	for _, kind := range strategy.Kinds {
-		if _, err := Verify(Query{
+		if _, err := Exec(context.Background(), Query{
 			DB: db, Tree: tree, Strategy: kind, Procs: 10,
 			Params: costmodel.Default(),
-		}); err != nil {
+		}, WithVerify()); err != nil {
 			t.Errorf("%v on example tree: %v", kind, err)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"multijoin/internal/costmodel"
+	"multijoin/internal/operator"
 	"multijoin/internal/relation"
 	"multijoin/internal/xra"
 )
@@ -30,19 +31,10 @@ type BaseFunc func(leaf int) *relation.Relation
 // runtime-independent by construction — both backends interpret the same
 // plan — and is filled by every runtime.
 type Stats struct {
-	// Processes is the number of operation processes the plan used.
-	Processes int
-	// Streams is the number of tuple streams opened (n×m per
-	// redistribution edge, n per local edge).
-	Streams int
-	// TuplesMovedRemote counts tuples that crossed processor boundaries.
-	TuplesMovedRemote int64
-	// TuplesLocal counts tuples delivered processor-locally.
-	TuplesLocal int64
-	// Batches counts delivered data batches.
-	Batches int64
-	// ResultTuples is the cardinality of the final result.
-	ResultTuples int
+	// Counters are the structural quantities of the plan and its data:
+	// Processes, Streams, TuplesMovedRemote, TuplesLocal, Batches and
+	// ResultTuples.
+	operator.Counters
 	// OpDone maps operator ids to their completion offset from query
 	// start (virtual time on the simulator, wall time on real runtimes).
 	OpDone map[string]time.Duration
@@ -130,30 +122,8 @@ type Result struct {
 }
 
 // Sink consumes the result stream of one execution — the push half of the
-// streaming Runtime contract. A runtime calls Push once per final result
-// batch, in result order, transferring batch ownership: release (which may
-// be nil) returns the batch to the runtime's pool and must be invoked
-// exactly once, when the consumer is done with the tuples. Push blocks
-// until the consumer accepts the batch (streaming backpressure, which
-// propagates through the runtime's channels up the whole plan) or ctx is
-// cancelled, in which case it returns the context's error and the runtime
-// keeps ownership. Implementations must be safe for use from the single
-// goroutine the runtime pushes from; they need not be concurrency-safe.
-type Sink interface {
-	Push(ctx context.Context, batch *relation.Batch, release func()) error
-}
-
-// gatherSink materializes a result stream into one relation — the draining
-// sink behind the classic Exec API.
-type gatherSink struct{ rel *relation.Relation }
-
-func (g *gatherSink) Push(_ context.Context, batch *relation.Batch, release func()) error {
-	batch.AppendTo(g.rel)
-	if release != nil {
-		release()
-	}
-	return nil
-}
+// streaming Runtime contract (see operator.Sink for the ownership rules).
+type Sink = operator.Sink
 
 // Options parameterizes one execution, runtime-independently. Runtimes
 // ignore the knobs that do not apply to them (the simulator has no
@@ -174,8 +144,8 @@ type Options struct {
 	// Params.BatchTuples, the goroutine runtimes at
 	// parallel.DefaultBatchTuples).
 	BatchTuples int
-	// ChannelDepth is the per-stream buffer capacity in batches on
-	// wall-clock runtimes. Zero means the runtime's default.
+	// ChannelDepth is the inbox capacity each incoming stream contributes,
+	// in batches, on wall-clock runtimes. Zero means the runtime's default.
 	ChannelDepth int
 	// MemoryBudget is the per-run live-tuple memory budget in bytes on the
 	// spill runtime; join operands overflowing it are serialized to
@@ -217,13 +187,12 @@ func WithMaxProcs(n int) Option { return func(o *Options) { o.MaxProcs = n } }
 // WithBatchTuples sets the transport batch size (pipelining granularity).
 func WithBatchTuples(n int) Option { return func(o *Options) { o.BatchTuples = n } }
 
-// WithChannelDepth sets the per-stream buffer capacity, in batches, on
-// wall-clock runtimes. The depth is resolved once per run and applied to
-// every stream alike; each process's mailbox is additionally sized to
-// depth × its incoming stream count, so a stream forwarder can always
-// buffer a full channel's worth of batches without blocking a producer
-// whose consumer has not started yet (the deadlock-freedom heuristic —
-// see parallel.Config.ChannelDepth).
+// WithChannelDepth sets, on wall-clock runtimes, how many batches each
+// incoming tuple stream contributes to its consumer's inbox: a process's
+// inbox holds depth × its incoming stream count batches, so producers can
+// run that far ahead of a consumer that has not been scheduled yet (see
+// parallel.Config.ChannelDepth). It is also the dist runtime's credit
+// window per node-crossing stream.
 func WithChannelDepth(n int) Option { return func(o *Options) { o.ChannelDepth = n } }
 
 // WithMemoryBudget caps the spill runtime's live tuple memory at bytes:
@@ -292,13 +261,13 @@ func Exec(ctx context.Context, q Query, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink := &gatherSink{rel: relation.NewWithCap("result", q.tupleBytes(), q.estResultCard())}
+	sink := &operator.Gather{Rel: relation.NewWithCap("result", q.tupleBytes(), q.estResultCard())}
 	res, err := rt.Execute(ctx, plan, q.baseRelation, sink, o)
 	if err != nil {
 		return nil, err
 	}
 	if res.Result == nil {
-		res.Result = sink.rel
+		res.Result = sink.Rel
 	}
 	if o.Verify {
 		want := Reference(q.DB, q.Tree)

@@ -39,12 +39,7 @@ func (simRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc, si
 		Virtual: true,
 		Time:    simToWall(res.ResponseTime),
 		Stats: Stats{
-			Processes:              res.Stats.Processes,
-			Streams:                res.Stats.Streams,
-			TuplesMovedRemote:      res.Stats.TuplesMovedRemote,
-			TuplesLocal:            res.Stats.TuplesLocal,
-			Batches:                res.Stats.Batches,
-			ResultTuples:           res.Stats.ResultTuples,
+			Counters:               res.Stats.Counters,
 			OpDone:                 simOpDone(res.Stats.OpFinish),
 			StartupTime:            simToWall(res.Stats.StartupTime),
 			HandshakeTime:          simToWall(res.Stats.HandshakeTime),
@@ -68,8 +63,8 @@ func simOpDone(finish map[string]sim.Time) map[string]time.Duration {
 }
 
 // parallelRuntime executes plans with real goroutine concurrency (package
-// parallel): one worker goroutine per operation process, one buffered
-// channel per tuple stream, wall-clock time.
+// parallel): one worker goroutine and one inbox per operation process,
+// wall-clock time.
 type parallelRuntime struct{}
 
 func (parallelRuntime) Name() string { return "parallel" }
@@ -155,16 +150,11 @@ func (distRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc, s
 		Virtual: false,
 		Time:    res.WallTime,
 		Stats: Stats{
-			Processes:         res.Stats.Processes,
-			Streams:           res.Stats.Streams,
-			TuplesMovedRemote: res.Stats.TuplesMovedRemote,
-			TuplesLocal:       res.Stats.TuplesLocal,
-			Batches:           res.Stats.Batches,
-			ResultTuples:      res.Stats.ResultTuples,
-			OpDone:            res.Stats.OpWall,
-			Goroutines:        res.Stats.Goroutines,
-			BytesOnWire:       res.Stats.BytesOnWire,
-			Workers:           res.Stats.Workers,
+			Counters:    res.Stats.Counters,
+			OpDone:      res.Stats.OpWall,
+			Goroutines:  res.Stats.Goroutines,
+			BytesOnWire: res.Stats.BytesOnWire,
+			Workers:     res.Stats.Workers,
 		},
 	}, nil
 }
@@ -176,18 +166,13 @@ func wallResult(name string, res *parallel.RunResult) *Result {
 		Virtual: false,
 		Time:    res.WallTime,
 		Stats: Stats{
-			Processes:         res.Stats.Processes,
-			Streams:           res.Stats.Streams,
-			TuplesMovedRemote: res.Stats.TuplesMovedRemote,
-			TuplesLocal:       res.Stats.TuplesLocal,
-			Batches:           res.Stats.Batches,
-			ResultTuples:      res.Stats.ResultTuples,
-			OpDone:            res.Stats.OpWall,
-			Goroutines:        res.Stats.Goroutines,
-			MaxProcs:          res.Stats.MaxProcs,
-			BytesSpilled:      res.Stats.BytesSpilled,
-			SpillPartitions:   res.Stats.SpillPartitions,
-			SpillTime:         res.Stats.SpillTime,
+			Counters:        res.Stats.Counters,
+			OpDone:          res.Stats.OpWall,
+			Goroutines:      res.Stats.Goroutines,
+			MaxProcs:        res.Stats.MaxProcs,
+			BytesSpilled:    res.Stats.BytesSpilled,
+			SpillPartitions: res.Stats.SpillPartitions,
+			SpillTime:       res.Stats.SpillTime,
 		},
 	}
 }

@@ -285,9 +285,11 @@ func TestEngineSharedBudgetDrivesSpill(t *testing.T) {
 	q := Query{DB: db, Tree: tree, Strategy: strategy.FP, Procs: 8}
 
 	// Working set of one query: 5 relations x 3000 tuples x 24 wire bytes
-	// ~= 360 KB of operands alone. 2 MiB fits one query with room to
-	// spare but not several at once.
-	const budget = 2 << 20
+	// ~= 360 KB of operands, of which at most ~330 KB are resident at once
+	// (measured; the joins release partitions as they drain). Twelve
+	// queries started together peak at 1.5-2.3 MB. 1 MiB fits one query
+	// three times over but not several at once.
+	const budget = 1 << 20
 
 	single, err := Open(db, WithEngineMemoryBudget(budget))
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"multijoin/internal/costmodel"
@@ -31,10 +32,10 @@ func TestVariableChainAllStrategiesMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, kind := range strategy.Kinds {
-			res, err := Verify(Query{
+			res, err := Exec(context.Background(), Query{
 				DB: db, Tree: tree, Strategy: kind, Procs: 10,
 				Params: costmodel.Default(),
-			})
+			}, WithVerify())
 			if err != nil {
 				t.Errorf("%v/%v: %v", shape, kind, err)
 				continue

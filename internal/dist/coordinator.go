@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"multijoin/internal/operator"
 	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
 	"multijoin/internal/xra"
@@ -52,14 +53,9 @@ type Config struct {
 // worker (tuples, batches and goroutines are summed over the nodes; the
 // structural plan counters are node-independent).
 type Stats struct {
-	Processes         int
-	Streams           int
-	TuplesMovedRemote int64
-	TuplesLocal       int64
-	Batches           int64
-	ResultTuples      int
-	Goroutines        int
-	OpWall            map[string]time.Duration
+	operator.Counters
+	Goroutines int
+	OpWall     map[string]time.Duration
 
 	// Workers is the number of worker processes the run spawned.
 	Workers int
@@ -105,7 +101,8 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 	if sink == nil {
 		return nil, errors.New("dist: Run needs a sink")
 	}
-	if err := plan.Validate(); err != nil {
+	wiring, err := operator.Wire(plan)
+	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
@@ -159,8 +156,8 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 	}
 	pool := relation.NewBatchPool(bt, retain)
 	p := newPlane(runCtx, window, pool, fail)
-	for _, sp := range parallel.Streams(plan) {
-		fn, tn := nodeOf(sp.FromProc, workers), nodeOf(sp.ToProc, workers)
+	for _, sp := range wiring.Streams() {
+		fn, tn := nodeOf(sp.FromProc(), workers), nodeOf(sp.ToProc(), workers)
 		if tn == coordNode && fn != coordNode {
 			p.expectIngress(uint32(sp.ID))
 		}
@@ -402,16 +399,11 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 
 	// Gather every worker's DONE and merge the counters.
 	st := Stats{
-		Processes:         res.Stats.Processes,
-		Streams:           res.Stats.Streams,
-		TuplesMovedRemote: res.Stats.TuplesMovedRemote,
-		TuplesLocal:       res.Stats.TuplesLocal,
-		Batches:           res.Stats.Batches,
-		ResultTuples:      res.Stats.ResultTuples,
-		Goroutines:        res.Stats.Goroutines + p.goroutines(),
-		OpWall:            res.Stats.OpWall,
-		Workers:           workers,
-		BytesOnWire:       p.bytes.Load(),
+		Counters:    res.Stats.Counters,
+		Goroutines:  res.Stats.Goroutines + p.goroutines(),
+		OpWall:      res.Stats.OpWall,
+		Workers:     workers,
+		BytesOnWire: p.bytes.Load(),
 	}
 	for have := 0; have < workers; {
 		select {

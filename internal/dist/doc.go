@@ -39,7 +39,7 @@
 // Control frames (HELLO..CANCEL) flow on each worker's control connection
 // to the coordinator; DATA/EOS/CREDIT flow on direct data connections
 // between the nodes. Stream ids are the canonical plan-wide enumeration of
-// parallel.Streams, so both endpoints derive identical wiring from the
+// operator.Wiring.Streams, so both endpoints derive identical wiring from the
 // plan text alone.
 //
 // # Signed tuple blocks (protocol version 2)
@@ -63,7 +63,7 @@
 // Data streams are credit-windowed: a sender starts with a window of W
 // batch credits per stream, spends one per DATA frame, and blocks when the
 // window is empty; the receiver grants a credit back only after the batch
-// has been handed to the consuming process's channel. The receiver thus
+// has been handed to the consuming process's inbox. The receiver thus
 // buffers at most W undelivered batches per stream, a slow consumer
 // propagates backpressure to the remote producer exactly like a full
 // channel does in-process, and one stalled stream never blocks the other

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"multijoin/internal/operator"
 	"multijoin/internal/relation"
 )
 
@@ -21,7 +22,7 @@ var errCancelled = errors.New("dist: cancelled by peer")
 // Flow control: each egress stream starts with window credits; sending one
 // DATA frame costs one credit, and the receiving plane grants a credit
 // back (CREDIT frame on the same connection, reverse direction) only after
-// the batch has been handed to the consuming process's channel. The
+// the batch has been handed to the consuming process's inbox. The
 // receiver dispatches frames off the connection into per-stream queues of
 // capacity window — the protocol guarantees at most window undelivered
 // batches per stream, so dispatch never blocks on a slow stream and one
@@ -187,13 +188,13 @@ func (p *plane) serve(c *Conn) {
 }
 
 // ingress is the run's Partial.Ingress hook: it pumps stream sid's queue
-// into the consuming process's channel, granting one credit per delivered
-// batch, and closes the channel when the queue ends (EOS received).
-func (p *plane) ingress(sid int, ch chan *relation.Batch) {
+// into the consuming process's inbox as hdr messages, granting one credit
+// per delivered batch, and delivers the end-of-stream mark when the queue
+// ends (EOS received).
+func (p *plane) ingress(sid int, hdr operator.Msg, inbox chan<- operator.Msg) {
 	in := p.in[uint32(sid)]
 	if in == nil {
 		p.fail(fmt.Errorf("dist: run opened unexpected ingress stream %d", sid))
-		close(ch)
 		return
 	}
 	p.movers.Add(1)
@@ -203,13 +204,9 @@ func (p *plane) ingress(sid int, ch chan *relation.Batch) {
 		for {
 			select {
 			case b, ok := <-in.q:
-				if !ok {
-					close(ch)
-					return
-				}
-				select {
-				case ch <- b:
-				case <-p.ctx.Done():
+				m := hdr
+				m.Batch = b // nil once the queue is closed: the end-of-stream mark
+				if !operator.Send(inbox, m, p.ctx.Done(), p.pool) || !ok {
 					return
 				}
 				if c := in.src.Load(); c != nil {
@@ -227,11 +224,11 @@ func (p *plane) ingress(sid int, ch chan *relation.Batch) {
 	}()
 }
 
-// egress is the run's Partial.Egress hook: it drains the producing
-// process's channel, spending one credit per batch, writes each batch as a
-// DATA frame, recycles it, and ends the stream with an EOS frame when the
-// producer closes the channel.
-func (p *plane) egress(sid int, ch chan *relation.Batch) {
+// egress is the run's Partial.Egress hook: it drains the stream's channel
+// from the producing process, spending one credit per batch, writes each
+// batch as a DATA frame, recycles it, and ends the stream with an EOS frame
+// on the producer's end-of-stream mark.
+func (p *plane) egress(sid int, ch <-chan operator.Msg) {
 	out := p.out[uint32(sid)]
 	if out == nil {
 		p.fail(fmt.Errorf("dist: run opened unexpected egress stream %d", sid))
@@ -243,8 +240,8 @@ func (p *plane) egress(sid int, ch chan *relation.Batch) {
 		defer p.movers.Done()
 		for {
 			select {
-			case b, ok := <-ch:
-				if !ok {
+			case m := <-ch:
+				if m.Batch == nil {
 					if err := out.conn.WriteEOS(uint32(sid)); err != nil && !p.isClosing() && p.ctx.Err() == nil {
 						p.fail(fmt.Errorf("dist: eos: %w", err))
 					}
@@ -255,8 +252,8 @@ func (p *plane) egress(sid int, ch chan *relation.Batch) {
 				case <-p.ctx.Done():
 					return
 				}
-				err := out.conn.WriteBatch(uint32(sid), b)
-				p.pool.Put(b)
+				err := out.conn.WriteBatch(uint32(sid), m.Batch)
+				p.pool.Put(m.Batch)
 				if err != nil {
 					if !p.isClosing() && p.ctx.Err() == nil {
 						p.fail(fmt.Errorf("dist: send: %w", err))

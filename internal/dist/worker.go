@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"syscall"
 
+	"multijoin/internal/operator"
 	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
 	"multijoin/internal/xra"
@@ -114,8 +115,12 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 	// for everything arriving here, a per-target-node stream list for
 	// everything leaving.
 	egressTo := make(map[int][]int)
-	for _, sp := range parallel.Streams(plan) {
-		fn, tn := nodeOf(sp.FromProc, su.Workers), nodeOf(sp.ToProc, su.Workers)
+	wiring, err := operator.Wire(plan)
+	if err != nil {
+		return fmt.Errorf("dist: worker %d: plan: %w", node, err)
+	}
+	for _, sp := range wiring.Streams() {
+		fn, tn := nodeOf(sp.FromProc(), su.Workers), nodeOf(sp.ToProc(), su.Workers)
 		if fn == node && tn != node {
 			egressTo[tn] = append(egressTo[tn], sp.ID)
 		}
@@ -228,7 +233,7 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 				BatchPool:    pool,
 			},
 		}
-		res, runErr = parallel.RunContext(ctx, plan, nil, cfg)
+		res, runErr = parallel.RunStream(ctx, plan, nil, cfg, nil) // no sink: collect runs on the coordinator
 	}
 
 	if runErr != nil || failErr != nil {

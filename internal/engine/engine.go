@@ -11,6 +11,10 @@
 // costs one unit, retrieving a tuple from the network one unit, creating and
 // sending a result tuple two units (Section 4.3).
 //
+// The operation-process model itself — ports, punctuation, the join step,
+// the outbox — is package operator's; this package drives it from the event
+// heap and charges virtual time.
+//
 // Real hash joins run inside the simulated operators — the returned relation
 // is the true join result and is compared against a sequential reference in
 // tests — while the virtual clock yields the response times of Figures 9-13.
@@ -22,6 +26,7 @@ import (
 	"sort"
 
 	"multijoin/internal/costmodel"
+	"multijoin/internal/operator"
 	"multijoin/internal/relation"
 	"multijoin/internal/sim"
 	"multijoin/internal/xra"
@@ -30,26 +35,13 @@ import (
 // Stats aggregates the structural quantities behind the paper's tradeoff
 // discussion (Section 3.5).
 type Stats struct {
-	// Processes is the number of operation processes the plan used
-	// (#operators weighted by their degree of parallelism).
-	Processes int
-	// Streams is the number of tuple streams opened (n x m per
-	// redistribution edge, n per local edge).
-	Streams int
+	operator.Counters
 	// StartupTime is the total serial scheduler time spent initializing
 	// operation processes.
 	StartupTime sim.Duration
 	// HandshakeTime is the total processor time spent on stream
 	// handshakes across all processes.
 	HandshakeTime sim.Duration
-	// TuplesMovedRemote counts tuples that crossed processor boundaries.
-	TuplesMovedRemote int64
-	// TuplesLocal counts tuples delivered processor-locally.
-	TuplesLocal int64
-	// Batches counts delivered data batches.
-	Batches int64
-	// ResultTuples is the cardinality of the final result.
-	ResultTuples int
 	// SimEvents is the number of simulation events processed.
 	SimEvents uint64
 	// OpFinish maps operator ids to their completion times.
@@ -65,16 +57,9 @@ type Stats struct {
 	PeakTableTuplesTotal int
 }
 
-// Sink consumes the final result stream of one run (RunStream). The engine
-// transfers batch ownership with every Push: release (which may be nil)
-// returns the batch to the engine's pool and must be called exactly once,
-// when the consumer is done with the tuples. Push blocks until the consumer
-// accepts the batch — which pauses the virtual clock, streaming
-// backpressure — or ctx is cancelled, in which case it returns the
-// context's error and keeps ownership of the batch.
-type Sink interface {
-	Push(ctx context.Context, batch *relation.Batch, release func()) error
-}
+// Sink consumes the final result stream of one run; a Push that blocks
+// pauses the virtual clock.
+type Sink = operator.Sink
 
 // RunResult is the outcome of executing one plan.
 type RunResult struct {
@@ -94,109 +79,46 @@ type RunResult struct {
 }
 
 // Run executes the plan against the base relations (leaf index -> relation)
-// under the given machine parameters.
+// under the given machine parameters and materializes the result.
 func Run(plan *xra.Plan, base func(leaf int) *relation.Relation, params costmodel.Params) (*RunResult, error) {
-	return RunContext(context.Background(), plan, base, params)
-}
-
-// RunContext is Run with cancellation: the simulator's event loop checks ctx
-// between events, so a cancelled context aborts the virtual execution at the
-// next event boundary and returns the context's error.
-func RunContext(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, params costmodel.Params) (*RunResult, error) {
-	return execute(ctx, plan, base, params, nil)
+	e, err := newEngine(context.Background(), plan, base, params)
+	if err != nil {
+		return nil, err
+	}
+	g := &operator.Gather{Rel: relation.NewWithCap("result", e.wiring.TupleBytes, e.wiring.Collect.EstCard)}
+	res, err := e.run(g)
+	if err != nil {
+		return nil, err
+	}
+	res.Result = g.Rel
+	return res, nil
 }
 
 // RunStream executes the plan in streaming mode: each batch reaching the
 // collect process is pushed into sink (transferring ownership of the pooled
 // batch) in virtual-time order instead of being materialized, and
 // RunResult.Result is nil. A Push that blocks pauses the simulation — the
-// virtual clock advances only as fast as the consumer drains — and
-// cancelling ctx aborts the run at the next opportunity.
+// virtual clock advances only as fast as the consumer drains — and the
+// event loop checks ctx between events, so cancelling it aborts the run at
+// the next event boundary with the context's error.
 func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, params costmodel.Params, sink Sink) (*RunResult, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("engine: RunStream needs a sink")
 	}
-	return execute(ctx, plan, base, params, sink)
-}
-
-func execute(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, params costmodel.Params, sink Sink) (*RunResult, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	if params.BatchTuples < 1 {
-		params.BatchTuples = 1
-	}
-	e := &engineState{
-		sim:     sim.New(),
-		machine: sim.NewMachine(params.RecordUtilization),
-		params:  params,
-		plan:    plan,
-		ctx:     ctx,
-		sink:    sink,
-		ops:     make(map[string]*opState, len(plan.Ops)),
-	}
-	if params.EventLimit > 0 {
-		e.sim.SetEventLimit(params.EventLimit)
-	}
-	e.stats.OpFinish = make(map[string]sim.Time, len(plan.Ops))
-	retain := plan.NumStreams() * 2
-	if retain > relation.MaxPoolRetain {
-		retain = relation.MaxPoolRetain
-	}
-	e.pool = relation.NewBatchPool(params.BatchTuples, retain)
-	if err := e.setup(base); err != nil {
+	e, err := newEngine(ctx, plan, base, params)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := e.sim.RunContext(ctx); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	if e.sinkErr != nil {
-		return nil, fmt.Errorf("engine: %w", e.sinkErr)
-	}
-	return e.finish()
-}
-
-// port identifies one logical input of an operator.
-type port int
-
-const (
-	portBuild port = iota
-	portProbe
-	portIn
-)
-
-// consumerEdge describes where an operator's output goes.
-type consumerEdge struct {
-	to    *opState
-	port  port
-	route relation.Attr
-	local bool
+	return e.run(sink)
 }
 
 // opState is the runtime state of one plan operator.
 type opState struct {
-	op         *xra.Op
-	instances  []*instance
-	consumer   *consumerEdge // nil only for collect
-	deps       []*opState    // After dependencies
-	dependents []*opState
-	doneCount  int
-	finished   bool
-	finishAt   sim.Time
-
-	// estCard is the estimated output cardinality (exact for scans, an
-	// upper-bound estimate for the 1:1 chain joins), used to size hash
-	// tables and the collect relation up front.
-	estCard int
-}
-
-func (o *opState) depsDone() bool {
-	for _, d := range o.deps {
-		if !d.finished {
-			return false
-		}
-	}
-	return true
+	*operator.Node
+	instances []*instance
+	doneCount int
+	finished  bool
+	finishAt  sim.Time
 }
 
 // engineState carries one execution.
@@ -204,23 +126,19 @@ type engineState struct {
 	sim     *sim.Sim
 	machine *sim.Machine
 	params  costmodel.Params
-	plan    *xra.Plan
-	ops     map[string]*opState
-	order   []*opState // plan order
+	wiring  *operator.Wiring
+	ops     []*opState // plan order, indexed by Node.Index
 	stats   Stats
-	collect *instance
 
-	// Streaming mode (RunStream): collect pushes batches into sink instead
-	// of gathering; ctx backs the pushes, pushed counts delivered tuples,
-	// and sinkErr records the first failed push (the run is then aborted
-	// at the next event boundary and further pushes are skipped).
+	// The collect process pushes result batches into sink; ctx backs the
+	// pushes and sinkErr records the first failed one (the run is then
+	// aborted at the next event boundary and further pushes are skipped).
 	ctx     context.Context
 	sink    Sink
 	sinkErr error
-	pushed  int
 
 	// pool recycles transport batches: every batch delivered between
-	// instances is drawn here by the producer's emit and returned by the
+	// instances is drawn here by the producer's outbox and returned by the
 	// consumer that applies it, so steady-state simulation allocates no
 	// per-batch garbage.
 	pool *relation.BatchPool
@@ -250,97 +168,33 @@ func (e *engineState) addTableTuples(procID, delta int) {
 	}
 }
 
-// setup builds operator and instance state, wires edges, pre-places base
-// relation fragments, and schedules the sequential process startup.
-func (e *engineState) setup(base func(leaf int) *relation.Relation) error {
-	for _, op := range e.plan.Ops {
-		os := &opState{op: op}
-		e.ops[op.ID] = os
-		e.order = append(e.order, os)
+// newEngine wires the plan, pre-places the base relation fragments, creates
+// the operation processes and schedules their sequential startup.
+func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, params costmodel.Params) (*engineState, error) {
+	w, err := operator.Wire(plan)
+	if err == nil {
+		err = w.Place(base)
 	}
-	// Wire consumer edges and dependencies.
-	for _, os := range e.order {
-		for _, in := range os.op.Inputs() {
-			from := e.ops[in.From]
-			var p port
-			switch in {
-			case os.op.Build:
-				p = portBuild
-			case os.op.Probe:
-				p = portProbe
-			default:
-				p = portIn
-			}
-			from.consumer = &consumerEdge{
-				to:    os,
-				port:  p,
-				route: in.Route,
-				local: xra.LocalEdge(from.op, os.op, in),
-			}
-		}
-		for _, a := range os.op.After {
-			dep := e.ops[a]
-			os.deps = append(os.deps, dep)
-			dep.dependents = append(dep.dependents, os)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
-	// Create instances.
-	for _, os := range e.order {
-		for i, procID := range os.op.Procs {
-			inst := &instance{
-				e:     e,
-				op:    os,
-				idx:   i,
-				proc:  e.machine.Proc(procID),
-				label: opLabel(os.op),
-			}
-			inst.eosWant = e.eosWant(os)
-			os.instances = append(os.instances, inst)
-		}
-		if os.op.Kind == xra.OpCollect {
-			e.collect = os.instances[0]
-			if e.sink == nil {
-				e.collect.gathered = relation.New("result", 0)
-			}
-		}
+	if params.BatchTuples < 1 {
+		params.BatchTuples = 1
 	}
-	// Pre-place base relation fragments (ideal initial fragmentation:
-	// Section 4.1 — each base relation is declustered on the join attribute
-	// of its first join over the processors used for that join).
-	for _, os := range e.order {
-		if os.op.Kind != xra.OpScan {
-			continue
-		}
-		rel := base(os.op.Leaf)
-		if rel == nil {
-			return fmt.Errorf("engine: no base relation for leaf %d", os.op.Leaf)
-		}
-		if e.collect.gathered != nil && e.collect.gathered.TupleBytes == 0 {
-			e.collect.gathered.TupleBytes = rel.TupleBytes
-		}
-		os.estCard = rel.Card()
-		frags := relation.FragmentBatches(rel, os.op.FragAttr, len(os.instances))
-		for i, inst := range os.instances {
-			inst.scanBatch = frags[i]
-		}
+	e := &engineState{
+		sim:     sim.New(),
+		machine: sim.NewMachine(params.RecordUtilization),
+		params:  params,
+		wiring:  w,
+		ctx:     ctx,
+		ops:     make([]*opState, len(w.Nodes)),
 	}
-	// Propagate cardinality estimates downstream (plan order lists
-	// producers before consumers): the chain query's joins are 1:1, so the
-	// larger operand bounds the output. The estimates size hash tables and
-	// the collect relation so the hot path never regrows them.
-	for _, os := range e.order {
-		if os.op.Kind == xra.OpScan {
-			continue
-		}
-		for _, in := range os.op.Inputs() {
-			if from := e.ops[in.From]; from.estCard > os.estCard {
-				os.estCard = from.estCard
-			}
-		}
-		if os.op.Kind == xra.OpCollect && os.estCard > 0 && e.collect.gathered != nil {
-			e.collect.gathered.Tuples = make([]relation.Tuple, 0, os.estCard)
-		}
+	if params.EventLimit > 0 {
+		e.sim.SetEventLimit(params.EventLimit)
 	}
+	e.stats.OpFinish = make(map[string]sim.Time, len(plan.Ops))
+	e.stats.Streams = plan.NumStreams()
+	e.pool = relation.NewBatchPool(params.BatchTuples, min(e.stats.Streams*2, relation.MaxPoolRetain))
 	// Sequential startup by the scheduler: process k may begin (receive
 	// handshakes, process input) only after the scheduler initialized
 	// processes 0..k, each costing Startup (Section 3.5, "startup"). Scan
@@ -349,45 +203,59 @@ func (e *engineState) setup(base func(leaf int) *relation.Relation) error {
 	// matches the paper's process count of one per join per processor
 	// (800 for SP at 80 processors).
 	k := 0
-	for _, os := range e.order {
-		for _, inst := range os.instances {
+	for i, n := range w.Nodes {
+		os := &opState{Node: n}
+		e.ops[i] = os
+		for idx, procID := range n.Op.Procs {
+			in := &instance{e: e, op: os, idx: idx, proc: e.machine.Proc(procID), label: opLabel(n.Op)}
+			in.join.Init(n)
+			os.instances = append(os.instances, in)
 			e.stats.Processes++
-			if os.op.Kind != xra.OpScan && os.op.Kind != xra.OpCollect {
+			if n.Op.Kind != xra.OpScan && n.Op.Kind != xra.OpCollect {
 				k++
-				e.stats.StartupTime += e.params.Startup
+				e.stats.StartupTime += params.Startup
 			}
-			inst.startupAt = sim.Time(sim.Duration(k) * e.params.Startup)
-			in := inst
-			e.sim.At(inst.startupAt, func() { in.tryActivate() })
+			in.startupAt = sim.Time(sim.Duration(k) * params.Startup)
+			e.sim.At(in.startupAt, in.tryActivate)
 		}
 	}
-	e.stats.Streams = e.plan.NumStreams()
-	return nil
+	return e, nil
 }
 
-// eosWant returns, per port, how many end-of-stream markers each instance of
-// op will receive: one per producer process on a redistribution edge, one on
-// a local edge.
-func (e *engineState) eosWant(os *opState) map[port]int {
-	want := make(map[port]int)
-	for _, in := range os.op.Inputs() {
-		from := e.ops[in.From]
-		var p port
-		switch in {
-		case os.op.Build:
-			p = portBuild
-		case os.op.Probe:
-			p = portProbe
-		default:
-			p = portIn
+// run drains the event loop into sink and assembles the run result.
+func (e *engineState) run(sink Sink) (*RunResult, error) {
+	e.sink = sink
+	if _, err := e.sim.RunContext(e.ctx); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	if e.sinkErr != nil {
+		return nil, fmt.Errorf("engine: %w", e.sinkErr)
+	}
+	var last sim.Time
+	for _, os := range e.ops {
+		if !os.finished {
+			return nil, fmt.Errorf("engine: operator %q never finished (deadlocked plan?)", os.Op.ID)
 		}
-		if xra.LocalEdge(from.op, os.op, in) {
-			want[p] = 1
-		} else {
-			want[p] = len(from.op.Procs)
+		if os.Op.Kind != xra.OpCollect && os.finishAt > last {
+			last = os.finishAt
+		}
+		for _, in := range os.instances {
+			e.stats.AddTransport(in.out)
 		}
 	}
-	return want
+	e.stats.SimEvents = e.sim.Processed()
+	res := &RunResult{ResponseTime: sim.Duration(last), Stats: e.stats, Procs: e.machine.Procs()}
+	sort.Slice(res.Procs, func(i, j int) bool { return res.Procs[i].ID < res.Procs[j].ID })
+	return res, nil
+}
+
+func (o *opState) depsDone(e *engineState) bool {
+	for _, d := range o.After {
+		if !e.ops[d.Index].finished {
+			return false
+		}
+	}
+	return true
 }
 
 // opLabel is the short label used in utilization diagrams: the join number
@@ -407,40 +275,14 @@ func opLabel(op *xra.Op) string {
 func (e *engineState) opFinished(os *opState) {
 	os.finished = true
 	os.finishAt = e.sim.Now()
-	e.stats.OpFinish[os.op.ID] = os.finishAt
-	for _, dep := range os.dependents {
-		if !dep.depsDone() {
+	e.stats.OpFinish[os.Op.ID] = os.finishAt
+	for _, d := range os.Dependents {
+		dep := e.ops[d.Index]
+		if !dep.depsDone(e) {
 			continue
 		}
 		for _, inst := range dep.instances {
 			inst.tryActivate()
 		}
 	}
-}
-
-// finish assembles the run result after the event loop drained.
-func (e *engineState) finish() (*RunResult, error) {
-	var last sim.Time
-	for _, os := range e.order {
-		if !os.finished {
-			return nil, fmt.Errorf("engine: operator %q never finished (deadlocked plan?)", os.op.ID)
-		}
-		if os.op.Kind != xra.OpCollect && os.finishAt > last {
-			last = os.finishAt
-		}
-	}
-	e.stats.SimEvents = e.sim.Processed()
-	if e.sink != nil {
-		e.stats.ResultTuples = e.pushed
-	} else {
-		e.stats.ResultTuples = e.collect.gathered.Card()
-	}
-	res := &RunResult{
-		Result:       e.collect.gathered, // nil in streaming mode
-		ResponseTime: sim.Duration(last),
-		Stats:        e.stats,
-		Procs:        e.machine.Procs(),
-	}
-	sort.Slice(res.Procs, func(i, j int) bool { return res.Procs[i].ID < res.Procs[j].ID })
-	return res, nil
 }

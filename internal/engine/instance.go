@@ -2,26 +2,16 @@ package engine
 
 import (
 	"multijoin/internal/costmodel"
-	"multijoin/internal/hashjoin"
+	"multijoin/internal/operator"
 	"multijoin/internal/relation"
 	"multijoin/internal/sim"
 	"multijoin/internal/xra"
 )
 
-// item is one unit of work in an instance's FIFO queue: a data batch, an
-// end-of-stream marker, or a synthetic scan batch. The queue serializes all
-// state changes of an instance, so the hash-join state machines never see
-// out-of-order input.
-type item struct {
-	port   port
-	batch  *relation.Batch
-	eos    bool
-	remote bool
-	scan   bool
-}
-
 // instance is one operation process: an operator replica bound to a single
-// simulated processor.
+// simulated processor. Its FIFO queue of messages serializes all state
+// changes, so the join state machine never sees out-of-order input; a scan
+// queues the chunks of its own fragment.
 type instance struct {
 	e     *engineState
 	op    *opState
@@ -33,43 +23,17 @@ type instance struct {
 	activationSet bool     // activation event scheduled or executed
 	started       bool     // handshakes paid; processing may proceed
 
-	queue      []item
+	queue      []operator.Msg
 	processing bool
 	finished   bool
 
-	eosWant map[port]int
-	eosGot  map[port]int
+	join operator.Join
+	out  *operator.Outbox // nil for collect
 
-	// Join algorithm state (exactly one is non-nil for join operators).
-	simple    *hashjoin.Simple
-	pipe      *hashjoin.Pipelining
-	buildDone bool
-	probeWait []item // probe batches buffered during the simple join's build phase
-
-	// Scan state: the pre-placed base relation fragment in columnar form,
-	// and its per-batch views queued as scan items (chunk-at-a-time cost
-	// events without copying the fragment). Scan views stay out of the
-	// batch pool.
-	scanBatch  relation.Batch
+	// scanChunks are per-batch views of the scan's pre-placed fragment,
+	// queued as messages (chunk-at-a-time cost events without copying the
+	// fragment). Scan views stay out of the batch pool.
 	scanChunks []relation.Batch
-
-	// scratch is the reusable join-result buffer: apply leaves results in
-	// it and the emit event copies them out before the next apply, so one
-	// buffer per instance suffices.
-	scratch relation.Batch
-
-	// Output batching: one pooled buffer per destination instance of the
-	// consumer edge (a nil buffer is replaced from the pool on first use
-	// after each flush).
-	outBufs []*relation.Batch
-
-	// Collect state.
-	gathered *relation.Relation
-}
-
-// spec returns the hash-join spec of the instance's operator.
-func (in *instance) spec() hashjoin.Spec {
-	return hashjoin.Spec{BuildIsLower: in.op.op.BuildIsLower}
 }
 
 // tryActivate activates the process once the scheduler has initialized it
@@ -81,92 +45,72 @@ func (in *instance) tryActivate() {
 		return
 	}
 	now := in.e.sim.Now()
-	if now < in.startupAt || !in.op.depsDone() {
+	if now < in.startupAt || !in.op.depsDone(in.e) {
 		return // retried by the startup event or a dependency completion
 	}
 	in.activationSet = true
-	hs := in.e.params.Handshake * sim.Duration(in.numStreams())
+	streams := in.op.InStreams()
+	if in.op.Out != nil {
+		streams += in.op.Out.Dests()
+	}
+	hs := in.e.params.Handshake * sim.Duration(streams)
 	in.e.stats.HandshakeTime += hs
 	_, end := in.proc.Acquire(now, hs, in.label)
 	in.e.sim.At(end, func() {
 		in.started = true
-		in.initState()
+		in.start()
 		if !in.processing {
 			in.next()
 		}
 	})
 }
 
-// numStreams counts the tuple streams this process participates in: for
-// each input, one per producer process (redistribution) or one (local), and
-// symmetrically for its output edge.
-func (in *instance) numStreams() int {
-	n := 0
-	for _, w := range in.eosWant {
-		n += w
+// start creates the join state and the outbox, and enqueues a scan's work.
+func (in *instance) start() {
+	bt := in.e.params.BatchTuples
+	in.join.Start(bt)
+	if in.op.Out != nil {
+		in.out = operator.NewOutbox(in.op.Node, in.idx, in.e.pool, bt, in)
 	}
-	if c := in.op.consumer; c != nil {
-		if c.local || c.to.op.Kind == xra.OpCollect {
-			n++
-		} else {
-			n += len(c.to.instances)
-		}
-	}
-	return n
-}
-
-// initState lazily creates algorithm state and enqueues scan work. Join
-// tables are sized from the operator's estimated per-process operand
-// cardinality so steady-state inserts never rehash.
-func (in *instance) initState() {
-	hint := relation.PerFragmentCap(in.op.estCard, len(in.op.instances))
-	switch in.op.op.Kind {
-	case xra.OpSimpleJoin:
-		in.simple = hashjoin.NewSimpleSized(in.spec(), hint)
-		in.scratch = *relation.NewBatch(2 * in.e.params.BatchTuples)
-	case xra.OpPipeJoin:
-		in.pipe = hashjoin.NewPipeliningSized(in.spec(), hint)
-		in.scratch = *relation.NewBatch(2 * in.e.params.BatchTuples)
-	case xra.OpScan:
-		b := in.e.params.BatchTuples
-		n := in.scanBatch.Len()
-		in.scanChunks = make([]relation.Batch, 0, (n+b-1)/b)
-		for lo := 0; lo < n; lo += b {
-			hi := lo + b
-			if hi > n {
-				hi = n
-			}
-			in.scanChunks = append(in.scanChunks, in.scanBatch.View(lo, hi))
+	if in.op.Op.Kind == xra.OpScan {
+		frag := &in.op.Frags[in.idx]
+		n := frag.Len()
+		in.scanChunks = make([]relation.Batch, 0, (n+bt-1)/bt)
+		for lo := 0; lo < n; lo += bt {
+			in.scanChunks = append(in.scanChunks, frag.View(lo, min(lo+bt, n)))
 		}
 		for k := range in.scanChunks {
-			in.queue = append(in.queue, item{scan: true, batch: &in.scanChunks[k]})
+			in.queue = append(in.queue, operator.Msg{Batch: &in.scanChunks[k]})
 		}
-	}
-	if c := in.op.consumer; c != nil {
-		n := len(c.to.instances)
-		if c.local {
-			n = 1
-		}
-		in.outBufs = make([]*relation.Batch, n)
-	}
-	if in.eosGot == nil {
-		in.eosGot = make(map[port]int)
 	}
 }
 
-// deliver enqueues an incoming item and kicks processing if idle.
-func (in *instance) deliver(it item) {
-	in.queue = append(in.queue, it)
+// deliver enqueues an incoming message and kicks processing if idle.
+func (in *instance) deliver(m operator.Msg) {
+	in.queue = append(in.queue, m)
 	if in.started && !in.processing {
 		in.next()
 	}
 }
 
+// Deliver is the outbox's transport: the message reaches consumer process d
+// after the network latency when it crosses processors.
+func (in *instance) Deliver(d int, m operator.Msg) bool {
+	e := in.op.Out
+	dest := in.e.ops[e.To.Index].instances[e.Target(in.idx, d)]
+	var latency sim.Duration
+	if m.Remote {
+		latency = in.e.params.NetLatency
+	}
+	in.e.sim.After(latency, func() { dest.deliver(m) })
+	return true
+}
+
 // next processes the head of the queue, charging the simulated processor
 // and applying the algorithm state change, then re-arms itself. When the
 // queue drains and all inputs have ended, the process finishes. Bookkeeping
-// items (end-of-stream markers, probe input buffered during a build phase)
-// cost nothing and are drained iteratively.
+// (punctuation, probe input held during a build phase) costs nothing and is
+// drained iteratively.
 func (in *instance) next() {
 	if in.finished {
 		return
@@ -178,46 +122,28 @@ func (in *instance) next() {
 			return
 		}
 		in.processing = true
-		it := in.queue[0]
+		m := in.queue[0]
 		in.queue = in.queue[1:]
 
-		if it.eos {
-			in.eosGot[it.port]++
-			if in.op.op.Kind == xra.OpPipeJoin && in.eosGot[it.port] == in.eosWant[it.port] {
-				// A closed operand lets the pipelining join stop
-				// inserting the other operand's tuples (no future match
-				// can need them).
-				if it.port == portBuild {
-					in.pipe.CloseBuildSide()
-				} else {
-					in.pipe.CloseProbeSide()
-				}
-			}
-			if in.op.op.Kind == xra.OpSimpleJoin && it.port == portBuild &&
-				in.eosGot[portBuild] == in.eosWant[portBuild] {
-				// Build phase complete: release the buffered probe input
-				// in arrival order ahead of anything queued later.
-				in.buildDone = true
-				in.queue = append(in.probeWait, in.queue...)
-				in.probeWait = nil
+		if m.Batch == nil {
+			// The end of a build phase releases the held probe input ahead
+			// of anything queued later.
+			if held := in.join.EOS(m.Port); len(held) > 0 {
+				in.queue = append(held, in.queue...)
 			}
 			continue
 		}
-
-		if in.op.op.Kind == xra.OpSimpleJoin && it.port == portProbe && !in.buildDone {
-			// The simple hash-join blocks its probe operand until the
-			// hash table is complete.
-			in.probeWait = append(in.probeWait, it)
+		if in.join.Hold(m) {
 			continue
 		}
 
-		units, results := in.apply(it)
+		units, results := in.apply(m)
 		cost := in.e.params.WorkCost(units)
 		now := in.e.sim.Now()
 		_, end := in.proc.Acquire(now, cost, in.label)
 		in.e.sim.At(end, func() {
 			if results != nil && results.Len() > 0 {
-				in.emit(results)
+				in.out.Emit(results, operator.Insert)
 			}
 			in.next()
 		})
@@ -225,235 +151,76 @@ func (in *instance) next() {
 	}
 }
 
-// apply runs the operator logic on one item, returning the work in cost
+// apply runs the operator logic on one message, returning the work in cost
 // units (Section 4.3: hash=1, net receive=1, result create+send=2) and any
-// result batch to emit. Join results land in the instance's scratch
-// buffer, which the emit event consumes before the next apply; exhausted
-// input batches return to the batch pool (scan items are borrowed views of
-// the base relation fragment and stay out of the pool).
-func (in *instance) apply(it item) (units float64, results *relation.Batch) {
-	n := float64(it.batch.Len())
-	switch {
-	case it.scan:
+// result batch to emit. Join results stay valid until the next apply, and
+// the emit event consumes them before; exhausted input batches return to
+// the batch pool (scan chunks are borrowed views of the base relation
+// fragment and stay out of the pool).
+func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batch) {
+	n := float64(m.Batch.Len())
+	switch in.op.Op.Kind {
+	case xra.OpScan:
 		units = n * in.e.params.ScanUnits
-		if c := in.op.consumer; c != nil && !c.local {
+		if !in.op.Out.Local {
 			units += n * costmodel.UnitsResult / 2 // send over the network
 		}
-		results = it.batch
-	case in.op.op.Kind == xra.OpSimpleJoin && it.port == portBuild:
+		results = m.Batch
+	case xra.OpSimpleJoin, xra.OpPipeJoin:
+		// One table action per tuple, two when the pipelining join both
+		// probes and inserts; receiving from the network and creating each
+		// result tuple add theirs.
+		before := in.join.Resident()
 		units = n * costmodel.UnitsHash
-		if it.remote {
-			units += n * costmodel.UnitsNetReceive
-		}
-		in.simple.InsertBatch(it.batch)
-		in.e.pool.Put(it.batch)
-		in.e.addTableTuples(in.proc.ID, int(n))
-	case in.op.op.Kind == xra.OpSimpleJoin: // probe, build complete
-		in.scratch.Reset()
-		in.simple.ProbeBatchInto(&in.scratch, it.batch)
-		in.e.pool.Put(it.batch)
-		results = &in.scratch
-		units = n * costmodel.UnitsHash
-		if it.remote {
-			units += n * costmodel.UnitsNetReceive
-		}
-		units += float64(results.Len()) * costmodel.UnitsResult
-	case in.op.op.Kind == xra.OpPipeJoin:
-		// A pipelining-join tuple probes the other operand's table and —
-		// while that operand is still open — inserts into its own: two
-		// table actions per tuple. The second action is saved when the
-		// other side has ended (no future arrival can need the insert) or
-		// when the other table is still empty (probing is a no-op), which
-		// is why FP degenerates to RD-like per-tuple cost on linear trees
-		// (Figure 13) while paying the full symmetric cost on bushy ones.
-		fromBuild := it.port == portBuild
-		otherClosed := in.pipe.SideClosed(!fromBuild)
-		bn, pn := in.pipe.Sizes()
-		otherEmpty := (fromBuild && pn == 0) || (!fromBuild && bn == 0)
-		in.scratch.Reset()
-		if fromBuild {
-			in.pipe.FromBuildSideBatchInto(&in.scratch, it.batch)
-		} else {
-			in.pipe.FromProbeSideBatchInto(&in.scratch, it.batch)
-		}
-		in.e.pool.Put(it.batch)
-		results = &in.scratch
-		b1, p1 := in.pipe.Sizes()
-		in.e.addTableTuples(in.proc.ID, (b1+p1)-(bn+pn))
-		units = n * costmodel.UnitsHash
-		if !otherClosed && !otherEmpty {
+		if in.join.Symmetric(m.Port) {
 			units += n * costmodel.UnitsProbe
 		}
-		if it.remote {
+		if m.Remote {
 			units += n * costmodel.UnitsNetReceive
 		}
-		units += float64(results.Len()) * costmodel.UnitsResult
-	case in.op.op.Kind == xra.OpCollect:
-		// Gathering at the scheduler host is free and identical for every
-		// strategy; the paper's response time excludes it.
-		if in.e.sink != nil {
-			// Streaming: hand the pooled batch to the sink in virtual-time
-			// order. Ownership transfers with the Push (the consumer's
-			// release returns it to the pool); a blocked Push pauses the
-			// simulation, and a failed one (cancellation) is recorded so
-			// the event loop aborts at its next ctx check without further
-			// pushes.
-			if in.e.sinkErr == nil {
-				batch := it.batch
-				cnt := batch.Len() // before Push: ownership transfers with it
-				err := in.e.sink.Push(in.e.ctx, batch, func() { in.e.pool.Put(batch) })
-				if err != nil {
-					in.e.sinkErr = err
-				} else {
-					in.e.pushed += cnt
-				}
-			}
-			break
+		results = in.join.Apply(m)
+		in.e.pool.Put(m.Batch)
+		in.e.addTableTuples(in.proc.ID, in.join.Resident()-before)
+		if results != nil {
+			units += float64(results.Len()) * costmodel.UnitsResult
 		}
-		it.batch.AppendTo(in.gathered)
-		in.e.pool.Put(it.batch)
+	case xra.OpCollect:
+		// Gathering at the scheduler host is free and identical for every
+		// strategy; the paper's response time excludes it. The pooled batch
+		// goes to the sink in virtual-time order: ownership transfers with
+		// the Push (the consumer's release returns it to the pool); a
+		// blocked Push pauses the simulation, and a failed one
+		// (cancellation) is recorded so the event loop aborts at its next
+		// ctx check without further pushes.
+		if in.e.sinkErr == nil {
+			batch := m.Batch
+			cnt := batch.Len() // before Push: ownership transfers with it
+			if err := in.e.sink.Push(in.e.ctx, batch, func() { in.e.pool.Put(batch) }); err != nil {
+				in.e.sinkErr = err
+			} else {
+				in.e.stats.ResultTuples += cnt
+			}
+		}
 	}
 	return units, results
 }
 
-// emit routes result tuples into per-destination pooled buffers, flushing
-// batches the moment they are full so a pooled buffer never regrows past
-// its fixed capacity. The single-destination path is three bulk column
-// copies per chunk; redistribution hoists the routing key column and
-// scatters row-at-a-time over flat columns.
-func (in *instance) emit(results *relation.Batch) {
-	c := in.op.consumer
-	if c == nil {
-		return
-	}
-	n := results.Len()
-	bt := in.e.params.BatchTuples
-	if len(in.outBufs) == 1 {
-		for lo := 0; lo < n; {
-			buf := in.outBufs[0]
-			if buf == nil {
-				buf = in.e.pool.Get()
-				in.outBufs[0] = buf
-			}
-			cnt := bt - buf.Len()
-			if cnt > n-lo {
-				cnt = n - lo
-			}
-			buf.AppendRange(results, lo, lo+cnt)
-			lo += cnt
-			if buf.Len() == bt {
-				in.flush(0)
-			}
-		}
-		return
-	}
-	bk := relation.NewBucketer(len(in.outBufs))
-	keys := results.Col(c.route)
-	for i := 0; i < n; i++ {
-		d := bk.Bucket(keys[i])
-		buf := in.outBufs[d]
-		if buf == nil {
-			buf = in.e.pool.Get()
-			in.outBufs[d] = buf
-		}
-		buf.Append(results.U1[i], results.U2[i], results.Check[i])
-		if buf.Len() == bt {
-			in.flush(d)
-		}
-	}
-}
-
-// flush sends buffer d to its destination instance, with network latency
-// when crossing processors.
-func (in *instance) flush(d int) {
-	buf := in.outBufs[d]
-	if buf == nil || buf.Len() == 0 {
-		return
-	}
-	c := in.op.consumer
-	dest := in.destInstance(d)
-	in.outBufs[d] = nil
-	remote := dest.proc != in.proc
-	var latency sim.Duration
-	if remote {
-		latency = in.e.params.NetLatency
-	}
-	// The final gather at the scheduler host is identical for every
-	// strategy and excluded from the paper's metrics; keep it out of the
-	// transport statistics as well.
-	if c.to.op.Kind != xra.OpCollect {
-		if remote {
-			in.e.stats.TuplesMovedRemote += int64(buf.Len())
-		} else {
-			in.e.stats.TuplesLocal += int64(buf.Len())
-		}
-		in.e.stats.Batches++
-	}
-	it := item{port: c.port, batch: buf, remote: remote}
-	in.e.sim.After(latency, func() { dest.deliver(it) })
-}
-
-// destInstance resolves destination buffer index d to the consumer instance.
-func (in *instance) destInstance(d int) *instance {
-	c := in.op.consumer
-	if c.local {
-		return c.to.instances[in.idx]
-	}
-	return c.to.instances[d]
-}
-
 // maybeFinish completes the process once every input ended and all queued
-// work was applied: remaining buffers are flushed, end-of-stream markers are
-// sent to every destination, and the operator completion is reported when
-// the last sibling instance finishes.
+// work was applied: the hash tables are released — the modeled bytes and the
+// real backing arrays, which the recycle pool hands to the joins still
+// running — remaining buffers are flushed, end-of-stream marks are sent to
+// every destination, and the operator completion is reported when the last
+// sibling instance finishes.
 func (in *instance) maybeFinish() {
-	if in.finished || !in.started {
+	if in.finished || !in.started || !in.join.Done() {
 		return
-	}
-	for p, want := range in.eosWant {
-		if in.eosGot[p] < want {
-			return
-		}
-	}
-	if len(in.probeWait) > 0 {
-		return // cannot happen once build EOS arrived, defensive
 	}
 	in.finished = true
-	// Release hash-table memory held by this process — the modeled bytes
-	// and, below, the real backing arrays, which the recycle pool hands to
-	// the joins still running.
-	switch {
-	case in.simple != nil:
-		in.e.addTableTuples(in.proc.ID, -in.simple.BuildSize())
-		in.simple.Release()
-		in.simple = nil
-	case in.pipe != nil:
-		bn, pn := in.pipe.Sizes()
-		in.e.addTableTuples(in.proc.ID, -(bn + pn))
-		in.pipe.Release()
-		in.pipe = nil
-	}
-	if c := in.op.consumer; c != nil {
-		for d := range in.outBufs {
-			in.flush(d)
-		}
-		// End-of-stream on every outgoing stream.
-		if c.local {
-			dest := in.destInstance(0)
-			eos := item{port: c.port, eos: true}
-			in.e.sim.After(0, func() { dest.deliver(eos) })
-		} else {
-			for d := range c.to.instances {
-				dest := c.to.instances[d]
-				remote := dest.proc != in.proc
-				var latency sim.Duration
-				if remote {
-					latency = in.e.params.NetLatency
-				}
-				eos := item{port: c.port, eos: true}
-				in.e.sim.After(latency, func() { dest.deliver(eos) })
-			}
-		}
+	in.e.addTableTuples(in.proc.ID, -in.join.Resident())
+	in.join.Release()
+	if in.out != nil {
+		in.out.Flush()
+		in.out.Punctuate()
 	}
 	in.op.doneCount++
 	if in.op.doneCount == len(in.op.instances) {

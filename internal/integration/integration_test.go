@@ -5,6 +5,7 @@
 package integration
 
 import (
+	"context"
 	"testing"
 
 	"multijoin/internal/core"
@@ -121,10 +122,10 @@ func TestTwoPhaseOnSkewedChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range strategy.Kinds {
-		res, err := core.Verify(core.Query{
+		res, err := core.Exec(context.Background(), core.Query{
 			DB: db, Tree: opt.Tree, Strategy: kind, Procs: 10,
 			Params: costmodel.Default(),
-		})
+		}, core.WithVerify())
 		if err != nil {
 			t.Fatalf("%v on optimized tree: %v", kind, err)
 		}

@@ -16,13 +16,18 @@
 // — telescopes to the correct new result (Berkholz et al.,
 // answering-queries-under-updates, is the theory anchor).
 //
+// The network is the process model of package operator — one inbox of
+// operator.Msg per join-node instance, the kernel's wiring and outbox, whose
+// ordering rule keeps a retraction behind the insertion it cancels — with a
+// view-specific node step: signed, over two tables, with Delete.
+//
 // Rounds are separated by a punctuation barrier: one Apply injects its
 // delta through every scan edge, then sends one end-of-round token down
-// every canonical stream (parallel.Streams). A node forwards its own
-// tokens only after collecting one per incoming stream — by then, channel
-// FIFO order guarantees it has processed and forwarded all of its round
-// input — so the collector holding every token implies the result
-// multiset is exact for the round. The collector then reports the round's
+// every stream of the plan. A node forwards its own tokens only after
+// collecting one per incoming stream — by then, channel FIFO order
+// guarantees it has processed and forwarded all of its round input — so
+// the collector holding every token implies the result multiset is exact
+// for the round. The collector then reports the round's
 // change count, publishes the changes to subscribed change streams
 // (View.Changes), and releases the waiting Apply.
 //
@@ -40,7 +45,7 @@ import (
 	"sync/atomic"
 
 	"multijoin/internal/hashjoin"
-	"multijoin/internal/parallel"
+	"multijoin/internal/operator"
 	"multijoin/internal/relation"
 	"multijoin/internal/spill"
 	"multijoin/internal/xra"
@@ -102,132 +107,14 @@ type Change struct {
 	Sign  int8 // +1 insert, -1 delete
 }
 
-// msg is the unit of the resident network's channels: a signed transport
-// batch for one input port, or an end-of-round token.
-type msg struct {
-	port  int8 // 0 = build input, 1 = probe input
-	sign  int8 // +1 insert, -1 delete (data only)
-	token bool
-	batch *relation.Batch
-}
-
-func signIdx(sign int8) int {
-	if sign > 0 {
-		return 0
-	}
-	return 1
-}
-
-func idxSign(si int) int8 {
-	if si == 0 {
-		return 1
-	}
-	return -1
-}
-
-// outbox routes one producer instance's output across its consumer edge:
-// per-destination pending batches for each sign, bucketed on the edge's
-// routing attribute exactly like the executing runtimes route.
-type outbox struct {
-	dsts  []chan msg
-	port  int8
-	route relation.Attr
-	bk    relation.Bucketer
-	pend  [2][]*relation.Batch // [0] inserts, [1] deletes; per destination
-}
-
-func (o *outbox) emitTuple(v *View, u1, u2 int64, ck uint64, key int64, si int) bool {
-	d := 0
-	if len(o.dsts) > 1 {
-		d = o.bk.Bucket(key)
-	}
-	p := o.pend[si][d]
-	if p == nil {
-		p = v.pool.Get()
-		o.pend[si][d] = p
-	}
-	p.Append(u1, u2, ck)
-	if p.Len() >= v.batch {
-		o.pend[si][d] = nil
-		// A full delete batch must not overtake buffered inserts for the
-		// same destination: the retraction of a tuple created earlier this
-		// round would arrive before its insertion and be dropped as
-		// unmatched. Inserts overtaking deletes are harmless — per-tuple
-		// counts only ever rise before they fall.
-		if si == 1 {
-			if ins := o.pend[0][d]; ins != nil && ins.Len() > 0 {
-				o.pend[0][d] = nil
-				if !v.send(o.dsts[d], msg{port: o.port, sign: 1, batch: ins}) {
-					return false
-				}
-			}
-		}
-		return v.send(o.dsts[d], msg{port: o.port, sign: idxSign(si), batch: p})
-	}
-	return true
-}
-
-// emit routes a whole result batch with one sign.
-func (o *outbox) emit(v *View, res *relation.Batch, sign int8) bool {
-	si := signIdx(sign)
-	var keys []int64
-	if len(o.dsts) > 1 {
-		keys = res.Col(o.route)
-	}
-	for i, n := 0, res.Len(); i < n; i++ {
-		var key int64
-		if keys != nil {
-			key = keys[i]
-		}
-		if !o.emitTuple(v, res.U1[i], res.U2[i], res.Check[i], key, si) {
-			return false
-		}
-	}
-	return true
-}
-
-// flushData sends every non-empty pending batch.
-func (o *outbox) flushData(v *View) bool {
-	for si := range o.pend {
-		for d, p := range o.pend[si] {
-			if p == nil {
-				continue
-			}
-			o.pend[si][d] = nil
-			if p.Len() == 0 {
-				v.pool.Put(p)
-				continue
-			}
-			if !v.send(o.dsts[d], msg{port: o.port, sign: idxSign(si), batch: p}) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// tokens sends n end-of-round tokens to every destination instance.
-func (o *outbox) tokens(v *View, n int) bool {
-	for t := 0; t < n; t++ {
-		for _, ch := range o.dsts {
-			if !v.send(ch, msg{token: true}) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // node is one resident join-operator instance: a goroutine owning the two
 // operand hash tables of its fragment.
 type node struct {
-	op       *xra.Op
-	idx      int
 	spec     hashjoin.Spec
-	tables   [2]*hashjoin.Table // 0: build side, 1: probe side
-	in       chan msg
-	expect   int // tokens per round: incoming canonical streams
-	out      outbox
+	tables   [2]*hashjoin.Table // indexed by operator.Build, operator.Probe
+	in       chan operator.Msg
+	expect   int // tokens per round: incoming streams
+	out      *operator.Outbox
 	res      relation.Batch // probe-result scratch
 	fdel     relation.Batch // found-deletes scratch
 	heads    []int32
@@ -235,11 +122,11 @@ type node struct {
 }
 
 // scanPort is the injection point for one base relation: Apply routes
-// delta tuples straight into the scan's consumer edge (scans hold no
-// state, so they need no goroutine).
+// delta tuples straight into the scan's consumer edge, standing in for all
+// of the scan's processes (scans hold no state, so they need no goroutine).
 type scanPort struct {
-	op     *xra.Op
-	out    outbox
+	leaf   int
+	out    *operator.Outbox
 	tokens int // end-of-round tokens per destination instance
 }
 
@@ -251,7 +138,7 @@ type roundResult struct {
 // collector owns the result multiset and the change-stream subscribers.
 type collector struct {
 	v        *View
-	in       chan msg
+	in       chan operator.Msg
 	expect   int
 	counts   map[relation.Tuple]int64
 	card     int
@@ -275,6 +162,7 @@ type View struct {
 	scans    map[int]*scanPort
 	scanList []*scanPort
 	coll     *collector
+	inject   relation.Batch // Apply's staging buffer for delta tuples
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -298,10 +186,16 @@ func New(plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config) (*V
 	if plan == nil {
 		return nil, errors.New("ivm: nil plan")
 	}
-	collectOp := plan.Collect()
-	if collectOp == nil {
-		return nil, errors.New("ivm: plan has no collect operator")
+	w, err := operator.Wire(plan)
+	if err != nil {
+		return nil, fmt.Errorf("ivm: %w", err)
 	}
+	for _, n := range w.Nodes {
+		if n.Op.Kind == xra.OpScan && base(n.Op.Leaf) == nil {
+			return nil, fmt.Errorf("ivm: no base relation for leaf %d", n.Op.Leaf)
+		}
+	}
+	w.Estimate(func(leaf int) int { return base(leaf).Card() })
 	batch := cfg.BatchTuples
 	if batch <= 0 {
 		batch = DefaultBatchTuples
@@ -321,116 +215,47 @@ func New(plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config) (*V
 	}
 	v.ctx, v.cancel = context.WithCancel(context.Background())
 
-	specs := parallel.Streams(plan)
-
-	// One inbox per operator instance, sized for a round's tokens plus
-	// in-flight data.
-	inboxes := make(map[string][]chan msg, len(plan.Ops))
-	instances := func(op *xra.Op) int {
-		if op.Kind == xra.OpCollect {
-			return 1
-		}
-		return len(op.Procs)
-	}
-	for _, op := range plan.Ops {
-		if op.Kind == xra.OpScan {
+	// One inbox per join and collect process, sized for a round's tokens
+	// plus in-flight data; every producer of an edge shares its consumer's.
+	inboxes := make([]*operator.Chans, len(w.Nodes))
+	for i, n := range w.Nodes {
+		if n.Op.Kind == xra.OpScan {
 			continue
 		}
-		chs := make([]chan msg, instances(op))
-		for i := range chs {
-			expect := parallel.InstanceInStreams(specs, op, i)
-			chs[i] = make(chan msg, 2*expect+8)
-		}
-		inboxes[op.ID] = chs
-	}
-
-	// Consumer edge per producer, as in parallel.Streams.
-	type edge struct {
-		to *xra.Op
-		in *xra.Input
-	}
-	consumers := make(map[string]edge, len(plan.Ops))
-	for _, o := range plan.Ops {
-		for _, in := range o.Inputs() {
-			consumers[in.From] = edge{to: o, in: in}
-		}
-	}
-	newOutbox := func(from *xra.Op) (outbox, *xra.Op, error) {
-		c, ok := consumers[from.ID]
-		if !ok {
-			return outbox{}, nil, fmt.Errorf("ivm: operator %s has no consumer", from.ID)
-		}
-		var port int8
-		if c.in == c.to.Probe {
-			port = 1
-		}
-		dsts := inboxes[c.to.ID]
-		o := outbox{dsts: dsts, port: port, route: c.in.Route, bk: relation.NewBucketer(len(dsts))}
-		o.pend[0] = make([]*relation.Batch, len(dsts))
-		o.pend[1] = make([]*relation.Batch, len(dsts))
-		return o, c.to, nil
-	}
-
-	maxCard := 0
-	for _, op := range plan.Ops {
-		if op.Kind == xra.OpScan {
-			if r := base(op.Leaf); r != nil && r.Card() > maxCard {
-				maxCard = r.Card()
+		c := &operator.Chans{Dst: make([]chan<- operator.Msg, len(n.Op.Procs)), Done: v.ctx.Done(), Pool: v.pool}
+		inboxes[i] = c
+		for idx := range c.Dst {
+			in := make(chan operator.Msg, 2*n.InStreams()+8)
+			c.Dst[idx] = in
+			if n.Op.Kind == xra.OpCollect {
+				v.coll = &collector{v: v, in: in, expect: n.InStreams(), counts: make(map[relation.Tuple]int64)}
+				continue
 			}
+			nd := &node{spec: hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}, in: in, expect: n.InStreams()}
+			nd.tables[operator.Build] = hashjoin.NewTableSized(nd.spec.BuildAttr(), n.TableHint())
+			nd.tables[operator.Probe] = hashjoin.NewTableSized(nd.spec.ProbeAttr(), n.TableHint())
+			v.nodes = append(v.nodes, nd)
 		}
 	}
-
-	for _, op := range plan.Ops {
-		switch op.Kind {
+	// Outboxes, once every inbox exists. Join outputs always redistribute,
+	// so a process's destinations are exactly its consumer's inboxes.
+	joins := 0
+	for _, n := range w.Nodes {
+		switch n.Op.Kind {
 		case xra.OpScan:
-			out, to, err := newOutbox(op)
-			if err != nil {
-				v.cancel()
-				return nil, err
+			sp := &scanPort{
+				leaf:   n.Op.Leaf,
+				out:    operator.NewSourceOutbox(n, v.pool, batch, inboxes[n.Out.To.Index]),
+				tokens: n.Out.To.EOSWant(n.Out.Port),
 			}
-			tokens := len(op.Procs)
-			if xra.LocalEdge(op, to, consumers[op.ID].in) {
-				tokens = 1
-			}
-			sp := &scanPort{op: op, out: out, tokens: tokens}
-			v.scans[op.Leaf] = sp
+			v.scans[sp.leaf] = sp
 			v.scanList = append(v.scanList, sp)
 		case xra.OpSimpleJoin, xra.OpPipeJoin:
-			out, _, err := newOutbox(op)
-			if err != nil {
-				v.cancel()
-				return nil, err
-			}
-			spec := hashjoin.Spec{BuildIsLower: op.BuildIsLower}
-			hint := relation.PerFragmentCap(maxCard, len(op.Procs))
-			for i := range op.Procs {
-				// Each instance needs its own outbox buffers; topology is
-				// shared.
-				o := out
-				o.pend[0] = make([]*relation.Batch, len(out.dsts))
-				o.pend[1] = make([]*relation.Batch, len(out.dsts))
-				n := &node{
-					op: op, idx: i, spec: spec,
-					in:     inboxes[op.ID][i],
-					expect: parallel.InstanceInStreams(specs, op, i),
-					out:    o,
-				}
-				n.tables[0] = hashjoin.NewTableSized(spec.BuildAttr(), hint)
-				n.tables[1] = hashjoin.NewTableSized(spec.ProbeAttr(), hint)
-				v.nodes = append(v.nodes, n)
-			}
-		case xra.OpCollect:
-			v.coll = &collector{
-				v:      v,
-				in:     inboxes[op.ID][0],
-				expect: parallel.InstanceInStreams(specs, op, 0),
-				counts: make(map[relation.Tuple]int64),
+			for idx := range n.Op.Procs {
+				v.nodes[joins].out = operator.NewOutbox(n, idx, v.pool, batch, inboxes[n.Out.To.Index])
+				joins++
 			}
 		}
-	}
-	if v.coll == nil {
-		v.cancel()
-		return nil, errors.New("ivm: plan has no collect operator")
 	}
 
 	for _, n := range v.nodes {
@@ -444,34 +269,16 @@ func New(plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config) (*V
 	// code path deltas take.
 	boot := make([]Delta, 0, len(v.scanList))
 	for _, sp := range v.scanList {
-		r := base(sp.op.Leaf)
-		if r == nil {
-			v.Close()
-			return nil, fmt.Errorf("ivm: no base relation for leaf %d", sp.op.Leaf)
-		}
-		boot = append(boot, Delta{Rel: sp.op.Leaf, Insert: r.Tuples})
+		boot = append(boot, Delta{Rel: sp.leaf, Insert: base(sp.leaf).Tuples})
 	}
 	v.mu.Lock()
-	_, err := v.round(context.Background(), boot)
+	_, err = v.round(context.Background(), boot)
 	v.mu.Unlock()
 	if err != nil {
 		v.Close()
 		return nil, err
 	}
 	return v, nil
-}
-
-// send delivers m, giving up when the view is torn down.
-func (v *View) send(ch chan msg, m msg) bool {
-	select {
-	case ch <- m:
-		return true
-	case <-v.ctx.Done():
-		if m.batch != nil {
-			v.pool.Put(m.batch)
-		}
-		return false
-	}
 }
 
 func (v *View) runNode(n *node) {
@@ -482,7 +289,7 @@ func (v *View) runNode(n *node) {
 	for {
 		select {
 		case m := <-n.in:
-			if m.token {
+			if m.Batch == nil {
 				got++
 				if got < n.expect {
 					continue
@@ -492,7 +299,7 @@ func (v *View) runNode(n *node) {
 				// happen-before the collector's round completion, so the
 				// Apply that reads them sees this round's figures.
 				n.resident.Store(n.tables[0].MemBytes() + n.tables[1].MemBytes())
-				if !n.out.flushData(v) || !n.out.tokens(v, 1) {
+				if !n.out.Flush() || !n.out.Punctuate() {
 					return
 				}
 				continue
@@ -512,10 +319,10 @@ func (v *View) runNode(n *node) {
 // side's table and the matches propagate with the batch's sign; inserts
 // probe first and then extend this side's table. Probe-then-update order
 // is immaterial because the two tables index different operands.
-func (n *node) handle(v *View, m msg) bool {
-	b := m.batch
-	own := n.tables[m.port]
-	if m.sign < 0 {
+func (n *node) handle(v *View, m operator.Msg) bool {
+	b := m.Batch
+	own := n.tables[m.Port]
+	if m.Sign < 0 {
 		n.fdel.Reset()
 		for i, l := 0, b.Len(); i < l; i++ {
 			if own.Delete(b.Tuple(i)) {
@@ -528,20 +335,17 @@ func (n *node) handle(v *View, m msg) bool {
 	}
 	n.res.Reset()
 	if b.Len() > 0 {
-		if m.port == 0 {
+		if m.Port == operator.Build {
 			n.heads = n.tables[1].ProbeBatchInto(&n.res, b, n.spec.BuildAttr(), n.spec.BuildIsLower, n.heads)
 		} else {
 			n.heads = n.tables[0].ProbeBatchInto(&n.res, b, n.spec.ProbeAttr(), !n.spec.BuildIsLower, n.heads)
 		}
 	}
-	if m.sign > 0 {
-		own.InsertBatch(m.batch)
+	if m.Sign > 0 {
+		own.InsertBatch(m.Batch)
 	}
-	v.pool.Put(m.batch)
-	if n.res.Len() > 0 {
-		return n.out.emit(v, &n.res, m.sign)
-	}
-	return true
+	v.pool.Put(m.Batch)
+	return n.out.Emit(&n.res, m.Sign)
 }
 
 func (c *collector) run() {
@@ -552,7 +356,7 @@ func (c *collector) run() {
 	for {
 		select {
 		case m := <-c.in:
-			if m.token {
+			if m.Batch == nil {
 				got++
 				if got < c.expect {
 					continue
@@ -572,19 +376,19 @@ func (c *collector) run() {
 				}
 				continue
 			}
-			b := m.batch
+			b := m.Batch
 			wantChanges := c.hasSubs()
 			for i, n := 0, b.Len(); i < n; i++ {
 				t := b.Tuple(i)
-				cnt := c.counts[t] + int64(m.sign)
+				cnt := c.counts[t] + int64(m.Sign)
 				if cnt == 0 {
 					delete(c.counts, t)
 				} else {
 					c.counts[t] = cnt
 				}
-				c.card += int(m.sign)
+				c.card += int(m.Sign)
 				if wantChanges {
-					changes = append(changes, Change{Tuple: t, Sign: m.sign})
+					changes = append(changes, Change{Tuple: t, Sign: m.Sign})
 				}
 			}
 			c.changes += b.Len()
@@ -726,19 +530,23 @@ func (v *View) Apply(ctx context.Context, deltas ...Delta) (ApplyResult, error) 
 func (v *View) round(ctx context.Context, deltas []Delta) (ApplyResult, error) {
 	var out ApplyResult
 	for _, d := range deltas {
-		if !v.inject(v.scans[d.Rel], d.Insert, +1) {
+		if !v.emit(v.scans[d.Rel], d.Insert, operator.Insert) {
 			return out, ErrViewClosed
 		}
 		out.Inserted += len(d.Insert)
 	}
 	for _, d := range deltas {
-		if !v.inject(v.scans[d.Rel], d.Delete, -1) {
+		if !v.emit(v.scans[d.Rel], d.Delete, operator.Delete) {
 			return out, ErrViewClosed
 		}
 		out.Deleted += len(d.Delete)
 	}
 	for _, sp := range v.scanList {
-		if !sp.out.flushData(v) || !sp.out.tokens(v, sp.tokens) {
+		ok := sp.out.Flush()
+		for t := 0; ok && t < sp.tokens; t++ {
+			ok = sp.out.Punctuate()
+		}
+		if !ok {
 			return out, ErrViewClosed
 		}
 	}
@@ -759,12 +567,13 @@ func (v *View) round(ctx context.Context, deltas []Delta) (ApplyResult, error) {
 	return out, nil
 }
 
-// inject routes one relation's tuples into the scan's consumer edge.
-func (v *View) inject(sp *scanPort, tuples []relation.Tuple, sign int8) bool {
-	si := signIdx(sign)
-	o := &sp.out
-	for _, t := range tuples {
-		if !o.emitTuple(v, t.Unique1, t.Unique2, t.Check, t.Get(o.route), si) {
+// emit routes one relation's tuples into the scan's consumer edge, a
+// transport batch at a time.
+func (v *View) emit(sp *scanPort, tuples []relation.Tuple, sign int8) bool {
+	for lo := 0; lo < len(tuples); lo += v.batch {
+		v.inject.Reset()
+		v.inject.AppendTuples(tuples[lo:min(lo+v.batch, len(tuples))])
+		if !sp.out.Emit(&v.inject, sign) {
 			return false
 		}
 	}

@@ -1,0 +1,65 @@
+// Package operator is the operation-process kernel shared by the three
+// drivers that execute an xra plan: the discrete-event simulator (package
+// engine), the goroutine runtime (package parallel, and through its Partial
+// seam package dist) and the resident view network (package ivm). The
+// paper's execution model is stated here once; the drivers add only what is
+// theirs — virtual time and event scheduling, run queues and Grace mode,
+// signed tables and rounds.
+//
+// # Process model
+//
+// A plan operator with n processors runs as n operation processes. Every
+// process has up to two input ports (Build and Probe for a join, In for the
+// collect) and one output edge to the processes of its consumer. An edge is
+// either local — a scan stored on the consumer's own processors feeds
+// process i from process i over one stream — or a redistribution: every
+// producer process hash-routes each tuple on the consumer's join attribute
+// to one of the consumer's m processes, n×m streams in all. Wire derives
+// all of this from the plan: edges, After dependencies, the number of
+// streams ending at each port, cardinality estimates and the placement of
+// base-relation fragments.
+//
+// # Messages and punctuation
+//
+// Everything a process receives is a Msg: a batch of tuples for one port,
+// with a sign, or — when Batch is nil — a punctuation mark on that port.
+// Each stream carries exactly one punctuation per unit of work: the
+// end-of-stream of a query, the end-of-round token of a view. A process has
+// seen all of a port's input once it has counted as many punctuation marks
+// as streams end there (Node.EOSWant); because a stream delivers in order,
+// every batch its producer sent precedes the mark.
+//
+// # The join step
+//
+// Join is the state machine of one process: data on a port yields a result
+// batch in a scratch buffer; punctuation closes an operand. The pipelining
+// join probes and inserts symmetrically and stops inserting into a table
+// whose opposite operand has ended. The simple join holds probe batches
+// until the build operand has ended and then hands them back in arrival
+// order. Operators without join state (scan, collect, a Grace join whose
+// work happens elsewhere) use the same type for its punctuation count
+// alone.
+//
+// # The outbox and its ordering rule
+//
+// Outbox routes a process's result tuples into one pooled buffer per
+// destination and sign lane and delivers a buffer the moment it is full;
+// Flush delivers the rest and Punctuate ends the unit of work on every
+// outgoing stream. One rule orders deliveries: a buffer of a later lane for
+// destination d is delivered only after any pending buffer of an earlier
+// lane for d. Lanes are Insert then Delete, so a retraction can never
+// overtake the insertion it cancels, while an insertion may overtake a
+// deletion (per-tuple counts only rise before they fall). Queries emit on
+// the Insert lane only and the rule is vacuous for them.
+//
+// # Who owns a batch
+//
+// A transport batch is drawn from a pool by the outbox that fills it and is
+// owned by exactly one party at a time: the outbox until delivery, then the
+// transport (an inbox channel, a simulator event), then the consuming
+// process, which returns it to the pool once applied — or passes ownership
+// on to the run's Sink at the collect. A delivery that loses the race with
+// cancellation returns its batch to the pool itself (Send); batches parked
+// in inboxes when a run is cancelled are garbage, reclaimed from an
+// accounted pool's meter by Settle.
+package operator

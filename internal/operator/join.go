@@ -1,0 +1,148 @@
+package operator
+
+import (
+	"multijoin/internal/hashjoin"
+	"multijoin/internal/relation"
+	"multijoin/internal/xra"
+)
+
+// Join is the input side of one operation process: the punctuation count of
+// its ports and, once started on a join operator, the simple or pipelining
+// hash-join state machine. It is not safe for concurrent use; a driver that
+// applies batches on another goroutine (a run-queue dispatcher) hands the
+// Join back and forth with the batch.
+type Join struct {
+	node      *Node
+	want, got [numPorts]int
+
+	// Exactly one is non-nil once a join operator has started.
+	simple *hashjoin.Simple
+	pipe   *hashjoin.Pipelining
+
+	buildDone bool
+	held      []Msg // simple join: probe input that arrived during the build phase
+
+	scratch relation.Batch // result of the last Apply
+}
+
+// Init binds the Join to a process of operator n: the punctuation counts
+// it waits for.
+func (j *Join) Init(n *Node) { j.node, j.want = n, n.eosWant }
+
+// Start creates the join algorithm's state once the process may begin
+// (processes that wait on After dependencies hold no tables meanwhile):
+// hash tables sized from the operator's estimated per-process operand
+// cardinality so steady-state inserts never rehash, and a result buffer of
+// twice a transport batch — a probe yields about one match per row on the
+// chain queries. On operators other than joins it does nothing.
+func (j *Join) Start(batchTuples int) {
+	n := j.node
+	spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
+	switch n.Op.Kind {
+	case xra.OpSimpleJoin:
+		j.simple = hashjoin.NewSimpleSized(spec, n.TableHint())
+	case xra.OpPipeJoin:
+		j.pipe = hashjoin.NewPipeliningSized(spec, n.TableHint())
+	default:
+		return
+	}
+	j.scratch = *relation.NewBatch(2 * batchTuples)
+}
+
+// Hold parks m and reports true when it must wait: probe input of a simple
+// join whose build phase is still open. The batch stays owned by the
+// process until EOS hands it back.
+func (j *Join) Hold(m Msg) bool {
+	if j.simple == nil || m.Port != Probe || j.buildDone {
+		return false
+	}
+	j.held = append(j.held, m)
+	return true
+}
+
+// Apply joins one data batch and returns the result tuples, valid until the
+// next Apply; nil when the input cannot produce any (the simple join's
+// build phase). The caller keeps ownership of m.Batch.
+func (j *Join) Apply(m Msg) *relation.Batch {
+	if j.simple != nil && m.Port == Build {
+		j.simple.InsertBatch(m.Batch)
+		return nil
+	}
+	j.scratch.Reset()
+	switch {
+	case j.simple != nil:
+		j.simple.ProbeBatchInto(&j.scratch, m.Batch)
+	case m.Port == Build:
+		j.pipe.FromBuildSideBatchInto(&j.scratch, m.Batch)
+	default:
+		j.pipe.FromProbeSideBatchInto(&j.scratch, m.Batch)
+	}
+	return &j.scratch
+}
+
+// EOS counts one punctuation mark on port p. When it is the last one of the
+// port, the operand has ended: the pipelining join stops inserting the
+// other operand's tuples (no future match can need them), and the end of a
+// simple join's build phase returns the probe messages held meanwhile, in
+// arrival order, for the driver to apply before any later input.
+func (j *Join) EOS(p Port) []Msg {
+	j.got[p]++
+	if j.got[p] != j.want[p] {
+		return nil
+	}
+	switch {
+	case j.pipe != nil && p == Build:
+		j.pipe.CloseBuildSide()
+	case j.pipe != nil:
+		j.pipe.CloseProbeSide()
+	case j.simple != nil && p == Build:
+		j.buildDone = true
+		held := j.held
+		j.held = nil
+		return held
+	}
+	return nil
+}
+
+// Done reports whether every port has received all its punctuation.
+func (j *Join) Done() bool { return j.got == j.want }
+
+// Release recycles the hash tables for the joins still running.
+func (j *Join) Release() {
+	if j.simple != nil {
+		j.simple.Release()
+		j.simple = nil
+	}
+	if j.pipe != nil {
+		j.pipe.Release()
+		j.pipe = nil
+	}
+}
+
+// Resident returns the number of tuples held in the join's hash tables.
+func (j *Join) Resident() int {
+	switch {
+	case j.simple != nil:
+		return j.simple.BuildSize()
+	case j.pipe != nil:
+		b, p := j.pipe.Sizes()
+		return b + p
+	}
+	return 0
+}
+
+// Symmetric reports whether a tuple arriving on port p performs both table
+// actions of the pipelining join, probe and insert: the other operand is
+// still open and its table non-empty. Otherwise the tuple costs one action
+// like a simple join's — which is why FP degenerates to RD-like per-tuple
+// cost on linear trees (Figure 13).
+func (j *Join) Symmetric(p Port) bool {
+	if j.pipe == nil {
+		return false
+	}
+	b, pr := j.pipe.Sizes()
+	if p == Build {
+		return !j.pipe.SideClosed(false) && pr > 0
+	}
+	return !j.pipe.SideClosed(true) && b > 0
+}

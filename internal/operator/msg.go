@@ -1,0 +1,114 @@
+package operator
+
+import (
+	"context"
+
+	"multijoin/internal/relation"
+)
+
+// Port identifies one logical input of an operator.
+type Port int8
+
+const (
+	Build Port = iota
+	Probe
+	In // the collect operator's single input
+	numPorts
+)
+
+// Signs of a Msg's tuples, and the outbox lanes in delivery order.
+const (
+	Insert int8 = +1
+	Delete int8 = -1
+)
+
+// Msg is the one message type of every driver: a signed batch of tuples
+// for one input port or, when Batch is nil, that port's punctuation mark
+// (end-of-stream of a query, end-of-round token of a view).
+type Msg struct {
+	Batch *relation.Batch
+	Port  Port
+	Sign  int8
+	// Remote reports that producer and consumer process are bound to
+	// different processors (the tuples crossed the network).
+	Remote bool
+}
+
+// Send delivers m into inbox. When done closes first it returns m's batch
+// to pool and reports false: a delivery that loses the race with
+// cancellation never strands an accounted batch.
+func Send(inbox chan<- Msg, m Msg, done <-chan struct{}, pool *relation.BatchPool) bool {
+	select {
+	case inbox <- m:
+		return true
+	case <-done:
+		pool.Put(m.Batch)
+		return false
+	}
+}
+
+// Chans is the Deliverer of the goroutine drivers: destination d of the
+// edge is the inbox channel Dst[d].
+type Chans struct {
+	Dst  []chan<- Msg
+	Done <-chan struct{}
+	Pool *relation.BatchPool // where an undeliverable batch goes back to
+}
+
+func (c *Chans) Deliver(d int, m Msg) bool { return Send(c.Dst[d], m, c.Done, c.Pool) }
+
+// Sink consumes the final result stream of one run. The runtime transfers
+// batch ownership with every Push: release (which may be nil) returns the
+// batch to its pool and must be called exactly once, when the consumer has
+// finished with the tuples. Push blocks until the consumer accepts the
+// batch — streaming backpressure, which pauses the simulator's virtual
+// clock and propagates upstream through a goroutine runtime's inboxes — or
+// ctx is cancelled, in which case it returns the context's error and the
+// runtime keeps ownership of the batch. A runtime pushes from a single
+// goroutine; implementations need not be concurrency-safe.
+type Sink interface {
+	Push(ctx context.Context, batch *relation.Batch, release func()) error
+}
+
+// Gather is the Sink that materializes a result stream into Rel.
+type Gather struct{ Rel *relation.Relation }
+
+func (g *Gather) Push(_ context.Context, batch *relation.Batch, release func()) error {
+	batch.AppendTo(g.Rel)
+	if release != nil {
+		release()
+	}
+	return nil
+}
+
+// Counters are the structural quantities every runtime reports for a run.
+// They are properties of the plan and the data, not of scheduling: all
+// runtimes report the same values for the same plan.
+type Counters struct {
+	// Processes is the number of operation processes the plan used
+	// (operators weighted by their degree of parallelism).
+	Processes int
+	// Streams is the number of tuple streams opened (n×m per
+	// redistribution edge, n per local edge).
+	Streams int
+	// TuplesMovedRemote counts tuples that crossed processor boundaries.
+	TuplesMovedRemote int64
+	// TuplesLocal counts tuples delivered processor-locally.
+	TuplesLocal int64
+	// Batches counts delivered data batches. The final gather at the
+	// collect operator is identical for every strategy and excluded from
+	// the three transport counters.
+	Batches int64
+	// ResultTuples is the cardinality of the final result.
+	ResultTuples int
+}
+
+// AddTransport adds the transport counters of one process's outbox (nil
+// for the collect process, which has none).
+func (c *Counters) AddTransport(o *Outbox) {
+	if o != nil {
+		c.TuplesMovedRemote += o.MovedRemote
+		c.TuplesLocal += o.MovedLocal
+		c.Batches += o.Batches
+	}
+}

@@ -1,0 +1,351 @@
+package operator
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"multijoin/internal/jointree"
+	"multijoin/internal/relation"
+	"multijoin/internal/strategy"
+	"multijoin/internal/wisconsin"
+	"multijoin/internal/xra"
+)
+
+func chainDB(t testing.TB, relations, card int) *wisconsin.Database {
+	t.Helper()
+	db, err := wisconsin.Chain(wisconsin.Config{Relations: relations, Cardinality: card, Seed: 1995})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+func wire(t testing.TB, kind strategy.Kind, shape jointree.Shape, relations, procs int) (*Wiring, *jointree.Node) {
+	t.Helper()
+	tree, err := jointree.BuildShape(shape, relations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := strategy.Plan(kind, tree, strategy.Config{Procs: procs, Card: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Wire(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, tree
+}
+
+// topJoin returns the operator that feeds the collect.
+func topJoin(w *Wiring) *Node {
+	for _, n := range w.Nodes {
+		if n.Out != nil && n.Out.To == w.Collect {
+			return n
+		}
+	}
+	return nil
+}
+
+// TestWiringPunctuationCounts: for every strategy and both tree extremes,
+// the punctuation count of each port equals the number of canonical streams
+// ending at that port of each consumer process, and the canonical
+// enumeration is the dense one Edge.Stream computes.
+func TestWiringPunctuationCounts(t *testing.T) {
+	for _, shape := range []jointree.Shape{jointree.LeftLinear, jointree.WideBushy} {
+		for _, kind := range strategy.Kinds {
+			w, _ := wire(t, kind, shape, 10, 20)
+			streams := w.Streams()
+			if len(streams) != w.Plan.NumStreams() {
+				t.Fatalf("%v/%v: %d streams enumerated, plan declares %d", shape, kind, len(streams), w.Plan.NumStreams())
+			}
+			type end struct {
+				node, idx int
+				port      Port
+			}
+			got := make(map[end]int)
+			for i, s := range streams {
+				if s.ID != i {
+					t.Fatalf("%v/%v: stream %d has id %d", shape, kind, i, s.ID)
+				}
+				if s.From.Out.To != s.To {
+					t.Fatalf("%v/%v: stream %d does not follow its producer's edge", shape, kind, i)
+				}
+				got[end{s.To.Index, s.ToIdx, s.From.Out.Port}]++
+			}
+			for _, n := range w.Nodes {
+				sum := 0
+				for idx := range n.Op.Procs {
+					for p := Build; p < numPorts; p++ {
+						if c := got[end{n.Index, idx, p}]; c != n.EOSWant(p) {
+							t.Errorf("%v/%v: %s/%d port %d: %d streams end there, EOSWant = %d", shape, kind, n.Op.ID, idx, p, c, n.EOSWant(p))
+						}
+					}
+				}
+				for p := Build; p < numPorts; p++ {
+					sum += n.EOSWant(p)
+				}
+				if sum != n.InStreams() {
+					t.Errorf("%v/%v: %s: InStreams = %d, ports sum to %d", shape, kind, n.Op.ID, n.InStreams(), sum)
+				}
+			}
+		}
+	}
+}
+
+// feed is one input of a join process in a test schedule.
+type feed struct {
+	port Port
+	lo   int // batch rows [lo, hi) of the port's operand; lo < 0 marks punctuation
+	hi   int
+}
+
+// TestJoinStepInterleavings drives the join step of every process of a
+// two-way join with random interleavings of build batches, probe batches
+// and punctuation marks — several marks per port, as a redistribution edge
+// delivers them — and checks that the union of the results is the
+// sequential reference multiset, for the simple and the pipelining join.
+func TestJoinStepInterleavings(t *testing.T) {
+	db := chainDB(t, 2, 500)
+	base := func(leaf int) *relation.Relation { return db.Relation(leaf) }
+	for _, kind := range []strategy.Kind{strategy.SP, strategy.FP} {
+		w, tree := wire(t, kind, jointree.LeftLinear, 2, 3)
+		if err := w.Place(base); err != nil {
+			t.Fatal(err)
+		}
+		want := jointree.Reference(tree, base)
+		var jn *Node
+		operands := map[Port]*Node{}
+		for _, n := range w.Nodes {
+			if n.Out != nil && n.Out.To.Op.Kind != xra.OpCollect {
+				jn = n.Out.To
+				operands[n.Out.Port] = n
+			}
+		}
+		const marks = 3 // punctuation marks per port
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			got := relation.New("got", want.TupleBytes)
+			for idx := range jn.Op.Procs {
+				var j Join
+				j.Init(jn)
+				j.want = [numPorts]int{Build: marks, Probe: marks}
+				j.Start(16)
+				// Per port: the fragment cut into random batches, with the
+				// marks at random positions but the last one at the end.
+				var sched [2][]feed
+				for p := Build; p <= Probe; p++ {
+					n := operands[p].Frags[idx].Len()
+					for lo := 0; lo < n; {
+						hi := min(n, lo+1+rng.Intn(40))
+						sched[p] = append(sched[p], feed{p, lo, hi})
+						lo = hi
+					}
+					for m := 0; m < marks-1; m++ {
+						sched[p] = slices.Insert(sched[p], rng.Intn(len(sched[p])+1), feed{port: p, lo: -1})
+					}
+					sched[p] = append(sched[p], feed{port: p, lo: -1})
+				}
+				apply := func(m Msg) {
+					if res := j.Apply(m); res != nil {
+						res.AppendTo(got)
+					}
+				}
+				var heldOrder, releasedOrder []*relation.Batch
+				for len(sched[Build])+len(sched[Probe]) > 0 {
+					p := Port(rng.Intn(2))
+					if len(sched[p]) == 0 {
+						p = 1 - p
+					}
+					f := sched[p][0]
+					sched[p] = sched[p][1:]
+					if f.lo < 0 {
+						for _, h := range j.EOS(p) {
+							releasedOrder = append(releasedOrder, h.Batch)
+							apply(h)
+						}
+						continue
+					}
+					b := operands[p].Frags[idx].View(f.lo, f.hi)
+					m := Msg{Batch: &b, Port: p, Sign: Insert}
+					if j.Hold(m) {
+						heldOrder = append(heldOrder, m.Batch)
+						continue
+					}
+					apply(m)
+				}
+				if !j.Done() {
+					t.Fatalf("%v seed %d: join not done after all punctuation", kind, seed)
+				}
+				if !slices.Equal(heldOrder, releasedOrder) {
+					t.Fatalf("%v seed %d: %d held probe batches released out of arrival order", kind, seed, len(heldOrder))
+				}
+				if kind == strategy.FP && len(heldOrder) > 0 {
+					t.Fatalf("pipelining join held %d batches", len(heldOrder))
+				}
+				j.Release()
+			}
+			if diff := relation.DiffMultiset(got, want); diff != "" {
+				t.Fatalf("%v seed %d: %s", kind, seed, diff)
+			}
+		}
+	}
+}
+
+// recorder is a Deliverer that records what was delivered where.
+type recorder struct{ log []string }
+
+func (r *recorder) Deliver(d int, m Msg) bool {
+	switch {
+	case m.Batch == nil:
+		r.log = append(r.log, fmt.Sprintf("d%d:mark", d))
+	default:
+		r.log = append(r.log, fmt.Sprintf("d%d:%+d x%d", d, m.Sign, m.Batch.Len()))
+	}
+	return true
+}
+
+// TestOutboxOrderingRule is the table test of the one ordering rule: a full
+// buffer of the delete lane is delivered only after the pending insert
+// buffer for the same destination; inserts may overtake deletes; other
+// destinations are unaffected.
+func TestOutboxOrderingRule(t *testing.T) {
+	// Keys routed to destination 0 and 1 of a two-process consumer.
+	var keys [2][]int64
+	bk := relation.NewBucketer(2)
+	for k := int64(0); len(keys[0]) < 8 || len(keys[1]) < 8; k++ {
+		d := bk.Bucket(k)
+		keys[d] = append(keys[d], k)
+	}
+	type step struct {
+		sign int8
+		dest int
+		n    int // tuples emitted to dest with sign
+	}
+	const size = 4
+	cases := []struct {
+		name  string
+		steps []step
+		flush bool
+		want  []string
+	}{
+		{"delete fills behind a pending insert: insert goes first",
+			[]step{{Insert, 0, 2}, {Delete, 0, 4}}, false,
+			[]string{"d0:+1 x2", "d0:-1 x4"}},
+		{"insert fills ahead of a pending delete: inserts may overtake",
+			[]step{{Delete, 0, 2}, {Insert, 0, 4}}, false,
+			[]string{"d0:+1 x4"}},
+		{"the rule is per destination",
+			[]step{{Insert, 1, 3}, {Delete, 0, 4}}, false,
+			[]string{"d0:-1 x4"}},
+		{"nothing pending: the delete goes alone",
+			[]step{{Insert, 0, 4}, {Delete, 0, 4}}, false,
+			[]string{"d0:+1 x4", "d0:-1 x4"}},
+		{"flush keeps the rule for every destination, then marks",
+			[]step{{Delete, 0, 1}, {Delete, 1, 2}, {Insert, 1, 3}, {Insert, 0, 2}}, true,
+			[]string{"d0:+1 x2", "d1:+1 x3", "d0:-1 x1", "d1:-1 x2", "d0:mark", "d1:mark"}},
+	}
+	w, _ := wire(t, strategy.FP, jointree.LeftLinear, 3, 4)
+	var producer *Node // a join feeding a two-process join
+	for _, n := range w.Nodes {
+		if n.Op.Kind == xra.OpPipeJoin && n.Out.To.Op.Kind == xra.OpPipeJoin && len(n.Out.To.Op.Procs) == 2 {
+			producer = n
+		}
+	}
+	if producer == nil {
+		t.Fatal("plan has no join feeding a two-process join")
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rec := &recorder{}
+			pool := relation.NewBatchPool(size, 8)
+			o := NewOutbox(producer, 0, pool, size, rec)
+			next := [2]int{}
+			for _, s := range c.steps {
+				var b relation.Batch
+				for i := 0; i < s.n; i++ {
+					k := keys[s.dest][next[s.dest]]
+					next[s.dest]++
+					if producer.Out.Route == relation.Unique1 {
+						b.Append(k, 0, 0)
+					} else {
+						b.Append(0, k, 0)
+					}
+				}
+				if !o.Emit(&b, s.sign) {
+					t.Fatal("Emit failed")
+				}
+			}
+			if c.flush && !(o.Flush() && o.Punctuate()) {
+				t.Fatal("Flush/Punctuate failed")
+			}
+			if !slices.Equal(rec.log, c.want) {
+				t.Errorf("delivered %v, want %v", rec.log, c.want)
+			}
+		})
+	}
+}
+
+// TestOutboxSingleDestinationBulk: on a single-destination edge the bulk
+// path cuts the result into full transport batches and keeps the remainder
+// pending until Flush.
+func TestOutboxSingleDestinationBulk(t *testing.T) {
+	w, _ := wire(t, strategy.FP, jointree.LeftLinear, 2, 2)
+	top := topJoin(w)
+	rec := &recorder{}
+	o := NewOutbox(top, 0, relation.NewBatchPool(4, 8), 4, rec)
+	var b relation.Batch
+	for i := int64(0); i < 10; i++ {
+		b.Append(i, i, 0)
+	}
+	o.Emit(&b, Insert)
+	o.Flush()
+	if want := []string{"d0:+1 x4", "d0:+1 x4", "d0:+1 x2"}; !slices.Equal(rec.log, want) {
+		t.Errorf("delivered %v, want %v", rec.log, want)
+	}
+	if o.Batches != 0 {
+		t.Errorf("the gather at the collect operator was counted: %d batches", o.Batches)
+	}
+}
+
+// TestSendCancelReturnsBatch is the one cancel rule for a batch in flight:
+// a delivery that loses the race with cancellation returns its batch's
+// bytes to the meter, while a batch already parked in an inbox stays
+// accounted (it is Settle's to reclaim).
+func TestSendCancelReturnsBatch(t *testing.T) {
+	var live int64
+	pool := relation.NewBatchPoolAccounted(4, 8, func(d int64) { live += d })
+	inbox := make(chan Msg, 1)
+	done := make(chan struct{})
+	parked := pool.Get()
+	if !Send(inbox, Msg{Batch: parked}, done, pool) {
+		t.Fatal("Send into a free inbox failed")
+	}
+	one := live
+	if one <= 0 {
+		t.Fatalf("accounted pool reports %d live bytes with one batch out", live)
+	}
+	close(done) // cancelled; the inbox is full, so the next delivery must lose
+	if Send(inbox, Msg{Batch: pool.Get()}, done, pool) {
+		t.Fatal("Send into a full inbox of a cancelled run succeeded")
+	}
+	if live != one {
+		t.Errorf("%d bytes live after the lost delivery, want %d (the parked batch only)", live, one)
+	}
+	// The same through an outbox: the full buffer goes back to the pool.
+	w, _ := wire(t, strategy.FP, jointree.LeftLinear, 2, 2)
+	top := topJoin(w)
+	o := NewOutbox(top, 0, pool, 4, &Chans{Dst: []chan<- Msg{inbox}, Done: done, Pool: pool})
+	var b relation.Batch
+	for i := int64(0); i < 4; i++ {
+		b.Append(i, i, 0)
+	}
+	if o.Emit(&b, Insert) {
+		t.Fatal("Emit into a full inbox of a cancelled run succeeded")
+	}
+	if live != one {
+		t.Errorf("%d bytes live after the lost outbox delivery, want %d", live, one)
+	}
+}

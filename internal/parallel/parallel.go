@@ -3,37 +3,38 @@
 //
 // The simulator reproduces the paper's *structural* cost effects on a
 // virtual clock; this package runs the very same plans on the host machine
-// so that the FP-vs-RD pipelining tradeoffs can be measured on real cores:
+// so that the FP-vs-RD pipelining tradeoffs can be measured on real cores.
+// The operation-process model — ports, punctuation, the join step, the
+// outbox and who owns a batch when — is package operator's; this package is
+// its goroutine driver:
 //
 //   - every operation process of the plan (one operator replica per
-//     processor in Op.Procs) becomes one worker goroutine;
-//   - every tuple stream becomes one buffered channel — n×m channels per
-//     redistribution edge from n producer to m consumer processes, n
-//     channels per local edge — exactly the stream structure counted by
-//     engine.Stats and xra.Plan.NumStreams;
-//   - operand redistribution hash-partitions result batches over the
-//     consumer's processes with relation.HashKey, identical to the
-//     simulator, so both runtimes compute the identical result multiset;
+//     processor in Op.Procs) becomes one worker goroutine with one inbox, a
+//     channel of operator.Msg. A producer's outbox sends a full batch
+//     straight into the consumer process's inbox, and a stream ends with
+//     one end-of-stream message; the n×m streams of a redistribution edge
+//     exist as routing decisions and end-of-stream counts, not as channels
+//     or goroutines of their own;
 //   - the plan's processors are modeled by per-processor run queues: one
 //     dispatcher goroutine per modeled processor executes the operator work
 //     of every process bound (by plan processor id, modulo MaxProcs) to it,
 //     serializing a processor's operation processes exactly like the
-//     paper's shared-nothing nodes. Channel sends and receives never run on
-//     a dispatcher (blocked processes occupy no processor, as on a real
+//     paper's shared-nothing nodes. Inbox sends and receives never run on a
+//     dispatcher (blocked processes occupy no processor, as on a real
 //     machine);
 //   - Op.After start dependencies are honored without deadlock: a process
-//     whose dependencies are pending keeps draining its input into an
+//     whose dependencies are pending keeps draining its inbox into an
 //     unbounded stash (the simulator's "input arriving earlier is
-//     buffered") and processes it once the dependencies complete.
+//     buffered") and processes it once the dependencies complete;
+//   - with a memory budget, join processes run Grace-style partitioned
+//     joins (hashjoin.Grace) on their own goroutine instead of the kernel's
+//     in-memory join step.
 //
 // The hot data path is allocation-free in steady state: tuple batches come
 // from a relation.BatchPool and are returned by the consumer that exhausts
-// them, join results are built in per-process scratch buffers, and the join
-// operators reuse the open-addressing hash-join state machines of package
-// hashjoin sized from the operands' declared cardinalities. The simple join
-// blocks its probe operand until the build phase ends, the pipelining join
-// processes both operands as they arrive. Result equivalence against the
-// sequential reference is asserted for every strategy in the tests.
+// them, and join results are built in per-process scratch buffers. Result
+// equivalence against the sequential reference is asserted for every
+// strategy in the tests.
 package parallel
 
 import (
@@ -46,6 +47,7 @@ import (
 	"time"
 
 	"multijoin/internal/hashjoin"
+	"multijoin/internal/operator"
 	"multijoin/internal/relation"
 	"multijoin/internal/spill"
 	"multijoin/internal/xra"
@@ -62,15 +64,9 @@ func HostCap(procs int) int {
 	return procs
 }
 
-// Sink consumes the final result stream of one run. The runtime transfers
-// batch ownership with every Push: release (which may be nil) returns the
-// batch to its pool and must be called exactly once, when the consumer has
-// finished with the tuples. Push blocks until the consumer accepts the
-// batch — streaming backpressure — or ctx is cancelled, in which case it
-// returns the context's error and keeps ownership of the batch.
-type Sink interface {
-	Push(ctx context.Context, batch *relation.Batch, release func()) error
-}
+// Sink consumes the final result stream of one run; Push backpressure
+// propagates upstream through the plan's inboxes.
+type Sink = operator.Sink
 
 // sharedQueueDepth is the buffered capacity of each shared run queue. A
 // worker has at most one task outstanding, so queued tasks never exceed the
@@ -126,8 +122,7 @@ func (p *ProcPool) dispatch(q chan task) {
 	for {
 		select {
 		case t := <-q:
-			t.w.applyJoin(t.it)
-			t.w.taskDone <- struct{}{}
+			t.run()
 		case <-p.stop:
 			return
 		}
@@ -147,12 +142,13 @@ type Config struct {
 	// pipelining granularity and the batch-pool capacity). Zero means
 	// DefaultBatchTuples.
 	BatchTuples int
-	// ChannelDepth is the buffer capacity, in batches, of each tuple
-	// stream channel; it is resolved once per run, not per edge. A
-	// process's mailbox is additionally sized to ChannelDepth × its
-	// incoming stream count, so that every stream forwarder can buffer a
-	// full channel's worth of batches without blocking a producer whose
-	// consumer has not been scheduled yet. Zero means DefaultChannelDepth.
+	// ChannelDepth is the buffer capacity, in batches, each incoming tuple
+	// stream contributes to its consumer's inbox: a process's inbox holds
+	// ChannelDepth × its incoming stream count batches, so every producer
+	// can run a few batches ahead of a consumer that has not been scheduled
+	// yet. It is resolved once per run, not per edge, and is also the
+	// credit window of each node-crossing stream in the distributed runtime.
+	// Zero means DefaultChannelDepth.
 	ChannelDepth int
 	// MemoryBudget, when positive, switches the run to out-of-core mode
 	// (the "spill" runtime): live pooled batches and buffered join
@@ -201,8 +197,8 @@ type Config struct {
 //
 // DefaultBatchTuples is the transport vector size of the goroutine
 // runtimes, deliberately larger than the simulator's cost-model granularity
-// (costmodel.Params.BatchTuples): every batch send costs a fixed number of
-// channel operations and a run-queue handshake, so with columnar batches
+// (costmodel.Params.BatchTuples): every batch send costs an inbox
+// operation and a run-queue handshake, so with columnar batches
 // the per-batch overhead amortizes over 4x more tuples while a batch still
 // stays a few KB of cache-warm columns.
 // DefaultSpillBatchTuples is the transport vector size of memory-budgeted
@@ -241,28 +237,15 @@ func (c Config) withDefaults(plan *xra.Plan) Config {
 // Stats aggregates the structural counters of one parallel run, mirroring
 // engine.Stats where the quantity is meaningful on a real machine.
 type Stats struct {
-	// Processes is the number of operation processes (worker goroutines).
-	Processes int
-	// Streams is the number of tuple-stream channels opened.
-	Streams int
-	// Goroutines is the total number of goroutines launched: workers,
-	// one stream forwarder per incoming stream, dependency waiters, and
-	// one dispatcher per modeled processor.
+	operator.Counters
+	// Goroutines is the total number of goroutines launched: one worker
+	// per operation process, one dependency waiter per operator with After
+	// dependencies, and one dispatcher per modeled processor (none when the
+	// run uses a shared ProcPool). It has no per-stream term.
 	Goroutines int
 	// MaxProcs is the number of modeled processors (run-queue
 	// dispatchers).
 	MaxProcs int
-	// TuplesMovedRemote counts tuples that crossed plan-processor
-	// boundaries (producer and consumer process bound to different
-	// processor ids).
-	TuplesMovedRemote int64
-	// TuplesLocal counts tuples delivered between processes bound to the
-	// same processor id.
-	TuplesLocal int64
-	// Batches counts delivered data batches.
-	Batches int64
-	// ResultTuples is the cardinality of the final result.
-	ResultTuples int
 	// OpWall maps operator ids to their wall-clock completion offset from
 	// query start.
 	OpWall map[string]time.Duration
@@ -279,9 +262,6 @@ type Stats struct {
 
 // RunResult is the outcome of one parallel execution.
 type RunResult struct {
-	// Result is the collected final relation (real tuples, same multiset
-	// as the simulator and the sequential reference).
-	Result *relation.Relation
 	// WallTime is the elapsed real time from launch to the completion of
 	// the last operation process.
 	WallTime time.Duration
@@ -289,63 +269,35 @@ type RunResult struct {
 	Stats Stats
 }
 
-// port identifies one logical input of an operator (same roles as the
-// simulator's ports).
-type port int
-
-const (
-	portBuild port = iota
-	portProbe
-	portIn
-)
-
-// item is one unit of work in a process's mailbox: a data batch or an
-// end-of-stream marker for one port. Data batches are pool-owned: the
-// consumer that applies one returns it to the run's BatchPool.
-type item struct {
-	port  port
-	batch *relation.Batch
-	eos   bool
-}
-
 // task is one unit of operator work on a run queue: the process requesting
-// computation and the input item to apply. The dispatcher runs the
-// operator's state change and signals the process's taskDone channel.
+// computation and the input message to apply.
 type task struct {
-	w  *inst
-	it item
+	w *inst
+	m operator.Msg
 }
 
-// stream is one tuple stream: a buffered channel from one producer process
-// to one consumer process. Closing the channel ends the stream.
-type stream struct {
-	ch     chan *relation.Batch
-	port   port
-	remote bool // producer and consumer bound to different processor ids
-}
-
-// consumerEdge describes where an operator's output goes.
-type consumerEdge struct {
-	to    *opState
-	port  port
-	route relation.Attr
-	local bool
+// run executes on a dispatcher: it applies the message to the process's
+// join step and hands the process back to its worker. taskDone is buffered
+// for the one task a worker can have outstanding, so the send never blocks
+// — not even for a stale task of a cancelled run whose worker has unwound.
+func (t task) run() {
+	t.w.result = t.w.join.Apply(t.m)
+	t.w.taskDone <- struct{}{}
 }
 
 // opState is the shared runtime state of one plan operator.
 type opState struct {
-	op        *xra.Op
+	*operator.Node
 	instances []*inst
-	edge      *consumerEdge // nil only for collect
-	deps      []*opState
 	// locals is the number of instances placed on this node (all of them
 	// unless the run is partial).
 	locals int
 
-	// estCard is the estimated output cardinality of the operator (exact
-	// for scans, an upper-bound estimate for the 1:1 chain joins), used to
-	// size hash tables and the collect relation up front.
-	estCard int
+	// emitTuples and emitPool are the operator's transport batch size and
+	// its matching pool, chosen in setup from the estimated per-stream
+	// cardinality (the run default when a stream is expected to fill it).
+	emitTuples int
+	emitPool   *relation.BatchPool
 
 	ready     chan struct{} // closed when all After dependencies completed
 	done      chan struct{} // closed when all instances finished
@@ -374,22 +326,21 @@ func (s *spillState) cleanup() {
 
 // runtimeState carries one execution.
 type runtimeState struct {
-	plan    *xra.Plan
+	wiring  *operator.Wiring
 	cfg     Config
 	ctx     context.Context
 	pool    *relation.BatchPool
 	retain  int                         // per-pool free-list bound
 	pools   map[int]*relation.BatchPool // batch capacity → pool; nil until a sized pool exists
-	ops     map[string]*opState
-	order   []*opState
-	spill   *spillState // nil unless the run is budgeted (MemoryBudget/Meter)
-	partial *Partial    // nil for whole-plan (single-node) runs
+	ops     []*opState                  // plan order, indexed by Node.Index
+	spill   *spillState                 // nil unless the run is budgeted (MemoryBudget/Meter)
+	partial *Partial                    // nil for whole-plan (single-node) runs
 
-	// sink, when set, receives the final result stream (collect pushes
-	// pooled batches instead of materializing); resultTuples counts what
-	// was pushed. When nil, collect gathers into a Relation as before.
+	// sink receives the final result stream from the collect process (nil
+	// only on nodes of a partial run that do not host it); resultTuples
+	// counts what was pushed.
 	sink         Sink
-	resultTuples atomic.Int64
+	resultTuples int
 
 	// failOnce/failErr record the first internal failure (spill I/O); the
 	// recording goroutine cancels the run context so every other goroutine
@@ -404,47 +355,22 @@ type runtimeState struct {
 	queueStop chan struct{} // closed when all workers finished
 	dwg       sync.WaitGroup
 
-	collect *inst
-	start   time.Time
-	wg      sync.WaitGroup
-
-	goroutines   int
-	remoteTuples atomic.Int64
-	localTuples  atomic.Int64
-	batches      atomic.Int64
+	start      time.Time
+	wg         sync.WaitGroup
+	goroutines int
 }
 
-// Run executes the plan against the base relations (leaf index → relation)
-// with real goroutine concurrency and returns the collected result and
-// wall-clock statistics.
-func Run(plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config) (*RunResult, error) {
-	return RunContext(context.Background(), plan, base, cfg)
-}
-
-// RunContext is Run with cancellation: every worker goroutine, stream
-// forwarder, dispatcher and dependency waiter selects on ctx.Done() at each
-// blocking point, so a cancelled query tears the whole process tree down —
-// no goroutine outlives the call — and the context's error is returned
-// instead of a partial result.
-func RunContext(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config) (*RunResult, error) {
-	return run(ctx, plan, base, cfg, nil)
-}
-
-// RunStream executes the plan in streaming mode: instead of materializing
-// the final relation, the collect process pushes each pooled result batch
-// into sink (transferring ownership; the consumer's release returns it to
-// the run's pool) and RunResult.Result is nil. Push backpressure propagates
-// upstream through the plan's channels, and cancelling ctx mid-stream tears
-// every worker down exactly like RunContext.
+// RunStream executes the plan: the collect process pushes each pooled
+// result batch into sink (transferring ownership; the consumer's release
+// returns it to the run's pool), Push backpressure propagates upstream
+// through the plan's inboxes, and every worker, dispatcher and dependency
+// waiter selects on ctx.Done() at each blocking point, so cancelling ctx
+// tears the whole process tree down — no goroutine outlives the call — and
+// the context's error is returned. sink may be nil only in a partial run
+// that does not host the collect process.
 func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config, sink Sink) (*RunResult, error) {
-	if sink == nil {
-		return nil, fmt.Errorf("parallel: RunStream needs a sink")
-	}
-	return run(ctx, plan, base, cfg, sink)
-}
-
-func run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config, sink Sink) (*RunResult, error) {
-	if err := plan.Validate(); err != nil {
+	w, err := operator.Wire(plan)
+	if err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
@@ -464,19 +390,16 @@ func run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 	r := &runtimeState{
-		plan:      plan,
+		wiring:    w,
 		cfg:       cfg.withDefaults(plan),
 		ctx:       runCtx,
 		cancelRun: cancelRun,
 		sink:      sink,
 		partial:   cfg.Partial,
-		ops:       make(map[string]*opState, len(plan.Ops)),
+		ops:       make([]*opState, len(w.Nodes)),
 	}
-	retain := plan.NumStreams() * (r.cfg.ChannelDepth + 1)
-	if retain > relation.MaxPoolRetain {
-		retain = relation.MaxPoolRetain
-	}
-	r.retain = retain
+	streams := plan.NumStreams()
+	r.retain = min(streams*(r.cfg.ChannelDepth+1), relation.MaxPoolRetain)
 	if r.cfg.MemoryBudget > 0 || r.cfg.Meter != nil {
 		dir, err := os.MkdirTemp("", "mjspill-")
 		if err != nil {
@@ -487,17 +410,17 @@ func run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 			meter = spill.NewMeter(r.cfg.MemoryBudget)
 		}
 		r.spill = &spillState{meter: meter, dir: dir}
-		r.pool = relation.NewBatchPoolAccounted(r.cfg.BatchTuples, retain, meter.Add)
+		r.pool = relation.NewBatchPoolAccounted(r.cfg.BatchTuples, r.retain, meter.Add)
 	} else if r.partial != nil && r.partial.BatchPool != nil {
 		r.pool = r.partial.BatchPool
 	} else {
-		r.pool = relation.NewBatchPool(r.cfg.BatchTuples, retain)
+		r.pool = relation.NewBatchPool(r.cfg.BatchTuples, r.retain)
 	}
 	if err := r.setup(base); err != nil {
 		if r.spill != nil {
 			r.spill.cleanup()
 		}
-		return nil, err
+		return nil, fmt.Errorf("parallel: %w", err)
 	}
 	r.start = time.Now()
 	r.launch()
@@ -515,11 +438,11 @@ func run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 	if r.failErr != nil {
 		return nil, fmt.Errorf("parallel: %w", r.failErr)
 	}
-	return r.finish(), nil
+	return r.finish(streams), nil
 }
 
 // fail records the first internal failure and cancels the run so every
-// goroutine unwinds; RunContext returns the recorded error.
+// goroutine unwinds; RunStream returns the recorded error.
 func (r *runtimeState) fail(err error) {
 	r.failOnce.Do(func() {
 		r.failErr = err
@@ -527,15 +450,10 @@ func (r *runtimeState) fail(err error) {
 	})
 }
 
-// setup builds operator and process state, wires dependency edges, creates
-// one channel per tuple stream and one run queue per modeled processor, and
-// pre-places base relation fragments.
+// setup builds operator and process state, one run queue per modeled
+// processor and one inbox per local process, pre-places base relation
+// fragments and points every outbox at its consumers' inboxes.
 func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
-	for _, op := range r.plan.Ops {
-		os := &opState{op: op, ready: make(chan struct{}), done: make(chan struct{})}
-		r.ops[op.ID] = os
-		r.order = append(r.order, os)
-	}
 	// Per-processor run queues: plan processor id p maps to queue
 	// p mod MaxProcs. A shared pool (engine session) brings its own queues
 	// and long-lived dispatchers; otherwise the run creates private queues,
@@ -546,54 +464,42 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 	} else {
 		r.queues = make([]chan task, r.cfg.MaxProcs)
 		for i := range r.queues {
-			r.queues[i] = make(chan task, r.plan.NumProcesses()+1)
+			r.queues[i] = make(chan task, r.wiring.Plan.NumProcesses()+1)
 		}
 		r.queueStop = make(chan struct{})
-	}
-	// Wire consumer edges and After dependencies.
-	for _, os := range r.order {
-		for _, in := range os.op.Inputs() {
-			from := r.ops[in.From]
-			from.edge = &consumerEdge{
-				to:    os,
-				port:  portOf(os.op, in),
-				route: in.Route,
-				local: xra.LocalEdge(from.op, os.op, in),
-			}
-		}
-		for _, a := range os.op.After {
-			os.deps = append(os.deps, r.ops[a])
-		}
 	}
 	// Create one process (worker) per operator replica, bound to its
 	// processor's run queue. In a partial run, instances whose processor is
 	// placed on another node exist only as routing targets: they are never
-	// launched and own no mailbox. In out-of-core mode every join process
-	// gets a Grace join up front (single-threaded here, so registration for
-	// cleanup needs no lock).
-	for _, os := range r.order {
-		for i, procID := range os.op.Procs {
+	// launched and own no inbox. The inbox holds ChannelDepth batches per
+	// incoming stream. In out-of-core mode every join process gets a Grace
+	// join up front (single-threaded here, so registration for cleanup
+	// needs no lock).
+	for i, n := range r.wiring.Nodes {
+		os := &opState{Node: n, ready: make(chan struct{}), done: make(chan struct{}),
+			emitTuples: r.cfg.BatchTuples, emitPool: r.pool}
+		r.ops[i] = os
+		for idx, procID := range n.Op.Procs {
 			w := &inst{
-				r:          r,
-				op:         os,
-				idx:        i,
-				proc:       procID,
-				local:      r.partial == nil || r.partial.Local(procID),
-				queue:      r.queues[queueIndex(procID, len(r.queues))],
-				taskDone:   make(chan struct{}, 1),
-				eosGot:     make(map[port]int),
-				emitTuples: r.cfg.BatchTuples,
-				emitPool:   r.pool,
+				r:        r,
+				op:       os,
+				idx:      idx,
+				local:    r.partial == nil || r.partial.Local(procID),
+				queue:    r.queues[queueIndex(procID, len(r.queues))],
+				taskDone: make(chan struct{}, 1),
 			}
-			if w.local {
-				os.locals++
+			os.instances = append(os.instances, w)
+			if !w.local {
+				continue
 			}
-			if w.local && r.spill != nil && (os.op.Kind == xra.OpSimpleJoin || os.op.Kind == xra.OpPipeJoin) {
-				spec := hashjoin.Spec{BuildIsLower: os.op.BuildIsLower}
+			os.locals++
+			w.join.Init(n)
+			w.inbox = make(chan operator.Msg, max(1, r.cfg.ChannelDepth*n.InStreams()))
+			if r.spill != nil && (n.Op.Kind == xra.OpSimpleJoin || n.Op.Kind == xra.OpPipeJoin) {
+				spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
 				w.grace = hashjoin.NewGrace(spec, r.spill.meter, r.spill.dir, r.pool)
 				r.spill.graces = append(r.spill.graces, w.grace)
 			}
-			os.instances = append(os.instances, w)
 		}
 		os.remaining.Store(int32(os.locals))
 		if os.locals == 0 {
@@ -602,161 +508,85 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 			// After dependencies on it from blocking (cross-node After
 			// ordering is node-local — see internal/dist).
 			close(os.done)
+		} else if n.Op.Kind == xra.OpCollect && r.sink == nil {
+			return fmt.Errorf("RunStream needs a sink")
 		}
 	}
-	// Pre-place base relation fragments: ideal initial fragmentation
-	// (Section 4.1), identical to the simulator — fragment i of a scan
-	// goes to scan process i. A partial run receives its fragments
-	// pre-placed by the coordinator (Partial.ScanFragment) instead of
-	// fragmenting in-process.
-	var tupleBytes int
-	for _, os := range r.order {
-		if os.op.Kind != xra.OpScan {
-			continue
-		}
-		if r.partial != nil {
-			if r.partial.LeafCard == nil {
-				return fmt.Errorf("parallel: Partial needs LeafCard")
-			}
-			os.estCard = r.partial.LeafCard(os.op.Leaf)
-			for i, w := range os.instances {
-				if !w.local {
-					continue
-				}
-				if r.partial.ScanFragment == nil {
-					return fmt.Errorf("parallel: Partial needs ScanFragment (local scan %s/%d)", os.op.ID, i)
-				}
-				w.scanBatch = r.partial.ScanFragment(os.op.ID, i)
-			}
-			continue
-		}
-		rel := base(os.op.Leaf)
-		if rel == nil {
-			return fmt.Errorf("parallel: no base relation for leaf %d", os.op.Leaf)
-		}
-		if tupleBytes == 0 {
-			tupleBytes = rel.TupleBytes
-		}
-		os.estCard = rel.Card()
-		frags := relation.FragmentBatches(rel, os.op.FragAttr, len(os.instances))
-		for i, w := range os.instances {
-			w.scanBatch = frags[i]
-		}
-	}
-	// Propagate cardinality estimates downstream (plan order lists
-	// producers before consumers). The chain query's joins are 1:1, so the
-	// larger operand bounds the output; the estimates size hash tables and
-	// the collect relation so the hot path never regrows them.
-	for _, os := range r.order {
-		if os.op.Kind == xra.OpScan {
-			continue
-		}
-		for _, in := range os.op.Inputs() {
-			if from := r.ops[in.From]; from.estCard > os.estCard {
-				os.estCard = from.estCard
-			}
-		}
-		if os.op.Kind == xra.OpCollect {
-			w := os.instances[0]
-			if w.local {
-				r.collect = w
-				if r.sink == nil {
-					w.gathered = relation.NewWithCap("result", tupleBytes, os.estCard)
-				}
-			}
-		}
-	}
-	// Size each producer's transport batches from its estimated per-stream
-	// cardinality. A redistribution edge opens producers × consumers streams
-	// and a pooled buffer sits on every one of them; with the single global
-	// batch size a stream-heavy RD plan pins far more batch memory than
-	// tuples it ever moves. A stream expected to carry a few dozen tuples
-	// gets a correspondingly small pooled batch instead; batches of
-	// different capacities live in per-size pools (putBatch routes returns
-	// by capacity, since a pool silently drops — and an accounted pool never
-	// un-meters — foreign-capacity batches). Partial (distributed) runs keep
-	// the uniform size: the transport owns the pool and peer nodes must
-	// agree on wire batch capacity.
+	// Base relation fragments: ideal initial fragmentation, identical to the
+	// simulator. A partial run receives its fragments pre-placed by the
+	// coordinator (Partial.ScanFragment) instead of fragmenting in-process.
 	if r.partial == nil {
-		for _, os := range r.order {
-			if os.edge == nil {
+		if err := r.wiring.Place(base); err != nil {
+			return err
+		}
+	} else {
+		if r.partial.LeafCard == nil {
+			return fmt.Errorf("Partial needs LeafCard")
+		}
+		r.wiring.Estimate(r.partial.LeafCard)
+		for _, os := range r.ops {
+			if os.Op.Kind != xra.OpScan || os.locals == 0 {
 				continue
 			}
-			dests := len(os.edge.to.instances)
-			if os.edge.local {
-				dests = 1
+			if r.partial.ScanFragment == nil {
+				return fmt.Errorf("Partial needs ScanFragment (local scan %s)", os.Op.ID)
 			}
-			per := os.estCard / (len(os.instances) * dests)
-			bt := sizeTransportBatch(per, r.cfg.BatchTuples)
-			pool := r.pool
-			if bt != r.cfg.BatchTuples {
-				pool = r.transportPool(bt)
-			}
-			for _, w := range os.instances {
-				w.emitTuples = bt
-				w.emitPool = pool
+			os.Frags = make([]relation.Batch, len(os.instances))
+			for i, w := range os.instances {
+				if w.local {
+					os.Frags[i] = r.partial.ScanFragment(os.Op.ID, i)
+				}
 			}
 		}
 	}
-	// Open the tuple streams, iterating the canonical enumeration (Streams)
-	// so a partial run's stream ids can never drift from its peers': on a
-	// local edge, producer process i feeds consumer process i over one
-	// channel; on a redistribution edge every producer process opens one
-	// channel to every consumer process. The per-stream depth is resolved
-	// once per run (Config.ChannelDepth). Streams with both endpoints on
-	// other nodes are skipped; streams crossing the node boundary keep
-	// their channel and hand the far end to the transport.
 	depth := r.cfg.ChannelDepth
-	specs := Streams(r.plan)
-	for i := range specs {
-		sp := &specs[i]
-		fromOS, toOS := r.ops[sp.From.ID], r.ops[sp.To.ID]
-		w := fromOS.instances[sp.FromIdx]
-		dest := toOS.instances[sp.ToIdx]
-		if !w.local && !dest.local {
+	for _, os := range r.ops {
+		e := os.Out
+		if e == nil {
 			continue
 		}
-		s := r.newStream(portOf(toOS.op, sp.In), sp.FromProc, sp.ToProc, depth)
-		if w.local {
-			if w.outs == nil {
-				nd := len(toOS.instances)
-				if sp.LocalEdge {
-					nd = 1
+		// Size the producer's transport batches from its estimated
+		// per-stream cardinality. A redistribution edge opens producers ×
+		// consumers streams and a pooled buffer sits on every one of them;
+		// with the single global batch size a stream-heavy RD plan pins far
+		// more batch memory than tuples it ever moves. A stream expected to
+		// carry a few dozen tuples gets a correspondingly small pooled batch
+		// instead; batches of different capacities live in per-size pools
+		// (putBatch routes returns by capacity, since a pool silently drops
+		// — and an accounted pool never un-meters — foreign-capacity
+		// batches). Partial (distributed) runs keep the uniform size: the
+		// transport owns the pool and peer nodes must agree on wire batch
+		// capacity.
+		if r.partial == nil {
+			per := os.EstCard / (len(os.instances) * e.Dests())
+			if bt := sizeTransportBatch(per, r.cfg.BatchTuples); bt != r.cfg.BatchTuples {
+				os.emitTuples, os.emitPool = bt, r.transportPool(bt)
+			}
+		}
+		// Point every local producer's outbox at its consumers' inboxes. A
+		// stream crossing the node boundary goes to the transport instead:
+		// a channel of its own toward a remote consumer, the local
+		// consumer's inbox from a remote producer. Stream ids come from the
+		// canonical enumeration, so they can never drift from the peers'.
+		to := r.ops[e.To.Index]
+		for i, w := range os.instances {
+			if w.local {
+				w.chans = operator.Chans{Dst: make([]chan<- operator.Msg, e.Dests()), Done: r.ctx.Done(), Pool: os.emitPool}
+				w.out = operator.NewOutbox(os.Node, i, os.emitPool, os.emitTuples, &w.chans)
+			}
+			for d := 0; d < e.Dests(); d++ {
+				dest := to.instances[e.Target(i, d)]
+				switch {
+				case w.local && dest.local:
+					w.chans.Dst[d] = dest.inbox
+				case w.local:
+					out := make(chan operator.Msg, depth) // the stream's share of the remote inbox
+					w.chans.Dst[d] = out
+					r.partial.Egress(e.Stream(i, d), out)
+				case dest.local:
+					r.partial.Ingress(e.Stream(i, d), operator.Msg{Port: e.Port, Sign: operator.Insert, Remote: true}, dest.inbox)
 				}
-				w.outs = make([]*stream, nd)
-				w.outBufs = make([]*relation.Batch, nd)
 			}
-			d := sp.ToIdx
-			if sp.LocalEdge {
-				d = 0
-			}
-			w.outs[d] = s
-		}
-		if dest.local {
-			dest.incoming = append(dest.incoming, s)
-			if !w.local {
-				r.partial.Ingress(sp.ID, s.ch)
-			}
-		} else {
-			r.partial.Egress(sp.ID, s.ch)
-		}
-	}
-	// End-of-stream accounting and mailboxes: every incoming stream
-	// delivers exactly one end-of-stream marker on its port.
-	for _, os := range r.order {
-		for _, w := range os.instances {
-			if !w.local {
-				continue
-			}
-			w.eosWant = make(map[port]int)
-			for _, s := range w.incoming {
-				w.eosWant[s.port]++
-			}
-			md := len(w.incoming) * depth
-			if md < 1 {
-				md = 1
-			}
-			w.mailbox = make(chan item, md)
 		}
 	}
 	return nil
@@ -830,52 +660,29 @@ func queueIndex(proc, n int) int {
 	return i
 }
 
-func (r *runtimeState) newStream(p port, fromProc, toProc, depth int) *stream {
-	return &stream{
-		ch:     make(chan *relation.Batch, depth),
-		port:   p,
-		remote: fromProc != toProc,
-	}
-}
-
-// portOf resolves which logical port an input feeds, by identity with the
-// operator's input fields (as the simulator does).
-func portOf(op *xra.Op, in *xra.Input) port {
-	switch in {
-	case op.Build:
-		return portBuild
-	case op.Probe:
-		return portProbe
-	default:
-		return portIn
-	}
-}
-
-// launch starts dispatchers, dependency waiters, stream forwarders and
-// workers. Every blocking channel operation selects on ctx.Done() so
-// cancellation unwinds the whole goroutine tree.
+// launch starts dispatchers, dependency waiters and workers. Every blocking
+// channel operation selects on ctx.Done() so cancellation unwinds the whole
+// goroutine tree.
 func (r *runtimeState) launch() {
 	done := r.ctx.Done()
 	if r.cfg.Pool == nil {
 		for _, q := range r.queues {
-			q := q
 			r.dwg.Add(1)
 			r.goroutines++
 			go r.dispatch(q)
 		}
 	}
-	for _, os := range r.order {
-		os := os
-		if len(os.deps) == 0 || os.locals == 0 {
+	for _, os := range r.ops {
+		if len(os.After) == 0 || os.locals == 0 {
 			close(os.ready)
 		} else {
 			r.wg.Add(1)
 			r.goroutines++
 			go func() {
 				defer r.wg.Done()
-				for _, d := range os.deps {
+				for _, d := range os.After {
 					select {
-					case <-d.done:
+					case <-r.ops[d.Index].done:
 					case <-done:
 						return
 					}
@@ -884,40 +691,11 @@ func (r *runtimeState) launch() {
 			}()
 		}
 		for _, w := range os.instances {
-			w := w
-			if !w.local {
-				continue
-			}
-			for _, s := range w.incoming {
-				s := s
+			if w.local {
 				r.wg.Add(1)
 				r.goroutines++
-				go func() {
-					defer r.wg.Done()
-					for {
-						select {
-						case b, ok := <-s.ch:
-							if !ok {
-								select {
-								case w.mailbox <- item{port: s.port, eos: true}:
-								case <-done:
-								}
-								return
-							}
-							select {
-							case w.mailbox <- item{port: s.port, batch: b}:
-							case <-done:
-								return
-							}
-						case <-done:
-							return
-						}
-					}
-				}()
+				go w.run()
 			}
-			r.wg.Add(1)
-			r.goroutines++
-			go w.run()
 		}
 	}
 }
@@ -931,10 +709,7 @@ func (r *runtimeState) dispatch(q chan task) {
 	for {
 		select {
 		case t := <-q:
-			t.w.applyJoin(t.it)
-			// taskDone is buffered for the one outstanding task its worker
-			// can have, so this send never blocks.
-			t.w.taskDone <- struct{}{}
+			t.run()
 		case <-r.queueStop:
 			return
 		case <-done:
@@ -944,37 +719,25 @@ func (r *runtimeState) dispatch(q chan task) {
 }
 
 // finish assembles the run result after every goroutine exited.
-func (r *runtimeState) finish() *RunResult {
-	var last time.Duration
-	opWall := make(map[string]time.Duration, len(r.order))
-	for _, os := range r.order {
-		opWall[os.op.ID] = os.wallDone
-		if os.op.Kind != xra.OpCollect && os.wallDone > last {
-			last = os.wallDone
-		}
-	}
-	resultTuples := int(r.resultTuples.Load())
-	var gathered *relation.Relation
-	if r.collect != nil {
-		gathered = r.collect.gathered
-		if r.sink == nil {
-			resultTuples = gathered.Card()
-		}
-	}
-	res := &RunResult{
-		Result:   gathered, // nil in streaming mode (the sink consumed the tuples) and on worker nodes
-		WallTime: last,
-		Stats: Stats{
-			Processes:         r.plan.NumProcesses(),
-			Streams:           r.plan.NumStreams(),
-			Goroutines:        r.goroutines,
-			MaxProcs:          r.cfg.MaxProcs,
-			TuplesMovedRemote: r.remoteTuples.Load(),
-			TuplesLocal:       r.localTuples.Load(),
-			Batches:           r.batches.Load(),
-			ResultTuples:      resultTuples,
-			OpWall:            opWall,
+func (r *runtimeState) finish(streams int) *RunResult {
+	res := &RunResult{Stats: Stats{
+		Counters: operator.Counters{
+			Processes:    r.wiring.Plan.NumProcesses(),
+			Streams:      streams,
+			ResultTuples: r.resultTuples,
 		},
+		Goroutines: r.goroutines,
+		MaxProcs:   r.cfg.MaxProcs,
+		OpWall:     make(map[string]time.Duration, len(r.ops)),
+	}}
+	for _, os := range r.ops {
+		res.Stats.OpWall[os.Op.ID] = os.wallDone
+		if os.Op.Kind != xra.OpCollect && os.wallDone > res.WallTime {
+			res.WallTime = os.wallDone
+		}
+		for _, w := range os.instances {
+			res.Stats.AddTransport(w.out)
+		}
 	}
 	if r.spill != nil {
 		res.Stats.BytesSpilled = r.spill.meter.SpilledBytes()

@@ -1,8 +1,11 @@
 package parallel_test
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"multijoin/internal/core"
 	"multijoin/internal/jointree"
@@ -24,9 +27,12 @@ func testDB(t testing.TB, relations, card int) *wisconsin.Database {
 	return db
 }
 
-func planFor(t testing.TB, db *wisconsin.Database, tree *jointree.Node, kind strategy.Kind, procs int) *core.Query {
-	t.Helper()
-	return &core.Query{DB: db, Tree: tree, Strategy: kind, Procs: procs}
+// exec runs q on the goroutine runtime through the one entry point every
+// caller uses, with cfg's knobs as options.
+func exec(q core.Query, cfg parallel.Config, opts ...core.Option) (*core.Result, error) {
+	opts = append(opts, core.WithRuntime("parallel"), core.WithMaxProcs(cfg.MaxProcs),
+		core.WithBatchTuples(cfg.BatchTuples), core.WithChannelDepth(cfg.ChannelDepth))
+	return core.Exec(context.Background(), q, opts...)
 }
 
 // TestResultEquivalence checks the acceptance criterion: the goroutine
@@ -45,8 +51,8 @@ func TestResultEquivalence(t *testing.T) {
 		want := core.Reference(db, tree)
 		for _, kind := range strategy.Kinds {
 			t.Run(fmt.Sprintf("%v/%v", shape, kind), func(t *testing.T) {
-				q := planFor(t, db, tree, kind, 12)
-				res, err := core.ExecuteParallel(*q, parallel.Config{})
+				q := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 12}
+				res, err := exec(q, parallel.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,11 +77,11 @@ func TestSimulatorEquivalence(t *testing.T) {
 	}
 	for _, kind := range strategy.Kinds {
 		q := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 10}
-		sim, err := core.Verify(q)
+		sim, err := core.Exec(context.Background(), q, core.WithVerify())
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := core.ExecuteParallel(q, parallel.Config{})
+		par, err := exec(q, parallel.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,43 +91,78 @@ func TestSimulatorEquivalence(t *testing.T) {
 	}
 }
 
-// TestStructuralCounters checks that the runtime opens exactly the stream
-// and process structure the plan declares — the quantities engine.Stats
-// counts on the virtual machine.
+// TestStructuralCounters checks that the runtime reports exactly the
+// stream and process structure the plan declares — the quantities
+// engine.Stats counts on the virtual machine — while spending goroutines on
+// processes only: workers, dependency waiters and dispatchers, with no
+// per-stream term, and all of them gone when the run returns or is
+// cancelled mid-query.
 func TestStructuralCounters(t *testing.T) {
-	db := testDB(t, 5, 200)
-	tree, err := jointree.BuildShape(jointree.LeftLinear, 5)
+	db := testDB(t, 10, 200)
+	tree, err := jointree.BuildShape(jointree.WideBushy, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := core.Query{DB: db, Tree: tree, Strategy: strategy.FP, Procs: 8}
-	plan, err := q.Plan()
-	if err != nil {
-		t.Fatal(err)
+	baseline := runtime.NumGoroutine()
+	settled := func(when string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, baseline %d", when, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	res, err := core.ExecuteParallel(q, parallel.Config{MaxProcs: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range strategy.Kinds {
+		q := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 20}
+		plan, err := q.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := exec(q, parallel.Config{MaxProcs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Processes != plan.NumProcesses() {
+			t.Errorf("%v: Processes = %d, want %d", kind, res.Stats.Processes, plan.NumProcesses())
+		}
+		if res.Stats.Streams != plan.NumStreams() {
+			t.Errorf("%v: Streams = %d, want %d", kind, res.Stats.Streams, plan.NumStreams())
+		}
+		if res.Stats.MaxProcs != 4 {
+			t.Errorf("%v: MaxProcs = %d, want 4", kind, res.Stats.MaxProcs)
+		}
+		if max := res.Stats.Processes + len(plan.Ops) + res.Stats.MaxProcs; res.Stats.Goroutines > max {
+			t.Errorf("%v: Goroutines = %d, want at most processes+operators+dispatchers = %d (%d streams)",
+				kind, res.Stats.Goroutines, max, res.Stats.Streams)
+		}
+		if len(res.Stats.OpDone) != len(plan.Ops) {
+			t.Errorf("%v: OpDone has %d entries, want %d", kind, len(res.Stats.OpDone), len(plan.Ops))
+		}
+		if res.Time <= 0 {
+			t.Errorf("%v: Time = %v, want > 0", kind, res.Time)
+		}
+		settled(fmt.Sprintf("%v after the run", kind))
+
+		// Cancel from inside the result stream: the query is mid-flight.
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err = parallel.RunStream(ctx, plan, db.Relation, parallel.Config{MaxProcs: 4, BatchTuples: 8},
+			sinkFunc(func(*relation.Batch) { cancel() }))
+		if err == nil {
+			t.Errorf("%v: cancelled run returned no error", kind)
+		}
+		settled(fmt.Sprintf("%v after a mid-query cancel", kind))
 	}
-	if res.Stats.Processes != plan.NumProcesses() {
-		t.Errorf("Processes = %d, want %d", res.Stats.Processes, plan.NumProcesses())
-	}
-	if res.Stats.Streams != plan.NumStreams() {
-		t.Errorf("Streams = %d, want %d", res.Stats.Streams, plan.NumStreams())
-	}
-	if res.Stats.MaxProcs != 4 {
-		t.Errorf("MaxProcs = %d, want 4", res.Stats.MaxProcs)
-	}
-	if res.Stats.Goroutines < plan.NumProcesses()+plan.NumStreams() {
-		t.Errorf("Goroutines = %d, want at least processes+streams = %d",
-			res.Stats.Goroutines, plan.NumProcesses()+plan.NumStreams())
-	}
-	if len(res.Stats.OpWall) != len(plan.Ops) {
-		t.Errorf("OpWall has %d entries, want %d", len(res.Stats.OpWall), len(plan.Ops))
-	}
-	if res.WallTime <= 0 {
-		t.Errorf("WallTime = %v, want > 0", res.WallTime)
-	}
+}
+
+// sinkFunc adapts a function to the Sink contract, releasing every batch.
+type sinkFunc func(*relation.Batch)
+
+func (f sinkFunc) Push(_ context.Context, b *relation.Batch, release func()) error {
+	f(b)
+	release()
+	return nil
 }
 
 // TestProcessorCapExtremes runs with the tightest possible cap (a single
@@ -139,7 +180,7 @@ func TestProcessorCapExtremes(t *testing.T) {
 	for _, maxProcs := range []int{1, 2, 64} {
 		for _, kind := range strategy.Kinds {
 			q := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 10}
-			res, err := core.ExecuteParallel(q, parallel.Config{MaxProcs: maxProcs})
+			res, err := exec(q, parallel.Config{MaxProcs: maxProcs})
 			if err != nil {
 				t.Fatalf("MaxProcs=%d %v: %v", maxProcs, kind, err)
 			}
@@ -168,7 +209,7 @@ func TestBatchAndDepthExtremes(t *testing.T) {
 	} {
 		for _, kind := range strategy.Kinds {
 			q := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 8}
-			res, err := core.ExecuteParallel(q, cfg)
+			res, err := exec(q, cfg)
 			if err != nil {
 				t.Fatalf("%+v %v: %v", cfg, kind, err)
 			}
@@ -200,7 +241,7 @@ func TestPooledPathEquivalence(t *testing.T) {
 	} {
 		for _, kind := range strategy.Kinds {
 			q := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 80}
-			res, err := core.ExecuteParallel(q, cfg)
+			res, err := exec(q, cfg)
 			if err != nil {
 				t.Fatalf("%+v %v: %v", cfg, kind, err)
 			}
@@ -211,15 +252,15 @@ func TestPooledPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestVerifyParallel exercises the public verification path.
-func TestVerifyParallel(t *testing.T) {
+// TestVerify exercises the public verification path.
+func TestVerify(t *testing.T) {
 	db := testDB(t, 5, 250)
 	tree, err := jointree.BuildShape(jointree.RightBushy, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range strategy.Kinds {
-		if _, err := core.VerifyParallel(core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 10}, parallel.Config{}); err != nil {
+		if _, err := exec(core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 10}, parallel.Config{}, core.WithVerify()); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 	}
@@ -227,7 +268,7 @@ func TestVerifyParallel(t *testing.T) {
 
 // TestRaceStress is the -race stress test: many concurrent small queries
 // across every strategy, exercising scheduler interleavings of workers,
-// forwarders and dependency waiters. Data is seed-pinned; only goroutine
+// dispatchers and dependency waiters. Data is seed-pinned; only goroutine
 // scheduling varies between runs.
 func TestRaceStress(t *testing.T) {
 	if testing.Short() {
@@ -251,7 +292,7 @@ func TestRaceStress(t *testing.T) {
 				tree, kind, want := tree, kind, wants[ti]
 				go func() {
 					q := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 8}
-					res, err := core.ExecuteParallel(q, parallel.Config{BatchTuples: 16, ChannelDepth: 1})
+					res, err := exec(q, parallel.Config{BatchTuples: 16, ChannelDepth: 1})
 					if err != nil {
 						errc <- err
 						return
@@ -274,7 +315,7 @@ func TestRaceStress(t *testing.T) {
 
 // TestInvalidPlan checks input validation paths.
 func TestInvalidPlan(t *testing.T) {
-	if _, err := parallel.Run(&xra.Plan{}, nil, parallel.Config{}); err == nil {
+	if _, err := parallel.RunStream(context.Background(), &xra.Plan{}, nil, parallel.Config{}, sinkFunc(nil)); err == nil {
 		t.Fatal("empty plan must be rejected")
 	}
 }

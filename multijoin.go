@@ -116,12 +116,13 @@ type (
 	ViewChanges = ivm.ChangeStream
 	// BaseFunc resolves a plan leaf index to its base relation.
 	BaseFunc = core.BaseFunc
-	// RunResult is the outcome of executing a query on the simulator via
-	// the deprecated Run/Verify entry points.
+	// RunResult is the simulator's own result type, returned by Query.Run
+	// and TwoPhase: it adds the per-processor busy intervals (Procs) the
+	// utilization diagrams are drawn from.
 	RunResult = engine.RunResult
 	// Stats aggregates the simulator's process, stream and transport
-	// counters (used by the deprecated Run/Verify entry points; Exec
-	// returns the unified ExecStats instead).
+	// counters inside a RunResult (Exec returns the unified ExecStats
+	// instead).
 	Stats = engine.Stats
 	// Params is the simulated machine model.
 	Params = costmodel.Params
@@ -230,11 +231,10 @@ func WithMaxProcs(n int) ExecOption { return core.WithMaxProcs(n) }
 // WithBatchTuples sets the transport batch size (pipelining granularity).
 func WithBatchTuples(n int) ExecOption { return core.WithBatchTuples(n) }
 
-// WithChannelDepth sets the per-stream buffer capacity, in batches, on
-// wall-clock runtimes. The depth is resolved once per run; each process's
-// mailbox is additionally sized to depth × its incoming stream count so
-// that stream forwarders never block producers of a consumer that has not
-// started yet (see parallel.Config.ChannelDepth for the heuristic).
+// WithChannelDepth sets, on wall-clock runtimes, how many batches each
+// incoming tuple stream contributes to its consumer's inbox (a process's
+// inbox holds depth × its incoming stream count batches); it is also the
+// dist runtime's credit window per node-crossing stream.
 func WithChannelDepth(n int) ExecOption { return core.WithChannelDepth(n) }
 
 // WithMemoryBudget caps the spill runtime's live tuple memory at bytes:
@@ -374,67 +374,11 @@ func LookupRuntime(name string) (Runtime, error) { return core.LookupRuntime(nam
 // RuntimeNames lists every registered runtime name, sorted.
 func RuntimeNames() []string { return core.RuntimeNames() }
 
-// Parallel-runtime types: the goroutine executor that runs the same plans
-// with real concurrency instead of the virtual clock.
-type (
-	// ParallelConfig parameterizes the goroutine runtime: processor cap,
-	// batch size, stream channel depth.
-	//
-	// Deprecated: pass WithMaxProcs/WithBatchTuples/WithChannelDepth to
-	// Exec instead.
-	ParallelConfig = parallel.Config
-	// ParallelResult is the outcome of a goroutine-parallel execution:
-	// the real join result, wall-clock time, and structural counters.
-	//
-	// Deprecated: Exec returns the unified Result for every runtime.
-	ParallelResult = parallel.RunResult
-	// ParallelStats aggregates goroutine, stream and transport counters.
-	//
-	// Deprecated: Exec returns the unified ExecStats for every runtime.
-	ParallelStats = parallel.Stats
-)
-
-// Run plans and executes the query on the simulated PRISMA/DB machine.
-//
-// Deprecated: use Exec, which adds context cancellation and runtime
-// selection, or Engine.Query for long-lived sessions with streaming
-// results; Run is equivalent to Exec(context.Background(), q) with the
-// engine-specific result type.
-func Run(q Query) (*RunResult, error) { return q.Run() }
-
-// ExecuteParallel plans the query and executes the plan with real goroutine
-// concurrency: one worker goroutine per operation process, one buffered
-// channel per tuple stream (n×m per redistribution edge), and a semaphore
-// capping concurrent computation at ParallelConfig.MaxProcs processors. It
-// produces the same result multiset as Run and Reference, measured in wall
-// time instead of virtual time.
-//
-// Deprecated: use Exec with WithRuntime("parallel"), or Engine.Query for
-// sessions that share processors and memory across concurrent queries.
-func ExecuteParallel(q Query, cfg ParallelConfig) (*ParallelResult, error) {
-	return core.ExecuteParallel(q, cfg)
-}
-
-// VerifyParallel runs ExecuteParallel and checks the result against the
-// sequential reference execution.
-//
-// Deprecated: use Exec with WithRuntime("parallel") and WithVerify.
-func VerifyParallel(q Query, cfg ParallelConfig) (*ParallelResult, error) {
-	return core.VerifyParallel(q, cfg)
-}
-
 // HostCap bounds a plan's processor count by the host's real core count —
 // the WithMaxProcs cap to use when executing plans generated for machines
 // larger than this one. Plans keep their full processor count; only
 // concurrent computation is capped.
 func HostCap(procs int) int { return parallel.HostCap(procs) }
-
-// Verify runs the query and checks the result against the sequential
-// reference execution.
-//
-// Deprecated: use Exec with WithVerify (or Engine.Exec with WithVerify
-// under a session).
-func Verify(q Query) (*RunResult, error) { return core.Verify(q) }
 
 // Reference evaluates the tree sequentially — the correctness oracle.
 func Reference(db *Database, tree *Node) *Relation { return core.Reference(db, tree) }

@@ -68,32 +68,6 @@ func TestFacadeExecUnknownRuntime(t *testing.T) {
 	}
 }
 
-// TestFacadeDeprecatedWrappers keeps the pre-Exec entry points compiling
-// and correct: they are thin wrappers over the same runtimes.
-func TestFacadeDeprecatedWrappers(t *testing.T) {
-	db, err := multijoin.NewDatabase(5, 200, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := multijoin.BuildTree(multijoin.WideBushy, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := multijoin.Query{DB: db, Tree: tree, Strategy: multijoin.FP, Procs: 8, Params: multijoin.DefaultParams()}
-	simRes, err := multijoin.Verify(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRes, err := multijoin.VerifyParallel(q, multijoin.ParallelConfig{MaxProcs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simRes.Stats.ResultTuples != parRes.Stats.ResultTuples {
-		t.Errorf("wrapper results disagree: sim %d vs parallel %d tuples",
-			simRes.Stats.ResultTuples, parRes.Stats.ResultTuples)
-	}
-}
-
 func TestFacadeTwoPhase(t *testing.T) {
 	db, err := multijoin.NewDatabase(8, 200, 11)
 	if err != nil {
