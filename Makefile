@@ -52,11 +52,15 @@ ivm-smoke:
 
 # Pool-discipline check: the relation, hashjoin and operator-kernel tests
 # (the columnar codec round-trip property, the ProbeBatchInto differential
-# and the outbox's cancelled-delivery rule among them) with the pooldebug
-# double-Put / use-after-Put detector armed (poisoned batches verified on
-# every Get).
+# and the outbox's cancelled-delivery rule among them) and the goroutine
+# runtime and engine tests with the pooldebug double-Put / use-after-Put
+# detector armed (poisoned batches verified on every Get). An engine's batch
+# pools outlive its queries, so a late release from a closed cursor or a
+# batch a cancelled run still aliases would be a use-after-Put *across*
+# queries: the cancel, shutdown and concurrent-query tests of parallel and
+# core are where the detector would see it.
 pooldebug:
-	$(GO) test -tags pooldebug -race ./internal/relation ./internal/hashjoin ./internal/operator
+	$(GO) test -tags pooldebug -race ./internal/relation ./internal/hashjoin ./internal/operator ./internal/parallel ./internal/core
 
 # Throughput smoke: one shared Engine serving concurrent mixed-strategy
 # queries across the parallel and spill runtimes, results drained through

@@ -188,7 +188,7 @@ func benchParallelVsSim(b *testing.B, kind strategy.Kind) {
 		b.Fatal(err)
 	}
 	// Plans target 16 processors (RD and FP need one per concurrent join);
-	// the runtime's dispatcher count caps real concurrency at the host cores.
+	// the runtime's slot count caps real concurrency at the host cores.
 	const procs = 16
 	maxProcs := multijoin.HostCap(procs)
 	q := multijoin.Query{DB: db, Tree: tree, Strategy: kind, Procs: procs, Params: multijoin.DefaultParams()}

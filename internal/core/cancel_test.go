@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"multijoin/internal/jointree"
+	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
 	"multijoin/internal/wisconsin"
 )
@@ -160,5 +161,89 @@ func TestExecCancelledRepeatedly(t *testing.T) {
 	after := settleGoroutines(before, 4, 5*time.Second)
 	if after > before+4 {
 		t.Errorf("goroutine accumulation across cancelled runs: %d before, %d after", before, after)
+	}
+}
+
+// TestEngineCancelEveryStrategy audits cancellation under an engine, where
+// the batch pools outlive the query and inbox sends and receives try the
+// plain channel operation before they select on the run's cancellation:
+// for every strategy (RD and SE bring dependency waiters and buffering
+// processes) on both goroutine runtimes, a pre-cancelled context starts
+// nothing, and a query cancelled while its consumer has stopped reading —
+// the run parked in Push, inboxes full behind it — unwinds completely:
+// goroutines back to the baseline, the shared meter at zero, no temp files.
+// The batches such a run strands in its inboxes are garbage, never returned
+// to the resident pools, so the same engine then still answers the query
+// correctly from those pools.
+func TestEngineCancelEveryStrategy(t *testing.T) {
+	q := cancelQuery(t)
+	want := Reference(q.DB, q.Tree)
+	for _, rt := range []string{"parallel", "spill"} {
+		t.Run(rt, func(t *testing.T) {
+			tmp := scopeTempDir(t)
+			eng, err := Open(q.DB, WithEngineRuntime(rt), WithEngineMemoryBudget(64<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			before := runtime.NumGoroutine()
+			atRest := func(when string) {
+				t.Helper()
+				if after := settleGoroutines(before, 2, 5*time.Second); after > before+2 {
+					t.Errorf("%s: %d goroutines, %d before", when, after, before)
+				}
+				if live := eng.MemoryLive(); live != 0 {
+					t.Errorf("%s: %d live bytes on the shared meter", when, live)
+				}
+				if left := spillTempFiles(t, tmp); len(left) != 0 {
+					t.Errorf("%s: temp files left: %v", when, left)
+				}
+			}
+			for _, kind := range strategy.Kinds {
+				q := q
+				q.Strategy = kind
+
+				dead, cancel := context.WithCancel(context.Background())
+				cancel()
+				if rows, err := eng.Query(dead, q); err == nil {
+					for rows.Next() {
+					}
+					if !errors.Is(rows.Err(), context.Canceled) {
+						t.Errorf("%v: pre-cancelled query ended with %v, want context.Canceled", kind, rows.Err())
+					}
+					rows.Close()
+				} else if !errors.Is(err, context.Canceled) {
+					t.Errorf("%v: pre-cancelled Query returned %v, want context.Canceled", kind, err)
+				}
+				atRest(kind.String() + " pre-cancelled")
+
+				ctx, cancel := context.WithCancel(context.Background())
+				rows, err := eng.Query(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rows.Next() {
+					t.Fatalf("%v: no first tuple: %v", kind, rows.Err())
+				}
+				cancel() // the consumer is not reading: the run unwinds parked in Push
+				<-rows.done
+				for rows.Next() {
+				}
+				if err := rows.Err(); !errors.Is(err, context.Canceled) {
+					t.Errorf("%v: Err after mid-query cancel = %v, want context.Canceled", kind, err)
+				}
+				rows.Close()
+				atRest(kind.String() + " cancelled mid-query")
+
+				res, err := eng.Exec(context.Background(), q)
+				if err != nil {
+					t.Fatalf("%v after the cancelled runs: %v", kind, err)
+				}
+				if diff := relation.DiffMultiset(res.Result, want); diff != "" {
+					t.Errorf("%v after the cancelled runs: %s", kind, diff)
+				}
+				atRest(kind.String() + " completed")
+			}
+		})
 	}
 }

@@ -180,8 +180,9 @@ func WithRuntime(name string) Option { return func(o *Options) { o.Runtime = nam
 func WithParams(p costmodel.Params) Option { return func(o *Options) { o.Params = p } }
 
 // WithMaxProcs sets the number of modeled processors on wall-clock
-// runtimes: one run-queue dispatcher each, serializing the operation
-// processes bound to it. Zero means the plan's own processor count.
+// runtimes: one slot each, held by a process while it computes, so the
+// operation processes bound to one processor are serialized. Zero means the
+// plan's own processor count.
 func WithMaxProcs(n int) Option { return func(o *Options) { o.MaxProcs = n } }
 
 // WithBatchTuples sets the transport batch size (pipelining granularity).

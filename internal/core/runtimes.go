@@ -109,7 +109,7 @@ func (spillRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc, 
 		MemoryBudget: budget,
 	}
 	if s := opts.shared; s != nil {
-		// Engine session: shared dispatchers, and the engine's shared
+		// Engine session: shared processor slots, and the engine's shared
 		// memory budget (a per-query child meter) replaces the private
 		// per-run budget, so concurrent queries spill against their
 		// combined residency.

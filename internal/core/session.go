@@ -7,7 +7,9 @@
 // teardown) cannot express that — two concurrent queries would each claim
 // the whole machine. Open returns an Engine that owns the shared resources
 // instead: one processor pool (parallel.ProcPool) capping concurrent
-// computation across every in-flight query, one spill.Meter memory budget
+// computation across every in-flight query and keeping what is constant
+// across them (batch pools, the resident relations' placement), one
+// spill.Meter memory budget
 // that concurrent spill queries draw down together, default runtime and
 // machine parameters, and an admission semaphore whose queue wait is
 // reported per query in Stats.QueueWait. Engine.Query returns a Rows
@@ -59,7 +61,7 @@ type Engine struct {
 
 	policy admissionPolicy    // admission: fifo semaphore or cost-based SJF
 	plans  *planCache         // memoized strategy.Plan output by query shape
-	procs  *parallel.ProcPool // shared modeled processors (wall-clock runtimes)
+	procs  *parallel.ProcPool // shared modeled processors, batch pools and db placement (wall-clock runtimes)
 	meter  *spill.Meter       // shared memory budget (root; queries get children)
 
 	mu      sync.Mutex
@@ -100,8 +102,8 @@ func WithMaxConcurrent(n int) EngineOption {
 }
 
 // WithEngineProcs sets the size of the engine's shared processor pool: the
-// number of modeled processors (run-queue dispatchers) that serialize the
-// operator work of *all* in-flight queries on the wall-clock runtimes, the
+// number of modeled processors (slots) that serialize the operator work of
+// *all* in-flight queries on the wall-clock runtimes, the
 // session counterpart of WithMaxProcs. Zero (the default) means GOMAXPROCS.
 // Under an engine, a per-query WithMaxProcs is ignored — the pool is the
 // machine.
@@ -165,6 +167,7 @@ func Open(db *wisconsin.Database, opts ...EngineOption) (*Engine, error) {
 		e.maxConc = 2 * runtime.GOMAXPROCS(0)
 	}
 	e.procs = parallel.NewProcPool(e.poolSize)
+	e.procs.Pin(db.Relations)
 	e.meter = spill.NewMeter(e.budget)
 	e.plans = newPlanCache()
 	e.cursors = make(map[*Rows]struct{})

@@ -1,8 +1,8 @@
 // Package dist executes xra plans across multiple OS processes on a
 // shared-nothing model: a coordinator partitions the plan's operation
 // processes over N mjworker child processes (plan processor id p lives on
-// worker p mod N, the same placement rule the parallel dispatcher uses for
-// its run queues; the collect process stays on the coordinator), ships each
+// worker p mod N, the same placement rule the parallel runtime uses for its
+// processor slots; the collect process stays on the coordinator), ships each
 // worker its plan fragment and pre-placed base-relation fragments, and
 // streams every node-crossing redistribution edge over loopback TCP as
 // pooled columnar batch blocks. Each node runs the ordinary worker loop of

@@ -23,7 +23,7 @@ import (
 const coordNode = -1
 
 // nodeOf maps a plan processor id to the node that runs it: the
-// round-robin rule of the parallel dispatcher's run queues, with the
+// round-robin rule of the parallel runtime's processor slots, with the
 // scheduler host pinned to the coordinator.
 func nodeOf(proc, workers int) int {
 	if proc < 0 {
@@ -297,7 +297,7 @@ func quietClose(err error) bool {
 }
 
 // localProcCount counts the distinct plan processor ids placed on this
-// node — the worker's modeled-processor (dispatcher) count.
+// node — the worker's modeled-processor (slot) count.
 func localProcCount(plan *xra.Plan, local func(int) bool) int {
 	seen := make(map[int]bool)
 	for _, op := range plan.Ops {

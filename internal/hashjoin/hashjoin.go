@@ -473,13 +473,17 @@ func (t *Table) DeleteBatch(b *relation.Batch) int {
 // match); phase two walks the duplicate chains and appends result tuples
 // column-wise to dst. probeIsLower orients the result: the paper's chain
 // join emits (lower.Unique1, higher.Unique2, combined check) regardless of
-// which operand built the table. heads is the caller's reusable scratch
-// (returned re-sliced so it can grow once and be reused).
+// which operand built the table. heads is the caller's reusable scratch,
+// returned re-sliced: it is sized to the batch's capacity at once, so a
+// process whose input batches come from one pool allocates it a single time.
 func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.Attr, probeIsLower bool, heads []int32) []int32 {
 	keys := b.Col(pa)
-	heads = heads[:0]
+	if cap(heads) < len(keys) {
+		heads = make([]int32, len(keys), cap(keys))
+	}
+	heads = heads[:len(keys)]
 	mask := t.mask
-	for _, k := range keys {
+	for i, k := range keys {
 		s := hashKey(k) & mask
 		var e int32
 		for t.head[s] != 0 {
@@ -489,7 +493,7 @@ func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.At
 			}
 			s = (s + 1) & mask
 		}
-		heads = append(heads, e)
+		heads[i] = e
 	}
 	if probeIsLower {
 		for i, e := range heads {

@@ -3,7 +3,7 @@
 // engine), the goroutine runtime (package parallel, and through its Partial
 // seam package dist) and the resident view network (package ivm). The
 // paper's execution model is stated here once; the drivers add only what is
-// theirs — virtual time and event scheduling, run queues and Grace mode,
+// theirs — virtual time and event scheduling, processor slots and Grace mode,
 // signed tables and rounds.
 //
 // # Process model

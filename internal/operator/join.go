@@ -8,9 +8,10 @@ import (
 
 // Join is the input side of one operation process: the punctuation count of
 // its ports and, once started on a join operator, the simple or pipelining
-// hash-join state machine. It is not safe for concurrent use; a driver that
-// applies batches on another goroutine (a run-queue dispatcher) hands the
-// Join back and forth with the batch.
+// hash-join state machine. It is not safe for concurrent use and needs no
+// hand-over: every driver applies a process's batches where the process
+// itself runs (the goroutine runtime on the process's own goroutine, inside
+// its processor's slot).
 type Join struct {
 	node      *Node
 	want, got [numPorts]int

@@ -34,10 +34,18 @@ type Msg struct {
 	Remote bool
 }
 
-// Send delivers m into inbox. When done closes first it returns m's batch
-// to pool and reports false: a delivery that loses the race with
-// cancellation never strands an accounted batch.
+// Send delivers m into inbox. It tries the plain send first, so the common
+// delivery into an inbox with room never touches done — the one channel
+// every process of a run shares — and selects only when it has to wait.
+// When done closes during that wait it returns m's batch to pool and
+// reports false: a delivery that loses the race with cancellation never
+// strands an accounted batch.
 func Send(inbox chan<- Msg, m Msg, done <-chan struct{}, pool *relation.BatchPool) bool {
+	select {
+	case inbox <- m:
+		return true
+	default:
+	}
 	select {
 	case inbox <- m:
 		return true

@@ -183,6 +183,13 @@ func (w *Wiring) Estimate(card func(leaf int) int) {
 // the processors used for that join, fragment i at scan process i — and
 // estimates cardinalities from the relations' sizes.
 func (w *Wiring) Place(base func(leaf int) *relation.Relation) error {
+	return w.PlaceWith(base, relation.FragmentBatches)
+}
+
+// PlaceWith is Place with the fragmentation supplied by the driver: frag
+// must return what relation.FragmentBatches would, and may return the same
+// read-only fragments to every run that asks (a session's placement cache).
+func (w *Wiring) PlaceWith(base func(leaf int) *relation.Relation, frag func(r *relation.Relation, a relation.Attr, n int) []relation.Batch) error {
 	for _, n := range w.Nodes {
 		if n.Op.Kind != xra.OpScan {
 			continue
@@ -194,7 +201,7 @@ func (w *Wiring) Place(base func(leaf int) *relation.Relation) error {
 		if w.TupleBytes == 0 {
 			w.TupleBytes = rel.TupleBytes
 		}
-		n.Frags = relation.FragmentBatches(rel, n.Op.FragAttr, len(n.Op.Procs))
+		n.Frags = frag(rel, n.Op.FragAttr, len(n.Op.Procs))
 	}
 	w.Estimate(func(leaf int) int { return base(leaf).Card() })
 	return nil

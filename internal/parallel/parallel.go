@@ -15,26 +15,33 @@
 //     one end-of-stream message; the n×m streams of a redistribution edge
 //     exist as routing decisions and end-of-stream counts, not as channels
 //     or goroutines of their own;
-//   - the plan's processors are modeled by per-processor run queues: one
-//     dispatcher goroutine per modeled processor executes the operator work
-//     of every process bound (by plan processor id, modulo MaxProcs) to it,
-//     serializing a processor's operation processes exactly like the
-//     paper's shared-nothing nodes. Inbox sends and receives never run on a
-//     dispatcher (blocked processes occupy no processor, as on a real
-//     machine);
+//   - the plan's processors are modeled as slots: a process computes a join
+//     step on its own goroutine while it holds the lock of its processor
+//     (plan processor id modulo MaxProcs), so at most MaxProcs processes
+//     compute at once and the processes of one processor are serialized,
+//     exactly like the paper's shared-nothing nodes. The lock is held for one
+//     batch and never across a channel operation (blocked processes occupy
+//     no processor, as on a real machine), so a batch costs one hand-off:
+//     the inbox send that carries it;
 //   - Op.After start dependencies are honored without deadlock: a process
 //     whose dependencies are pending keeps draining its inbox into an
 //     unbounded stash (the simulator's "input arriving earlier is
 //     buffered") and processes it once the dependencies complete;
 //   - with a memory budget, join processes run Grace-style partitioned
-//     joins (hashjoin.Grace) on their own goroutine instead of the kernel's
-//     in-memory join step.
+//     joins (hashjoin.Grace) outside the slot — partitioning may block on
+//     file I/O — instead of the kernel's in-memory join step.
+//
+// A blocking point that rarely blocks does not pay for one that does: inbox
+// sends and receives try the plain channel operation first and select on the
+// run's cancellation only when they would wait.
 //
 // The hot data path is allocation-free in steady state: tuple batches come
 // from a relation.BatchPool and are returned by the consumer that exhausts
-// them, and join results are built in per-process scratch buffers. Result
-// equivalence against the sequential reference is asserted for every
-// strategy in the tests.
+// them, and join results are built in per-process scratch buffers. What is
+// constant across the queries of an engine session — the un-metered batch
+// pools and the placement of the resident base relations — lives with the
+// session's ProcPool, not with the run. Result equivalence against the
+// sequential reference is asserted for every strategy in the tests.
 package parallel
 
 import (
@@ -42,6 +49,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,7 +64,7 @@ import (
 // HostCap returns procs bounded by the host's GOMAXPROCS: the MaxProcs to
 // use when a plan targets more processors than the machine has cores.
 // Plans must keep their full processor count (RD and FP need one processor
-// per concurrently executing join); only the dispatcher count is capped.
+// per concurrently executing join); only the slot count is capped.
 func HostCap(procs int) int {
 	if n := runtime.GOMAXPROCS(0); procs > n {
 		return n
@@ -68,75 +76,148 @@ func HostCap(procs int) int {
 // propagates upstream through the plan's inboxes.
 type Sink = operator.Sink
 
-// sharedQueueDepth is the buffered capacity of each shared run queue. A
-// worker has at most one task outstanding, so queued tasks never exceed the
-// live worker count; the buffer only smooths bursts — a full queue simply
-// blocks the producing worker (which selects on its run's cancellation).
-const sharedQueueDepth = 256
+// Bounds of the state a ProcPool keeps between runs.
+const (
+	// poolRetainBytes is what each resident batch pool may hold idle.
+	poolRetainBytes = 1 << 20
+	// maxResidentPools bounds the batch capacities that get a resident pool
+	// (the default transport sizes are five); a run asking for yet another
+	// capacity gets a pool of its own.
+	maxResidentPools = 16
+	// maxPlacedBytes bounds the cached placement. A fragmentation that would
+	// overflow it evicts everything cached before.
+	maxPlacedBytes = 32 << 20
+)
 
-// ProcPool is a shared set of modeled processors: one run-queue dispatcher
-// goroutine each, serving the operation processes of *every* run configured
-// with the pool (Config.Pool). It is the session-level resource that caps
-// concurrent computation across in-flight queries — the engine's
-// counterpart of a per-run dispatcher set. Close stops the dispatchers; it
-// must not be called while runs still use the pool.
+// ProcPool is a shared set of modeled processors — one slot (lock) each,
+// taken by the operation processes of *every* run configured with the pool
+// (Config.Pool) for the length of one join step. It is the session-level
+// resource that caps concurrent computation across in-flight queries, and
+// it owns what those queries would otherwise rebuild each time: the
+// un-metered batch pools, one per batch capacity, and the placed fragments
+// of the relations declared resident (Pin). Both are byte-bounded and
+// dropped by Close. A ProcPool owns no goroutines.
 type ProcPool struct {
-	queues []chan task
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	slots []sync.Mutex
+
+	mu          sync.Mutex // guards the fields below
+	pools       map[int]*relation.BatchPool
+	pinned      []*relation.Relation
+	placed      map[placement][]relation.Batch
+	placedBytes int64
 }
 
-// NewProcPool starts a pool of n modeled processors (n < 1 means
-// GOMAXPROCS). Plan processor id p is served by dispatcher p mod n.
+// placement identifies one fragmentation of a resident relation.
+type placement struct {
+	rel    *relation.Relation
+	attr   relation.Attr
+	degree int
+}
+
+// NewProcPool returns a pool of n modeled processors (n < 1 means
+// GOMAXPROCS). Plan processor id p takes slot p mod n.
 func NewProcPool(n int) *ProcPool {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &ProcPool{queues: make([]chan task, n), stop: make(chan struct{})}
-	for i := range p.queues {
-		q := make(chan task, sharedQueueDepth)
-		p.queues[i] = q
-		p.wg.Add(1)
-		go p.dispatch(q)
-	}
-	return p
+	return &ProcPool{slots: make([]sync.Mutex, n)}
 }
 
-// Size returns the number of modeled processors (dispatchers).
-func (p *ProcPool) Size() int { return len(p.queues) }
+// Size returns the number of modeled processors (slots).
+func (p *ProcPool) Size() int { return len(p.slots) }
 
-// Close stops every dispatcher and waits for them to exit. Tasks of
-// cancelled runs that are still queued are drained (their workers have
-// already unwound; completing the task is harmless and never blocks).
+// Pin declares rels resident for the pool's lifetime: runs on the pool
+// cache their placement (relation.FragmentBatches) by relation identity,
+// fragmentation attribute and degree instead of fragmenting per query. The
+// relations must not change while pinned. Any other base relation — a query
+// bringing its own database — is fragmented per run and never cached.
+func (p *ProcPool) Pin(rels []*relation.Relation) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.pinned = append(p.pinned, rels...)
+}
+
+// PlacedBytes returns the size of the cached placement.
+func (p *ProcPool) PlacedBytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.placedBytes
+}
+
+// Close drops the resident batch pools, the pinned set and the cached
+// placement. It must not be called while runs still use the pool; a result
+// batch released afterwards goes to a pool nothing draws from any more.
 func (p *ProcPool) Close() {
-	close(p.stop)
-	p.wg.Wait()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.pools, p.pinned, p.placed, p.placedBytes = nil, nil, nil, 0
 }
 
-// dispatch is one shared modeled processor. Unlike a per-run dispatcher it
-// must not exit on any single run's cancellation: a cancelled run's workers
-// unwind on their own, and a stale queued task is completed harmlessly (the
-// taskDone send is buffered for the one task its worker had outstanding).
-func (p *ProcPool) dispatch(q chan task) {
-	defer p.wg.Done()
-	for {
-		select {
-		case t := <-q:
-			t.run()
-		case <-p.stop:
-			return
+// slot returns the lock of the modeled processor serving plan processor id
+// proc. The scheduler host's pseudo id (xra.HostProc, negative) wraps around
+// like any other.
+func (p *ProcPool) slot(proc int) *sync.Mutex {
+	i := proc % len(p.slots)
+	if i < 0 {
+		i += len(p.slots)
+	}
+	return &p.slots[i]
+}
+
+// batchPool returns the resident pool of batches with capacity size.
+func (p *ProcPool) batchPool(size int) *relation.BatchPool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	bp := p.pools[size]
+	if bp == nil {
+		bp = relation.NewBatchPool(size, max(1, poolRetainBytes/(size*relation.TupleWireBytes)))
+		if len(p.pools) < maxResidentPools {
+			if p.pools == nil {
+				p.pools = make(map[int]*relation.BatchPool)
+			}
+			p.pools[size] = bp
 		}
 	}
+	return bp
+}
+
+// fragments is relation.FragmentBatches through the placement cache. Two
+// runs that miss on the same key both fragment and the first insert stays:
+// fragments are read-only and equal.
+func (p *ProcPool) fragments(rel *relation.Relation, attr relation.Attr, degree int) []relation.Batch {
+	key := placement{rel, attr, degree}
+	p.mu.Lock()
+	frags := p.placed[key]
+	pinned := frags == nil && slices.Contains(p.pinned, rel)
+	p.mu.Unlock()
+	if frags != nil {
+		return frags
+	}
+	frags = relation.FragmentBatches(rel, attr, degree)
+	bytes := int64(rel.Card()) * relation.TupleWireBytes
+	if !pinned || bytes > maxPlacedBytes {
+		return frags
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.pinned != nil && p.placed[key] == nil { // the pool is still open
+		if p.placed == nil || p.placedBytes+bytes > maxPlacedBytes {
+			p.placed, p.placedBytes = make(map[placement][]relation.Batch), 0
+		}
+		p.placed[key] = frags
+		p.placedBytes += bytes
+	}
+	return frags
 }
 
 // Config parameterizes one parallel execution.
 type Config struct {
-	// MaxProcs is the number of modeled processors: one run-queue
-	// dispatcher goroutine each. Plan processor id p maps to dispatcher
-	// p mod MaxProcs, so at most MaxProcs operation processes compute at
-	// any instant and processes sharing a plan processor are serialized on
-	// the same dispatcher. Zero means the plan's own processor count
-	// (MaxProc+1), i.e. the machine the plan was generated for.
+	// MaxProcs is the number of modeled processors: one slot each. Plan
+	// processor id p maps to slot p mod MaxProcs and a process holds its
+	// slot while it computes, so at most MaxProcs operation processes
+	// compute at any instant and processes sharing a plan processor are
+	// serialized. Zero means the plan's own processor count (MaxProc+1),
+	// i.e. the machine the plan was generated for.
 	MaxProcs int
 	// BatchTuples is the number of tuples per transport batch (the
 	// pipelining granularity and the batch-pool capacity). Zero means
@@ -160,9 +241,9 @@ type Config struct {
 	//
 	// Out-of-core mode trades the paper's pipelining for the memory
 	// bound: every join materializes (partitioned, possibly on disk)
-	// before producing output, and join work runs on the worker goroutine
-	// rather than the processor dispatcher, since it may block on file
-	// I/O. The result multiset is identical to the in-memory runtimes.
+	// before producing output, and join work runs without holding the
+	// processor's slot, since it may block on file I/O. The result multiset
+	// is identical to the in-memory runtimes.
 	//
 	// The budget bounds the partitioning phase (buffered operands plus
 	// pooled batches in flight); the drain phase additionally meters the
@@ -172,11 +253,13 @@ type Config struct {
 	// spill in response).
 	MemoryBudget int64
 
-	// Pool, when set, executes this run's operator work on a shared,
-	// long-lived ProcPool instead of launching per-run dispatchers — the
-	// engine session mode, where one set of modeled processors caps
-	// concurrent computation across every in-flight query. MaxProcs is
-	// ignored; the pool's size takes its place.
+	// Pool, when set, executes this run's operator work on the slots of a
+	// shared, long-lived ProcPool instead of a private set — the engine
+	// session mode, where one set of modeled processors caps concurrent
+	// computation across every in-flight query. MaxProcs is ignored; the
+	// pool's size takes its place. Unless the run is memory-budgeted it
+	// also draws its batches from the pool's resident batch pools and
+	// places pinned base relations through the pool's placement cache.
 	Pool *ProcPool
 
 	// Meter, when set, accounts this run against a shared memory budget
@@ -198,9 +281,8 @@ type Config struct {
 // DefaultBatchTuples is the transport vector size of the goroutine
 // runtimes, deliberately larger than the simulator's cost-model granularity
 // (costmodel.Params.BatchTuples): every batch send costs an inbox
-// operation and a run-queue handshake, so with columnar batches
-// the per-batch overhead amortizes over 4x more tuples while a batch still
-// stays a few KB of cache-warm columns.
+// operation, so with columnar batches the per-batch overhead amortizes over
+// 4x more tuples while a batch still stays a few KB of cache-warm columns.
 // DefaultSpillBatchTuples is the transport vector size of memory-budgeted
 // (out-of-core) runs. Pooled batches are metered against the run's budget,
 // so smaller vectors keep the accounting granularity — and the residency a
@@ -239,12 +321,10 @@ func (c Config) withDefaults(plan *xra.Plan) Config {
 type Stats struct {
 	operator.Counters
 	// Goroutines is the total number of goroutines launched: one worker
-	// per operation process, one dependency waiter per operator with After
-	// dependencies, and one dispatcher per modeled processor (none when the
-	// run uses a shared ProcPool). It has no per-stream term.
+	// per operation process and one dependency waiter per operator with
+	// After dependencies. It has no per-stream and no per-processor term.
 	Goroutines int
-	// MaxProcs is the number of modeled processors (run-queue
-	// dispatchers).
+	// MaxProcs is the number of modeled processors (slots).
 	MaxProcs int
 	// OpWall maps operator ids to their wall-clock completion offset from
 	// query start.
@@ -269,22 +349,6 @@ type RunResult struct {
 	Stats Stats
 }
 
-// task is one unit of operator work on a run queue: the process requesting
-// computation and the input message to apply.
-type task struct {
-	w *inst
-	m operator.Msg
-}
-
-// run executes on a dispatcher: it applies the message to the process's
-// join step and hands the process back to its worker. taskDone is buffered
-// for the one task a worker can have outstanding, so the send never blocks
-// — not even for a stale task of a cancelled run whose worker has unwound.
-func (t task) run() {
-	t.w.result = t.w.join.Apply(t.m)
-	t.w.taskDone <- struct{}{}
-}
-
 // opState is the shared runtime state of one plan operator.
 type opState struct {
 	*operator.Node
@@ -292,12 +356,6 @@ type opState struct {
 	// locals is the number of instances placed on this node (all of them
 	// unless the run is partial).
 	locals int
-
-	// emitTuples and emitPool are the operator's transport batch size and
-	// its matching pool, chosen in setup from the estimated per-stream
-	// cardinality (the run default when a stream is expected to fill it).
-	emitTuples int
-	emitPool   *relation.BatchPool
 
 	ready     chan struct{} // closed when all After dependencies completed
 	done      chan struct{} // closed when all instances finished
@@ -329,9 +387,9 @@ type runtimeState struct {
 	wiring  *operator.Wiring
 	cfg     Config
 	ctx     context.Context
-	pool    *relation.BatchPool
-	retain  int                         // per-pool free-list bound
-	pools   map[int]*relation.BatchPool // batch capacity → pool; nil until a sized pool exists
+	procs   *ProcPool                   // the modeled processors: cfg.Pool, or the run's own
+	retain  int                         // free-list bound of the run's own pools
+	pools   map[int]*relation.BatchPool // batch capacity → pool; read-only once workers launch
 	ops     []*opState                  // plan order, indexed by Node.Index
 	spill   *spillState                 // nil unless the run is budgeted (MemoryBudget/Meter)
 	partial *Partial                    // nil for whole-plan (single-node) runs
@@ -349,12 +407,6 @@ type runtimeState struct {
 	failErr   error
 	cancelRun context.CancelFunc
 
-	// queues are the per-processor run queues, one dispatcher goroutine
-	// each; plan processor id p is served by queues[p mod len(queues)].
-	queues    []chan task
-	queueStop chan struct{} // closed when all workers finished
-	dwg       sync.WaitGroup
-
 	start      time.Time
 	wg         sync.WaitGroup
 	goroutines int
@@ -363,9 +415,9 @@ type runtimeState struct {
 // RunStream executes the plan: the collect process pushes each pooled
 // result batch into sink (transferring ownership; the consumer's release
 // returns it to the run's pool), Push backpressure propagates upstream
-// through the plan's inboxes, and every worker, dispatcher and dependency
-// waiter selects on ctx.Done() at each blocking point, so cancelling ctx
-// tears the whole process tree down — no goroutine outlives the call — and
+// through the plan's inboxes, and every worker and dependency waiter
+// selects on ctx.Done() wherever it waits, so cancelling ctx tears the whole
+// process tree down — no goroutine outlives the call — and
 // the context's error is returned. sink may be nil only in a partial run
 // that does not host the collect process.
 func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config, sink Sink) (*RunResult, error) {
@@ -392,6 +444,8 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 	r := &runtimeState{
 		wiring:    w,
 		cfg:       cfg.withDefaults(plan),
+		procs:     cfg.Pool,
+		pools:     make(map[int]*relation.BatchPool),
 		ctx:       runCtx,
 		cancelRun: cancelRun,
 		sink:      sink,
@@ -410,11 +464,12 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 			meter = spill.NewMeter(r.cfg.MemoryBudget)
 		}
 		r.spill = &spillState{meter: meter, dir: dir}
-		r.pool = relation.NewBatchPoolAccounted(r.cfg.BatchTuples, r.retain, meter.Add)
-	} else if r.partial != nil && r.partial.BatchPool != nil {
-		r.pool = r.partial.BatchPool
-	} else {
-		r.pool = relation.NewBatchPool(r.cfg.BatchTuples, r.retain)
+	}
+	if r.procs == nil {
+		r.procs = NewProcPool(r.cfg.MaxProcs)
+	}
+	if r.partial != nil && r.partial.BatchPool != nil {
+		r.pools[r.cfg.BatchTuples] = r.partial.BatchPool
 	}
 	if err := r.setup(base); err != nil {
 		if r.spill != nil {
@@ -425,10 +480,6 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 	r.start = time.Now()
 	r.launch()
 	r.wg.Wait()
-	if r.cfg.Pool == nil {
-		close(r.queueStop)
-		r.dwg.Wait()
-	}
 	if r.spill != nil {
 		r.spill.cleanup()
 	}
@@ -450,43 +501,27 @@ func (r *runtimeState) fail(err error) {
 	})
 }
 
-// setup builds operator and process state, one run queue per modeled
-// processor and one inbox per local process, pre-places base relation
-// fragments and points every outbox at its consumers' inboxes.
+// setup builds operator and process state with one inbox per local
+// process, places base relation fragments and points every outbox at its
+// consumers' inboxes.
 func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
-	// Per-processor run queues: plan processor id p maps to queue
-	// p mod MaxProcs. A shared pool (engine session) brings its own queues
-	// and long-lived dispatchers; otherwise the run creates private queues,
-	// buffered for every process so a send can only block while the queue
-	// is genuinely backed up.
-	if r.cfg.Pool != nil {
-		r.queues = r.cfg.Pool.queues
-	} else {
-		r.queues = make([]chan task, r.cfg.MaxProcs)
-		for i := range r.queues {
-			r.queues[i] = make(chan task, r.wiring.Plan.NumProcesses()+1)
-		}
-		r.queueStop = make(chan struct{})
-	}
 	// Create one process (worker) per operator replica, bound to its
-	// processor's run queue. In a partial run, instances whose processor is
+	// processor's slot. In a partial run, instances whose processor is
 	// placed on another node exist only as routing targets: they are never
 	// launched and own no inbox. The inbox holds ChannelDepth batches per
 	// incoming stream. In out-of-core mode every join process gets a Grace
 	// join up front (single-threaded here, so registration for cleanup
 	// needs no lock).
 	for i, n := range r.wiring.Nodes {
-		os := &opState{Node: n, ready: make(chan struct{}), done: make(chan struct{}),
-			emitTuples: r.cfg.BatchTuples, emitPool: r.pool}
+		os := &opState{Node: n, ready: make(chan struct{}), done: make(chan struct{})}
 		r.ops[i] = os
 		for idx, procID := range n.Op.Procs {
 			w := &inst{
-				r:        r,
-				op:       os,
-				idx:      idx,
-				local:    r.partial == nil || r.partial.Local(procID),
-				queue:    r.queues[queueIndex(procID, len(r.queues))],
-				taskDone: make(chan struct{}, 1),
+				r:     r,
+				op:    os,
+				idx:   idx,
+				local: r.partial == nil || r.partial.Local(procID),
+				slot:  r.procs.slot(procID),
 			}
 			os.instances = append(os.instances, w)
 			if !w.local {
@@ -497,7 +532,7 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 			w.inbox = make(chan operator.Msg, max(1, r.cfg.ChannelDepth*n.InStreams()))
 			if r.spill != nil && (n.Op.Kind == xra.OpSimpleJoin || n.Op.Kind == xra.OpPipeJoin) {
 				spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
-				w.grace = hashjoin.NewGrace(spec, r.spill.meter, r.spill.dir, r.pool)
+				w.grace = hashjoin.NewGrace(spec, r.spill.meter, r.spill.dir, r.transportPool(r.cfg.BatchTuples))
 				r.spill.graces = append(r.spill.graces, w.grace)
 			}
 		}
@@ -513,10 +548,12 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 		}
 	}
 	// Base relation fragments: ideal initial fragmentation, identical to the
-	// simulator. A partial run receives its fragments pre-placed by the
-	// coordinator (Partial.ScanFragment) instead of fragmenting in-process.
+	// simulator, through the ProcPool's placement cache (which only an engine
+	// session's pool has relations pinned in). A partial run receives its
+	// fragments pre-placed by the coordinator (Partial.ScanFragment) instead
+	// of fragmenting in-process.
 	if r.partial == nil {
-		if err := r.wiring.Place(base); err != nil {
+		if err := r.wiring.PlaceWith(base, r.procs.fragments); err != nil {
 			return err
 		}
 	} else {
@@ -557,12 +594,11 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 		// batches). Partial (distributed) runs keep the uniform size: the
 		// transport owns the pool and peer nodes must agree on wire batch
 		// capacity.
+		size := r.cfg.BatchTuples
 		if r.partial == nil {
-			per := os.EstCard / (len(os.instances) * e.Dests())
-			if bt := sizeTransportBatch(per, r.cfg.BatchTuples); bt != r.cfg.BatchTuples {
-				os.emitTuples, os.emitPool = bt, r.transportPool(bt)
-			}
+			size = sizeTransportBatch(os.EstCard/(len(os.instances)*e.Dests()), size)
 		}
+		pool := r.transportPool(size)
 		// Point every local producer's outbox at its consumers' inboxes. A
 		// stream crossing the node boundary goes to the transport instead:
 		// a channel of its own toward a remote consumer, the local
@@ -571,8 +607,8 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 		to := r.ops[e.To.Index]
 		for i, w := range os.instances {
 			if w.local {
-				w.chans = operator.Chans{Dst: make([]chan<- operator.Msg, e.Dests()), Done: r.ctx.Done(), Pool: os.emitPool}
-				w.out = operator.NewOutbox(os.Node, i, os.emitPool, os.emitTuples, &w.chans)
+				w.chans = operator.Chans{Dst: make([]chan<- operator.Msg, e.Dests()), Done: r.ctx.Done(), Pool: pool}
+				w.out = operator.NewOutbox(os.Node, i, pool, size, &w.chans)
 			}
 			for d := 0; d < e.Dests(); d++ {
 				dest := to.instances[e.Target(i, d)]
@@ -593,8 +629,8 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 }
 
 // minTransportTuples is the floor of the per-stream transport batch size:
-// below a couple of cache lines per column the per-batch channel and
-// run-queue overhead dominates any residency win.
+// below a couple of cache lines per column the per-batch channel overhead
+// dominates any residency win.
 const minTransportTuples = 16
 
 // sizeTransportBatch picks a producer's transport batch capacity: the run's
@@ -615,20 +651,21 @@ func sizeTransportBatch(expected, max int) int {
 	return bt
 }
 
-// transportPool returns the run's batch pool for the given capacity,
-// creating it on first use. Only called from the single-threaded setup;
-// the pools map is read-only once workers launch.
+// transportPool returns the run's pool of batches with capacity bt, on
+// first use creating it: accounted against the run's meter when it has one,
+// the engine session's resident pool of that capacity under Config.Pool,
+// otherwise a pool that lives as long as the run. Only called from the
+// single-threaded setup.
 func (r *runtimeState) transportPool(bt int) *relation.BatchPool {
-	if r.pools == nil {
-		r.pools = map[int]*relation.BatchPool{r.cfg.BatchTuples: r.pool}
-	}
-	if p, ok := r.pools[bt]; ok {
+	p := r.pools[bt]
+	switch {
+	case p != nil:
 		return p
-	}
-	var p *relation.BatchPool
-	if r.spill != nil {
+	case r.spill != nil:
 		p = relation.NewBatchPoolAccounted(bt, r.retain, r.spill.meter.Add)
-	} else {
+	case r.cfg.Pool != nil:
+		p = r.cfg.Pool.batchPool(bt)
+	default:
 		p = relation.NewBatchPool(bt, r.retain)
 	}
 	r.pools[bt] = p
@@ -641,37 +678,16 @@ func (r *runtimeState) transportPool(bt int) *relation.BatchPool {
 // wrong pool would silently drop it — never reversing an accounted pool's
 // meter charge until Settle.
 func (r *runtimeState) putBatch(b *relation.Batch) {
-	if r.pools != nil {
-		if p, ok := r.pools[b.Cap()]; ok {
-			p.Put(b)
-			return
-		}
+	if p := r.pools[b.Cap()]; p != nil {
+		p.Put(b)
 	}
-	r.pool.Put(b)
 }
 
-// queueIndex maps a plan processor id to its run queue. The scheduler
-// host's pseudo id (xra.HostProc, negative) wraps around like any other.
-func queueIndex(proc, n int) int {
-	i := proc % n
-	if i < 0 {
-		i += n
-	}
-	return i
-}
-
-// launch starts dispatchers, dependency waiters and workers. Every blocking
-// channel operation selects on ctx.Done() so cancellation unwinds the whole
+// launch starts dependency waiters and workers. Every channel operation
+// that waits selects on ctx.Done() so cancellation unwinds the whole
 // goroutine tree.
 func (r *runtimeState) launch() {
 	done := r.ctx.Done()
-	if r.cfg.Pool == nil {
-		for _, q := range r.queues {
-			r.dwg.Add(1)
-			r.goroutines++
-			go r.dispatch(q)
-		}
-	}
 	for _, os := range r.ops {
 		if len(os.After) == 0 || os.locals == 0 {
 			close(os.ready)
@@ -696,24 +712,6 @@ func (r *runtimeState) launch() {
 				r.goroutines++
 				go w.run()
 			}
-		}
-	}
-}
-
-// dispatch is one modeled processor: it serializes the operator work of
-// every process bound to its run queue. It exits when all workers finished
-// (queueStop) or the run is cancelled.
-func (r *runtimeState) dispatch(q chan task) {
-	defer r.dwg.Done()
-	done := r.ctx.Done()
-	for {
-		select {
-		case t := <-q:
-			t.run()
-		case <-r.queueStop:
-			return
-		case <-done:
-			return
 		}
 	}
 }

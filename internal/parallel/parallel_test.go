@@ -9,6 +9,7 @@ import (
 
 	"multijoin/internal/core"
 	"multijoin/internal/jointree"
+	"multijoin/internal/operator"
 	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
@@ -94,10 +95,18 @@ func TestSimulatorEquivalence(t *testing.T) {
 // TestStructuralCounters checks that the runtime reports exactly the
 // stream and process structure the plan declares — the quantities
 // engine.Stats counts on the virtual machine — while spending goroutines on
-// processes only: workers, dependency waiters and dispatchers, with no
-// per-stream term, and all of them gone when the run returns or is
-// cancelled mid-query.
+// processes only: workers and dependency waiters, with no per-stream and no
+// per-processor term, and all of them gone when the run returns or is
+// cancelled mid-query. The transport counters are pinned to the values the
+// run-queue scheduler reported for the same seed-pinned plans: how a batch
+// reaches a processor must not change what is sent.
 func TestStructuralCounters(t *testing.T) {
+	golden := map[strategy.Kind]operator.Counters{
+		strategy.SP: {Processes: 381, Streams: 3420, TuplesMovedRemote: 1531, TuplesLocal: 2069, Batches: 1481, ResultTuples: 200},
+		strategy.SE: {Processes: 129, Streams: 772, TuplesMovedRemote: 1427, TuplesLocal: 2173, Batches: 604, ResultTuples: 200},
+		strategy.RD: {Processes: 167, Streams: 767, TuplesMovedRemote: 1504, TuplesLocal: 2096, Batches: 675, ResultTuples: 200},
+		strategy.FP: {Processes: 41, Streams: 66, TuplesMovedRemote: 1600, TuplesLocal: 2000, Batches: 64, ResultTuples: 200},
+	}
 	db := testDB(t, 10, 200)
 	tree, err := jointree.BuildShape(jointree.WideBushy, 10)
 	if err != nil {
@@ -133,9 +142,18 @@ func TestStructuralCounters(t *testing.T) {
 		if res.Stats.MaxProcs != 4 {
 			t.Errorf("%v: MaxProcs = %d, want 4", kind, res.Stats.MaxProcs)
 		}
-		if max := res.Stats.Processes + len(plan.Ops) + res.Stats.MaxProcs; res.Stats.Goroutines > max {
-			t.Errorf("%v: Goroutines = %d, want at most processes+operators+dispatchers = %d (%d streams)",
-				kind, res.Stats.Goroutines, max, res.Stats.Streams)
+		if res.Stats.Counters != golden[kind] {
+			t.Errorf("%v: Counters = %+v, want %+v", kind, res.Stats.Counters, golden[kind])
+		}
+		waiters := 0
+		for _, op := range plan.Ops {
+			if len(op.After) > 0 {
+				waiters++
+			}
+		}
+		if want := res.Stats.Processes + waiters; res.Stats.Goroutines != want {
+			t.Errorf("%v: Goroutines = %d, want processes + dependency waiters = %d + %d",
+				kind, res.Stats.Goroutines, res.Stats.Processes, waiters)
 		}
 		if len(res.Stats.OpDone) != len(plan.Ops) {
 			t.Errorf("%v: OpDone has %d entries, want %d", kind, len(res.Stats.OpDone), len(plan.Ops))
@@ -166,10 +184,10 @@ func (f sinkFunc) Push(_ context.Context, b *relation.Batch, release func()) err
 }
 
 // TestProcessorCapExtremes runs with the tightest possible cap (a single
-// run-queue dispatcher serializing every operation process) and a cap far
-// above the plan's parallelism: both must produce the reference result.
-// MaxProcs=1 in particular proves no dispatcher ever blocks on a channel
-// operation a worker is responsible for.
+// slot serializing every operation process) and a cap far above the plan's
+// parallelism: both must produce the reference result. MaxProcs=1 in
+// particular proves no process ever waits on a channel while it holds the
+// slot every other process needs.
 func TestProcessorCapExtremes(t *testing.T) {
 	db := testDB(t, 5, 300)
 	tree, err := jointree.BuildShape(jointree.WideBushy, 5)
@@ -221,7 +239,7 @@ func TestBatchAndDepthExtremes(t *testing.T) {
 }
 
 // TestPooledPathEquivalence pins the allocation-free data path — pooled
-// batches, open-addressing hash tables, per-processor run queues — to the
+// batches, open-addressing hash tables, per-processor slots — to the
 // sequential reference at the BenchmarkExecAlloc shape (left-linear, 80
 // plan processors), with batch sizes small enough to force heavy pool
 // recycling. The provenance checksums in the multiset comparison prove
@@ -237,7 +255,7 @@ func TestPooledPathEquivalence(t *testing.T) {
 	for _, cfg := range []parallel.Config{
 		{MaxProcs: 1, BatchTuples: 3, ChannelDepth: 1},
 		{MaxProcs: 3, BatchTuples: 16, ChannelDepth: 2},
-		{BatchTuples: 64}, // the plan's own 80 processors, one queue each
+		{BatchTuples: 64}, // the plan's own 80 processors, one slot each
 	} {
 		for _, kind := range strategy.Kinds {
 			q := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 80}
@@ -267,8 +285,8 @@ func TestVerify(t *testing.T) {
 }
 
 // TestRaceStress is the -race stress test: many concurrent small queries
-// across every strategy, exercising scheduler interleavings of workers,
-// dispatchers and dependency waiters. Data is seed-pinned; only goroutine
+// across every strategy, exercising scheduler interleavings of workers
+// and dependency waiters. Data is seed-pinned; only goroutine
 // scheduling varies between runs.
 func TestRaceStress(t *testing.T) {
 	if testing.Short() {

@@ -1,0 +1,148 @@
+package parallel
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"multijoin/internal/relation"
+)
+
+// TestSlotExclusive hammers one modeled processor from many goroutines
+// through every plan processor id that maps to it — positive, wrapped and
+// the scheduler host's negative pseudo id — and asserts no two of them are
+// ever inside the slot together, while a different slot stays free.
+func TestSlotExclusive(t *testing.T) {
+	const size, workers, rounds = 4, 16, 2000
+	p := NewProcPool(size)
+	defer p.Close()
+	if p.Size() != size {
+		t.Fatalf("Size = %d, want %d", p.Size(), size)
+	}
+	ids := []int{3, 3 + size, 3 + 5*size, 3 - size} // all slot 3
+	var inside, overlaps atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			slot := p.slot(ids[g%len(ids)])
+			for i := 0; i < rounds; i++ {
+				slot.Lock()
+				if inside.Add(1) != 1 {
+					overlaps.Add(1)
+				}
+				inside.Add(-1)
+				slot.Unlock()
+			}
+		}(g)
+	}
+	// While slot 3 is contended, slot 2 is not: a held slot blocks only its
+	// own processor's processes.
+	other := p.slot(2)
+	for i := 0; i < rounds; i++ {
+		if !other.TryLock() {
+			t.Fatal("slot 2 is held although only slot 3 is in use")
+		}
+		other.Unlock()
+	}
+	wg.Wait()
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d overlapping entries into one slot", n)
+	}
+}
+
+// TestResidentBatchPools: one pool per capacity for every run on the
+// ProcPool, a bounded number of them, and none after Close.
+func TestResidentBatchPools(t *testing.T) {
+	p := NewProcPool(2)
+	a, b := p.batchPool(64), p.batchPool(256)
+	if a == b || a != p.batchPool(64) || b != p.batchPool(256) {
+		t.Fatal("resident pools are not one per capacity")
+	}
+	if a.BatchSize() != 64 || b.BatchSize() != 256 {
+		t.Fatalf("pool capacities %d, %d", a.BatchSize(), b.BatchSize())
+	}
+	for size := 1; len(p.pools) < maxResidentPools; size++ {
+		p.batchPool(1000 + size)
+	}
+	extra := p.batchPool(5000)
+	if extra == nil || extra.BatchSize() != 5000 {
+		t.Fatal("a capacity past the bound must still get a working pool")
+	}
+	if extra == p.batchPool(5000) || len(p.pools) != maxResidentPools {
+		t.Fatalf("a capacity past the bound became resident (%d pools)", len(p.pools))
+	}
+	p.Close()
+	if len(p.pools) != 0 {
+		t.Fatalf("%d pools survive Close", len(p.pools))
+	}
+}
+
+// TestPlacementCache: pinned relations are fragmented once per (relation,
+// attribute, degree), unpinned ones every time and never retained; the cache
+// is byte-bounded by eviction and emptied by Close.
+func TestPlacementCache(t *testing.T) {
+	rel := func(name string, card int) *relation.Relation {
+		r := relation.NewWithCap(name, 208, card)
+		for i := 0; i < card; i++ {
+			r.Append(relation.Tuple{Unique1: int64(i), Unique2: int64(card - i), Check: uint64(i)})
+		}
+		return r
+	}
+	same := func(a, b []relation.Batch) bool { return &a[0] == &b[0] }
+	resident, foreign := rel("resident", 1000), rel("foreign", 1000)
+	p := NewProcPool(2)
+	p.Pin([]*relation.Relation{resident})
+
+	f1 := p.fragments(resident, relation.Unique1, 4)
+	if !same(f1, p.fragments(resident, relation.Unique1, 4)) {
+		t.Error("a pinned relation was fragmented twice for one key")
+	}
+	if same(f1, p.fragments(resident, relation.Unique2, 4)) || same(f1, p.fragments(resident, relation.Unique1, 8)) {
+		t.Error("attribute and degree must be part of the key")
+	}
+	want := relation.FragmentBatches(resident, relation.Unique1, 4)
+	for i := range want {
+		if want[i].Len() != f1[i].Len() {
+			t.Fatalf("fragment %d holds %d tuples, want %d", i, f1[i].Len(), want[i].Len())
+		}
+	}
+	if got, want := p.PlacedBytes(), int64(3*1000*relation.TupleWireBytes); got != want {
+		t.Errorf("PlacedBytes = %d, want %d (three placements)", got, want)
+	}
+
+	placed := p.PlacedBytes()
+	g1 := p.fragments(foreign, relation.Unique1, 4)
+	if same(g1, p.fragments(foreign, relation.Unique1, 4)) || p.PlacedBytes() != placed {
+		t.Error("an unpinned relation hit or grew the cache")
+	}
+
+	// A relation too big for what is left evicts what was cached; one too
+	// big for the whole bound is never cached.
+	big := rel("big", maxPlacedBytes/relation.TupleWireBytes-1000)
+	huge := rel("huge", maxPlacedBytes/relation.TupleWireBytes+1)
+	p.Pin([]*relation.Relation{big, huge})
+	p.fragments(big, relation.Unique1, 2)
+	if got, want := p.PlacedBytes(), int64(big.Card()*relation.TupleWireBytes); got != want {
+		t.Errorf("PlacedBytes after overflow = %d, want %d (only the newcomer)", got, want)
+	}
+	if same(f1, p.fragments(resident, relation.Unique1, 4)) {
+		t.Error("an evicted placement was served")
+	}
+	if p.PlacedBytes() > maxPlacedBytes {
+		t.Errorf("PlacedBytes = %d exceeds the bound %d", p.PlacedBytes(), maxPlacedBytes)
+	}
+	placed = p.PlacedBytes()
+	if p.fragments(huge, relation.Unique1, 2); p.PlacedBytes() != placed {
+		t.Error("a relation larger than the bound was cached")
+	}
+
+	p.Close()
+	if p.PlacedBytes() != 0 || len(p.placed) != 0 || len(p.pinned) != 0 {
+		t.Error("Close left placement behind")
+	}
+	if p.fragments(resident, relation.Unique1, 4); p.PlacedBytes() != 0 {
+		t.Error("a closed pool cached a placement")
+	}
+}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"sync"
 	"time"
 
 	"multijoin/internal/hashjoin"
@@ -10,9 +11,10 @@ import (
 )
 
 // inst is one operation process: an operator replica bound to one plan
-// processor id, running as one worker goroutine. Join work is executed by
-// the processor's dispatcher (task.run); the worker goroutine itself only
-// moves batches.
+// processor id, running as one worker goroutine that receives, joins and
+// sends. Only the join step occupies the modeled processor: the worker takes
+// the processor's slot for one batch and holds it across no channel
+// operation.
 type inst struct {
 	r   *runtimeState
 	op  *opState
@@ -22,19 +24,12 @@ type inst struct {
 	// served by the transport) and is never launched.
 	local bool
 
-	// Run-queue side: the processor's queue, the completion signal
-	// (buffered 1 — a worker has at most one task outstanding), and the
-	// result the dispatcher's join step left. The join state is handed back
-	// and forth through the queue/taskDone synchronization, so exactly one
-	// goroutine touches it at a time.
-	queue    chan task
-	taskDone chan struct{}
-	result   *relation.Batch
+	// slot is the modeled processor the process computes on. A join step is
+	// one batch, so waiting for the slot needs no cancellation case.
+	slot *sync.Mutex
 
-	// Input side: every producer sends into inbox; stash buffers input
-	// that arrives while After dependencies are pending.
+	// Input side: every producer sends into inbox.
 	inbox chan operator.Msg
-	stash []operator.Msg
 	join  operator.Join
 	// grace replaces the kernel's in-memory join step when the run has a
 	// memory budget (Config.MemoryBudget): the operands are partitioned — to
@@ -55,38 +50,39 @@ type inst struct {
 // live input until every incoming stream has ended.
 func (w *inst) run() {
 	defer w.r.wg.Done()
-	done := w.r.ctx.Done()
+	var stash []operator.Msg // input that arrived while After dependencies were pending
 	for waiting := len(w.op.After) > 0; waiting; {
-		select {
-		case <-w.op.ready:
-			waiting = false
-		case m := <-w.inbox:
-			w.stash = append(w.stash, m)
-		case <-done:
+		m, ok := w.next(w.op.ready)
+		switch {
+		case ok:
+			if stash == nil {
+				// Producers block once the inbox is full, so its capacity
+				// is what typically arrives before the dependencies end.
+				stash = make([]operator.Msg, 0, cap(w.inbox))
+			}
+			stash = append(stash, m)
+		case w.r.ctx.Err() != nil:
 			return
+		default:
+			waiting = false
 		}
 	}
 	if w.grace == nil {
 		w.join.Start(w.r.cfg.BatchTuples)
 	}
 	// Scan work is a column copy into pooled transport batches and is not
-	// charged to the run queue (the simulator's near-zero ScanUnits).
+	// charged to the processor (the simulator's near-zero ScanUnits).
 	if w.op.Op.Kind == xra.OpScan && !w.out.Emit(&w.op.Frags[w.idx], operator.Insert) {
 		return
 	}
-	for _, m := range w.stash {
+	for _, m := range stash {
 		if !w.handle(m) {
 			return
 		}
 	}
-	w.stash = nil
 	for !w.join.Done() {
-		select {
-		case m := <-w.inbox:
-			if !w.handle(m) {
-				return
-			}
-		case <-done:
+		m, ok := w.next(nil)
+		if !ok || !w.handle(m) {
 			return
 		}
 	}
@@ -97,10 +93,10 @@ func (w *inst) run() {
 	}
 	if w.grace != nil {
 		// Out-of-core join: both operands have ended; join the partitions
-		// one at a time, emitting result chunks downstream. This runs on
-		// the worker goroutine, not the processor dispatcher — it may
-		// block on file I/O and on downstream inbox sends, and blocked
-		// processes must not occupy a processor.
+		// one at a time, emitting result chunks downstream. This runs
+		// outside the processor's slot — it may block on file I/O and on
+		// downstream inbox sends, and blocked processes must not occupy a
+		// processor.
 		err := w.grace.Drain(func(results *relation.Batch) error {
 			w.out.Emit(results, operator.Insert)
 			return w.r.ctx.Err()
@@ -123,13 +119,36 @@ func (w *inst) run() {
 	}
 }
 
+// next receives the process's next inbox message. It tries the plain
+// receive first and selects only when it has to wait; that wait also ends,
+// without a message, when the run is cancelled or ready closes (the
+// operator's start signal while the process still buffers, nil afterwards).
+func (w *inst) next(ready <-chan struct{}) (m operator.Msg, ok bool) {
+	select {
+	case <-ready: // first: a start signal must not lose to a busy inbox
+		return m, false
+	default:
+	}
+	select {
+	case m = <-w.inbox:
+		return m, true
+	default:
+	}
+	select {
+	case m = <-w.inbox:
+		return m, true
+	case <-ready:
+	case <-w.r.ctx.Done():
+	}
+	return m, false
+}
+
 // handle feeds one inbox message to the process. It reports false when the
 // run was cancelled or failed mid-message.
 func (w *inst) handle(m operator.Msg) bool {
 	if m.Batch == nil {
-		// The worker has no task in flight here, so changing the join
-		// state cannot race with its dispatcher. The end of a simple join's
-		// build phase releases the held probe input in arrival order.
+		// The end of a simple join's build phase releases the held probe
+		// input in arrival order.
 		for _, held := range w.join.EOS(m.Port) {
 			if !w.apply(held) {
 				return false
@@ -143,11 +162,10 @@ func (w *inst) handle(m operator.Msg) bool {
 	return w.apply(m)
 }
 
-// apply consumes one data batch: a join computes on the process's run-queue
-// dispatcher — or partitions into its Grace join — and emits the result
-// downstream, the collect hands the batch to the sink. The exhausted batch
-// returns to the pool, except when the run was cancelled mid-task: it then
-// stays with the dispatcher, which may still be reading it.
+// apply consumes one data batch: a join computes in its processor's slot —
+// or partitions into its Grace join — and emits the result downstream, the
+// collect hands the batch to the sink. The exhausted batch returns to the
+// pool.
 func (w *inst) apply(m operator.Msg) bool {
 	switch {
 	case w.op.Op.Kind == xra.OpCollect:
@@ -165,8 +183,8 @@ func (w *inst) apply(m operator.Msg) bool {
 		return true
 	case w.grace != nil:
 		// Partitioning may block on file I/O, which must not occupy a
-		// modeled processor: it runs here, on the worker goroutine. The join
-		// produces all output in the drain after both operands ended.
+		// modeled processor: it takes no slot. The join produces all output
+		// in the drain after both operands ended.
 		add := w.grace.AddProbe
 		if m.Port == operator.Build {
 			add = w.grace.AddBuild
@@ -176,17 +194,10 @@ func (w *inst) apply(m operator.Msg) bool {
 			return false
 		}
 	default:
-		select {
-		case w.queue <- task{w: w, m: m}:
-		case <-w.r.ctx.Done():
-			return false
-		}
-		select {
-		case <-w.taskDone:
-		case <-w.r.ctx.Done():
-			return false
-		}
-		if w.result != nil && !w.out.Emit(w.result, operator.Insert) {
+		w.slot.Lock()
+		res := w.join.Apply(m)
+		w.slot.Unlock()
+		if res != nil && !w.out.Emit(res, operator.Insert) {
 			return false
 		}
 	}

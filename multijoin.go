@@ -223,9 +223,9 @@ func WithRuntime(name string) ExecOption { return core.WithRuntime(name) }
 func WithParams(p Params) ExecOption { return core.WithParams(p) }
 
 // WithMaxProcs sets the number of modeled processors on wall-clock
-// runtimes: one run-queue dispatcher each, serializing the operation
-// processes bound to it (the paper's shared-nothing nodes). Zero means the
-// plan's own processor count.
+// runtimes: one slot each, held by a process while it computes, so the
+// operation processes bound to one processor are serialized (the paper's
+// shared-nothing nodes). Zero means the plan's own processor count.
 func WithMaxProcs(n int) ExecOption { return core.WithMaxProcs(n) }
 
 // WithBatchTuples sets the transport batch size (pipelining granularity).
