@@ -80,8 +80,9 @@ func main() {
 		left.Time.Seconds(), right.Time.Seconds())
 
 	// The same comparison on real cores: the goroutine runtime executes the
-	// identical plans with one worker goroutine per operation process and
-	// reports wall-clock time. Results are verified against the sequential
+	// identical plans with one worker goroutine per operator and processor
+	// slot (hosting the operator's processes on that slot) and reports
+	// wall-clock time. Results are verified against the sequential
 	// reference on every run.
 	// Plans are generated for 16 processors (RD and FP need one processor
 	// per concurrently executing join); the engine's shared processor pool

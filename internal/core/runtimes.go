@@ -63,8 +63,8 @@ func simOpDone(finish map[string]sim.Time) map[string]time.Duration {
 }
 
 // parallelRuntime executes plans with real goroutine concurrency (package
-// parallel): one worker goroutine and one inbox per operation process,
-// wall-clock time.
+// parallel): one worker goroutine and one inbox per operator and processor
+// slot, hosting the operator's processes on that slot, wall-clock time.
 type parallelRuntime struct{}
 
 func (parallelRuntime) Name() string { return "parallel" }

@@ -245,7 +245,7 @@ func (e *Engine) query(ctx context.Context, q Query, opts []Option) (*Rows, erro
 	qctx, cancel := context.WithCancel(ctx)
 	r := &Rows{
 		cancel:     cancel,
-		ch:         make(chan pushed, 1),
+		ch:         make(chan pushed, cursorBuffer),
 		done:       make(chan struct{}),
 		queueWait:  queueWait,
 		planHit:    planHit,
@@ -437,6 +437,10 @@ type pushed struct {
 // querySink adapts a Rows into the Sink the runtime pushes into. (A
 // separate type keeps Push off the cursor's public API.)
 type querySink Rows
+
+// cursorBuffer is the number of result batches a cursor's channel holds
+// ahead of its consumer.
+const cursorBuffer = 1
 
 func (s *querySink) Push(ctx context.Context, batch *relation.Batch, release func()) error {
 	select {

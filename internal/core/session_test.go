@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"multijoin/internal/jointree"
+	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
 	"multijoin/internal/wisconsin"
@@ -24,6 +25,14 @@ func sessionDB(t testing.TB, relations, card int) *wisconsin.Database {
 	}
 	return db
 }
+
+// parkedCard is a relation cardinality — and, the chain's joins being 1:1, a
+// result cardinality — that keeps a goroutine-runtime query in flight after
+// its cursor's first Next: however full the runtime makes its batches, the
+// result is a batch more than an unread cursor takes off it (the batch it is
+// positioned on, what its channel buffers, and the one the collect process
+// is parked in Push with).
+const parkedCard = (cursorBuffer + 3) * parallel.DefaultBatchTuples
 
 func sessionQuery(t testing.TB, db *wisconsin.Database, shape jointree.Shape, kind strategy.Kind) Query {
 	t.Helper()
@@ -116,7 +125,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 // queues: with one slot and a held cursor, a second query's Stats.QueueWait
 // must cover the time the first query was streaming.
 func TestEngineQueueWaitRecorded(t *testing.T) {
-	db := sessionDB(t, 4, 400)
+	db := sessionDB(t, 4, parkedCard)
 	eng, err := Open(db, WithMaxConcurrent(1), WithEngineRuntime("parallel"))
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +166,7 @@ func TestEngineQueueWaitRecorded(t *testing.T) {
 // TestEngineQueryCancelWhileQueued asserts a context cancelled in the
 // admission queue abandons the query without executing it.
 func TestEngineQueryCancelWhileQueued(t *testing.T) {
-	db := sessionDB(t, 4, 400)
+	db := sessionDB(t, 4, parkedCard)
 	eng, err := Open(db, WithMaxConcurrent(1), WithEngineRuntime("parallel"))
 	if err != nil {
 		t.Fatal(err)

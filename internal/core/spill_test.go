@@ -122,6 +122,44 @@ func TestSpillEquivalenceAllStrategies(t *testing.T) {
 	}
 }
 
+// TestSpillHostedProcesses runs the forcing budget on an engine with fewer
+// slots than the plans have processors, so every worker keeps one Grace join
+// per process it hosts and drains them one after the other through the
+// outbox they share: each strategy spills, matches the reference, and leaves
+// the shared meter at zero and no temp files.
+func TestSpillHostedProcesses(t *testing.T) {
+	tmp := scopeTempDir(t)
+	db := sessionDB(t, 6, 2000)
+	eng, err := Open(db, WithEngineRuntime("spill"), WithEngineMemoryBudget(tinyBudget), WithEngineProcs(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, kind := range strategy.Kinds {
+		q := sessionQuery(t, db, jointree.LeftLinear, kind)
+		q.Procs = 20 // FP gives each of the five joins four processors
+		res, err := eng.Exec(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if res.Stats.Goroutines >= res.Stats.Processes {
+			t.Fatalf("%v: %d goroutines for %d processes: nothing is hosted", kind, res.Stats.Goroutines, res.Stats.Processes)
+		}
+		if diff := relation.DiffMultiset(res.Result, Reference(db, q.Tree)); diff != "" {
+			t.Errorf("%v: %s", kind, diff)
+		}
+		if res.Stats.BytesSpilled == 0 {
+			t.Errorf("%v: BytesSpilled = 0 under a tiny budget", kind)
+		}
+		if live := eng.MemoryLive(); live != 0 {
+			t.Errorf("%v: %d live bytes on the shared meter", kind, live)
+		}
+		if left := spillTempFiles(t, tmp); len(left) != 0 {
+			t.Errorf("%v: temp files left: %v", kind, left)
+		}
+	}
+}
+
 // TestSpillDefaultBudgetStaysInMemory asserts the paper-sized workloads run
 // on the spill runtime without spilling under the default budget — the
 // runtime only pays the out-of-core price when memory is actually short —

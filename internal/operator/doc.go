@@ -22,12 +22,16 @@
 // # Messages and punctuation
 //
 // Everything a process receives is a Msg: a batch of tuples for one port,
-// with a sign, or — when Batch is nil — a punctuation mark on that port.
-// Each stream carries exactly one punctuation per unit of work: the
-// end-of-stream of a query, the end-of-round token of a view. A process has
-// seen all of a port's input once it has counted as many punctuation marks
-// as streams end there (Node.EOSWant); because a stream delivers in order,
-// every batch its producer sent precedes the mark.
+// with a sign, or — when Batch is nil — a punctuation mark on that port;
+// either names the consumer process it is for (Msg.To), so processes that
+// share an inbox need no tag on the tuples. Each stream carries exactly one
+// punctuation per unit of work: the end-of-stream of a query, the
+// end-of-round token of a view. A process has seen all of a port's input
+// once it has counted as many punctuation marks as streams end there
+// (Node.EOSWant); because a stream delivers in order, every batch its
+// producer sent precedes the mark. A driver that lets producer processes
+// share an outbox carries their streams to one consumer process as one: it
+// delivers one mark per outbox and tells the consumer so (Join.Expect).
 //
 // # The join step
 //
@@ -45,7 +49,15 @@
 // Outbox routes a process's result tuples into one pooled buffer per
 // destination and sign lane and delivers a buffer the moment it is full;
 // Flush delivers the rest and Punctuate ends the unit of work on every
-// outgoing stream. One rule orders deliveries: a buffer of a later lane for
+// outgoing stream. The processes of one operator that a driver runs on one
+// worker share one outbox (NewHostOutbox): the worker says which of them
+// emits (EmitFrom), on a redistribution edge they fill one buffer per
+// consumer process between them, and on a local edge each keeps the
+// destination of its own index — a buffer is for one consumer process either
+// way. The transport counters are taken where this is known: tuples at
+// Emit, local or remote by the emitting process's processor, so that they
+// stay plan properties under any sharing; batches at delivery, which is
+// what sharing changes. One rule orders deliveries: a buffer of a later lane for
 // destination d is delivered only after any pending buffer of an earlier
 // lane for d. Lanes are Insert then Delete, so a retraction can never
 // overtake the insertion it cancels, while an insertion may overtake a

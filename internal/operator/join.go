@@ -10,8 +10,8 @@ import (
 // its ports and, once started on a join operator, the simple or pipelining
 // hash-join state machine. It is not safe for concurrent use and needs no
 // hand-over: every driver applies a process's batches where the process
-// itself runs (the goroutine runtime on the process's own goroutine, inside
-// its processor's slot).
+// itself runs (the goroutine runtime on the goroutine of the worker that
+// hosts the process, inside its processor's slot).
 type Join struct {
 	node      *Node
 	want, got [numPorts]int
@@ -30,12 +30,22 @@ type Join struct {
 // it waits for.
 func (j *Join) Init(n *Node) { j.node, j.want = n, n.eosWant }
 
+// Expect overrides how many punctuation marks port p waits for. Node.EOSWant
+// is one per stream; a driver whose producer processes share outboxes
+// delivers one per outbox instead (Outbox.Punctuate).
+func (j *Join) Expect(p Port, marks int) { j.want[p] = marks }
+
+// Marks returns the number of punctuation marks the process waits for over
+// all its ports.
+func (j *Join) Marks() int { return j.want[Build] + j.want[Probe] + j.want[In] }
+
 // Start creates the join algorithm's state once the process may begin
 // (processes that wait on After dependencies hold no tables meanwhile):
 // hash tables sized from the operator's estimated per-process operand
 // cardinality so steady-state inserts never rehash, and a result buffer of
 // twice a transport batch — a probe yields about one match per row on the
-// chain queries. On operators other than joins it does nothing.
+// chain queries — unless batchTuples is zero: the driver then brings the
+// buffer itself (ApplyInto). On operators other than joins it does nothing.
 func (j *Join) Start(batchTuples int) {
 	n := j.node
 	spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
@@ -47,7 +57,9 @@ func (j *Join) Start(batchTuples int) {
 	default:
 		return
 	}
-	j.scratch = *relation.NewBatch(2 * batchTuples)
+	if batchTuples > 0 {
+		j.scratch = *relation.NewBatch(2 * batchTuples)
+	}
 }
 
 // Hold parks m and reports true when it must wait: probe input of a simple
@@ -64,21 +76,25 @@ func (j *Join) Hold(m Msg) bool {
 // Apply joins one data batch and returns the result tuples, valid until the
 // next Apply; nil when the input cannot produce any (the simple join's
 // build phase). The caller keeps ownership of m.Batch.
-func (j *Join) Apply(m Msg) *relation.Batch {
+func (j *Join) Apply(m Msg) *relation.Batch { return j.ApplyInto(&j.scratch, m) }
+
+// ApplyInto is Apply with the result buffer brought by the driver: the
+// processes one worker hosts run one at a time and share one.
+func (j *Join) ApplyInto(res *relation.Batch, m Msg) *relation.Batch {
 	if j.simple != nil && m.Port == Build {
 		j.simple.InsertBatch(m.Batch)
 		return nil
 	}
-	j.scratch.Reset()
+	res.Reset()
 	switch {
 	case j.simple != nil:
-		j.simple.ProbeBatchInto(&j.scratch, m.Batch)
+		j.simple.ProbeBatchInto(res, m.Batch)
 	case m.Port == Build:
-		j.pipe.FromBuildSideBatchInto(&j.scratch, m.Batch)
+		j.pipe.FromBuildSideBatchInto(res, m.Batch)
 	default:
-		j.pipe.FromProbeSideBatchInto(&j.scratch, m.Batch)
+		j.pipe.FromProbeSideBatchInto(res, m.Batch)
 	}
-	return &j.scratch
+	return res
 }
 
 // EOS counts one punctuation mark on port p. When it is the last one of the

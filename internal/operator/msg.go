@@ -30,8 +30,16 @@ type Msg struct {
 	Port  Port
 	Sign  int8
 	// Remote reports that producer and consumer process are bound to
-	// different processors (the tuples crossed the network).
+	// different processors (the tuples crossed the network). Only the outbox
+	// of a single process sets it — a shared outbox's buffer mixes producers
+	// on different processors — and only the simulator reads it, to charge
+	// network latency and receive cost; the transport counters are taken at
+	// Emit instead.
 	Remote bool
+	// To is the consumer process the message is addressed to (its position
+	// in the consumer's Op.Procs): every batch is for one process, so an
+	// inbox shared by the processes of one worker needs no per-tuple tag.
+	To int32
 }
 
 // Send delivers m into inbox. It tries the plain send first, so the common
@@ -56,7 +64,8 @@ func Send(inbox chan<- Msg, m Msg, done <-chan struct{}, pool *relation.BatchPoo
 }
 
 // Chans is the Deliverer of the goroutine drivers: destination d of the
-// edge is the inbox channel Dst[d].
+// outbox is the inbox channel Dst[d] (several destinations share a channel
+// when their consumer processes share a worker; Msg.To tells them apart).
 type Chans struct {
 	Dst  []chan<- Msg
 	Done <-chan struct{}
@@ -90,8 +99,8 @@ func (g *Gather) Push(_ context.Context, batch *relation.Batch, release func()) 
 }
 
 // Counters are the structural quantities every runtime reports for a run.
-// They are properties of the plan and the data, not of scheduling: all
-// runtimes report the same values for the same plan.
+// Apart from Batches they are properties of the plan and the data, not of
+// scheduling: all runtimes report the same values for the same plan.
 type Counters struct {
 	// Processes is the number of operation processes the plan used
 	// (operators weighted by their degree of parallelism).
@@ -103,16 +112,22 @@ type Counters struct {
 	TuplesMovedRemote int64
 	// TuplesLocal counts tuples delivered processor-locally.
 	TuplesLocal int64
-	// Batches counts delivered data batches. The final gather at the
-	// collect operator is identical for every strategy and excluded from
+	// Batches counts delivered data batches, and unlike its neighbours it is
+	// a property of the transport, not of the plan: producer processes that
+	// share an outbox (the goroutine runtime's hosted processes) fill one
+	// buffer per destination between them, so the same tuples travel in
+	// fewer, fuller batches the fewer processor slots the run has. With one
+	// outbox per process — the simulator, or as many slots as plan
+	// processors — it is the same for every runtime. The final gather at
+	// the collect operator is identical for every strategy and excluded from
 	// the three transport counters.
 	Batches int64
 	// ResultTuples is the cardinality of the final result.
 	ResultTuples int
 }
 
-// AddTransport adds the transport counters of one process's outbox (nil
-// for the collect process, which has none).
+// AddTransport adds the transport counters of one outbox (nil for the
+// collect process, which has none).
 func (c *Counters) AddTransport(o *Outbox) {
 	if o != nil {
 		c.TuplesMovedRemote += o.MovedRemote

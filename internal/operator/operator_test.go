@@ -131,7 +131,8 @@ func TestJoinStepInterleavings(t *testing.T) {
 			for idx := range jn.Op.Procs {
 				var j Join
 				j.Init(jn)
-				j.want = [numPorts]int{Build: marks, Probe: marks}
+				j.Expect(Build, marks)
+				j.Expect(Probe, marks)
 				j.Start(16)
 				// Per port: the fragment cut into random batches, with the
 				// marks at random positions but the last one at the end.
@@ -194,10 +195,15 @@ func TestJoinStepInterleavings(t *testing.T) {
 	}
 }
 
-// recorder is a Deliverer that records what was delivered where.
-type recorder struct{ log []string }
+// recorder is a Deliverer that records what was delivered where, and the
+// messages themselves (their batches are not recycled meanwhile).
+type recorder struct {
+	log  []string
+	msgs []Msg
+}
 
 func (r *recorder) Deliver(d int, m Msg) bool {
+	r.msgs = append(r.msgs, m)
 	switch {
 	case m.Batch == nil:
 		r.log = append(r.log, fmt.Sprintf("d%d:mark", d))
@@ -308,6 +314,132 @@ func TestOutboxSingleDestinationBulk(t *testing.T) {
 	if o.Batches != 0 {
 		t.Errorf("the gather at the collect operator was counted: %d batches", o.Batches)
 	}
+}
+
+// TestHostOutbox drives the outbox several processes of one operator share:
+// on a local edge a process's destination is the consumer process of its own
+// index; on a redistribution edge the processes fill one buffer per consumer
+// process between them, the ordering rule holds per destination whoever
+// emitted, and the tuple counters follow the processor of the emitting
+// process. Either way Punctuate addresses every destination once, and every
+// message names its consumer process.
+func TestHostOutbox(t *testing.T) {
+	w, _ := wire(t, strategy.RD, jointree.LeftLinear, 3, 4)
+	var scan, join *Node
+	for _, n := range w.Nodes {
+		switch {
+		case n.Out == nil || len(n.Op.Procs) != 4 || len(n.Out.To.Op.Procs) != 4:
+		case n.Out.Local && scan == nil:
+			scan = n
+		case n.Op.Kind == xra.OpSimpleJoin && !n.Out.Local && n.Out.To.Op.Kind != xra.OpCollect:
+			join = n
+		}
+	}
+	if scan == nil || join == nil {
+		t.Fatal("plan has no four-process scan on a local edge or no join redistributing to a four-process join")
+	}
+	batch := func(keys ...int64) *relation.Batch {
+		var b relation.Batch
+		for _, k := range keys {
+			b.Append(k, k, uint64(k))
+		}
+		return &b
+	}
+	tos := func(msgs []Msg) (out []int32) {
+		for _, m := range msgs {
+			if m.Remote {
+				t.Errorf("a shared outbox marked a message for process %d remote", m.To)
+			}
+			out = append(out, m.To)
+		}
+		return out
+	}
+	const size = 4
+
+	t.Run("local edge", func(t *testing.T) {
+		rec := &recorder{}
+		o := NewHostOutbox(scan, []int{1, 3}, relation.NewBatchPool(size, 8), size, rec)
+		if !(o.EmitFrom(0, batch(1, 2, 3, 4, 5), Insert) && o.EmitFrom(1, batch(6, 7, 8), Insert) && o.Flush() && o.Punctuate()) {
+			t.Fatal("delivery failed")
+		}
+		if want := []string{"d0:+1 x4", "d0:+1 x1", "d1:+1 x3", "d0:mark", "d1:mark"}; !slices.Equal(rec.log, want) {
+			t.Errorf("delivered %v, want %v", rec.log, want)
+		}
+		if got, want := tos(rec.msgs), []int32{1, 1, 3, 1, 3}; !slices.Equal(got, want) {
+			t.Errorf("addressed to processes %v, want %v", got, want)
+		}
+		if o.MovedLocal != 8 || o.MovedRemote != 0 || o.Batches != 3 {
+			t.Errorf("local %d, remote %d, batches %d; want 8, 0, 3", o.MovedLocal, o.MovedRemote, o.Batches)
+		}
+	})
+
+	t.Run("redistribution", func(t *testing.T) {
+		// Keys routed to each process of the four-process consumer.
+		var keys [4][]int64
+		bk := relation.NewBucketer(4)
+		for k := int64(0); len(keys[0]) < 8 || len(keys[2]) < 8; k++ {
+			d := bk.Bucket(k)
+			keys[d] = append(keys[d], k)
+		}
+		rec := &recorder{}
+		// Processes 0 and 2, on processors 0 and 2 like consumer processes
+		// 0 and 2.
+		o := NewHostOutbox(join, []int{0, 2}, relation.NewBatchPool(size, 8), size, rec)
+		if join.Op.Procs[0] != join.Out.To.Op.Procs[0] || join.Op.Procs[2] != join.Out.To.Op.Procs[2] {
+			t.Fatal("producer and consumer are not on the same processors")
+		}
+		ok := o.EmitFrom(0, batch(keys[0][0], keys[0][1], keys[2][0]), Insert) && // 2 local, 1 remote
+			o.EmitFrom(1, batch(keys[0][2], keys[2][1]), Insert) && // 1 remote, 1 local
+			// The deletes of process 2 fill a buffer for destination 0: the
+			// inserts pending there, of both processes, go first.
+			o.EmitFrom(1, batch(keys[0][3], keys[0][4], keys[0][5], keys[0][6]), Delete) && // 4 remote
+			o.Flush() && o.Punctuate()
+		if !ok {
+			t.Fatal("delivery failed")
+		}
+		want := []string{"d0:+1 x3", "d0:-1 x4", "d2:+1 x2", "d0:mark", "d1:mark", "d2:mark", "d3:mark"}
+		if !slices.Equal(rec.log, want) {
+			t.Errorf("delivered %v, want %v", rec.log, want)
+		}
+		if got, want := tos(rec.msgs), []int32{0, 0, 2, 0, 1, 2, 3}; !slices.Equal(got, want) {
+			t.Errorf("addressed to processes %v, want %v", got, want)
+		}
+		if o.MovedLocal != 3 || o.MovedRemote != 6 || o.Batches != 3 {
+			t.Errorf("local %d, remote %d, batches %d; want 3, 6, 3", o.MovedLocal, o.MovedRemote, o.Batches)
+		}
+	})
+
+	// The outbox of a single process is what the simulator and the views
+	// build per process and run: it marks what crosses processors, counts the
+	// same tuples, and costs the two allocations it always did.
+	t.Run("single process", func(t *testing.T) {
+		rec := &recorder{}
+		pool := relation.NewBatchPool(size, 8)
+		o := NewOutbox(join, 2, pool, size, rec)
+		var keys []int64
+		for d := 0; d < 4; d++ {
+			for k := int64(0); ; k++ {
+				if relation.NewBucketer(4).Bucket(k) == d {
+					keys = append(keys, k)
+					break
+				}
+			}
+		}
+		if !(o.Emit(batch(keys...), Insert) && o.Flush() && o.Punctuate()) {
+			t.Fatal("delivery failed")
+		}
+		for i, m := range rec.msgs {
+			if d := i % 4; m.To != int32(d) || m.Remote != (d != 2) {
+				t.Errorf("message %d: To %d, Remote %v; want To %d, Remote %v", i, m.To, m.Remote, d, d != 2)
+			}
+		}
+		if len(rec.msgs) != 8 || o.MovedLocal != 1 || o.MovedRemote != 3 || o.Batches != 4 {
+			t.Errorf("%d messages, local %d, remote %d, batches %d; want 8, 1, 3, 4", len(rec.msgs), o.MovedLocal, o.MovedRemote, o.Batches)
+		}
+		if n := testing.AllocsPerRun(100, func() { NewOutbox(join, 2, pool, size, rec) }); n != 2 {
+			t.Errorf("NewOutbox allocates %v times, want 2 (the outbox and its pending buffers' slice)", n)
+		}
+	})
 }
 
 // TestSendCancelReturnsBatch is the one cancel rule for a batch in flight:

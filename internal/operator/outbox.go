@@ -13,36 +13,61 @@ type Deliverer interface {
 	Deliver(d int, m Msg) bool
 }
 
-// Outbox is the output side of one operation process: it routes result
-// tuples over the process's consumer edge into one pooled buffer per
-// destination and sign lane, delivers a buffer the moment it is full — so a
-// pooled buffer never regrows past its fixed capacity — and obeys the
-// ordering rule of the package documentation. Every method reports false
-// once a delivery failed (the run was torn down).
+// Outbox is the output side of one operation process, or of the processes
+// of one operator that share a worker (NewHostOutbox): it routes result
+// tuples over the consumer edge into one pooled buffer per destination and
+// sign lane, delivers a buffer the moment it is full — so a pooled buffer
+// never regrows past its fixed capacity — and obeys the ordering rule of the
+// package documentation. A shared outbox is told which of its processes
+// emits; every buffer is still for one consumer process (Msg.To), whoever
+// filled it. Every method reports false once a delivery failed (the run was
+// torn down).
 type Outbox struct {
-	edge  *Edge
-	procs []int // processor of each destination's consumer process
-	from  int   // the producer's processor
-	bk    relation.Bucketer
-	pool  *relation.BatchPool
-	size  int // tuples per transport batch
-	to    Deliverer
+	node *Node // the producing operator
+	// hosted lists the producer processes the outbox serves, as positions
+	// in the operator's Op.Procs.
+	hosted []int
+	one    [1]int // backs hosted for a single process
+	// paired marks a local edge: destination k is the consumer process with
+	// the index of hosted[k]. Otherwise destination d is consumer process d
+	// and tuples are hash-routed.
+	paired bool
+	bk     relation.Bucketer
+	pool   *relation.BatchPool
+	size   int // tuples per transport batch
+	to     Deliverer
 	// pend holds the pending buffer of each destination, per lane: [0]
 	// inserts, [1] deletes (allocated by the first delete; queries never
 	// do). A nil buffer is replaced from the pool on first use.
 	pend [2][]*relation.Batch
 
-	// Transport counters of this process (Counters semantics: the edge into
-	// the collect operator is not counted).
+	// Transport counters (Counters semantics: the edge into the collect
+	// operator is not counted). Tuples are counted where they are emitted, against the emitting process's processor — they stay
+	// plan properties however many processes share the outbox — and batches
+	// where they are delivered.
 	MovedRemote, MovedLocal, Batches int64
 }
 
 // NewOutbox returns the outbox of process idx of operator n, filling
 // batches of size tuples drawn from pool.
 func NewOutbox(n *Node, idx int, pool *relation.BatchPool, size int, to Deliverer) *Outbox {
-	e := n.Out
-	first := e.Target(idx, 0)
-	return newOutbox(e, n.Op.Procs[idx], e.To.Op.Procs[first:first+e.Dests()], pool, size, to)
+	o := newOutbox(n, n.Out.Local, n.Out.Dests(), pool, size, to)
+	o.one[0] = idx
+	return o
+}
+
+// NewHostOutbox returns the one outbox of the processes hosted of operator
+// n (ascending positions in its Op.Procs; not copied). On a redistribution
+// edge they fill one buffer per consumer process between them; on a local
+// edge each keeps the destination of its own.
+func NewHostOutbox(n *Node, hosted []int, pool *relation.BatchPool, size int, to Deliverer) *Outbox {
+	dests := n.Out.Dests()
+	if n.Out.Local {
+		dests = len(hosted)
+	}
+	o := newOutbox(n, n.Out.Local, dests, pool, size, to)
+	o.hosted = hosted
+	return o
 }
 
 // NewSourceOutbox returns an outbox that feeds every process of n's
@@ -50,50 +75,96 @@ func NewOutbox(n *Node, idx int, pool *relation.BatchPool, size int, to Delivere
 // processes at once: a view injects base-relation deltas through it. Its
 // transport counters are meaningless.
 func NewSourceOutbox(n *Node, pool *relation.BatchPool, size int, to Deliverer) *Outbox {
-	return newOutbox(n.Out, n.Op.Procs[0], n.Out.To.Op.Procs, pool, size, to)
+	return newOutbox(n, false, len(n.Out.To.Op.Procs), pool, size, to)
 }
 
-func newOutbox(e *Edge, from int, procs []int, pool *relation.BatchPool, size int, to Deliverer) *Outbox {
-	o := &Outbox{edge: e, procs: procs, from: from, bk: relation.NewBucketer(len(procs)), pool: pool, size: size, to: to}
-	o.pend[0] = make([]*relation.Batch, len(procs))
+func newOutbox(n *Node, paired bool, dests int, pool *relation.BatchPool, size int, to Deliverer) *Outbox {
+	o := &Outbox{node: n, paired: paired, bk: relation.NewBucketer(dests), pool: pool, size: size, to: to}
+	o.hosted = o.one[:]
+	o.pend[0] = make([]*relation.Batch, dests)
 	return o
 }
 
-// Emit routes res with one sign. The single-destination path is three bulk
-// column copies per chunk; redistribution hoists the routing key column and
-// scatters row-at-a-time over flat columns.
-func (o *Outbox) Emit(res *relation.Batch, sign int8) bool {
+// target returns the consumer process that destination d addresses.
+func (o *Outbox) target(d int) int {
+	if o.paired {
+		return o.hosted[d]
+	}
+	return d
+}
+
+// header returns the message for destination d without its batch: the
+// punctuation mark.
+func (o *Outbox) header(d int) Msg {
+	e, t := o.node.Out, o.target(d)
+	return Msg{Port: e.Port, Remote: len(o.hosted) == 1 && e.To.Op.Procs[t] != o.node.Op.Procs[o.hosted[0]], To: int32(t)}
+}
+
+// Emit routes the result of the outbox's only process; see EmitFrom.
+func (o *Outbox) Emit(res *relation.Batch, sign int8) bool { return o.EmitFrom(0, res, sign) }
+
+// EmitFrom routes res, the result of process hosted[k], with one sign. The
+// single-destination path is three bulk column copies per chunk;
+// redistribution hoists the routing key column and scatters row-at-a-time
+// over flat columns.
+func (o *Outbox) EmitFrom(k int, res *relation.Batch, sign int8) bool {
 	lane := 0
 	if sign < 0 {
 		lane = 1
 		if o.pend[1] == nil {
-			o.pend[1] = make([]*relation.Batch, len(o.procs))
+			o.pend[1] = make([]*relation.Batch, len(o.pend[0]))
 		}
 	}
 	pend, n := o.pend[lane], res.Len()
-	if len(pend) == 1 {
+	// Processors: the emitting process's, and the consumer processes'.
+	from, cons := o.node.Op.Procs[o.hosted[k]], o.node.Out.To.Op.Procs
+	if o.paired || len(pend) == 1 {
+		d := 0
+		if o.paired {
+			d = k
+		}
+		local := 0
+		if cons[o.target(d)] == from {
+			local = n
+		}
+		o.moved(local, n)
 		for lo := 0; lo < n; {
-			buf := o.buffer(pend, 0)
+			buf := o.buffer(pend, d)
 			c := min(o.size-buf.Len(), n-lo)
 			buf.AppendRange(res, lo, lo+c)
 			lo += c
-			if buf.Len() == o.size && !o.full(lane, 0) {
+			if buf.Len() == o.size && !o.full(lane, d) {
 				return false
 			}
 		}
 		return true
 	}
-	keys := res.Col(o.edge.Route)
+	keys, local := res.Col(o.node.Out.Route), 0
 	for i := 0; i < n; i++ {
 		d := o.bk.Bucket(keys[i])
+		if cons[d] == from {
+			local++
+		}
 		buf := o.buffer(pend, d)
 		buf.Append(res.U1[i], res.U2[i], res.Check[i])
 		if buf.Len() == o.size && !o.full(lane, d) {
 			return false
 		}
 	}
+	o.moved(local, n)
 	return true
 }
+
+// moved counts n emitted tuples, local of them for a consumer process on
+// the emitting process's own processor.
+func (o *Outbox) moved(local, n int) {
+	if o.counted() {
+		o.MovedLocal += int64(local)
+		o.MovedRemote += int64(n - local)
+	}
+}
+
+func (o *Outbox) counted() bool { return o.node.Out.To.Op.Kind != xra.OpCollect }
 
 func (o *Outbox) buffer(pend []*relation.Batch, d int) *relation.Batch {
 	if pend[d] == nil {
@@ -124,16 +195,12 @@ func (o *Outbox) deliver(lane, d int) bool {
 		o.pool.Put(buf)
 		return true
 	}
-	m := Msg{Batch: buf, Port: o.edge.Port, Sign: Insert, Remote: o.procs[d] != o.from}
+	m := o.header(d)
+	m.Batch, m.Sign = buf, Insert
 	if lane == 1 {
 		m.Sign = Delete
 	}
-	if o.edge.To.Op.Kind != xra.OpCollect {
-		if m.Remote {
-			o.MovedRemote += int64(buf.Len())
-		} else {
-			o.MovedLocal += int64(buf.Len())
-		}
+	if o.counted() {
 		o.Batches++
 	}
 	return o.to.Deliver(d, m)
@@ -153,11 +220,12 @@ func (o *Outbox) Flush() bool {
 }
 
 // Punctuate delivers one punctuation mark to every destination: the
-// process has ended its unit of work on each outgoing stream. Callers
-// Flush first.
+// outbox's processes have ended their unit of work on each outgoing stream —
+// one mark per destination however many of them share it (Join.Expect).
+// Callers Flush first.
 func (o *Outbox) Punctuate() bool {
-	for d := range o.procs {
-		if !o.to.Deliver(d, Msg{Port: o.edge.Port, Remote: o.procs[d] != o.from}) {
+	for d := range o.pend[0] {
+		if !o.to.Deliver(d, o.header(d)) {
 			return false
 		}
 	}

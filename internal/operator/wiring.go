@@ -48,8 +48,9 @@ func (e *Edge) Stream(from, d int) int { return e.FirstStream + from*e.Dests() +
 // Node is one plan operator with its place in the dataflow.
 type Node struct {
 	Op    *xra.Op
-	Index int   // position in plan order (Wiring.Nodes)
-	Out   *Edge // nil only for collect
+	Index int             // position in plan order (Wiring.Nodes)
+	In    [numPorts]*Node // the producer feeding each port, nil where there is none
+	Out   *Edge           // nil only for collect
 	// After lists the operators that must complete before this one's
 	// processes start; Dependents is the inverse relation.
 	After, Dependents []*Node
@@ -114,6 +115,7 @@ func Wire(plan *xra.Plan) (*Wiring, error) {
 				p = Probe
 			}
 			from := byID[in.From]
+			n.In[p] = from
 			from.Out = &Edge{To: n, Port: p, Route: in.Route, Local: xra.LocalEdge(from.Op, n.Op, in)}
 			n.eosWant[p] = len(from.Op.Procs)
 			if from.Out.Local {

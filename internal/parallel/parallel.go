@@ -6,27 +6,46 @@
 // so that the FP-vs-RD pipelining tradeoffs can be measured on real cores.
 // The operation-process model — ports, punctuation, the join step, the
 // outbox and who owns a batch when — is package operator's; this package is
-// its goroutine driver:
+// its goroutine driver, and it runs the plan the way the paper's machine
+// does: a processor hosts its processes.
 //
-//   - every operation process of the plan (one operator replica per
-//     processor in Op.Procs) becomes one worker goroutine with one inbox, a
-//     channel of operator.Msg. A producer's outbox sends a full batch
-//     straight into the consumer process's inbox, and a stream ends with
-//     one end-of-stream message; the n×m streams of a redistribution edge
-//     exist as routing decisions and end-of-stream counts, not as channels
-//     or goroutines of their own;
-//   - the plan's processors are modeled as slots: a process computes a join
-//     step on its own goroutine while it holds the lock of its processor
-//     (plan processor id modulo MaxProcs), so at most MaxProcs processes
-//     compute at once and the processes of one processor are serialized,
-//     exactly like the paper's shared-nothing nodes. The lock is held for one
-//     batch and never across a channel operation (blocked processes occupy
-//     no processor, as on a real machine), so a batch costs one hand-off:
-//     the inbox send that carries it;
-//   - Op.After start dependencies are honored without deadlock: a process
-//     whose dependencies are pending keeps draining its inbox into an
-//     unbounded stash (the simulator's "input arriving earlier is
-//     buffered") and processes it once the dependencies complete;
+//   - the plan's processors are modeled as slots, plan processor id p on
+//     slot p mod MaxProcs, and the operation processes of one operator whose
+//     processors share a slot form a host: one worker goroutine, one inbox
+//     (a channel of operator.Msg) and one outbox for all of them. Each
+//     hosted process keeps what is its own — hash tables, held probe input,
+//     punctuation count, its Grace join — and a message names the process it
+//     is for (Msg.To), so every batch is still one process's and the worker
+//     joins it in that process's state;
+//   - the streams of the plan exist as routing decisions and end-of-stream
+//     counts, not as channels or goroutines of their own, and what the
+//     transport carries follows the hosts: the shared outbox fills one
+//     buffer per consumer process, sends a full one straight into the inbox
+//     of that process's host, and — once every hosted process has seen all
+//     its input — ends each destination with one mark, so a consumer process
+//     waits for one mark per producer host. An inbox holds ChannelDepth
+//     batches per mark its hosted processes wait for. On MaxProcs slots a
+//     redistribution edge between operators on n and m processors costs at
+//     most min(n, MaxProcs) × m buffers and marks, not n × m; Processes,
+//     Streams and the tuples moved stay the plan properties they are
+//     (counted per tuple against the emitting process's processor), Batches
+//     and Goroutines are what physically happened;
+//   - a host of one process is the same code path: it is what every process
+//     gets when the run has as many slots as the plan has processors, and
+//     what every process of a partial run gets (dist's streams, credit
+//     windows and wire format are per process);
+//   - a worker computes a join step while it holds the lock of its slot, so
+//     at most MaxProcs processes compute at once and the processes of one
+//     processor are serialized, exactly like the paper's shared-nothing
+//     nodes. The lock is held for one batch and never across a channel
+//     operation (blocked processes occupy no processor, as on a real
+//     machine), so a batch costs one hand-off: the inbox send that carries
+//     it;
+//   - Op.After start dependencies are honored without deadlock: a worker
+//     whose operator's dependencies are pending keeps draining its inbox
+//     into an unbounded stash (the simulator's "input arriving earlier is
+//     buffered") and replays it, message by message to the process
+//     addressed, once the dependencies complete;
 //   - with a memory budget, join processes run Grace-style partitioned
 //     joins (hashjoin.Grace) outside the slot — partitioning may block on
 //     file I/O — instead of the kernel's in-memory join step.
@@ -37,7 +56,7 @@
 //
 // The hot data path is allocation-free in steady state: tuple batches come
 // from a relation.BatchPool and are returned by the consumer that exhausts
-// them, and join results are built in per-process scratch buffers. What is
+// them, and join results are built in one scratch buffer per worker. What is
 // constant across the queries of an engine session — the un-metered batch
 // pools and the placement of the resident base relations — lives with the
 // session's ProcPool, not with the run. Result equivalence against the
@@ -78,8 +97,14 @@ type Sink = operator.Sink
 
 // Bounds of the state a ProcPool keeps between runs.
 const (
-	// poolRetainBytes is what each resident batch pool may hold idle.
-	poolRetainBytes = 1 << 20
+	// poolRetainBytes is what each resident batch pool may hold idle. It is
+	// sized against the batches one query parks outside the pool at once,
+	// which is what the next query draws back: the simple joins of RD on the
+	// 10×20K chain hold their probe operands until the build phases end,
+	// about 720 default-capacity batches (4.3 MB). Measured on mjperf
+	// exec_rd at 1, 2, 4 and 8 MiB: 5052, 4013, 1873 and 1092 KiB allocated
+	// per query for 47.3, 47.0, 48.0 and 48.4 MiB peak RSS.
+	poolRetainBytes = 4 << 20
 	// maxResidentPools bounds the batch capacities that get a resident pool
 	// (the default transport sizes are five); a run asking for yet another
 	// capacity gets a pool of its own.
@@ -90,7 +115,7 @@ const (
 )
 
 // ProcPool is a shared set of modeled processors — one slot (lock) each,
-// taken by the operation processes of *every* run configured with the pool
+// taken by the workers of *every* run configured with the pool
 // (Config.Pool) for the length of one join step. It is the session-level
 // resource that caps concurrent computation across in-flight queries, and
 // it owns what those queries would otherwise rebuild each time: the
@@ -153,15 +178,15 @@ func (p *ProcPool) Close() {
 	p.pools, p.pinned, p.placed, p.placedBytes = nil, nil, nil, 0
 }
 
-// slot returns the lock of the modeled processor serving plan processor id
-// proc. The scheduler host's pseudo id (xra.HostProc, negative) wraps around
-// like any other.
-func (p *ProcPool) slot(proc int) *sync.Mutex {
+// index returns which modeled processor serves plan processor id proc. The
+// scheduler host's pseudo id (xra.HostProc, negative) wraps around like any
+// other.
+func (p *ProcPool) index(proc int) int {
 	i := proc % len(p.slots)
 	if i < 0 {
 		i += len(p.slots)
 	}
-	return &p.slots[i]
+	return i
 }
 
 // batchPool returns the resident pool of batches with capacity size.
@@ -213,23 +238,25 @@ func (p *ProcPool) fragments(rel *relation.Relation, attr relation.Attr, degree 
 // Config parameterizes one parallel execution.
 type Config struct {
 	// MaxProcs is the number of modeled processors: one slot each. Plan
-	// processor id p maps to slot p mod MaxProcs and a process holds its
-	// slot while it computes, so at most MaxProcs operation processes
-	// compute at any instant and processes sharing a plan processor are
-	// serialized. Zero means the plan's own processor count (MaxProc+1),
-	// i.e. the machine the plan was generated for.
+	// processor id p maps to slot p mod MaxProcs; the processes of one
+	// operator on one slot share a worker, and a worker holds its slot while
+	// it computes, so at most MaxProcs operation processes compute at any
+	// instant and processes sharing a plan processor are serialized. Zero
+	// means the plan's own processor count (MaxProc+1), i.e. the machine the
+	// plan was generated for, where every process has a worker of its own.
 	MaxProcs int
 	// BatchTuples is the number of tuples per transport batch (the
 	// pipelining granularity and the batch-pool capacity). Zero means
 	// DefaultBatchTuples.
 	BatchTuples int
 	// ChannelDepth is the buffer capacity, in batches, each incoming tuple
-	// stream contributes to its consumer's inbox: a process's inbox holds
-	// ChannelDepth × its incoming stream count batches, so every producer
-	// can run a few batches ahead of a consumer that has not been scheduled
-	// yet. It is resolved once per run, not per edge, and is also the
-	// credit window of each node-crossing stream in the distributed runtime.
-	// Zero means DefaultChannelDepth.
+	// stream contributes to its consumer's inbox, a stream being what the
+	// transport carries: a worker's inbox holds ChannelDepth batches per
+	// producer worker (one on a local edge) of every process it hosts, so
+	// every producer can run a few batches ahead of a consumer that has not
+	// been scheduled yet. It is resolved once per run, not per edge, and is
+	// also the credit window of each node-crossing stream in the distributed
+	// runtime. Zero means DefaultChannelDepth.
 	ChannelDepth int
 	// MemoryBudget, when positive, switches the run to out-of-core mode
 	// (the "spill" runtime): live pooled batches and buffered join
@@ -320,9 +347,11 @@ func (c Config) withDefaults(plan *xra.Plan) Config {
 // engine.Stats where the quantity is meaningful on a real machine.
 type Stats struct {
 	operator.Counters
-	// Goroutines is the total number of goroutines launched: one worker
-	// per operation process and one dependency waiter per operator with
-	// After dependencies. It has no per-stream and no per-processor term.
+	// Goroutines is the total number of goroutines launched: one worker per
+	// host — per operator and slot its processes use, so per operation
+	// process when the run has as many slots as the plan has processors —
+	// and one dependency waiter per operator with After dependencies. It has
+	// no per-stream term.
 	Goroutines int
 	// MaxProcs is the number of modeled processors (slots).
 	MaxProcs int
@@ -352,15 +381,16 @@ type RunResult struct {
 // opState is the shared runtime state of one plan operator.
 type opState struct {
 	*operator.Node
-	instances []*inst
-	// locals is the number of instances placed on this node (all of them
-	// unless the run is partial).
+	procs []proc  // the operator's processes, by position in Op.Procs
+	hosts []*host // the workers they are grouped under, in order of first process
+	// locals is the number of hosts placed on this node (all of them unless
+	// the run is partial).
 	locals int
 
 	ready     chan struct{} // closed when all After dependencies completed
-	done      chan struct{} // closed when all instances finished
+	done      chan struct{} // closed when all local hosts finished
 	remaining atomic.Int32
-	wallDone  time.Duration // written by the closing instance before close(done)
+	wallDone  time.Duration // written by the closing host before close(done)
 }
 
 // spillState carries the out-of-core machinery of one budgeted run: the
@@ -501,39 +531,65 @@ func (r *runtimeState) fail(err error) {
 	})
 }
 
-// setup builds operator and process state with one inbox per local
-// process, places base relation fragments and points every outbox at its
-// consumers' inboxes.
+// setup groups every operator's processes into hosts with one inbox each,
+// places base relation fragments and points every host's outbox at the
+// inboxes of its consumers' hosts.
 func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
-	// Create one process (worker) per operator replica, bound to its
-	// processor's slot. In a partial run, instances whose processor is
-	// placed on another node exist only as routing targets: they are never
-	// launched and own no inbox. The inbox holds ChannelDepth batches per
-	// incoming stream. In out-of-core mode every join process gets a Grace
-	// join up front (single-threaded here, so registration for cleanup
-	// needs no lock).
+	// A host is the processes of one operator whose processors share a slot.
+	// In a partial run every process is a host of its own — the transport's
+	// streams, credit windows and end-of-stream marks are per process — and
+	// one whose processor is placed on another node exists only as a routing
+	// target: it is never launched and owns no inbox. A process receives one
+	// end-of-stream mark per producer host on a redistributed port (producers
+	// precede consumers in plan order, so their hosts are known), and the
+	// inbox holds ChannelDepth batches per mark its host's processes wait
+	// for: per incoming stream as the transport carries it. In out-of-core
+	// mode every join process gets a Grace join up front (single-threaded
+	// here, so registration for cleanup needs no lock).
+	bySlot := make([]*host, r.procs.Size())
 	for i, n := range r.wiring.Nodes {
-		os := &opState{Node: n, ready: make(chan struct{}), done: make(chan struct{})}
+		os := &opState{Node: n, procs: make([]proc, len(n.Op.Procs)), ready: make(chan struct{}), done: make(chan struct{})}
 		r.ops[i] = os
+		clear(bySlot)
 		for idx, procID := range n.Op.Procs {
-			w := &inst{
-				r:     r,
-				op:    os,
-				idx:   idx,
-				local: r.partial == nil || r.partial.Local(procID),
-				slot:  r.procs.slot(procID),
+			s := r.procs.index(procID)
+			h := bySlot[s]
+			if h == nil || r.partial != nil {
+				h = &host{r: r, op: os, slot: &r.procs.slots[s], local: r.partial == nil || r.partial.Local(procID)}
+				h.procs = h.one[:0]
+				bySlot[s] = h
+				os.hosts = append(os.hosts, h)
 			}
-			os.instances = append(os.instances, w)
-			if !w.local {
+			os.procs[idx].pos = len(h.procs)
+			os.procs[idx].host = h
+			h.procs = append(h.procs, idx)
+		}
+		// What every process of the operator waits for, and its Grace join.
+		var join operator.Join
+		join.Init(n)
+		for _, from := range n.In {
+			if from != nil && !from.Out.Local {
+				join.Expect(from.Out.Port, len(r.ops[from.Index].hosts))
+			}
+		}
+		grace := r.spill != nil && (n.Op.Kind == xra.OpSimpleJoin || n.Op.Kind == xra.OpPipeJoin)
+		for _, h := range os.hosts {
+			if !h.local {
 				continue
 			}
 			os.locals++
-			w.join.Init(n)
-			w.inbox = make(chan operator.Msg, max(1, r.cfg.ChannelDepth*n.InStreams()))
-			if r.spill != nil && (n.Op.Kind == xra.OpSimpleJoin || n.Op.Kind == xra.OpPipeJoin) {
-				spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
-				w.grace = hashjoin.NewGrace(spec, r.spill.meter, r.spill.dir, r.transportPool(r.cfg.BatchTuples))
-				r.spill.graces = append(r.spill.graces, w.grace)
+			if !join.Done() {
+				h.open = len(h.procs)
+			}
+			h.inbox = make(chan operator.Msg, max(1, r.cfg.ChannelDepth*join.Marks()*len(h.procs)))
+			for _, idx := range h.procs {
+				p := &os.procs[idx]
+				p.join = join
+				if grace {
+					spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
+					p.grace = hashjoin.NewGrace(spec, r.spill.meter, r.spill.dir, r.transportPool(r.cfg.BatchTuples))
+					r.spill.graces = append(r.spill.graces, p.grace)
+				}
 			}
 		}
 		os.remaining.Store(int32(os.locals))
@@ -568,9 +624,9 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 			if r.partial.ScanFragment == nil {
 				return fmt.Errorf("Partial needs ScanFragment (local scan %s)", os.Op.ID)
 			}
-			os.Frags = make([]relation.Batch, len(os.instances))
-			for i, w := range os.instances {
-				if w.local {
+			os.Frags = make([]relation.Batch, len(os.procs))
+			for i := range os.procs {
+				if os.procs[i].host.local {
 					os.Frags[i] = r.partial.ScanFragment(os.Op.ID, i)
 				}
 			}
@@ -582,45 +638,61 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 		if e == nil {
 			continue
 		}
-		// Size the producer's transport batches from its estimated
-		// per-stream cardinality. A redistribution edge opens producers ×
-		// consumers streams and a pooled buffer sits on every one of them;
-		// with the single global batch size a stream-heavy RD plan pins far
-		// more batch memory than tuples it ever moves. A stream expected to
-		// carry a few dozen tuples gets a correspondingly small pooled batch
-		// instead; batches of different capacities live in per-size pools
-		// (putBatch routes returns by capacity, since a pool silently drops
-		// — and an accounted pool never un-meters — foreign-capacity
-		// batches). Partial (distributed) runs keep the uniform size: the
-		// transport owns the pool and peer nodes must agree on wire batch
-		// capacity.
+		// Size the producer's transport batches from the cardinality it is
+		// estimated to send into each pending buffer. A redistribution edge
+		// keeps one per producer host and consumer process (a local edge one
+		// per process); with as many slots as plan processors that is every
+		// one of the edge's n×m streams, and with the single global batch
+		// size a stream-heavy RD plan would pin far more batch memory than
+		// tuples it ever moves. A buffer expected to carry a few dozen tuples
+		// gets a correspondingly small pooled batch instead; batches of
+		// different capacities live in per-size pools (putBatch routes returns
+		// by capacity, since a pool silently drops — and an accounted pool
+		// never un-meters — foreign-capacity batches). Partial (distributed)
+		// runs keep the uniform size: the transport owns the pool and peer
+		// nodes must agree on wire batch capacity.
 		size := r.cfg.BatchTuples
 		if r.partial == nil {
-			size = sizeTransportBatch(os.EstCard/(len(os.instances)*e.Dests()), size)
+			buffers := len(os.procs)
+			if !e.Local {
+				buffers = len(os.hosts) * e.Dests()
+			}
+			size = sizeTransportBatch(os.EstCard/buffers, size)
 		}
 		pool := r.transportPool(size)
-		// Point every local producer's outbox at its consumers' inboxes. A
-		// stream crossing the node boundary goes to the transport instead:
-		// a channel of its own toward a remote consumer, the local
-		// consumer's inbox from a remote producer. Stream ids come from the
-		// canonical enumeration, so they can never drift from the peers'.
+		// Point every local host's outbox at the inboxes of its consumers'
+		// hosts: one destination per consumer process, or on a local edge one
+		// per hosted process, the consumer process of its own index. A stream
+		// crossing the node boundary goes to the transport instead: a channel
+		// of its own toward a remote consumer, the local consumer's inbox
+		// from a remote producer. Stream ids come from the canonical
+		// enumeration (a partial run's hosts are single processes), so they
+		// can never drift from the peers'.
 		to := r.ops[e.To.Index]
-		for i, w := range os.instances {
-			if w.local {
-				w.chans = operator.Chans{Dst: make([]chan<- operator.Msg, e.Dests()), Done: r.ctx.Done(), Pool: pool}
-				w.out = operator.NewOutbox(os.Node, i, pool, size, &w.chans)
+		for _, h := range os.hosts {
+			dests := e.Dests()
+			if e.Local {
+				dests = len(h.procs)
 			}
-			for d := 0; d < e.Dests(); d++ {
-				dest := to.instances[e.Target(i, d)]
+			if h.local {
+				h.chans = operator.Chans{Dst: make([]chan<- operator.Msg, dests), Done: r.ctx.Done(), Pool: pool}
+				h.out = operator.NewHostOutbox(os.Node, h.procs, pool, size, &h.chans)
+			}
+			for d := 0; d < dests; d++ {
+				target := d
+				if e.Local {
+					target = h.procs[d]
+				}
+				dest := to.procs[target].host
 				switch {
-				case w.local && dest.local:
-					w.chans.Dst[d] = dest.inbox
-				case w.local:
+				case h.local && dest.local:
+					h.chans.Dst[d] = dest.inbox
+				case h.local:
 					out := make(chan operator.Msg, depth) // the stream's share of the remote inbox
-					w.chans.Dst[d] = out
-					r.partial.Egress(e.Stream(i, d), out)
+					h.chans.Dst[d] = out
+					r.partial.Egress(e.Stream(h.procs[0], d), out)
 				case dest.local:
-					r.partial.Ingress(e.Stream(i, d), operator.Msg{Port: e.Port, Sign: operator.Insert, Remote: true}, dest.inbox)
+					r.partial.Ingress(e.Stream(h.procs[0], d), operator.Msg{Port: e.Port, Sign: operator.Insert, To: int32(target)}, dest.inbox)
 				}
 			}
 		}
@@ -706,11 +778,11 @@ func (r *runtimeState) launch() {
 				close(os.ready)
 			}()
 		}
-		for _, w := range os.instances {
-			if w.local {
+		for _, h := range os.hosts {
+			if h.local {
 				r.wg.Add(1)
 				r.goroutines++
-				go w.run()
+				go h.run()
 			}
 		}
 	}
@@ -733,8 +805,8 @@ func (r *runtimeState) finish(streams int) *RunResult {
 		if os.Op.Kind != xra.OpCollect && os.wallDone > res.WallTime {
 			res.WallTime = os.wallDone
 		}
-		for _, w := range os.instances {
-			res.Stats.AddTransport(w.out)
+		for _, h := range os.hosts {
+			res.Stats.AddTransport(h.out)
 		}
 	}
 	if r.spill != nil {

@@ -2,6 +2,7 @@ package parallel_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -94,18 +95,29 @@ func TestSimulatorEquivalence(t *testing.T) {
 
 // TestStructuralCounters checks that the runtime reports exactly the
 // stream and process structure the plan declares — the quantities
-// engine.Stats counts on the virtual machine — while spending goroutines on
-// processes only: workers and dependency waiters, with no per-stream and no
-// per-processor term, and all of them gone when the run returns or is
-// cancelled mid-query. The transport counters are pinned to the values the
-// run-queue scheduler reported for the same seed-pinned plans: how a batch
-// reaches a processor must not change what is sent.
+// engine.Stats counts on the virtual machine, pinned to the values the
+// run-queue scheduler reported for the same seed-pinned plans — whatever the
+// number of slots, while what it physically spends follows the slots: one
+// goroutine per host (the processes of an operator that share a slot) plus
+// the dependency waiters, with no per-stream and no per-processor term, all
+// of them gone when the run returns or is cancelled mid-query, and one
+// pending buffer per host and destination, so fewer and fuller batches the
+// fewer slots there are. With as many slots as plan processors a host is a
+// process, and batches and goroutines are the run-queue scheduler's too:
+// coalescing is a function of the slots only.
 func TestStructuralCounters(t *testing.T) {
 	golden := map[strategy.Kind]operator.Counters{
-		strategy.SP: {Processes: 381, Streams: 3420, TuplesMovedRemote: 1531, TuplesLocal: 2069, Batches: 1481, ResultTuples: 200},
-		strategy.SE: {Processes: 129, Streams: 772, TuplesMovedRemote: 1427, TuplesLocal: 2173, Batches: 604, ResultTuples: 200},
-		strategy.RD: {Processes: 167, Streams: 767, TuplesMovedRemote: 1504, TuplesLocal: 2096, Batches: 675, ResultTuples: 200},
-		strategy.FP: {Processes: 41, Streams: 66, TuplesMovedRemote: 1600, TuplesLocal: 2000, Batches: 64, ResultTuples: 200},
+		strategy.SP: {Processes: 381, Streams: 3420, TuplesMovedRemote: 1531, TuplesLocal: 2069, ResultTuples: 200},
+		strategy.SE: {Processes: 129, Streams: 772, TuplesMovedRemote: 1427, TuplesLocal: 2173, ResultTuples: 200},
+		strategy.RD: {Processes: 167, Streams: 767, TuplesMovedRemote: 1504, TuplesLocal: 2096, ResultTuples: 200},
+		strategy.FP: {Processes: 41, Streams: 66, TuplesMovedRemote: 1600, TuplesLocal: 2000, ResultTuples: 200},
+	}
+	const procs, fewSlots = 20, 4
+	batches := map[strategy.Kind]map[int]int64{ // by slots
+		strategy.SP: {fewSlots: 798, procs: 1481},
+		strategy.SE: {fewSlots: 396, procs: 604},
+		strategy.RD: {fewSlots: 378, procs: 675},
+		strategy.FP: {fewSlots: 64, procs: 64}, // one process per operator and slot at this size
 	}
 	db := testDB(t, 10, 200)
 	tree, err := jointree.BuildShape(jointree.WideBushy, 10)
@@ -124,53 +136,172 @@ func TestStructuralCounters(t *testing.T) {
 		}
 	}
 	for _, kind := range strategy.Kinds {
-		q := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 20}
+		q := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: procs}
 		plan, err := q.Plan()
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := exec(q, parallel.Config{MaxProcs: 4})
-		if err != nil {
-			t.Fatal(err)
+		if plan.NumProcesses() != golden[kind].Processes || plan.NumStreams() != golden[kind].Streams {
+			t.Fatalf("%v: plan declares %d processes and %d streams, golden %+v", kind, plan.NumProcesses(), plan.NumStreams(), golden[kind])
 		}
-		if res.Stats.Processes != plan.NumProcesses() {
-			t.Errorf("%v: Processes = %d, want %d", kind, res.Stats.Processes, plan.NumProcesses())
-		}
-		if res.Stats.Streams != plan.NumStreams() {
-			t.Errorf("%v: Streams = %d, want %d", kind, res.Stats.Streams, plan.NumStreams())
-		}
-		if res.Stats.MaxProcs != 4 {
-			t.Errorf("%v: MaxProcs = %d, want 4", kind, res.Stats.MaxProcs)
-		}
-		if res.Stats.Counters != golden[kind] {
-			t.Errorf("%v: Counters = %+v, want %+v", kind, res.Stats.Counters, golden[kind])
-		}
-		waiters := 0
-		for _, op := range plan.Ops {
-			if len(op.After) > 0 {
-				waiters++
+		for _, slots := range []int{fewSlots, procs} {
+			res, err := exec(q, parallel.Config{MaxProcs: slots})
+			if err != nil {
+				t.Fatal(err)
 			}
+			if res.Stats.MaxProcs != slots {
+				t.Errorf("%v: MaxProcs = %d, want %d", kind, res.Stats.MaxProcs, slots)
+			}
+			want := golden[kind]
+			want.Batches = batches[kind][slots]
+			if res.Stats.Counters != want {
+				t.Errorf("%v on %d slots: Counters = %+v, want %+v", kind, slots, res.Stats.Counters, want)
+			}
+			hosts, waiters := 0, 0
+			for _, op := range plan.Ops {
+				used := map[int]bool{}
+				for _, p := range op.Procs {
+					used[((p%slots)+slots)%slots] = true
+				}
+				hosts += len(used)
+				if len(op.After) > 0 {
+					waiters++
+				}
+			}
+			if slots == procs && hosts != plan.NumProcesses() {
+				t.Fatalf("%v: %d hosts on %d slots, want one per process (%d)", kind, hosts, slots, plan.NumProcesses())
+			}
+			if res.Stats.Goroutines != hosts+waiters {
+				t.Errorf("%v on %d slots: Goroutines = %d, want hosts + dependency waiters = %d + %d",
+					kind, slots, res.Stats.Goroutines, hosts, waiters)
+			}
+			if len(res.Stats.OpDone) != len(plan.Ops) {
+				t.Errorf("%v: OpDone has %d entries, want %d", kind, len(res.Stats.OpDone), len(plan.Ops))
+			}
+			if res.Time <= 0 {
+				t.Errorf("%v: Time = %v, want > 0", kind, res.Time)
+			}
+			settled(fmt.Sprintf("%v after the run on %d slots", kind, slots))
 		}
-		if want := res.Stats.Processes + waiters; res.Stats.Goroutines != want {
-			t.Errorf("%v: Goroutines = %d, want processes + dependency waiters = %d + %d",
-				kind, res.Stats.Goroutines, res.Stats.Processes, waiters)
-		}
-		if len(res.Stats.OpDone) != len(plan.Ops) {
-			t.Errorf("%v: OpDone has %d entries, want %d", kind, len(res.Stats.OpDone), len(plan.Ops))
-		}
-		if res.Time <= 0 {
-			t.Errorf("%v: Time = %v, want > 0", kind, res.Time)
-		}
-		settled(fmt.Sprintf("%v after the run", kind))
 
 		// Cancel from inside the result stream: the query is mid-flight.
 		ctx, cancel := context.WithCancel(context.Background())
-		_, err = parallel.RunStream(ctx, plan, db.Relation, parallel.Config{MaxProcs: 4, BatchTuples: 8},
+		_, err = parallel.RunStream(ctx, plan, db.Relation, parallel.Config{MaxProcs: fewSlots, BatchTuples: 8},
 			sinkFunc(func(*relation.Batch) { cancel() }))
 		if err == nil {
 			t.Errorf("%v: cancelled run returned no error", kind)
 		}
 		settled(fmt.Sprintf("%v after a mid-query cancel", kind))
+	}
+}
+
+// TestHostedProcesses: how many processes a worker hosts is invisible in
+// what a run computes and in the plan properties it reports. Every strategy
+// on both tree extremes runs on 1, 2, 3 and 7 slots and on the plan's own
+// processor count, with depth-1 inboxes: the result is the reference multiset
+// and the counters other than Batches are the same on every slot count. SP,
+// SE and RD bring operators that wait for After dependencies which are their
+// own producers; a producer completes only after it punctuated, so all it
+// sent is in the waiting worker's stash by then, and on one slot that worker
+// hosts every process of the operator — a replay to the wrong process would
+// probe the wrong hash partition and lose result tuples.
+func TestHostedProcesses(t *testing.T) {
+	db := testDB(t, 6, 400)
+	for _, shape := range []jointree.Shape{jointree.LeftLinear, jointree.WideBushy} {
+		tree, err := jointree.BuildShape(shape, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.Reference(db, tree)
+		for _, kind := range strategy.Kinds {
+			q := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 12}
+			plan, err := q.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stashes := false
+			for _, op := range plan.Ops {
+				stashes = stashes || len(op.After) > 0 && len(op.Procs) > 1
+			}
+			if stashes == (kind == strategy.FP) {
+				t.Fatalf("%v/%v: operators that wait with several processes: %v", shape, kind, stashes)
+			}
+			var props operator.Counters
+			for i, slots := range []int{1, 2, 3, 7, plan.MaxProc() + 1} {
+				res, err := exec(q, parallel.Config{MaxProcs: slots, ChannelDepth: 1})
+				if err != nil {
+					t.Fatalf("%v/%v on %d slots: %v", shape, kind, slots, err)
+				}
+				if diff := relation.DiffMultiset(res.Result, want); diff != "" {
+					t.Fatalf("%v/%v on %d slots: %s", shape, kind, slots, diff)
+				}
+				got := res.Stats.Counters
+				got.Batches = 0
+				if i == 0 {
+					props = got
+				} else if got != props {
+					t.Errorf("%v/%v on %d slots: plan properties %+v, on one slot %+v", shape, kind, slots, got, props)
+				}
+			}
+		}
+	}
+}
+
+// TestHostedCancel: a run whose workers host several processes each unwinds
+// from a context cancelled before it starts and from one cancelled from
+// inside its result stream with no goroutine left, and the batches it
+// stranded do not disturb the next query on the same ProcPool.
+func TestHostedCancel(t *testing.T) {
+	db := testDB(t, 6, 2000)
+	tree, err := jointree.BuildShape(jointree.LeftLinear, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Reference(db, tree)
+	pool := parallel.NewProcPool(2)
+	defer pool.Close()
+	cfg := parallel.Config{Pool: pool, BatchTuples: 32}
+	baseline := runtime.NumGoroutine()
+	atBaseline := func(when string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, baseline %d", when, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, kind := range strategy.Kinds {
+		plan, err := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 12}.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := parallel.RunStream(dead, plan, db.Relation, cfg, sinkFunc(nil)); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: pre-cancelled run returned %v, want context.Canceled", kind, err)
+		}
+		atBaseline(fmt.Sprintf("%v pre-cancelled", kind))
+
+		ctx, cancel := context.WithCancel(context.Background())
+		if _, err := parallel.RunStream(ctx, plan, db.Relation, cfg, sinkFunc(func(*relation.Batch) { cancel() })); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: run cancelled mid-query returned %v, want context.Canceled", kind, err)
+		}
+		atBaseline(fmt.Sprintf("%v cancelled mid-query", kind))
+
+		got := &operator.Gather{Rel: relation.New("got", want.TupleBytes)}
+		res, err := parallel.RunStream(context.Background(), plan, db.Relation, cfg, got)
+		if err != nil {
+			t.Fatalf("%v after the cancelled runs: %v", kind, err)
+		}
+		if res.Stats.Goroutines >= res.Stats.Processes {
+			t.Fatalf("%v: %d goroutines for %d processes: nothing is hosted", kind, res.Stats.Goroutines, res.Stats.Processes)
+		}
+		if diff := relation.DiffMultiset(got.Rel, want); diff != "" {
+			t.Errorf("%v after the cancelled runs: %s", kind, diff)
+		}
+		atBaseline(fmt.Sprintf("%v completed", kind))
 	}
 }
 

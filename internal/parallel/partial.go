@@ -11,8 +11,10 @@ import (
 // Ingress/Egress hooks instead of being wired process-to-process. This is
 // the reuse seam of the distributed runtime (internal/dist): every node of
 // a distributed run executes the ordinary worker loop of this package over
-// its own process subset, node-crossing streams carry the same
-// operator.Msg as local ones, and only the transport differs.
+// its own process subset — one process per worker, so stream ids, credit
+// windows and end-of-stream marks stay per logical stream — node-crossing
+// streams carry the same operator.Msg as local ones, and only the transport
+// differs.
 type Partial struct {
 	// Local reports whether the processes bound to plan processor id proc
 	// execute on this node. It must be a pure function of proc, and the
@@ -22,10 +24,11 @@ type Partial struct {
 	// Ingress is called during setup for every stream whose producer is
 	// remote and whose consumer is local, identified by its canonical
 	// stream id (operator.Edge.Stream). The transport must deliver every
-	// decoded batch into inbox — the consuming process's own — as hdr with
-	// Batch set (operator.Send), and hdr itself, the stream's end-of-stream
-	// mark, once the stream has ended; batches must come from BatchPool so
-	// the consuming process can return them after use.
+	// decoded batch into inbox — the consuming process's own — as hdr (which
+	// names that process) with Batch set (operator.Send), and hdr itself,
+	// the stream's end-of-stream mark, once the stream has ended; batches
+	// must come from BatchPool so the consuming process can return them
+	// after use.
 	Ingress func(id int, hdr operator.Msg, inbox chan<- operator.Msg)
 
 	// Egress is called during setup for every stream whose producer is

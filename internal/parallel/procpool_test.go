@@ -26,7 +26,7 @@ func TestSlotExclusive(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			slot := p.slot(ids[g%len(ids)])
+			slot := &p.slots[p.index(ids[g%len(ids)])]
 			for i := 0; i < rounds; i++ {
 				slot.Lock()
 				if inside.Add(1) != 1 {
@@ -39,7 +39,7 @@ func TestSlotExclusive(t *testing.T) {
 	}
 	// While slot 3 is contended, slot 2 is not: a held slot blocks only its
 	// own processor's processes.
-	other := p.slot(2)
+	other := &p.slots[p.index(2)]
 	for i := 0; i < rounds; i++ {
 		if !other.TryLock() {
 			t.Fatal("slot 2 is held although only slot 3 is in use")

@@ -10,45 +10,69 @@ import (
 	"multijoin/internal/xra"
 )
 
-// inst is one operation process: an operator replica bound to one plan
-// processor id, running as one worker goroutine that receives, joins and
-// sends. Only the join step occupies the modeled processor: the worker takes
-// the processor's slot for one batch and holds it across no channel
-// operation.
-type inst struct {
-	r   *runtimeState
-	op  *opState
-	idx int
-	// local reports whether this process runs on this node; a non-local
-	// instance of a partial run is only a routing target (its streams are
-	// served by the transport) and is never launched.
+// host is what owns a goroutine, an inbox and an outbox: the operation
+// processes of one operator whose processors share a slot — all of the
+// operator's processes on a one-slot machine, exactly one when the run has
+// as many slots as the plan has processors, and always one in a partial run.
+// The worker receives for all of them (operator.Msg.To names the process),
+// joins in the state of the addressed one and sends through the one outbox,
+// so what a redistribution edge costs in buffers, batches and end-of-stream
+// marks follows the number of hosts, not of processes. Only the join step
+// occupies the modeled processor: the worker takes the slot for one batch
+// and holds it across no channel operation.
+type host struct {
+	r  *runtimeState
+	op *opState
+	// procs lists the hosted processes as ascending positions in Op.Procs;
+	// their state is op.procs[i]. one backs the list of a single process.
+	procs []int
+	one   [1]int
+	// local reports whether the host runs on this node; a non-local host of
+	// a partial run is only a routing target (its streams are served by the
+	// transport) and is never launched.
 	local bool
 
-	// slot is the modeled processor the process computes on. A join step is
-	// one batch, so waiting for the slot needs no cancellation case.
+	// slot is the modeled processor the hosted processes compute on. A join
+	// step is one batch, so waiting for the slot needs no cancellation case.
 	slot *sync.Mutex
 
-	// Input side: every producer sends into inbox.
-	inbox chan operator.Msg
-	join  operator.Join
+	// Input side: every producer host sends into inbox. open counts the
+	// hosted processes still waiting for punctuation, and scratch is the
+	// result buffer of whichever of them joins.
+	inbox   chan operator.Msg
+	open    int
+	scratch relation.Batch
+
+	// Output side (nil for collect): the outbox the hosted processes share
+	// and its destinations.
+	out   *operator.Outbox
+	chans operator.Chans
+}
+
+// proc is the state of one operation process: what its host cannot share.
+type proc struct {
+	host *host
+	pos  int // position in host.procs, which is how the outbox knows the process
+	// join holds the process's own tables, held probe input and punctuation
+	// count.
+	join operator.Join
 	// grace replaces the kernel's in-memory join step when the run has a
 	// memory budget (Config.MemoryBudget): the operands are partitioned — to
 	// disk when over budget — and joined partition-at-a-time after both
 	// ended. join then only counts end-of-stream marks.
 	grace *hashjoin.Grace
-
-	// Output side (nil for collect): the outbox and its destinations.
-	out   *operator.Outbox
-	chans operator.Chans
 }
 
 // run is the worker goroutine body. It first buffers any input that arrives
 // while the operator's After dependencies are pending — draining the inbox
 // unconditionally is what makes dependency waiting deadlock-free: producers
 // are never blocked forever by a consumer that is not allowed to start yet.
-// Once the dependencies complete it replays the stash and then processes
-// live input until every incoming stream has ended.
-func (w *inst) run() {
+// Once the dependencies complete it replays the stash, each message to the
+// process it is addressed to, and then processes live input until every
+// incoming stream of every hosted process has ended. Only then does it
+// punctuate: a destination is ended once per host, after the last hosted
+// process that could still send to it.
+func (w *host) run() {
 	defer w.r.wg.Done()
 	var stash []operator.Msg // input that arrived while After dependencies were pending
 	for waiting := len(w.op.After) > 0; waiting; {
@@ -67,20 +91,30 @@ func (w *inst) run() {
 			waiting = false
 		}
 	}
-	if w.grace == nil {
-		w.join.Start(w.r.cfg.BatchTuples)
+	kind := w.op.Op.Kind
+	if w.r.spill == nil && (kind == xra.OpSimpleJoin || kind == xra.OpPipeJoin) {
+		// Twice a transport batch: a probe yields about one match per row
+		// on the chain queries.
+		w.scratch = *relation.NewBatch(2 * w.r.cfg.BatchTuples)
+		for _, i := range w.procs {
+			w.op.procs[i].join.Start(0)
+		}
 	}
 	// Scan work is a column copy into pooled transport batches and is not
 	// charged to the processor (the simulator's near-zero ScanUnits).
-	if w.op.Op.Kind == xra.OpScan && !w.out.Emit(&w.op.Frags[w.idx], operator.Insert) {
-		return
+	if kind == xra.OpScan {
+		for k, i := range w.procs {
+			if !w.out.EmitFrom(k, &w.op.Frags[i], operator.Insert) {
+				return
+			}
+		}
 	}
 	for _, m := range stash {
 		if !w.handle(m) {
 			return
 		}
 	}
-	for !w.join.Done() {
+	for w.open > 0 {
 		m, ok := w.next(nil)
 		if !ok || !w.handle(m) {
 			return
@@ -91,14 +125,18 @@ func (w *inst) run() {
 		// reported as a completed operator.
 		return
 	}
-	if w.grace != nil {
+	for k, i := range w.procs {
+		g := w.op.procs[i].grace
+		if g == nil {
+			break // the run is not budgeted, or this is no join
+		}
 		// Out-of-core join: both operands have ended; join the partitions
 		// one at a time, emitting result chunks downstream. This runs
 		// outside the processor's slot — it may block on file I/O and on
 		// downstream inbox sends, and blocked processes must not occupy a
 		// processor.
-		err := w.grace.Drain(func(results *relation.Batch) error {
-			w.out.Emit(results, operator.Insert)
+		err := g.Drain(func(results *relation.Batch) error {
+			w.out.EmitFrom(k, results, operator.Insert)
 			return w.r.ctx.Err()
 		})
 		if err != nil {
@@ -112,18 +150,20 @@ func (w *inst) run() {
 	if w.out != nil && !(w.out.Flush() && w.out.Punctuate()) {
 		return
 	}
-	w.join.Release()
+	for _, i := range w.procs {
+		w.op.procs[i].join.Release()
+	}
 	if w.op.remaining.Add(-1) == 0 {
 		w.op.wallDone = time.Since(w.r.start)
 		close(w.op.done)
 	}
 }
 
-// next receives the process's next inbox message. It tries the plain
-// receive first and selects only when it has to wait; that wait also ends,
-// without a message, when the run is cancelled or ready closes (the
-// operator's start signal while the process still buffers, nil afterwards).
-func (w *inst) next(ready <-chan struct{}) (m operator.Msg, ok bool) {
+// next receives the host's next inbox message. It tries the plain receive
+// first and selects only when it has to wait; that wait also ends, without
+// a message, when the run is cancelled or ready closes (the operator's start
+// signal while the host still buffers, nil afterwards).
+func (w *host) next(ready <-chan struct{}) (m operator.Msg, ok bool) {
 	select {
 	case <-ready: // first: a start signal must not lose to a busy inbox
 		return m, false
@@ -143,30 +183,34 @@ func (w *inst) next(ready <-chan struct{}) (m operator.Msg, ok bool) {
 	return m, false
 }
 
-// handle feeds one inbox message to the process. It reports false when the
-// run was cancelled or failed mid-message.
-func (w *inst) handle(m operator.Msg) bool {
+// handle feeds one inbox message to the process it is addressed to. It
+// reports false when the run was cancelled or failed mid-message.
+func (w *host) handle(m operator.Msg) bool {
+	p := &w.op.procs[m.To]
 	if m.Batch == nil {
 		// The end of a simple join's build phase releases the held probe
 		// input in arrival order.
-		for _, held := range w.join.EOS(m.Port) {
-			if !w.apply(held) {
+		for _, held := range p.join.EOS(m.Port) {
+			if !w.apply(p, held) {
 				return false
 			}
 		}
+		if p.join.Done() {
+			w.open--
+		}
 		return true
 	}
-	if w.join.Hold(m) {
+	if p.join.Hold(m) {
 		return true
 	}
-	return w.apply(m)
+	return w.apply(p, m)
 }
 
-// apply consumes one data batch: a join computes in its processor's slot —
-// or partitions into its Grace join — and emits the result downstream, the
-// collect hands the batch to the sink. The exhausted batch returns to the
-// pool.
-func (w *inst) apply(m operator.Msg) bool {
+// apply consumes one data batch for hosted process p: a join computes in its
+// processor's slot — or partitions into its Grace join — and emits the
+// result downstream, the collect hands the batch to the sink. The exhausted
+// batch returns to the pool.
+func (w *host) apply(p *proc, m operator.Msg) bool {
 	switch {
 	case w.op.Op.Kind == xra.OpCollect:
 		// Ownership transfers with the Push; the consumer's release
@@ -181,13 +225,13 @@ func (w *inst) apply(m operator.Msg) bool {
 		}
 		w.r.resultTuples += n
 		return true
-	case w.grace != nil:
+	case p.grace != nil:
 		// Partitioning may block on file I/O, which must not occupy a
 		// modeled processor: it takes no slot. The join produces all output
 		// in the drain after both operands ended.
-		add := w.grace.AddProbe
+		add := p.grace.AddProbe
 		if m.Port == operator.Build {
-			add = w.grace.AddBuild
+			add = p.grace.AddBuild
 		}
 		if err := add(m.Batch); err != nil {
 			w.r.fail(err)
@@ -195,9 +239,9 @@ func (w *inst) apply(m operator.Msg) bool {
 		}
 	default:
 		w.slot.Lock()
-		res := w.join.Apply(m)
+		res := p.join.ApplyInto(&w.scratch, m)
 		w.slot.Unlock()
-		if res != nil && !w.out.Emit(res, operator.Insert) {
+		if res != nil && !w.out.EmitFrom(p.pos, res, operator.Insert) {
 			return false
 		}
 	}
