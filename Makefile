@@ -8,13 +8,17 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-# Lint fails on unformatted files (gofmt prints their names) and vet errors.
+# Lint fails on unformatted files (gofmt prints their names), on vet errors,
+# and on the front door importing the distributed runtime: serve and dist
+# are two clients of internal/wire and know nothing of each other.
 lint:
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	@! $(GO) list -test -f '{{join .Imports "\n"}}' ./internal/serve | grep -x multijoin/internal/dist \
+		|| { echo "internal/serve must not import internal/dist"; exit 1; }
 
 # bench/ is a module of its own (the repository benchmark, see
 # BENCHMARK.json) that imports this module's internal packages and is
@@ -38,10 +42,13 @@ spill-check:
 # runtimes reproduce the sequential reference checksum multiset; the view
 # harness asserts incremental maintenance under random signed delta
 # scripts stays multiset-equal to recompute-from-scratch, with unmatched
-# deletes predicted exactly.
+# deletes predicted exactly. Then 10 seconds of arbitrary bytes into the
+# frame reader and the block decoders behind it: no panic, no read buffer
+# above the frame cap.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 30s ./internal/testutil
 	$(GO) test -run '^$$' -fuzz FuzzViewEquivalence -fuzztime 30s ./internal/testutil
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
 
 # IVM smoke: create a materialized view, push mixed signed delta rounds
 # through its resident FP network, and verify the maintained result against

@@ -11,6 +11,7 @@ import (
 	"multijoin/internal/operator"
 	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
+	"multijoin/internal/wire"
 	"multijoin/internal/xra"
 )
 
@@ -76,7 +77,7 @@ type Result struct {
 type workerProc struct {
 	node     int
 	cmd      *exec.Cmd
-	ctrl     *Conn
+	ctrl     *wire.Conn
 	exited   chan struct{}
 	waitErr  error
 	doneSeen atomic.Bool
@@ -166,7 +167,7 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 	// Accept loop: control HELLOs go to the rendezvous channel, data
 	// connections straight to the plane.
 	type helloConn struct {
-		c *Conn
+		c *wire.Conn
 		h helloMsg
 	}
 	helloCh := make(chan helloConn, workers)
@@ -202,7 +203,7 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 		// blocked on SETUP see the run end instead of eating the reap grace.
 		for _, w := range ws {
 			if w != nil && w.ctrl != nil {
-				w.ctrl.writeFrame(ftCancel, nil)
+				w.ctrl.WriteFrame(ftCancel, nil)
 				w.ctrl.Close()
 			}
 		}
@@ -294,7 +295,7 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 					readyCh <- w.node
 				case ftDone:
 					var d doneMsg
-					if err := decodeMsg(payload, &d); err != nil {
+					if err := wire.DecodeMsg(payload, &d); err != nil {
 						fail(err)
 						return
 					}
@@ -346,7 +347,7 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 			Window:       window,
 			Frags:        frags[w.node],
 		}
-		if err := w.ctrl.writeMsg(ftSetup, su); err != nil {
+		if err := w.ctrl.WriteMsg(ftSetup, su); err != nil {
 			return abort(fmt.Errorf("dist: setup worker %d: %w", w.node, err))
 		}
 	}
@@ -366,7 +367,7 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 		}
 	}
 	for _, w := range ws {
-		if err := w.ctrl.writeFrame(ftStart, nil); err != nil {
+		if err := w.ctrl.WriteFrame(ftStart, nil); err != nil {
 			return abort(fmt.Errorf("dist: start worker %d: %w", w.node, err))
 		}
 	}

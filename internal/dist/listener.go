@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"multijoin/internal/wire"
 )
 
 // helloTimeout bounds how long a freshly accepted or dialed connection may
@@ -17,12 +19,6 @@ const helloTimeout = 20 * time.Second
 type Listener struct {
 	l     net.Listener
 	runID string
-}
-
-// listen opens the run's listener on the single-host default: loopback,
-// ephemeral port.
-func listen(runID string) (*Listener, error) {
-	return listenOn("", runID)
 }
 
 // listenOn opens the run's listener on bind; empty means defaultBind.
@@ -48,16 +44,16 @@ func (ln *Listener) Close() error { return ln.l.Close() }
 // id, read under helloTimeout. Invalid connections are closed and the
 // error returned; the caller decides whether that fails the run (it does —
 // nothing else should ever dial a run's port).
-func (ln *Listener) Accept() (*Conn, helloMsg, error) {
+func (ln *Listener) Accept() (*wire.Conn, helloMsg, error) {
 	nc, err := ln.l.Accept()
 	if err != nil {
 		return nil, helloMsg{}, err
 	}
-	c := newConn(nc)
-	h, err := readHello(c)
-	if err != nil {
+	c := wire.NewConn(nc, maxFrame)
+	var h helloMsg
+	if err := c.ReadMsg(wire.KindHello, &h, helloTimeout); err != nil {
 		c.Close()
-		return nil, helloMsg{}, err
+		return nil, helloMsg{}, fmt.Errorf("dist: handshake: %w", err)
 	}
 	if err := checkHello(h, ln.runID); err != nil {
 		c.Close()
@@ -66,18 +62,16 @@ func (ln *Listener) Accept() (*Conn, helloMsg, error) {
 	return c, h, nil
 }
 
-// readHello reads one HELLO frame under the handshake deadline.
-func readHello(c *Conn) (helloMsg, error) {
-	var h helloMsg
-	c.nc.SetReadDeadline(time.Now().Add(helloTimeout))
-	defer c.nc.SetReadDeadline(time.Time{})
-	if err := c.readMsgFrame(ftHello, &h); err != nil {
-		return h, fmt.Errorf("dist: handshake: %w", err)
+// dialHello opens a framed connection to addr and says h on it — the
+// dialing side of the handshake Accept completes.
+func dialHello(addr string, h helloMsg) (*wire.Conn, error) {
+	c, err := wire.Dial(addr, helloTimeout, maxFrame)
+	if err != nil {
+		return nil, err
 	}
-	return h, nil
-}
-
-// sendHello opens c's handshake from the dialing side.
-func sendHello(c *Conn, h helloMsg) error {
-	return c.writeMsg(ftHello, h)
+	if err := c.WriteMsg(wire.KindHello, h); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
 }

@@ -1,32 +1,30 @@
 package dist
 
 import (
-	"bytes"
 	"crypto/rand"
-	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"time"
+
+	"multijoin/internal/wire"
 )
 
-// protoVersion is the wire protocol version carried in every HELLO frame;
-// both ends must agree exactly. Version 2 extended the DATA payload
-// grammar with signed tuple blocks (relation.SignedBlockFlag on the count
-// header plus a sign bitmap after the Check column) — a version-1 reader
-// would misparse the flagged count as an implausible batch length.
+// protoVersion is the protocol version carried in every HELLO frame; both
+// ends must agree exactly. Version 2 extended the DATA payload grammar
+// with signed tuple blocks (package wire's documentation) — a version-1
+// reader would misparse the flagged count as an implausible batch length.
 const protoVersion = 2
 
-// Frame kinds (see the package documentation for the layout).
+// The control frame kinds of the distributed runtime; HELLO and the
+// tuple-stream kinds are package wire's, whose documentation has the one
+// table of all of them.
 const (
-	ftHello  byte = 0x01
 	ftSetup  byte = 0x02
 	ftReady  byte = 0x03
 	ftStart  byte = 0x04
 	ftDone   byte = 0x05
 	ftCancel byte = 0x06
-	ftData   byte = 0x10
-	ftEOS    byte = 0x11
-	ftCredit byte = 0x12
 )
 
 // maxFrame bounds any frame a reader accepts: large enough for a SETUP
@@ -85,21 +83,16 @@ type doneMsg struct {
 	OpWall            map[string]time.Duration
 }
 
-// encodeMsg gob-encodes a control message payload.
-func encodeMsg(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("dist: encode: %w", err)
+// readCtrl is wire's ReadMsg under the control connection's one extra
+// rule: a CANCEL where another frame was expected is the coordinator
+// unwinding the run, a distinct error and not a protocol violation.
+func readCtrl(c *wire.Conn, kind byte, v any) error {
+	err := c.ReadMsg(kind, v, 0)
+	var u *wire.UnexpectedFrameError
+	if errors.As(err, &u) && u.Got == ftCancel {
+		return errCancelled
 	}
-	return buf.Bytes(), nil
-}
-
-// decodeMsg gob-decodes a control frame payload into v.
-func decodeMsg(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("dist: decode: %w", err)
-	}
-	return nil
+	return err
 }
 
 // newRunID returns a fresh random run identifier, the token every

@@ -9,6 +9,7 @@ import (
 
 	"multijoin/internal/operator"
 	"multijoin/internal/relation"
+	"multijoin/internal/wire"
 )
 
 // errCancelled marks a run torn down by a CANCEL frame (the remote side's
@@ -19,12 +20,12 @@ var errCancelled = errors.New("dist: cancelled by peer")
 // per-stream ingress queues and egress credit windows, and the pooled
 // batch recycling shared with the node's partial run.
 //
-// Flow control: each egress stream starts with window credits; sending one
-// DATA frame costs one credit, and the receiving plane grants a credit
-// back (CREDIT frame on the same connection, reverse direction) only after
-// the batch has been handed to the consuming process's inbox. The
-// receiver dispatches frames off the connection into per-stream queues of
-// capacity window — the protocol guarantees at most window undelivered
+// Flow control is package wire's credit protocol: each egress stream
+// holds a wire.Window of window credits, and the receiving plane grants a
+// credit back (CREDIT frame on the same connection, reverse direction)
+// only after the batch has been handed to the consuming process's inbox.
+// The receiver dispatches frames off the connection into per-stream queues
+// of capacity window — the protocol guarantees at most window undelivered
 // batches per stream, so dispatch never blocks on a slow stream and one
 // stalled consumer cannot head-of-line-block the other streams sharing the
 // connection.
@@ -40,7 +41,7 @@ type plane struct {
 	out map[uint32]*outStream
 
 	mu      sync.Mutex
-	conns   []*Conn
+	conns   []*wire.Conn
 	closing bool
 
 	// readers tracks per-connection serving goroutines (unblocked by
@@ -53,14 +54,14 @@ type plane struct {
 // inStream is the receive side of one node-crossing stream.
 type inStream struct {
 	q    chan *relation.Batch
-	src  atomic.Pointer[Conn] // the connection delivering this stream
-	once sync.Once            // closes q on EOS (or teardown)
+	src  atomic.Pointer[wire.Conn] // the connection delivering this stream
+	once sync.Once                 // closes q on EOS (or teardown)
 }
 
 // outStream is the send side of one node-crossing stream.
 type outStream struct {
-	credits chan struct{}
-	conn    *Conn
+	win  *wire.Window
+	conn *wire.Conn
 }
 
 func newPlane(ctx context.Context, window int, pool *relation.BatchPool, fail func(error)) *plane {
@@ -83,18 +84,14 @@ func (p *plane) expectIngress(sid uint32) {
 
 // addEgress declares that stream sid leaves this node over c, with a full
 // credit window.
-func (p *plane) addEgress(sid uint32, c *Conn) {
-	credits := make(chan struct{}, p.window)
-	for i := 0; i < p.window; i++ {
-		credits <- struct{}{}
-	}
-	p.out[sid] = &outStream{credits: credits, conn: c}
+func (p *plane) addEgress(sid uint32, c *wire.Conn) {
+	p.out[sid] = &outStream{win: wire.NewWindow(p.window), conn: c}
 }
 
 // track registers a data connection for teardown and starts its serving
 // goroutine. The connection's writes count toward bytes-on-wire.
-func (p *plane) track(c *Conn) {
-	c.bytes = &p.bytes
+func (p *plane) track(c *wire.Conn) {
+	c.CountBytes(&p.bytes)
 	p.mu.Lock()
 	p.conns = append(p.conns, c)
 	closing := p.closing
@@ -117,7 +114,7 @@ func (p *plane) goroutines() int { return int(p.spawns.Load()) }
 // queue, EOS closes the queue, CREDIT refills the egress window. A read
 // error during normal operation fails the run (a peer died); during
 // teardown it just ends the goroutine.
-func (p *plane) serve(c *Conn) {
+func (p *plane) serve(c *wire.Conn) {
 	defer p.readers.Done()
 	for {
 		kind, payload, err := c.ReadFrame()
@@ -129,8 +126,8 @@ func (p *plane) serve(c *Conn) {
 			return
 		}
 		switch kind {
-		case ftData:
-			sid, block, err := parseDataFrame(payload)
+		case wire.KindData:
+			sid, block, err := wire.ParseData(payload)
 			if err != nil {
 				p.fail(err)
 				return
@@ -153,8 +150,8 @@ func (p *plane) serve(c *Conn) {
 			case <-p.ctx.Done():
 				return
 			}
-		case ftEOS:
-			sid, err := parseStreamID(payload)
+		case wire.KindEOS:
+			sid, err := wire.ParseStreamID(payload)
 			if err != nil {
 				p.fail(err)
 				return
@@ -162,8 +159,8 @@ func (p *plane) serve(c *Conn) {
 			if in := p.in[sid]; in != nil {
 				in.once.Do(func() { close(in.q) })
 			}
-		case ftCredit:
-			sid, n, err := parseCreditFrame(payload)
+		case wire.KindCredit:
+			sid, n, err := wire.ParseCredit(payload)
 			if err != nil {
 				p.fail(err)
 				return
@@ -173,13 +170,7 @@ func (p *plane) serve(c *Conn) {
 				p.fail(fmt.Errorf("dist: credit for unknown stream %d", sid))
 				return
 			}
-			for i := uint32(0); i < n; i++ {
-				select {
-				case out.credits <- struct{}{}:
-				case <-p.ctx.Done():
-					return
-				}
-			}
+			out.win.Grant(n)
 		default:
 			p.fail(fmt.Errorf("dist: unexpected frame 0x%02x on data connection", kind))
 			return
@@ -242,14 +233,12 @@ func (p *plane) egress(sid int, ch <-chan operator.Msg) {
 			select {
 			case m := <-ch:
 				if m.Batch == nil {
-					if err := out.conn.WriteEOS(uint32(sid)); err != nil && !p.isClosing() && p.ctx.Err() == nil {
+					if err := out.conn.WriteStreamID(wire.KindEOS, uint32(sid)); err != nil && !p.isClosing() && p.ctx.Err() == nil {
 						p.fail(fmt.Errorf("dist: eos: %w", err))
 					}
 					return
 				}
-				select {
-				case <-out.credits:
-				case <-p.ctx.Done():
+				if out.win.Take(p.ctx) != nil {
 					return
 				}
 				err := out.conn.WriteBatch(uint32(sid), m.Batch)

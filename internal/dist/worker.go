@@ -38,23 +38,16 @@ type fragKey struct {
 	idx int
 }
 
-// ServeWorker runs one worker process of a distributed run to completion:
+// ServeWorkerOn runs one worker process of a distributed run to completion:
 // dial the coordinator, hand over our data address, build the partial run
 // the SETUP describes, execute it with the plan's own worker loop
 // (parallel.Partial), report DONE, and hold all connections open until the
 // coordinator closes the control connection — the signal that every node
 // has drained our frames. It is called by InitWorker in spawned processes
-// and by cmd/mjworker. The data listener binds the single-host default
-// (loopback, ephemeral port); multi-host workers use ServeWorkerOn.
-func ServeWorker(connect string, node int, runID string) error {
-	return ServeWorkerOn(connect, node, runID, "", "")
-}
-
-// ServeWorkerOn is ServeWorker with an explicit bind address for the
-// worker's data listener and an advertise override for the address the
-// peers are told to dial (ResolveAdvertise semantics). Empty bind means
-// loopback with an ephemeral port; empty advertise means the bound
-// address.
+// and by cmd/mjworker. bind is the address of the worker's data listener
+// and advertise an override for the address the peers are told to dial
+// (ResolveAdvertise semantics): empty bind means loopback with an
+// ephemeral port, empty advertise the bound address.
 func ServeWorkerOn(connect string, node int, runID, bind, advertise string) error {
 	if connect == "" {
 		return errors.New("dist: worker: no coordinator address")
@@ -68,19 +61,16 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 	if err != nil {
 		return err
 	}
-	ctrl, err := dialConn(connect, helloTimeout)
+	ctrl, err := dialHello(connect, helloMsg{
+		Version: protoVersion, RunID: runID, Node: node,
+		Kind: kindControl, DataAddr: dataAddr,
+	})
 	if err != nil {
 		return err
 	}
 	defer ctrl.Close()
-	if err := sendHello(ctrl, helloMsg{
-		Version: protoVersion, RunID: runID, Node: node,
-		Kind: kindControl, DataAddr: dataAddr,
-	}); err != nil {
-		return err
-	}
 	var su setupMsg
-	if err := ctrl.readMsgFrame(ftSetup, &su); err != nil {
+	if err := readCtrl(ctrl, ftSetup, &su); err != nil {
 		if errors.Is(err, errCancelled) || quietClose(err) {
 			return nil // the coordinator aborted before setting us up
 		}
@@ -157,10 +147,10 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 		}
 	}()
 
-	if err := ctrl.writeFrame(ftReady, nil); err != nil {
+	if err := ctrl.WriteFrame(ftReady, nil); err != nil {
 		return fmt.Errorf("dist: worker %d: ready: %w", node, err)
 	}
-	if err := ctrl.readMsgFrame(ftStart, nil); err != nil {
+	if err := readCtrl(ctrl, ftStart, nil); err != nil {
 		if errors.Is(err, errCancelled) || quietClose(err) {
 			return nil // aborted between setup and start
 		}
@@ -201,13 +191,8 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 		if tn != coordNode {
 			addr = su.PeerAddrs[tn]
 		}
-		c, err := dialConn(addr, helloTimeout)
+		c, err := dialHello(addr, helloMsg{Version: protoVersion, RunID: runID, Node: node, Kind: kindData})
 		if err != nil {
-			fail(err)
-			break
-		}
-		if err := sendHello(c, helloMsg{Version: protoVersion, RunID: runID, Node: node, Kind: kindData}); err != nil {
-			c.Close()
 			fail(err)
 			break
 		}
@@ -268,7 +253,7 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 		OpWall:            res.Stats.OpWall,
 	}
 	closing.Store(true)
-	if err := ctrl.writeMsg(ftDone, d); err != nil {
+	if err := ctrl.WriteMsg(ftDone, d); err != nil {
 		cancel()
 		p.teardown()
 		ln.Close()

@@ -19,8 +19,8 @@
 // The hash table itself is an open-addressing table over a flat slot array
 // plus a tuple arena (see Table) — the compact, reusable state the symmetric
 // hash-join literature assumes — so steady-state inserts and probes allocate
-// nothing. MapTable keeps the retired map[int64][]Tuple implementation as
-// the reference for differential tests.
+// nothing. The retired map[int64][]Tuple implementation lives on in
+// maptable_test.go as the reference for the differential tests.
 //
 // Join semantics follow the chain query of Section 4.1: the operand covering
 // the lower chain span joins its Unique2 attribute against the Unique1

@@ -6,9 +6,9 @@ import (
 	"sync"
 	"time"
 
-	"multijoin/internal/dist"
 	"multijoin/internal/ivm"
 	"multijoin/internal/relation"
+	"multijoin/internal/wire"
 )
 
 // QuerySpec names one query against the server's resident database.
@@ -34,21 +34,48 @@ type Done struct {
 var ErrClientClosed = errors.New("serve: client closed")
 
 // Client is one multiplexed connection to a Server: any number of
-// concurrent query streams share it. A single reader goroutine dispatches
-// incoming frames to per-stream event channels sized so the reader never
-// blocks on a slow stream consumer (the credit window bounds what the
-// server may have outstanding).
+// concurrent query streams and views share it. A single reader goroutine
+// dispatches incoming frames to per-stream-id event channels sized so the
+// reader never blocks on a slow consumer (the credit window bounds what
+// the server may have outstanding).
 type Client struct {
-	c      *dist.Conn
+	c      *wire.Conn
 	window int
 
-	mu      sync.Mutex
-	streams map[uint32]*Stream
-	views   map[uint32]*ViewHandle
-	nextID  uint32
-	err     error // first reader error, ErrClientClosed after Close
+	mu     sync.Mutex
+	open   map[uint32]*pending // every stream id awaiting frames: queries and views
+	nextID uint32
+	err    error // first reader error, ErrClientClosed after Close
 
 	readerDone chan struct{}
+}
+
+// event is one dispatched frame: a tuple batch, a view reply, the terminal
+// Done, or the terminal error.
+type event struct {
+	tuples []relation.Tuple
+	ok     *viewOKMsg
+	res    *ApplyStats
+	done   *Done
+	err    error
+}
+
+// pending is the receiving end of one open stream id, a query's or a
+// view's alike.
+type pending struct {
+	what string // "query" or "view", for the terminal error's text
+	ev   chan event
+	once sync.Once // guards the terminal event
+}
+
+// deliver dispatches one event; terminal events (done or err) may race
+// between the read loop and Client.fail, so only the first lands.
+func (p *pending) deliver(e event) {
+	if e.done != nil || e.err != nil {
+		p.once.Do(func() { p.ev <- e })
+		return
+	}
+	p.ev <- e
 }
 
 // Dial connects to a server with the default credit window.
@@ -60,16 +87,16 @@ func DialWindow(addr string, window int) (*Client, error) {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	c, err := dist.Dial(addr, 10*time.Second)
+	c, err := wire.Dial(addr, helloTimeout, maxFrame)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.WriteMsg(fsHello, helloMsg{Version: protoVersion, Role: roleClient}); err != nil {
+	if err := c.WriteMsg(wire.KindHello, helloMsg{Version: protoVersion, Role: roleClient}); err != nil {
 		c.Close()
 		return nil, err
 	}
 	var hello helloMsg
-	if err := readMsg(c, fsHello, &hello); err != nil {
+	if err := c.ReadMsg(wire.KindHello, &hello, helloTimeout); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("serve: hello exchange: %w", err)
 	}
@@ -77,7 +104,7 @@ func DialWindow(addr string, window int) (*Client, error) {
 		c.Close()
 		return nil, err
 	}
-	cl := &Client{c: c, window: window, streams: make(map[uint32]*Stream), views: make(map[uint32]*ViewHandle), readerDone: make(chan struct{})}
+	cl := &Client{c: c, window: window, open: make(map[uint32]*pending), readerDone: make(chan struct{})}
 	go cl.readLoop()
 	return cl, nil
 }
@@ -90,29 +117,43 @@ func (cl *Client) Close() error {
 	return err
 }
 
-// fail records the terminal error and delivers it to every open stream.
+// fail records the terminal error and delivers it to every open stream id.
 func (cl *Client) fail(err error) {
 	cl.mu.Lock()
 	if cl.err == nil {
 		cl.err = err
 	}
-	streams := make([]*Stream, 0, len(cl.streams))
-	for _, st := range cl.streams {
-		streams = append(streams, st)
-	}
-	cl.streams = make(map[uint32]*Stream)
-	views := make([]*ViewHandle, 0, len(cl.views))
-	for _, vh := range cl.views {
-		views = append(views, vh)
-	}
-	cl.views = make(map[uint32]*ViewHandle)
+	open := cl.open
+	cl.open = make(map[uint32]*pending)
 	cl.mu.Unlock()
-	for _, st := range streams {
-		st.deliver(streamEvent{err: err})
+	for _, p := range open {
+		p.deliver(event{err: err})
 	}
-	for _, vh := range views {
-		vh.deliver(viewEvent{err: err})
+}
+
+// register opens a fresh stream id whose event channel holds buf frames.
+func (cl *Client) register(what string, buf int) (uint32, *pending, error) {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if cl.err != nil {
+		return 0, nil, cl.err
 	}
+	cl.nextID++
+	p := &pending{what: what, ev: make(chan event, buf)}
+	cl.open[cl.nextID] = p
+	return cl.nextID, p, nil
+}
+
+// lookup finds who awaits a frame's stream id, closing the id when the
+// frame is its last.
+func (cl *Client) lookup(sid uint32, last bool) *pending {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	p := cl.open[sid]
+	if last {
+		delete(cl.open, sid)
+	}
+	return p
 }
 
 // Submit starts one query stream.
@@ -123,46 +164,23 @@ func (cl *Client) Submit(spec QuerySpec) (*Stream, error) {
 	if spec.Strategy == "" {
 		spec.Strategy = "FP"
 	}
-	cl.mu.Lock()
-	if cl.err != nil {
-		err := cl.err
-		cl.mu.Unlock()
-		return nil, err
-	}
-	cl.nextID++
-	id := cl.nextID
 	// The server may have window unconsumed DATA frames in flight, plus
 	// EOS and a terminal DONE/ERROR; size the event buffer so the read
 	// loop never blocks dispatching to this stream.
-	st := &Stream{cl: cl, id: id, ev: make(chan streamEvent, cl.window+3)}
-	cl.streams[id] = st
-	cl.mu.Unlock()
+	id, p, err := cl.register("query", cl.window+3)
+	if err != nil {
+		return nil, err
+	}
 	sub := submitMsg{
 		ID: id, Shape: spec.Shape, Relations: spec.Relations,
 		Strategy: spec.Strategy, Runtime: spec.Runtime, Procs: spec.Procs,
 		Window: cl.window,
 	}
 	if err := cl.c.WriteMsg(fsSubmit, sub); err != nil {
-		cl.mu.Lock()
-		delete(cl.streams, id)
-		cl.mu.Unlock()
+		cl.lookup(id, true) // nothing was asked: close the id again
 		return nil, err
 	}
-	return st, nil
-}
-
-// lookup finds the stream for a frame's stream id.
-func (cl *Client) lookup(sid uint32) *Stream {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.streams[sid]
-}
-
-// drop removes a finished stream.
-func (cl *Client) drop(sid uint32) {
-	cl.mu.Lock()
-	delete(cl.streams, sid)
-	cl.mu.Unlock()
+	return &Stream{cl: cl, id: id, pending: p}, nil
 }
 
 // readLoop is the connection's single reader: it dispatches every frame to
@@ -176,8 +194,8 @@ func (cl *Client) readLoop() {
 			return
 		}
 		switch kind {
-		case fsData:
-			sid, block, err := dist.ParseDataFrame(payload)
+		case wire.KindData:
+			sid, block, err := wire.ParseData(payload)
 			if err != nil {
 				cl.fail(err)
 				return
@@ -189,59 +207,51 @@ func (cl *Client) readLoop() {
 				cl.fail(err)
 				return
 			}
-			if st := cl.lookup(sid); st != nil {
-				st.deliver(streamEvent{tuples: tuples})
+			if p := cl.lookup(sid, false); p != nil {
+				p.deliver(event{tuples: tuples})
 			}
-		case fsEOS:
+		case wire.KindEOS:
 			// Informational: the terminal DONE follows immediately.
 		case fsDone:
 			var d doneMsg
-			if err := dist.DecodeMsg(payload, &d); err != nil {
+			if err := wire.DecodeMsg(payload, &d); err != nil {
 				cl.fail(err)
 				return
 			}
-			if st := cl.lookup(d.ID); st != nil {
-				cl.drop(d.ID)
-				st.deliver(streamEvent{done: &Done{
+			if p := cl.lookup(d.ID, true); p != nil {
+				p.deliver(event{done: &Done{
 					Rows: d.Rows, Wall: time.Duration(d.WallNanos),
 					QueueWait:    time.Duration(d.QueueWaitNanos),
 					SpilledBytes: d.SpilledBytes, MemReserved: d.MemReserved,
 					PlanCacheHit: d.PlanCacheHit,
 				}})
-			} else if vh := cl.lookupView(d.ID); vh != nil {
-				cl.dropView(d.ID)
-				vh.deliver(viewEvent{done: &Done{Rows: d.Rows}})
 			}
 		case fsError:
 			var e errMsg
-			if err := dist.DecodeMsg(payload, &e); err != nil {
+			if err := wire.DecodeMsg(payload, &e); err != nil {
 				cl.fail(err)
 				return
 			}
-			if st := cl.lookup(e.ID); st != nil {
-				cl.drop(e.ID)
-				st.deliver(streamEvent{err: fmt.Errorf("serve: query failed: %s", e.Msg)})
-			} else if vh := cl.lookupView(e.ID); vh != nil {
-				cl.dropView(e.ID)
-				vh.deliver(viewEvent{err: fmt.Errorf("serve: view failed: %s", e.Msg)})
+			if p := cl.lookup(e.ID, true); p != nil {
+				p.deliver(event{err: fmt.Errorf("serve: %s failed: %s", p.what, e.Msg)})
 			}
 		case fsViewOK:
 			var ok viewOKMsg
-			if err := dist.DecodeMsg(payload, &ok); err != nil {
+			if err := wire.DecodeMsg(payload, &ok); err != nil {
 				cl.fail(err)
 				return
 			}
-			if vh := cl.lookupView(ok.ID); vh != nil {
-				vh.deliver(viewEvent{ok: &ok})
+			if p := cl.lookup(ok.ID, false); p != nil {
+				p.deliver(event{ok: &ok})
 			}
 		case fsViewResult:
 			var vr viewResultMsg
-			if err := dist.DecodeMsg(payload, &vr); err != nil {
+			if err := wire.DecodeMsg(payload, &vr); err != nil {
 				cl.fail(err)
 				return
 			}
-			if vh := cl.lookupView(vr.ID); vh != nil {
-				vh.deliver(viewEvent{res: &ApplyStats{
+			if p := cl.lookup(vr.ID, false); p != nil {
+				p.deliver(event{res: &ApplyStats{
 					Inserted: vr.Inserted, Deleted: vr.Deleted, Unmatched: vr.Unmatched,
 					Changes: vr.Changes, Rows: vr.Rows, Wall: time.Duration(vr.WallNanos),
 				}})
@@ -253,31 +263,11 @@ func (cl *Client) readLoop() {
 	}
 }
 
-// streamEvent is one dispatched frame: a tuple batch, the terminal Done,
-// or the terminal error.
-type streamEvent struct {
-	tuples []relation.Tuple
-	done   *Done
-	err    error
-}
-
 // Stream is one query's result stream on a client connection.
 type Stream struct {
 	cl *Client
 	id uint32
-	ev chan streamEvent
-
-	deliverOnce sync.Once // guards the terminal event
-}
-
-// deliver dispatches one event; terminal events (done or err) may race
-// between the read loop and Client.fail, so only the first lands.
-func (st *Stream) deliver(e streamEvent) {
-	if e.done != nil || e.err != nil {
-		st.deliverOnce.Do(func() { st.ev <- e })
-		return
-	}
-	st.ev <- e
+	*pending
 }
 
 // Recv returns the next result batch. It returns (tuples, nil, nil) for
@@ -339,14 +329,6 @@ type ApplyStats struct {
 	Wall      time.Duration
 }
 
-// viewEvent is one dispatched view reply.
-type viewEvent struct {
-	ok   *viewOKMsg
-	res  *ApplyStats
-	done *Done
-	err  error
-}
-
 // ViewHandle is one materialized view held open on a client connection.
 // Its operations are strictly request-reply — one outstanding at a time,
 // serialized by an internal mutex.
@@ -362,50 +344,22 @@ type ViewHandle struct {
 
 	opMu   sync.Mutex
 	closed bool // set by Close; later ops fail locally, their replies having no handle
-	ev     chan viewEvent
-
-	deliverOnce sync.Once // guards the terminal event
-}
-
-func (vh *ViewHandle) deliver(e viewEvent) {
-	if e.done != nil || e.err != nil {
-		vh.deliverOnce.Do(func() { vh.ev <- e })
-		return
-	}
-	vh.ev <- e
-}
-
-// lookupView finds the view for a frame's stream id.
-func (cl *Client) lookupView(sid uint32) *ViewHandle {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.views[sid]
-}
-
-// dropView removes a finished view.
-func (cl *Client) dropView(sid uint32) {
-	cl.mu.Lock()
-	delete(cl.views, sid)
-	cl.mu.Unlock()
+	*pending
 }
 
 // CreateView materializes a view on the server and blocks until its initial
 // population completes (the round-zero refresh).
 func (cl *Client) CreateView(spec ViewSpec) (*ViewHandle, error) {
-	cl.mu.Lock()
-	if cl.err != nil {
-		err := cl.err
-		cl.mu.Unlock()
+	// Request-reply: one reply outstanding, plus the terminal error of a
+	// connection that fails meanwhile.
+	id, p, err := cl.register("view", 2)
+	if err != nil {
 		return nil, err
 	}
-	cl.nextID++
-	id := cl.nextID
-	vh := &ViewHandle{cl: cl, id: id, ev: make(chan viewEvent, 2)}
-	cl.views[id] = vh
-	cl.mu.Unlock()
+	vh := &ViewHandle{cl: cl, id: id, pending: p}
 	msg := viewCreateMsg{ID: id, Shape: spec.Shape, Relations: spec.Relations, Procs: spec.Procs}
 	if err := cl.c.WriteMsg(fsViewCreate, msg); err != nil {
-		cl.dropView(id)
+		cl.lookup(id, true) // nothing was asked: close the id again
 		return nil, err
 	}
 	e := <-vh.ev

@@ -2,26 +2,22 @@
 // query-serving front end in the PRISMA/DB spirit, where the machine
 // belongs to the system and many clients share its processors and memory.
 //
-// The wire format is the internal/dist frame codec verbatim — a u32
-// little-endian length prefix, a kind byte, and the payload; result rows
-// travel as the same columnar blocks (relation.AppendBatchBytes) the
-// distributed runtime redistributes, so a result batch is encoded once,
-// column-at-a-time, with no per-tuple step. serve adds four control kinds
-// in a range disjoint from dist's:
+// The byte format is package wire's — the frames, the gob control
+// envelope, result rows as columnar blocks (a result batch is encoded
+// once, column-at-a-time, with no per-tuple step), the credit window, and
+// the one table of every frame kind, serve's 0x20–0x28 included — and is
+// specified in its documentation. What follows is what the front door
+// builds on it. Every connection opens with a HELLO in each direction
+// (helloMsg: version and role), each read under helloTimeout.
 //
-//	0x01 HELLO   both directions; gob helloMsg (version, role)
-//	0x10 DATA    server→client; stream id + one columnar block
-//	0x11 EOS     server→client; stream id (result complete)
-//	0x12 CREDIT  client→server; stream id + n (flow-control grant)
-//	0x20 SUBMIT  client→server; gob submitMsg (query spec + window)
-//	0x21 CANCEL  client→server; stream id (abort the query)
-//	0x22 DONE    server→client; gob doneMsg (per-query stats)
-//	0x23 ERROR   server→client; gob errMsg
-//	0x24 VCREATE client→server; gob viewCreateMsg (materialize a view)
-//	0x25 VOK     server→client; gob viewOKMsg (view ready + DB shape)
-//	0x26 VAPPLY  client→server; gob viewApplyMsg (signed delta blocks)
-//	0x27 VRESULT server→client; gob viewResultMsg (per-round stats)
-//	0x28 VCLOSE  client→server; stream id (tear the view down)
+// A query is one credit-windowed stream: the client picks a stream id and
+// an initial window W in SUBMIT; the server may have at most W unconsumed
+// DATA frames outstanding and earns more only through CREDIT frames, so a
+// stalled client exerts backpressure all the way into the engine's
+// push-based cursor instead of ballooning server memory. After EOS the
+// server sends DONE with the query's Result stats (rows, wall time, queue
+// wait, spilled bytes, plan-cache hit). CANCEL aborts the query's context;
+// the server acknowledges with ERROR carrying context.Canceled's message.
 //
 // A materialized view is one stream id held open across rounds: VCREATE
 // populates the view on the server's engine (CreateView, the FP network
@@ -33,21 +29,11 @@
 // resident tables and answers DONE. View operations on a connection
 // execute synchronously in its demultiplex loop — a ticker connection is
 // dedicated to its view, and a refresh round is the unit of interest.
-//
-// A query is one credit-windowed stream: the client picks a stream id and
-// an initial window W in SUBMIT; the server may have at most W unconsumed
-// DATA frames outstanding and earns more only through CREDIT frames, so a
-// stalled client exerts backpressure all the way into the engine's
-// push-based cursor instead of ballooning server memory. After EOS the
-// server sends DONE with the query's Result stats (rows, wall time, queue
-// wait, spilled bytes, plan-cache hit). CANCEL aborts the query's context;
-// the server acknowledges with ERROR carrying context.Canceled's message.
 package serve
 
 import (
 	"fmt"
-
-	"multijoin/internal/dist"
+	"time"
 )
 
 // protoVersion is carried in every HELLO; both ends must agree exactly.
@@ -55,15 +41,9 @@ import (
 // columnar block format they carry.
 const protoVersion = 2
 
-// Frame kinds. The data-plane kinds alias dist's so dist.Conn's WriteBatch,
-// WriteEOS and WriteCredit fast paths stamp the right bytes; the serve
-// control kinds live at 0x20+ where dist defines nothing.
+// The front door's control frame kinds; HELLO and the tuple-stream kinds
+// are package wire's.
 const (
-	fsHello  = dist.FrameHello  // 0x01
-	fsData   = dist.FrameData   // 0x10
-	fsEOS    = dist.FrameEOS    // 0x11
-	fsCredit = dist.FrameCredit // 0x12
-
 	fsSubmit byte = 0x20
 	fsCancel byte = 0x21
 	fsDone   byte = 0x22
@@ -75,6 +55,21 @@ const (
 	fsViewResult byte = 0x27
 	fsViewClose  byte = 0x28
 )
+
+// maxFrame is the largest frame either end of a serve connection accepts.
+// The front door reads bytes from peers nobody has vouched for, so the cap
+// is sized against its largest legitimate frame and not against dist's
+// (whose SETUP carries whole relations): a DATA frame is one block of at
+// most relation.MaxBlockTuples tuples, about 12 KiB, and the big one is a
+// VAPPLY round — 31 KiB in mjperf's view_refresh, 24 bytes per delta
+// tuple. 16 MiB leaves room for a round of some 600 000 delta tuples and
+// still bounds what four hostile bytes can make a connection allocate.
+const maxFrame = 16 << 20
+
+// helloTimeout bounds a client's dial and either end's wait for the
+// peer's HELLO, so that a peer which connects and never speaks does not
+// pin a goroutine until shutdown.
+const helloTimeout = 10 * time.Second
 
 // Connection roles carried in HELLO.
 const (

@@ -17,10 +17,10 @@ import (
 	"time"
 
 	"multijoin/internal/core"
-	"multijoin/internal/dist"
 	"multijoin/internal/jointree"
 	"multijoin/internal/relation"
 	"multijoin/internal/serve"
+	"multijoin/internal/wire"
 	"multijoin/internal/wisconsin"
 )
 
@@ -233,27 +233,27 @@ func TestServeCancelMidStream(t *testing.T) {
 }
 
 // TestServeMalformedFrames sends protocol garbage — an unknown frame kind,
-// a corrupt gob payload, an implausible length prefix — and requires the
+// a corrupt gob payload, length prefixes over the frame cap — and requires the
 // server to tear the connection down without taking the engine with it:
 // a healthy client still gets full service afterwards.
 func TestServeMalformedFrames(t *testing.T) {
 	_, addr, _ := startServer(t, 4, 200)
 
-	hello := func(t *testing.T, c *dist.Conn) {
+	hello := func(t *testing.T, c *wire.Conn) {
 		t.Helper()
-		if err := c.WriteMsg(dist.FrameHello, struct {
+		if err := c.WriteMsg(wire.KindHello, struct {
 			Version int
 			Role    string
 		}{2, "client"}); err != nil {
 			t.Fatal(err)
 		}
-		if kind, _, err := c.ReadFrame(); err != nil || kind != dist.FrameHello {
+		if kind, _, err := c.ReadFrame(); err != nil || kind != wire.KindHello {
 			t.Fatalf("hello reply: kind=0x%02x err=%v", kind, err)
 		}
 	}
 
 	t.Run("unknown frame kind", func(t *testing.T) {
-		c, err := dist.Dial(addr, 5*time.Second)
+		c, err := wire.Dial(addr, 5*time.Second, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestServeMalformedFrames(t *testing.T) {
 	})
 
 	t.Run("corrupt submit payload", func(t *testing.T) {
-		c, err := dist.Dial(addr, 5*time.Second)
+		c, err := wire.Dial(addr, 5*time.Second, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,23 +283,32 @@ func TestServeMalformedFrames(t *testing.T) {
 		}
 	})
 
-	t.Run("implausible length prefix", func(t *testing.T) {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], 1<<30) // over maxFrame
-		if _, err := nc.Write(hdr[:]); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 1)
-		nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if _, err := nc.Read(buf); err == nil {
-			t.Fatal("server kept the connection after an implausible length prefix")
-		}
-	})
+	// A length prefix over the cap must drop the connection at once, before
+	// the server allocates or waits for the bytes it announces: 1<<30 is
+	// over every cap, 1<<27 lies between serve's own (16 MiB) and the
+	// 256 MiB of dist, whose codec the front door used to borrow.
+	for name, length := range map[string]uint32{
+		"implausible length prefix":      1 << 30,
+		"length prefix between the caps": 1 << 27,
+	} {
+		t.Run(name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			var hdr [4]byte
+			binary.LittleEndian.PutUint32(hdr[:], length)
+			if _, err := nc.Write(hdr[:]); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 1)
+			nc.SetReadDeadline(time.Now().Add(5 * time.Second)) // under helloTimeout: the cap, not the deadline, must hang up
+			if _, err := nc.Read(buf); err == nil || os.IsTimeout(err) {
+				t.Fatalf("server kept the connection after a %d-byte length prefix: %v", length, err)
+			}
+		})
+	}
 
 	// The engine must still serve a healthy client.
 	cl, err := serve.Dial(addr)

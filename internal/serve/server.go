@@ -9,11 +9,11 @@ import (
 	"time"
 
 	"multijoin/internal/core"
-	"multijoin/internal/dist"
 	"multijoin/internal/ivm"
 	"multijoin/internal/jointree"
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
+	"multijoin/internal/wire"
 )
 
 // Config parameterizes a Server.
@@ -85,7 +85,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed by Shutdown
 		}
-		sc := &srvConn{srv: s, c: dist.NewConn(nc), queries: make(map[uint32]*srvQuery), views: make(map[uint32]*core.View)}
+		sc := &srvConn{srv: s, c: wire.NewConn(nc, maxFrame), queries: make(map[uint32]*srvQuery), views: make(map[uint32]*core.View)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -168,7 +168,7 @@ func (s *Server) Engine() *core.Engine { return s.eng }
 // srvConn is the server side of one client connection.
 type srvConn struct {
 	srv *Server
-	c   *dist.Conn
+	c   *wire.Conn
 
 	mu      sync.Mutex
 	queries map[uint32]*srvQuery
@@ -179,7 +179,7 @@ type srvConn struct {
 // srvQuery is one in-flight query on a connection.
 type srvQuery struct {
 	cancel context.CancelFunc
-	gate   *creditGate
+	win    *wire.Window
 }
 
 // drain waits for this connection's in-flight query goroutines, cancelling
@@ -226,13 +226,13 @@ func (sc *srvConn) serve() {
 		sc.c.Close()
 	}()
 	var hello helloMsg
-	if err := readMsg(sc.c, fsHello, &hello); err != nil {
+	if err := sc.c.ReadMsg(wire.KindHello, &hello, helloTimeout); err != nil {
 		return
 	}
 	if err := checkHello(hello, roleClient); err != nil {
 		return
 	}
-	if err := sc.c.WriteMsg(fsHello, helloMsg{Version: protoVersion, Role: roleServer}); err != nil {
+	if err := sc.c.WriteMsg(wire.KindHello, helloMsg{Version: protoVersion, Role: roleServer}); err != nil {
 		return
 	}
 	for {
@@ -243,12 +243,12 @@ func (sc *srvConn) serve() {
 		switch kind {
 		case fsSubmit:
 			var sub submitMsg
-			if err := dist.DecodeMsg(payload, &sub); err != nil {
+			if err := wire.DecodeMsg(payload, &sub); err != nil {
 				return
 			}
 			sc.submit(sub)
-		case fsCredit:
-			sid, n, err := dist.ParseCreditFrame(payload)
+		case wire.KindCredit:
+			sid, n, err := wire.ParseCredit(payload)
 			if err != nil {
 				return
 			}
@@ -256,10 +256,10 @@ func (sc *srvConn) serve() {
 			q := sc.queries[sid]
 			sc.mu.Unlock()
 			if q != nil {
-				q.gate.grant(n)
+				q.win.Grant(n)
 			}
 		case fsCancel:
-			sid, err := dist.ParseStreamID(payload)
+			sid, err := wire.ParseStreamID(payload)
 			if err != nil {
 				return
 			}
@@ -271,18 +271,18 @@ func (sc *srvConn) serve() {
 			}
 		case fsViewCreate:
 			var vc viewCreateMsg
-			if err := dist.DecodeMsg(payload, &vc); err != nil {
+			if err := wire.DecodeMsg(payload, &vc); err != nil {
 				return
 			}
 			sc.viewCreate(vc)
 		case fsViewApply:
 			var va viewApplyMsg
-			if err := dist.DecodeMsg(payload, &va); err != nil {
+			if err := wire.DecodeMsg(payload, &va); err != nil {
 				return
 			}
 			sc.viewApply(va)
 		case fsViewClose:
-			sid, err := dist.ParseStreamID(payload)
+			sid, err := wire.ParseStreamID(payload)
 			if err != nil {
 				return
 			}
@@ -306,7 +306,7 @@ func (sc *srvConn) submit(sub submitMsg) {
 		window = DefaultWindow
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	q := &srvQuery{cancel: cancel, gate: newCreditGate(window)}
+	q := &srvQuery{cancel: cancel, win: wire.NewWindow(window)}
 	sc.queries[sub.ID] = q
 	sc.qwg.Add(1)
 	sc.mu.Unlock()
@@ -342,7 +342,7 @@ func (sc *srvConn) runQuery(ctx context.Context, sq *srvQuery, sub submitMsg) {
 		if batch.Len() == 0 {
 			return nil
 		}
-		if err := sq.gate.take(ctx); err != nil {
+		if err := sq.win.Take(ctx); err != nil {
 			return err
 		}
 		if err := sc.c.WriteBatch(sub.ID, batch); err != nil {
@@ -371,7 +371,7 @@ func (sc *srvConn) runQuery(ctx context.Context, sq *srvQuery, sub submitMsg) {
 		sc.writeErr(sub.ID, err)
 		return
 	}
-	if err := sc.c.WriteEOS(sub.ID); err != nil {
+	if err := sc.c.WriteStreamID(wire.KindEOS, sub.ID); err != nil {
 		return
 	}
 	done := doneMsg{ID: sub.ID, Rows: nrows}
@@ -523,58 +523,4 @@ func (s *Server) buildQuery(sub submitMsg) (core.Query, []core.Option, error) {
 		opts = append(opts, core.WithRuntime(sub.Runtime))
 	}
 	return q, opts, nil
-}
-
-// readMsg reads the next frame, requires the given kind, and gob-decodes
-// its payload.
-func readMsg(c *dist.Conn, kind byte, v any) error {
-	got, payload, err := c.ReadFrame()
-	if err != nil {
-		return err
-	}
-	if got != kind {
-		return fmt.Errorf("serve: expected frame 0x%02x, got 0x%02x", kind, got)
-	}
-	return dist.DecodeMsg(payload, v)
-}
-
-// creditGate is the server side of one stream's flow-control window: take
-// blocks until the client has granted at least one unconsumed credit.
-type creditGate struct {
-	mu    sync.Mutex
-	avail int
-	ch    chan struct{} // cap 1: wake signal for grant
-}
-
-func newCreditGate(window int) *creditGate {
-	return &creditGate{avail: window, ch: make(chan struct{}, 1)}
-}
-
-// grant adds n credits and wakes a blocked take.
-func (g *creditGate) grant(n uint32) {
-	g.mu.Lock()
-	g.avail += int(n)
-	g.mu.Unlock()
-	select {
-	case g.ch <- struct{}{}:
-	default:
-	}
-}
-
-// take consumes one credit, blocking until one is available or ctx ends.
-func (g *creditGate) take(ctx context.Context) error {
-	for {
-		g.mu.Lock()
-		if g.avail > 0 {
-			g.avail--
-			g.mu.Unlock()
-			return nil
-		}
-		g.mu.Unlock()
-		select {
-		case <-g.ch:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
 }
