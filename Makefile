@@ -1,7 +1,7 @@
 # Single source of truth for the commands CI and humans run.
 GO ?= go
 
-.PHONY: all build lint test bench bench-baseline examples fuzz-smoke pooldebug spill-check throughput-smoke dist-smoke calibrate-smoke serve-smoke ivm-smoke loc clean
+.PHONY: all build lint test bench bench-baseline examples fuzz-smoke pooldebug spill-check throughput-smoke dist-smoke calibrate-smoke serve-smoke ivm-smoke sim-golden loc clean
 
 all: build lint test
 
@@ -56,6 +56,20 @@ fuzz-smoke:
 # under -race.
 ivm-smoke:
 	$(GO) test -race -run 'TestViewSmoke' -count=1 ./internal/ivm
+
+# Simulator figures golden: regenerate every simulator table of the paper's
+# evaluation (~30 s) and diff it against the checked-in output. The
+# simulator is deterministic and host-independent, so any difference is a
+# change in modeled behaviour; re-record with
+# `$(SIM_FIGURES) > $(SIM_GOLDEN)` only when that is intended. pipefail: a
+# run that prints its tables and then fails must not pass on the diff alone.
+SIM_FIGURES = $(GO) run ./cmd/mjbench -fig 9,10,11,12,13,14,speedup,pipedelay,ablation,memory,costfn -runtime sim
+SIM_GOLDEN = internal/experiments/testdata/sim_figures.golden
+sim-golden: SHELL = /bin/bash
+sim-golden: .SHELLFLAGS = -o pipefail -c
+sim-golden:
+	$(SIM_FIGURES) | diff $(SIM_GOLDEN) -
+	@echo "simulator figures match $(SIM_GOLDEN)"
 
 # Pool-discipline check: the relation, hashjoin and operator-kernel tests
 # (the columnar codec round-trip property, the ProbeBatchInto differential

@@ -13,7 +13,11 @@
 //
 // The operation-process model itself — ports, punctuation, the join step,
 // the outbox — is package operator's; this package drives it from the event
-// heap and charges virtual time.
+// heap and charges virtual time. Everything it schedules is one typed event
+// (instance.go: a process, a message and one of four kinds — activate,
+// started, deliver, work done) dispatched by the single fire function, so the
+// cost of an event is what the event does, not a closure and two interface
+// conversions around it.
 //
 // Real hash joins run inside the simulated operators — the returned relation
 // is the true join result and is compared against a sequential reference in
@@ -23,7 +27,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"multijoin/internal/costmodel"
 	"multijoin/internal/operator"
@@ -123,7 +126,7 @@ type opState struct {
 
 // engineState carries one execution.
 type engineState struct {
-	sim     *sim.Sim
+	sim     *sim.Sim[event]
 	machine *sim.Machine
 	params  costmodel.Params
 	wiring  *operator.Wiring
@@ -182,7 +185,7 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 		params.BatchTuples = 1
 	}
 	e := &engineState{
-		sim:     sim.New(),
+		sim:     sim.New[event](),
 		machine: sim.NewMachine(params.RecordUtilization),
 		params:  params,
 		wiring:  w,
@@ -216,7 +219,7 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 				e.stats.StartupTime += params.Startup
 			}
 			in.startupAt = sim.Time(sim.Duration(k) * params.Startup)
-			e.sim.At(in.startupAt, in.tryActivate)
+			e.sim.At(in.startupAt, event{in: in, kind: evActivate})
 		}
 	}
 	return e, nil
@@ -225,7 +228,7 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 // run drains the event loop into sink and assembles the run result.
 func (e *engineState) run(sink Sink) (*RunResult, error) {
 	e.sink = sink
-	if _, err := e.sim.RunContext(e.ctx); err != nil {
+	if _, err := e.sim.RunContext(e.ctx, fire); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if e.sinkErr != nil {
@@ -244,9 +247,7 @@ func (e *engineState) run(sink Sink) (*RunResult, error) {
 		}
 	}
 	e.stats.SimEvents = e.sim.Processed()
-	res := &RunResult{ResponseTime: sim.Duration(last), Stats: e.stats, Procs: e.machine.Procs()}
-	sort.Slice(res.Procs, func(i, j int) bool { return res.Procs[i].ID < res.Procs[j].ID })
-	return res, nil
+	return &RunResult{ResponseTime: sim.Duration(last), Stats: e.stats, Procs: e.machine.Procs()}, nil
 }
 
 func (o *opState) depsDone(e *engineState) bool {

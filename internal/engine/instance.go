@@ -8,6 +8,50 @@ import (
 	"multijoin/internal/xra"
 )
 
+// event is the one thing the engine schedules on the simulator: a value, not
+// a closure, so scheduling it allocates nothing. in is the process it is
+// for; m is the message an evDeliver carries, and for an evWorkDone its
+// Batch is the result batch to emit (nil when the work produced none).
+type event struct {
+	in   *instance
+	m    operator.Msg
+	kind uint8
+}
+
+// The four things a simulated run ever waits for.
+const (
+	evActivate uint8 = iota // the scheduler finished initializing the process
+	evStarted               // its stream handshakes are paid
+	evDeliver               // a message reaches it (after the network latency)
+	evWorkDone              // its processor finished the work charged for one message
+)
+
+// fire is the simulator's single callback: it dispatches an event on its
+// kind.
+func fire(ev event) {
+	in := ev.in
+	switch ev.kind {
+	case evActivate:
+		in.tryActivate()
+	case evStarted:
+		in.started = true
+		in.start()
+		if !in.processing {
+			in.next()
+		}
+	case evDeliver:
+		in.queue = append(in.queue, ev.m)
+		if in.started && !in.processing {
+			in.next()
+		}
+	case evWorkDone:
+		if ev.m.Batch != nil && ev.m.Batch.Len() > 0 {
+			in.out.Emit(ev.m.Batch, operator.Insert)
+		}
+		in.next()
+	}
+}
+
 // instance is one operation process: an operator replica bound to a single
 // simulated processor. Its FIFO queue of messages serializes all state
 // changes, so the join state machine never sees out-of-order input; a scan
@@ -23,7 +67,8 @@ type instance struct {
 	activationSet bool     // activation event scheduled or executed
 	started       bool     // handshakes paid; processing may proceed
 
-	queue      []operator.Msg
+	queue      []operator.Msg // queue[head:] is pending; consumed slots are cleared
+	head       int
 	processing bool
 	finished   bool
 
@@ -56,13 +101,7 @@ func (in *instance) tryActivate() {
 	hs := in.e.params.Handshake * sim.Duration(streams)
 	in.e.stats.HandshakeTime += hs
 	_, end := in.proc.Acquire(now, hs, in.label)
-	in.e.sim.At(end, func() {
-		in.started = true
-		in.start()
-		if !in.processing {
-			in.next()
-		}
-	})
+	in.e.sim.At(end, event{in: in, kind: evStarted})
 }
 
 // start creates the join state and the outbox, and enqueues a scan's work.
@@ -85,14 +124,6 @@ func (in *instance) start() {
 	}
 }
 
-// deliver enqueues an incoming message and kicks processing if idle.
-func (in *instance) deliver(m operator.Msg) {
-	in.queue = append(in.queue, m)
-	if in.started && !in.processing {
-		in.next()
-	}
-}
-
 // Deliver is the outbox's transport: the message reaches consumer process d
 // after the network latency when it crosses processors.
 func (in *instance) Deliver(d int, m operator.Msg) bool {
@@ -102,7 +133,7 @@ func (in *instance) Deliver(d int, m operator.Msg) bool {
 	if m.Remote {
 		latency = in.e.params.NetLatency
 	}
-	in.e.sim.After(latency, func() { dest.deliver(m) })
+	in.e.sim.After(latency, event{in: dest, m: m, kind: evDeliver})
 	return true
 }
 
@@ -116,20 +147,22 @@ func (in *instance) next() {
 		return
 	}
 	for {
-		if len(in.queue) == 0 {
+		if in.head == len(in.queue) {
+			in.queue, in.head = in.queue[:0], 0
 			in.processing = false
 			in.maybeFinish()
 			return
 		}
 		in.processing = true
-		m := in.queue[0]
-		in.queue = in.queue[1:]
+		m := in.queue[in.head]
+		in.queue[in.head] = operator.Msg{}
+		in.head++
 
 		if m.Batch == nil {
 			// The end of a build phase releases the held probe input ahead
 			// of anything queued later.
 			if held := in.join.EOS(m.Port); len(held) > 0 {
-				in.queue = append(held, in.queue...)
+				in.queue, in.head = append(held, in.queue[in.head:]...), 0
 			}
 			continue
 		}
@@ -141,12 +174,7 @@ func (in *instance) next() {
 		cost := in.e.params.WorkCost(units)
 		now := in.e.sim.Now()
 		_, end := in.proc.Acquire(now, cost, in.label)
-		in.e.sim.At(end, func() {
-			if results != nil && results.Len() > 0 {
-				in.out.Emit(results, operator.Insert)
-			}
-			in.next()
-		})
+		in.e.sim.At(end, event{in: in, m: operator.Msg{Batch: results}, kind: evWorkDone})
 		return
 	}
 }

@@ -11,13 +11,22 @@
 // laptop does not have 80 CPUs). Real relational data still flows through
 // the simulated operators, so the computed join results remain verifiable.
 //
-// Time is measured in integer virtual microseconds. Events scheduled at the
-// same instant fire in scheduling order (FIFO), which makes every run
-// reproducible bit-for-bit.
+// Time is measured in integer virtual microseconds. Events fire in (time,
+// scheduling sequence) order — simultaneous events FIFO — and that order is
+// the kernel's contract: it makes every run reproducible bit-for-bit from
+// its inputs, whatever the host.
+//
+// How an event is stored is not part of the contract. Sim is generic over
+// the driver's event type E: an event is a value the driver defines, kept
+// inline in a binary heap ordered by (at, seq), and handed back to the
+// driver's one fire function when its time comes. The kernel never sees a
+// closure and never boxes an event into an interface, so scheduling and
+// firing allocate nothing — a simulated run schedules tens of thousands of
+// events, and a closure plus two interface round trips per event was most
+// of what a run allocated.
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 )
@@ -44,87 +53,115 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats a duration as seconds with millisecond precision.
 func (d Duration) String() string { return fmt.Sprintf("%.3fs", d.Seconds()) }
 
-// event is one pending callback.
-type event struct {
+// event is one pending event of the driver's type E.
+type event[E any] struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among simultaneous events
-	fn  func()
+	e   E
 }
 
-// eventHeap orders events by (time, sequence).
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// before reports whether a fires ahead of b: (at, seq) order.
+func (a *event[E]) before(b *event[E]) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// Sim is a discrete-event simulator. The zero value is ready to use.
-type Sim struct {
+// Sim is a discrete-event simulator over events of type E. The zero value
+// is ready to use.
+type Sim[E any] struct {
 	now    Time
 	seq    uint64
-	events eventHeap
-	count  uint64 // total events processed, for stats and runaway detection
-	limit  uint64 // optional safety limit on processed events (0 = none)
+	events []event[E] // binary min-heap by (at, seq)
+	count  uint64     // total events processed, for stats and runaway detection
+	limit  uint64     // optional safety limit on processed events (0 = none)
 }
 
 // New returns a fresh simulator at time zero.
-func New() *Sim { return &Sim{} }
+func New[E any]() *Sim[E] { return &Sim[E]{} }
 
 // Now returns the current virtual time.
-func (s *Sim) Now() Time { return s.now }
+func (s *Sim[E]) Now() Time { return s.now }
 
 // Processed returns the number of events executed so far.
-func (s *Sim) Processed() uint64 { return s.count }
+func (s *Sim[E]) Processed() uint64 { return s.count }
 
 // SetEventLimit installs a safety limit on the number of processed events;
-// Run panics if it is exceeded. Zero disables the limit.
-func (s *Sim) SetEventLimit(n uint64) { s.limit = n }
+// RunContext panics if it is exceeded. Zero disables the limit.
+func (s *Sim[E]) SetEventLimit(n uint64) { s.limit = n }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
+// At schedules e to fire at absolute virtual time t. Scheduling in the past
 // is clamped to the current time (the event fires "now", after already
 // scheduled simultaneous events).
-func (s *Sim) At(t Time, fn func()) {
+func (s *Sim[E]) At(t Time, e E) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	heap.Push(&s.events, event{at: t, seq: s.seq, fn: fn})
+	ev := event[E]{at: t, seq: s.seq, e: e}
+	h := append(s.events, ev)
+	i := len(h) - 1
+	for i > 0 { // sift up
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	s.events = h
 }
 
-// After schedules fn to run d after the current virtual time.
-func (s *Sim) After(d Duration, fn func()) {
+// After schedules e to fire d after the current virtual time.
+func (s *Sim[E]) After(d Duration, e E) {
 	if d < 0 {
 		d = 0
 	}
-	s.At(s.now+Time(d), fn)
+	s.At(s.now+Time(d), e)
 }
 
-// Run executes events in order until no events remain. It returns the final
-// virtual time.
-func (s *Sim) Run() Time {
-	t, _ := s.RunContext(context.Background())
-	return t
+// pop removes the next event in (at, seq) order from the non-empty heap,
+// advances the clock to it and counts it against the event limit. The
+// vacated heap slot is zeroed so the heap's spare capacity retains nothing
+// an event pointed to.
+func (s *Sim[E]) pop() E {
+	h := s.events
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = event[E]{}
+	h = h[:n]
+	s.events = h
+	i := 0
+	for { // sift last down from the root
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	s.now = top.at
+	s.count++
+	if s.limit > 0 && s.count > s.limit {
+		panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", s.limit, s.now))
+	}
+	return top.e
 }
 
-// RunContext executes events in order until no events remain or ctx is
-// cancelled. The context is checked between events — a single event callback
-// is never interrupted — so cancellation leaves the simulation in a
-// consistent (if incomplete) state. It returns the final virtual time and,
-// on cancellation, the context's error.
-func (s *Sim) RunContext(ctx context.Context) (Time, error) {
+// RunContext hands events to fire in order until no events remain or ctx is
+// cancelled. The context is checked between events — a single fire is never
+// interrupted — so cancellation leaves the simulation in a consistent (if
+// incomplete) state. It returns the final virtual time and, on
+// cancellation, the context's error.
+func (s *Sim[E]) RunContext(ctx context.Context, fire func(E)) (Time, error) {
 	done := ctx.Done()
 	for len(s.events) > 0 {
 		if done != nil {
@@ -134,28 +171,7 @@ func (s *Sim) RunContext(ctx context.Context) (Time, error) {
 			default:
 			}
 		}
-		e := heap.Pop(&s.events).(event)
-		s.now = e.at
-		s.count++
-		if s.limit > 0 && s.count > s.limit {
-			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", s.limit, s.now))
-		}
-		e.fn()
+		fire(s.pop())
 	}
 	return s.now, nil
 }
-
-// Step executes the single next event, if any, and reports whether one ran.
-func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
-		return false
-	}
-	e := heap.Pop(&s.events).(event)
-	s.now = e.at
-	s.count++
-	e.fn()
-	return true
-}
-
-// Pending returns the number of events waiting to run.
-func (s *Sim) Pending() int { return len(s.events) }

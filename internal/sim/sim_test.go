@@ -1,11 +1,34 @@
 package sim
 
 import (
+	"container/heap"
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// call is the fire of the closure-driven tests: the event is the callback.
+func call(f func()) { f() }
+
+// Run, Step and Pending have no caller outside the tests, so they live here,
+// as thin forms over RunContext and pop: the clock, the count and the event
+// limit are advanced in one place.
+func (s *Sim[E]) Run(fire func(E)) Time {
+	t, _ := s.RunContext(context.Background(), fire)
+	return t
+}
+
+func (s *Sim[E]) Step(fire func(E)) bool {
+	if len(s.events) == 0 {
+		return false
+	}
+	fire(s.pop())
+	return true
+}
+
+func (s *Sim[E]) Pending() int { return len(s.events) }
 
 func TestDurationConversions(t *testing.T) {
 	if Second.Seconds() != 1.0 {
@@ -23,14 +46,14 @@ func TestDurationConversions(t *testing.T) {
 }
 
 func TestEventsRunInTimeOrder(t *testing.T) {
-	s := New()
+	s := New[func()]()
 	var got []Time
 	times := []Time{50, 10, 30, 20, 40}
 	for _, at := range times {
 		at := at
 		s.At(at, func() { got = append(got, at) })
 	}
-	s.Run()
+	s.Run(call)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Errorf("events fired out of order: %v", got)
 	}
@@ -40,13 +63,13 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
-	s := New()
+	s := New[func()]()
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
 		s.At(5, func() { got = append(got, i) })
 	}
-	s.Run()
+	s.Run(call)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("simultaneous events not FIFO: position %d holds %d", i, v)
@@ -55,29 +78,29 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 }
 
 func TestScheduleInPastClamps(t *testing.T) {
-	s := New()
+	s := New[func()]()
 	var when Time
 	s.At(100, func() {
 		s.At(50, func() { when = s.Now() }) // in the past
 	})
-	s.Run()
+	s.Run(call)
 	if when != 100 {
 		t.Errorf("past event ran at %d, want clamped to 100", when)
 	}
 }
 
 func TestAfterNegativeClamps(t *testing.T) {
-	s := New()
+	s := New[func()]()
 	ran := false
 	s.After(-5, func() { ran = true })
-	s.Run()
+	s.Run(call)
 	if !ran || s.Now() != 0 {
 		t.Errorf("negative delay: ran=%v now=%d", ran, s.Now())
 	}
 }
 
 func TestNestedScheduling(t *testing.T) {
-	s := New()
+	s := New[func()]()
 	depth := 0
 	var recurse func()
 	recurse = func() {
@@ -87,7 +110,7 @@ func TestNestedScheduling(t *testing.T) {
 		}
 	}
 	s.After(0, recurse)
-	end := s.Run()
+	end := s.Run(call)
 	if depth != 10 {
 		t.Errorf("depth = %d, want 10", depth)
 	}
@@ -97,20 +120,20 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestStepAndPending(t *testing.T) {
-	s := New()
+	s := New[func()]()
 	s.At(1, func() {})
 	s.At(2, func() {})
 	if s.Pending() != 2 {
 		t.Errorf("pending = %d, want 2", s.Pending())
 	}
-	if !s.Step() {
+	if !s.Step(call) {
 		t.Error("Step returned false with events pending")
 	}
 	if s.Now() != 1 || s.Pending() != 1 {
 		t.Errorf("after one step: now=%d pending=%d", s.Now(), s.Pending())
 	}
-	s.Run()
-	if s.Step() {
+	s.Run(call)
+	if s.Step(call) {
 		t.Error("Step returned true with no events")
 	}
 	if s.Processed() != 2 {
@@ -119,7 +142,7 @@ func TestStepAndPending(t *testing.T) {
 }
 
 func TestEventLimitPanics(t *testing.T) {
-	s := New()
+	s := New[func()]()
 	s.SetEventLimit(5)
 	var loop func()
 	loop = func() { s.After(1, loop) }
@@ -129,7 +152,7 @@ func TestEventLimitPanics(t *testing.T) {
 			t.Error("expected panic from event limit")
 		}
 	}()
-	s.Run()
+	s.Run(call)
 }
 
 // TestRandomWorkloadOrdering: random schedules always execute in
@@ -138,7 +161,7 @@ func TestRandomWorkloadOrdering(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%200) + 1
 		rng := rand.New(rand.NewSource(seed))
-		s := New()
+		s := New[func()]()
 		fired := 0
 		last := Time(-1)
 		ok := true
@@ -152,7 +175,7 @@ func TestRandomWorkloadOrdering(t *testing.T) {
 				last = s.Now()
 			})
 		}
-		s.Run()
+		s.Run(call)
 		return ok && fired == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -256,5 +279,179 @@ func TestMachineProcs(t *testing.T) {
 	}
 	if m.NumProcs() != 2 {
 		t.Errorf("NumProcs = %d, want 2 (host excluded)", m.NumProcs())
+	}
+}
+
+// refSim is the kernel as it was before the heap was inlined: container/heap
+// over boxed events. It is kept as the reference the differential test
+// compares the firing order against.
+type refEvent struct {
+	at  Time
+	seq uint64
+	id  int
+}
+
+type refHeap []refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refEvent)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+type refSim struct {
+	now    Time
+	seq    uint64
+	events refHeap
+}
+
+func (s *refSim) Now() Time { return s.now }
+
+func (s *refSim) At(t Time, id int) {
+	if t < s.now {
+		t = s.now
+	}
+	s.seq++
+	heap.Push(&s.events, refEvent{at: t, seq: s.seq, id: id})
+}
+
+func (s *refSim) After(d Duration, id int) {
+	if d < 0 {
+		d = 0
+	}
+	s.At(s.now+Time(d), id)
+}
+
+func (s *refSim) Run(fire func(int)) Time {
+	for len(s.events) > 0 {
+		e := heap.Pop(&s.events).(refEvent)
+		s.now = e.at
+		fire(e.id)
+	}
+	return s.now
+}
+
+// scheduler is what the seeded program below needs of either kernel.
+type scheduler interface {
+	Now() Time
+	At(Time, int)
+	After(Duration, int)
+	Run(func(int)) Time
+}
+
+// firing is one fired event: ids are handed out in scheduling order, so
+// (at, id) is the (at, seq) the kernel ordered it by.
+type firing struct {
+	at Time
+	id int
+}
+
+// runProgram drives s with a seeded random schedule of total events —
+// absolute times, bursts at one instant, past times and negative delays
+// that clamp to now, most of it scheduled from inside fire — and returns
+// the firing sequence. The random choices are drawn in firing order, so two
+// kernels see the same program exactly as long as they fire identically.
+func runProgram(s scheduler, seed int64, total int) []firing {
+	rng := rand.New(rand.NewSource(seed))
+	next := 0
+	schedule := func() {
+		id := next
+		next++
+		switch rng.Intn(5) {
+		case 0:
+			s.At(s.Now(), id)
+		case 1:
+			s.At(s.Now()-Time(rng.Intn(50)), id)
+		case 2:
+			s.After(Duration(rng.Intn(20)-5), id)
+		case 3:
+			s.After(Duration(rng.Intn(300)), id)
+		default:
+			s.At(Time(rng.Intn(5000)), id)
+		}
+	}
+	for i := 0; i < total/10; i++ {
+		schedule()
+	}
+	trace := make([]firing, 0, total)
+	s.Run(func(id int) {
+		trace = append(trace, firing{s.Now(), id})
+		if rng.Intn(100) == 0 { // a burst at one future instant
+			at := s.Now() + Time(rng.Intn(100))
+			for k := 0; k < 40 && next < total; k++ {
+				s.At(at, next)
+				next++
+			}
+		}
+		for k := rng.Intn(4); k > 0 && next < total; k-- {
+			schedule()
+		}
+	})
+	return trace
+}
+
+// TestFiringOrderMatchesContainerHeap: the (at, seq) firing order is the
+// kernel's contract; the inlined heap must reproduce, event for event, the
+// order of the container/heap kernel it replaced.
+func TestFiringOrderMatchesContainerHeap(t *testing.T) {
+	const total = 12000
+	for _, seed := range []int64{1, 1995, 2024} {
+		got := runProgram(New[int](), seed, total)
+		want := runProgram(&refSim{}, seed, total)
+		if len(got) != total || len(want) != total {
+			t.Fatalf("seed %d: fired %d events, reference %d, want %d", seed, len(got), len(want), total)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d is %+v, reference fired %+v", seed, i, got[i], want[i])
+			}
+			if i > 0 && (got[i].at < got[i-1].at || got[i].at == got[i-1].at && got[i].id < got[i-1].id) {
+				t.Fatalf("seed %d: firing %d %+v is out of (at, seq) order after %+v", seed, i, got[i], got[i-1])
+			}
+		}
+	}
+}
+
+// TestScheduleAndPopAllocateNothing pins the point of the typed heap: at
+// steady capacity, scheduling an event and popping one allocate nothing —
+// no closure, no boxing — and a popped slot retains no pointer.
+func TestScheduleAndPopAllocateNothing(t *testing.T) {
+	type ev struct {
+		p    *int
+		kind uint8
+	}
+	s := New[ev]()
+	x := new(int)
+	for i := 0; i < 64; i++ {
+		s.At(Time(i%7), ev{p: x})
+	}
+	fired := 0
+	fire := func(e ev) { fired += int(e.kind) }
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.After(5, ev{p: x, kind: 1})
+		fire(s.pop())
+	})
+	if allocs != 0 {
+		t.Errorf("At + pop allocate %v times per event, want 0", allocs)
+	}
+	s.Run(fire)
+	if fired == 0 || s.Pending() != 0 {
+		t.Fatalf("fired %d, pending %d", fired, s.Pending())
+	}
+	for i, e := range s.events[:cap(s.events)] {
+		if e.e.p != nil {
+			t.Fatalf("vacated heap slot %d still holds its event's pointer", i)
+		}
 	}
 }
