@@ -1,7 +1,7 @@
 # Single source of truth for the commands CI and humans run.
 GO ?= go
 
-.PHONY: all build lint test bench bench-baseline examples fuzz-smoke pooldebug spill-check throughput-smoke dist-smoke calibrate-smoke serve-smoke ivm-smoke sim-golden loc clean
+.PHONY: all build lint test bench examples fuzz-smoke pooldebug spill-check throughput-smoke dist-smoke calibrate-smoke serve-smoke ivm-smoke sim-golden loc clean
 
 all: build lint test
 
@@ -43,12 +43,15 @@ spill-check:
 # harness asserts incremental maintenance under random signed delta
 # scripts stays multiset-equal to recompute-from-scratch, with unmatched
 # deletes predicted exactly. Then 10 seconds of arbitrary bytes into the
-# frame reader and the block decoders behind it: no panic, no read buffer
-# above the frame cap.
+# frame reader and the block decoders behind it (no panic, no read buffer
+# above the frame cap) and 10 seconds of arbitrary frames at a server
+# connection past its HELLO: no panic, every request answered or hung up
+# on, the engine's meter at zero once the client is gone.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 30s ./internal/testutil
 	$(GO) test -run '^$$' -fuzz FuzzViewEquivalence -fuzztime 30s ./internal/testutil
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzServeFrames -fuzztime 10s ./internal/serve
 
 # IVM smoke: create a materialized view, push mixed signed delta rounds
 # through its resident FP network, and verify the maintained result against
@@ -136,31 +139,13 @@ serve-smoke:
 calibrate-smoke:
 	$(GO) test -race -run 'TestCalibrateSmoke' -count=1 ./internal/costmodel
 
-# Bench smoke: one iteration of every benchmark, with the sim-vs-parallel
-# comparison captured as test2json lines in BENCH_parallel.json and the
-# allocation benchmarks in BENCH_alloc.json, gated against the checked-in
-# baseline (fails on a >20% allocs/op regression or an ns/op regression
-# past each benchmark's recorded tolerance). Under GitHub Actions,
-# benchcheck also appends a baseline-vs-run diff table of allocs/op, ns/op
-# and B/op to $GITHUB_STEP_SUMMARY.
+# Bench smoke: one iteration of every benchmark (the paper's figures on the
+# simulator, sim vs goroutine runtime per strategy, the hash-table kernels),
+# printed and nothing else: no gate, no file. Whether a change made anything
+# slower is answered by the repository benchmark alone (`bash bench/run.sh`,
+# see bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -json . > BENCH_parallel.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_parallel.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_parallel.json"
-	$(GO) test -run '^$$' -bench 'BenchmarkExecAlloc|BenchmarkExecStreamAlloc|BenchmarkEngineQueryCached|BenchmarkViewApplyDelta|BenchmarkHashTable' -benchtime 1x -benchmem -json . ./internal/hashjoin > BENCH_alloc.json
-	@echo "wrote BENCH_alloc.json"
-	$(GO) run ./cmd/benchcheck -in BENCH_alloc.json -baseline bench_alloc_baseline.txt
-
-# Re-record the checked-in performance baseline after an intentional
-# change: runs the gated benchmarks under the same conditions CI measures
-# (-benchtime 1x, the first iteration paying pool warm-up) and rewrites
-# bench_alloc_baseline.txt in place. Each baseline row is
-# `BenchmarkName allocs/op ns/op B/op ns-tolerance`; recording refreshes
-# the three measured columns and preserves each benchmark's ns/op
-# tolerance.
-bench-baseline:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecAlloc|BenchmarkExecStreamAlloc|BenchmarkEngineQueryCached|BenchmarkViewApplyDelta' -benchtime 1x -benchmem -json . > BENCH_alloc.json
-	$(GO) run ./cmd/benchcheck -in BENCH_alloc.json -record bench_alloc_baseline.txt
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
 # Examples smoke: build every example binary, then run each one to
 # completion (their output doubles as an end-to-end check of the facade).
@@ -181,5 +166,4 @@ loc:
 	@printf '%-22s %6d\n' 'repo (without bench/)' $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | $(LOC))
 
 clean:
-	rm -f BENCH_parallel.json BENCH_alloc.json
 	rm -rf .bin

@@ -213,200 +213,6 @@ func benchParallelVsSim(b *testing.B, kind strategy.Kind) {
 	b.ReportMetric(wall.Seconds(), "real-wall-s")
 }
 
-// benchExecAlloc measures the allocation profile of the goroutine runtime's
-// steady-state data path on the paper's large problem: a left-linear tree
-// over 10 relations of 40K tuples, planned for 80 processors. The left-linear
-// shape maximizes pipeline depth, so per-batch garbage in scans, transport
-// and hash tables dominates; allocs/op is the number the arena/pool work is
-// gated on in CI (cmd/benchcheck).
-func benchExecAlloc(b *testing.B, kind strategy.Kind) {
-	db, err := multijoin.NewDatabase(10, 40000, 1995)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := multijoin.BuildTree(multijoin.LeftLinear, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const procs = 80
-	maxProcs := multijoin.HostCap(procs)
-	q := multijoin.Query{DB: db, Tree: tree, Strategy: kind, Procs: procs, Params: multijoin.DefaultParams()}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := multijoin.Exec(ctx, q,
-			multijoin.WithRuntime("parallel"), multijoin.WithMaxProcs(maxProcs)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExecAlloc_FP(b *testing.B) { benchExecAlloc(b, strategy.FP) }
-func BenchmarkExecAlloc_RD(b *testing.B) { benchExecAlloc(b, strategy.RD) }
-
-// BenchmarkExecStreamAlloc_FP measures the allocation profile of the
-// streaming collect path on the same workload as BenchmarkExecAlloc_FP:
-// one long-lived Engine, results consumed tuple-by-tuple through a Rows
-// cursor instead of materialized. The cursor hands pooled batches back on
-// Next, so allocs/op must stay in the same regime as the materialized path
-// (minus the result relation itself); cmd/benchcheck gates it in CI.
-func BenchmarkExecStreamAlloc_FP(b *testing.B) {
-	db, err := multijoin.NewDatabase(10, 40000, 1995)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := multijoin.BuildTree(multijoin.LeftLinear, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const procs = 80
-	eng, err := multijoin.Open(db,
-		multijoin.WithEngineRuntime("parallel"),
-		multijoin.WithEngineProcs(multijoin.HostCap(procs)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	q := multijoin.Query{DB: db, Tree: tree, Strategy: strategy.FP, Procs: procs, Params: multijoin.DefaultParams()}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := eng.Query(ctx, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for rows.Next() {
-			_ = rows.Tuple()
-			n++
-		}
-		if err := rows.Err(); err != nil {
-			b.Fatal(err)
-		}
-		if n != 40000 {
-			b.Fatalf("streamed %d tuples, want 40000", n)
-		}
-	}
-}
-
-// BenchmarkViewApplyDelta_FP measures the steady-state incremental
-// maintenance path: one resident materialized view over a left-linear
-// chain, each iteration applying a mixed delta round (64 fresh inserts
-// into relation 0 plus the previous round's 64 tuples back out) through
-// the resident FP network. The per-round work — routing, signed probes,
-// table insert/delete, collector updates — must run on pooled batches;
-// cmd/benchcheck gates allocs/op in CI like the other hot paths.
-func BenchmarkViewApplyDelta_FP(b *testing.B) {
-	const deltaK = 64
-	db, err := multijoin.NewDatabase(5, 5000, 1995)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := multijoin.BuildTree(multijoin.LeftLinear, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const procs = 16
-	eng, err := multijoin.Open(db, multijoin.WithEngineProcs(multijoin.HostCap(procs)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	q := multijoin.Query{DB: db, Tree: tree, Strategy: strategy.FP, Procs: procs, Params: multijoin.DefaultParams()}
-	ctx := context.Background()
-	view, err := eng.CreateView(ctx, q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer view.Close()
-	// Two alternating tuple sets: round i inserts sets[i%2] and deletes
-	// sets[(i+1)%2], so the view's cardinality is pinned and every timed
-	// round does identical insert+delete work. The warm-up round seeds the
-	// first delete set (and the batch pools).
-	var sets [2][]multijoin.Tuple
-	for s := range sets {
-		sets[s] = make([]multijoin.Tuple, deltaK)
-		for i := range sets[s] {
-			sets[s][i] = multijoin.Tuple{
-				Unique1: int64(10000 + s*deltaK + i),
-				Unique2: int64((s*deltaK + i) % 5000),
-				Check:   uint64(s*deltaK + i),
-			}
-		}
-	}
-	if _, err := view.Apply(ctx, multijoin.ViewDelta{Rel: 0, Insert: sets[1]}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := view.Apply(ctx, multijoin.ViewDelta{
-			Rel: 0, Insert: sets[i%2], Delete: sets[(i+1)%2],
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Unmatched != 0 {
-			b.Fatalf("round %d: %d unmatched deletes", i, res.Unmatched)
-		}
-	}
-}
-
-// BenchmarkEngineQueryCached measures the hot plan-cache path: a small
-// repeated query shape on one long-lived Engine, where every iteration
-// after the first hits the memoized plan. Planning allocations must not
-// appear per-query — cmd/benchcheck gates the allocs/op baseline in CI.
-func BenchmarkEngineQueryCached(b *testing.B) {
-	db, err := multijoin.NewDatabase(5, 1000, 1995)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := multijoin.BuildTree(multijoin.WideBushy, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const procs = 8
-	eng, err := multijoin.Open(db,
-		multijoin.WithEngineRuntime("parallel"),
-		multijoin.WithEngineProcs(multijoin.HostCap(procs)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	q := multijoin.Query{DB: db, Tree: tree, Strategy: strategy.FP, Procs: procs, Params: multijoin.DefaultParams()}
-	ctx := context.Background()
-	// Warm the plan cache so every timed iteration is a hit.
-	if _, err := eng.Exec(ctx, q); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := eng.Query(ctx, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for rows.Next() {
-			_ = rows.Tuple()
-			n++
-		}
-		if err := rows.Err(); err != nil {
-			b.Fatal(err)
-		}
-		if n != 1000 {
-			b.Fatalf("streamed %d tuples, want 1000", n)
-		}
-	}
-	b.StopTimer()
-	hits, misses := eng.PlanCacheStats()
-	if hits < int64(b.N) || misses != 1 {
-		b.Fatalf("plan cache hits=%d misses=%d, want >= %d hits and exactly 1 miss", hits, misses, b.N)
-	}
-}
-
 func BenchmarkParallelVsSim_SP(b *testing.B) { benchParallelVsSim(b, strategy.SP) }
 func BenchmarkParallelVsSim_SE(b *testing.B) { benchParallelVsSim(b, strategy.SE) }
 func BenchmarkParallelVsSim_RD(b *testing.B) { benchParallelVsSim(b, strategy.RD) }

@@ -25,80 +25,10 @@ import (
 // BaseFunc resolves a plan leaf index to its base relation.
 type BaseFunc func(leaf int) *relation.Relation
 
-// Stats is the unified structural-counter set across runtimes. Quantities
-// that only one backend can measure are documented as such and are zero on
-// the other; everything structural (processes, streams, tuple movement) is
-// runtime-independent by construction — both backends interpret the same
-// plan — and is filled by every runtime.
-type Stats struct {
-	// Counters are the structural quantities of the plan and its data:
-	// Processes, Streams, TuplesMovedRemote, TuplesLocal, Batches and
-	// ResultTuples.
-	operator.Counters
-	// OpDone maps operator ids to their completion offset from query
-	// start (virtual time on the simulator, wall time on real runtimes).
-	OpDone map[string]time.Duration
-	// QueueWait is how long the query waited in an Engine's admission
-	// queue before it began executing (zero outside an Engine session or
-	// when a slot was free immediately).
-	QueueWait time.Duration
-	// PlanCacheHit reports whether the query's plan was served from the
-	// Engine's plan cache instead of being planned from scratch (always
-	// false outside an Engine session).
-	PlanCacheHit bool
-	// EstimatedCost is the admission policy's predicted wall time for the
-	// query — calibrated via WithCalibration, otherwise on an assumed
-	// per-unit cost (zero outside an Engine session).
-	EstimatedCost time.Duration
-	// MemReserved is the peak-memory reservation the cost admission policy
-	// held for the query on the shared budget, in bytes (zero under the
-	// fifo policy, for non-spill queries, and for grace-mode admissions of
-	// queries too large to ever fit).
-	MemReserved int64
-
-	// Simulator-only counters (zero on wall-clock runtimes).
-
-	// StartupTime is the total serial scheduler time spent initializing
-	// operation processes.
-	StartupTime time.Duration
-	// HandshakeTime is the total processor time spent on stream
-	// handshakes.
-	HandshakeTime time.Duration
-	// SimEvents is the number of simulation events processed.
-	SimEvents uint64
-	// PeakTableTuplesPerProc is the per-processor peak of hash-table
-	// resident tuples (the Section 5 memory observation).
-	PeakTableTuplesPerProc int
-	// PeakTableTuplesTotal is the machine-wide peak of hash-table
-	// resident tuples.
-	PeakTableTuplesTotal int
-
-	// Wall-clock-runtime-only counters (zero on the simulator).
-
-	// Goroutines is the total number of goroutines launched.
-	Goroutines int
-	// MaxProcs is the effective concurrent-computation cap.
-	MaxProcs int
-
-	// Spill-runtime-only counters (zero on the in-memory runtimes).
-
-	// BytesSpilled is the total bytes of operand tuples serialized to
-	// temp-file spill partitions.
-	BytesSpilled int64
-	// SpillPartitions is the number of spill-partition files created.
-	SpillPartitions int
-	// SpillTime is the total wall time spent on spill-file I/O (writes
-	// plus partition re-reads).
-	SpillTime time.Duration
-
-	// Dist-runtime-only counters (zero on single-process runtimes).
-
-	// BytesOnWire is the total frame bytes written on inter-node TCP data
-	// connections, summed over the coordinator and every worker process.
-	BytesOnWire int64
-	// Workers is the number of worker processes the run spawned.
-	Workers int
-}
+// Stats is the one counter set every runtime reports (operator.Stats,
+// declared beside the Counters it embeds so that the wall-clock runtimes
+// fill it directly and the adapters assign it whole).
+type Stats = operator.Stats
 
 // Result is the unified outcome of executing a plan on any runtime.
 type Result struct {

@@ -145,34 +145,11 @@ func (distRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc, s
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Runtime: "dist",
-		Virtual: false,
-		Time:    res.WallTime,
-		Stats: Stats{
-			Counters:    res.Stats.Counters,
-			OpDone:      res.Stats.OpWall,
-			Goroutines:  res.Stats.Goroutines,
-			BytesOnWire: res.Stats.BytesOnWire,
-			Workers:     res.Stats.Workers,
-		},
-	}, nil
+	return wallResult("dist", res), nil
 }
 
-// wallResult maps a goroutine-runtime result onto the unified Result.
+// wallResult wraps a wall-clock run — goroutine or multi-process — in the
+// unified Result: the runtimes fill the one Stats struct themselves.
 func wallResult(name string, res *parallel.RunResult) *Result {
-	return &Result{
-		Runtime: name,
-		Virtual: false,
-		Time:    res.WallTime,
-		Stats: Stats{
-			Counters:        res.Stats.Counters,
-			OpDone:          res.Stats.OpWall,
-			Goroutines:      res.Stats.Goroutines,
-			MaxProcs:        res.Stats.MaxProcs,
-			BytesSpilled:    res.Stats.BytesSpilled,
-			SpillPartitions: res.Stats.SpillPartitions,
-			SpillTime:       res.Stats.SpillTime,
-		},
-	}
+	return &Result{Runtime: name, Time: res.WallTime, Stats: res.Stats}
 }

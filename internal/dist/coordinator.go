@@ -50,29 +50,6 @@ type Config struct {
 	AdvertiseAddr string
 }
 
-// Stats aggregates the unified counters across the coordinator and every
-// worker (tuples, batches and goroutines are summed over the nodes; the
-// structural plan counters are node-independent).
-type Stats struct {
-	operator.Counters
-	Goroutines int
-	OpWall     map[string]time.Duration
-
-	// Workers is the number of worker processes the run spawned.
-	Workers int
-	// BytesOnWire is the total frame bytes written on inter-node data
-	// connections, summed over all nodes.
-	BytesOnWire int64
-}
-
-// Result is the outcome of one distributed execution.
-type Result struct {
-	// WallTime is the elapsed real time of the whole run, worker spawn and
-	// teardown included.
-	WallTime time.Duration
-	Stats    Stats
-}
-
 // workerProc is the coordinator's handle on one spawned worker.
 type workerProc struct {
 	node     int
@@ -97,8 +74,10 @@ type nodeDone struct {
 // into sink (the push contract of parallel.Sink / core.Sink). It returns
 // when the result is fully delivered and every child reaped; cancellation
 // propagates to the workers as CANCEL frames and the call never leaves
-// goroutines, sockets or child processes behind.
-func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config, sink parallel.Sink) (*Result, error) {
+// goroutines, sockets or child processes behind. The result's counters are
+// merged across the coordinator and every worker; its WallTime is the
+// whole run, worker spawn and teardown included.
+func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config, sink parallel.Sink) (*parallel.RunResult, error) {
 	if sink == nil {
 		return nil, errors.New("dist: Run needs a sink")
 	}
@@ -195,7 +174,7 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 	// Spawn the children and watch each for a premature exit (the crash
 	// signal: gone before its DONE while the run is still live).
 	ws := make([]*workerProc, workers)
-	abort := func(err error) (*Result, error) {
+	abort := func(err error) (*parallel.RunResult, error) {
 		closing.Store(true)
 		cancel()
 		// Tell every worker we know to stop, then cut all control paths —
@@ -398,14 +377,16 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 		return abort(runErr)
 	}
 
-	// Gather every worker's DONE and merge the counters.
-	st := Stats{
-		Counters:    res.Stats.Counters,
-		Goroutines:  res.Stats.Goroutines + p.goroutines(),
-		OpWall:      res.Stats.OpWall,
-		Workers:     workers,
-		BytesOnWire: p.bytes.Load(),
-	}
+	// Gather every worker's DONE and merge its counters into the
+	// coordinator's own run (tuples, batches, goroutines and wire bytes are
+	// summed over the nodes; the structural plan counters are
+	// node-independent). The collect node's single slot is not the run's
+	// cap — every worker schedules its own processes — so MaxProcs reads 0.
+	st := &res.Stats
+	st.Goroutines += p.goroutines()
+	st.MaxProcs = 0
+	st.Workers = workers
+	st.BytesOnWire = p.bytes.Load()
 	for have := 0; have < workers; {
 		select {
 		case nd := <-doneCh:
@@ -415,8 +396,8 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 			st.Goroutines += nd.msg.Goroutines
 			st.BytesOnWire += nd.msg.BytesOnWire
 			for id, d := range nd.msg.OpWall {
-				if d > st.OpWall[id] {
-					st.OpWall[id] = d
+				if d > st.OpDone[id] {
+					st.OpDone[id] = d
 				}
 			}
 			have++
@@ -440,8 +421,8 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 	ln.Close()
 	p.teardown()
 	<-acceptDone
-	wall := time.Since(start)
-	return &Result{WallTime: wall, Stats: st}, nil
+	res.WallTime = time.Since(start)
+	return res, nil
 }
 
 // reapAll waits for every child to exit, killing stragglers once the

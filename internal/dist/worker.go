@@ -250,7 +250,7 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 		Batches:           res.Stats.Batches,
 		Goroutines:        res.Stats.Goroutines + p.goroutines(),
 		BytesOnWire:       p.bytes.Load(),
-		OpWall:            res.Stats.OpWall,
+		OpWall:            res.Stats.OpDone,
 	}
 	closing.Store(true)
 	if err := ctrl.WriteMsg(ftDone, d); err != nil {

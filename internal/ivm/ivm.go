@@ -151,8 +151,8 @@ type collector struct {
 }
 
 // View is a continuously maintained materialization of one query: the
-// resident join network plus the collected result multiset. Apply, Rows
-// and Close are safe for concurrent use; one Apply runs at a time.
+// resident join network plus the collected result multiset. Apply, Rows,
+// Changes and Close are safe for concurrent use; one Apply runs at a time.
 type View struct {
 	cfg   Config
 	batch int
@@ -171,7 +171,7 @@ type View struct {
 	roundDone chan roundResult
 	unmatched atomic.Int64
 
-	mu      sync.Mutex // serializes rounds and snapshots
+	mu      sync.Mutex // serializes rounds, snapshots and subscriptions
 	charged int64      // bytes currently charged to cfg.Meter
 
 	closeOnce sync.Once
@@ -489,11 +489,15 @@ func (s *ChangeStream) Change() Change { return s.cur[s.idx] }
 // Close unsubscribes the stream; a blocked Next returns false.
 func (s *ChangeStream) Close() { s.once.Do(func() { close(s.quit) }) }
 
-// Changes subscribes a new change stream. Rounds that complete after the
-// subscription deliver their signed result changes to it; a subscriber
-// that stops consuming backpressures Apply (close the stream instead of
-// abandoning it). On a closed view the stream reports no changes.
+// Changes subscribes a new change stream. Every round that starts after the
+// subscription delivers all of its signed result changes to it: like Rows,
+// Changes waits out an Apply in flight, so a stream never begins in the
+// middle of a round. A subscriber that stops consuming backpressures Apply
+// (close the stream instead of abandoning it). On a closed view the stream
+// reports no changes.
 func (v *View) Changes() *ChangeStream {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	s := &ChangeStream{ch: make(chan []Change, 4), quit: make(chan struct{}), idx: -1}
 	c := v.coll
 	c.subMu.Lock()

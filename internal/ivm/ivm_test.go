@@ -216,6 +216,52 @@ func TestViewChanges(t *testing.T) {
 	}
 }
 
+// TestViewChangesSubscribeMidRound opens a change stream while an Apply is
+// in flight, at a varying point of the round. A stream carries whole rounds
+// or it is useless to a replica: the first chunk it delivers must be a
+// complete round (the one in flight, if the subscription beat it to the
+// view's lock), never the tail of one.
+func TestViewChangesSubscribeMidRound(t *testing.T) {
+	const rels, k = 4, 1500
+	h := newHarness(t, jointree.LeftLinear, strategy.FP, rels, 4000, 1995, Config{BatchTuples: 16})
+	ctx := context.Background()
+	for trial := 0; trial < 200; trial++ {
+		// A closed subscriber is dropped by a round that has changes to hand
+		// it; start every trial from none, so the round below decides whether
+		// to record changes on the new subscription alone.
+		for h.view.coll.hasSubs() {
+			if _, err := h.view.Apply(ctx, h.randomDelta(rels-1, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		delta := h.randomDelta(rels-1, k) // the top join's relation: one result change per delta tuple
+		var res ApplyResult
+		var err error
+		done := make(chan struct{})
+		go func() {
+			res, err = h.view.Apply(ctx, delta)
+			close(done)
+		}()
+		for i := 0; i < trial%40; i++ {
+			runtime.Gosched()
+		}
+		stream := h.view.Changes()
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case chunk := <-stream.ch:
+			if len(chunk) != res.Changes {
+				t.Fatalf("trial %d: stream opened mid-round got %d of the round's %d changes", trial, len(chunk), res.Changes)
+			}
+		default: // subscribed after the round: it owes this stream nothing
+		}
+		stream.Close()
+	}
+	h.verify(t, "after the trials")
+}
+
 // TestViewMeterSettles charges a meter child and checks the shared live
 // balance returns to zero on Close — the leak-regression contract the
 // engine relies on.

@@ -2,6 +2,7 @@ package operator
 
 import (
 	"context"
+	"time"
 
 	"multijoin/internal/relation"
 )
@@ -134,4 +135,88 @@ func (c *Counters) AddTransport(o *Outbox) {
 		c.TuplesLocal += o.MovedLocal
 		c.Batches += o.Batches
 	}
+}
+
+// Stats is the unified counter set of one run, declared once for every
+// runtime: the goroutine and multi-process runtimes fill it themselves, the
+// simulator's adapter converts its virtual-time engine.Stats into it, and
+// an Engine session adds the admission fields. Quantities that only one
+// backend can measure are documented as such and are zero on the others;
+// everything structural (processes, streams, tuple movement) is
+// runtime-independent by construction — all backends interpret the same
+// plan — and is filled by every runtime.
+type Stats struct {
+	// Counters are the structural quantities of the plan and its data:
+	// Processes, Streams, TuplesMovedRemote, TuplesLocal, Batches and
+	// ResultTuples.
+	Counters
+	// OpDone maps operator ids to their completion offset from query
+	// start (virtual time on the simulator, wall time on real runtimes).
+	OpDone map[string]time.Duration
+	// QueueWait is how long the query waited in an Engine's admission
+	// queue before it began executing (zero outside an Engine session or
+	// when a slot was free immediately).
+	QueueWait time.Duration
+	// PlanCacheHit reports whether the query's plan was served from the
+	// Engine's plan cache instead of being planned from scratch (always
+	// false outside an Engine session).
+	PlanCacheHit bool
+	// EstimatedCost is the admission policy's predicted wall time for the
+	// query — calibrated via WithCalibration, otherwise on an assumed
+	// per-unit cost (zero outside an Engine session).
+	EstimatedCost time.Duration
+	// MemReserved is the peak-memory reservation the cost admission policy
+	// held for the query on the shared budget, in bytes (zero under the
+	// fifo policy, for non-spill queries, and for grace-mode admissions of
+	// queries too large to ever fit).
+	MemReserved int64
+
+	// Simulator-only counters (zero on wall-clock runtimes).
+
+	// StartupTime is the total serial scheduler time spent initializing
+	// operation processes.
+	StartupTime time.Duration
+	// HandshakeTime is the total processor time spent on stream
+	// handshakes.
+	HandshakeTime time.Duration
+	// SimEvents is the number of simulation events processed.
+	SimEvents uint64
+	// PeakTableTuplesPerProc is the per-processor peak of hash-table
+	// resident tuples (the Section 5 memory observation).
+	PeakTableTuplesPerProc int
+	// PeakTableTuplesTotal is the machine-wide peak of hash-table
+	// resident tuples.
+	PeakTableTuplesTotal int
+
+	// Wall-clock-runtime-only counters (zero on the simulator).
+
+	// Goroutines is the total number of goroutines launched: one worker per
+	// host — per operator and slot its processes use, so per operation
+	// process when the run has as many slots as the plan has processors —
+	// and one dependency waiter per operator with After dependencies. It has
+	// no per-stream term. The dist runtime sums it over its nodes.
+	Goroutines int
+	// MaxProcs is the number of modeled processors (slots), the cap on
+	// concurrent computation; zero on the dist runtime, where every worker
+	// process schedules its own.
+	MaxProcs int
+
+	// Spill-runtime-only counters (zero on the in-memory runtimes).
+
+	// BytesSpilled is the total bytes of operand tuples serialized to
+	// temp-file spill partitions.
+	BytesSpilled int64
+	// SpillPartitions is the number of spill-partition files created.
+	SpillPartitions int
+	// SpillTime is the total wall time spent on spill-file I/O (writes
+	// plus partition re-reads).
+	SpillTime time.Duration
+
+	// Dist-runtime-only counters (zero on single-process runtimes).
+
+	// BytesOnWire is the total frame bytes written on inter-node TCP data
+	// connections, summed over the coordinator and every worker process.
+	BytesOnWire int64
+	// Workers is the number of worker processes the run spawned.
+	Workers int
 }

@@ -343,38 +343,17 @@ func (c Config) withDefaults(plan *xra.Plan) Config {
 	return c
 }
 
-// Stats aggregates the structural counters of one parallel run, mirroring
-// engine.Stats where the quantity is meaningful on a real machine.
-type Stats struct {
-	operator.Counters
-	// Goroutines is the total number of goroutines launched: one worker per
-	// host — per operator and slot its processes use, so per operation
-	// process when the run has as many slots as the plan has processors —
-	// and one dependency waiter per operator with After dependencies. It has
-	// no per-stream term.
-	Goroutines int
-	// MaxProcs is the number of modeled processors (slots).
-	MaxProcs int
-	// OpWall maps operator ids to their wall-clock completion offset from
-	// query start.
-	OpWall map[string]time.Duration
-
-	// Out-of-core counters (zero unless Config.MemoryBudget was set).
-
-	// BytesSpilled is the total bytes written to spill-partition files.
-	BytesSpilled int64
-	// SpillPartitions is the number of spill-partition files created.
-	SpillPartitions int
-	// SpillTime is the total wall time spent on spill-file I/O.
-	SpillTime time.Duration
-}
+// Stats is the unified counter set (operator.Stats); a parallel run fills
+// the structural counters, Goroutines, MaxProcs, OpDone and, when
+// Config.MemoryBudget was set, the out-of-core counters.
+type Stats = operator.Stats
 
 // RunResult is the outcome of one parallel execution.
 type RunResult struct {
 	// WallTime is the elapsed real time from launch to the completion of
 	// the last operation process.
 	WallTime time.Duration
-	// Stats holds structural counters.
+	// Stats holds the run's counters.
 	Stats Stats
 }
 
@@ -798,10 +777,10 @@ func (r *runtimeState) finish(streams int) *RunResult {
 		},
 		Goroutines: r.goroutines,
 		MaxProcs:   r.cfg.MaxProcs,
-		OpWall:     make(map[string]time.Duration, len(r.ops)),
+		OpDone:     make(map[string]time.Duration, len(r.ops)),
 	}}
 	for _, os := range r.ops {
-		res.Stats.OpWall[os.Op.ID] = os.wallDone
+		res.Stats.OpDone[os.Op.ID] = os.wallDone
 		if os.Op.Kind != xra.OpCollect && os.wallDone > res.WallTime {
 			res.WallTime = os.wallDone
 		}

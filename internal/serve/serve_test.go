@@ -325,6 +325,52 @@ func TestServeMalformedFrames(t *testing.T) {
 	}
 }
 
+// TestServeOversizedProcs asks for a plan over a billion processors in a
+// SUBMIT and in a VCREATE. Planning that costs the server seconds and
+// gigabytes, so both must be refused at the door: an ERROR at once, nothing
+// reserved, nothing planned or cached — and the same connection still
+// serves a reasonable request afterwards.
+func TestServeOversizedProcs(t *testing.T) {
+	srv, addr, db := startServer(t, 4, 500)
+	cl, err := serve.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	eng := srv.Engine()
+	_, missesBefore := eng.PlanCacheStats()
+	start := time.Now()
+
+	st, err := cl.Submit(serve.QuerySpec{Strategy: "FP", Runtime: "parallel", Procs: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Drain(); err == nil || !strings.Contains(err.Error(), "processors requested") {
+		t.Fatalf("oversized SUBMIT: err = %v, want the processor limit", err)
+	}
+	if _, err := cl.CreateView(serve.ViewSpec{Procs: 1 << 30}); err == nil || !strings.Contains(err.Error(), "processors requested") {
+		t.Fatalf("oversized VCREATE: err = %v, want the processor limit", err)
+	}
+
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("refusals took %v, want them immediate", d)
+	}
+	if live := eng.MemoryLive(); live != 0 {
+		t.Errorf("engine meter live = %d bytes after the refusals, want 0", live)
+	}
+	if _, misses := eng.PlanCacheStats(); misses != missesBefore {
+		t.Errorf("plan cache misses %d -> %d: a refused request was planned", missesBefore, misses)
+	}
+
+	st, err = cl.Submit(serve.QuerySpec{Strategy: "FP", Runtime: "parallel", Procs: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, _, err := st.Drain(); err != nil || rows != int64(db.Cardinality()) {
+		t.Fatalf("100 processors after the refusals: %d rows, err %v; want %d rows", rows, err, db.Cardinality())
+	}
+}
+
 // TestServeClientDisconnectMidStream drops the TCP connection while
 // results are streaming (with a tiny credit window so the server is
 // blocked mid-stream) and requires the server to cancel the orphaned

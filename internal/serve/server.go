@@ -486,9 +486,19 @@ func (sc *srvConn) viewClose(sid uint32) {
 	sc.c.WriteMsg(fsDone, doneMsg{ID: sid, Rows: rows})
 }
 
+// maxProcs bounds the processor count a SUBMIT or VCREATE may plan for. A
+// plan's processes, streams and buffers grow with it (measured: 2.4 GiB and
+// 8.7 s at 2^20 on a 4x500 database), so without a bound one small frame
+// buys unbounded server work. The paper's machine has 100 nodes.
+const maxProcs = 4096
+
 // buildQuery resolves a submitMsg against the server's database into an
-// executable query and its per-query options.
+// executable query and its per-query options. It rejects an oversized
+// request before anything is planned or cached.
 func (s *Server) buildQuery(sub submitMsg) (core.Query, []core.Option, error) {
+	if sub.Procs > maxProcs {
+		return core.Query{}, nil, fmt.Errorf("serve: %d processors requested, limit is %d", sub.Procs, maxProcs)
+	}
 	db := s.eng.DB()
 	k := sub.Relations
 	if k == 0 {
