@@ -28,11 +28,11 @@ test:
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Spill equivalence under a forcing budget (a subset of `make test`, pinned
-# as its own target so CI shows the out-of-core path exercised on every
-# push): every strategy on the spill runtime with a budget small enough
-# that every join spills at least one partition, plus the Grace join
-# differential tests, all under -race.
+# Spill equivalence under a forcing budget (a subset of `make test`, kept
+# as its own target for a quick local check of the out-of-core path; CI
+# runs it as part of `make test`): every strategy on the spill runtime with
+# a budget small enough that every join spills at least one partition, plus
+# the Grace join differential tests, all under -race.
 spill-check:
 	$(GO) test -race -run 'TestSpill|TestGrace' ./internal/core ./internal/hashjoin
 
@@ -53,10 +53,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzServeFrames -fuzztime 10s ./internal/serve
 
-# IVM smoke: create a materialized view, push mixed signed delta rounds
-# through its resident FP network, and verify the maintained result against
-# a from-scratch recompute of the sequential reference after every round,
-# under -race.
+# IVM smoke (a subset of `make test`, for local use): create a materialized
+# view, push mixed signed delta rounds through its resident FP network, and
+# verify the maintained result against a from-scratch recompute of the
+# sequential reference after every round, under -race.
 ivm-smoke:
 	$(GO) test -race -run 'TestViewSmoke' -count=1 ./internal/ivm
 
@@ -133,9 +133,10 @@ serve-smoke:
 	grep -q "drained clean" .bin/mjserve.log || { echo "no clean drain:"; cat .bin/mjserve.log; exit 1; }; \
 	echo "serve smoke passed (graceful drain, meter live = 0)"
 
-# Calibration smoke: a tiny cost-model calibration sweep on the CI host,
-# asserting it produces finite, positive per-action costs and a monotone
-# wall-time estimator — the measurement feeding cost-based admission.
+# Calibration smoke (a subset of `make test`, for local use): a tiny
+# cost-model calibration sweep on this host, asserting it produces finite,
+# positive per-action costs and a monotone wall-time estimator — the
+# measurement feeding cost-based admission.
 calibrate-smoke:
 	$(GO) test -race -run 'TestCalibrateSmoke' -count=1 ./internal/costmodel
 

@@ -10,9 +10,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"multijoin"
 	"multijoin/internal/diagram"
@@ -77,16 +79,16 @@ func run(shapeName, strategyName *string, procs, card, relations *int, seed *int
 	if !*showDiagram {
 		return nil
 	}
-	res, err := q.Run()
+	res, err := multijoin.Exec(context.Background(), q)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nresponse time: %.3fs   result tuples: %d\n",
-		res.ResponseTime.Seconds(), res.Stats.ResultTuples)
-	fmt.Printf("startup: %v   handshakes: %v   remote tuples: %d   local tuples: %d\n\n",
-		res.Stats.StartupTime, res.Stats.HandshakeTime,
+		res.Time.Seconds(), res.Stats.ResultTuples)
+	fmt.Printf("startup: %.3fs   handshakes: %.3fs   remote tuples: %d   local tuples: %d\n\n",
+		res.Stats.StartupTime.Seconds(), res.Stats.HandshakeTime.Seconds(),
 		res.Stats.TuplesMovedRemote, res.Stats.TuplesLocal)
-	end := sim.Time(res.ResponseTime)
+	end := sim.Time(res.Time / time.Microsecond)
 	fmt.Print(diagram.Render(res.Procs, end, 72))
 	fmt.Print(diagram.Legend(res.Procs))
 	fmt.Printf("average utilization: %.0f%%\n", 100*diagram.Utilization(res.Procs, end))

@@ -65,7 +65,7 @@ func main() {
 	fmt.Printf("\ntwo-phase pipeline on the generated database:\n")
 	fmt.Printf("  chosen tree: %v\n", tree)
 	fmt.Printf("  FP on 40 processors: %.2fs response time, %d result tuples\n",
-		res.ResponseTime.Seconds(), res.Stats.ResultTuples)
+		res.Time.Seconds(), res.Stats.ResultTuples)
 
 	// The same optimized tree through a session, this time on the goroutine
 	// runtime: the Engine's shared processor pool takes the place of a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"multijoin/internal/costmodel"
@@ -133,23 +134,23 @@ func TestAdviceIsGood(t *testing.T) {
 				runTree = jointree.Clone(tree)
 				jointree.Mirror(runTree)
 			}
-			advised, err := Query{DB: db, Tree: runTree, Strategy: a.Strategy,
-				Procs: procs, Params: costmodel.Default()}.Run()
+			advised, err := Exec(context.Background(), Query{DB: db, Tree: runTree, Strategy: a.Strategy,
+				Procs: procs, Params: costmodel.Default()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			best := advised.ResponseTime.Seconds()
+			best := advised.Time.Seconds()
 			for _, kind := range strategy.Kinds {
-				r, err := Query{DB: db, Tree: tree, Strategy: kind,
-					Procs: procs, Params: costmodel.Default()}.Run()
+				r, err := Exec(context.Background(), Query{DB: db, Tree: tree, Strategy: kind,
+					Procs: procs, Params: costmodel.Default()})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if s := r.ResponseTime.Seconds(); s < best {
+				if s := r.Time.Seconds(); s < best {
 					best = s
 				}
 			}
-			if got := advised.ResponseTime.Seconds(); got > 2.0*best {
+			if got := advised.Time.Seconds(); got > 2.0*best {
 				t.Errorf("%v/%d procs: advised %v (mirror=%v) took %.3fs, best is %.3fs",
 					shape, procs, a.Strategy, a.MirrorFirst, got, best)
 			}

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"multijoin/internal/costmodel"
-	"multijoin/internal/engine"
 	"multijoin/internal/jointree"
 	"multijoin/internal/strategy"
 	"multijoin/internal/wisconsin"
@@ -14,14 +14,14 @@ import (
 // reduced scale (2000-tuple relations), so the full conclusions of Section 5
 // are guarded by the test suite, not only by the benchmark harness.
 
-func measure(t *testing.T, db *wisconsin.Database, shape jointree.Shape, kind strategy.Kind, procs int) *engine.RunResult {
+func measure(t *testing.T, db *wisconsin.Database, shape jointree.Shape, kind strategy.Kind, procs int) *Result {
 	t.Helper()
 	tree, err := jointree.BuildShape(shape, db.NumRelations())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Query{DB: db, Tree: tree, Strategy: kind, Procs: procs,
-		Params: costmodel.Default()}.Run()
+	res, err := Exec(context.Background(), Query{DB: db, Tree: tree, Strategy: kind, Procs: procs,
+		Params: costmodel.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,21 +34,21 @@ func TestLinearDegenerations(t *testing.T) {
 	sp := measure(t, db, jointree.LeftLinear, strategy.SP, 16)
 	se := measure(t, db, jointree.LeftLinear, strategy.SE, 16)
 	rd := measure(t, db, jointree.LeftLinear, strategy.RD, 16)
-	if sp.ResponseTime != se.ResponseTime || sp.ResponseTime != rd.ResponseTime {
+	if sp.Time != se.Time || sp.Time != rd.Time {
 		t.Errorf("left-linear: SP=%v SE=%v RD=%v, want identical",
-			sp.ResponseTime, se.ResponseTime, rd.ResponseTime)
+			sp.Time, se.Time, rd.Time)
 	}
 	// Figure 13: SE still coincides with SP on a right-linear tree, while
 	// RD forms a pipeline and beats both at scale.
 	sp = measure(t, db, jointree.RightLinear, strategy.SP, 48)
 	se = measure(t, db, jointree.RightLinear, strategy.SE, 48)
 	rd = measure(t, db, jointree.RightLinear, strategy.RD, 48)
-	if sp.ResponseTime != se.ResponseTime {
-		t.Errorf("right-linear: SP=%v SE=%v, want identical", sp.ResponseTime, se.ResponseTime)
+	if sp.Time != se.Time {
+		t.Errorf("right-linear: SP=%v SE=%v, want identical", sp.Time, se.Time)
 	}
-	if rd.ResponseTime >= sp.ResponseTime {
+	if rd.Time >= sp.Time {
 		t.Errorf("right-linear at 48 procs: RD=%v not better than SP=%v",
-			rd.ResponseTime, sp.ResponseTime)
+			rd.Time, sp.Time)
 	}
 }
 
@@ -58,9 +58,9 @@ func TestSPDegradesWithParallelism(t *testing.T) {
 	db := testDB(t, 10, 2000)
 	small := measure(t, db, jointree.WideBushy, strategy.SP, 16)
 	large := measure(t, db, jointree.WideBushy, strategy.SP, 64)
-	if large.ResponseTime <= small.ResponseTime {
+	if large.Time <= small.Time {
 		t.Errorf("SP at 64 procs (%v) should be slower than at 16 (%v) for a small problem",
-			large.ResponseTime, small.ResponseTime)
+			large.Time, small.Time)
 	}
 }
 
@@ -72,9 +72,9 @@ func TestFPBestAtScale(t *testing.T) {
 		fp := measure(t, db, shape, strategy.FP, 64)
 		for _, other := range []strategy.Kind{strategy.SP, strategy.SE} {
 			o := measure(t, db, shape, other, 64)
-			if fp.ResponseTime >= o.ResponseTime {
+			if fp.Time >= o.Time {
 				t.Errorf("%v at 64 procs: FP=%v not better than %v=%v",
-					shape, fp.ResponseTime, other, o.ResponseTime)
+					shape, fp.Time, other, o.Time)
 			}
 		}
 	}
@@ -87,9 +87,9 @@ func TestRDWinsRightOrientedTrees(t *testing.T) {
 	rd := measure(t, db, jointree.RightBushy, strategy.RD, 32)
 	for _, other := range []strategy.Kind{strategy.SP, strategy.SE} {
 		o := measure(t, db, jointree.RightBushy, other, 32)
-		if rd.ResponseTime >= o.ResponseTime {
+		if rd.Time >= o.Time {
 			t.Errorf("right-bushy at 32 procs: RD=%v not better than %v=%v",
-				rd.ResponseTime, other, o.ResponseTime)
+				rd.Time, other, o.Time)
 		}
 	}
 }
@@ -101,9 +101,9 @@ func TestSEBeatsRDOnWideBushy(t *testing.T) {
 	se := measure(t, db, jointree.WideBushy, strategy.SE, 32)
 	rd := measure(t, db, jointree.WideBushy, strategy.RD, 32)
 	sp := measure(t, db, jointree.WideBushy, strategy.SP, 32)
-	if se.ResponseTime >= rd.ResponseTime || se.ResponseTime >= sp.ResponseTime {
+	if se.Time >= rd.Time || se.Time >= sp.Time {
 		t.Errorf("wide-bushy at 32 procs: SE=%v RD=%v SP=%v; SE should lead",
-			se.ResponseTime, rd.ResponseTime, sp.ResponseTime)
+			se.Time, rd.Time, sp.Time)
 	}
 }
 
@@ -150,8 +150,8 @@ func TestBushyBeatsLinearAtBest(t *testing.T) {
 		for _, kind := range strategy.Kinds {
 			for _, procs := range []int{16, 32, 64} {
 				r := measure(t, db, shape, kind, procs)
-				if best < 0 || r.ResponseTime.Seconds() < best {
-					best = r.ResponseTime.Seconds()
+				if best < 0 || r.Time.Seconds() < best {
+					best = r.Time.Seconds()
 				}
 			}
 		}

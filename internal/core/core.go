@@ -9,10 +9,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"multijoin/internal/costmodel"
-	"multijoin/internal/engine"
 	"multijoin/internal/jointree"
 	"multijoin/internal/optimizer"
 	"multijoin/internal/relation"
@@ -49,19 +49,6 @@ func (q Query) Plan() (*xra.Plan, error) {
 		EqualWork: q.EqualWork,
 	}
 	return strategy.Plan(q.Strategy, q.Tree, cfg)
-}
-
-// Run plans and executes the query on the simulated machine and returns
-// the simulator's own result type — the entry point for callers that need
-// what only the simulator has, the per-processor busy intervals behind the
-// paper's utilization diagrams (RunResult.Procs). Everything else goes
-// through Exec.
-func (q Query) Run() (*engine.RunResult, error) {
-	plan, err := q.Plan()
-	if err != nil {
-		return nil, err
-	}
-	return engine.Run(plan, q.baseRelation, q.Params)
 }
 
 func (q Query) baseRelation(leaf int) *relation.Relation {
@@ -108,14 +95,15 @@ func Reference(db *wisconsin.Database, tree *jointree.Node) *relation.Relation {
 
 // TwoPhase performs the full two-phase pipeline of Section 1.2: phase 1
 // picks the minimal-total-cost tree for the database's uniform catalog in
-// the given search space, phase 2 parallelizes and executes it.
-func TwoPhase(db *wisconsin.Database, space optimizer.Space, kind strategy.Kind, procs int, params costmodel.Params) (*jointree.Node, *engine.RunResult, error) {
+// the given search space, phase 2 parallelizes it and executes it on the
+// simulated machine.
+func TwoPhase(db *wisconsin.Database, space optimizer.Space, kind strategy.Kind, procs int, params costmodel.Params) (*jointree.Node, *Result, error) {
 	cat := optimizer.Uniform(db.NumRelations(), float64(db.Cardinality()))
 	opt, err := optimizer.Optimize(cat, space)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := Query{DB: db, Tree: opt.Tree, Strategy: kind, Procs: procs, Params: params}.Run()
+	res, err := Exec(context.Background(), Query{DB: db, Tree: opt.Tree, Strategy: kind, Procs: procs, Params: params})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,10 +5,10 @@
 // machines — PRISMA/DB's 80-node shared-nothing cluster and analytical
 // models. This file is that move as an API: a Runtime turns a plan plus
 // base relations into a unified Result, and a by-name registry
-// (registry.go) lets callers pick the backend ("sim", "parallel") without
-// touching a different code path per backend. Future runtimes — per-
-// processor affinity queues, calibrated wall-clock models, spill-to-disk
-// execution — are a RegisterRuntime call, not a new API surface.
+// (registry.go) lets callers pick the backend — "sim", "parallel", "spill"
+// or "dist" (runtimes.go) — without touching a different code path per
+// backend. A further backend is a RegisterRuntime call, not a new API
+// surface.
 package core
 
 import (
@@ -19,6 +19,7 @@ import (
 	"multijoin/internal/costmodel"
 	"multijoin/internal/operator"
 	"multijoin/internal/relation"
+	"multijoin/internal/sim"
 	"multijoin/internal/xra"
 )
 
@@ -26,8 +27,8 @@ import (
 type BaseFunc func(leaf int) *relation.Relation
 
 // Stats is the one counter set every runtime reports (operator.Stats,
-// declared beside the Counters it embeds so that the wall-clock runtimes
-// fill it directly and the adapters assign it whole).
+// declared beside the Counters it embeds so that every runtime fills it
+// directly and the adapters assign it whole).
 type Stats = operator.Stats
 
 // Result is the unified outcome of executing a plan on any runtime.
@@ -49,6 +50,10 @@ type Result struct {
 	Result *relation.Relation
 	// Stats holds the unified structural counters.
 	Stats Stats
+	// Procs holds the per-processor busy intervals behind the paper's
+	// utilization diagrams (Figures 3, 4, 6, 7). Only the simulator records
+	// them, and only when Params.RecordUtilization is set; nil otherwise.
+	Procs []*sim.Proc
 }
 
 // Sink consumes the result stream of one execution — the push half of the
@@ -102,12 +107,9 @@ type Options struct {
 // Option mutates Options — the functional options accepted by Exec.
 type Option func(*Options)
 
-// WithRuntime selects the execution backend by registry name
-// ("sim", "parallel", or any registered runtime).
+// WithRuntime selects the execution backend by registry name ("sim",
+// "parallel", "spill", "dist", or any registered runtime).
 func WithRuntime(name string) Option { return func(o *Options) { o.Runtime = name } }
-
-// WithParams sets the simulated machine model.
-func WithParams(p costmodel.Params) Option { return func(o *Options) { o.Params = p } }
 
 // WithMaxProcs sets the number of modeled processors on wall-clock
 // runtimes: one slot each, held by a process while it computes, so the
@@ -164,27 +166,20 @@ type Runtime interface {
 
 // Exec plans the query and executes it on the runtime selected by the
 // options (default: the simulator), materializing the full result — the
-// classic one-shot entry point, now a thin adapter that drains the
-// runtime's result stream into a relation. Long-lived sessions with
+// one-shot entry point, a thin adapter that drains the runtime's result
+// stream into a relation. Long-lived sessions with
 // streaming cursors and shared admission control are Open/Engine.Query:
 //
 //	res, err := core.Exec(ctx, q)                              // simulator
 //	res, err := core.Exec(ctx, q, core.WithRuntime("parallel"),
 //	        core.WithMaxProcs(8), core.WithVerify())           // goroutines
 //
-// Params defaults to the query's own Params. BatchTuples, when unset,
-// is left to the executing runtime's transport default (the simulator
+// The machine model is the query's own Params. BatchTuples, when unset, is
+// left to the executing runtime's transport default (the simulator
 // always batches at Params.BatchTuples — its cost-model granularity —
 // while the goroutine runtimes default to parallel.DefaultBatchTuples).
 func Exec(ctx context.Context, q Query, opts ...Option) (*Result, error) {
-	o := Options{Runtime: DefaultRuntime, Params: q.Params}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.Runtime == "" {
-		o.Runtime = DefaultRuntime
-	}
-	rt, err := LookupRuntime(o.Runtime)
+	o, rt, err := resolve(Options{}, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -201,10 +196,33 @@ func Exec(ctx context.Context, q Query, opts ...Option) (*Result, error) {
 		res.Result = sink.Rel
 	}
 	if o.Verify {
-		want := Reference(q.DB, q.Tree)
-		if diff := relation.DiffMultiset(res.Result, want); diff != "" {
-			return nil, fmt.Errorf("core: %s %v result differs from reference: %s", rt.Name(), q.Strategy, diff)
+		if err := q.verify(res.Result, rt.Name()); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
+}
+
+// resolve is the option resolution every entry point shares: the caller's
+// defaults (none for Exec, the engine's for a session), the query's own
+// machine parameters, then the per-call options, and the runtime they name.
+func resolve(o Options, q Query, opts []Option) (Options, Runtime, error) {
+	o.Params = q.Params
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.Runtime == "" {
+		o.Runtime = DefaultRuntime
+	}
+	rt, err := LookupRuntime(o.Runtime)
+	return o, rt, err
+}
+
+// verify checks a materialized result against the sequential reference
+// execution (Options.Verify: Exec, Engine.Exec, Rows.All).
+func (q Query) verify(got *relation.Relation, runtime string) error {
+	if diff := relation.DiffMultiset(got, Reference(q.DB, q.Tree)); diff != "" {
+		return fmt.Errorf("core: %s %v result differs from reference: %s", runtime, q.Strategy, diff)
+	}
+	return nil
 }

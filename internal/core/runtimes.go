@@ -2,23 +2,20 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"multijoin/internal/dist"
 	"multijoin/internal/engine"
 	"multijoin/internal/parallel"
-	"multijoin/internal/sim"
 	"multijoin/internal/spill"
 	"multijoin/internal/xra"
 )
 
-// The built-in backends register themselves like database/sql drivers;
-// future runtimes (affinity queues, calibrated wall-clock) do the same from
-// their own packages.
+// The built-in backends register themselves like database/sql drivers; a
+// further backend does the same from its own package.
 func init() {
 	RegisterRuntime("sim", simRuntime{})
-	RegisterRuntime("parallel", parallelRuntime{})
-	RegisterRuntime("spill", spillRuntime{})
+	RegisterRuntime("parallel", poolRuntime{})
+	RegisterRuntime("spill", poolRuntime{spill: true})
 	RegisterRuntime("dist", distRuntime{})
 }
 
@@ -34,93 +31,56 @@ func (simRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc, si
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Runtime: "sim",
-		Virtual: true,
-		Time:    simToWall(res.ResponseTime),
-		Stats: Stats{
-			Counters:               res.Stats.Counters,
-			OpDone:                 simOpDone(res.Stats.OpFinish),
-			StartupTime:            simToWall(res.Stats.StartupTime),
-			HandshakeTime:          simToWall(res.Stats.HandshakeTime),
-			SimEvents:              res.Stats.SimEvents,
-			PeakTableTuplesPerProc: res.Stats.PeakTableTuplesPerProc,
-			PeakTableTuplesTotal:   res.Stats.PeakTableTuplesTotal,
-		},
-	}, nil
+	return &Result{Runtime: "sim", Virtual: true, Time: res.Time, Stats: res.Stats, Procs: res.Procs}, nil
 }
 
-// simToWall converts virtual microseconds to a time.Duration of the same
-// magnitude.
-func simToWall[T ~int64](d T) time.Duration { return time.Duration(d) * time.Microsecond }
-
-func simOpDone(finish map[string]sim.Time) map[string]time.Duration {
-	done := make(map[string]time.Duration, len(finish))
-	for id, t := range finish {
-		done[id] = simToWall(t)
-	}
-	return done
-}
-
-// parallelRuntime executes plans with real goroutine concurrency (package
+// poolRuntime executes plans with real goroutine concurrency (package
 // parallel): one worker goroutine and one inbox per operator and processor
-// slot, hosting the operator's processes on that slot, wall-clock time.
-type parallelRuntime struct{}
+// slot, hosting the operator's processes on that slot, wall-clock time. It
+// is registered twice. "parallel" keeps every join operand in memory.
+// "spill" runs the same driver memory-budgeted: join operands are
+// hash-partitioned against a per-run budget (Options.MemoryBudget, default
+// spill.DefaultBudgetBytes), overflow partitions are serialized to temp
+// files, and every join runs Grace-style, partition-at-a-time — the
+// memory-constrained scenario class the in-memory runtimes cannot run: the
+// result multiset is identical, but peak tuple residency is bounded by the
+// budget instead of the operand sizes.
+type poolRuntime struct{ spill bool }
 
-func (parallelRuntime) Name() string { return "parallel" }
-
-func (parallelRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc, sink Sink, opts Options) (*Result, error) {
-	cfg := parallel.Config{
-		MaxProcs:     opts.MaxProcs,
-		BatchTuples:  opts.BatchTuples,
-		ChannelDepth: opts.ChannelDepth,
+func (r poolRuntime) Name() string {
+	if r.spill {
+		return "spill"
 	}
-	if s := opts.shared; s != nil {
-		cfg.Pool = s.procs
-	}
-	res, err := parallel.RunStream(ctx, plan, base, cfg, sink)
-	if err != nil {
-		return nil, err
-	}
-	return wallResult("parallel", res), nil
+	return "parallel"
 }
 
-// spillRuntime executes plans out-of-core: the goroutine runtime in
-// memory-budgeted mode, where join operands are hash-partitioned against a
-// per-run budget (Options.MemoryBudget, default spill.DefaultBudgetBytes),
-// overflow partitions are serialized to temp files, and every join runs
-// Grace-style, partition-at-a-time. It opens the memory-constrained
-// scenario class the in-memory runtimes cannot run: the result multiset is
-// identical, but peak tuple residency is bounded by the budget instead of
-// the operand sizes.
-type spillRuntime struct{}
-
-func (spillRuntime) Name() string { return "spill" }
-
-func (spillRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc, sink Sink, opts Options) (*Result, error) {
-	budget := opts.MemoryBudget
-	if budget < 1 {
-		budget = spill.DefaultBudgetBytes
-	}
+func (r poolRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc, sink Sink, opts Options) (*Result, error) {
 	cfg := parallel.Config{
 		MaxProcs:     opts.MaxProcs,
 		BatchTuples:  opts.BatchTuples,
 		ChannelDepth: opts.ChannelDepth,
-		MemoryBudget: budget,
+	}
+	if r.spill {
+		cfg.MemoryBudget = opts.MemoryBudget
+		if cfg.MemoryBudget < 1 {
+			cfg.MemoryBudget = spill.DefaultBudgetBytes
+		}
 	}
 	if s := opts.shared; s != nil {
-		// Engine session: shared processor slots, and the engine's shared
-		// memory budget (a per-query child meter) replaces the private
-		// per-run budget, so concurrent queries spill against their
-		// combined residency.
+		// Engine session: shared processor slots, and for a spill query the
+		// engine's shared memory budget (a per-query child meter) replaces
+		// the private per-run budget, so concurrent queries spill against
+		// their combined residency.
 		cfg.Pool = s.procs
-		cfg.Meter = s.meter
+		if r.spill {
+			cfg.Meter = s.meter
+		}
 	}
 	res, err := parallel.RunStream(ctx, plan, base, cfg, sink)
 	if err != nil {
 		return nil, err
 	}
-	return wallResult("spill", res), nil
+	return wallResult(r.Name(), res), nil
 }
 
 // distRuntime executes plans across multiple OS processes (package dist):

@@ -33,6 +33,7 @@ import (
 	"multijoin/internal/relation"
 	"multijoin/internal/spill"
 	"multijoin/internal/wisconsin"
+	"multijoin/internal/xra"
 )
 
 // ErrEngineClosed is returned by Engine.Query and Engine.Exec after Close.
@@ -205,21 +206,72 @@ func (e *Engine) Query(ctx context.Context, q Query, opts ...Option) (*Rows, err
 }
 
 func (e *Engine) query(ctx context.Context, q Query, opts []Option) (*Rows, error) {
+	a, err := e.admit(ctx, q, opts, e.estimateQuery)
+	if err != nil {
+		return nil, err
+	}
+	qctx, cancel := context.WithCancel(ctx)
+	r := &Rows{
+		admission: a,
+		eng:       e,
+		cancel:    cancel,
+		ch:        make(chan pushed, cursorBuffer),
+		done:      make(chan struct{}),
+	}
+	// Registered, Close/Shutdown can find and drain the cursor.
+	if err := e.register(a, cancel, func() { e.cursors[r] = struct{}{} }); err != nil {
+		return nil, err
+	}
+
+	go func() {
+		res, err := a.rt.Execute(qctx, a.plan, a.q.baseRelation, (*querySink)(r), a.o)
+		if res != nil {
+			// The session's half of the report, said once, before any
+			// reader can see the result.
+			res.Stats.QueueWait = a.wait
+			res.Stats.PlanCacheHit = a.planHit
+			res.Stats.EstimatedCost = a.ticket.est.wall
+			res.Stats.MemReserved = a.ticket.reserved
+		}
+		r.res, r.err = res, err
+		close(r.ch) // no pushes after Execute returns; readers observe res/err
+		e.policy.release(a.ticket)
+		e.inflight.Done()
+		cancel()
+		close(r.done)
+	}()
+	return r, nil
+}
+
+// admission is a query (or a view's population) past the engine's front
+// desk: defaults applied, options and runtime resolved, plan in hand, and
+// the admission policy's grant held on ticket.
+type admission struct {
+	q       Query
+	o       Options
+	rt      Runtime
+	plan    *xra.Plan
+	planHit bool
+	ticket  *admitTicket
+	wait    time.Duration // time spent in the admission queue
+}
+
+// admit is the preamble Engine.Query and Engine.CreateView share: q.DB and
+// a zero q.Params default to the engine's, the options resolve as in Exec
+// over the engine's defaults, the plan comes from the plan cache, and the
+// engine's policy decides when the query may start — arrival order under
+// "fifo", calibrated shortest-job-first with memory reservation under
+// "cost". estimate sizes the planned query for the policy. The wait is the
+// queue wait the throughput experiment reports; a context cancelled while
+// queued abandons the query before it consumed anything.
+func (e *Engine) admit(ctx context.Context, q Query, opts []Option, estimate func(Query, Options, *xra.Plan) queryEstimate) (*admission, error) {
 	if q.DB == nil {
 		q.DB = e.db
 	}
 	if q.Params == (costmodel.Params{}) {
 		q.Params = e.defaults.Params
 	}
-	o := e.defaults
-	o.Params = q.Params
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.Runtime == "" {
-		o.Runtime = DefaultRuntime
-	}
-	rt, err := LookupRuntime(o.Runtime)
+	o, rt, err := resolve(e.defaults, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -229,68 +281,41 @@ func (e *Engine) query(ctx context.Context, q Query, opts []Option) (*Rows, erro
 	}
 	child := e.meter.Child()
 	o.shared = &sharedRes{procs: e.procs, meter: child}
-
-	// Admission: the engine's policy decides when the query may start —
-	// arrival order under "fifo", calibrated shortest-job-first with memory
-	// reservation under "cost". The wait is the queue-wait the throughput
-	// experiment reports; a context cancelled while queued abandons the
-	// query before it consumed anything.
-	ticket := &admitTicket{est: e.estimateQuery(q, o, plan), meter: child}
+	a := &admission{q: q, o: o, rt: rt, plan: plan, planHit: planHit,
+		ticket: &admitTicket{est: estimate(q, o, plan), meter: child}}
 	start := time.Now()
-	if err := e.policy.admit(ctx, ticket); err != nil {
+	if err := e.policy.admit(ctx, a.ticket); err != nil {
 		return nil, err
 	}
-	queueWait := time.Since(start)
+	a.wait = time.Since(start)
+	return a, nil
+}
 
-	qctx, cancel := context.WithCancel(ctx)
-	r := &Rows{
-		cancel:     cancel,
-		ch:         make(chan pushed, cursorBuffer),
-		done:       make(chan struct{}),
-		queueWait:  queueWait,
-		planHit:    planHit,
-		estCost:    ticket.est.wall,
-		reserved:   ticket.reserved,
-		meter:      child,
-		tupleBytes: q.tupleBytes(),
-		estCard:    q.estResultCard(),
-		verify:     o.Verify,
-		query:      q,
-	}
-	r.onSettle = func() {
-		// The cursor's shared-budget accounting is settled: it no longer
-		// needs a force-close at engine shutdown, and the freed reservation
-		// may admit a memory-blocked waiter.
-		e.dropCursor(r)
-		e.policy.kick()
-	}
+// undo hands an admission's grant back unused: the execution slot, the
+// reservation and whatever the query's meter still holds.
+func (e *Engine) undo(a *admission) {
+	e.policy.release(a.ticket)
+	a.ticket.meter.Settle()
+	e.policy.kick()
+}
 
-	// Register the cursor so Close/Shutdown can find and drain it. Admission
-	// may have raced a concurrent Close: re-check under the lock and undo the
-	// grant if the engine closed while this query was queued, so its slot and
-	// reservation do not leak into a torn-down engine.
+// register makes an admitted query's cursor or view known to the engine
+// (add runs under the engine's lock). Admission may have raced a concurrent
+// Close: the engine is re-checked under the lock, and if it closed while
+// the query was queued or populating, abandon tears down what the caller
+// built and the grant is undone, so no slot, reservation or memory charge
+// leaks into a torn-down engine.
+func (e *Engine) register(a *admission, abandon, add func()) error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		cancel()
-		e.policy.release(ticket)
-		child.Settle()
-		e.policy.kick()
-		return nil, ErrEngineClosed
+		abandon()
+		e.undo(a)
+		return ErrEngineClosed
 	}
-	e.cursors[r] = struct{}{}
+	add()
 	e.mu.Unlock()
-
-	go func() {
-		res, err := rt.Execute(qctx, plan, q.baseRelation, (*querySink)(r), o)
-		r.res, r.err = res, err
-		close(r.ch) // no pushes after Execute returns; readers observe res/err
-		e.policy.release(ticket)
-		e.inflight.Done()
-		cancel()
-		close(r.done)
-	}()
-	return r, nil
+	return nil
 }
 
 // dropCursor forgets a settled cursor and, when a graceful Shutdown is
@@ -470,21 +495,14 @@ func (s *querySink) Push(ctx context.Context, batch *relation.Batch, release fun
 // cancels the execution, drains and releases pending batches, and returns
 // only after every worker goroutine has exited.
 type Rows struct {
+	*admission // the query, its resolved options, and its meter on the ticket
+	eng        *Engine
 	cancel     context.CancelFunc
 	ch         chan pushed
 	done       chan struct{} // closed when the runtime goroutine has exited
-	queueWait  time.Duration
-	planHit    bool          // plan served from the engine's plan cache
-	estCost    time.Duration // admission-time wall estimate
-	reserved   int64         // admission-time memory reservation (bytes)
-	meter      *spill.Meter  // per-query child of the engine budget
-	onSettle   func()        // pokes the admission policy when the reservation frees
-	tupleBytes int
-	estCard    int // upper-bound result cardinality, presizes All
-	verify     bool
-	query      Query
 
-	// res and err are written by the runtime goroutine before ch closes.
+	// res (session stats included) and err are written by the runtime
+	// goroutine before ch closes.
 	res *Result
 	err error
 
@@ -577,37 +595,22 @@ func (r *Rows) finish() {
 	if !r.finished {
 		r.finished = true
 		r.runErr = r.err
-		r.stampStats()
 	}
 	r.mu.Unlock()
 	r.settle()
 }
 
-// stampStats writes the session-side stats (admission wait, plan-cache
-// outcome, reservation) into the runtime's result. Callers hold r.mu.
-func (r *Rows) stampStats() {
-	if r.res == nil {
-		return
-	}
-	r.res.Stats.QueueWait = r.queueWait
-	r.res.Stats.PlanCacheHit = r.planHit
-	r.res.Stats.EstimatedCost = r.estCost
-	r.res.Stats.MemReserved = r.reserved
-}
-
 // settle releases the query's outstanding shared-budget reservation (a
 // cancelled run can strand pooled-batch accounting); it must run after the
-// workers exited and the cursor released every batch it held. The engine's
-// admission policy is poked afterwards: freed reservation bytes may admit
-// a memory-blocked waiter.
+// workers exited and the cursor released every batch it held. A settled
+// cursor no longer needs a force-close at engine shutdown, and the engine's
+// admission policy is poked: freed reservation bytes may admit a
+// memory-blocked waiter.
 func (r *Rows) settle() {
 	r.settleOnce.Do(func() {
-		if r.meter != nil {
-			r.meter.Settle()
-		}
-		if r.onSettle != nil {
-			r.onSettle()
-		}
+		r.ticket.meter.Settle()
+		r.eng.dropCursor(r)
+		r.eng.policy.kick()
 	})
 }
 
@@ -684,7 +687,6 @@ func (r *Rows) closeWith(cause error) {
 					r.runErr = cause
 				}
 			}
-			r.stampStats()
 		}
 		r.mu.Unlock()
 		r.settle()
@@ -699,13 +701,13 @@ func (r *Rows) closeWith(cause error) {
 // fails rather than reporting a spurious mismatch on the remainder.
 func (r *Rows) All() (*relation.Relation, error) {
 	r.mu.Lock()
-	if r.verify && r.delivered {
+	if r.o.Verify && r.delivered {
 		r.mu.Unlock()
 		r.Close()
 		return nil, errors.New("core: Rows.All with WithVerify needs the full stream; tuples were already consumed through Next")
 	}
 	r.mu.Unlock()
-	rel := relation.NewWithCap("result", r.tupleBytes, r.estCard)
+	rel := relation.NewWithCap("result", r.q.tupleBytes(), r.q.estResultCard())
 	for {
 		r.mu.Lock()
 		closed, finished := r.closed, r.finished
@@ -740,10 +742,9 @@ func (r *Rows) All() (*relation.Relation, error) {
 		return nil, err
 	}
 	r.Close()
-	if r.verify {
-		want := Reference(r.query.DB, r.query.Tree)
-		if diff := relation.DiffMultiset(rel, want); diff != "" {
-			return nil, fmt.Errorf("core: %v result differs from reference: %s", r.query.Strategy, diff)
+	if r.o.Verify {
+		if err := r.q.verify(rel, r.o.Runtime); err != nil {
+			return nil, err
 		}
 	}
 	return rel, nil

@@ -93,26 +93,26 @@ func TestEqualWorkAblation(t *testing.T) {
 	}
 	want := Reference(db, tree)
 	for _, kind := range strategy.Kinds {
-		base, err := Query{DB: db, Tree: tree, Strategy: kind, Procs: 12,
-			Params: costmodel.Default()}.Run()
+		base, err := Exec(context.Background(), Query{DB: db, Tree: tree, Strategy: kind, Procs: 12,
+			Params: costmodel.Default()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		equal, err := Query{DB: db, Tree: tree, Strategy: kind, Procs: 12,
-			Params: costmodel.Default(), EqualWork: true}.Run()
+		equal, err := Exec(context.Background(), Query{DB: db, Tree: tree, Strategy: kind, Procs: 12,
+			Params: costmodel.Default(), EqualWork: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if equal.Result.Card() != want.Card() {
 			t.Errorf("%v equal-work result wrong", kind)
 		}
-		if kind == strategy.SP && base.ResponseTime != equal.ResponseTime {
+		if kind == strategy.SP && base.Time != equal.Time {
 			t.Errorf("SP must be unaffected by the cost function: %v vs %v",
-				base.ResponseTime, equal.ResponseTime)
+				base.Time, equal.Time)
 		}
-		if kind == strategy.FP && equal.ResponseTime <= base.ResponseTime {
+		if kind == strategy.FP && equal.Time <= base.Time {
 			t.Errorf("FP without cost function (%v) should be slower than with (%v)",
-				equal.ResponseTime, base.ResponseTime)
+				equal.Time, base.Time)
 		}
 	}
 }

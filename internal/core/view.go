@@ -16,7 +16,6 @@ import (
 	"context"
 	"sync"
 
-	"multijoin/internal/costmodel"
 	"multijoin/internal/ivm"
 	"multijoin/internal/jointree"
 	"multijoin/internal/relation"
@@ -58,64 +57,32 @@ func (e *Engine) CreateView(ctx context.Context, q Query, opts ...Option) (*View
 }
 
 func (e *Engine) createView(ctx context.Context, q Query, opts []Option) (*View, error) {
-	if q.DB == nil {
-		q.DB = e.db
-	}
-	if q.Params == (costmodel.Params{}) {
-		q.Params = e.defaults.Params
-	}
-	q.Strategy = strategy.FP
-	o := e.defaults
-	o.Params = q.Params
-	for _, opt := range opts {
-		opt(&o)
-	}
-	plan, _, err := e.plans.plan(q)
-	if err != nil {
-		return nil, err
-	}
-	child := e.meter.Child()
-
 	// Admission covers the initial population — a full FP execution's worth
 	// of work — and, under the cost policy, reserves the view's estimated
 	// resident footprint from the shared budget for its whole lifetime.
-	ticket := &admitTicket{est: e.estimateView(q, plan), meter: child}
-	if err := e.policy.admit(ctx, ticket); err != nil {
+	q.Strategy = strategy.FP
+	a, err := e.admit(ctx, q, opts, e.estimateView)
+	if err != nil {
 		return nil, err
 	}
-	undo := func() {
-		e.policy.release(ticket)
-		child.Settle()
-		e.policy.kick()
-	}
-
-	iv, err := ivm.New(plan, q.baseRelation, ivm.Config{
-		BatchTuples: o.BatchTuples,
-		TupleBytes:  q.tupleBytes(),
+	child := a.ticket.meter
+	iv, err := ivm.New(a.plan, a.q.baseRelation, ivm.Config{
+		BatchTuples: a.o.BatchTuples,
+		TupleBytes:  a.q.tupleBytes(),
 		Meter:       child,
 	})
 	if err != nil {
-		undo()
+		e.undo(a)
 		return nil, err
 	}
 	v := &View{eng: e, iv: iv, child: child}
-
-	// Admission may have raced a concurrent Close: re-check under the lock
-	// and undo if the engine closed while the view was populating, so its
-	// network and memory charge do not outlive a torn-down engine.
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		iv.Close()
-		undo()
-		return nil, ErrEngineClosed
+	if err := e.register(a, func() { iv.Close() }, func() { e.views[v] = struct{}{} }); err != nil {
+		return nil, err
 	}
-	e.views[v] = struct{}{}
-	e.mu.Unlock()
 
 	// Population done: the execution slot goes back to the queue. The
 	// residency charge (and reservation) stays until View.Close.
-	e.policy.release(ticket)
+	e.policy.release(a.ticket)
 	e.policy.kick()
 	return v, nil
 }
@@ -125,8 +92,8 @@ func (e *Engine) createView(ctx context.Context, q Query, opts []Option) (*View,
 // of every join stay built for the view's lifetime, so the peak estimate
 // is the sum of all operand cardinalities rather than the transient
 // pipeline residency of a one-shot run.
-func (e *Engine) estimateView(q Query, plan *xra.Plan) queryEstimate {
-	est := e.estimateQuery(q, e.defaults, plan)
+func (e *Engine) estimateView(q Query, o Options, plan *xra.Plan) queryEstimate {
+	est := e.estimateQuery(q, o, plan)
 	var operands int64
 	spanCard := q.DB.SpanCard
 	for _, j := range jointree.Joins(q.Tree) {

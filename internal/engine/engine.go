@@ -19,14 +19,16 @@
 // cost of an event is what the event does, not a closure and two interface
 // conversions around it.
 //
-// Real hash joins run inside the simulated operators — the returned relation
-// is the true join result and is compared against a sequential reference in
-// tests — while the virtual clock yields the response times of Figures 9-13.
+// Real hash joins run inside the simulated operators — the stream pushed
+// into the sink is the true join result and is compared against a sequential
+// reference in tests — while the virtual clock yields the response times of
+// Figures 9-13.
 package engine
 
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"multijoin/internal/costmodel"
 	"multijoin/internal/operator"
@@ -35,84 +37,44 @@ import (
 	"multijoin/internal/xra"
 )
 
-// Stats aggregates the structural quantities behind the paper's tradeoff
-// discussion (Section 3.5).
-type Stats struct {
-	operator.Counters
-	// StartupTime is the total serial scheduler time spent initializing
-	// operation processes.
-	StartupTime sim.Duration
-	// HandshakeTime is the total processor time spent on stream
-	// handshakes across all processes.
-	HandshakeTime sim.Duration
-	// SimEvents is the number of simulation events processed.
-	SimEvents uint64
-	// OpFinish maps operator ids to their completion times.
-	OpFinish map[string]sim.Time
-	// PeakTableTuplesPerProc is the maximum number of hash-table resident
-	// tuples any single processor held at one time. This quantifies the
-	// paper's Section 5 memory observation: RD needs one hash table per
-	// join where FP's pipelining join needs two, and it bounds which
-	// strategies fit a given per-node memory (the disk-based discussion).
-	PeakTableTuplesPerProc int
-	// PeakTableTuplesTotal is the machine-wide peak of hash-table resident
-	// tuples.
-	PeakTableTuplesTotal int
-}
-
 // Sink consumes the final result stream of one run; a Push that blocks
 // pauses the virtual clock.
 type Sink = operator.Sink
 
-// RunResult is the outcome of executing one plan.
+// RunResult is the outcome of executing one plan, in the units every
+// runtime reports in: virtual microseconds leave the package as
+// time.Durations of the same magnitude.
 type RunResult struct {
-	// Result is the collected final relation (real tuples); nil when the
-	// run streamed into a Sink (RunStream).
-	Result *relation.Relation
-	// ResponseTime is the paper's response-time metric: elapsed virtual
-	// time from the moment the scheduler starts scheduling until the last
-	// operation process finishes (the collect gather at the host is
-	// excluded, as it is identical across strategies).
-	ResponseTime sim.Duration
-	// Stats holds structural counters.
-	Stats Stats
-	// Procs exposes per-processor busy intervals when utilization
-	// recording was enabled, for rendering the paper's diagrams.
+	// Time is the paper's response-time metric: elapsed virtual time from
+	// the moment the scheduler starts scheduling until the last operation
+	// process finishes (the collect gather at the host is excluded, as it
+	// is identical across strategies).
+	Time time.Duration
+	// Stats holds the structural counters, the simulator-only ones
+	// (StartupTime, HandshakeTime, SimEvents, PeakTableTuples*) included.
+	Stats operator.Stats
+	// Procs exposes the per-processor busy intervals the paper's
+	// utilization diagrams are drawn from; nil unless
+	// Params.RecordUtilization.
 	Procs []*sim.Proc
 }
 
-// Run executes the plan against the base relations (leaf index -> relation)
-// under the given machine parameters and materializes the result.
-func Run(plan *xra.Plan, base func(leaf int) *relation.Relation, params costmodel.Params) (*RunResult, error) {
-	e, err := newEngine(context.Background(), plan, base, params)
-	if err != nil {
-		return nil, err
-	}
-	g := &operator.Gather{Rel: relation.NewWithCap("result", e.wiring.TupleBytes, e.wiring.Collect.EstCard)}
-	res, err := e.run(g)
-	if err != nil {
-		return nil, err
-	}
-	res.Result = g.Rel
-	return res, nil
-}
-
-// RunStream executes the plan in streaming mode: each batch reaching the
+// RunStream executes the plan against the base relations (leaf index ->
+// relation) under the given machine parameters: each batch reaching the
 // collect process is pushed into sink (transferring ownership of the pooled
-// batch) in virtual-time order instead of being materialized, and
-// RunResult.Result is nil. A Push that blocks pauses the simulation — the
-// virtual clock advances only as fast as the consumer drains — and the
+// batch) in virtual-time order. A Push that blocks pauses the simulation —
+// the virtual clock advances only as fast as the consumer drains — and the
 // event loop checks ctx between events, so cancelling it aborts the run at
 // the next event boundary with the context's error.
 func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, params costmodel.Params, sink Sink) (*RunResult, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("engine: RunStream needs a sink")
 	}
-	e, err := newEngine(ctx, plan, base, params)
+	e, err := newEngine(ctx, plan, base, params, sink)
 	if err != nil {
 		return nil, err
 	}
-	return e.run(sink)
+	return e.run()
 }
 
 // opState is the runtime state of one plan operator.
@@ -129,9 +91,12 @@ type engineState struct {
 	sim     *sim.Sim[event]
 	machine *sim.Machine
 	params  costmodel.Params
-	wiring  *operator.Wiring
 	ops     []*opState // plan order, indexed by Node.Index
-	stats   Stats
+	stats   operator.Stats
+
+	// The two overheads accumulate in virtual time and enter stats when
+	// the run ends.
+	startup, handshake sim.Duration
 
 	// The collect process pushes result batches into sink; ctx backs the
 	// pushes and sinkErr records the first failed one (the run is then
@@ -173,7 +138,7 @@ func (e *engineState) addTableTuples(procID, delta int) {
 
 // newEngine wires the plan, pre-places the base relation fragments, creates
 // the operation processes and schedules their sequential startup.
-func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, params costmodel.Params) (*engineState, error) {
+func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, params costmodel.Params, sink Sink) (*engineState, error) {
 	w, err := operator.Wire(plan)
 	if err == nil {
 		err = w.Place(base)
@@ -188,14 +153,13 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 		sim:     sim.New[event](),
 		machine: sim.NewMachine(params.RecordUtilization),
 		params:  params,
-		wiring:  w,
 		ctx:     ctx,
+		sink:    sink,
 		ops:     make([]*opState, len(w.Nodes)),
 	}
 	if params.EventLimit > 0 {
 		e.sim.SetEventLimit(params.EventLimit)
 	}
-	e.stats.OpFinish = make(map[string]sim.Time, len(plan.Ops))
 	e.stats.Streams = plan.NumStreams()
 	e.pool = relation.NewBatchPool(params.BatchTuples, min(e.stats.Streams*2, relation.MaxPoolRetain))
 	// Sequential startup by the scheduler: process k may begin (receive
@@ -216,7 +180,7 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 			e.stats.Processes++
 			if n.Op.Kind != xra.OpScan && n.Op.Kind != xra.OpCollect {
 				k++
-				e.stats.StartupTime += params.Startup
+				e.startup += params.Startup
 			}
 			in.startupAt = sim.Time(sim.Duration(k) * params.Startup)
 			e.sim.At(in.startupAt, event{in: in, kind: evActivate})
@@ -225,9 +189,12 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 	return e, nil
 }
 
-// run drains the event loop into sink and assembles the run result.
-func (e *engineState) run(sink Sink) (*RunResult, error) {
-	e.sink = sink
+// wall is a span or point of virtual time as the time.Duration of the same
+// magnitude.
+func wall[T ~int64](us T) time.Duration { return time.Duration(us) * time.Microsecond }
+
+// run drains the event loop into the sink and assembles the run result.
+func (e *engineState) run() (*RunResult, error) {
 	if _, err := e.sim.RunContext(e.ctx, fire); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -235,10 +202,12 @@ func (e *engineState) run(sink Sink) (*RunResult, error) {
 		return nil, fmt.Errorf("engine: %w", e.sinkErr)
 	}
 	var last sim.Time
+	e.stats.OpDone = make(map[string]time.Duration, len(e.ops))
 	for _, os := range e.ops {
 		if !os.finished {
 			return nil, fmt.Errorf("engine: operator %q never finished (deadlocked plan?)", os.Op.ID)
 		}
+		e.stats.OpDone[os.Op.ID] = wall(os.finishAt)
 		if os.Op.Kind != xra.OpCollect && os.finishAt > last {
 			last = os.finishAt
 		}
@@ -246,8 +215,13 @@ func (e *engineState) run(sink Sink) (*RunResult, error) {
 			e.stats.AddTransport(in.out)
 		}
 	}
+	e.stats.StartupTime, e.stats.HandshakeTime = wall(e.startup), wall(e.handshake)
 	e.stats.SimEvents = e.sim.Processed()
-	return &RunResult{ResponseTime: sim.Duration(last), Stats: e.stats, Procs: e.machine.Procs()}, nil
+	res := &RunResult{Time: wall(last), Stats: e.stats}
+	if e.params.RecordUtilization {
+		res.Procs = e.machine.Procs()
+	}
+	return res, nil
 }
 
 func (o *opState) depsDone(e *engineState) bool {
@@ -276,7 +250,6 @@ func opLabel(op *xra.Op) string {
 func (e *engineState) opFinished(os *opState) {
 	os.finished = true
 	os.finishAt = e.sim.Now()
-	e.stats.OpFinish[os.Op.ID] = os.finishAt
 	for _, d := range os.Dependents {
 		dep := e.ops[d.Index]
 		if !dep.depsDone(e) {

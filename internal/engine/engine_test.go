@@ -1,12 +1,17 @@
-package engine
+package engine_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"multijoin/internal/core"
 	"multijoin/internal/costmodel"
+	"multijoin/internal/engine"
 	"multijoin/internal/jointree"
+	"multijoin/internal/operator"
 	"multijoin/internal/relation"
 	"multijoin/internal/sim"
 	"multijoin/internal/strategy"
@@ -41,9 +46,27 @@ func planFor(t *testing.T, k strategy.Kind, tree *jointree.Node, procs, card int
 	return p
 }
 
-func run(t *testing.T, p *xra.Plan, db *wisconsin.Database, params costmodel.Params) *RunResult {
+// materialized is a run's outcome with its result stream gathered into a
+// relation.
+type materialized struct {
+	*engine.RunResult
+	Result *relation.Relation
+}
+
+// gather is the materializing form of engine.RunStream these tests compare
+// results with; the package itself only streams.
+func gather(p *xra.Plan, base func(int) *relation.Relation, params costmodel.Params) (*materialized, error) {
+	g := &operator.Gather{Rel: relation.New("result", 0)}
+	res, err := engine.RunStream(context.Background(), p, base, params, g)
+	if err != nil {
+		return nil, err
+	}
+	return &materialized{RunResult: res, Result: g.Rel}, nil
+}
+
+func run(t *testing.T, p *xra.Plan, db *wisconsin.Database, params costmodel.Params) *materialized {
 	t.Helper()
-	res, err := Run(p, baseFn(db), params)
+	res, err := gather(p, baseFn(db), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +74,7 @@ func run(t *testing.T, p *xra.Plan, db *wisconsin.Database, params costmodel.Par
 }
 
 func TestRunRejectsInvalidPlan(t *testing.T) {
-	if _, err := Run(&xra.Plan{}, nil, costmodel.Default()); err == nil {
+	if _, err := gather(&xra.Plan{}, nil, costmodel.Default()); err == nil {
 		t.Error("empty plan must fail")
 	}
 }
@@ -60,7 +83,7 @@ func TestRunMissingBaseRelation(t *testing.T) {
 	db := testDB(t, 3, 50, 1)
 	tree, _ := jointree.BuildShape(jointree.LeftLinear, 3)
 	p := planFor(t, strategy.SP, tree, 4, 50)
-	_, err := Run(p, func(int) *relation.Relation { return nil }, costmodel.Default())
+	_, err := gather(p, func(int) *relation.Relation { return nil }, costmodel.Default())
 	if err == nil {
 		t.Error("missing base relation must fail")
 	}
@@ -86,18 +109,43 @@ func TestDeterminism(t *testing.T) {
 		p := planFor(t, k, tree, 8, 300)
 		a := run(t, p, db, costmodel.Default())
 		b := run(t, p, db, costmodel.Default())
-		if want := pinned[k]; a.Stats.SimEvents != want.events || a.ResponseTime != want.resp {
-			t.Errorf("%v: %d events, response time %dus; pinned %d events, %dus",
-				k, a.Stats.SimEvents, int64(a.ResponseTime), want.events, int64(want.resp))
+		want := pinned[k]
+		resp := time.Duration(want.resp) * time.Microsecond
+		if a.Stats.SimEvents != want.events || a.Time != resp {
+			t.Errorf("%v: %d events, response time %v; pinned %d events, %v",
+				k, a.Stats.SimEvents, a.Time, want.events, resp)
 		}
-		if a.ResponseTime != b.ResponseTime {
-			t.Errorf("%v: response times differ: %v vs %v", k, a.ResponseTime, b.ResponseTime)
+		if a.Time != b.Time {
+			t.Errorf("%v: response times differ: %v vs %v", k, a.Time, b.Time)
 		}
 		if a.Stats.SimEvents != b.Stats.SimEvents {
 			t.Errorf("%v: event counts differ", k)
 		}
 		if d := relation.DiffMultiset(a.Result, b.Result); d != "" {
 			t.Errorf("%v: results differ: %s", k, d)
+		}
+
+		// The same query through the front door: the sim adapter is the
+		// identity on everything the simulator reports.
+		c, err := core.Exec(context.Background(), core.Query{
+			DB: db, Tree: tree, Strategy: k, Procs: 8, Params: costmodel.Default()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Time != resp || c.Stats.SimEvents != want.events || !c.Virtual {
+			t.Errorf("%v through Exec: %d events, %v (virtual=%v); pinned %d events, %v",
+				k, c.Stats.SimEvents, c.Time, c.Virtual, want.events, resp)
+		}
+		if len(c.Stats.OpDone) != len(p.Ops) {
+			t.Errorf("%v through Exec: %d operator completions for %d operators", k, len(c.Stats.OpDone), len(p.Ops))
+		}
+		for id, at := range a.Stats.OpDone {
+			if c.Stats.OpDone[id] != at {
+				t.Errorf("%v through Exec: %s done at %v, engine says %v", k, id, c.Stats.OpDone[id], at)
+			}
+		}
+		if d := relation.DiffMultiset(c.Result, a.Result); d != "" {
+			t.Errorf("%v through Exec: %s", k, d)
 		}
 	}
 }
@@ -113,9 +161,9 @@ func TestSPPhasesAreSequential(t *testing.T) {
 		if o.Kind != xra.OpSimpleJoin {
 			continue
 		}
-		if prev != "" && res.Stats.OpFinish[o.ID] <= res.Stats.OpFinish[prev] {
+		if prev != "" && res.Stats.OpDone[o.ID] <= res.Stats.OpDone[prev] {
 			t.Errorf("SP: %s finished at %v, not after %s at %v",
-				o.ID, res.Stats.OpFinish[o.ID], prev, res.Stats.OpFinish[prev])
+				o.ID, res.Stats.OpDone[o.ID], prev, res.Stats.OpDone[prev])
 		}
 		prev = o.ID
 	}
@@ -150,7 +198,7 @@ func TestStatsProcessesAndStreams(t *testing.T) {
 		t.Errorf("streams = %d, want %d", res.Stats.Streams, p.NumStreams())
 	}
 	// Startup is paid for join processes only (2 joins x 4 procs).
-	want := costmodel.Default().Startup * 8
+	want := time.Duration(costmodel.Default().Startup*8) * time.Microsecond
 	if res.Stats.StartupTime != want {
 		t.Errorf("startup time = %v, want %v", res.Stats.StartupTime, want)
 	}
@@ -207,21 +255,36 @@ func TestUtilizationRecording(t *testing.T) {
 		if len(pr.Busy()) > 0 {
 			busyTotal++
 			last := pr.Busy()[len(pr.Busy())-1]
-			if last.End > sim.Time(res.ResponseTime) {
+			if last.End > sim.Time(res.Time/time.Microsecond) {
 				t.Errorf("proc %d busy until %v, after response time %v",
-					pr.ID, last.End, res.ResponseTime)
+					pr.ID, last.End, res.Time)
 			}
 		}
 	}
 	if busyTotal != 10 {
 		t.Errorf("only %d processors did work", busyTotal)
 	}
-	// Without recording, traces stay empty.
-	res2 := run(t, p, db, costmodel.Default())
-	for _, pr := range res2.Procs {
-		if len(pr.Busy()) != 0 {
-			t.Error("recording disabled but intervals present")
+	// Without recording there is nothing to report.
+	if res2 := run(t, p, db, costmodel.Default()); res2.Procs != nil {
+		t.Errorf("recording disabled but %d processors reported", len(res2.Procs))
+	}
+	// Result.Procs is the same thing seen through Exec.
+	q := core.Query{DB: db, Tree: jointree.Example(), Strategy: strategy.FP, Procs: 10, Params: params}
+	viaExec, err := core.Exec(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(viaExec.Procs) != 10 {
+		t.Fatalf("Exec reported %d processors, want 10", len(viaExec.Procs))
+	}
+	for i, pr := range viaExec.Procs {
+		if pr.BusyTime() == 0 || pr.BusyTime() != res.Procs[i].BusyTime() {
+			t.Errorf("Exec: proc %d busy %v, engine says %v", pr.ID, pr.BusyTime(), res.Procs[i].BusyTime())
 		}
+	}
+	q.Params.RecordUtilization = false
+	if viaExec, err = core.Exec(context.Background(), q); err != nil || viaExec.Procs != nil {
+		t.Errorf("Exec without recording: %d processors reported, err %v", len(viaExec.Procs), err)
 	}
 }
 
@@ -236,7 +299,7 @@ func TestEventLimitAborts(t *testing.T) {
 			t.Error("expected event-limit panic")
 		}
 	}()
-	_, _ = Run(p, baseFn(db), params)
+	_, _ = gather(p, baseFn(db), params)
 }
 
 func TestBatchSizeAffectsPipelineDelay(t *testing.T) {
@@ -251,9 +314,9 @@ func TestBatchSizeAffectsPipelineDelay(t *testing.T) {
 	large.BatchTuples = 512
 	rs := run(t, p, db, small)
 	rl := run(t, p, db, large)
-	if rl.ResponseTime <= rs.ResponseTime {
+	if rl.Time <= rs.Time {
 		t.Errorf("batch 512 response %v not larger than batch 16 response %v",
-			rl.ResponseTime, rs.ResponseTime)
+			rl.Time, rs.Time)
 	}
 	if d := relation.DiffMultiset(rs.Result, rl.Result); d != "" {
 		t.Errorf("batch size changed the result: %s", d)
@@ -313,7 +376,7 @@ func TestRandomConfigurationsMatchReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Run(p, baseFn(db), costmodel.Default())
+		res, err := gather(p, baseFn(db), costmodel.Default())
 		if err != nil {
 			return false
 		}
@@ -351,8 +414,8 @@ func TestMirroringHelpsRD(t *testing.T) {
 	jointree.Mirror(mirrored)
 	before := run(t, planFor(t, strategy.RD, tree, 16, 600), db, costmodel.Default())
 	after := run(t, planFor(t, strategy.RD, mirrored, 16, 600), db, costmodel.Default())
-	if after.ResponseTime >= before.ResponseTime {
-		t.Errorf("mirroring did not help RD: %v -> %v", before.ResponseTime, after.ResponseTime)
+	if after.Time >= before.Time {
+		t.Errorf("mirroring did not help RD: %v -> %v", before.Time, after.Time)
 	}
 }
 

@@ -99,7 +99,7 @@ func (in *instance) tryActivate() {
 		streams += in.op.Out.Dests()
 	}
 	hs := in.e.params.Handshake * sim.Duration(streams)
-	in.e.stats.HandshakeTime += hs
+	in.e.handshake += hs
 	_, end := in.proc.Acquire(now, hs, in.label)
 	in.e.sim.At(end, event{in: in, kind: evStarted})
 }

@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"testing"
@@ -35,7 +35,7 @@ func nonIdealPlan() *xra.Plan {
 
 func TestNonIdealFragmentationRedistributes(t *testing.T) {
 	db := testDB(t, 2, 400, 21)
-	res, err := Run(nonIdealPlan(), baseFn(db), costmodel.Default())
+	res, err := gather(nonIdealPlan(), baseFn(db), costmodel.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestNonIdealFragmentationRedistributes(t *testing.T) {
 
 func TestNonIdealCostsMoreThanIdeal(t *testing.T) {
 	db := testDB(t, 2, 400, 22)
-	nonIdeal, err := Run(nonIdealPlan(), baseFn(db), costmodel.Default())
+	nonIdeal, err := gather(nonIdealPlan(), baseFn(db), costmodel.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +61,9 @@ func TestNonIdealCostsMoreThanIdeal(t *testing.T) {
 	// the join attributes.
 	tree, _ := jointree.BuildShape(jointree.LeftLinear, 2)
 	ideal := run(t, planFor(t, strategy.SP, tree, 3, 400), db, costmodel.Default())
-	if nonIdeal.ResponseTime <= ideal.ResponseTime {
+	if nonIdeal.Time <= ideal.Time {
 		t.Errorf("non-ideal placement (%v) should cost more than ideal (%v)",
-			nonIdeal.ResponseTime, ideal.ResponseTime)
+			nonIdeal.Time, ideal.Time)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestPipeliningJoinRemoteBothSides(t *testing.T) {
 	p := nonIdealPlan()
 	p.Ops[2].Kind = xra.OpPipeJoin
 	db := testDB(t, 2, 300, 23)
-	res, err := Run(p, baseFn(db), costmodel.Default())
+	res, err := gather(p, baseFn(db), costmodel.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +115,14 @@ func TestEmptyBaseRelation(t *testing.T) {
 	tree, _ := jointree.BuildShape(jointree.RightLinear, 3)
 	for _, k := range strategy.Kinds {
 		p := planFor(t, k, tree, 4, 50)
-		res, err := Run(p, base, costmodel.Default())
+		res, err := gather(p, base, costmodel.Default())
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
 		if res.Result.Card() != 0 {
 			t.Errorf("%v: %d tuples from empty operand", k, res.Result.Card())
 		}
-		if res.ResponseTime <= 0 {
+		if res.Time <= 0 {
 			t.Errorf("%v: degenerate response time", k)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"time"
 
 	"multijoin/internal/core"
 	"multijoin/internal/costmodel"
@@ -39,19 +40,19 @@ func UtilizationFigure(fig string) (string, error) {
 	for _, j := range jointree.Joins(tree) {
 		j.Weight = 0
 	}
-	res, err := core.Query{
+	res, err := core.Exec(context.Background(), core.Query{
 		DB: db, Tree: tree, Strategy: kind, Procs: 10, Params: params,
-	}.Run()
+	})
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure %s: %v evaluation of the example join tree (10 processors)\n", fig, kind)
-	end := sim.Time(res.ResponseTime)
+	end := sim.Time(res.Time / time.Microsecond)
 	b.WriteString(diagram.Render(res.Procs, end, 72))
 	b.WriteString(diagram.Legend(res.Procs))
 	fmt.Fprintf(&b, "response time %.2fs, avg utilization %.0f%%\n\n",
-		res.ResponseTime.Seconds(), 100*diagram.Utilization(res.Procs, end))
+		res.Time.Seconds(), 100*diagram.Utilization(res.Procs, end))
 	return b.String(), nil
 }
 
@@ -81,11 +82,11 @@ func SingleJoinSpeedup(params costmodel.Params, seed int64) (string, error) {
 		fmt.Fprintf(&b, "%-8d", card)
 		bestP, bestT := 0, math.Inf(1)
 		for _, procs := range procCounts {
-			res, err := core.Query{DB: db, Tree: tree, Strategy: strategy.SP, Procs: procs, Params: params}.Run()
+			res, err := core.Exec(context.Background(), core.Query{DB: db, Tree: tree, Strategy: strategy.SP, Procs: procs, Params: params})
 			if err != nil {
 				return "", err
 			}
-			sec := res.ResponseTime.Seconds()
+			sec := res.Time.Seconds()
 			if sec < bestT {
 				bestP, bestT = procs, sec
 			}
@@ -118,11 +119,11 @@ func PipelineDelay(params costmodel.Params, seed int64) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		res, err := core.Query{DB: db, Tree: tree, Strategy: strategy.FP, Procs: 4 * (k - 1), Params: params}.Run()
+		res, err := core.Exec(context.Background(), core.Query{DB: db, Tree: tree, Strategy: strategy.FP, Procs: 4 * (k - 1), Params: params})
 		if err != nil {
 			return "", err
 		}
-		sec := res.ResponseTime.Seconds()
+		sec := res.Time.Seconds()
 		delta := "-"
 		if prev > 0 {
 			delta = fmt.Sprintf("%.3f", sec-prev)
@@ -141,13 +142,13 @@ func PipelineDelay(params costmodel.Params, seed int64) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		res, err := core.Query{DB: db, Tree: bushy, Strategy: strategy.FP, Procs: 28, Params: params}.Run()
+		res, err := core.Exec(context.Background(), core.Query{DB: db, Tree: bushy, Strategy: strategy.FP, Procs: 28, Params: params})
 		if err != nil {
 			return "", err
 		}
 		// The left-bushy 8-relation tree has 3 chain (bushy-pipeline)
 		// steps above the leaf joins.
-		sec := res.ResponseTime.Seconds()
+		sec := res.Time.Seconds()
 		fmt.Fprintf(&b, "%-10d%12.3f%16.3f\n", card, sec, sec/3)
 	}
 	b.WriteString("\n")
@@ -266,14 +267,14 @@ func CostFunction(procs int, seed int64) (string, error) {
 	for _, kind := range strategy.Kinds {
 		var secs [2]float64
 		for i, equal := range []bool{false, true} {
-			res, err := core.Query{
+			res, err := core.Exec(context.Background(), core.Query{
 				DB: db, Tree: tree, Strategy: kind, Procs: procs,
 				Params: costmodel.Default(), EqualWork: equal,
-			}.Run()
+			})
 			if err != nil {
 				return "", err
 			}
-			secs[i] = res.ResponseTime.Seconds()
+			secs[i] = res.Time.Seconds()
 		}
 		fmt.Fprintf(&b, "%-10v%20.2f%18.2f%11.0f%%\n",
 			kind, secs[0], secs[1], 100*(secs[1]/secs[0]-1))

@@ -12,6 +12,7 @@ import (
 	"multijoin/internal/costmodel"
 	"multijoin/internal/engine"
 	"multijoin/internal/jointree"
+	"multijoin/internal/operator"
 	"multijoin/internal/optimizer"
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
@@ -44,10 +45,10 @@ func TestAllParenthesizationsAllStrategies(t *testing.T) {
 	for ti, tree := range trees {
 		want := core.Reference(db, tree)
 		for _, kind := range strategy.Kinds {
-			res, err := core.Query{
+			res, err := core.Exec(context.Background(), core.Query{
 				DB: db, Tree: tree, Strategy: kind, Procs: 8,
 				Params: costmodel.Default(),
-			}.Run()
+			})
 			if err != nil {
 				t.Fatalf("tree %d (%v) %v: %v", ti, tree, kind, err)
 			}
@@ -78,19 +79,21 @@ func TestPlanTextRoundTripExecutes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		a, err := engine.Run(plan, base, costmodel.Default())
-		if err != nil {
-			t.Fatal(err)
+		simulate := func(p *xra.Plan) (*engine.RunResult, *relation.Relation) {
+			g := &operator.Gather{Rel: relation.New("result", 0)}
+			res, err := engine.RunStream(context.Background(), p, base, costmodel.Default(), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, g.Rel
 		}
-		b, err := engine.Run(parsed, base, costmodel.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.ResponseTime != b.ResponseTime {
+		a, aRel := simulate(plan)
+		b, bRel := simulate(parsed)
+		if a.Time != b.Time {
 			t.Errorf("%v: parsed plan response %v differs from original %v",
-				kind, b.ResponseTime, a.ResponseTime)
+				kind, b.Time, a.Time)
 		}
-		if d := relation.DiffMultiset(a.Result, b.Result); d != "" {
+		if d := relation.DiffMultiset(aRel, bRel); d != "" {
 			t.Errorf("%v: parsed plan result differs: %s", kind, d)
 		}
 	}
@@ -148,8 +151,8 @@ func TestUtilizationNeverExceedsMachine(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, kind := range strategy.Kinds {
-			res, err := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 10,
-				Params: params}.Run()
+			res, err := core.Exec(context.Background(), core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 10,
+				Params: params})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +160,7 @@ func TestUtilizationNeverExceedsMachine(t *testing.T) {
 			for _, p := range res.Procs {
 				busy += int64(p.BusyTime())
 			}
-			capacity := int64(res.ResponseTime) * int64(len(res.Procs))
+			capacity := int64(res.Time) * int64(len(res.Procs))
 			if busy > capacity {
 				t.Errorf("%v/%v: busy %d exceeds capacity %d", shape, kind, busy, capacity)
 			}
@@ -184,7 +187,7 @@ func TestSchedulerAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := q.Run()
+			res, err := core.Exec(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -138,9 +138,10 @@ func (c *Counters) AddTransport(o *Outbox) {
 }
 
 // Stats is the unified counter set of one run, declared once for every
-// runtime: the goroutine and multi-process runtimes fill it themselves, the
-// simulator's adapter converts its virtual-time engine.Stats into it, and
-// an Engine session adds the admission fields. Quantities that only one
+// runtime: the simulator (virtual time as time.Durations of the same
+// magnitude), the goroutine and the multi-process runtimes each fill it
+// themselves, and an Engine session adds the admission fields when the run
+// ends. Quantities that only one
 // backend can measure are documented as such and are zero on the others;
 // everything structural (processes, streams, tuple movement) is
 // runtime-independent by construction — all backends interpret the same

@@ -94,8 +94,8 @@ func TestSimulatorEquivalence(t *testing.T) {
 }
 
 // TestStructuralCounters checks that the runtime reports exactly the
-// stream and process structure the plan declares — the quantities
-// engine.Stats counts on the virtual machine, pinned to the values the
+// stream and process structure the plan declares — the quantities the
+// simulator counts on the virtual machine, pinned to the values the
 // run-queue scheduler reported for the same seed-pinned plans — whatever the
 // number of slots, while what it physically spends follows the slots: one
 // goroutine per host (the processes of an operator that share a slot) plus

@@ -1,6 +1,7 @@
 package pipemodel
 
 import (
+	"context"
 	"testing"
 
 	"multijoin/internal/core"
@@ -106,12 +107,12 @@ func TestModelMatchesSimulatorTrend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Query{DB: db, Tree: shape, Strategy: strategy.FP, Procs: 28,
-			Params: costmodel.Default()}.Run()
+		res, err := core.Exec(context.Background(), core.Query{DB: db, Tree: shape, Strategy: strategy.FP, Procs: 28,
+			Params: costmodel.Default()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.ResponseTime.Seconds()
+		return res.Time.Seconds()
 	}
 	simGrowth := simAt(8000) / simAt(1000)
 	modelGrowth := float64(m.BushyResponse(3, 8000, 28)) / float64(m.BushyResponse(3, 1000, 28))

@@ -110,8 +110,9 @@ func (b *Batch) AppendRangeTo(r *Relation, lo, hi int) {
 	}
 }
 
-// Tuples returns the batch as a freshly allocated row-form slice — test and
-// debugging convenience, not a hot path.
+// Tuples returns the batch as a freshly allocated, exactly sized row-form
+// slice — the transposition a consumer that keeps row-form tuples (a view's
+// delta round, a test) does once per batch.
 func (b *Batch) Tuples() []Tuple {
 	out := make([]Tuple, 0, b.Len())
 	for i := range b.U1 {
@@ -120,9 +121,10 @@ func (b *Batch) Tuples() []Tuple {
 	return out
 }
 
-// FragmentBatches hash-partitions r on attribute a into n columnar
-// fragments, exactly like Fragment but producing scan-ready batches as a
-// counting sort into three shared backing arrays: one hash pass records
+// FragmentBatches hash-partitions r on attribute a into n columnar,
+// scan-ready fragments (n < 1 means 1) — how every runtime places a base
+// relation on its processors. It is a counting sort into three shared
+// backing arrays: one hash pass records
 // each tuple's fragment and the fragment cardinalities, the columns are
 // allocated once for the whole relation, and the placement pass scatters
 // column values to precomputed offsets. Every fragment is a capacity-capped

@@ -176,45 +176,6 @@ func (b Bucketer) Bucket(v int64) int {
 	return int(r)
 }
 
-// Fragmentation describes how a relation is declustered over a set of
-// processors: tuple t lives on Procs[HashKey(t.Get(Attr), len(Procs))].
-type Fragmentation struct {
-	Attr  Attr
-	Procs []int // simulated processor ids, one fragment per entry
-}
-
-// NumFragments returns the number of fragments.
-func (f Fragmentation) NumFragments() int { return len(f.Procs) }
-
-// FragmentOf returns the index of the fragment that holds attribute value v.
-func (f Fragmentation) FragmentOf(v int64) int {
-	return HashKey(v, len(f.Procs))
-}
-
-// Fragment hash-partitions r on attribute a into n fragments. Fragment i
-// holds exactly the tuples with HashKey(t.Get(a), n) == i. Fragmenting into
-// a single fragment returns a clone.
-func Fragment(r *Relation, a Attr, n int) []*Relation {
-	if n < 1 {
-		n = 1
-	}
-	frags := make([]*Relation, n)
-	per := PerFragmentCap(len(r.Tuples), n)
-	for i := range frags {
-		frags[i] = &Relation{
-			Name:       fmt.Sprintf("%s#%d", r.Name, i),
-			TupleBytes: r.TupleBytes,
-			Tuples:     make([]Tuple, 0, per),
-		}
-	}
-	bk := NewBucketer(n)
-	for _, t := range r.Tuples {
-		i := bk.Bucket(t.Get(a))
-		frags[i].Tuples = append(frags[i].Tuples, t)
-	}
-	return frags
-}
-
 // PerFragmentCap returns the capacity to preallocate for one of n hash
 // fragments of card tuples: the mean plus a small slack, since hash
 // partitioning balances fragments closely but not perfectly. Both runtimes
@@ -222,22 +183,6 @@ func Fragment(r *Relation, a Attr, n int) []*Relation {
 // drift between them.
 func PerFragmentCap(card, n int) int {
 	return card/n + card/(8*n) + 8
-}
-
-// Merge concatenates fragments back into one relation named name. The tuple
-// width is taken from the first non-nil fragment.
-func Merge(name string, frags []*Relation) *Relation {
-	out := &Relation{Name: name}
-	for _, f := range frags {
-		if f == nil {
-			continue
-		}
-		if out.TupleBytes == 0 {
-			out.TupleBytes = f.TupleBytes
-		}
-		out.Tuples = append(out.Tuples, f.Tuples...)
-	}
-	return out
 }
 
 // sortTuples orders tuples canonically for multiset comparison.

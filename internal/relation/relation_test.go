@@ -137,6 +137,15 @@ func TestHashKeySpread(t *testing.T) {
 	}
 }
 
+// merged gathers columnar fragments back into one relation.
+func merged(frags []Batch) *Relation {
+	m := New("m", 208)
+	for i := range frags {
+		frags[i].AppendTo(m)
+	}
+	return m
+}
+
 func TestFragmentPartitions(t *testing.T) {
 	r := New("R", 208)
 	for i := int64(0); i < 1000; i++ {
@@ -144,18 +153,16 @@ func TestFragmentPartitions(t *testing.T) {
 	}
 	for _, attr := range []Attr{Unique1, Unique2} {
 		for _, n := range []int{1, 3, 7} {
-			frags := Fragment(r, attr, n)
+			frags := FragmentBatches(r, attr, n)
 			if len(frags) != n {
-				t.Fatalf("Fragment produced %d fragments, want %d", len(frags), n)
+				t.Fatalf("FragmentBatches produced %d fragments, want %d", len(frags), n)
 			}
+			bk := NewBucketer(n)
 			total := 0
-			for i, f := range frags {
-				total += f.Card()
-				if f.TupleBytes != 208 {
-					t.Errorf("fragment %d lost tuple width", i)
-				}
-				for _, tp := range f.Tuples {
-					if HashKey(tp.Get(attr), n) != i {
+			for i := range frags {
+				total += frags[i].Len()
+				for _, tp := range frags[i].Tuples() {
+					if bk.Bucket(tp.Get(attr)) != i || HashKey(tp.Get(attr), n) != i {
 						t.Fatalf("tuple %+v landed in wrong fragment %d", tp, i)
 					}
 				}
@@ -163,7 +170,7 @@ func TestFragmentPartitions(t *testing.T) {
 			if total != r.Card() {
 				t.Errorf("fragments hold %d tuples, want %d", total, r.Card())
 			}
-			if !EqualMultiset(Merge("m", frags), r) {
+			if !EqualMultiset(merged(frags), r) {
 				t.Error("merge of fragments differs from original")
 			}
 		}
@@ -173,9 +180,11 @@ func TestFragmentPartitions(t *testing.T) {
 func TestFragmentDegenerateCount(t *testing.T) {
 	r := New("R", 208)
 	r.Append(Tuple{Unique1: 1})
-	frags := Fragment(r, Unique1, 0)
-	if len(frags) != 1 || frags[0].Card() != 1 {
-		t.Errorf("Fragment with n=0 should clamp to 1 fragment, got %d", len(frags))
+	for _, n := range []int{0, -3} {
+		frags := FragmentBatches(r, Unique1, n)
+		if len(frags) != 1 || frags[0].Len() != 1 {
+			t.Errorf("FragmentBatches with n=%d should clamp to 1 fragment, got %d", n, len(frags))
+		}
 	}
 }
 
@@ -187,8 +196,7 @@ func TestFragmentRoundTrip(t *testing.T) {
 		for i, k := range keys {
 			r.Append(Tuple{Unique1: k, Unique2: int64(i), Check: uint64(i)})
 		}
-		frags := Fragment(r, Unique1, int(n%8)+1)
-		return EqualMultiset(Merge("m", frags), r)
+		return EqualMultiset(merged(FragmentBatches(r, Unique1, int(n%8)+1)), r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -229,17 +237,5 @@ func TestDiffMultiset(t *testing.T) {
 	b.Append(Tuple{})
 	if d := DiffMultiset(a, b); d == "" {
 		t.Error("cardinality mismatch must produce a diff")
-	}
-}
-
-func TestFragmentationHelpers(t *testing.T) {
-	f := Fragmentation{Attr: Unique1, Procs: []int{3, 5, 9}}
-	if f.NumFragments() != 3 {
-		t.Errorf("NumFragments = %d", f.NumFragments())
-	}
-	for v := int64(0); v < 100; v++ {
-		if got, want := f.FragmentOf(v), HashKey(v, 3); got != want {
-			t.Fatalf("FragmentOf(%d) = %d, want %d", v, got, want)
-		}
 	}
 }

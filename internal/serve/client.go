@@ -387,12 +387,8 @@ func (vh *ViewHandle) Apply(deltas ...ivm.Delta) (ApplyStats, error) {
 	for _, d := range deltas {
 		ins.Reset()
 		del.Reset()
-		for _, tp := range d.Insert {
-			ins.AppendTuple(tp)
-		}
-		for _, tp := range d.Delete {
-			del.AppendTuple(tp)
-		}
+		ins.AppendTuples(d.Insert)
+		del.AppendTuples(d.Delete)
 		msg.Deltas = append(msg.Deltas, viewDeltaMsg{
 			Rel:    d.Rel,
 			Blocks: relation.AppendSignedBlocksBytes(nil, &ins, &del, 0),

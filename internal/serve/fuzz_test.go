@@ -24,8 +24,9 @@ import (
 //
 // The seed corpus (testdata/fuzz/FuzzServeFrames) holds valid and truncated
 // SUBMIT, VCREATE, VAPPLY and VCLOSE payloads, CREDIT and CANCEL for stream
-// ids nobody opened, duplicate ids, a processor count of 1<<30 in both
-// request kinds, and a VAPPLY naming relation -1.
+// ids nobody opened, duplicate ids (a SUBMIT on the id of an open view among
+// them), a processor count of 1<<30 in both request kinds, and a VAPPLY
+// naming relation -1.
 func FuzzServeFrames(f *testing.F) {
 	db, err := wisconsin.Chain(wisconsin.Config{Relations: 3, Cardinality: 200, Seed: 1995})
 	if err != nil {

@@ -325,6 +325,94 @@ func TestServeMalformedFrames(t *testing.T) {
 	}
 }
 
+// TestServeStreamIDCollision opens a view on a stream id and then submits a
+// query on the same id. Query and view ids live in one registry, so the
+// SUBMIT is refused with the duplicate-id ERROR and the view keeps the id:
+// accepted, two conversations would answer on one stream id. Once the view
+// is closed the id is free again.
+func TestServeStreamIDCollision(t *testing.T) {
+	_, addr, db := startServer(t, 3, 200)
+	c, err := wire.Dial(addr, 5*time.Second, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const (
+		submit, done, errKind, vcreate, vok, vclose = 0x20, 0x22, 0x23, 0x24, 0x25, 0x28
+		sid                                         = 7
+	)
+	// expect reads the next frame, requires its kind and returns the Msg
+	// field of an ERROR.
+	expect := func(step string, want byte) string {
+		t.Helper()
+		kind, payload, err := c.ReadFrame()
+		if err != nil || kind != want {
+			t.Fatalf("%s: frame kind 0x%02x, err %v; want kind 0x%02x", step, kind, err, want)
+		}
+		var reply struct {
+			ID  uint32
+			Msg string
+		}
+		if err := wire.DecodeMsg(payload, &reply); err != nil || reply.ID != sid {
+			t.Fatalf("%s: reply for stream %d, err %v; want stream %d", step, reply.ID, err, sid)
+		}
+		return reply.Msg
+	}
+	type hello struct {
+		Version int
+		Role    string
+	}
+	type create struct{ ID uint32 }
+	type query struct {
+		ID                uint32
+		Shape, Strategy   string
+		Relations, Window int
+	}
+	if err := c.WriteMsg(wire.KindHello, hello{2, "client"}); err != nil {
+		t.Fatal(err)
+	}
+	if kind, _, err := c.ReadFrame(); err != nil || kind != wire.KindHello {
+		t.Fatalf("hello reply: kind=0x%02x err=%v", kind, err)
+	}
+
+	if err := c.WriteMsg(vcreate, create{ID: sid}); err != nil {
+		t.Fatal(err)
+	}
+	expect("VCREATE", vok)
+	if err := c.WriteMsg(submit, query{ID: sid, Shape: "left-linear", Strategy: "FP"}); err != nil {
+		t.Fatal(err)
+	}
+	if msg := expect("SUBMIT on the view's id", errKind); !strings.Contains(msg, "duplicate stream id") {
+		t.Fatalf("SUBMIT on the view's id: ERROR %q, want the duplicate stream id refusal", msg)
+	}
+	// The view still owns the id: VCLOSE finds it and reports its rows.
+	if err := c.WriteStreamID(vclose, sid); err != nil {
+		t.Fatal(err)
+	}
+	expect("VCLOSE", done)
+	// And the closed view's id serves a query.
+	if err := c.WriteMsg(submit, query{ID: sid, Shape: "left-linear", Strategy: "FP", Window: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		kind, payload, err := c.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == wire.KindData || kind == wire.KindEOS {
+			continue
+		}
+		if kind != done {
+			t.Fatalf("SUBMIT on the freed id: frame kind 0x%02x", kind)
+		}
+		var reply struct{ Rows int64 }
+		if err := wire.DecodeMsg(payload, &reply); err != nil || reply.Rows != int64(db.Cardinality()) {
+			t.Fatalf("SUBMIT on the freed id: %d rows, err %v; want %d", reply.Rows, err, db.Cardinality())
+		}
+		return
+	}
+}
+
 // TestServeOversizedProcs asks for a plan over a billion processors in a
 // SUBMIT and in a VCREATE. Planning that costs the server seconds and
 // gigabytes, so both must be refused at the door: an ERROR at once, nothing

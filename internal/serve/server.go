@@ -85,7 +85,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed by Shutdown
 		}
-		sc := &srvConn{srv: s, c: wire.NewConn(nc, maxFrame), queries: make(map[uint32]*srvQuery), views: make(map[uint32]*core.View)}
+		sc := &srvConn{srv: s, c: wire.NewConn(nc, maxFrame), streams: make(map[uint32]*srvStream)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -171,15 +171,24 @@ type srvConn struct {
 	c   *wire.Conn
 
 	mu      sync.Mutex
-	queries map[uint32]*srvQuery
-	views   map[uint32]*core.View
+	streams map[uint32]*srvStream // every open stream id, queries and views
 	qwg     sync.WaitGroup
 }
 
-// srvQuery is one in-flight query on a connection.
-type srvQuery struct {
+// srvStream is what one open stream id addresses: an in-flight query
+// (cancel and win set) or a resident view (view set). Both live in one
+// registry, so an id carries one conversation at a time.
+type srvStream struct {
 	cancel context.CancelFunc
 	win    *wire.Window
+	view   *core.View
+}
+
+// stream returns what sid addresses, nil when the id is not open.
+func (sc *srvConn) stream(sid uint32) *srvStream {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.streams[sid]
 }
 
 // drain waits for this connection's in-flight query goroutines, cancelling
@@ -192,8 +201,10 @@ func (sc *srvConn) drain(ctx context.Context) {
 	case <-done:
 	case <-ctx.Done():
 		sc.mu.Lock()
-		for _, q := range sc.queries {
-			q.cancel()
+		for _, st := range sc.streams {
+			if st.view == nil {
+				st.cancel()
+			}
 		}
 		sc.mu.Unlock()
 		<-done
@@ -208,14 +219,15 @@ func (sc *srvConn) drain(ctx context.Context) {
 func (sc *srvConn) serve() {
 	defer func() {
 		sc.mu.Lock()
-		for _, q := range sc.queries {
-			q.cancel()
+		var views []*core.View
+		for sid, st := range sc.streams {
+			if st.view == nil {
+				st.cancel()
+				continue
+			}
+			views = append(views, st.view)
+			delete(sc.streams, sid)
 		}
-		views := make([]*core.View, 0, len(sc.views))
-		for _, v := range sc.views {
-			views = append(views, v)
-		}
-		sc.views = make(map[uint32]*core.View)
 		sc.mu.Unlock()
 		// A client disconnect must not strand resident hash tables on the
 		// engine's budget: views are connection-scoped.
@@ -252,22 +264,16 @@ func (sc *srvConn) serve() {
 			if err != nil {
 				return
 			}
-			sc.mu.Lock()
-			q := sc.queries[sid]
-			sc.mu.Unlock()
-			if q != nil {
-				q.win.Grant(n)
+			if st := sc.stream(sid); st != nil && st.view == nil {
+				st.win.Grant(n)
 			}
 		case fsCancel:
 			sid, err := wire.ParseStreamID(payload)
 			if err != nil {
 				return
 			}
-			sc.mu.Lock()
-			q := sc.queries[sid]
-			sc.mu.Unlock()
-			if q != nil {
-				q.cancel()
+			if st := sc.stream(sid); st != nil && st.view == nil {
+				st.cancel()
 			}
 		case fsViewCreate:
 			var vc viewCreateMsg
@@ -296,7 +302,7 @@ func (sc *srvConn) serve() {
 // submit validates a SUBMIT and launches its query goroutine.
 func (sc *srvConn) submit(sub submitMsg) {
 	sc.mu.Lock()
-	if _, dup := sc.queries[sub.ID]; dup {
+	if _, dup := sc.streams[sub.ID]; dup {
 		sc.mu.Unlock()
 		sc.writeErr(sub.ID, fmt.Errorf("serve: duplicate stream id %d", sub.ID))
 		return
@@ -306,8 +312,8 @@ func (sc *srvConn) submit(sub submitMsg) {
 		window = DefaultWindow
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	q := &srvQuery{cancel: cancel, win: wire.NewWindow(window)}
-	sc.queries[sub.ID] = q
+	q := &srvStream{cancel: cancel, win: wire.NewWindow(window)}
+	sc.streams[sub.ID] = q
 	sc.qwg.Add(1)
 	sc.mu.Unlock()
 	go func() {
@@ -315,7 +321,7 @@ func (sc *srvConn) submit(sub submitMsg) {
 		defer cancel()
 		sc.runQuery(ctx, q, sub)
 		sc.mu.Lock()
-		delete(sc.queries, sub.ID)
+		delete(sc.streams, sub.ID)
 		sc.mu.Unlock()
 	}()
 }
@@ -324,7 +330,7 @@ func (sc *srvConn) submit(sub submitMsg) {
 // frames under the credit window, then EOS and DONE, or ERROR on any
 // failure (including cancellation, whose ERROR carries context.Canceled's
 // message).
-func (sc *srvConn) runQuery(ctx context.Context, sq *srvQuery, sub submitMsg) {
+func (sc *srvConn) runQuery(ctx context.Context, sq *srvStream, sub submitMsg) {
 	query, opts, err := sc.srv.buildQuery(sub)
 	if err != nil {
 		sc.writeErr(sub.ID, err)
@@ -395,11 +401,7 @@ func (sc *srvConn) writeErr(sid uint32, err error) {
 // database shape. Runs synchronously in the demux loop: the population is
 // the round-zero refresh, and a view connection has nothing else to do.
 func (sc *srvConn) viewCreate(vc viewCreateMsg) {
-	sc.mu.Lock()
-	_, dupQ := sc.queries[vc.ID]
-	_, dupV := sc.views[vc.ID]
-	sc.mu.Unlock()
-	if dupQ || dupV {
+	if sc.stream(vc.ID) != nil {
 		sc.writeErr(vc.ID, fmt.Errorf("serve: duplicate stream id %d", vc.ID))
 		return
 	}
@@ -420,7 +422,7 @@ func (sc *srvConn) viewCreate(vc viewCreateMsg) {
 		return
 	}
 	sc.mu.Lock()
-	sc.views[vc.ID] = v
+	sc.streams[vc.ID] = &srvStream{view: v}
 	sc.mu.Unlock()
 	db := sc.srv.eng.DB()
 	cards := make([]int64, db.NumRelations())
@@ -434,13 +436,12 @@ func (sc *srvConn) viewCreate(vc viewCreateMsg) {
 
 // viewApply runs one maintenance round and acknowledges with VRESULT.
 func (sc *srvConn) viewApply(va viewApplyMsg) {
-	sc.mu.Lock()
-	v := sc.views[va.ID]
-	sc.mu.Unlock()
-	if v == nil {
+	st := sc.stream(va.ID)
+	if st == nil || st.view == nil {
 		sc.writeErr(va.ID, fmt.Errorf("serve: no view on stream id %d", va.ID))
 		return
 	}
+	v := st.view
 	deltas := make([]ivm.Delta, 0, len(va.Deltas))
 	for _, wd := range va.Deltas {
 		var ins, del relation.Batch
@@ -448,14 +449,7 @@ func (sc *srvConn) viewApply(va viewApplyMsg) {
 			sc.writeErr(va.ID, err)
 			return
 		}
-		d := ivm.Delta{Rel: wd.Rel}
-		for i, n := 0, ins.Len(); i < n; i++ {
-			d.Insert = append(d.Insert, ins.Tuple(i))
-		}
-		for i, n := 0, del.Len(); i < n; i++ {
-			d.Delete = append(d.Delete, del.Tuple(i))
-		}
-		deltas = append(deltas, d)
+		deltas = append(deltas, ivm.Delta{Rel: wd.Rel, Insert: ins.Tuples(), Delete: del.Tuples()})
 	}
 	t0 := time.Now()
 	res, err := v.Apply(context.Background(), deltas...)
@@ -473,14 +467,15 @@ func (sc *srvConn) viewApply(va viewApplyMsg) {
 // viewClose releases a view's resident tables and acknowledges with DONE
 // carrying the final result cardinality.
 func (sc *srvConn) viewClose(sid uint32) {
-	sc.mu.Lock()
-	v := sc.views[sid]
-	delete(sc.views, sid)
-	sc.mu.Unlock()
-	if v == nil {
+	st := sc.stream(sid)
+	if st == nil || st.view == nil {
 		sc.writeErr(sid, fmt.Errorf("serve: no view on stream id %d", sid))
 		return
 	}
+	sc.mu.Lock()
+	delete(sc.streams, sid)
+	sc.mu.Unlock()
+	v := st.view
 	rows := int64(v.ResultCard())
 	v.Close()
 	sc.c.WriteMsg(fsDone, doneMsg{ID: sid, Rows: rows})

@@ -54,7 +54,6 @@ import (
 	"multijoin/internal/core"
 	"multijoin/internal/costmodel"
 	"multijoin/internal/dist"
-	"multijoin/internal/engine"
 	"multijoin/internal/ivm"
 	"multijoin/internal/jointree"
 	"multijoin/internal/optimizer"
@@ -71,7 +70,10 @@ type (
 	Query = core.Query
 	// Result is the unified outcome of executing a query on any runtime:
 	// the real join result, the response time (virtual or wall-clock,
-	// distinguished by Virtual), and the merged statistics.
+	// distinguished by Virtual), the one statistics struct every runtime
+	// fills, and — on the simulator, under Params.RecordUtilization — the
+	// per-processor busy intervals (Procs) the utilization diagrams are
+	// drawn from.
 	Result = core.Result
 	// ExecStats is the unified structural-counter set across runtimes.
 	ExecStats = core.Stats
@@ -116,14 +118,6 @@ type (
 	ViewChanges = ivm.ChangeStream
 	// BaseFunc resolves a plan leaf index to its base relation.
 	BaseFunc = core.BaseFunc
-	// RunResult is the simulator's own result type, returned by Query.Run
-	// and TwoPhase: it adds the per-processor busy intervals (Procs) the
-	// utilization diagrams are drawn from.
-	RunResult = engine.RunResult
-	// Stats aggregates the simulator's process, stream and transport
-	// counters inside a RunResult (Exec returns the unified ExecStats
-	// instead).
-	Stats = engine.Stats
 	// Params is the simulated machine model.
 	Params = costmodel.Params
 	// Database is a generated Wisconsin chain database.
@@ -203,8 +197,9 @@ const DefaultRuntime = core.DefaultRuntime
 // the single execution entry point over every backend. With no options it
 // runs on the simulated PRISMA/DB machine and reports virtual response
 // time; WithRuntime selects another backend by registry name. The context
-// cancels the execution on either runtime: the simulator aborts between
-// events, the goroutine runtime tears down every worker without leaks.
+// cancels the execution on every runtime: the simulator aborts between
+// events, the goroutine runtimes tear down every worker without leaks, the
+// dist coordinator sends its workers CANCEL.
 //
 //	res, err := multijoin.Exec(ctx, q)                       // simulator
 //	res, err := multijoin.Exec(ctx, q,
@@ -214,13 +209,11 @@ func Exec(ctx context.Context, q Query, opts ...ExecOption) (*Result, error) {
 	return core.Exec(ctx, q, opts...)
 }
 
-// WithRuntime selects the execution backend by registry name ("sim",
-// "parallel", or any runtime added with RegisterRuntime).
+// WithRuntime selects the execution backend by registry name: "sim" (the
+// simulated PRISMA/DB machine), "parallel" (goroutines), "spill" (goroutines
+// under a memory budget), "dist" (worker processes over loopback TCP), or
+// any runtime added with RegisterRuntime.
 func WithRuntime(name string) ExecOption { return core.WithRuntime(name) }
-
-// WithParams sets the simulated machine model (defaults to the query's own
-// Params).
-func WithParams(p Params) ExecOption { return core.WithParams(p) }
 
 // WithMaxProcs sets the number of modeled processors on wall-clock
 // runtimes: one slot each, held by a process while it computes, so the
@@ -399,8 +392,9 @@ func Optimize(c Catalog, space Space) (*Node, float64, error) {
 func UniformCatalog(k int, card float64) Catalog { return optimizer.Uniform(k, card) }
 
 // TwoPhase runs the complete pipeline of Section 1.2: phase 1 picks the
-// cheapest tree, phase 2 parallelizes and executes it.
-func TwoPhase(db *Database, space Space, s Strategy, procs int, params Params) (*Node, *RunResult, error) {
+// cheapest tree, phase 2 parallelizes it and executes it on the simulated
+// machine (Exec with no options).
+func TwoPhase(db *Database, space Space, s Strategy, procs int, params Params) (*Node, *Result, error) {
 	return core.TwoPhase(db, space, s, procs, params)
 }
 
