@@ -14,12 +14,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"multijoin"
 	"multijoin/internal/diagram"
 	"multijoin/internal/jointree"
-	"multijoin/internal/sim"
 	"multijoin/internal/strategy"
 )
 
@@ -88,9 +86,8 @@ func run(shapeName, strategyName *string, procs, card, relations *int, seed *int
 	fmt.Printf("startup: %.3fs   handshakes: %.3fs   remote tuples: %d   local tuples: %d\n\n",
 		res.Stats.StartupTime.Seconds(), res.Stats.HandshakeTime.Seconds(),
 		res.Stats.TuplesMovedRemote, res.Stats.TuplesLocal)
-	end := sim.Time(res.Time / time.Microsecond)
-	fmt.Print(diagram.Render(res.Procs, end, 72))
+	fmt.Print(diagram.Render(res.Procs, res.Time, 72))
 	fmt.Print(diagram.Legend(res.Procs))
-	fmt.Printf("average utilization: %.0f%%\n", 100*diagram.Utilization(res.Procs, end))
+	fmt.Printf("average utilization: %.0f%%\n", 100*diagram.Utilization(res.Procs, res.Time))
 	return nil
 }

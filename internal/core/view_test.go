@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,6 +99,25 @@ func TestEngineCreateViewAfterClose(t *testing.T) {
 	eng.Close()
 	if _, err := eng.CreateView(context.Background(), sessionQuery(t, db, jointree.LeftLinear, strategy.FP)); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("CreateView on closed engine returned %v, want ErrEngineClosed", err)
+	}
+}
+
+// TestEngineCreateViewUnknownRuntime: a view resolves its options like a
+// query, so a runtime name nobody registered is refused, not ignored — and
+// the refusal comes before admission, leaving nothing charged.
+func TestEngineCreateViewUnknownRuntime(t *testing.T) {
+	db := sessionDB(t, 3, 64)
+	eng, err := Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	_, err = eng.CreateView(context.Background(), sessionQuery(t, db, jointree.LeftLinear, strategy.FP), WithRuntime("no-such-runtime"))
+	if err == nil || !strings.Contains(err.Error(), "no-such-runtime") {
+		t.Fatalf("CreateView with an unknown runtime returned %v, want an error naming it", err)
+	}
+	if used := eng.meter.Live(); used != 0 {
+		t.Errorf("refused view left %d bytes charged", used)
 	}
 }
 

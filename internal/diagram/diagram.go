@@ -10,14 +10,22 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"multijoin/internal/sim"
 )
 
+// virtual maps the end of a run, reported as a time.Duration, back onto the
+// virtual-microsecond axis the processors' busy intervals are recorded on —
+// the one inverse of the conversion the simulator applies where a run ends.
+func virtual(end time.Duration) sim.Time { return sim.Time(end / time.Microsecond) }
+
 // Render draws the utilization of the given processors over [0, end) using
 // width character columns. Each cell shows the label that occupied the
-// majority of the corresponding time slice.
-func Render(procs []*sim.Proc, end sim.Time, width int) string {
+// majority of the corresponding time slice. runEnd is the run's response time
+// as Result.Time reports it.
+func Render(procs []*sim.Proc, runEnd time.Duration, width int) string {
+	end := virtual(runEnd)
 	if width < 10 {
 		width = 10
 	}
@@ -107,7 +115,8 @@ func Legend(procs []*sim.Proc) string {
 // Utilization returns the average fraction of [0, end) the processors spent
 // busy — the idealized diagrams of the paper correspond to 1.0 inside each
 // strategy's active phase.
-func Utilization(procs []*sim.Proc, end sim.Time) float64 {
+func Utilization(procs []*sim.Proc, runEnd time.Duration) float64 {
+	end := virtual(runEnd)
 	if end <= 0 || len(procs) == 0 {
 		return 0
 	}

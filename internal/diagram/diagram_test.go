@@ -3,6 +3,7 @@ package diagram
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"multijoin/internal/sim"
 )
@@ -17,7 +18,7 @@ func traceProcs() []*sim.Proc {
 }
 
 func TestRenderBasics(t *testing.T) {
-	out := Render(traceProcs(), 100, 20)
+	out := Render(traceProcs(), 100*time.Microsecond, 20)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 { // header + 2 processors
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
@@ -48,7 +49,7 @@ func TestRenderEmptyTrace(t *testing.T) {
 }
 
 func TestRenderNarrowWidthClamped(t *testing.T) {
-	out := Render(traceProcs(), 100, 1)
+	out := Render(traceProcs(), 100*time.Microsecond, 1)
 	if out == "" {
 		t.Error("narrow render empty")
 	}
@@ -89,10 +90,10 @@ func TestLegend(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	procs := traceProcs()
 	// Total busy 125 over 2 procs x 100 time units.
-	if got := Utilization(procs, 100); got != 0.625 {
+	if got := Utilization(procs, 100*time.Microsecond); got != 0.625 {
 		t.Errorf("utilization = %g, want 0.625", got)
 	}
-	if Utilization(procs, 0) != 0 || Utilization(nil, 100) != 0 {
+	if Utilization(procs, 0) != 0 || Utilization(nil, 100*time.Microsecond) != 0 {
 		t.Error("degenerate utilization must be 0")
 	}
 }

@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"multijoin/internal/core"
 	"multijoin/internal/costmodel"
 	"multijoin/internal/diagram"
 	"multijoin/internal/jointree"
 	"multijoin/internal/parallel"
-	"multijoin/internal/sim"
 	"multijoin/internal/strategy"
 	"multijoin/internal/wisconsin"
 )
@@ -48,11 +46,10 @@ func UtilizationFigure(fig string) (string, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure %s: %v evaluation of the example join tree (10 processors)\n", fig, kind)
-	end := sim.Time(res.Time / time.Microsecond)
-	b.WriteString(diagram.Render(res.Procs, end, 72))
+	b.WriteString(diagram.Render(res.Procs, res.Time, 72))
 	b.WriteString(diagram.Legend(res.Procs))
 	fmt.Fprintf(&b, "response time %.2fs, avg utilization %.0f%%\n\n",
-		res.Time.Seconds(), 100*diagram.Utilization(res.Procs, end))
+		res.Time.Seconds(), 100*diagram.Utilization(res.Procs, res.Time))
 	return b.String(), nil
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"multijoin/internal/core"
 	"multijoin/internal/costmodel"
+	"multijoin/internal/diagram"
 	"multijoin/internal/engine"
 	"multijoin/internal/jointree"
 	"multijoin/internal/operator"
@@ -156,15 +157,12 @@ func TestUtilizationNeverExceedsMachine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var busy int64
-			for _, p := range res.Procs {
-				busy += int64(p.BusyTime())
-			}
-			capacity := int64(res.Time) * int64(len(res.Procs))
-			if busy > capacity {
-				t.Errorf("%v/%v: busy %d exceeds capacity %d", shape, kind, busy, capacity)
-			}
-			if busy <= 0 {
+			// Busy intervals are virtual microseconds, res.Time a
+			// time.Duration; diagram owns the mapping between the two.
+			switch u := diagram.Utilization(res.Procs, res.Time); {
+			case u > 1:
+				t.Errorf("%v/%v: busy time is %.4f of processors x response time", shape, kind, u)
+			case u <= 0:
 				t.Errorf("%v/%v: nothing recorded", shape, kind)
 			}
 		}
