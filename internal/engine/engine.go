@@ -110,6 +110,10 @@ type engineState struct {
 	// consumer that applies it, so steady-state simulation allocates no
 	// per-batch garbage.
 	pool *relation.BatchPool
+	// results recycles join result buffers, twice a transport batch each (a
+	// probe yields about one match per row on the chain queries): a process
+	// draws one when it starts and returns it when it finishes.
+	results *relation.BatchPool
 
 	// Hash-table memory accounting (tuples resident per processor).
 	tableNow map[int]int
@@ -186,6 +190,7 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 			e.sim.At(in.startupAt, event{in: in, kind: evActivate})
 		}
 	}
+	e.results = relation.NewBatchPool(2*params.BatchTuples, min(k, relation.MaxPoolRetain))
 	return e, nil
 }
 

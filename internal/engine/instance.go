@@ -73,6 +73,7 @@ type instance struct {
 	finished   bool
 
 	join operator.Join
+	res  *relation.Batch  // a join's result buffer, from the run's result pool
 	out  *operator.Outbox // nil for collect
 
 	// scanChunks are per-batch views of the scan's pre-placed fragment,
@@ -104,10 +105,14 @@ func (in *instance) tryActivate() {
 	in.e.sim.At(end, event{in: in, kind: evStarted})
 }
 
-// start creates the join state and the outbox, and enqueues a scan's work.
+// start creates the join state, draws a join's result buffer and creates
+// the outbox, and enqueues a scan's work.
 func (in *instance) start() {
 	bt := in.e.params.BatchTuples
-	in.join.Start(bt)
+	in.join.Start()
+	if k := in.op.Op.Kind; k == xra.OpSimpleJoin || k == xra.OpPipeJoin {
+		in.res = in.e.results.Get()
+	}
 	if in.op.Out != nil {
 		in.out = operator.NewOutbox(in.op.Node, in.idx, in.e.pool, bt, in)
 	}
@@ -181,10 +186,10 @@ func (in *instance) next() {
 
 // apply runs the operator logic on one message, returning the work in cost
 // units (Section 4.3: hash=1, net receive=1, result create+send=2) and any
-// result batch to emit. Join results stay valid until the next apply, and
-// the emit event consumes them before; exhausted input batches return to
-// the batch pool (scan chunks are borrowed views of the base relation
-// fragment and stay out of the pool).
+// result batch to emit. Join results live in the instance's result buffer
+// until the next apply, and the emit event consumes them before; exhausted
+// input batches return to the batch pool (scan chunks are borrowed views of
+// the base relation fragment and stay out of the pool).
 func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batch) {
 	n := float64(m.Batch.Len())
 	switch in.op.Op.Kind {
@@ -206,7 +211,7 @@ func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batc
 		if m.Remote {
 			units += n * costmodel.UnitsNetReceive
 		}
-		results = in.join.Apply(m)
+		results = in.join.ApplyInto(in.res, m)
 		in.e.pool.Put(m.Batch)
 		in.e.addTableTuples(in.proc.ID, in.join.Resident()-before)
 		if results != nil {
@@ -236,9 +241,9 @@ func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batc
 // maybeFinish completes the process once every input ended and all queued
 // work was applied: the hash tables are released — the modeled bytes and the
 // real backing arrays, which the recycle pool hands to the joins still
-// running — remaining buffers are flushed, end-of-stream marks are sent to
-// every destination, and the operator completion is reported when the last
-// sibling instance finishes.
+// running — and so is the result buffer, remaining buffers are flushed,
+// end-of-stream marks are sent to every destination, and the operator
+// completion is reported when the last sibling instance finishes.
 func (in *instance) maybeFinish() {
 	if in.finished || !in.started || !in.join.Done() {
 		return
@@ -246,6 +251,7 @@ func (in *instance) maybeFinish() {
 	in.finished = true
 	in.e.addTableTuples(in.proc.ID, -in.join.Resident())
 	in.join.Release()
+	in.e.results.Put(in.res)
 	if in.out != nil {
 		in.out.Flush()
 		in.out.Punctuate()

@@ -1,6 +1,7 @@
 package hashjoin
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -267,6 +268,40 @@ func BenchmarkHashTable_MapProbe(b *testing.B) {
 		}
 	}
 	_ = sink
+}
+
+// BenchmarkHashTable_Partitioned measures one join process's sized build
+// plus batch probe over the keys redistribution routes to it among n
+// processes (processKeys), in transport-sized batches: the key sets the
+// runtimes' tables hold, which the unpartitioned benchmarks above and
+// mjperf's kernel probes do not show.
+func BenchmarkHashTable_Partitioned(b *testing.B) {
+	const keys, batchTuples = 20000, 256
+	for _, n := range []int{1, 40, 128} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var in relation.Batch
+			for _, k := range processKeys(n, keys, 1) {
+				in.Append(k, k, uint64(k))
+			}
+			dst := relation.NewBatch(2 * batchTuples)
+			var heads []int32
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tab := NewTableSized(relation.Unique1, keys)
+				for lo := 0; lo < keys; lo += batchTuples {
+					sub := in.View(lo, min(lo+batchTuples, keys))
+					tab.InsertBatch(&sub)
+				}
+				for lo := 0; lo < keys; lo += batchTuples {
+					sub := in.View(lo, min(lo+batchTuples, keys))
+					dst.Reset()
+					heads = tab.ProbeBatchInto(dst, &sub, relation.Unique2, true, heads)
+				}
+				tab.Release()
+			}
+		})
+	}
 }
 
 // BenchmarkHashTable_SimpleJoin measures one full sized build+probe cycle

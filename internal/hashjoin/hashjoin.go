@@ -123,6 +123,16 @@ const radixBuckets = 256
 // Sizing the table from the operand's declared cardinality (NewTableSized)
 // avoids rehash churn entirely — the PRISMA/DB setting, where scans declare
 // their fragment sizes up front.
+//
+// A key's home slot is the top log2(slots) bits of its multiplicative hash
+// (see home), not the low bits. A join process receives its operands by
+// redistribution on relation.HashKey(k, n) — the same multiply, folded,
+// modulo n — so the keys one process stores agree on the low bits of the
+// folded hash wherever n has a factor of two: low-bit homes left a process
+// 1/16 of the slots at n = 16 and 1/128 at n = 128, and a hit walked 6 and
+// 32–40 slots. The top bits a table reads are not among those the routing
+// fixed (for n up to 128 and tables below 2^25 slots). gracePartition meets
+// the same hazard with a salted hash.
 type Table struct {
 	attr relation.Attr
 	keys []int64 // keys[s] is meaningful only when head[s] != 0
@@ -138,15 +148,22 @@ type Table struct {
 	used  int   // occupied slots (distinct keys)
 	live  int   // inserted minus deleted tuples
 	mask  uint64
+	shift uint // 64 - log2(slots): hash >> shift is a home slot
 }
 
-// hashKey mixes a join-attribute value for slot addressing (same multiplier
-// as relation.HashKey; the slot count is a power of two, so the high bits
-// are folded down).
-func hashKey(k int64) uint64 {
-	h := uint64(k) * 0x9e3779b97f4a7c15
-	return h ^ h>>32
-}
+// hashKey mixes a join-attribute value for slot addressing: relation.HashKey's
+// multiplier without its fold, so the top bits, which the table reads, are
+// the best-mixed ones.
+func hashKey(k int64) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
+
+// home returns k's home slot: the top log2(slots) bits of its hash, which
+// spread one process's keys over the whole table whatever number of
+// processes redistribution routed them over (see Table).
+func (t *Table) home(k int64) uint64 { return hashKey(k) >> t.shift }
+
+// slotShift returns the shift that maps a hash onto one of slots (a power
+// of two) home slots.
+func slotShift(slots int) uint { return uint(64 - bits.TrailingZeros(uint(slots))) }
 
 // NewTable returns an empty hash table keyed on the given attribute, sized
 // for small inputs. Use NewTableSized when the cardinality is known.
@@ -190,7 +207,7 @@ func (t *Table) Release() {
 	}
 	t.keys, t.head = nil, nil
 	t.u1, t.u2, t.check, t.next = nil, nil, nil, nil
-	t.free, t.used, t.live, t.mask = 0, 0, 0, 0
+	t.free, t.used, t.live, t.mask, t.shift = 0, 0, 0, 0, 0
 	tablePools[bits.TrailingZeros(uint(slots))].Put(m)
 }
 
@@ -202,7 +219,7 @@ func NewTableSized(attr relation.Attr, hint int) *Table {
 	for slots*3 < hint*4 { // keep load factor under 3/4 at hint tuples
 		slots *= 2
 	}
-	t := &Table{attr: attr, mask: uint64(slots - 1)}
+	t := &Table{attr: attr, mask: uint64(slots - 1), shift: slotShift(slots)}
 	if m, _ := tablePools[bits.TrailingZeros(uint(slots))].Get().(*tableMem); m != nil {
 		// Only the chain heads must read as empty; keys[s] is never read
 		// while head[s] == 0, so the stale keys need no clearing.
@@ -231,14 +248,13 @@ func (t *Table) Insert(tp relation.Tuple) {
 
 // insert adds one row given its key and column values.
 func (t *Table) insert(k, u1v, u2v int64, ck uint64) {
-	t.insertHashed(hashKey(k), k, u1v, u2v, ck)
+	t.insertAt(t.home(k), k, u1v, u2v, ck)
 }
 
-// insertHashed is insert with the key hash precomputed (the radix bulk
-// insert hashes once for bucketing and reuses it here).
-func (t *Table) insertHashed(h uint64, k, u1v, u2v int64, ck uint64) {
+// insertAt is insert with the home slot precomputed (the radix bulk insert
+// computes it once for bucketing and reuses it here).
+func (t *Table) insertAt(s uint64, k, u1v, u2v int64, ck uint64) {
 	t.live++
-	s := h & t.mask
 	for t.head[s] != 0 {
 		if t.keys[s] == k {
 			t.head[s] = t.newRow(u1v, u2v, ck, t.head[s])
@@ -287,25 +303,32 @@ func (t *Table) InsertBatch(b *relation.Batch) {
 // randomly across a table that no longer fits in cache. Small batches fall
 // through to the plain insert loop.
 func (t *Table) InsertBatchRadix(b *relation.Batch) {
-	n := b.Len()
-	if n < RadixBuildMinTuples {
+	if b.Len() < RadixBuildMinTuples {
 		t.InsertBatch(b)
 		return
 	}
+	t.insertRadix(b)
+}
+
+// insertRadix is InsertBatchRadix's radix path. It is a function of its own
+// so that the per-batch builds, which never take it, do not carry its
+// 3 KiB of bucket arrays in their stack frame, which worker goroutines
+// would otherwise grow their stacks to fit.
+func (t *Table) insertRadix(b *relation.Batch) {
+	n := b.Len()
 	// Pre-grow so no rehash happens mid-build (growth would remap the
 	// slot ranges the buckets were computed from).
 	t.reserve(len(t.u1) + n)
-	shift := 0
-	for s := len(t.head) / radixBuckets; s > 1; s >>= 1 {
-		shift++
-	}
+	// A bucket is the top byte of the home slot; the table has at least
+	// RadixBuildMinTuples slots here, far more than radixBuckets.
+	shift := bits.TrailingZeros(uint(len(t.head) / radixBuckets))
 	keys := b.Col(t.attr)
-	hashes := make([]uint64, n)
+	homes := make([]uint64, n)
 	var counts [radixBuckets]int32
 	for i, k := range keys {
-		h := hashKey(k)
-		hashes[i] = h
-		counts[(h&t.mask)>>shift]++
+		s := t.home(k)
+		homes[i] = s
+		counts[s>>shift]++
 	}
 	starts := make([]int32, radixBuckets)
 	var sum int32
@@ -314,13 +337,13 @@ func (t *Table) InsertBatchRadix(b *relation.Batch) {
 		sum += c
 	}
 	order := make([]int32, n)
-	for i, h := range hashes {
-		bkt := (h & t.mask) >> shift
+	for i, s := range homes {
+		bkt := s >> shift
 		order[starts[bkt]] = int32(i)
 		starts[bkt]++
 	}
 	for _, i := range order {
-		t.insertHashed(hashes[i], keys[i], b.U1[i], b.U2[i], b.Check[i])
+		t.insertAt(homes[i], keys[i], b.U1[i], b.U2[i], b.Check[i])
 	}
 }
 
@@ -343,13 +366,13 @@ func (t *Table) grow(slots int) {
 	oldKeys, oldHead := t.keys, t.head
 	t.keys = make([]int64, slots)
 	t.head = make([]int32, slots)
-	t.mask = uint64(slots - 1)
+	t.mask, t.shift = uint64(slots-1), slotShift(slots)
 	for s, h := range oldHead {
 		if h == 0 {
 			continue
 		}
 		k := oldKeys[s]
-		d := hashKey(k) & t.mask
+		d := t.home(k)
 		for t.head[d] != 0 {
 			d = (d + 1) & t.mask
 		}
@@ -368,7 +391,7 @@ func (t *Table) grow(slots int) {
 //
 // The loop allocates nothing.
 func (t *Table) First(k int64) int32 {
-	s := hashKey(k) & t.mask
+	s := t.home(k)
 	for t.head[s] != 0 {
 		if t.keys[s] == k {
 			return t.head[s] - 1
@@ -394,7 +417,7 @@ func (t *Table) At(i int32) relation.Tuple {
 // loops' invariants are untouched. Delete allocates nothing.
 func (t *Table) Delete(tp relation.Tuple) bool {
 	k := tp.Get(t.attr)
-	s := hashKey(k) & t.mask
+	s := t.home(k)
 	for {
 		if t.head[s] == 0 {
 			return false
@@ -442,7 +465,7 @@ func (t *Table) clearSlot(s uint64) {
 		if t.head[j] == 0 {
 			return
 		}
-		ideal := hashKey(t.keys[j]) & t.mask
+		ideal := t.home(t.keys[j])
 		// The entry at j may move into the hole unless its ideal slot lies
 		// cyclically in (hole, j] — then it is still reachable from ideal
 		// without passing the hole.
@@ -476,15 +499,20 @@ func (t *Table) DeleteBatch(b *relation.Batch) int {
 // which operand built the table. heads is the caller's reusable scratch,
 // returned re-sliced: it is sized to the batch's capacity at once, so a
 // process whose input batches come from one pool allocates it a single time.
+// An empty table matches nothing, so the probe returns at once: FP's
+// pipelining joins probe empty tables while their first operand streams in.
 func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.Attr, probeIsLower bool, heads []int32) []int32 {
+	if t.live == 0 {
+		return heads
+	}
 	keys := b.Col(pa)
 	if cap(heads) < len(keys) {
 		heads = make([]int32, len(keys), cap(keys))
 	}
 	heads = heads[:len(keys)]
-	mask := t.mask
+	mask, shift := t.mask, t.shift
 	for i, k := range keys {
-		s := hashKey(k) & mask
+		s := hashKey(k) >> shift
 		var e int32
 		for t.head[s] != 0 {
 			if t.keys[s] == k {

@@ -36,12 +36,12 @@
 // # The join step
 //
 // Join is the state machine of one process: data on a port yields a result
-// batch in a scratch buffer; punctuation closes an operand. The pipelining
-// join probes and inserts symmetrically and stops inserting into a table
-// whose opposite operand has ended. The simple join holds probe batches
-// until the build operand has ended and then hands them back in arrival
-// order. Operators without join state (scan, collect, a Grace join whose
-// work happens elsewhere) use the same type for its punctuation count
+// batch in the buffer the driver brings; punctuation closes an operand. The
+// pipelining join probes and inserts symmetrically and stops inserting into
+// a table whose opposite operand has ended. The simple join holds probe
+// batches until the build operand has ended and then hands them back in
+// arrival order. Operators without join state (scan, collect, a Grace join
+// whose work happens elsewhere) use the same type for its punctuation count
 // alone.
 //
 // # The outbox and its ordering rule

@@ -22,8 +22,6 @@ type Join struct {
 
 	buildDone bool
 	held      []Msg // simple join: probe input that arrived during the build phase
-
-	scratch relation.Batch // result of the last Apply
 }
 
 // Init binds the Join to a process of operator n: the punctuation counts
@@ -42,11 +40,9 @@ func (j *Join) Marks() int { return j.want[Build] + j.want[Probe] + j.want[In] }
 // Start creates the join algorithm's state once the process may begin
 // (processes that wait on After dependencies hold no tables meanwhile):
 // hash tables sized from the operator's estimated per-process operand
-// cardinality so steady-state inserts never rehash, and a result buffer of
-// twice a transport batch — a probe yields about one match per row on the
-// chain queries — unless batchTuples is zero: the driver then brings the
-// buffer itself (ApplyInto). On operators other than joins it does nothing.
-func (j *Join) Start(batchTuples int) {
+// cardinality so steady-state inserts never rehash. On operators other than
+// joins it does nothing.
+func (j *Join) Start() {
 	n := j.node
 	spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
 	switch n.Op.Kind {
@@ -54,11 +50,6 @@ func (j *Join) Start(batchTuples int) {
 		j.simple = hashjoin.NewSimpleSized(spec, n.TableHint())
 	case xra.OpPipeJoin:
 		j.pipe = hashjoin.NewPipeliningSized(spec, n.TableHint())
-	default:
-		return
-	}
-	if batchTuples > 0 {
-		j.scratch = *relation.NewBatch(2 * batchTuples)
 	}
 }
 
@@ -73,13 +64,10 @@ func (j *Join) Hold(m Msg) bool {
 	return true
 }
 
-// Apply joins one data batch and returns the result tuples, valid until the
-// next Apply; nil when the input cannot produce any (the simple join's
-// build phase). The caller keeps ownership of m.Batch.
-func (j *Join) Apply(m Msg) *relation.Batch { return j.ApplyInto(&j.scratch, m) }
-
-// ApplyInto is Apply with the result buffer brought by the driver: the
-// processes one worker hosts run one at a time and share one.
+// ApplyInto joins one data batch into the result buffer the driver brings,
+// which it empties first, and returns it; nil when the input cannot produce
+// any (the simple join's build phase). The caller keeps ownership of
+// m.Batch and of res.
 func (j *Join) ApplyInto(res *relation.Batch, m Msg) *relation.Batch {
 	if j.simple != nil && m.Port == Build {
 		j.simple.InsertBatch(m.Batch)

@@ -133,7 +133,7 @@ func TestJoinStepInterleavings(t *testing.T) {
 				j.Init(jn)
 				j.Expect(Build, marks)
 				j.Expect(Probe, marks)
-				j.Start(16)
+				j.Start()
 				// Per port: the fragment cut into random batches, with the
 				// marks at random positions but the last one at the end.
 				var sched [2][]feed
@@ -149,8 +149,9 @@ func TestJoinStepInterleavings(t *testing.T) {
 					}
 					sched[p] = append(sched[p], feed{port: p, lo: -1})
 				}
+				var scratch relation.Batch
 				apply := func(m Msg) {
-					if res := j.Apply(m); res != nil {
+					if res := j.ApplyInto(&scratch, m); res != nil {
 						res.AppendTo(got)
 					}
 				}

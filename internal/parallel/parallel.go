@@ -56,11 +56,12 @@
 //
 // The hot data path is allocation-free in steady state: tuple batches come
 // from a relation.BatchPool and are returned by the consumer that exhausts
-// them, and join results are built in one scratch buffer per worker. What is
+// them, and join results are built in one pooled buffer per worker. What is
 // constant across the queries of an engine session — the un-metered batch
-// pools and the placement of the resident base relations — lives with the
-// session's ProcPool, not with the run. Result equivalence against the
-// sequential reference is asserted for every strategy in the tests.
+// pools, result buffers included, and the placement of the resident base
+// relations — lives with the session's ProcPool, not with the run. Result
+// equivalence against the sequential reference is asserted for every
+// strategy in the tests.
 package parallel
 
 import (
@@ -399,6 +400,7 @@ type runtimeState struct {
 	procs   *ProcPool                   // the modeled processors: cfg.Pool, or the run's own
 	retain  int                         // free-list bound of the run's own pools
 	pools   map[int]*relation.BatchPool // batch capacity → pool; read-only once workers launch
+	results *relation.BatchPool         // join hosts' result buffers; nil unless the run has in-memory joins
 	ops     []*opState                  // plan order, indexed by Node.Index
 	spill   *spillState                 // nil unless the run is budgeted (MemoryBudget/Meter)
 	partial *Partial                    // nil for whole-plan (single-node) runs
@@ -551,7 +553,13 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 				join.Expect(from.Out.Port, len(r.ops[from.Index].hosts))
 			}
 		}
-		grace := r.spill != nil && (n.Op.Kind == xra.OpSimpleJoin || n.Op.Kind == xra.OpPipeJoin)
+		joins := n.Op.Kind == xra.OpSimpleJoin || n.Op.Kind == xra.OpPipeJoin
+		grace := joins && r.spill != nil
+		if joins && r.spill == nil && r.results == nil {
+			// Twice a transport batch: a probe yields about one match per
+			// row on the chain queries.
+			r.results = r.transportPool(2 * r.cfg.BatchTuples)
+		}
 		for _, h := range os.hosts {
 			if !h.local {
 				continue

@@ -37,11 +37,11 @@ type host struct {
 	slot *sync.Mutex
 
 	// Input side: every producer host sends into inbox. open counts the
-	// hosted processes still waiting for punctuation, and scratch is the
-	// result buffer of whichever of them joins.
-	inbox   chan operator.Msg
-	open    int
-	scratch relation.Batch
+	// hosted processes still waiting for punctuation, and res is the result
+	// buffer of whichever of them joins, drawn from the run's result pool.
+	inbox chan operator.Msg
+	open  int
+	res   *relation.Batch
 
 	// Output side (nil for collect): the outbox the hosted processes share
 	// and its destinations.
@@ -93,11 +93,10 @@ func (w *host) run() {
 	}
 	kind := w.op.Op.Kind
 	if w.r.spill == nil && (kind == xra.OpSimpleJoin || kind == xra.OpPipeJoin) {
-		// Twice a transport batch: a probe yields about one match per row
-		// on the chain queries.
-		w.scratch = *relation.NewBatch(2 * w.r.cfg.BatchTuples)
+		w.res = w.r.results.Get()
+		defer w.r.results.Put(w.res)
 		for _, i := range w.procs {
-			w.op.procs[i].join.Start(0)
+			w.op.procs[i].join.Start()
 		}
 	}
 	// Scan work is a column copy into pooled transport batches and is not
@@ -239,7 +238,7 @@ func (w *host) apply(p *proc, m operator.Msg) bool {
 		}
 	default:
 		w.slot.Lock()
-		res := p.join.ApplyInto(&w.scratch, m)
+		res := p.join.ApplyInto(w.res, m)
 		w.slot.Unlock()
 		if res != nil && !w.out.EmitFrom(p.pos, res, operator.Insert) {
 			return false
