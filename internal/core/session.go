@@ -580,12 +580,10 @@ func (r *Rows) Next() bool {
 
 // Tuple returns the tuple the cursor is positioned on: the one the last
 // Next that returned true advanced to. A concurrent Close only stops
-// further iteration — the copy returned here stays valid.
-func (r *Rows) Tuple() relation.Tuple {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.curTuple
-}
+// further iteration — the copy returned here stays valid. It takes no
+// lock: curTuple is written only by Next, on the goroutine that calls
+// Tuple, and Close never touches it.
+func (r *Rows) Tuple() relation.Tuple { return r.curTuple }
 
 // finish records the execution outcome once the stream has been fully
 // consumed.

@@ -480,6 +480,61 @@ func TestRowsIterSurfacesExternalCancel(t *testing.T) {
 	}
 }
 
+// TestRowsCloseDuringIteration: one goroutine loops Next/Tuple while another
+// Closes the cursor mid-stream. Tuple takes no lock, so under -race this
+// pins that Close never touches what Tuple reads; every tuple handed out
+// must still be one of the result's, and iteration must stop cleanly.
+func TestRowsCloseDuringIteration(t *testing.T) {
+	db := sessionDB(t, 4, parkedCard)
+	eng, err := Open(db, WithEngineRuntime("parallel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q := sessionQuery(t, db, jointree.WideBushy, strategy.FP)
+	want := map[relation.Tuple]int{}
+	for _, tp := range Reference(db, q.Tree).Tuples {
+		want[tp]++
+	}
+	for trial := 0; trial < 5; trial++ {
+		rows, err := eng.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		started := make(chan struct{})
+		seen := map[relation.Tuple]int{}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			n := 0
+			for rows.Next() {
+				seen[rows.Tuple()]++
+				if n++; n == 100*trial+1 {
+					close(started)
+				}
+			}
+		}()
+		select {
+		case <-started:
+		case <-done:
+			t.Fatalf("trial %d: the stream ended before Close: %v", trial, rows.Err())
+		}
+		rows.Close()
+		<-done
+		for tp, c := range seen {
+			if c > want[tp] {
+				t.Fatalf("trial %d: Tuple returned %v %d times, the result holds it %d times", trial, tp, c, want[tp])
+			}
+		}
+		if err := rows.Err(); err != nil {
+			t.Errorf("trial %d: Err after user Close = %v, want nil", trial, err)
+		}
+	}
+	if live := eng.MemoryLive(); live != 0 {
+		t.Errorf("Close during iteration stranded %d live bytes on the shared budget", live)
+	}
+}
+
 // TestRowsAllVerifyRejectsPartialConsumption asserts a verifying All on a
 // cursor that already handed out tuples fails loudly instead of reporting
 // a spurious mismatch on the remainder.

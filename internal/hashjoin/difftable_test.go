@@ -274,13 +274,23 @@ func BenchmarkHashTable_MapProbe(b *testing.B) {
 // plus batch probe over the keys redistribution routes to it among n
 // processes (processKeys), in transport-sized batches: the key sets the
 // runtimes' tables hold, which the unpartitioned benchmarks above and
-// mjperf's kernel probes do not show.
+// mjperf's kernel probes do not show. The freeRows case deletes half the
+// keys after the build and inserts them again, so those batches start on
+// the free-list prefix. ns/tuple is the time per key built and probed, the
+// unit of mjperf's hashjoin.build_ns_per_tuple.
 func BenchmarkHashTable_Partitioned(b *testing.B) {
 	const keys, batchTuples = 20000, 256
-	for _, n := range []int{1, 40, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	for _, c := range []struct {
+		n        int
+		freeRows bool
+	}{{1, false}, {40, false}, {128, false}, {40, true}} {
+		name := fmt.Sprintf("n=%d", c.n)
+		if c.freeRows {
+			name += "/freeRows"
+		}
+		b.Run(name, func(b *testing.B) {
 			var in relation.Batch
-			for _, k := range processKeys(n, keys, 1) {
+			for _, k := range processKeys(c.n, keys, 1) {
 				in.Append(k, k, uint64(k))
 			}
 			dst := relation.NewBatch(2 * batchTuples)
@@ -293,6 +303,16 @@ func BenchmarkHashTable_Partitioned(b *testing.B) {
 					sub := in.View(lo, min(lo+batchTuples, keys))
 					tab.InsertBatch(&sub)
 				}
+				if c.freeRows {
+					for lo := 0; lo < keys/2; lo += batchTuples {
+						sub := in.View(lo, min(lo+batchTuples, keys/2))
+						tab.DeleteBatch(&sub)
+					}
+					for lo := 0; lo < keys/2; lo += batchTuples {
+						sub := in.View(lo, min(lo+batchTuples, keys/2))
+						tab.InsertBatch(&sub)
+					}
+				}
 				for lo := 0; lo < keys; lo += batchTuples {
 					sub := in.View(lo, min(lo+batchTuples, keys))
 					dst.Reset()
@@ -300,6 +320,7 @@ func BenchmarkHashTable_Partitioned(b *testing.B) {
 				}
 				tab.Release()
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/tuple")
 		})
 	}
 }

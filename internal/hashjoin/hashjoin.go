@@ -103,7 +103,8 @@ const radixBuckets = 256
 // slot per distinct key and three flat []int64-shaped arrays for the
 // probe loops to stream over. Steady-state Insert performs no per-key
 // allocation; growth doubles the slot array and re-seats slot heads
-// without touching the arena.
+// without touching the arena. The arena is insertion-ordered, so a batch's
+// columns go in as one copy each (InsertBatch).
 //
 // Slot heads and chain links store arena index + 1, with 0 meaning
 // empty/end-of-chain: the zero value of a freshly made slot array is
@@ -287,13 +288,60 @@ func (t *Table) newRow(u1v, u2v int64, ck uint64, next int32) int32 {
 	return int32(len(t.u1))
 }
 
-// InsertBatch adds every tuple of a columnar batch: the key column is read
-// in one tight loop, the other columns are scattered into the arena.
+// InsertBatch adds every tuple of a columnar batch the way the arena stores
+// it: by the column. Rows that can reuse free-listed arena rows (only
+// deletes create them) go in one at a time; the rest of the batch lands at
+// the arena's end as one bulk copy per column, and a loop over the key
+// column then only links each new row into its key's chain. The arena
+// order, the chains and the capacities are the ones inserting the rows one
+// by one would leave, so probes emit in the same order and MemBytes does
+// not depend on how the table was filled.
 func (t *Table) InsertBatch(b *relation.Batch) {
 	keys := b.Col(t.attr)
-	for i, k := range keys {
-		t.insert(k, b.U1[i], b.U2[i], b.Check[i])
+	i := 0
+	for ; i < len(keys) && t.free != 0; i++ {
+		t.insert(keys[i], b.U1[i], b.U2[i], b.Check[i])
 	}
+	n := len(keys) - i
+	base := int32(len(t.u1))
+	t.u1 = append(reserveCol(t.u1, n), b.U1[i:]...)
+	t.u2 = append(reserveCol(t.u2, n), b.U2[i:]...)
+	t.check = append(reserveCol(t.check, n), b.Check[i:]...)
+	t.next = reserveCol(t.next, n)[:len(t.next)+n]
+	clear(t.next[base:])
+	t.live += n
+	// insertAt's chain linking for arena row e, with the slot arrays held
+	// in locals (reloaded after a grow).
+	head, tkeys, next := t.head, t.keys, t.next
+	mask, shift := t.mask, t.shift
+	for j, k := range keys[i:] {
+		e := base + int32(j) + 1
+		s := hashKey(k) >> shift
+		for head[s] != 0 && tkeys[s] != k {
+			s = (s + 1) & mask
+		}
+		if h := head[s]; h != 0 {
+			next[e-1] = h
+			head[s] = e
+			continue
+		}
+		head[s], tkeys[s] = e, k
+		t.used++
+		if t.used*4 > len(head)*3 {
+			t.grow(len(head) * 2)
+			head, tkeys, mask, shift = t.head, t.keys, t.mask, t.shift
+		}
+	}
+}
+
+// reserveCol returns col with room for n more elements. It grows the
+// column in the steps n single-element appends would take, so a bulk copy
+// leaves the capacity, and with it MemBytes, a row-at-a-time insert would.
+func reserveCol[E int32 | int64 | uint64](col []E, n int) []E {
+	for cap(col)-len(col) < n {
+		col = append(col[:cap(col)], 0)[:len(col)]
+	}
+	return col
 }
 
 // InsertBatchRadix is InsertBatch with a radix-partitioned build for large
@@ -494,9 +542,11 @@ func (t *Table) DeleteBatch(b *relation.Batch) int {
 // probe every hot loop uses. Phase one hashes the batch's pa column in one
 // tight loop, resolving each key to its chain head (index+1; 0 = no
 // match); phase two walks the duplicate chains and appends result tuples
-// column-wise to dst. probeIsLower orients the result: the paper's chain
-// join emits (lower.Unique1, higher.Unique2, combined check) regardless of
-// which operand built the table. heads is the caller's reusable scratch,
+// column-wise to dst, through dst's three columns held in locals and stored
+// back once, so a match costs three appends and no writes through dst.
+// probeIsLower orients the result: the paper's chain join emits
+// (lower.Unique1, higher.Unique2, combined check) regardless of which
+// operand built the table. heads is the caller's reusable scratch,
 // returned re-sliced: it is sized to the batch's capacity at once, so a
 // process whose input batches come from one pool allocates it a single time.
 // An empty table matches nothing, so the probe returns at once: FP's
@@ -523,11 +573,14 @@ func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.At
 		}
 		heads[i] = e
 	}
+	u1, u2, ck := dst.U1, dst.U2, dst.Check
 	if probeIsLower {
 		for i, e := range heads {
 			for e != 0 {
 				j := e - 1
-				dst.Append(b.U1[i], t.u2[j], relation.CombineChecks(b.Check[i], t.check[j]))
+				u1 = append(u1, b.U1[i])
+				u2 = append(u2, t.u2[j])
+				ck = append(ck, relation.CombineChecks(b.Check[i], t.check[j]))
 				e = t.next[j]
 			}
 		}
@@ -535,11 +588,14 @@ func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.At
 		for i, e := range heads {
 			for e != 0 {
 				j := e - 1
-				dst.Append(t.u1[j], b.U2[i], relation.CombineChecks(t.check[j], b.Check[i]))
+				u1 = append(u1, t.u1[j])
+				u2 = append(u2, b.U2[i])
+				ck = append(ck, relation.CombineChecks(t.check[j], b.Check[i]))
 				e = t.next[j]
 			}
 		}
 	}
+	dst.U1, dst.U2, dst.Check = u1, u2, ck
 	return heads
 }
 
