@@ -118,6 +118,7 @@ func WithRuntime(name string) Option { return func(o *Options) { o.Runtime = nam
 func WithMaxProcs(n int) Option { return func(o *Options) { o.MaxProcs = n } }
 
 // WithBatchTuples sets the transport batch size (pipelining granularity).
+// A view (Engine.CreateView) takes it too, for its delta rounds.
 func WithBatchTuples(n int) Option { return func(o *Options) { o.BatchTuples = n } }
 
 // WithChannelDepth sets, on wall-clock runtimes, how many batches each
@@ -125,7 +126,8 @@ func WithBatchTuples(n int) Option { return func(o *Options) { o.BatchTuples = n
 // inbox holds depth × its incoming stream count batches, so producers can
 // run that far ahead of a consumer that has not been scheduled yet (see
 // parallel.Config.ChannelDepth). It is also the dist runtime's credit
-// window per node-crossing stream.
+// window per node-crossing stream. A view's network (Engine.CreateView)
+// obeys it like a query's.
 func WithChannelDepth(n int) Option { return func(o *Options) { o.ChannelDepth = n } }
 
 // WithMemoryBudget caps the spill runtime's live tuple memory at bytes:

@@ -104,8 +104,9 @@ func WithMaxConcurrent(n int) EngineOption {
 
 // WithEngineProcs sets the size of the engine's shared processor pool: the
 // number of modeled processors (slots) that serialize the operator work of
-// *all* in-flight queries on the wall-clock runtimes, the
-// session counterpart of WithMaxProcs. Zero (the default) means GOMAXPROCS.
+// *all* in-flight queries on the wall-clock runtimes and of every open
+// view's delta rounds, the session counterpart of WithMaxProcs. Zero (the
+// default) means GOMAXPROCS.
 // Under an engine, a per-query WithMaxProcs is ignored — the pool is the
 // machine.
 func WithEngineProcs(n int) EngineOption {

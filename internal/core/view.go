@@ -2,7 +2,8 @@
 // incrementally (internal/ivm) instead of re-executed.
 //
 // CreateView runs the query once on the paper's FP (full pipelining)
-// strategy and then keeps the plan's symmetric hash-join network resident:
+// strategy and then keeps the plan's symmetric hash-join network resident,
+// its join processes hosted on the engine's processor slots like a query's:
 // every join operand table stays built, charged against the engine's
 // shared memory budget exactly like an in-flight spill query's residency.
 // View.Apply pushes signed base-relation deltas through the resident
@@ -18,6 +19,7 @@ import (
 
 	"multijoin/internal/ivm"
 	"multijoin/internal/jointree"
+	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
 	"multijoin/internal/spill"
 	"multijoin/internal/strategy"
@@ -65,12 +67,14 @@ func (e *Engine) createView(ctx context.Context, q Query, opts []Option) (*View,
 	if err != nil {
 		return nil, err
 	}
+	// The view's join processes run on the engine's processor slots and
+	// batch pools, with the transport knobs a query resolves.
 	child := a.ticket.meter
-	iv, err := ivm.New(a.plan, a.q.baseRelation, ivm.Config{
-		BatchTuples: a.o.BatchTuples,
-		TupleBytes:  a.q.tupleBytes(),
-		Meter:       child,
-	})
+	iv, err := ivm.New(a.plan, a.q.baseRelation, parallel.Config{
+		Pool:         a.o.shared.procs,
+		BatchTuples:  a.o.BatchTuples,
+		ChannelDepth: a.o.ChannelDepth,
+	}, ivm.Config{TupleBytes: a.q.tupleBytes(), Meter: child})
 	if err != nil {
 		e.undo(a)
 		return nil, err

@@ -214,3 +214,59 @@ func TestEngineViewsAndQueriesShareBudget(t *testing.T) {
 		t.Errorf("meter live = %d after closing view, want 0", live)
 	}
 }
+
+// TestEngineViewSharesProcessorSlots: a view's join processes are hosted on
+// the engine's processor slots like a query's. On an engine with one slot,
+// delta rounds against a view run while queries execute, and the view and
+// every query stay equal to the reference.
+func TestEngineViewSharesProcessorSlots(t *testing.T) {
+	db := sessionDB(t, 4, 400)
+	eng, err := Open(db, WithEngineProcs(1), WithEngineRuntime("parallel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q := sessionQuery(t, db, jointree.LeftLinear, strategy.FP)
+	v, err := eng.CreateView(context.Background(), q)
+	if err != nil {
+		t.Fatalf("CreateView: %v", err)
+	}
+	shadow := relation.NewWithCap("shadow", relation.TupleWireBytes, db.Card(1))
+	shadow.Append(db.Relation(1).Tuples...)
+	applied := make(chan error, 1)
+	go func() {
+		for i := 0; i < 20; i++ {
+			ins := shadow.Tuples[i]
+			ins.Check = ins.Check*31 + 7
+			del := shadow.Tuples[len(shadow.Tuples)-1]
+			if _, err := v.Apply(context.Background(), ivm.Delta{Rel: 1, Insert: []relation.Tuple{ins}, Delete: []relation.Tuple{del}}); err != nil {
+				applied <- err
+				return
+			}
+			shadow.Tuples = shadow.Tuples[:len(shadow.Tuples)-1]
+			shadow.Append(ins)
+		}
+		applied <- nil
+	}()
+	for _, kind := range strategy.Kinds {
+		if _, err := eng.Exec(context.Background(), sessionQuery(t, db, jointree.WideBushy, kind), WithVerify()); err != nil {
+			t.Fatalf("%v query beside the view: %v", kind, err)
+		}
+	}
+	if err := <-applied; err != nil {
+		t.Fatalf("Apply beside the queries: %v", err)
+	}
+	got, err := v.Rows(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := jointree.Reference(q.Tree, func(leaf int) *relation.Relation {
+		if leaf == 1 {
+			return shadow
+		}
+		return db.Relation(leaf)
+	})
+	if diff := relation.DiffMultiset(got, want); diff != "" {
+		t.Fatalf("view diverged: %s", diff)
+	}
+}

@@ -109,7 +109,7 @@ func (in *instance) tryActivate() {
 // the outbox, and enqueues a scan's work.
 func (in *instance) start() {
 	bt := in.e.params.BatchTuples
-	in.join.Start()
+	in.join.Start(false)
 	if k := in.op.Op.Kind; k == xra.OpSimpleJoin || k == xra.OpPipeJoin {
 		in.res = in.e.results.Get()
 	}

@@ -600,8 +600,8 @@ func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.At
 }
 
 // ProbeBatchInto is the exported form of probeBatch for callers that hold
-// bare tables rather than join state (the resident view network probes its
-// tables directly): the whole batch's pa column is hashed in one pass, then
+// bare tables rather than join state (kernel measurements probe a table
+// directly): the whole batch's pa column is hashed in one pass, then
 // matches are appended column-wise to dst. probeIsLower orients the result
 // tuple; heads is the caller's reusable scratch, returned re-sliced.
 func (t *Table) ProbeBatchInto(dst *relation.Batch, b *relation.Batch, pa relation.Attr, probeIsLower bool, heads []int32) []int32 {
@@ -716,6 +716,7 @@ type Pipelining struct {
 	buildClosed bool
 	probeClosed bool
 	heads       []int32 // probeBatch scratch
+	unmatched   int64   // RetractInto's dropped rows since the last Unmatched
 }
 
 // NewPipelining returns a fresh pipelining hash-join. Use NewPipeliningSized
@@ -800,6 +801,40 @@ func (j *Pipelining) FromProbeSideBatchInto(dst, b *relation.Batch) {
 		j.probeTable.InsertBatch(b)
 	}
 }
+
+// RetractInto consumes a columnar batch of deletions arriving on one operand
+// (the build operand when build is set): each row is deleted from that
+// operand's table, the rows found probe the other table — appending to dst
+// the result tuples they had produced — and the rows that matched nothing
+// are dropped, since they cannot have contributed, and counted (Unmatched).
+// b is compacted in place to the rows found.
+func (j *Pipelining) RetractInto(dst, b *relation.Batch, build bool) {
+	own, other, attr, lower := j.probeTable, j.buildTable, j.spec.ProbeAttr(), !j.spec.BuildIsLower
+	if build {
+		own, other, attr, lower = j.buildTable, j.probeTable, j.spec.BuildAttr(), j.spec.BuildIsLower
+	}
+	n, k := b.Len(), 0
+	for i := 0; i < n; i++ {
+		if own.Delete(b.Tuple(i)) {
+			b.U1[k], b.U2[k], b.Check[k] = b.U1[i], b.U2[i], b.Check[i]
+			k++
+		}
+	}
+	b.U1, b.U2, b.Check = b.U1[:k], b.U2[:k], b.Check[:k]
+	j.unmatched += int64(n - k)
+	j.heads = probeBatch(dst, other, b, attr, lower, j.heads)
+}
+
+// Unmatched returns how many deletions RetractInto dropped since the last
+// call.
+func (j *Pipelining) Unmatched() int64 {
+	u := j.unmatched
+	j.unmatched = 0
+	return u
+}
+
+// MemBytes returns the resident size of both tables (Table.MemBytes).
+func (j *Pipelining) MemBytes() int64 { return j.buildTable.MemBytes() + j.probeTable.MemBytes() }
 
 // CloseBuildSide declares the build operand ended: probe-side tuples stop
 // being inserted (one table action per tuple instead of two).

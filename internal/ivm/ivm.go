@@ -2,39 +2,54 @@
 // pipelining join network.
 //
 // The paper's FP strategy already is a dataflow of long-lived join
-// processes: every join runs on private processors, tuples stream through
-// symmetric pipelining hash-joins, and both operand tables of every join
-// are resident when the last tuple arrives. This package keeps that
-// network alive after the initial run instead of tearing it down, and
-// feeds it *deltas*: signed base-relation updates (insert/delete) that
-// propagate node-by-node through the same channel topology, each node
-// probing the opposite operand's resident table and retracting or
-// extending its own. The classic multiset-delta identity makes one pass
-// exact: applying ±t to one operand changes the join result by exactly
-// ±(t ⋈ other operand's current state), so eager per-tuple processing at
-// a single-goroutine-owned node — in any arrival order the channels allow
-// — telescopes to the correct new result (Berkholz et al.,
-// answering-queries-under-updates, is the theory anchor).
+// processes: tuples stream through symmetric pipelining hash-joins, and
+// both operand tables of every join are resident when the last tuple
+// arrives. A view keeps that network alive after the initial run instead of
+// tearing it down, and feeds it *deltas*: signed base-relation updates
+// (insert/delete) that propagate through the same streams, each process
+// probing the opposite operand's resident table and retracting or extending
+// its own. The classic multiset-delta identity makes one pass exact:
+// applying ±t to one operand changes the join result by exactly ±(t ⋈ other
+// operand's current state), so eager per-tuple processing at processes that
+// each own their tables — in any arrival order the streams allow —
+// telescopes to the correct new result. This is how Berkholz, Keppeler and
+// Schweikardt ("Answering FO+MOD queries under updates on bounded degree
+// databases", PAPERS.md) treat a maintained query: the same evaluation, fed
+// updates. A query is then the special case of a view whose only round is
+// all inserts.
 //
-// The network is the process model of package operator — one inbox of
-// operator.Msg per join-node instance, the kernel's wiring and outbox, whose
-// ordering rule keeps a retraction behind the insertion it cancels — with a
-// view-specific node step: signed, over two tables, with Delete.
+// The network is not this package's: it is package parallel's hosts in
+// resident mode (parallel.RunResident), on the same processor slots as the
+// queries, running the kernel's signed join step (operator.Join) and
+// outbox, whose ordering rule keeps a retraction behind the insertion it
+// cancels. What is left here is the view's: staging rounds, the collector
+// of the result multiset, change streams, and metering its residency.
 //
 // Rounds are separated by a punctuation barrier: one Apply injects its
-// delta through every scan edge, then sends one end-of-round token down
-// every stream of the plan. A node forwards its own tokens only after
-// collecting one per incoming stream — by then, channel FIFO order
-// guarantees it has processed and forwarded all of its round input — so
-// the collector holding every token implies the result multiset is exact
-// for the round. The collector then reports the round's
-// change count, publishes the changes to subscribed change streams
-// (View.Changes), and releases the waiting Apply.
+// delta through every scan edge, then sends one end-of-round mark down
+// every stream of the plan. A host forwards its marks only after each of
+// its processes has collected one per incoming stream — by then, stream
+// FIFO order guarantees it has processed and forwarded all of its round
+// input — so
+// the collector holding every mark implies the result multiset is exact
+// for the round. The collector then reports the round's change count,
+// publishes the changes to subscribed change streams (View.Changes), and
+// releases the waiting Apply.
 //
-// Resident state — two hash tables per join-node instance plus the
-// collector's result multiset — is measured after every round and charged
-// to the configured spill.Meter, so views compete for the same memory
-// budget as queries.
+// Where a view sits relative to Berkholz et al.'s tractability boundary:
+// they maintain queries in constant time per update on databases of
+// bounded degree, where no value occurs in more than a constant number of
+// tuples. A view here is a join-only query, and the Wisconsin chain keys
+// occur once per relation, so every join has degree 1: a view sits in the
+// bounded-degree class, and each delta tuple costs at most one probe per
+// join on its path to the collector, whatever the base relations' size.
+// Deltas that repeat a key raise the degree, and with it the matches one
+// probe can yield.
+//
+// Resident state — two hash tables per join process plus the collector's
+// result multiset — is measured after every round and charged to the
+// configured spill.Meter, so views compete for the same memory budget as
+// queries.
 package ivm
 
 import (
@@ -42,10 +57,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"multijoin/internal/hashjoin"
 	"multijoin/internal/operator"
+	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
 	"multijoin/internal/spill"
 	"multijoin/internal/xra"
@@ -54,23 +68,13 @@ import (
 // ErrViewClosed is returned by Apply/Rows on a closed (or torn-down) view.
 var ErrViewClosed = errors.New("ivm: view is closed")
 
-// DefaultBatchTuples is the transport batch size of the resident network
-// when Config leaves it zero.
-const DefaultBatchTuples = 256
-
 // collEntryBytes estimates the resident cost of one distinct result tuple
 // in the collector's multiset: the 24-byte tuple, an 8-byte count, and map
 // bookkeeping.
 const collEntryBytes = 48
 
-// poolRetain bounds how many idle transport batches the view's private
-// pool keeps.
-const poolRetain = 256
-
 // Config parameterizes a view.
 type Config struct {
-	// BatchTuples is the transport batch size (zero: DefaultBatchTuples).
-	BatchTuples int
 	// TupleBytes is the declared tuple width of Rows snapshots (zero:
 	// relation.TupleWireBytes).
 	TupleBytes int
@@ -107,43 +111,20 @@ type Change struct {
 	Sign  int8 // +1 insert, -1 delete
 }
 
-// node is one resident join-operator instance: a goroutine owning the two
-// operand hash tables of its fragment.
-type node struct {
-	spec     hashjoin.Spec
-	tables   [2]*hashjoin.Table // indexed by operator.Build, operator.Probe
-	in       chan operator.Msg
-	expect   int // tokens per round: incoming streams
-	out      *operator.Outbox
-	res      relation.Batch // probe-result scratch
-	fdel     relation.Batch // found-deletes scratch
-	heads    []int32
-	resident atomic.Int64 // table bytes, updated before the round's tokens
-}
-
-// scanPort is the injection point for one base relation: Apply routes
-// delta tuples straight into the scan's consumer edge, standing in for all
-// of the scan's processes (scans hold no state, so they need no goroutine).
-type scanPort struct {
-	leaf   int
-	out    *operator.Outbox
-	tokens int // end-of-round tokens per destination instance
-}
-
 type roundResult struct {
 	changes int
 	card    int
+	bytes   int64 // the result multiset's resident size
 }
 
 // collector owns the result multiset and the change-stream subscribers.
 type collector struct {
-	v        *View
-	in       chan operator.Msg
-	expect   int
-	counts   map[relation.Tuple]int64
-	card     int
-	changes  int // signed changes in the current round
-	resident atomic.Int64
+	v       *View
+	in      <-chan operator.Msg
+	expect  int
+	counts  map[relation.Tuple]int64
+	card    int
+	changes int // signed changes in the current round
 
 	subMu      sync.Mutex
 	subs       []*ChangeStream
@@ -154,22 +135,15 @@ type collector struct {
 // resident join network plus the collected result multiset. Apply, Rows,
 // Changes and Close are safe for concurrent use; one Apply runs at a time.
 type View struct {
-	cfg   Config
-	batch int
-	pool  *relation.BatchPool
-
-	nodes    []*node
-	scans    map[int]*scanPort
-	scanList []*scanPort
-	coll     *collector
-	inject   relation.Batch // Apply's staging buffer for delta tuples
+	cfg  Config
+	net  *parallel.Resident
+	coll *collector
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // the collector
 
 	roundDone chan roundResult
-	unmatched atomic.Int64
 
 	mu      sync.Mutex // serializes rounds, snapshots and subscriptions
 	charged int64      // bytes currently charged to cfg.Meter
@@ -177,99 +151,38 @@ type View struct {
 	closeOnce sync.Once
 }
 
-// New compiles plan into a resident maintenance network, populates it with
-// the base relations (one all-inserts round through the same delta path),
-// and returns the live view. base resolves each scan leaf to its relation,
-// exactly as the executing runtimes receive it. Close the view to release
-// its goroutines, tables, and meter charge.
-func New(plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config) (*View, error) {
+// New starts plan's join processes as a resident network on the hosts of
+// package parallel, configured by run like a query's run (slots, batch size,
+// inbox depth), populates it with the base relations (one all-inserts round
+// through the same delta path), and returns the live view. base resolves
+// each scan leaf to its relation, exactly as the executing runtimes receive
+// it. Close the view to release its goroutines, tables, and meter charge.
+func New(plan *xra.Plan, base func(leaf int) *relation.Relation, run parallel.Config, cfg Config) (*View, error) {
 	if plan == nil {
 		return nil, errors.New("ivm: nil plan")
-	}
-	w, err := operator.Wire(plan)
-	if err != nil {
-		return nil, fmt.Errorf("ivm: %w", err)
-	}
-	for _, n := range w.Nodes {
-		if n.Op.Kind == xra.OpScan && base(n.Op.Leaf) == nil {
-			return nil, fmt.Errorf("ivm: no base relation for leaf %d", n.Op.Leaf)
-		}
-	}
-	w.Estimate(func(leaf int) int { return base(leaf).Card() })
-	batch := cfg.BatchTuples
-	if batch <= 0 {
-		batch = DefaultBatchTuples
-	}
-	if batch > relation.MaxBlockTuples {
-		batch = relation.MaxBlockTuples
 	}
 	if cfg.TupleBytes <= 0 {
 		cfg.TupleBytes = relation.TupleWireBytes
 	}
-	v := &View{
-		cfg:       cfg,
-		batch:     batch,
-		pool:      relation.NewBatchPool(batch, poolRetain),
-		scans:     make(map[int]*scanPort),
-		roundDone: make(chan roundResult, 1),
+	ctx, cancel := context.WithCancel(context.Background())
+	net, err := parallel.RunResident(ctx, plan, base, run)
+	if err != nil {
+		cancel()
+		return nil, fmt.Errorf("ivm: %w", err)
 	}
-	v.ctx, v.cancel = context.WithCancel(context.Background())
-
-	// One inbox per join and collect process, sized for a round's tokens
-	// plus in-flight data; every producer of an edge shares its consumer's.
-	inboxes := make([]*operator.Chans, len(w.Nodes))
-	for i, n := range w.Nodes {
-		if n.Op.Kind == xra.OpScan {
-			continue
-		}
-		c := &operator.Chans{Dst: make([]chan<- operator.Msg, len(n.Op.Procs)), Done: v.ctx.Done(), Pool: v.pool}
-		inboxes[i] = c
-		for idx := range c.Dst {
-			in := make(chan operator.Msg, 2*n.InStreams()+8)
-			c.Dst[idx] = in
-			if n.Op.Kind == xra.OpCollect {
-				v.coll = &collector{v: v, in: in, expect: n.InStreams(), counts: make(map[relation.Tuple]int64)}
-				continue
-			}
-			nd := &node{spec: hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}, in: in, expect: n.InStreams()}
-			nd.tables[operator.Build] = hashjoin.NewTableSized(nd.spec.BuildAttr(), n.TableHint())
-			nd.tables[operator.Probe] = hashjoin.NewTableSized(nd.spec.ProbeAttr(), n.TableHint())
-			v.nodes = append(v.nodes, nd)
-		}
-	}
-	// Outboxes, once every inbox exists. Join outputs always redistribute,
-	// so a process's destinations are exactly its consumer's inboxes.
-	joins := 0
-	for _, n := range w.Nodes {
-		switch n.Op.Kind {
-		case xra.OpScan:
-			sp := &scanPort{
-				leaf:   n.Op.Leaf,
-				out:    operator.NewSourceOutbox(n, v.pool, batch, inboxes[n.Out.To.Index]),
-				tokens: n.Out.To.EOSWant(n.Out.Port),
-			}
-			v.scans[sp.leaf] = sp
-			v.scanList = append(v.scanList, sp)
-		case xra.OpSimpleJoin, xra.OpPipeJoin:
-			for idx := range n.Op.Procs {
-				v.nodes[joins].out = operator.NewOutbox(n, idx, v.pool, batch, inboxes[n.Out.To.Index])
-				joins++
-			}
-		}
-	}
-
-	for _, n := range v.nodes {
-		v.wg.Add(1)
-		go v.runNode(n)
-	}
+	in, marks := net.Collected()
+	v := &View{cfg: cfg, net: net, ctx: ctx, cancel: cancel, roundDone: make(chan roundResult, 1)}
+	v.coll = &collector{v: v, in: in, expect: marks, counts: make(map[relation.Tuple]int64)}
 	v.wg.Add(1)
 	go v.coll.run()
 
 	// Initial population: every base tuple as an insert, through the very
 	// code path deltas take.
-	boot := make([]Delta, 0, len(v.scanList))
-	for _, sp := range v.scanList {
-		boot = append(boot, Delta{Rel: sp.leaf, Insert: base(sp.leaf).Tuples})
+	var boot []Delta
+	for _, op := range plan.Ops {
+		if op.Kind == xra.OpScan {
+			boot = append(boot, Delta{Rel: op.Leaf, Insert: base(op.Leaf).Tuples})
+		}
 	}
 	v.mu.Lock()
 	_, err = v.round(context.Background(), boot)
@@ -279,73 +192,6 @@ func New(plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config) (*V
 		return nil, err
 	}
 	return v, nil
-}
-
-func (v *View) runNode(n *node) {
-	defer v.wg.Done()
-	defer n.tables[0].Release()
-	defer n.tables[1].Release()
-	got := 0
-	for {
-		select {
-		case m := <-n.in:
-			if m.Batch == nil {
-				got++
-				if got < n.expect {
-					continue
-				}
-				got = 0
-				// Publish resident bytes before the tokens: the sends
-				// happen-before the collector's round completion, so the
-				// Apply that reads them sees this round's figures.
-				n.resident.Store(n.tables[0].MemBytes() + n.tables[1].MemBytes())
-				if !n.out.Flush() || !n.out.Punctuate() {
-					return
-				}
-				continue
-			}
-			if !n.handle(v, m) {
-				return
-			}
-		case <-v.ctx.Done():
-			return
-		}
-	}
-}
-
-// handle processes one signed batch: deletes first retract from this
-// side's table (rows that matched nothing are dropped — they cannot have
-// contributed downstream), then the surviving rows probe the opposite
-// side's table and the matches propagate with the batch's sign; inserts
-// probe first and then extend this side's table. Probe-then-update order
-// is immaterial because the two tables index different operands.
-func (n *node) handle(v *View, m operator.Msg) bool {
-	b := m.Batch
-	own := n.tables[m.Port]
-	if m.Sign < 0 {
-		n.fdel.Reset()
-		for i, l := 0, b.Len(); i < l; i++ {
-			if own.Delete(b.Tuple(i)) {
-				n.fdel.Append(b.U1[i], b.U2[i], b.Check[i])
-			} else {
-				v.unmatched.Add(1)
-			}
-		}
-		b = &n.fdel
-	}
-	n.res.Reset()
-	if b.Len() > 0 {
-		if m.Port == operator.Build {
-			n.heads = n.tables[1].ProbeBatchInto(&n.res, b, n.spec.BuildAttr(), n.spec.BuildIsLower, n.heads)
-		} else {
-			n.heads = n.tables[0].ProbeBatchInto(&n.res, b, n.spec.ProbeAttr(), !n.spec.BuildIsLower, n.heads)
-		}
-	}
-	if m.Sign > 0 {
-		own.InsertBatch(m.Batch)
-	}
-	v.pool.Put(m.Batch)
-	return n.out.Emit(&n.res, m.Sign)
 }
 
 func (c *collector) run() {
@@ -362,8 +208,7 @@ func (c *collector) run() {
 					continue
 				}
 				got = 0
-				c.resident.Store(int64(len(c.counts)) * collEntryBytes)
-				r := roundResult{changes: c.changes, card: c.card}
+				r := roundResult{changes: c.changes, card: c.card, bytes: int64(len(c.counts)) * collEntryBytes}
 				c.changes = 0
 				if !c.push(changes) {
 					return
@@ -392,7 +237,7 @@ func (c *collector) run() {
 				}
 			}
 			c.changes += b.Len()
-			c.v.pool.Put(b)
+			c.v.net.Release(b)
 		case <-c.v.ctx.Done():
 			return
 		}
@@ -513,16 +358,20 @@ func (v *View) Changes() *ChangeStream {
 // Apply runs one maintenance round: every delta's inserts, then every
 // delta's deletes, are routed into the network, the round is fenced with
 // tokens, and Apply returns once the collector holds the exact new result.
-// ctx aborts the wait — but a round already in flight cannot be unwound,
-// so an aborted Apply tears the view down.
+// A ctx already done fails the call before anything is injected, leaving
+// the view as it was. Once the round is in flight ctx still aborts the
+// wait, but the round cannot be unwound, so that tears the view down.
 func (v *View) Apply(ctx context.Context, deltas ...Delta) (ApplyResult, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.ctx.Err() != nil {
 		return ApplyResult{}, ErrViewClosed
 	}
+	if err := ctx.Err(); err != nil {
+		return ApplyResult{}, err
+	}
 	for _, d := range deltas {
-		if _, ok := v.scans[d.Rel]; !ok {
+		if !v.net.Has(d.Rel) {
 			return ApplyResult{}, fmt.Errorf("ivm: delta for unknown base relation %d", d.Rel)
 		}
 	}
@@ -533,31 +382,21 @@ func (v *View) Apply(ctx context.Context, deltas ...Delta) (ApplyResult, error) 
 // v.mu.
 func (v *View) round(ctx context.Context, deltas []Delta) (ApplyResult, error) {
 	var out ApplyResult
+	ok := true // false once the network was closed under the round
 	for _, d := range deltas {
-		if !v.emit(v.scans[d.Rel], d.Insert, operator.Insert) {
-			return out, ErrViewClosed
-		}
+		ok = ok && v.net.Inject(d.Rel, d.Insert, operator.Insert)
 		out.Inserted += len(d.Insert)
 	}
 	for _, d := range deltas {
-		if !v.emit(v.scans[d.Rel], d.Delete, operator.Delete) {
-			return out, ErrViewClosed
-		}
+		ok = ok && v.net.Inject(d.Rel, d.Delete, operator.Delete)
 		out.Deleted += len(d.Delete)
 	}
-	for _, sp := range v.scanList {
-		ok := sp.out.Flush()
-		for t := 0; ok && t < sp.tokens; t++ {
-			ok = sp.out.Punctuate()
-		}
-		if !ok {
-			return out, ErrViewClosed
-		}
+	if !ok || !v.net.EndRound() {
+		return out, ErrViewClosed
 	}
+	var r roundResult
 	select {
-	case r := <-v.roundDone:
-		out.Changes = r.changes
-		out.ResultCard = r.card
+	case r = <-v.roundDone:
 	case <-ctx.Done():
 		// The round is mid-flight and cannot be unwound; the view can no
 		// longer tell a complete state from a truncated one.
@@ -566,32 +405,16 @@ func (v *View) round(ctx context.Context, deltas []Delta) (ApplyResult, error) {
 	case <-v.ctx.Done():
 		return out, ErrViewClosed
 	}
-	out.Unmatched = v.unmatched.Swap(0)
-	v.recharge()
+	tables, unmatched := v.net.Round()
+	out.Changes, out.ResultCard, out.Unmatched = r.changes, r.card, unmatched
+	v.recharge(tables + r.bytes)
 	return out, nil
 }
 
-// emit routes one relation's tuples into the scan's consumer edge, a
-// transport batch at a time.
-func (v *View) emit(sp *scanPort, tuples []relation.Tuple, sign int8) bool {
-	for lo := 0; lo < len(tuples); lo += v.batch {
-		v.inject.Reset()
-		v.inject.AppendTuples(tuples[lo:min(lo+v.batch, len(tuples))])
-		if !sp.out.Emit(&v.inject, sign) {
-			return false
-		}
-	}
-	return true
-}
-
-// recharge re-measures resident bytes and charges the meter with the
-// difference. Callers hold v.mu, after a completed round (the nodes'
-// figures happen-before the collector's round completion).
-func (v *View) recharge() {
-	total := v.coll.resident.Load()
-	for _, n := range v.nodes {
-		total += n.resident.Load()
-	}
+// recharge charges the meter with the difference between total, the
+// resident bytes re-measured at the end of a round — the network's tables
+// plus the result multiset — and what it holds. Callers hold v.mu.
+func (v *View) recharge(total int64) {
 	if d := total - v.charged; d != 0 {
 		if v.cfg.Meter != nil {
 			v.cfg.Meter.Add(d)
@@ -633,13 +456,14 @@ func (v *View) Resident() int64 {
 	return v.charged
 }
 
-// Close tears the network down: goroutines exit, hash-table arenas are
-// recycled, subscribers' streams end, and the meter charge is released.
+// Close tears the network down: goroutines exit, the hash tables are
+// dropped, subscribers' streams end, and the meter charge is released.
 // Close is idempotent and unblocks a concurrent Apply (which reports
 // ErrViewClosed).
 func (v *View) Close() error {
 	v.closeOnce.Do(func() {
 		v.cancel()
+		v.net.Close()
 		v.wg.Wait()
 		v.mu.Lock()
 		if v.charged != 0 {

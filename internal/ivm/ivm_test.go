@@ -2,12 +2,14 @@ package ivm
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"multijoin/internal/jointree"
+	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
 	"multijoin/internal/spill"
 	"multijoin/internal/strategy"
@@ -24,7 +26,7 @@ type harness struct {
 	rng    *rand.Rand
 }
 
-func newHarness(t *testing.T, shape jointree.Shape, strat strategy.Kind, relations, card int, seed int64, cfg Config) *harness {
+func newHarness(t *testing.T, shape jointree.Shape, strat strategy.Kind, relations, card int, seed int64, run parallel.Config, cfg Config) *harness {
 	t.Helper()
 	db, err := wisconsin.Chain(wisconsin.Config{Relations: relations, Cardinality: card, Seed: seed})
 	if err != nil {
@@ -45,7 +47,7 @@ func newHarness(t *testing.T, shape jointree.Shape, strat strategy.Kind, relatio
 		cp.Append(r.Tuples...)
 		shadow[i] = cp
 	}
-	view, err := New(plan, func(leaf int) *relation.Relation { return db.Relation(leaf) }, cfg)
+	view, err := New(plan, func(leaf int) *relation.Relation { return db.Relation(leaf) }, run, cfg)
 	if err != nil {
 		t.Fatalf("ivm.New: %v", err)
 	}
@@ -93,7 +95,7 @@ func (h *harness) verify(t *testing.T, label string) {
 // left-linear FP plan, apply a mixed insert/delete batch, and verify the
 // incrementally maintained result against recompute-from-scratch.
 func TestViewSmoke(t *testing.T) {
-	h := newHarness(t, jointree.LeftLinear, strategy.FP, 4, 300, 1995, Config{})
+	h := newHarness(t, jointree.LeftLinear, strategy.FP, 4, 300, 1995, parallel.Config{}, Config{})
 	h.verify(t, "initial population")
 	for round := 0; round < 3; round++ {
 		deltas := []Delta{h.randomDelta(0, 20), h.randomDelta(2, 15)}
@@ -114,7 +116,7 @@ func TestViewSmoke(t *testing.T) {
 func TestViewAcrossShapesAndStrategies(t *testing.T) {
 	for _, strat := range strategy.Kinds {
 		for _, shape := range []jointree.Shape{jointree.LeftLinear, jointree.WideBushy, jointree.RightLinear} {
-			h := newHarness(t, shape, strat, 5, 120, 7, Config{BatchTuples: 32})
+			h := newHarness(t, shape, strat, 5, 120, 7, parallel.Config{BatchTuples: 32}, Config{})
 			h.verify(t, "population")
 			for round := 0; round < 2; round++ {
 				var deltas []Delta
@@ -136,7 +138,7 @@ func TestViewAcrossShapesAndStrategies(t *testing.T) {
 // in one Apply nets out, and deleting a tuple inserted in a previous
 // round retracts it.
 func TestViewSameTupleInsertDelete(t *testing.T) {
-	h := newHarness(t, jointree.LeftLinear, strategy.FP, 3, 100, 3, Config{})
+	h := newHarness(t, jointree.LeftLinear, strategy.FP, 3, 100, 3, parallel.Config{}, Config{})
 	fresh := h.shadow[1].Tuples[0]
 	fresh.Check = fresh.Check*31 + 12345
 	if _, err := h.view.Apply(context.Background(), Delta{Rel: 1, Insert: []relation.Tuple{fresh}, Delete: []relation.Tuple{fresh}}); err != nil {
@@ -163,7 +165,7 @@ func TestViewSameTupleInsertDelete(t *testing.T) {
 // TestViewUnmatchedDelete checks a delete of an absent base tuple is
 // dropped (counted, not propagated) and leaves the result intact.
 func TestViewUnmatchedDelete(t *testing.T) {
-	h := newHarness(t, jointree.LeftLinear, strategy.FP, 3, 80, 11, Config{})
+	h := newHarness(t, jointree.LeftLinear, strategy.FP, 3, 80, 11, parallel.Config{}, Config{})
 	ghost := relation.Tuple{Unique1: 1 << 40, Unique2: 1 << 40, Check: 99}
 	res, err := h.view.Apply(context.Background(), Delta{Rel: 0, Delete: []relation.Tuple{ghost}})
 	if err != nil {
@@ -178,7 +180,7 @@ func TestViewUnmatchedDelete(t *testing.T) {
 // TestViewChanges subscribes a change stream and checks each round's
 // signed changes telescope to the observed result difference.
 func TestViewChanges(t *testing.T) {
-	h := newHarness(t, jointree.LeftLinear, strategy.FP, 3, 150, 5, Config{})
+	h := newHarness(t, jointree.LeftLinear, strategy.FP, 3, 150, 5, parallel.Config{}, Config{})
 	stream := h.view.Changes()
 	defer stream.Close()
 	before, err := h.view.Rows()
@@ -223,7 +225,7 @@ func TestViewChanges(t *testing.T) {
 // view's lock), never the tail of one.
 func TestViewChangesSubscribeMidRound(t *testing.T) {
 	const rels, k = 4, 1500
-	h := newHarness(t, jointree.LeftLinear, strategy.FP, rels, 4000, 1995, Config{BatchTuples: 16})
+	h := newHarness(t, jointree.LeftLinear, strategy.FP, rels, 4000, 1995, parallel.Config{BatchTuples: 16}, Config{})
 	ctx := context.Background()
 	for trial := 0; trial < 200; trial++ {
 		// A closed subscriber is dropped by a round that has changes to hand
@@ -267,7 +269,7 @@ func TestViewChangesSubscribeMidRound(t *testing.T) {
 // engine relies on.
 func TestViewMeterSettles(t *testing.T) {
 	root := spill.NewMeter(1 << 30)
-	h := newHarness(t, jointree.LeftLinear, strategy.FP, 4, 200, 13, Config{Meter: root.Child()})
+	h := newHarness(t, jointree.LeftLinear, strategy.FP, 4, 200, 13, parallel.Config{}, Config{Meter: root.Child()})
 	if root.Live() == 0 {
 		t.Fatal("resident view charged nothing to the meter")
 	}
@@ -288,7 +290,7 @@ func TestViewMeterSettles(t *testing.T) {
 // ErrViewClosed and every network goroutine exits.
 func TestViewCloseUnblocksApply(t *testing.T) {
 	before := runtime.NumGoroutine()
-	h := newHarness(t, jointree.LeftLinear, strategy.FP, 3, 150, 17, Config{})
+	h := newHarness(t, jointree.LeftLinear, strategy.FP, 3, 150, 17, parallel.Config{}, Config{})
 	stream := h.view.Changes() // never consumed: rounds stall once its buffer fills
 	defer stream.Close()
 	applyErr := make(chan error, 1)
@@ -321,4 +323,71 @@ func TestViewCloseUnblocksApply(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after close", before, runtime.NumGoroutine())
+}
+
+// TestViewApplyCancelledContext: an Apply whose context is already done
+// fails with the context's error before injecting anything, and the view
+// stays as it was and keeps serving.
+func TestViewApplyCancelledContext(t *testing.T) {
+	h := newHarness(t, jointree.LeftLinear, strategy.FP, 3, 100, 3, parallel.Config{}, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	fresh := h.shadow[0].Tuples[0]
+	fresh.Check = fresh.Check*31 + 1
+	for i := 0; i < 20; i++ {
+		if _, err := h.view.Apply(ctx, Delta{Rel: 0, Insert: []relation.Tuple{fresh}}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Apply with a cancelled context returned %v, want context.Canceled", err)
+		}
+		h.verify(t, "after a cancelled Apply")
+	}
+	if _, err := h.view.Apply(context.Background(), Delta{Rel: 0, Insert: []relation.Tuple{fresh}}); err != nil {
+		t.Fatalf("Apply after the cancelled ones: %v", err)
+	}
+	h.shadow[0].Append(fresh)
+	h.verify(t, "after the next Apply")
+}
+
+// TestViewGoroutines pins a view's goroutines to its hosts plus the
+// collector. On the view_refresh shape (10 relations, left-linear FP, 20
+// plan processors) the 20 join processes form 18 hosts on 2 slots (every
+// join's processes span both) and 9 on 1.
+func TestViewGoroutines(t *testing.T) {
+	for _, c := range []struct{ slots, want int }{{2, 19}, {1, 10}} {
+		before := runtime.NumGoroutine()
+		h := newHarness(t, jointree.LeftLinear, strategy.FP, 10, 200, 1995, parallel.Config{MaxProcs: c.slots}, Config{})
+		if got := runtime.NumGoroutine() - before; got > c.want {
+			t.Errorf("%d slots: the view runs %d goroutines, want at most %d", c.slots, got, c.want)
+		}
+		h.view.Close()
+	}
+}
+
+// TestViewRoundAllocs pins what one steady-state round allocates: an
+// insert+delete round over every relation of a 10×2000 FP view, which
+// leaves the view as it found it. Before views ran on package parallel's
+// hosts this read 0 (0.04 mallocs per round, averaged over 500).
+func TestViewRoundAllocs(t *testing.T) {
+	h := newHarness(t, jointree.LeftLinear, strategy.FP, 10, 2000, 1995, parallel.Config{}, Config{})
+	var deltas []Delta
+	for rel := 0; rel < 10; rel++ {
+		ins := make([]relation.Tuple, 64)
+		for i := range ins {
+			ins[i] = h.shadow[rel].Tuples[i*31]
+			ins[i].Check = ins[i].Check*31 + 1
+		}
+		deltas = append(deltas, Delta{Rel: rel, Insert: ins, Delete: ins})
+	}
+	round := func() {
+		if _, err := h.view.Apply(context.Background(), deltas...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ { // until scratch buffers, free lists and the result map settle
+		round()
+	}
+	allocs := testing.AllocsPerRun(50, round)
+	if allocs > 0 {
+		t.Errorf("a round allocates %.0f times, want 0", allocs)
+	}
+	h.verify(t, "after the rounds")
 }

@@ -1,10 +1,10 @@
-// Package operator is the operation-process kernel shared by the three
+// Package operator is the operation-process kernel shared by the two
 // drivers that execute an xra plan: the discrete-event simulator (package
-// engine), the goroutine runtime (package parallel, and through its Partial
-// seam package dist) and the resident view network (package ivm). The
-// paper's execution model is stated here once; the drivers add only what is
-// theirs — virtual time and event scheduling, processor slots and Grace mode,
-// signed tables and rounds.
+// engine) and the goroutine runtime (package parallel; through its Partial
+// seam package dist, and in its resident mode the materialized views of
+// package ivm). The paper's execution model is stated here once; the drivers
+// add only what is theirs — virtual time and event scheduling, processor
+// slots, Grace mode and resident rounds.
 //
 // # Process model
 //
@@ -28,7 +28,7 @@
 // punctuation per unit of work: the end-of-stream of a query, the
 // end-of-round token of a view. A process has seen all of a port's input
 // once it has counted as many punctuation marks as streams end there
-// (Node.EOSWant); because a stream delivers in order, every batch its
+// (Join.Init); because a stream delivers in order, every batch its
 // producer sent precedes the mark. A driver that lets producer processes
 // share an outbox carries their streams to one consumer process as one: it
 // delivers one mark per outbox and tells the consumer so (Join.Expect).
@@ -43,6 +43,17 @@
 // arrival order. Operators without join state (scan, collect, a Grace join
 // whose work happens elsewhere) use the same type for its punctuation count
 // alone.
+//
+// The step is signed. An insertion batch probes the other table and then
+// extends its own; a deletion batch first retracts its rows from its own
+// table, drops the rows that matched nothing (they cannot have contributed
+// anything to retract), and probes the other table with the rest, so its
+// results carry the batch's sign downstream. Queries only ever send
+// insertions. Deletions come from a resident process (Join.Start's
+// resident mode, a materialized view's): it keeps both tables whatever the
+// operator's algorithm, and its punctuation ends a round instead of an
+// operand — the count starts afresh and no table ever closes, so the next
+// round's deltas meet both operands' current state.
 //
 // # The outbox and its ordering rule
 //

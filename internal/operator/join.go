@@ -21,6 +21,7 @@ type Join struct {
 	pipe   *hashjoin.Pipelining
 
 	buildDone bool
+	resident  bool  // a process of a resident network (Start)
 	held      []Msg // simple join: probe input that arrived during the build phase
 }
 
@@ -28,7 +29,7 @@ type Join struct {
 // it waits for.
 func (j *Join) Init(n *Node) { j.node, j.want = n, n.eosWant }
 
-// Expect overrides how many punctuation marks port p waits for. Node.EOSWant
+// Expect overrides how many punctuation marks port p waits for. Init's count
 // is one per stream; a driver whose producer processes share outboxes
 // delivers one per outbox instead (Outbox.Punctuate).
 func (j *Join) Expect(p Port, marks int) { j.want[p] = marks }
@@ -41,15 +42,19 @@ func (j *Join) Marks() int { return j.want[Build] + j.want[Probe] + j.want[In] }
 // (processes that wait on After dependencies hold no tables meanwhile):
 // hash tables sized from the operator's estimated per-process operand
 // cardinality so steady-state inserts never rehash. On operators other than
-// joins it does nothing.
-func (j *Join) Start() {
+// joins it does nothing. A resident join — a process of a materialized
+// view, fed signed deltas — is symmetric whatever the operator's algorithm,
+// since a view maintains both operands, and its punctuation ends a round,
+// not an operand, so no table ever closes.
+func (j *Join) Start(resident bool) {
 	n := j.node
 	spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
-	switch n.Op.Kind {
-	case xra.OpSimpleJoin:
-		j.simple = hashjoin.NewSimpleSized(spec, n.TableHint())
-	case xra.OpPipeJoin:
+	j.resident = resident
+	switch {
+	case n.Op.Kind == xra.OpPipeJoin || resident:
 		j.pipe = hashjoin.NewPipeliningSized(spec, n.TableHint())
+	case n.Op.Kind == xra.OpSimpleJoin:
+		j.simple = hashjoin.NewSimpleSized(spec, n.TableHint())
 	}
 }
 
@@ -66,8 +71,12 @@ func (j *Join) Hold(m Msg) bool {
 
 // ApplyInto joins one data batch into the result buffer the driver brings,
 // which it empties first, and returns it; nil when the input cannot produce
-// any (the simple join's build phase). The caller keeps ownership of
-// m.Batch and of res.
+// any (the simple join's build phase). Insertions probe, then insert. A
+// batch of deletions (Sign < 0, resident processes only) retracts each row
+// from the process's own table first, drops the rows that matched nothing —
+// counting them (Unmatched) — and probes the other table with the rest:
+// the result tuples to retract, emitted with the batch's sign. The caller
+// keeps ownership of m.Batch and of res.
 func (j *Join) ApplyInto(res *relation.Batch, m Msg) *relation.Batch {
 	if j.simple != nil && m.Port == Build {
 		j.simple.InsertBatch(m.Batch)
@@ -75,6 +84,8 @@ func (j *Join) ApplyInto(res *relation.Batch, m Msg) *relation.Batch {
 	}
 	res.Reset()
 	switch {
+	case m.Sign < 0:
+		j.pipe.RetractInto(res, m.Batch, m.Port == Build)
 	case j.simple != nil:
 		j.simple.ProbeBatchInto(res, m.Batch)
 	case m.Port == Build:
@@ -89,10 +100,15 @@ func (j *Join) ApplyInto(res *relation.Batch, m Msg) *relation.Batch {
 // port, the operand has ended: the pipelining join stops inserting the
 // other operand's tuples (no future match can need them), and the end of a
 // simple join's build phase returns the probe messages held meanwhile, in
-// arrival order, for the driver to apply before any later input.
+// arrival order, for the driver to apply before any later input. A resident
+// process's marks end rounds instead: the first mark after a complete round
+// starts the count afresh, and no operand ever ends.
 func (j *Join) EOS(p Port) []Msg {
+	if j.resident && j.got == j.want {
+		j.got = [numPorts]int{}
+	}
 	j.got[p]++
-	if j.got[p] != j.want[p] {
+	if j.got[p] != j.want[p] || j.resident {
 		return nil
 	}
 	switch {
@@ -109,7 +125,8 @@ func (j *Join) EOS(p Port) []Msg {
 	return nil
 }
 
-// Done reports whether every port has received all its punctuation.
+// Done reports whether every port has received all its punctuation — of the
+// current round, on a resident process.
 func (j *Join) Done() bool { return j.got == j.want }
 
 // Release recycles the hash tables for the joins still running.
@@ -123,6 +140,13 @@ func (j *Join) Release() {
 		j.pipe = nil
 	}
 }
+
+// MemBytes returns the resident size of a resident process's two tables.
+func (j *Join) MemBytes() int64 { return j.pipe.MemBytes() }
+
+// Unmatched returns how many of a resident process's deletions found no row
+// to retract since the last call.
+func (j *Join) Unmatched() int64 { return j.pipe.Unmatched() }
 
 // Resident returns the number of tuples held in the join's hash tables.
 func (j *Join) Resident() int {

@@ -79,13 +79,13 @@ func TestWiringPunctuationCounts(t *testing.T) {
 				sum := 0
 				for idx := range n.Op.Procs {
 					for p := Build; p < numPorts; p++ {
-						if c := got[end{n.Index, idx, p}]; c != n.EOSWant(p) {
-							t.Errorf("%v/%v: %s/%d port %d: %d streams end there, EOSWant = %d", shape, kind, n.Op.ID, idx, p, c, n.EOSWant(p))
+						if c := got[end{n.Index, idx, p}]; c != n.eosWant[p] {
+							t.Errorf("%v/%v: %s/%d port %d: %d streams end there, EOSWant = %d", shape, kind, n.Op.ID, idx, p, c, n.eosWant[p])
 						}
 					}
 				}
 				for p := Build; p < numPorts; p++ {
-					sum += n.EOSWant(p)
+					sum += n.eosWant[p]
 				}
 				if sum != n.InStreams() {
 					t.Errorf("%v/%v: %s: InStreams = %d, ports sum to %d", shape, kind, n.Op.ID, n.InStreams(), sum)
@@ -133,7 +133,7 @@ func TestJoinStepInterleavings(t *testing.T) {
 				j.Init(jn)
 				j.Expect(Build, marks)
 				j.Expect(Probe, marks)
-				j.Start()
+				j.Start(false)
 				// Per port: the fragment cut into random batches, with the
 				// marks at random positions but the last one at the end.
 				var sched [2][]feed

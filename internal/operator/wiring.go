@@ -62,13 +62,11 @@ type Node struct {
 	// process (set by Place).
 	Frags []relation.Batch
 
+	// eosWant is how many punctuation marks each process of the operator
+	// receives on a port per unit of work: one per producer process on a
+	// redistribution edge, one on a local edge.
 	eosWant [numPorts]int
 }
-
-// EOSWant returns how many punctuation marks each process of the operator
-// receives on port p per unit of work: one per producer process on a
-// redistribution edge, one on a local edge.
-func (n *Node) EOSWant(p Port) int { return n.eosWant[p] }
 
 // InStreams returns the number of streams ending at each process.
 func (n *Node) InStreams() int {

@@ -48,7 +48,16 @@
 //     addressed, once the dependencies complete;
 //   - with a memory budget, join processes run Grace-style partitioned
 //     joins (hashjoin.Grace) outside the slot — partitioning may block on
-//     file I/O — instead of the kernel's in-memory join step.
+//     file I/O — instead of the kernel's in-memory join step;
+//   - in resident mode (RunResident, the network of a materialized view)
+//     the same hosts outlive a run: every join starts symmetric, so After
+//     dependencies are moot, and takes signed batches; a host that has the
+//     last mark of a round publishes its tables' size, flushes, forwards the
+//     marks and waits on its inbox for the next round, until Close. The
+//     scans are not launched — the caller injects deltas through one source
+//     outbox per scan — and the collect's inbox is the caller's to drain.
+//     A view's processes thus take the same slots, batch pools and
+//     transport knobs as the queries beside it.
 //
 // A blocking point that rarely blocks does not pay for one that does: inbox
 // sends and receives try the plain channel operation first and select on the
@@ -394,16 +403,18 @@ func (s *spillState) cleanup() {
 
 // runtimeState carries one execution.
 type runtimeState struct {
-	wiring  *operator.Wiring
-	cfg     Config
-	ctx     context.Context
-	procs   *ProcPool                   // the modeled processors: cfg.Pool, or the run's own
-	retain  int                         // free-list bound of the run's own pools
-	pools   map[int]*relation.BatchPool // batch capacity → pool; read-only once workers launch
-	results *relation.BatchPool         // join hosts' result buffers; nil unless the run has in-memory joins
-	ops     []*opState                  // plan order, indexed by Node.Index
-	spill   *spillState                 // nil unless the run is budgeted (MemoryBudget/Meter)
-	partial *Partial                    // nil for whole-plan (single-node) runs
+	wiring   *operator.Wiring
+	cfg      Config
+	ctx      context.Context
+	procs    *ProcPool                   // the modeled processors: cfg.Pool, or the run's own
+	streams  int                         // the plan's streams (xra.Plan.NumStreams)
+	retain   int                         // free-list bound of the run's own pools
+	pools    map[int]*relation.BatchPool // batch capacity → pool; read-only once workers launch
+	results  *relation.BatchPool         // join hosts' result buffers; nil unless the run has in-memory joins
+	ops      []*opState                  // plan order, indexed by Node.Index
+	spill    *spillState                 // nil unless the run is budgeted (MemoryBudget/Meter)
+	partial  *Partial                    // nil for whole-plan (single-node) runs
+	resident *Resident                   // nil unless the network is resident (RunResident)
 
 	// sink receives the final result stream from the collect process (nil
 	// only on nodes of a partial run that do not host it); resultTuples
@@ -432,10 +443,6 @@ type runtimeState struct {
 // the context's error is returned. sink may be nil only in a partial run
 // that does not host the collect process.
 func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config, sink Sink) (*RunResult, error) {
-	w, err := operator.Wire(plan)
-	if err != nil {
-		return nil, fmt.Errorf("parallel: %w", err)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
@@ -450,21 +457,12 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 			return nil, fmt.Errorf("parallel: Partial is incompatible with Pool and out-of-core mode")
 		}
 	}
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	r := &runtimeState{
-		wiring:    w,
-		cfg:       cfg.withDefaults(plan),
-		procs:     cfg.Pool,
-		pools:     make(map[int]*relation.BatchPool),
-		ctx:       runCtx,
-		cancelRun: cancelRun,
-		sink:      sink,
-		partial:   cfg.Partial,
-		ops:       make([]*opState, len(w.Nodes)),
+	r, err := newRuntime(ctx, plan, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("parallel: %w", err)
 	}
-	streams := plan.NumStreams()
-	r.retain = min(streams*(r.cfg.ChannelDepth+1), relation.MaxPoolRetain)
+	defer r.cancelRun()
+	r.sink, r.partial = sink, cfg.Partial
 	if r.cfg.MemoryBudget > 0 || r.cfg.Meter != nil {
 		dir, err := os.MkdirTemp("", "mjspill-")
 		if err != nil {
@@ -475,9 +473,6 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 			meter = spill.NewMeter(r.cfg.MemoryBudget)
 		}
 		r.spill = &spillState{meter: meter, dir: dir}
-	}
-	if r.procs == nil {
-		r.procs = NewProcPool(r.cfg.MaxProcs)
 	}
 	if r.partial != nil && r.partial.BatchPool != nil {
 		r.pools[r.cfg.BatchTuples] = r.partial.BatchPool
@@ -500,7 +495,30 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 	if r.failErr != nil {
 		return nil, fmt.Errorf("parallel: %w", r.failErr)
 	}
-	return r.finish(streams), nil
+	return r.finish(), nil
+}
+
+// newRuntime wires plan and resolves cfg into the state of one execution,
+// on cfg.Pool or on a ProcPool of its own.
+func newRuntime(ctx context.Context, plan *xra.Plan, cfg Config) (*runtimeState, error) {
+	w, err := operator.Wire(plan)
+	if err != nil {
+		return nil, err
+	}
+	r := &runtimeState{
+		wiring: w,
+		cfg:    cfg.withDefaults(plan),
+		procs:  cfg.Pool,
+		pools:  make(map[int]*relation.BatchPool),
+		ops:    make([]*opState, len(w.Nodes)),
+	}
+	r.ctx, r.cancelRun = context.WithCancel(ctx)
+	r.streams = plan.NumStreams()
+	r.retain = min(r.streams*(r.cfg.ChannelDepth+1), relation.MaxPoolRetain)
+	if r.procs == nil {
+		r.procs = NewProcPool(r.cfg.MaxProcs)
+	}
+	return r, nil
 }
 
 // fail records the first internal failure and cancels the run so every
@@ -534,6 +552,9 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 		clear(bySlot)
 		for idx, procID := range n.Op.Procs {
 			s := r.procs.index(procID)
+			if r.resident != nil && n.Op.Kind == xra.OpScan {
+				s = 0 // a resident scan is one source, never launched (Resident.Inject)
+			}
 			h := bySlot[s]
 			if h == nil || r.partial != nil {
 				h = &host{r: r, op: os, slot: &r.procs.slots[s], local: r.partial == nil || r.partial.Local(procID)}
@@ -586,7 +607,7 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 			// After dependencies on it from blocking (cross-node After
 			// ordering is node-local — see internal/dist).
 			close(os.done)
-		} else if n.Op.Kind == xra.OpCollect && r.sink == nil {
+		} else if n.Op.Kind == xra.OpCollect && r.sink == nil && r.resident == nil {
 			return fmt.Errorf("RunStream needs a sink")
 		}
 	}
@@ -594,12 +615,18 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 	// simulator, through the ProcPool's placement cache (which only an engine
 	// session's pool has relations pinned in). A partial run receives its
 	// fragments pre-placed by the coordinator (Partial.ScanFragment) instead
-	// of fragmenting in-process.
-	if r.partial == nil {
+	// of fragmenting in-process, and a resident network, whose scans are
+	// never launched, no fragments at all.
+	switch {
+	case r.resident != nil:
+		if err := r.wiring.PlaceWith(base, func(*relation.Relation, relation.Attr, int) []relation.Batch { return nil }); err != nil {
+			return err
+		}
+	case r.partial == nil:
 		if err := r.wiring.PlaceWith(base, r.procs.fragments); err != nil {
 			return err
 		}
-	} else {
+	default:
 		if r.partial.LeafCard == nil {
 			return fmt.Errorf("Partial needs LeafCard")
 		}
@@ -663,7 +690,14 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 			}
 			if h.local {
 				h.chans = operator.Chans{Dst: make([]chan<- operator.Msg, dests), Done: r.ctx.Done(), Pool: pool}
-				h.out = operator.NewHostOutbox(os.Node, h.procs, pool, size, &h.chans)
+				if r.resident != nil && os.Op.Kind == xra.OpScan {
+					// Inject stands in for the scan's one host: it routes
+					// every tuple to its consumer process by hash.
+					h.out = operator.NewSourceOutbox(os.Node, pool, size, &h.chans)
+					r.resident.sources[os.Op.Leaf] = h.out
+				} else {
+					h.out = operator.NewHostOutbox(os.Node, h.procs, pool, size, &h.chans)
+				}
 			}
 			for d := 0; d < dests; d++ {
 				target := d
@@ -776,11 +810,11 @@ func (r *runtimeState) launch() {
 }
 
 // finish assembles the run result after every goroutine exited.
-func (r *runtimeState) finish(streams int) *RunResult {
+func (r *runtimeState) finish() *RunResult {
 	res := &RunResult{Stats: Stats{
 		Counters: operator.Counters{
 			Processes:    r.wiring.Plan.NumProcesses(),
-			Streams:      streams,
+			Streams:      r.streams,
 			ResultTuples: r.resultTuples,
 		},
 		Goroutines: r.goroutines,

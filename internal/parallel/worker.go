@@ -42,6 +42,9 @@ type host struct {
 	inbox chan operator.Msg
 	open  int
 	res   *relation.Batch
+	// tables is the size of the hosted processes' tables as of the last
+	// round's end (resident mode; Resident.tables sums them).
+	tables int64
 
 	// Output side (nil for collect): the outbox the hosted processes share
 	// and its destinations.
@@ -71,11 +74,14 @@ type proc struct {
 // process it is addressed to, and then processes live input until every
 // incoming stream of every hosted process has ended. Only then does it
 // punctuate: a destination is ended once per host, after the last hosted
-// process that could still send to it.
+// process that could still send to it. A resident host has no dependencies
+// to wait for (its joins are symmetric) and never runs out of input: at the
+// end of every round it forwards the round's marks and waits for the next,
+// until the network is closed.
 func (w *host) run() {
 	defer w.r.wg.Done()
 	var stash []operator.Msg // input that arrived while After dependencies were pending
-	for waiting := len(w.op.After) > 0; waiting; {
+	for waiting := len(w.op.After) > 0 && w.r.resident == nil; waiting; {
 		m, ok := w.next(w.op.ready)
 		switch {
 		case ok:
@@ -96,7 +102,7 @@ func (w *host) run() {
 		w.res = w.r.results.Get()
 		defer w.r.results.Put(w.res)
 		for _, i := range w.procs {
-			w.op.procs[i].join.Start()
+			w.op.procs[i].join.Start(w.r.resident != nil)
 		}
 	}
 	// Scan work is a column copy into pooled transport batches and is not
@@ -116,6 +122,9 @@ func (w *host) run() {
 	for w.open > 0 {
 		m, ok := w.next(nil)
 		if !ok || !w.handle(m) {
+			return
+		}
+		if w.open == 0 && w.r.resident != nil && !w.endRound() {
 			return
 		}
 	}
@@ -156,6 +165,23 @@ func (w *host) run() {
 		w.op.wallDone = time.Since(w.r.start)
 		close(w.op.done)
 	}
+}
+
+// endRound ends a round of a resident host, whose processes have all seen
+// its last mark: it publishes the change in their tables' size and their
+// unmatched deletions, flushes, forwards the marks and re-arms for the next
+// round.
+func (w *host) endRound() bool {
+	var bytes int64
+	for _, i := range w.procs {
+		j := &w.op.procs[i].join
+		bytes += j.MemBytes()
+		w.r.resident.unmatched.Add(j.Unmatched())
+	}
+	w.r.resident.tables.Add(bytes - w.tables)
+	w.tables = bytes
+	w.open = len(w.procs)
+	return w.out.Flush() && w.out.Punctuate()
 }
 
 // next receives the host's next inbox message. It tries the plain receive
@@ -240,7 +266,7 @@ func (w *host) apply(p *proc, m operator.Msg) bool {
 		w.slot.Lock()
 		res := p.join.ApplyInto(w.res, m)
 		w.slot.Unlock()
-		if res != nil && !w.out.EmitFrom(p.pos, res, operator.Insert) {
+		if res != nil && !w.out.EmitFrom(p.pos, res, m.Sign) {
 			return false
 		}
 	}

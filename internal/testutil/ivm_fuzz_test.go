@@ -2,10 +2,14 @@ package testutil
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"multijoin/internal/ivm"
 	"multijoin/internal/jointree"
+	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
 )
 
@@ -25,10 +29,19 @@ func removeOne(rel *relation.Relation, tp relation.Tuple) bool {
 
 // FuzzViewEquivalence is the view-maintenance differential oracle: for any
 // generated scenario (every strategy's plan shape, uniform and skewed
-// cardinalities) and any generated delta script, the incrementally
-// maintained view must equal a from-scratch recompute of the sequential
-// reference over shadow base relations after every round, with the
-// unmatched-delete count predicted exactly by the script's ghost deletes.
+// cardinalities, one to four processor slots or one per plan processor)
+// and any generated delta script, the incrementally maintained view must
+// equal a from-scratch recompute of the sequential reference over shadow
+// base relations after every round, with the unmatched-delete count
+// predicted exactly by the script's ghost deletes.
+//
+// One byte of the input (the low byte of seed^deltaSeed) also picks a
+// cancellation point: bits 0–2 the round whose context is cancelled (none
+// for 4–7), bits 3–7 how many times the canceller yields first (0: before
+// Apply is called). The cancelled Apply either took effect, or failed and
+// left the view exact without it, or tore the view down (ErrViewClosed) —
+// it is never half-applied. After Close the goroutine count settles back
+// to where it was before the view.
 func FuzzViewEquivalence(f *testing.F) {
 	for strat := int64(0); strat < 4; strat++ {
 		for size := int64(0); size < 3; size++ {
@@ -47,11 +60,24 @@ func FuzzViewEquivalence(f *testing.F) {
 			t.Fatalf("%s: Plan: %v", s.Desc, err)
 		}
 		db := s.Query.DB
-		view, err := ivm.New(plan, db.Relation, ivm.Config{BatchTuples: s.BatchTuples})
+		cut := byte(seed ^ deltaSeed)
+		cutRound, yields := int(cut&7), int(cut>>3)
+		baseline := runtime.NumGoroutine()
+		run := parallel.Config{MaxProcs: mod(seed, 5), BatchTuples: s.BatchTuples}
+		view, err := ivm.New(plan, db.Relation, run, ivm.Config{})
 		if err != nil {
 			t.Fatalf("%s: ivm.New: %v", s.Desc, err)
 		}
-		defer view.Close()
+		defer func() {
+			view.Close()
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Errorf("%s: %d goroutines after Close, %d before the view", s.Desc, n, baseline)
+			}
+		}()
 
 		shadow := make([]*relation.Relation, db.NumRelations())
 		for i := range shadow {
@@ -60,8 +86,13 @@ func FuzzViewEquivalence(f *testing.F) {
 			cp.Append(r.Tuples...)
 			shadow[i] = cp
 		}
-		check := func(round int) {
+		// check compares the view with the recompute; false means the view
+		// was torn down.
+		check := func(round int) bool {
 			got, err := view.Rows()
+			if errors.Is(err, ivm.ErrViewClosed) {
+				return false
+			}
 			if err != nil {
 				t.Fatalf("%s: round %d: Rows: %v", s.Desc, round, err)
 			}
@@ -69,13 +100,39 @@ func FuzzViewEquivalence(f *testing.F) {
 			if diff := relation.DiffMultiset(got, want); diff != "" {
 				t.Fatalf("%s: deltaSeed=%d round %d: view differs from recompute: %s", s.Desc, deltaSeed, round, diff)
 			}
+			return true
 		}
 		check(0)
 
 		for r, round := range DeltaScript(db, deltaSeed, 4) {
-			res, err := view.Apply(context.Background(), round...)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancelled := make(chan struct{})
+			switch {
+			case r != cutRound:
+				close(cancelled)
+			case yields == 0:
+				cancel()
+				close(cancelled)
+			default:
+				go func() {
+					for i := 0; i < yields; i++ {
+						runtime.Gosched()
+					}
+					cancel()
+					close(cancelled)
+				}()
+			}
+			res, err := view.Apply(ctx, round...)
+			<-cancelled
+			cancel()
 			if err != nil {
-				t.Fatalf("%s: deltaSeed=%d round %d: Apply: %v", s.Desc, deltaSeed, r, err)
+				if r != cutRound || !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: deltaSeed=%d round %d: Apply: %v", s.Desc, deltaSeed, r, err)
+				}
+				if !check(r + 1) {
+					return // torn down mid-round: closed, not half-applied
+				}
+				continue // refused before injecting: exact without the round
 			}
 			// Mirror the round on the shadows with the view's own ordering
 			// contract — all inserts first, then deletes, dropping misses.
@@ -94,7 +151,9 @@ func FuzzViewEquivalence(f *testing.F) {
 				t.Fatalf("%s: deltaSeed=%d round %d: Unmatched = %d, script has %d ghost deletes",
 					s.Desc, deltaSeed, r, res.Unmatched, ghosts)
 			}
-			check(r + 1)
+			if !check(r + 1) {
+				t.Fatalf("%s: deltaSeed=%d round %d: view closed after a successful Apply", s.Desc, deltaSeed, r)
+			}
 		}
 	})
 }

@@ -222,12 +222,15 @@ func WithRuntime(name string) ExecOption { return core.WithRuntime(name) }
 func WithMaxProcs(n int) ExecOption { return core.WithMaxProcs(n) }
 
 // WithBatchTuples sets the transport batch size (pipelining granularity).
+// A materialized view (Engine.CreateView) takes it too, for its delta
+// rounds.
 func WithBatchTuples(n int) ExecOption { return core.WithBatchTuples(n) }
 
 // WithChannelDepth sets, on wall-clock runtimes, how many batches each
 // incoming tuple stream contributes to its consumer's inbox (a process's
 // inbox holds depth × its incoming stream count batches); it is also the
-// dist runtime's credit window per node-crossing stream.
+// dist runtime's credit window per node-crossing stream. A materialized
+// view's network (Engine.CreateView) obeys it like a query's.
 func WithChannelDepth(n int) ExecOption { return core.WithChannelDepth(n) }
 
 // WithMemoryBudget caps the spill runtime's live tuple memory at bytes:
@@ -307,7 +310,8 @@ func WithMaxConcurrent(n int) EngineOption { return core.WithMaxConcurrent(n) }
 
 // WithEngineProcs sets the size of the engine's shared processor pool — the
 // modeled processors that serialize operator work across every in-flight
-// query on the wall-clock runtimes. Zero means GOMAXPROCS.
+// query on the wall-clock runtimes and every open materialized view's delta
+// rounds. Zero means GOMAXPROCS.
 func WithEngineProcs(n int) EngineOption { return core.WithEngineProcs(n) }
 
 // WithEngineMemoryBudget sets the engine's shared live-tuple memory budget
