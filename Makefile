@@ -44,13 +44,16 @@ spill-check:
 # scripts stays multiset-equal to recompute-from-scratch, with unmatched
 # deletes predicted exactly. Then 10 seconds of arbitrary bytes into the
 # frame reader and the block decoders behind it (no panic, no read buffer
-# above the frame cap) and 10 seconds of arbitrary frames at a server
-# connection past its HELLO: no panic, every request answered or hung up
-# on, the engine's meter at zero once the client is gone.
+# above the frame cap), 10 seconds of arbitrary control frames into one
+# connection's gob stream (no panic, never more type definitions than the
+# cap) and 10 seconds of arbitrary frames at a server connection past its
+# HELLO: no panic, every request answered or hung up on, the engine's
+# meter at zero once the client is gone.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 30s ./internal/testutil
 	$(GO) test -run '^$$' -fuzz FuzzViewEquivalence -fuzztime 30s ./internal/testutil
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzControlStream -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzServeFrames -fuzztime 10s ./internal/serve
 
 # IVM smoke (a subset of `make test`, for local use): create a materialized

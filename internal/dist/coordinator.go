@@ -274,7 +274,7 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 					readyCh <- w.node
 				case ftDone:
 					var d doneMsg
-					if err := wire.DecodeMsg(payload, &d); err != nil {
+					if err := w.ctrl.DecodeMsg(payload, &d); err != nil {
 						fail(err)
 						return
 					}

@@ -16,7 +16,7 @@
 // every frame kind — is package wire's and is specified in its
 // documentation. What is dist's own is the choreography on top of it.
 //
-// Every connection opens with HELLO (helloMsg: protocol version, run id,
+// Every connection opens with HELLO (helloMsg: protocol version 3, run id,
 // node id, connection kind, and on control connections the worker's data
 // listener address), read under a deadline; a receiver closes the
 // connection on any mismatch. Each worker holds one control connection to

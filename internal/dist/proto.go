@@ -14,7 +14,9 @@ import (
 // ends must agree exactly. Version 2 extended the DATA payload grammar
 // with signed tuple blocks (package wire's documentation) — a version-1
 // reader would misparse the flagged count as an implausible batch length.
-const protoVersion = 2
+// Version 3 made the control payloads one gob stream per direction (package
+// wire), which a version-2 peer's fresh encoder per frame breaks.
+const protoVersion = 3
 
 // The control frame kinds of the distributed runtime; HELLO and the
 // tuple-stream kinds are package wire's, whose documentation has the one

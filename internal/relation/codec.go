@@ -159,21 +159,44 @@ func (b *Batch) AppendColumns(body []byte, n, lo, hi int) {
 }
 
 // TuplesFromBytes decodes src (a whole number of encoded blocks) and
-// appends the tuples to dst, returning the extended slice — the row-form
-// decoder used by tests and oracles; the runtimes decode straight into
-// columnar batches instead.
+// appends the tuples to dst, returning the extended slice. It is the serve
+// client's DATA decoder as well as the row-form oracle of tests: every
+// block header is validated first, dst grows once to the exact total, and
+// each block's three columns decode straight into rows — one allocation
+// for a frame decoded into a nil dst. On a malformed block it returns dst
+// unchanged with the error.
 func TuplesFromBytes(dst []Tuple, src []byte) ([]Tuple, error) {
-	for len(src) > 0 {
-		n, size, err := BlockHeader(src)
+	total := 0
+	for rest := src; len(rest) > 0; {
+		n, size, err := BlockHeader(rest)
 		if err != nil {
 			return dst, err
 		}
-		var b Batch
-		b.AppendColumns(src[BlockHeaderBytes:size], n, 0, n)
+		total += n
+		rest = rest[size:]
+	}
+	if cap(dst)-len(dst) < total {
+		grown := make([]Tuple, len(dst), len(dst)+total)
+		copy(grown, dst)
+		dst = grown
+	}
+	for len(src) > 0 {
+		n, size, _ := BlockHeader(src)
+		body := src[BlockHeaderBytes:size]
 		for i := 0; i < n; i++ {
-			dst = append(dst, b.Tuple(i))
+			dst = append(dst, blockRow(body, n, i))
 		}
 		src = src[size:]
 	}
 	return dst, nil
+}
+
+// blockRow decodes row i of an n-tuple block body (the bytes after the
+// count header).
+func blockRow(body []byte, n, i int) Tuple {
+	return Tuple{
+		Unique1: int64(binary.LittleEndian.Uint64(body[8*i:])),
+		Unique2: int64(binary.LittleEndian.Uint64(body[8*(n+i):])),
+		Check:   binary.LittleEndian.Uint64(body[8*(2*n+i):]),
+	}
 }

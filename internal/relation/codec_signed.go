@@ -3,6 +3,7 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Signed blocks extend the columnar block format with a per-tuple sign —
@@ -144,6 +145,59 @@ func SignedBlockHeader(src []byte) (tuples, size int, signed bool, err error) {
 		return 0, 0, false, fmt.Errorf("relation: block claims %d tuples (%d bytes) but only %d bytes remain", n, size, len(src))
 	}
 	return int(n), size, signed, nil
+}
+
+// DecodeSignedTuples decodes src — a whole number of consecutive blocks,
+// signed or unsigned — into row-form insert and delete slices of exactly
+// the sizes the headers and sign bitmaps announce (every row of an
+// unsigned block is an insert): one pass validates and counts, the second
+// decodes each row straight into its side. serve's VAPPLY decoder.
+func DecodeSignedTuples(src []byte) (ins, del []Tuple, err error) {
+	ni, nd := 0, 0
+	for rest := src; len(rest) > 0; {
+		n, size, signed, err := SignedBlockHeader(rest)
+		if err != nil {
+			return nil, nil, err
+		}
+		neg := 0
+		if signed {
+			neg = deletes(rest[BlockHeaderBytes+n*TupleWireBytes:size], n)
+		}
+		ni += n - neg
+		nd += neg
+		rest = rest[size:]
+	}
+	if ni > 0 {
+		ins = make([]Tuple, 0, ni)
+	}
+	if nd > 0 {
+		del = make([]Tuple, 0, nd)
+	}
+	for len(src) > 0 {
+		n, size, signed, _ := SignedBlockHeader(src)
+		body := src[BlockHeaderBytes:size]
+		for i := 0; i < n; i++ {
+			if signed && body[n*TupleWireBytes+i/8]&(1<<(i%8)) != 0 {
+				del = append(del, blockRow(body, n, i))
+			} else {
+				ins = append(ins, blockRow(body, n, i))
+			}
+		}
+		src = src[size:]
+	}
+	return ins, del, nil
+}
+
+// deletes counts the set bits among the first n of a sign bitmap.
+func deletes(signs []byte, n int) int {
+	c := 0
+	for i, b := range signs {
+		if rest := n - 8*i; rest < 8 {
+			b &= 1<<rest - 1
+		}
+		c += bits.OnesCount8(b)
+	}
+	return c
 }
 
 // DecodeSignedBlocks decodes src — a whole number of consecutive blocks,

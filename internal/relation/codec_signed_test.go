@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -53,6 +54,23 @@ func TestSignedBlockRoundTrip(t *testing.T) {
 		}
 		batchesEqual(t, "split ins", gotIns, ins)
 		batchesEqual(t, "split del", gotDel, del)
+		rowsEqual(t, "split", enc, ins, del)
+	}
+}
+
+// rowsEqual checks that DecodeSignedTuples decodes enc into exactly the
+// rows of ins and del, in slices of exactly their length.
+func rowsEqual(t *testing.T, name string, enc []byte, ins, del *Batch) {
+	t.Helper()
+	gotIns, gotDel, err := DecodeSignedTuples(enc)
+	if err != nil {
+		t.Fatalf("%s: DecodeSignedTuples: %v", name, err)
+	}
+	if !slices.Equal(gotIns, ins.Tuples()) || !slices.Equal(gotDel, del.Tuples()) {
+		t.Fatalf("%s: DecodeSignedTuples gave %d+%d rows, want %d+%d", name, len(gotIns), len(gotDel), ins.Len(), del.Len())
+	}
+	if cap(gotIns) != len(gotIns) || cap(gotDel) != len(gotDel) {
+		t.Fatalf("%s: row slices of capacity %d+%d for %d+%d rows", name, cap(gotIns), cap(gotDel), len(gotIns), len(gotDel))
 	}
 }
 
@@ -72,6 +90,27 @@ func TestSignedBlocksInterleaveUnsigned(t *testing.T) {
 	want.AppendRange(ins, 0, ins.Len())
 	batchesEqual(t, "mixed ins", gotIns, want)
 	batchesEqual(t, "mixed del", gotDel, del)
+	rowsEqual(t, "mixed", enc, want, del)
+	for _, cut := range []int{1, BlockHeaderBytes + 1, len(enc) - 1} {
+		if _, _, err := DecodeSignedTuples(enc[:cut]); err == nil {
+			t.Fatalf("DecodeSignedTuples accepted %d of %d bytes", cut, len(enc))
+		}
+	}
+}
+
+// TestRowDecodersAllocateOnce pins the allocations of the row-form
+// decoders the serve front door runs per frame: one exact-size slice for a
+// 256-tuple DATA block, one per side of a 64+64 delta.
+func TestRowDecodersAllocateOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1995))
+	block := AppendBatchBytes(nil, randBatch(rng, 256))
+	if n := testing.AllocsPerRun(100, func() { TuplesFromBytes(nil, block) }); n != 1 {
+		t.Errorf("TuplesFromBytes of a 256-tuple block: %v allocations, want 1", n)
+	}
+	delta := AppendSignedBlocksBytes(nil, randBatch(rng, 64), randBatch(rng, 64), 0)
+	if n := testing.AllocsPerRun(100, func() { DecodeSignedTuples(delta) }); n != 2 {
+		t.Errorf("DecodeSignedTuples of a 64+64 delta: %v allocations, want 2", n)
+	}
 }
 
 // TestSignedBlockRejectedByUnsignedReaders pins the compatibility story: a

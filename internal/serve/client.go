@@ -214,7 +214,7 @@ func (cl *Client) readLoop() {
 			// Informational: the terminal DONE follows immediately.
 		case fsDone:
 			var d doneMsg
-			if err := wire.DecodeMsg(payload, &d); err != nil {
+			if err := cl.c.DecodeMsg(payload, &d); err != nil {
 				cl.fail(err)
 				return
 			}
@@ -228,7 +228,7 @@ func (cl *Client) readLoop() {
 			}
 		case fsError:
 			var e errMsg
-			if err := wire.DecodeMsg(payload, &e); err != nil {
+			if err := cl.c.DecodeMsg(payload, &e); err != nil {
 				cl.fail(err)
 				return
 			}
@@ -237,7 +237,7 @@ func (cl *Client) readLoop() {
 			}
 		case fsViewOK:
 			var ok viewOKMsg
-			if err := wire.DecodeMsg(payload, &ok); err != nil {
+			if err := cl.c.DecodeMsg(payload, &ok); err != nil {
 				cl.fail(err)
 				return
 			}
@@ -246,7 +246,7 @@ func (cl *Client) readLoop() {
 			}
 		case fsViewResult:
 			var vr viewResultMsg
-			if err := wire.DecodeMsg(payload, &vr); err != nil {
+			if err := cl.c.DecodeMsg(payload, &vr); err != nil {
 				cl.fail(err)
 				return
 			}
@@ -344,6 +344,9 @@ type ViewHandle struct {
 
 	opMu   sync.Mutex
 	closed bool // set by Close; later ops fail locally, their replies having no handle
+	// Apply's encoding scratch, reused across rounds under opMu.
+	ins, del relation.Batch
+	blocks   []byte
 	*pending
 }
 
@@ -382,17 +385,19 @@ func (vh *ViewHandle) Apply(deltas ...ivm.Delta) (ApplyStats, error) {
 	if vh.closed {
 		return ApplyStats{}, ivm.ErrViewClosed
 	}
-	msg := viewApplyMsg{ID: vh.id}
-	var ins, del relation.Batch
+	// Every delta's blocks go into one buffer. A delta's slice taken before
+	// the buffer grows keeps viewing the old array, which nothing rewrites
+	// before the frame is encoded.
+	msg := viewApplyMsg{ID: vh.id, Deltas: make([]viewDeltaMsg, 0, len(deltas))}
+	vh.blocks = vh.blocks[:0]
 	for _, d := range deltas {
-		ins.Reset()
-		del.Reset()
-		ins.AppendTuples(d.Insert)
-		del.AppendTuples(d.Delete)
-		msg.Deltas = append(msg.Deltas, viewDeltaMsg{
-			Rel:    d.Rel,
-			Blocks: relation.AppendSignedBlocksBytes(nil, &ins, &del, 0),
-		})
+		vh.ins.Reset()
+		vh.del.Reset()
+		vh.ins.AppendTuples(d.Insert)
+		vh.del.AppendTuples(d.Delete)
+		lo := len(vh.blocks)
+		vh.blocks = relation.AppendSignedBlocksBytes(vh.blocks, &vh.ins, &vh.del, 0)
+		msg.Deltas = append(msg.Deltas, viewDeltaMsg{Rel: d.Rel, Blocks: vh.blocks[lo:]})
 	}
 	if err := vh.cl.c.WriteMsg(fsViewApply, msg); err != nil {
 		return ApplyStats{}, err

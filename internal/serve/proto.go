@@ -8,7 +8,9 @@
 // the one table of every frame kind, serve's 0x20–0x28 included — and is
 // specified in its documentation. What follows is what the front door
 // builds on it. Every connection opens with a HELLO in each direction
-// (helloMsg: version and role), each read under helloTimeout.
+// (helloMsg: protocol version 3 and role), each read under helloTimeout.
+// Each direction's control messages are one gob stream, decoded in order
+// by the connection's one reader; a type crosses a connection once.
 //
 // A query is one credit-windowed stream: the client picks a stream id and
 // an initial window W in SUBMIT; the server may have at most W unconsumed
@@ -38,8 +40,10 @@ import (
 
 // protoVersion is carried in every HELLO; both ends must agree exactly.
 // Version 2 added the materialized-view kinds (0x24-0x28) and the signed
-// columnar block format they carry.
-const protoVersion = 2
+// columnar block format they carry. Version 3 made the control payloads
+// one gob stream per direction: a version-2 peer re-sends every type
+// descriptor and would fail on its second frame with a duplicate type.
+const protoVersion = 3
 
 // The front door's control frame kinds; HELLO and the tuple-stream kinds
 // are package wire's.

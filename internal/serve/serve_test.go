@@ -244,7 +244,7 @@ func TestServeMalformedFrames(t *testing.T) {
 		if err := c.WriteMsg(wire.KindHello, struct {
 			Version int
 			Role    string
-		}{2, "client"}); err != nil {
+		}{3, "client"}); err != nil {
 			t.Fatal(err)
 		}
 		if kind, _, err := c.ReadFrame(); err != nil || kind != wire.KindHello {
@@ -353,7 +353,7 @@ func TestServeStreamIDCollision(t *testing.T) {
 			ID  uint32
 			Msg string
 		}
-		if err := wire.DecodeMsg(payload, &reply); err != nil || reply.ID != sid {
+		if err := c.DecodeMsg(payload, &reply); err != nil || reply.ID != sid {
 			t.Fatalf("%s: reply for stream %d, err %v; want stream %d", step, reply.ID, err, sid)
 		}
 		return reply.Msg
@@ -368,11 +368,11 @@ func TestServeStreamIDCollision(t *testing.T) {
 		Shape, Strategy   string
 		Relations, Window int
 	}
-	if err := c.WriteMsg(wire.KindHello, hello{2, "client"}); err != nil {
+	if err := c.WriteMsg(wire.KindHello, hello{3, "client"}); err != nil {
 		t.Fatal(err)
 	}
-	if kind, _, err := c.ReadFrame(); err != nil || kind != wire.KindHello {
-		t.Fatalf("hello reply: kind=0x%02x err=%v", kind, err)
+	if err := c.ReadMsg(wire.KindHello, nil, 5*time.Second); err != nil {
+		t.Fatalf("hello reply: %v", err)
 	}
 
 	if err := c.WriteMsg(vcreate, create{ID: sid}); err != nil {
@@ -406,7 +406,7 @@ func TestServeStreamIDCollision(t *testing.T) {
 			t.Fatalf("SUBMIT on the freed id: frame kind 0x%02x", kind)
 		}
 		var reply struct{ Rows int64 }
-		if err := wire.DecodeMsg(payload, &reply); err != nil || reply.Rows != int64(db.Cardinality()) {
+		if err := c.DecodeMsg(payload, &reply); err != nil || reply.Rows != int64(db.Cardinality()) {
 			t.Fatalf("SUBMIT on the freed id: %d rows, err %v; want %d", reply.Rows, err, db.Cardinality())
 		}
 		return

@@ -255,7 +255,7 @@ func (sc *srvConn) serve() {
 		switch kind {
 		case fsSubmit:
 			var sub submitMsg
-			if err := wire.DecodeMsg(payload, &sub); err != nil {
+			if err := sc.c.DecodeMsg(payload, &sub); err != nil {
 				return
 			}
 			sc.submit(sub)
@@ -277,13 +277,13 @@ func (sc *srvConn) serve() {
 			}
 		case fsViewCreate:
 			var vc viewCreateMsg
-			if err := wire.DecodeMsg(payload, &vc); err != nil {
+			if err := sc.c.DecodeMsg(payload, &vc); err != nil {
 				return
 			}
 			sc.viewCreate(vc)
 		case fsViewApply:
 			var va viewApplyMsg
-			if err := wire.DecodeMsg(payload, &va); err != nil {
+			if err := sc.c.DecodeMsg(payload, &va); err != nil {
 				return
 			}
 			sc.viewApply(va)
@@ -444,12 +444,12 @@ func (sc *srvConn) viewApply(va viewApplyMsg) {
 	v := st.view
 	deltas := make([]ivm.Delta, 0, len(va.Deltas))
 	for _, wd := range va.Deltas {
-		var ins, del relation.Batch
-		if err := relation.DecodeSignedBlocks(wd.Blocks, &ins, &del); err != nil {
+		ins, del, err := relation.DecodeSignedTuples(wd.Blocks)
+		if err != nil {
 			sc.writeErr(va.ID, err)
 			return
 		}
-		deltas = append(deltas, ivm.Delta{Rel: wd.Rel, Insert: ins.Tuples(), Delete: del.Tuples()})
+		deltas = append(deltas, ivm.Delta{Rel: wd.Rel, Insert: ins, Delete: del})
 	}
 	t0 := time.Now()
 	res, err := v.Apply(context.Background(), deltas...)

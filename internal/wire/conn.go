@@ -24,13 +24,23 @@ const (
 	KindCredit byte = 0x12
 )
 
+// MaxTypes bounds the gob types a peer may define on one connection's
+// control stream. A connection's decoder keeps every definition it has
+// received for the rest of the connection, so without a bound a peer that
+// defines a new type in every frame would grow it forever. Serve's client
+// and server each define 6 types in all and dist's nodes fewer; DecodeMsg
+// fails, and keeps failing, once a peer has defined more than this.
+const MaxTypes = 16
+
 // Conn is one framed connection. Writes are frame-atomic (a mutex
 // serializes concurrent senders — several streams multiplex one
 // connection); reads are single-reader by construction (each connection
 // has exactly one reading goroutine). The hot path, WriteBatch, encodes a
 // columnar batch straight from its columns into a staging buffer with the
 // relation block codec — no per-tuple encode step and no allocation in
-// steady state.
+// steady state. Control payloads are one gob stream per direction: enc
+// appends each message to the staged frame, and dec reads each received
+// payload through rd, so a type's descriptor crosses the connection once.
 type Conn struct {
 	nc       net.Conn
 	br       *bufio.Reader
@@ -38,8 +48,13 @@ type Conn struct {
 
 	wmu  sync.Mutex
 	bw   *bufio.Writer
-	wbuf []byte
+	wbuf stage
+	enc  *gob.Encoder // writes into wbuf; used under wmu
 	rbuf []byte
+
+	dec   *gob.Decoder // reads rd; used by the one reader
+	rd    bytes.Reader
+	types int // gob types the peer has defined so far
 
 	// bytes, when set, accumulates every frame byte written.
 	bytes *atomic.Int64
@@ -52,12 +67,24 @@ type Conn struct {
 // length (kind byte + payload) the owning protocol ever sends; ReadFrame
 // refuses anything longer before allocating for it.
 func NewConn(nc net.Conn, maxFrame uint32) *Conn {
-	return &Conn{
+	c := &Conn{
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, 64<<10),
 		bw:       bufio.NewWriterSize(nc, 64<<10),
 		maxFrame: maxFrame,
 	}
+	c.enc = gob.NewEncoder(&c.wbuf)
+	c.dec = gob.NewDecoder(&c.rd)
+	return c
+}
+
+// stage is the frame being written. It is the control encoder's writer:
+// each gob message is appended after the frame header.
+type stage []byte
+
+func (s *stage) Write(p []byte) (int, error) {
+	*s = append(*s, p...)
+	return len(p), nil
 }
 
 // Dial opens a framed connection to addr.
@@ -107,13 +134,20 @@ func (c *Conn) send() error {
 	return nil
 }
 
-// WriteMsg writes one control frame: v gob-encoded by a fresh encoder.
+// WriteMsg writes one control frame: v gob-encoded by the connection's
+// encoder, preceded by the descriptors of any types it has not sent yet.
+// A failed encode may leave the encoder believing the peer knows a type
+// it never received, so it closes the connection.
 func (c *Conn) WriteMsg(kind byte, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = append(c.wbuf[:0], 0, 0, 0, 0, kind)
+	if err := c.enc.Encode(v); err != nil {
+		c.Close()
 		return fmt.Errorf("wire: encode: %w", err)
 	}
-	return c.WriteFrame(kind, buf.Bytes())
+	binary.LittleEndian.PutUint32(c.wbuf, uint32(len(c.wbuf)-4))
+	return c.send()
 }
 
 // WriteBatch writes one DATA frame: the stream id followed by the batch as
@@ -178,8 +212,8 @@ func (e *UnexpectedFrameError) Error() string {
 }
 
 // ReadMsg reads the next frame, requires it to be of the given kind and
-// gob-decodes its payload into v (a nil v skips decoding: the empty
-// control frames). A positive timeout bounds the wait for the whole frame
+// gob-decodes its payload into v (a nil v discards the value; an empty
+// payload, the empty control frames, decodes nothing). A positive timeout bounds the wait for the whole frame
 // — the handshake deadline that keeps a peer which connects and never
 // speaks from pinning its reader.
 func (c *Conn) ReadMsg(kind byte, v any, timeout time.Duration) error {
@@ -198,19 +232,37 @@ func (c *Conn) ReadMsg(kind byte, v any, timeout time.Duration) error {
 	if got != kind {
 		return &UnexpectedFrameError{Want: kind, Got: got}
 	}
-	if v == nil {
+	if len(payload) == 0 {
 		return nil
 	}
-	return DecodeMsg(payload, v)
+	return c.DecodeMsg(payload, v)
 }
 
-// DecodeMsg gob-decodes a control frame payload into v.
-func DecodeMsg(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+// DecodeMsg gob-decodes a control frame payload into v (nil discards the
+// value). Payloads continue the peer's one gob stream, so every control
+// payload must be decoded, in the order received. It fails once the peer
+// has defined more than MaxTypes types on the connection, before the
+// decoder sees the payload that passes the cap, and on every call after;
+// and it refuses a payload that would make the decoder read an interface
+// value (scanControl), the one place gob accepts definitions nested inside
+// a value, where no count of messages could see them.
+func (c *Conn) DecodeMsg(payload []byte, v any) error {
+	defs, err := scanControl(payload)
+	if c.types += defs; c.types > MaxTypes {
+		return fmt.Errorf("wire: peer defined %d control types, limit is %d", c.types, MaxTypes)
+	}
+	if err != nil {
+		return err
+	}
+	c.rd.Reset(payload)
+	if err := c.dec.Decode(v); err != nil {
 		return fmt.Errorf("wire: decode: %w", err)
 	}
 	return nil
 }
+
+// Types returns how many gob types the peer has defined on the connection.
+func (c *Conn) Types() int { return c.types }
 
 // ParseData splits a DATA payload into its stream id and block bytes.
 func ParseData(payload []byte) (uint32, []byte, error) {

@@ -48,9 +48,20 @@
 //	VRESULT 0x27  gob(viewResultMsg) server: round applied + its stats
 //	VCLOSE  0x28  sid(u32)           client: tear the view down
 //
-// Control payloads are gob values, each encoded by a fresh encoder so a
-// frame is self-describing (WriteMsg, ReadMsg, DecodeMsg). Both protocols
-// carry version 2 in their HELLO.
+// Control payloads are gob values on one gob stream per connection
+// direction (WriteMsg, ReadMsg, DecodeMsg): a Conn's encoder sends each
+// type's descriptor once, in the first frame that uses the type, and its
+// decoder keeps every definition it has received. A control payload is
+// therefore decodable only in order, after every control payload before
+// it on the connection — a reader must decode each one it receives, even
+// one it would ignore. Since those definitions outlive their frame, a
+// peer may define at most MaxTypes types on a connection; DecodeMsg counts
+// the definitions in each payload's gob message headers before decoding
+// it, fails once the count passes the cap, and refuses any type that
+// refers to an interface, whose values could carry definitions of their
+// own. Both protocols carry version 3 in their HELLO: version 2 encoded
+// every frame with a fresh encoder, whose repeated descriptors a version-3
+// reader rejects as duplicate types.
 //
 // # Credit windows
 //

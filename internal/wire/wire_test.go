@@ -3,10 +3,14 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -118,10 +122,10 @@ func TestWritersRoundTrip(t *testing.T) {
 	if err != nil || kind != 0x20 {
 		t.Fatalf("control frame: kind=0x%02x err=%v", kind, err)
 	}
-	if err := DecodeMsg(payload, &m); err != nil || m != (testMsg{3, "x"}) {
+	if err := r.DecodeMsg(payload, &m); err != nil || m != (testMsg{3, "x"}) {
 		t.Errorf("DecodeMsg: %+v err=%v", m, err)
 	}
-	if err := DecodeMsg([]byte{0xde, 0xad, 0xbe, 0xef}, &m); err == nil {
+	if err := r.DecodeMsg([]byte{0xde, 0xad, 0xbe, 0xef}, &m); err == nil {
 		t.Error("DecodeMsg accepted junk")
 	}
 }
@@ -304,9 +308,11 @@ func (b byteConn) Read(p []byte) (int, error) { return b.r.Read(p) }
 // FuzzReadFrame feeds arbitrary bytes to ReadFrame under a small cap and
 // every payload it accepts on to the payload parsers and the block
 // decoders behind them: none may panic, the read buffer never outgrows the
-// cap, and the input's end terminates the loop. The seed corpus
-// (testdata/fuzz/FuzzReadFrame) holds one real frame of each kind, a
-// signed-block DATA frame, a truncated frame and an over-long one.
+// cap, the input's end terminates the loop, and the two signed-block
+// decoders agree, the row-form one into slices of exactly the decoded
+// length. The seed corpus (testdata/fuzz/FuzzReadFrame) holds one real
+// frame of each kind, a signed-block DATA frame, a truncated frame and an
+// over-long one.
 func FuzzReadFrame(f *testing.F) {
 	const fuzzCap = 1 << 10
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -335,9 +341,176 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("SignedBlockHeader accepted %d tuples in %d of %d bytes", n, size, len(block))
 			}
 			var ins, del relation.Batch
-			if err := relation.DecodeSignedBlocks(block, &ins, &del); err == nil && (ins.Len()+del.Len())*relation.TupleWireBytes > len(block) {
+			errBlocks := relation.DecodeSignedBlocks(block, &ins, &del)
+			if errBlocks == nil && (ins.Len()+del.Len())*relation.TupleWireBytes > len(block) {
 				t.Fatalf("DecodeSignedBlocks made %d tuples of %d bytes", ins.Len()+del.Len(), len(block))
 			}
+			rins, rdel, err := relation.DecodeSignedTuples(block)
+			if (err == nil) != (errBlocks == nil) {
+				t.Fatalf("DecodeSignedTuples err %v, DecodeSignedBlocks err %v", err, errBlocks)
+			}
+			if err == nil && (!slices.Equal(rins, ins.Tuples()) || !slices.Equal(rdel, del.Tuples()) ||
+				len(rins) != cap(rins) || len(rdel) != cap(rdel)) {
+				t.Fatalf("DecodeSignedTuples gave %d+%d rows (capacity %d+%d), DecodeSignedBlocks %d+%d",
+					len(rins), len(rdel), cap(rins), cap(rdel), ins.Len(), del.Len())
+			}
+		}
+	})
+}
+
+// sink is a net.Conn that keeps what is written to it: the far end of a
+// Conn whose frames a test takes apart or replays.
+type sink struct {
+	net.Conn
+	buf []byte
+}
+
+func (s *sink) Write(p []byte) (int, error) {
+	s.buf = append(s.buf, p...)
+	return len(p), nil
+}
+
+// newTypes returns one value each of n distinct struct types.
+func newTypes(n int) []any {
+	vs := make([]any, n)
+	for i := range vs {
+		typ := reflect.StructOf([]reflect.StructField{
+			{Name: fmt.Sprintf("F%02d", i), Type: reflect.TypeFor[int]()},
+		})
+		vs[i] = reflect.New(typ).Elem().Interface()
+	}
+	return vs
+}
+
+// controlStream encodes msgs as the control frames one Conn writes, each
+// of kind 0x20: every type is defined in the first frame that uses it.
+func controlStream(msgs ...any) []byte {
+	var s sink
+	c := NewConn(&s, testCap)
+	for _, m := range msgs {
+		if err := c.WriteMsg(0x20, m); err != nil {
+			panic(err)
+		}
+	}
+	return s.buf
+}
+
+// decodedTypes is the number of type definitions c's gob decoder holds:
+// the state a peer's definitions grow, which MaxTypes bounds.
+func decodedTypes(t testing.TB, c *Conn) int {
+	m := reflect.ValueOf(c.dec).Elem().FieldByName("wireType")
+	if !m.IsValid() {
+		t.Fatal("gob.Decoder has no wireType field to count")
+	}
+	return m.Len()
+}
+
+// TestControlStream checks that a connection's control payloads are one
+// gob stream: a type's descriptor crosses once, so a later frame of the
+// same type is smaller than the first, and every frame decodes in order.
+func TestControlStream(t *testing.T) {
+	var s sink
+	w := NewConn(&s, testCap)
+	r := NewConn(byteConn{r: bytes.NewReader(nil)}, testCap)
+	var sizes []int
+	for i := range 3 {
+		s.buf = s.buf[:0]
+		if err := w.WriteMsg(0x20, testMsg{i, "x"}); err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, len(s.buf))
+		var m testMsg
+		if err := r.DecodeMsg(s.buf[5:], &m); err != nil || m != (testMsg{i, "x"}) {
+			t.Fatalf("frame %d decoded to %+v, err %v", i, m, err)
+		}
+	}
+	if sizes[1] >= sizes[0] || sizes[2] != sizes[1] {
+		t.Errorf("frame sizes %v: want the first alone to carry the descriptor", sizes)
+	}
+	if r.Types() != 1 || decodedTypes(t, r) != 1 {
+		t.Errorf("peer defined %d types, decoder holds %d; want 1", r.Types(), decodedTypes(t, r))
+	}
+}
+
+// TestTypeCap sends one more type than a connection may define: every
+// frame up to the cap decodes, the one past it fails before the decoder
+// sees it, and so does every frame after, however ordinary. A payload that
+// defines a type with an interface field is refused outright.
+func TestTypeCap(t *testing.T) {
+	r := NewConn(byteConn{r: bytes.NewReader(controlStream(newTypes(MaxTypes + 1)...))}, testCap)
+	for i := range MaxTypes + 1 {
+		_, payload, err := r.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = r.DecodeMsg(payload, nil)
+		if (err == nil) != (i < MaxTypes) {
+			t.Fatalf("type %d of a cap of %d: err = %v", i+1, MaxTypes, err)
+		}
+	}
+	if n := decodedTypes(t, r); n != MaxTypes {
+		t.Errorf("decoder holds %d types, want the cap %d", n, MaxTypes)
+	}
+	if err := r.DecodeMsg(controlStream(testMsg{})[5:], nil); err == nil {
+		t.Error("a connection past the cap decoded another frame")
+	}
+
+	type withAny struct{ V any }
+	gob.Register(testMsg{})
+	r = NewConn(byteConn{r: bytes.NewReader(nil)}, testCap)
+	if err := r.DecodeMsg(controlStream(withAny{testMsg{}})[5:], nil); err == nil {
+		t.Error("a type with an interface field was accepted")
+	}
+	if n := decodedTypes(t, r); n != 0 {
+		t.Errorf("decoder holds %d types after a refused payload, want 0", n)
+	}
+}
+
+// FuzzControlStream feeds arbitrary frames to one Conn's DecodeMsg, as a
+// reader would after its HELLO: into a control-message shape for odd kinds
+// and discarded for even ones. It must not panic, the gob decoder must
+// never hold more than MaxTypes definitions, and once DecodeMsg reports
+// the cap every later frame fails too. The seeds are real streams: one
+// type sent twice then another, a flood of new types, a type with an
+// interface field, and a stream cut inside its first frame.
+func FuzzControlStream(f *testing.F) {
+	type delta struct {
+		Rel    int
+		Blocks []byte
+	}
+	type ctrl struct {
+		ID     uint32
+		Msg    string
+		Cards  []int64
+		Deltas []delta
+	}
+	type withAny struct{ V any }
+	gob.Register(testMsg{})
+	seed := ctrl{ID: 7, Msg: "x", Cards: []int64{1, 2}, Deltas: []delta{{1, []byte{3}}}}
+	f.Add(controlStream(testMsg{2, "client"}, seed, seed, testMsg{}))
+	f.Add(controlStream(newTypes(MaxTypes + 2)...))
+	f.Add(controlStream(testMsg{}, withAny{testMsg{1, "y"}}))
+	f.Add(controlStream(seed)[:20])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := NewConn(byteConn{r: bytes.NewReader(data)}, testCap)
+		capped := false
+		for {
+			kind, payload, err := c.ReadFrame()
+			if err != nil {
+				return
+			}
+			var v any
+			if kind&1 != 0 {
+				v = new(ctrl)
+			}
+			err = c.DecodeMsg(payload, v)
+			if n := decodedTypes(t, c); n > MaxTypes {
+				t.Fatalf("decoder holds %d types, cap %d", n, MaxTypes)
+			}
+			if capped && err == nil {
+				t.Fatal("a frame decoded after the cap was reported")
+			}
+			capped = capped || c.Types() > MaxTypes
 		}
 	})
 }
