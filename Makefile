@@ -103,19 +103,21 @@ throughput-smoke:
 dist-smoke:
 	$(GO) run ./cmd/mjbench -fig dist -workers 2 -card5k 500
 
-# Serve smoke: the TCP serving layer end to end — mjserve on an ephemeral
-# port, driven by mjload with a mixed closed-loop burst (20% of queries
-# cancelled mid-stream) and an open-loop step, then SIGTERM while a third
-# load run is still streaming. mjserve exits 0 only when the graceful
-# drain left the engine's shared memory meter at zero; the recipe also
-# greps the "drained clean" line so a truncated log fails loudly.
+# Serve smoke: the TCP serving layer end to end, once per admission policy
+# (fifo, the default, then cost) — mjserve on an ephemeral port, driven by
+# mjload with a mixed closed-loop burst (20% of queries cancelled
+# mid-stream) and an open-loop step, then SIGTERM while a third load run is
+# still streaming. mjserve exits 0 only when the graceful drain left the
+# engine's shared memory meter at zero; the recipe also greps the "drained
+# clean" line so a truncated log fails loudly.
 serve-smoke:
 	@mkdir -p .bin
 	$(GO) build -o .bin/mjserve ./cmd/mjserve
 	$(GO) build -o .bin/mjload ./cmd/mjload
-	@set -e; \
+	@set -e; for policy in fifo cost; do \
+	echo "== admission policy $$policy"; \
 	rm -f .bin/mjserve.log .bin/mjload-bg.log; \
-	.bin/mjserve -addr 127.0.0.1:0 -card 1000 -policy cost -budget 4MiB > .bin/mjserve.log 2>&1 & \
+	.bin/mjserve -addr 127.0.0.1:0 -card 1000 -policy $$policy -budget 4MiB > .bin/mjserve.log 2>&1 & \
 	pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	addr=""; \
@@ -134,7 +136,8 @@ serve-smoke:
 	trap - EXIT; \
 	wait $$bg || true; \
 	grep -q "drained clean" .bin/mjserve.log || { echo "no clean drain:"; cat .bin/mjserve.log; exit 1; }; \
-	echo "serve smoke passed (graceful drain, meter live = 0)"
+	done; \
+	echo "serve smoke passed (fifo and cost: graceful drain, meter live = 0)"
 
 # Calibration smoke (a subset of `make test`, for local use): a tiny
 # cost-model calibration sweep on this host, asserting it produces finite,

@@ -1,8 +1,9 @@
 // Command mjserve exposes a long-lived multijoin Engine over TCP: it
 // generates (or loads) a Wisconsin chain database, opens an Engine over
 // it, and serves the framed query protocol of internal/serve — SUBMIT a
-// query shape, stream the result back as credit-windowed columnar batches,
-// CANCEL mid-stream. SIGINT/SIGTERM shuts the server down gracefully:
+// query shape, stream the result back as credit-windowed columnar batches
+// (each DATA frame one of the runtime's own transport batches), CANCEL
+// mid-stream. SIGINT/SIGTERM shuts the server down gracefully:
 // in-flight cursors drain to their clients (bounded by -grace) before the
 // engine closes; the process exits 0 only when the shared memory meter
 // drained to zero.
@@ -62,7 +63,6 @@ func main() {
 	budget := flag.String("budget", "64MiB", "shared live-tuple memory budget")
 	conc := flag.Int("conc", 0, "max concurrent queries (0 means the engine default)")
 	procs := flag.Int("procs", 0, "shared processor pool size (0 means GOMAXPROCS)")
-	batch := flag.Int("batch", serve.DefaultBatchTuples, "result tuples per DATA frame")
 	grace := flag.Duration("grace", 30*time.Second, "graceful-drain bound on shutdown")
 	flag.Parse()
 
@@ -83,7 +83,7 @@ func main() {
 		fail("open engine: %v", err)
 	}
 
-	srv := serve.NewServer(eng, serve.Config{BatchTuples: *batch})
+	srv := serve.NewServer(eng, serve.Config{})
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		fail("%v", err)

@@ -1,12 +1,12 @@
-// Admission policies: who runs next, and with how much memory.
+// Admission: who runs next, and with how much memory.
 //
-// The Engine used to admit queries with a blind FIFO semaphore: arrival
-// order, no knowledge of cost, and spill queries discovering memory
-// pressure reactively — everyone over-commits the shared spill.Meter, then
-// everyone spills. This file turns admission into a policy seam with two
-// implementations:
+// The Engine admits every query and view population through one queue: at
+// most WithMaxConcurrent of them execute at once, and while anyone waits a
+// new arrival waits too, so that the policy, not timing, picks who starts
+// next. The policy decides only the order and the memory:
 //
-//   - "fifo": the original semaphore. Arrival order, no reservation.
+//   - "fifo": arrival order, no reservation. Spill queries meet memory
+//     pressure as they run, on the shared spill.Meter.
 //   - "cost": shortest-job-first by the calibrated cost-model estimate,
 //     with aging (waiting discounts a query's effective cost, so a large
 //     query cannot be starved by a stream of small ones), plus memory
@@ -74,90 +74,22 @@ type admitTicket struct {
 	reserved int64
 }
 
-// admissionPolicy decides when a query may start executing. admit blocks
-// until the query is admitted, ctx is done, or the policy is closed;
-// release frees the query's slot once its workers have exited; kick
-// re-evaluates waiters after external state changed (a finished query's
-// meter reservation settled); close fails every queued and future admit
-// with ErrEngineClosed (engine shutdown must not leave waiters parked
-// forever). Implementations must be safe for concurrent use.
-type admissionPolicy interface {
-	name() string
-	admit(ctx context.Context, t *admitTicket) error
-	release(t *admitTicket)
-	kick()
-	close()
-}
-
-// newAdmissionPolicy builds the named policy for an engine. slots <= 0
-// means unlimited concurrency.
-func newAdmissionPolicy(name string, slots int, root *spill.Meter) (admissionPolicy, error) {
-	switch name {
-	case "", "fifo":
-		p := &fifoPolicy{closing: make(chan struct{})}
-		if slots > 0 {
-			p.sem = make(chan struct{}, slots)
-		}
-		return p, nil
-	case "cost":
-		return &costPolicy{slots: slots, root: root, closing: make(chan struct{})}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown admission policy %q (valid: fifo, cost)", name)
-	}
-}
-
-// fifoPolicy is the original admission semaphore: strict arrival order, no
-// cost knowledge, no reservation.
-type fifoPolicy struct {
-	sem       chan struct{} // nil means unlimited
-	closing   chan struct{} // closed by close(); wakes queued admits
-	closeOnce sync.Once
-}
-
-func (p *fifoPolicy) name() string { return "fifo" }
-
-func (p *fifoPolicy) admit(ctx context.Context, t *admitTicket) error {
-	select {
-	case <-p.closing:
-		return ErrEngineClosed
-	default:
-	}
-	if p.sem == nil {
-		return nil
-	}
-	select {
-	case p.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-p.closing:
-		return ErrEngineClosed
-	}
-}
-
-func (p *fifoPolicy) release(t *admitTicket) {
-	if p.sem != nil {
-		<-p.sem
-	}
-}
-
-func (p *fifoPolicy) kick() {}
-
-func (p *fifoPolicy) close() {
-	p.closeOnce.Do(func() { close(p.closing) })
-}
-
-// costWaiter is one queued query under the cost policy.
-type costWaiter struct {
+// waiter is one queued query.
+type waiter struct {
 	t   *admitTicket
 	enq time.Time
 	ch  chan struct{} // buffered 1; a grant sends exactly once
 }
 
-// costPolicy admits shortest-estimated-job-first with aging and reserves
-// estimated peak memory from the shared meter at admission.
-type costPolicy struct {
-	slots int // <= 0 means unlimited
+// admissionQueue is the engine's admission queue under either policy. It
+// admits at most slots queries at once (slots <= 0 means unlimited) and
+// queues every arrival while anyone waits. Under "fifo" the waiters start
+// in arrival order and reserve no memory; under "cost" the cheapest by
+// aged estimate starts first, and a spill query's estimated peak memory is
+// reserved from the shared meter as it starts.
+type admissionQueue struct {
+	cost  bool
+	slots int
 	root  *spill.Meter
 
 	closing   chan struct{} // closed by close(); wakes queued admits
@@ -166,12 +98,27 @@ type costPolicy struct {
 	mu      sync.Mutex
 	closed  bool
 	running int
-	waiters []*costWaiter
+	waiters []*waiter // in arrival order
 }
 
-func (p *costPolicy) name() string { return "cost" }
+// newAdmissionQueue builds the engine's queue for the named policy.
+func newAdmissionQueue(name string, slots int, root *spill.Meter) (*admissionQueue, error) {
+	if name != "" && name != "fifo" && name != "cost" {
+		return nil, fmt.Errorf("core: unknown admission policy %q (valid: fifo, cost)", name)
+	}
+	return &admissionQueue{cost: name == "cost", slots: slots, root: root, closing: make(chan struct{})}, nil
+}
 
-func (p *costPolicy) admit(ctx context.Context, t *admitTicket) error {
+func (p *admissionQueue) name() string {
+	if p.cost {
+		return "cost"
+	}
+	return "fifo"
+}
+
+// admit blocks until t may start, ctx is done, or the queue is closed
+// (ErrEngineClosed: engine shutdown must not leave waiters parked forever).
+func (p *admissionQueue) admit(ctx context.Context, t *admitTicket) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -181,7 +128,7 @@ func (p *costPolicy) admit(ctx context.Context, t *admitTicket) error {
 		p.mu.Unlock()
 		return nil
 	}
-	w := &costWaiter{t: t, enq: time.Now(), ch: make(chan struct{}, 1)}
+	w := &waiter{t: t, enq: time.Now(), ch: make(chan struct{}, 1)}
 	p.waiters = append(p.waiters, w)
 	// Re-evaluate immediately: with a memory-blocked spill query at the
 	// head of the queue, a zero-memory arrival may be admissible right now
@@ -202,7 +149,7 @@ func (p *costPolicy) admit(ctx context.Context, t *admitTicket) error {
 
 // abandonWait takes a woken-for-another-reason waiter out of the queue —
 // its context fired, or the engine closed, while it was parked.
-func (p *costPolicy) abandonWait(w *costWaiter, t *admitTicket) {
+func (p *admissionQueue) abandonWait(w *waiter, t *admitTicket) {
 	p.mu.Lock()
 	removed := p.removeLocked(w)
 	if removed {
@@ -223,7 +170,7 @@ func (p *costPolicy) abandonWait(w *costWaiter, t *admitTicket) {
 	}
 }
 
-func (p *costPolicy) close() {
+func (p *admissionQueue) close() {
 	p.closeOnce.Do(func() {
 		p.mu.Lock()
 		p.closed = true
@@ -236,14 +183,14 @@ func (p *costPolicy) close() {
 // context fired in the same instant a grant landed. The slot goes back, the
 // ticket's memory reservation is settled, and the queue is re-evaluated so
 // waiters blocked on that reservation do not stay stranded.
-func (p *costPolicy) abandonGrant(t *admitTicket) {
+func (p *admissionQueue) abandonGrant(t *admitTicket) {
 	p.release(t)
 	t.meter.Settle()
 	p.kick()
 }
 
-// startLocked takes a slot for t and grants (or waives) its memory
-// reservation. It reports false when t must wait: no slot, or its
+// startLocked takes a slot for t and, under cost, grants (or waives) its
+// memory reservation. It reports false when t must wait: no slot, or its
 // reservation does not fit yet while other queries are still running (their
 // completion will free memory). A query whose estimate exceeds the whole
 // budget claims exactly the budget instead — it then runs only when no
@@ -251,11 +198,11 @@ func (p *costPolicy) abandonGrant(t *admitTicket) {
 // the overage, rather than thrashing every sibling's residency. With
 // nothing running, t always starts (waiting could then wait forever), in
 // grace mode (unreserved) if its claim does not fit.
-func (p *costPolicy) startLocked(t *admitTicket) bool {
+func (p *admissionQueue) startLocked(t *admitTicket) bool {
 	if p.slots > 0 && p.running >= p.slots {
 		return false
 	}
-	if t.est.peakBytes > 0 && t.meter != nil {
+	if p.cost && t.est.peakBytes > 0 && t.meter != nil {
 		budget := t.meter.Budget()
 		claim := t.est.peakBytes
 		if claim > budget {
@@ -273,21 +220,22 @@ func (p *costPolicy) startLocked(t *admitTicket) bool {
 	return true
 }
 
-// grantLocked starts as many waiters as slots and memory allow, best
-// effective cost first. A memory-blocked best waiter holds its place
+// grantLocked starts as many waiters as slots and memory allow: the
+// longest waiting first under fifo, the best effective cost first under
+// cost. There, a memory-blocked best waiter holds its place
 // against other *memory consumers* (head-of-line on memory: skipping it
 // for a smaller spill query would hand its freed memory away and starve it
 // despite aging), but zero-memory waiters may still fill free slots — they
 // cannot take the blocked query's memory, only compute that would
 // otherwise sit idle.
-func (p *costPolicy) grantLocked() {
+func (p *admissionQueue) grantLocked() {
 	memBlocked := false
 	for len(p.waiters) > 0 {
 		if p.slots > 0 && p.running >= p.slots {
 			return
 		}
 		now := time.Now()
-		eff := func(w *costWaiter) float64 {
+		eff := func(w *waiter) float64 {
 			return float64(w.t.est.wall) - agingFactor*float64(now.Sub(w.enq))
 		}
 		best := -1
@@ -295,7 +243,7 @@ func (p *costPolicy) grantLocked() {
 			if memBlocked && w.t.est.peakBytes > 0 {
 				continue
 			}
-			if best < 0 || eff(w) < eff(p.waiters[best]) {
+			if best < 0 || p.cost && eff(w) < eff(p.waiters[best]) {
 				best = i
 			}
 		}
@@ -316,7 +264,7 @@ func (p *costPolicy) grantLocked() {
 
 // removeLocked takes w out of the wait queue, reporting whether it was
 // still queued.
-func (p *costPolicy) removeLocked(w *costWaiter) bool {
+func (p *admissionQueue) removeLocked(w *waiter) bool {
 	for i, q := range p.waiters {
 		if q == w {
 			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
@@ -326,7 +274,7 @@ func (p *costPolicy) removeLocked(w *costWaiter) bool {
 	return false
 }
 
-func (p *costPolicy) release(t *admitTicket) {
+func (p *admissionQueue) release(t *admitTicket) {
 	p.mu.Lock()
 	p.running--
 	p.grantLocked()
@@ -335,7 +283,7 @@ func (p *costPolicy) release(t *admitTicket) {
 
 // kick re-evaluates waiters; the engine calls it when a query's meter
 // reservation settles (memory freed without a slot changing hands).
-func (p *costPolicy) kick() {
+func (p *admissionQueue) kick() {
 	p.mu.Lock()
 	p.grantLocked()
 	p.mu.Unlock()

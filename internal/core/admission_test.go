@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"multijoin/internal/costmodel"
 	"multijoin/internal/jointree"
 	"multijoin/internal/spill"
 	"multijoin/internal/strategy"
@@ -15,14 +18,14 @@ import (
 
 // admitAsync runs admit in a goroutine and reports its outcome on the
 // returned channel.
-func admitAsync(p admissionPolicy, ctx context.Context, t *admitTicket) chan error {
+func admitAsync(p *admissionQueue, ctx context.Context, t *admitTicket) chan error {
 	ch := make(chan error, 1)
 	go func() { ch <- p.admit(ctx, t) }()
 	return ch
 }
 
-// waitQueued polls until the cost policy has n queued waiters.
-func waitQueued(t *testing.T, p *costPolicy, n int) {
+// waitQueued polls until the queue has n waiters.
+func waitQueued(t *testing.T, p *admissionQueue, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -54,11 +57,10 @@ func spillTicket(root *spill.Meter, peak int64, wall time.Duration) *admitTicket
 // admissible waiter stayed stranded until some unrelated release.
 func TestCostAdmitCancelQueuedHeadUnblocksQueue(t *testing.T) {
 	root := spill.NewMeter(100)
-	pol, err := newAdmissionPolicy("cost", -1, root)
+	p, err := newAdmissionQueue("cost", -1, root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pol.(*costPolicy)
 
 	// A runs, reserving 60 of the 100-byte budget.
 	a := spillTicket(root, 60, 5*time.Millisecond)
@@ -115,11 +117,10 @@ func TestCostAdmitCancelQueuedHeadUnblocksQueue(t *testing.T) {
 // though the bytes it needs just came free.
 func TestCostAbandonGrantKicksMemoryWaiters(t *testing.T) {
 	root := spill.NewMeter(100)
-	pol, err := newAdmissionPolicy("cost", -1, root)
+	p, err := newAdmissionQueue("cost", -1, root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pol.(*costPolicy)
 
 	// A1 keeps running throughout, holding 60 bytes.
 	a1 := spillTicket(root, 60, 5*time.Millisecond)
@@ -213,5 +214,78 @@ func TestEngineCostAdmissionTimeoutChurn(t *testing.T) {
 	}
 	if _, err := rows.All(); err != nil {
 		t.Fatalf("fresh query after churn failed: %v", err)
+	}
+}
+
+// TestAdmissionOrder pins the order each policy admits a queue in. One slot
+// is held by a running query while three spill queries queue, each cheaper
+// than the one before it: "fifo" admits them in arrival order and reserves
+// no memory, "cost" admits the cheapest first and reserves each one's
+// estimated peak.
+func TestAdmissionOrder(t *testing.T) {
+	db := sessionDB(t, 6, 200)
+	query := func(k int) Query {
+		tree, err := jointree.BuildShape(jointree.WideBushy, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Query{DB: db, Tree: tree, Strategy: strategy.FP, Procs: 8}
+	}
+	arrivals := []int{6, 4, 2} // relations joined: estimates fall with arrival
+	for policy, want := range map[string][]int{"fifo": arrivals, "cost": {2, 4, 6}} {
+		t.Run(policy, func(t *testing.T) {
+			// A work unit priced at a millisecond puts the estimates seconds
+			// apart, far beyond what aging discounts while the test queues.
+			eng, err := Open(db, WithMaxConcurrent(1), WithAdmissionPolicy(policy),
+				WithCalibration(costmodel.Calibration{UnitNanos: 1e6}), WithEngineRuntime("spill"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			running, err := eng.Query(context.Background(), query(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				wg    sync.WaitGroup
+				mu    sync.Mutex
+				order []int
+			)
+			errc := make(chan error, len(arrivals))
+			for i, k := range arrivals {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rows, err := eng.Query(context.Background(), query(k))
+					if err != nil {
+						errc <- err
+						return
+					}
+					// The slot is this query's until All drains it, so the
+					// next admission cannot overtake this append.
+					mu.Lock()
+					order = append(order, k)
+					mu.Unlock()
+					if _, err := rows.All(); err != nil {
+						errc <- err
+						return
+					}
+					res, _ := rows.Result()
+					if reserved := res.Stats.MemReserved; (reserved > 0) != (policy == "cost") {
+						errc <- fmt.Errorf("%d-relation query reserved %d bytes", k, reserved)
+					}
+				}()
+				waitQueued(t, eng.queue, i+1)
+			}
+			running.Close()
+			wg.Wait()
+			close(errc)
+			for err := range errc {
+				t.Error(err)
+			}
+			if !slices.Equal(order, want) {
+				t.Errorf("admitted %v (relations joined), want %v", order, want)
+			}
+		})
 	}
 }

@@ -11,8 +11,8 @@
 // across them (batch pools, the resident relations' placement), one
 // spill.Meter memory budget
 // that concurrent spill queries draw down together, default runtime and
-// machine parameters, and an admission semaphore whose queue wait is
-// reported per query in Stats.QueueWait. Engine.Query returns a Rows
+// machine parameters, and one admission queue whose wait is reported per
+// query in Stats.QueueWait. Engine.Query returns a Rows
 // cursor over the runtime's result stream — Volcano-style consumption
 // (Next/Tuple) instead of materialization — with mid-iteration Close
 // tearing the query's workers down without leaking goroutines, pooled
@@ -60,10 +60,10 @@ type Engine struct {
 	policyName string
 	cal        costmodel.Calibration
 
-	policy admissionPolicy    // admission: fifo semaphore or cost-based SJF
-	plans  *planCache         // memoized strategy.Plan output by query shape
-	procs  *parallel.ProcPool // shared modeled processors, batch pools and db placement (wall-clock runtimes)
-	meter  *spill.Meter       // shared memory budget (root; queries get children)
+	queue *admissionQueue    // admission: arrival order (fifo) or cost-based SJF
+	plans *planCache         // memoized strategy.Plan output by query shape
+	procs *parallel.ProcPool // shared modeled processors, batch pools and db placement (wall-clock runtimes)
+	meter *spill.Meter       // shared memory budget (root; queries get children)
 
 	mu      sync.Mutex
 	closed  bool
@@ -175,12 +175,12 @@ func Open(db *wisconsin.Database, opts ...EngineOption) (*Engine, error) {
 	e.cursors = make(map[*Rows]struct{})
 	e.views = make(map[*View]struct{})
 	e.closeDone = make(chan struct{})
-	policy, err := newAdmissionPolicy(e.policyName, e.maxConc, e.meter)
+	queue, err := newAdmissionQueue(e.policyName, e.maxConc, e.meter)
 	if err != nil {
 		e.procs.Close()
 		return nil, err
 	}
-	e.policy = policy
+	e.queue = queue
 	return e, nil
 }
 
@@ -236,7 +236,7 @@ func (e *Engine) query(ctx context.Context, q Query, opts []Option) (*Rows, erro
 		}
 		r.res, r.err = res, err
 		close(r.ch) // no pushes after Execute returns; readers observe res/err
-		e.policy.release(a.ticket)
+		e.queue.release(a.ticket)
 		e.inflight.Done()
 		cancel()
 		close(r.done)
@@ -260,11 +260,12 @@ type admission struct {
 // admit is the preamble Engine.Query and Engine.CreateView share: q.DB and
 // a zero q.Params default to the engine's, the options resolve as in Exec
 // over the engine's defaults, the plan comes from the plan cache, and the
-// engine's policy decides when the query may start — arrival order under
-// "fifo", calibrated shortest-job-first with memory reservation under
-// "cost". estimate sizes the planned query for the policy. The wait is the
-// queue wait the throughput experiment reports; a context cancelled while
-// queued abandons the query before it consumed anything.
+// engine's admission queue decides when the query may start — arrival
+// order under "fifo", calibrated shortest-job-first with memory
+// reservation under "cost". estimate sizes the planned query for the
+// queue. The wait is the queue wait the throughput experiment reports; a
+// context cancelled while queued abandons the query before it consumed
+// anything.
 func (e *Engine) admit(ctx context.Context, q Query, opts []Option, estimate func(Query, Options, *xra.Plan) queryEstimate) (*admission, error) {
 	if q.DB == nil {
 		q.DB = e.db
@@ -285,7 +286,7 @@ func (e *Engine) admit(ctx context.Context, q Query, opts []Option, estimate fun
 	a := &admission{q: q, o: o, rt: rt, plan: plan, planHit: planHit,
 		ticket: &admitTicket{est: estimate(q, o, plan), meter: child}}
 	start := time.Now()
-	if err := e.policy.admit(ctx, a.ticket); err != nil {
+	if err := e.queue.admit(ctx, a.ticket); err != nil {
 		return nil, err
 	}
 	a.wait = time.Since(start)
@@ -295,9 +296,9 @@ func (e *Engine) admit(ctx context.Context, q Query, opts []Option, estimate fun
 // undo hands an admission's grant back unused: the execution slot, the
 // reservation and whatever the query's meter still holds.
 func (e *Engine) undo(a *admission) {
-	e.policy.release(a.ticket)
+	e.queue.release(a.ticket)
 	a.ticket.meter.Settle()
-	e.policy.kick()
+	e.queue.kick()
 }
 
 // register makes an admitted query's cursor or view known to the engine
@@ -370,7 +371,7 @@ func (e *Engine) PlanCacheStats() (hits, misses int64) { return e.plans.Stats() 
 
 // AdmissionPolicy returns the name of the engine's admission policy
 // ("fifo" or "cost").
-func (e *Engine) AdmissionPolicy() string { return e.policy.name() }
+func (e *Engine) AdmissionPolicy() string { return e.queue.name() }
 
 // Close tears the engine down immediately: no new queries are admitted,
 // queries still waiting in the admission queue fail with ErrEngineClosed,
@@ -415,7 +416,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 
 	// Fail queued admits: a waiter granted a slot after this point is
 	// undone by the registration re-check in query().
-	e.policy.close()
+	e.queue.close()
 
 	// Grace period: wait for the consumers to drain and settle every open
 	// cursor. (The runtime goroutines exiting is not enough — a finished
@@ -460,6 +461,13 @@ type pushed struct {
 	release func()
 }
 
+// free hands the batch back to the runtime's pool.
+func (p pushed) free() {
+	if p.release != nil {
+		p.release()
+	}
+}
+
 // querySink adapts a Rows into the Sink the runtime pushes into. (A
 // separate type keeps Push off the cursor's public API.)
 type querySink Rows
@@ -490,11 +498,11 @@ func (s *querySink) Push(ctx context.Context, batch *relation.Batch, release fun
 //	if err := rows.Err(); err != nil { ... }
 //
 // Batches are pooled: the cursor holds one batch at a time and releases it
-// back to the runtime's pool when Next advances past it. Next/Tuple/Err/
-// All/Iter are for one goroutine; Close may be called from any goroutine
-// (and concurrently with Next) to abandon the query mid-iteration — it
-// cancels the execution, drains and releases pending batches, and returns
-// only after every worker goroutine has exited.
+// back to the runtime's pool when Next, All or ReadBatch moves past it.
+// Next/Tuple/Err/All/Iter are for one goroutine; Close may be called from
+// any goroutine (and concurrently with Next) to abandon the query
+// mid-iteration — it cancels the execution, drains and releases pending
+// batches, and returns only after every worker goroutine has exited.
 type Rows struct {
 	*admission // the query, its resolved options, and its meter on the ticket
 	eng        *Engine
@@ -510,7 +518,7 @@ type Rows struct {
 	mu        sync.Mutex
 	closed    bool
 	finished  bool
-	delivered bool // at least one tuple was handed out through Next/Tuple
+	delivered bool // at least one tuple was handed out through Next or ReadBatch
 	// userCancelled records that Close tore down a still-running query —
 	// the one case where a context.Canceled outcome is the caller's own
 	// doing and Err reports nil. A run that already ended (external ctx
@@ -530,53 +538,80 @@ type Rows struct {
 // stream ends (then Err reports how) and after Close.
 func (r *Rows) Next() bool {
 	r.mu.Lock()
-	if r.closed || r.finished {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.cur.batch != nil && r.idx+1 < r.cur.batch.Len() {
+		r.idx++
+	} else if !r.step() {
 		return false
 	}
-	if r.cur.batch != nil {
-		if r.idx+1 < r.cur.batch.Len() {
-			r.idx++
-			r.curTuple = r.cur.batch.Tuple(r.idx)
-			r.delivered = true
-			r.mu.Unlock()
-			return true
-		}
-		rel := r.cur.release
-		r.cur = pushed{}
-		r.mu.Unlock()
-		if rel != nil {
-			rel() // consumed: pooled batch goes back to the runtime
-		}
-	} else {
-		r.mu.Unlock()
-	}
-	for {
+	r.curTuple = r.cur.batch.Tuple(r.idx)
+	r.delivered = true
+	return true
+}
+
+// step releases the batch the cursor holds and receives the next non-empty
+// one, positioned on its first tuple: the one place the cursor reads its
+// stream. It is called and returns with r.mu held, dropping the lock while
+// it releases and waits, and reports false once the stream has ended (the
+// outcome is then recorded) or the cursor is closed.
+func (r *Rows) step() bool {
+	held := r.cur
+	r.cur = pushed{}
+	ended := r.closed || r.finished
+	r.mu.Unlock()
+	held.free() // consumed: the pooled batch goes back to the runtime
+	for !ended {
 		p, ok := <-r.ch
 		if !ok {
 			r.finish()
-			return false
+			break
 		}
 		if p.batch.Len() == 0 {
-			if p.release != nil {
-				p.release()
-			}
+			p.free()
 			continue
 		}
 		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			if p.release != nil {
-				p.release()
-			}
+		if !r.closed {
+			r.cur, r.idx = p, 0
+			return true
+		}
+		r.mu.Unlock()
+		p.free()
+		break
+	}
+	r.mu.Lock()
+	return false
+}
+
+// take hands use the tuples the cursor has not delivered yet, a batch at a
+// time: from row lo of the batch it is positioned in, or else the whole of
+// the next one (step). It reports false when there are none left.
+func (r *Rows) take(use func(b *relation.Batch, lo int)) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lo := r.idx + 1
+	if r.cur.batch == nil || lo == r.cur.batch.Len() {
+		if !r.step() {
 			return false
 		}
-		r.cur, r.idx = p, 0
-		r.curTuple = p.batch.Tuple(0)
-		r.delivered = true
-		r.mu.Unlock()
-		return true
+		lo = 0
 	}
+	use(r.cur.batch, lo)
+	r.idx = r.cur.batch.Len() - 1
+	r.delivered = true
+	return true
+}
+
+// ReadBatch appends the cursor's next run of result tuples to dst — the
+// rest of the batch Next left it in, or else the next batch the runtime
+// pushed — and reports false when the stream ended (Err tells how) or the
+// cursor was closed. It is the front door's read, one of the runtime's
+// transport batches per call, copied by the column, so dst stays valid
+// whatever a concurrent Close releases. It is a function and not a method
+// so that Rows, which the multijoin facade exports, hands out tuples and
+// never the runtime's batches.
+func ReadBatch(r *Rows, dst *relation.Batch) bool {
+	return r.take(func(b *relation.Batch, lo int) { dst.AppendRange(b, lo, b.Len()) })
 }
 
 // Tuple returns the tuple the cursor is positioned on: the one the last
@@ -603,13 +638,13 @@ func (r *Rows) finish() {
 // cancelled run can strand pooled-batch accounting); it must run after the
 // workers exited and the cursor released every batch it held. A settled
 // cursor no longer needs a force-close at engine shutdown, and the engine's
-// admission policy is poked: freed reservation bytes may admit a
+// admission queue is poked: freed reservation bytes may admit a
 // memory-blocked waiter.
 func (r *Rows) settle() {
 	r.settleOnce.Do(func() {
 		r.ticket.meter.Settle()
 		r.eng.dropCursor(r)
-		r.eng.policy.kick()
+		r.eng.queue.kick()
 	})
 }
 
@@ -668,13 +703,9 @@ func (r *Rows) closeWith(cause error) {
 		r.cur = pushed{}
 		r.mu.Unlock()
 		r.cancel()
-		if cur.release != nil {
-			cur.release()
-		}
+		cur.free()
 		for p := range r.ch {
-			if p.release != nil {
-				p.release()
-			}
+			p.free()
 		}
 		<-r.done
 		r.mu.Lock()
@@ -696,46 +727,18 @@ func (r *Rows) closeWith(cause error) {
 // bridge from the streaming API back to Exec's shape. If the query was
 // started with WithVerify, the materialized result is checked against the
 // sequential reference here; that check needs the *whole* result, so a
-// verifying All on a cursor that already handed out tuples through Next
-// fails rather than reporting a spurious mismatch on the remainder.
+// verifying All on a cursor that already handed out tuples through Next or
+// ReadBatch fails rather than reporting a spurious mismatch on the remainder.
 func (r *Rows) All() (*relation.Relation, error) {
 	r.mu.Lock()
-	if r.o.Verify && r.delivered {
-		r.mu.Unlock()
-		r.Close()
-		return nil, errors.New("core: Rows.All with WithVerify needs the full stream; tuples were already consumed through Next")
-	}
+	partial := r.o.Verify && r.delivered
 	r.mu.Unlock()
+	if partial {
+		r.Close()
+		return nil, errors.New("core: Rows.All with WithVerify needs the full stream; tuples were already consumed through Next or ReadBatch")
+	}
 	rel := relation.NewWithCap("result", r.q.tupleBytes(), r.q.estResultCard())
-	for {
-		r.mu.Lock()
-		closed, finished := r.closed, r.finished
-		if r.cur.batch != nil {
-			// Drain the rest of the current batch wholesale, starting
-			// after the tuple the cursor already delivered through
-			// Next/Tuple.
-			r.cur.batch.AppendRangeTo(rel, r.idx+1, r.cur.batch.Len())
-			release := r.cur.release
-			r.cur = pushed{}
-			r.mu.Unlock()
-			if release != nil {
-				release()
-			}
-			continue
-		}
-		r.mu.Unlock()
-		if closed || finished {
-			break
-		}
-		p, ok := <-r.ch
-		if !ok {
-			r.finish()
-			break
-		}
-		p.batch.AppendTo(rel)
-		if p.release != nil {
-			p.release()
-		}
+	for r.take(func(b *relation.Batch, lo int) { b.AppendRangeTo(rel, lo, b.Len()) }) {
 	}
 	if err := r.Err(); err != nil {
 		return nil, err

@@ -121,7 +121,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestEngineQueueWaitRecorded asserts the admission semaphore actually
+// TestEngineQueueWaitRecorded asserts the admission queue actually
 // queues: with one slot and a held cursor, a second query's Stats.QueueWait
 // must cover the time the first query was streaming.
 func TestEngineQueueWaitRecorded(t *testing.T) {
@@ -452,6 +452,100 @@ func TestRowsAllAndIterAgree(t *testing.T) {
 	}
 }
 
+// TestRowsReadBatch pins ReadBatch against the cursor step it shares with
+// Next and All: it returns the rest of the batch Next left the cursor in,
+// then whole batches; any mix of Next, ReadBatch and All partitions the
+// result; and a verifying All after a ReadBatch fails as it does after Next.
+func TestRowsReadBatch(t *testing.T) {
+	db := sessionDB(t, 4, 2000)
+	eng, err := Open(db, WithEngineRuntime("parallel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q := sessionQuery(t, db, jointree.LeftLinear, strategy.RD)
+	want := Reference(db, q.Tree)
+
+	// readBatch is ReadBatch, checked to return every tuple of the cursor's
+	// batch that Next has not: the rest of the one it is in, else a whole one.
+	readBatch := func(rows *Rows, got *relation.Relation) bool {
+		var b relation.Batch
+		rest := 0
+		if rows.cur.batch != nil {
+			rest = rows.cur.batch.Len() - rows.idx - 1
+		}
+		if !ReadBatch(rows, &b) {
+			return false
+		}
+		if rest == 0 {
+			rest = rows.cur.batch.Len()
+		}
+		if b.Len() != rest {
+			t.Errorf("ReadBatch returned %d tuples, want the %d the cursor's batch has left", b.Len(), rest)
+		}
+		b.AppendTo(got)
+		return true
+	}
+	// Each script consumes a prefix one step per letter — n for Next, b
+	// for ReadBatch — and the rest as its last letter says: by ReadBatch,
+	// Next or All.
+	for _, script := range []string{"b", "nnnb", "n", "nnnA", "bA", "nbnnbnbA", "nnbbnbnb"} {
+		rows, err := eng.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := relation.New("result", 0)
+		for i, step := range script {
+			last := i == len(script)-1
+			switch step {
+			case 'n':
+				for rows.Next() {
+					got.Append(rows.Tuple())
+					if !last {
+						break
+					}
+				}
+			case 'b':
+				for readBatch(rows, got) && last {
+				}
+			case 'A':
+				rest, err := rows.All()
+				if err != nil {
+					t.Fatalf("%s: %v", script, err)
+				}
+				got.Append(rest.Tuples...)
+			}
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("%s: %v", script, err)
+		}
+		rows.Close()
+		if diff := relation.DiffMultiset(got, want); diff != "" {
+			t.Errorf("%s: result differs from reference: %s", script, diff)
+		}
+	}
+
+	// A verifying All needs the whole stream, whichever read took a part.
+	var errs []string
+	for _, read := range []func(*Rows) bool{(*Rows).Next, func(r *Rows) bool { return ReadBatch(r, new(relation.Batch)) }} {
+		rows, err := eng.Query(context.Background(), q, WithVerify())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !read(rows) {
+			t.Fatalf("no first tuple: %v", rows.Err())
+		}
+		_, err = rows.All()
+		if err == nil {
+			t.Fatal("verifying All after a partial read must fail")
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Errorf("verifying All fails with %q after ReadBatch, %q after Next", errs[1], errs[0])
+	}
+}
+
 // TestRowsIterSurfacesExternalCancel asserts Iter's automatic Close does
 // not mask an external context cancellation: a truncated stream must not
 // read as a complete one.
@@ -480,10 +574,12 @@ func TestRowsIterSurfacesExternalCancel(t *testing.T) {
 	}
 }
 
-// TestRowsCloseDuringIteration: one goroutine loops Next/Tuple while another
-// Closes the cursor mid-stream. Tuple takes no lock, so under -race this
-// pins that Close never touches what Tuple reads; every tuple handed out
-// must still be one of the result's, and iteration must stop cleanly.
+// TestRowsCloseDuringIteration: one goroutine loops Next/Tuple (even
+// trials) or ReadBatch (odd ones) while another Closes the cursor
+// mid-stream. Tuple takes no lock and ReadBatch's batch is read after it
+// returns, so under -race this pins that Close never touches what either
+// hands out; every tuple handed out must still be one of the result's, and
+// iteration must stop cleanly.
 func TestRowsCloseDuringIteration(t *testing.T) {
 	db := sessionDB(t, 4, parkedCard)
 	eng, err := Open(db, WithEngineRuntime("parallel"))
@@ -504,14 +600,33 @@ func TestRowsCloseDuringIteration(t *testing.T) {
 		started := make(chan struct{})
 		seen := map[relation.Tuple]int{}
 		done := make(chan struct{})
+		// read hands the cursor's next tuple (or batch) to seen and
+		// reports how many it handed, 0 once iteration stopped.
+		var b relation.Batch
+		read := func() int {
+			if trial%2 == 0 {
+				if !rows.Next() {
+					return 0
+				}
+				seen[rows.Tuple()]++
+				return 1
+			}
+			b.Reset()
+			if !ReadBatch(rows, &b) {
+				return 0
+			}
+			for i := range b.Len() {
+				seen[b.Tuple(i)]++
+			}
+			return b.Len()
+		}
 		go func() {
 			defer close(done)
-			n := 0
-			for rows.Next() {
-				seen[rows.Tuple()]++
-				if n++; n == 100*trial+1 {
+			for n, k := 0, read(); k > 0; k = read() {
+				if n <= 100*trial && n+k > 100*trial {
 					close(started)
 				}
+				n += k
 			}
 		}()
 		select {

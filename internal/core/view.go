@@ -86,8 +86,8 @@ func (e *Engine) createView(ctx context.Context, q Query, opts []Option) (*View,
 
 	// Population done: the execution slot goes back to the queue. The
 	// residency charge (and reservation) stays until View.Close.
-	e.policy.release(a.ticket)
-	e.policy.kick()
+	e.queue.release(a.ticket)
+	e.queue.kick()
 	return v, nil
 }
 
@@ -147,7 +147,7 @@ func (v *View) Close() error {
 		v.iv.Close()
 		v.child.Settle()
 		v.eng.dropView(v)
-		v.eng.policy.kick()
+		v.eng.queue.kick()
 	})
 	return nil
 }

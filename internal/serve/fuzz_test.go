@@ -41,11 +41,13 @@ func (cc *captureConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// fuzzServer starts a server on a 3x200 chain database for the frame
-// scripts below; it is closed when tb ends.
+// fuzzServer starts a server on a 3x600 chain database for the frame
+// scripts below; it is closed when tb ends. Every answer over all three
+// relations takes more than one 256-tuple batch, so a window-1 stream
+// stops on credit on any slot count.
 func fuzzServer(tb testing.TB) (*Server, string) {
 	tb.Helper()
-	db, err := wisconsin.Chain(wisconsin.Config{Relations: 3, Cardinality: 200, Seed: 1995})
+	db, err := wisconsin.Chain(wisconsin.Config{Relations: 3, Cardinality: 600, Seed: 1995})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func fuzzServer(tb testing.TB) (*Server, string) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := NewServer(eng, Config{BatchTuples: 64})
+	srv := NewServer(eng, Config{})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)

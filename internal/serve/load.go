@@ -70,6 +70,13 @@ type loadStats struct {
 	rows      int64
 }
 
+// count adds n to one of the counters.
+func (ls *loadStats) count(c *int64, n int64) {
+	ls.mu.Lock()
+	*c += n
+	ls.mu.Unlock()
+}
+
 func (ls *loadStats) done(lat time.Duration, d *Done, cancelled bool) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -159,52 +166,53 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	return res, nil
 }
 
-// runOne issues one query and consumes its stream, cancelling mid-stream
-// when the die says so. It records latency (submit to terminal event) and
-// the outcome.
-func runOne(cl *Client, cfg LoadConfig, rng *rand.Rand, spec QuerySpec, stats *loadStats) {
-	cancelMe := rng.Float64() < cfg.CancelFrac
+// runOne issues one query and consumes its stream, cancelling it after its
+// first batch when cancelMe is set. It records latency (submit to terminal
+// event) and the outcome: a failure after abandonAt (zero: never) counts as
+// abandoned, not as an error. inflight, when set, holds the stream while it
+// runs, so that the open loop can cancel the stragglers.
+func runOne(cl *Client, spec QuerySpec, cancelMe bool, abandonAt time.Time, inflight *sync.Map, stats *loadStats) {
 	t0 := time.Now()
 	st, err := cl.Submit(spec)
 	if err != nil {
-		stats.mu.Lock()
-		stats.errors++
-		stats.mu.Unlock()
+		stats.count(&stats.errors, 1)
 		return
+	}
+	if inflight != nil {
+		inflight.Store(st, struct{}{})
+		defer inflight.Delete(st)
 	}
 	cancelled := false
 	for {
 		tuples, done, err := st.Recv()
-		if err != nil {
-			if cancelled {
-				// The server's cancellation ERROR is the expected terminal
-				// event of a cancelled stream.
-				stats.done(time.Since(t0), nil, true)
-			} else {
-				stats.mu.Lock()
-				stats.errors++
-				stats.mu.Unlock()
-			}
-			return
-		}
-		if done != nil {
+		switch {
+		case err != nil && cancelled:
+			// The server's cancellation ERROR is the expected terminal
+			// event of a cancelled stream.
+			stats.done(time.Since(t0), nil, true)
+		case err != nil && !abandonAt.IsZero() && time.Now().After(abandonAt):
+			stats.count(&stats.abandoned, 1)
+		case err != nil:
+			stats.count(&stats.errors, 1)
+		case done != nil:
 			stats.done(time.Since(t0), done, false)
-			return
+		default:
+			stats.count(&stats.rows, int64(len(tuples)))
+			if cancelMe && !cancelled {
+				cancelled = true
+				st.Cancel()
+			}
+			continue
 		}
-		stats.mu.Lock()
-		stats.rows += int64(len(tuples))
-		stats.mu.Unlock()
-		if cancelMe && !cancelled {
-			cancelled = true
-			st.Cancel()
-		}
+		return
 	}
 }
 
 // closedLoop issues queries back to back until the deadline.
 func closedLoop(cl *Client, cfg LoadConfig, rng *rand.Rand, deadline time.Time, stats *loadStats) {
-	for i := 0; time.Now().Before(deadline); i++ {
-		runOne(cl, cfg, rng, cfg.Specs[rng.Intn(len(cfg.Specs))], stats)
+	for time.Now().Before(deadline) {
+		spec := cfg.Specs[rng.Intn(len(cfg.Specs))]
+		runOne(cl, spec, rng.Float64() < cfg.CancelFrac, time.Time{}, nil, stats)
 	}
 }
 
@@ -212,7 +220,9 @@ func closedLoop(cl *Client, cfg LoadConfig, rng *rand.Rand, deadline time.Time, 
 // with exponential inter-arrival times, regardless of completions: the
 // generator does not wait, so saturation shows up as queue wait and rising
 // latency rather than a throughput plateau alone. Arrivals still in flight
-// at the deadline are cancelled and counted as abandoned.
+// at the deadline are cancelled and counted as abandoned. Every die is cast
+// here, before its arrival's goroutine starts: rng is not safe for
+// concurrent use.
 func openLoop(cl *Client, cfg LoadConfig, rng *rand.Rand, deadline time.Time, stats *loadStats) {
 	rate := cfg.OfferedQPS / float64(cfg.Conns)
 	var qwg sync.WaitGroup
@@ -229,45 +239,7 @@ func openLoop(cl *Client, cfg LoadConfig, rng *rand.Rand, deadline time.Time, st
 		qwg.Add(1)
 		go func() {
 			defer qwg.Done()
-			t0 := time.Now()
-			st, err := cl.Submit(spec)
-			if err != nil {
-				stats.mu.Lock()
-				stats.errors++
-				stats.mu.Unlock()
-				return
-			}
-			inflight.Store(st, struct{}{})
-			defer inflight.Delete(st)
-			cancelled := false
-			for {
-				tuples, done, err := st.Recv()
-				if err != nil {
-					if cancelled {
-						stats.done(time.Since(t0), nil, true)
-					} else if time.Now().After(deadline) {
-						stats.mu.Lock()
-						stats.abandoned++
-						stats.mu.Unlock()
-					} else {
-						stats.mu.Lock()
-						stats.errors++
-						stats.mu.Unlock()
-					}
-					return
-				}
-				if done != nil {
-					stats.done(time.Since(t0), done, false)
-					return
-				}
-				stats.mu.Lock()
-				stats.rows += int64(len(tuples))
-				stats.mu.Unlock()
-				if cancelMe && !cancelled {
-					cancelled = true
-					st.Cancel()
-				}
-			}
+			runOne(cl, spec, cancelMe, deadline, &inflight, stats)
 		}()
 	}
 	// Grace: let the tail drain briefly, then cancel the stragglers so the

@@ -63,11 +63,11 @@ const (
 // maxFrame is the largest frame either end of a serve connection accepts.
 // The front door reads bytes from peers nobody has vouched for, so the cap
 // is sized against its largest legitimate frame and not against dist's
-// (whose SETUP carries whole relations): a DATA frame is one block of at
-// most relation.MaxBlockTuples tuples, about 12 KiB, and the big one is a
-// VAPPLY round — 31 KiB in mjperf's view_refresh, 24 bytes per delta
-// tuple. 16 MiB leaves room for a round of some 600 000 delta tuples and
-// still bounds what four hostile bytes can make a connection allocate.
+// (whose SETUP carries whole relations): a DATA frame is one of the
+// runtime's result batches, 256 tuples or 6 KiB by default, and the big
+// one is a VAPPLY round — 31 KiB in mjperf's view_refresh, 24 bytes per
+// delta tuple. 16 MiB leaves room for a round of some 600 000 delta tuples
+// and still bounds what four hostile bytes can make a connection allocate.
 const maxFrame = 16 << 20
 
 // helloTimeout bounds a client's dial and either end's wait for the

@@ -71,7 +71,7 @@ func startServer(t *testing.T, relations, card int, engOpts ...core.EngineOption
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServer(eng, serve.Config{BatchTuples: 64})
+	srv := serve.NewServer(eng, serve.Config{})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +508,7 @@ func TestServeShutdownDrainsStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServer(eng, serve.Config{BatchTuples: 64})
+	srv := serve.NewServer(eng, serve.Config{})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -16,26 +16,19 @@ import (
 	"multijoin/internal/wire"
 )
 
-// Config parameterizes a Server.
-type Config struct {
-	// BatchTuples is the result re-batching granularity: how many tuples
-	// each DATA frame carries. Zero means 256; values above the block
-	// codec's MaxBlockTuples are clamped to it.
-	BatchTuples int
-}
-
-// DefaultBatchTuples is the DATA frame granularity when Config leaves it 0.
-const DefaultBatchTuples = 256
+// Config parameterizes a Server. It is empty: a DATA frame is one of the
+// runtime's own batches, so the result stream has nothing to configure.
+type Config struct{}
 
 // Server exposes one long-lived Engine over TCP. Each accepted connection
 // gets a reader goroutine that demultiplexes SUBMIT/CREDIT/CANCEL frames;
-// each submitted query gets its own goroutine that drains the engine's
-// Rows cursor into credit-windowed DATA frames. The server takes ownership
-// of the engine: Shutdown drains in-flight cursors through the engine's
-// own graceful-drain path before closing it.
+// each submitted query gets its own goroutine that writes every batch the
+// runtime pushes into the engine's Rows cursor as one credit-windowed DATA
+// frame. The server takes ownership of the engine: Shutdown drains
+// in-flight cursors through the engine's own graceful-drain path before
+// closing it.
 type Server struct {
-	eng   *core.Engine
-	batch int
+	eng *core.Engine
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -48,14 +41,7 @@ type Server struct {
 // NewServer wraps an open engine. The server owns eng from here on:
 // Server.Shutdown (or Close) closes it.
 func NewServer(eng *core.Engine, cfg Config) *Server {
-	b := cfg.BatchTuples
-	if b <= 0 {
-		b = DefaultBatchTuples
-	}
-	if b > relation.MaxBlockTuples {
-		b = relation.MaxBlockTuples
-	}
-	return &Server{eng: eng, batch: b, conns: make(map[*srvConn]struct{})}
+	return &Server{eng: eng, conns: make(map[*srvConn]struct{})}
 }
 
 // Start binds addr (host:port; port 0 picks an ephemeral port), spawns the
@@ -326,10 +312,11 @@ func (sc *srvConn) submit(sub submitMsg) {
 	}()
 }
 
-// runQuery executes one submitted query and streams its result: DATA
-// frames under the credit window, then EOS and DONE, or ERROR on any
-// failure (including cancellation, whose ERROR carries context.Canceled's
-// message).
+// runQuery executes one submitted query and streams its result: each batch
+// the runtime pushes (256 tuples on parallel, 64 on spill and sim, by
+// default) as one DATA frame under the credit window, then EOS and DONE,
+// or ERROR on any failure (including cancellation, whose ERROR carries
+// context.Canceled's message).
 func (sc *srvConn) runQuery(ctx context.Context, sq *srvStream, sub submitMsg) {
 	query, opts, err := sc.srv.buildQuery(sub)
 	if err != nil {
@@ -343,37 +330,21 @@ func (sc *srvConn) runQuery(ctx context.Context, sq *srvStream, sub submitMsg) {
 	}
 	defer rows.Close()
 	var nrows int64
-	batch := relation.NewBatch(sc.srv.batch)
-	flush := func() error {
-		if batch.Len() == 0 {
-			return nil
+	var batch relation.Batch
+	for ; core.ReadBatch(rows, &batch); batch.Reset() {
+		err := sq.win.Take(ctx)
+		if err == nil {
+			err = sc.c.WriteBatch(sub.ID, &batch)
 		}
-		if err := sq.win.Take(ctx); err != nil {
-			return err
-		}
-		if err := sc.c.WriteBatch(sub.ID, batch); err != nil {
-			return err
+		if err != nil {
+			// Client gone or query cancelled: abort the execution and let
+			// the deferred Close drain the cursor.
+			sc.writeErr(sub.ID, err)
+			return
 		}
 		nrows += int64(batch.Len())
-		batch.Reset()
-		return nil
-	}
-	for rows.Next() {
-		batch.AppendTuple(rows.Tuple())
-		if batch.Len() >= sc.srv.batch {
-			if err := flush(); err != nil {
-				// Client gone or query cancelled: abort the execution and
-				// let the deferred Close drain the cursor.
-				sc.writeErr(sub.ID, err)
-				return
-			}
-		}
 	}
 	if err := rows.Err(); err != nil {
-		sc.writeErr(sub.ID, err)
-		return
-	}
-	if err := flush(); err != nil {
 		sc.writeErr(sub.ID, err)
 		return
 	}

@@ -330,12 +330,12 @@ var ErrViewClosed = ivm.ErrViewClosed
 var AdmissionPolicies = core.AdmissionPolicies
 
 // WithAdmissionPolicy selects how the engine orders queries waiting for an
-// execution slot. "fifo" is the original arrival-order semaphore. "cost"
-// admits the query with the smallest calibrated cost-model estimate first
-// (aged, so large queries are not starved) and reserves a spill query's
-// estimated peak memory from the shared budget at admission; a query whose
-// estimate can never fit is admitted without a reservation and relies on
-// recursive Grace partitioning to bound its memory.
+// execution slot. "fifo" admits them in arrival order and reserves nothing.
+// "cost" admits the query with the smallest calibrated cost-model estimate
+// first (aged, so large queries are not starved) and reserves a spill
+// query's estimated peak memory from the shared budget at admission; a
+// query whose estimate can never fit is admitted without a reservation and
+// relies on recursive Grace partitioning to bound its memory.
 func WithAdmissionPolicy(name string) EngineOption { return core.WithAdmissionPolicy(name) }
 
 // Calibration holds measured per-tuple costs of this host — the output of
