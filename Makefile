@@ -79,15 +79,17 @@ sim-golden:
 
 # Pool-discipline check: the relation, hashjoin and operator-kernel tests
 # (the columnar codec round-trip property, the ProbeBatchInto differential
-# and the outbox's cancelled-delivery rule among them) and the goroutine
-# runtime and engine tests with the pooldebug double-Put / use-after-Put
-# detector armed (poisoned batches verified on every Get). An engine's batch
-# pools outlive its queries, so a late release from a closed cursor or a
-# batch a cancelled run still aliases would be a use-after-Put *across*
-# queries: the cancel, shutdown and concurrent-query tests of parallel and
-# core are where the detector would see it.
+# and the outbox's cancelled-delivery rule among them), the tests of both
+# drivers of the kernel's join step — the simulator (engine) and the
+# goroutine runtime (parallel), with the views that run on its hosts (ivm) —
+# and the session layer's (core), with the pooldebug double-Put /
+# use-after-Put detector armed (poisoned batches verified on every Get). An
+# engine's batch pools outlive its queries, so a late release from a closed
+# cursor or a batch a cancelled run still aliases would be a use-after-Put
+# *across* queries: the cancel, shutdown and concurrent-query tests of
+# parallel and core are where the detector would see it.
 pooldebug:
-	$(GO) test -tags pooldebug -race ./internal/relation ./internal/hashjoin ./internal/operator ./internal/parallel ./internal/core
+	$(GO) test -tags pooldebug -race ./internal/relation ./internal/hashjoin ./internal/operator ./internal/engine ./internal/parallel ./internal/ivm ./internal/core
 
 # Throughput smoke: one shared Engine serving concurrent mixed-strategy
 # queries across the parallel and spill runtimes, results drained through

@@ -29,19 +29,20 @@ func main() {
 	// first and half of the results appear (measured in consumed tuples).
 	fmt.Printf("join of two %d-tuple relations, batches of 100 tuples:\n\n", n)
 
-	pipe := hashjoin.NewPipelining(spec)
-	var consumed, produced, firstAt, halfAt int
+	var lb, hb, out relation.Batch
+	lb.AppendTuples(lower.Tuples)
+	hb.AppendTuples(higher.Tuples)
+	pipe := hashjoin.NewPipeliningSized(spec, n)
+	var consumed, firstAt, halfAt int
 	for i := 0; i < n; i += 100 {
-		out := pipe.FromBuildSide(lower.Tuples[i : i+100])
-		consumed += 100
-		produced += len(out)
-		out = pipe.FromProbeSide(higher.Tuples[i : i+100])
-		consumed += 100
-		produced += len(out)
-		if firstAt == 0 && produced > 0 {
+		b, p := lb.View(i, i+100), hb.View(i, i+100)
+		pipe.FromBuildSideBatchInto(&out, &b)
+		pipe.FromProbeSideBatchInto(&out, &p)
+		consumed += 200
+		if firstAt == 0 && out.Len() > 0 {
 			firstAt = consumed
 		}
-		if halfAt == 0 && produced >= n/2 {
+		if halfAt == 0 && out.Len() >= n/2 {
 			halfAt = consumed
 		}
 	}
@@ -50,12 +51,18 @@ func main() {
 	fmt.Printf("  half the output after %d of %d; memory: %d + %d tuples (two tables)\n\n",
 		halfAt, 2*n, bt, pt)
 
-	simple := hashjoin.NewSimple(spec)
-	simple.Insert(lower.Tuples) // the build phase consumes the whole operand
-	out := simple.Probe(higher.Tuples[:100])
+	// The simple join is the same state machine without the probe-side
+	// table: the build phase consumes the whole operand and closes it.
+	simple := hashjoin.NewSimpleSized(spec, n)
+	out.Reset()
+	simple.FromBuildSideBatchInto(&out, &lb)
+	simple.CloseBuildSide()
+	first := hb.View(0, 100)
+	simple.FromProbeSideBatchInto(&out, &first)
+	bt, _ = simple.Sizes()
 	fmt.Printf("simple hash-join: zero results until the build phase ends at %d consumed\n", n)
 	fmt.Printf("  tuples; first probe batch then yields %d results; memory: %d tuples\n\n",
-		len(out), simple.BuildSize())
+		out.Len(), bt)
 
 	// Both algorithms agree exactly.
 	a := hashjoin.Join(lower, higher, spec, false)

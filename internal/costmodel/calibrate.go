@@ -143,11 +143,12 @@ func Calibrate(opt CalibrateOptions) (Calibration, error) {
 		for r := 0; r < rounds; r++ {
 			j := hashjoin.NewSimpleSized(spec, n)
 			start := time.Now()
-			j.InsertBatch(build)
+			j.FromBuildSideBatchInto(&scratch, build)
+			j.CloseBuildSide()
 			hashTimes = append(hashTimes, float64(time.Since(start)))
 			scratch.Reset()
 			start = time.Now()
-			j.ProbeBatchInto(&scratch, probe)
+			j.FromProbeSideBatchInto(&scratch, probe)
 			probeTimes = append(probeTimes, float64(time.Since(start)))
 			if scratch.Len() != n {
 				return Calibration{}, fmt.Errorf("costmodel: calibration probe produced %d results, want %d", scratch.Len(), n)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"syscall"
 
@@ -81,16 +80,12 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 		return fmt.Errorf("dist: worker %d: plan: %w", node, err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var failOnce sync.Once
-	var failErr error
-	fail := func(err error) {
-		failOnce.Do(func() {
-			failErr = err
-			cancel()
-		})
-	}
+	// fail cancels the run with the first failure as its cause. The control
+	// reader and the data plane's goroutines call it concurrently, so the
+	// cause is read through context.Cause, and read before the teardown's own
+	// cancel, which would record context.Canceled.
+	ctx, fail := context.WithCancelCause(context.Background())
+	defer fail(nil)
 
 	retain := plan.NumStreams() * (su.ChannelDepth + 1)
 	if retain > relation.MaxPoolRetain {
@@ -204,7 +199,7 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 
 	var res *parallel.RunResult
 	var runErr error
-	if failErr == nil {
+	if ctx.Err() == nil {
 		cfg := parallel.Config{
 			MaxProcs:     localProcCount(plan, local),
 			BatchTuples:  su.BatchTuples,
@@ -221,11 +216,11 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 		res, runErr = parallel.RunStream(ctx, plan, nil, cfg, nil) // no sink: collect runs on the coordinator
 	}
 
-	if runErr != nil || failErr != nil {
+	if failErr := context.Cause(ctx); runErr != nil || failErr != nil {
 		// Torn down (cancel, peer loss, or a local failure): close
 		// everything, unblocking any stuck goroutine, and report. A
 		// coordinator-initiated cancel is a clean exit, not a failure.
-		cancel()
+		fail(nil)
 		closing.Store(true)
 		p.teardown()
 		ln.Close()
@@ -254,7 +249,7 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 	}
 	closing.Store(true)
 	if err := ctrl.WriteMsg(ftDone, d); err != nil {
-		cancel()
+		fail(nil)
 		p.teardown()
 		ln.Close()
 		ctrl.Close()
@@ -263,7 +258,8 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 		return fmt.Errorf("dist: worker %d: done: %w", node, err)
 	}
 	<-ctrlClosed
-	cancel()
+	failErr := context.Cause(ctx)
+	fail(nil)
 	p.teardown()
 	ln.Close()
 	<-acceptDone

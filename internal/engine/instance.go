@@ -214,9 +214,7 @@ func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batc
 		results = in.join.ApplyInto(in.res, m)
 		in.e.pool.Put(m.Batch)
 		in.e.addTableTuples(in.proc.ID, in.join.Resident()-before)
-		if results != nil {
-			units += float64(results.Len()) * costmodel.UnitsResult
-		}
+		units += float64(results.Len()) * costmodel.UnitsResult
 	case xra.OpCollect:
 		// Gathering at the scheduler host is free and identical for every
 		// strategy; the paper's response time excludes it. The pooled batch

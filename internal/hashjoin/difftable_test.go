@@ -130,8 +130,8 @@ func TestTableGrowth(t *testing.T) {
 }
 
 // TestProbeBatchIntoMatchesMapTable is the differential test for the
-// vectorized two-phase batch probe: a Simple join built from random tuples
-// (via the radix bulk insert) probed with whole columnar batches must emit
+// vectorized two-phase batch probe: a simple join built from random tuples
+// probed with whole columnar batches must emit
 // exactly the result multiset a scalar walk over the retained MapTable
 // oracle produces, for both build orientations, duplicate-heavy keys and
 // zero-match probes. `make test` runs it under -race and `make pooldebug`
@@ -156,8 +156,10 @@ func TestProbeBatchIntoMatchesMapTable(t *testing.T) {
 			ref.Insert(tp)
 		}
 		j := NewSimpleSized(spec, nBuild)
-		j.InsertBatch(&build)
-		if j.BuildSize() != ref.Len() {
+		var got relation.Batch
+		j.FromBuildSideBatchInto(&got, &build)
+		j.CloseBuildSide()
+		if b, p := j.Sizes(); b != ref.Len() || p != 0 || got.Len() != 0 {
 			return false
 		}
 
@@ -179,14 +181,13 @@ func TestProbeBatchIntoMatchesMapTable(t *testing.T) {
 
 		// Probe in sub-batches to exercise appends into a reused dst and
 		// the per-call head-phase scratch resizing.
-		var got relation.Batch
 		for lo := 0; lo < probe.Len(); {
 			hi := lo + 1 + rng.Intn(512)
 			if hi > probe.Len() {
 				hi = probe.Len()
 			}
 			sub := probe.View(lo, hi)
-			j.ProbeBatchInto(&got, &sub)
+			j.FromProbeSideBatchInto(&got, &sub)
 			lo = hi
 		}
 		return sameMultiset(got.Tuples(), want)
@@ -325,18 +326,30 @@ func BenchmarkHashTable_Partitioned(b *testing.B) {
 	}
 }
 
-// BenchmarkHashTable_SimpleJoin measures one full sized build+probe cycle
-// through the Simple state machine with a reused output buffer.
+// BenchmarkHashTable_SimpleJoin measures one full sized build+probe cycle of
+// a simple join the way the runtimes drive it: 256-row transport batches
+// into the build side, the build side closed, 256-row probe batches, the
+// tables released, with a reused output buffer.
 func BenchmarkHashTable_SimpleJoin(b *testing.B) {
-	build := benchTuples(40000)
-	probe := benchTuples(40000)
+	const batchTuples = 256
+	var build, probe, dst relation.Batch
+	build.AppendTuples(benchTuples(40000))
+	probe.AppendTuples(benchTuples(40000))
+	n := build.Len()
 	b.ReportAllocs()
 	b.ResetTimer()
-	var dst []relation.Tuple
 	for i := 0; i < b.N; i++ {
-		j := NewSimpleSized(Spec{BuildIsLower: true}, len(build))
-		j.Insert(build)
-		dst = j.ProbeInto(dst[:0], probe)
+		j := NewSimpleSized(Spec{BuildIsLower: true}, n)
+		dst.Reset()
+		for lo := 0; lo < n; lo += batchTuples {
+			sub := build.View(lo, min(lo+batchTuples, n))
+			j.FromBuildSideBatchInto(&dst, &sub)
+		}
+		j.CloseBuildSide()
+		for lo := 0; lo < n; lo += batchTuples {
+			sub := probe.View(lo, min(lo+batchTuples, n))
+			j.FromProbeSideBatchInto(&dst, &sub)
+		}
+		j.Release()
 	}
-	_ = dst
 }

@@ -58,12 +58,12 @@ func (p *gracePart) memBytes() int64 {
 // Spec. Both operands are hash-partitioned on their join attribute as they
 // arrive; while the run's memory meter is over budget the largest resident
 // partition is serialized to a temp file. Once both operands have ended,
-// Drain processes the partitions one at a time — build a hash table over
-// partition i's build tuples (re-read from disk if spilled), stream
+// Drain processes the partitions one at a time — a simple join builds over
+// partition i's build tuples (re-read from disk if spilled) and streams
 // partition i's probe tuples through it — so peak memory is one partition
 // pair instead of two whole operands.
 //
-// Grace produces the same result multiset as Simple and Pipelining for the
+// Grace produces the same result multiset as the in-memory joins for the
 // same operands; it trades their pipelining for a memory bound, which is
 // why the spill runtime uses it for *both* plan join kinds. It is not safe
 // for concurrent use: the runtime drives each instance from one process.
@@ -74,7 +74,6 @@ type Grace struct {
 	pool  *relation.BatchPool
 	build [GraceFanout]gracePart
 	probe [GraceFanout]gracePart
-	heads []int32 // reusable probe scratch for Drain
 
 	// level is the recursion depth: 0 for the runtime's join, +1 for each
 	// re-partitioning of an oversized partition. It selects which bit
@@ -240,11 +239,12 @@ func (g *Grace) Drain(emit func(results *relation.Batch) error) error {
 			g.meter.Add(fileBytes)
 			g.drainBytes = fileBytes
 		}
-		table := NewTableSized(g.spec.BuildAttr(), bp.tuples)
+		// A simple join's build batches match nothing: scratch stays empty.
+		j := NewSimpleSized(g.spec, bp.tuples)
 		if bp.file != nil {
 			start := time.Now()
 			err := bp.file.ReadBatches(g.pool, func(batch *relation.Batch) error {
-				table.InsertBatch(batch)
+				j.FromBuildSideBatchInto(&scratch, batch)
 				return nil
 			})
 			g.meter.NoteIO(time.Since(start))
@@ -252,10 +252,11 @@ func (g *Grace) Drain(emit func(results *relation.Batch) error) error {
 				return err
 			}
 		}
-		table.InsertBatchRadix(&bp.mem)
+		j.FromBuildSideBatchInto(&scratch, &bp.mem)
+		j.CloseBuildSide()
 		probeChunk := func(batch *relation.Batch) error {
 			scratch.Reset()
-			g.heads = probeBatch(&scratch, table, batch, g.spec.ProbeAttr(), !g.spec.BuildIsLower, g.heads)
+			j.FromProbeSideBatchInto(&scratch, batch)
 			if scratch.Len() == 0 {
 				return nil
 			}
@@ -272,7 +273,7 @@ func (g *Grace) Drain(emit func(results *relation.Batch) error) error {
 		if err := probeChunk(&pp.mem); err != nil {
 			return err
 		}
-		table.Release() // next partition's table reuses the memory
+		j.Release() // next partition's table reuses the memory
 		g.releaseDrain()
 		g.releasePart(bp)
 		g.releasePart(pp)

@@ -1,20 +1,23 @@
 // Package hashjoin implements the two main-memory join algorithms compared
-// in the paper (Section 2.3.2):
-//
-//   - the simple hash-join: a two-phase build-probe algorithm that first
-//     builds a hash table over its build (inner/"left") operand and then
-//     streams the probe (outer/"right") operand through it;
+// in the paper (Section 2.3.2) as one state machine, Pipelining:
 //
 //   - the pipelining hash-join [WiA90, WiA91]: a symmetric one-phase
 //     algorithm that maintains a hash table for *both* operands. Each
-//     arriving tuple is hashed, probes the part of the other operand's table
+//     arriving batch is hashed, probes the part of the other operand's table
 //     built so far, emits any matches, and is then inserted into its own
 //     table. Result tuples are produced as early as possible, enabling
-//     pipelining along both operands at the cost of a second hash table.
+//     pipelining along both operands at the cost of a second hash table;
 //
-// The algorithms are pure data-structure state machines over tuple batches;
-// the execution engine drives them and separately accounts simulated time.
-// They are also directly usable for sequential reference execution in tests.
+//   - the simple hash-join: a two-phase build-probe algorithm that first
+//     builds a hash table over its build (inner/"left") operand and then
+//     streams the probe (outer/"right") operand through it. It is the
+//     pipelining join without its second table (NewSimpleSized): its caller
+//     ends the build operand before the first probe batch, after which the
+//     pipelining join inserts nothing more and only probes.
+//
+// The state machine works on columnar batches; the execution engine drives
+// it and separately accounts simulated time. Join runs it over two
+// materialized relations for the sequential reference.
 //
 // The hash table itself is an open-addressing table over a flat slot array
 // plus a tuple arena (see Table) — the compact, reusable state the symmetric
@@ -134,6 +137,9 @@ const radixBuckets = 256
 // 32–40 slots. The top bits a table reads are not among those the routing
 // fixed (for n up to 128 and tables below 2^25 slots). gracePartition meets
 // the same hazard with a salted hash.
+//
+// A nil *Table is the empty table a simple join has instead of a probe-side
+// table: it matches nothing, and Len, MemBytes and Release read it as empty.
 type Table struct {
 	attr relation.Attr
 	keys []int64 // keys[s] is meaningful only when head[s] != 0
@@ -194,10 +200,10 @@ var tablePools [33]sync.Pool
 // release it, and must not touch the table — or any tuple slice previously
 // returned by Matches, which aliases the arena — afterwards.
 func (t *Table) Release() {
-	slots := len(t.head)
-	if slots == 0 {
+	if t == nil || len(t.head) == 0 {
 		return
 	}
+	slots := len(t.head)
 	m := &tableMem{
 		keys:  t.keys,
 		head:  t.head,
@@ -550,9 +556,11 @@ func (t *Table) DeleteBatch(b *relation.Batch) int {
 // returned re-sliced: it is sized to the batch's capacity at once, so a
 // process whose input batches come from one pool allocates it a single time.
 // An empty table matches nothing, so the probe returns at once: FP's
-// pipelining joins probe empty tables while their first operand streams in.
+// pipelining joins probe empty tables while their first operand streams in,
+// and a simple join's build batches probe the nil table it has instead of a
+// probe-side one.
 func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.Attr, probeIsLower bool, heads []int32) []int32 {
-	if t.live == 0 {
+	if t.Len() == 0 {
 		return heads
 	}
 	keys := b.Col(pa)
@@ -619,88 +627,27 @@ func (t *Table) Matches(k int64) []relation.Tuple {
 }
 
 // Len returns the number of stored tuples (inserted minus deleted).
-func (t *Table) Len() int { return t.live }
+func (t *Table) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.live
+}
 
 // MemBytes returns the resident size of the table's backing arrays — slot
 // arrays plus the full arena capacity, including free-listed rows — the
 // figure a resident view charges against the shared memory meter.
 func (t *Table) MemBytes() int64 {
+	if t == nil {
+		return 0
+	}
 	return int64(len(t.head))*12 + int64(cap(t.u1))*28
 }
 
 // Attr returns the key attribute.
 func (t *Table) Attr() relation.Attr { return t.attr }
 
-// Simple is the state of one simple (build-probe) hash-join instance.
-type Simple struct {
-	spec  Spec
-	table *Table
-	heads []int32 // probeBatch scratch
-}
-
-// NewSimple returns a fresh simple hash-join. Use NewSimpleSized when the
-// build cardinality is known.
-func NewSimple(spec Spec) *Simple { return NewSimpleSized(spec, 0) }
-
-// NewSimpleSized returns a fresh simple hash-join whose table has capacity
-// for hint build tuples before any growth.
-func NewSimpleSized(spec Spec, hint int) *Simple {
-	return &Simple{spec: spec, table: NewTableSized(spec.BuildAttr(), hint)}
-}
-
-// Spec returns the join specification.
-func (j *Simple) Spec() Spec { return j.spec }
-
-// Insert consumes a batch of build-operand tuples (build phase).
-func (j *Simple) Insert(batch []relation.Tuple) {
-	for _, tp := range batch {
-		j.table.Insert(tp)
-	}
-}
-
-// InsertBatch consumes a columnar batch of build-operand tuples, with a
-// radix-partitioned build when the batch is large (one-shot builds from a
-// materialized operand or a Grace partition).
-func (j *Simple) InsertBatch(b *relation.Batch) { j.table.InsertBatchRadix(b) }
-
-// BuildSize returns the number of tuples in the hash table.
-func (j *Simple) BuildSize() int { return j.table.Len() }
-
-// ProbeInto streams a batch of probe-operand tuples through the (complete)
-// hash table, appends the result tuples to dst and returns the extended
-// slice — the allocation-free form of Probe for callers that reuse a
-// scratch buffer. The caller is responsible for not probing before the
-// build phase finished — the engine buffers early probe input, which is
-// exactly the blocking behaviour of the algorithm.
-func (j *Simple) ProbeInto(dst, batch []relation.Tuple) []relation.Tuple {
-	pa := j.spec.ProbeAttr()
-	t := j.table
-	for _, tp := range batch {
-		for i := t.First(tp.Get(pa)); i >= 0; i = t.Next(i) {
-			dst = append(dst, j.spec.Result(t.At(i), tp))
-		}
-	}
-	return dst
-}
-
-// Probe is ProbeInto into a fresh slice.
-func (j *Simple) Probe(batch []relation.Tuple) []relation.Tuple {
-	return j.ProbeInto(nil, batch)
-}
-
-// ProbeBatchInto streams a whole columnar batch of probe-operand tuples
-// through the (complete) hash table, appending result tuples to dst — the
-// vectorized two-phase probe (hash the key column, then resolve matches)
-// the runtimes' hot loops use.
-func (j *Simple) ProbeBatchInto(dst, b *relation.Batch) {
-	j.heads = probeBatch(dst, j.table, b, j.spec.ProbeAttr(), !j.spec.BuildIsLower, j.heads)
-}
-
-// Release recycles the join's table memory. The join, and any tuple slice
-// previously returned by reference, must not be used afterwards.
-func (j *Simple) Release() { j.table.Release() }
-
-// Pipelining is the state of one pipelining (symmetric) hash-join instance.
+// Pipelining is the state of one hash-join instance, pipelining or simple.
 //
 // As an optimization, an operand's tuples are inserted into that operand's
 // hash table only while the *other* operand is still open: once the other
@@ -708,20 +655,21 @@ func (j *Simple) Release() { j.table.Release() }
 // only probes (one table action instead of two). On a right-linear tree,
 // where every build operand is a base relation that ends quickly, the
 // pipelining join therefore degenerates to simple-hash-join behaviour —
-// which is why RD and FP coincide on right-linear trees (Figure 13).
+// which is why RD and FP coincide on right-linear trees (Figure 13). The
+// simple join is that behaviour from the start (NewSimpleSized).
+//
+// A batch goes into a table through InsertBatchRadix, so a whole
+// materialized operand (the sequential reference, a Grace partition) is
+// built slot-ordered, while transport batches take the plain bulk insert.
 type Pipelining struct {
 	spec        Spec
 	buildTable  *Table // tuples seen on the build side
-	probeTable  *Table // tuples seen on the probe side
+	probeTable  *Table // tuples seen on the probe side; nil for a simple join
 	buildClosed bool
 	probeClosed bool
 	heads       []int32 // probeBatch scratch
 	unmatched   int64   // RetractInto's dropped rows since the last Unmatched
 }
-
-// NewPipelining returns a fresh pipelining hash-join. Use NewPipeliningSized
-// when the operand cardinalities are known.
-func NewPipelining(spec Spec) *Pipelining { return NewPipeliningSized(spec, 0) }
 
 // NewPipeliningSized returns a fresh pipelining hash-join whose two tables
 // each have capacity for hint tuples before any growth.
@@ -733,30 +681,15 @@ func NewPipeliningSized(spec Spec, hint int) *Pipelining {
 	}
 }
 
-// Spec returns the join specification.
-func (j *Pipelining) Spec() Spec { return j.spec }
-
-// FromBuildSideInto consumes a batch arriving on the build operand: each
-// tuple probes the probe-side table built so far and, while the probe
-// operand is still open, is inserted into the build-side table. Matches are
-// appended to dst and the extended slice returned.
-func (j *Pipelining) FromBuildSideInto(dst, batch []relation.Tuple) []relation.Tuple {
-	ba := j.spec.BuildAttr()
-	pt := j.probeTable
-	for _, tp := range batch {
-		for i := pt.First(tp.Get(ba)); i >= 0; i = pt.Next(i) {
-			dst = append(dst, j.spec.Result(tp, pt.At(i)))
-		}
-		if !j.probeClosed {
-			j.buildTable.Insert(tp)
-		}
-	}
-	return dst
-}
-
-// FromBuildSide is FromBuildSideInto into a fresh slice.
-func (j *Pipelining) FromBuildSide(batch []relation.Tuple) []relation.Tuple {
-	return j.FromBuildSideInto(nil, batch)
+// NewSimpleSized returns a fresh simple (build-probe) hash-join whose table
+// has capacity for hint build tuples before any growth: a pipelining join
+// that never allocates its probe-side table. The caller must close the
+// build side before the first probe batch — the engine holds early probe
+// input, which is exactly the blocking behaviour of the algorithm — and
+// must not close the probe side before the build side: the held probe
+// input has not been applied yet.
+func NewSimpleSized(spec Spec, hint int) *Pipelining {
+	return &Pipelining{spec: spec, buildTable: NewTableSized(spec.BuildAttr(), hint)}
 }
 
 // FromBuildSideBatchInto consumes a columnar batch arriving on the build
@@ -768,29 +701,8 @@ func (j *Pipelining) FromBuildSide(batch []relation.Tuple) []relation.Tuple {
 func (j *Pipelining) FromBuildSideBatchInto(dst, b *relation.Batch) {
 	j.heads = probeBatch(dst, j.probeTable, b, j.spec.BuildAttr(), j.spec.BuildIsLower, j.heads)
 	if !j.probeClosed {
-		j.buildTable.InsertBatch(b)
+		j.buildTable.InsertBatchRadix(b)
 	}
-}
-
-// FromProbeSideInto consumes a batch arriving on the probe operand,
-// symmetrically to FromBuildSideInto.
-func (j *Pipelining) FromProbeSideInto(dst, batch []relation.Tuple) []relation.Tuple {
-	pa := j.spec.ProbeAttr()
-	bt := j.buildTable
-	for _, tp := range batch {
-		for i := bt.First(tp.Get(pa)); i >= 0; i = bt.Next(i) {
-			dst = append(dst, j.spec.Result(bt.At(i), tp))
-		}
-		if !j.buildClosed {
-			j.probeTable.Insert(tp)
-		}
-	}
-	return dst
-}
-
-// FromProbeSide is FromProbeSideInto into a fresh slice.
-func (j *Pipelining) FromProbeSide(batch []relation.Tuple) []relation.Tuple {
-	return j.FromProbeSideInto(nil, batch)
 }
 
 // FromProbeSideBatchInto consumes a columnar batch arriving on the probe
@@ -798,7 +710,7 @@ func (j *Pipelining) FromProbeSide(batch []relation.Tuple) []relation.Tuple {
 func (j *Pipelining) FromProbeSideBatchInto(dst, b *relation.Batch) {
 	j.heads = probeBatch(dst, j.buildTable, b, j.spec.ProbeAttr(), !j.spec.BuildIsLower, j.heads)
 	if !j.buildClosed {
-		j.probeTable.InsertBatch(b)
+		j.probeTable.InsertBatchRadix(b)
 	}
 }
 
@@ -833,7 +745,8 @@ func (j *Pipelining) Unmatched() int64 {
 	return u
 }
 
-// MemBytes returns the resident size of both tables (Table.MemBytes).
+// MemBytes returns the resident size of both tables (Table.MemBytes); a
+// simple join's missing probe-side table counts as empty.
 func (j *Pipelining) MemBytes() int64 { return j.buildTable.MemBytes() + j.probeTable.MemBytes() }
 
 // CloseBuildSide declares the build operand ended: probe-side tuples stop
@@ -852,7 +765,8 @@ func (j *Pipelining) SideClosed(build bool) bool {
 }
 
 // Sizes returns the number of tuples stored in the build- and probe-side
-// tables; the pipelining algorithm's extra memory cost is their sum.
+// tables; the pipelining algorithm's extra memory cost is their sum, and a
+// simple join's probe size is always 0.
 func (j *Pipelining) Sizes() (build, probe int) {
 	return j.buildTable.Len(), j.probeTable.Len()
 }
@@ -867,46 +781,32 @@ func (j *Pipelining) Release() {
 // Join runs a complete join of two materialized relations with the given
 // spec, using the pipelining algorithm if pipelined is set and the simple
 // algorithm otherwise. Both produce the same multiset; the flag exists so
-// tests can assert exactly that.
+// tests can assert exactly that. The simple join builds from the whole
+// build operand as one batch (the radix-partitioned bulk insert), closes
+// it and probes with the whole probe operand; the pipelining join takes
+// the operands in alternating 16-row batches to exercise the symmetric path.
 func Join(build, probe *relation.Relation, spec Spec, pipelined bool) *relation.Relation {
-	out := relation.New("join", build.TupleBytes)
-	if pipelined {
-		hint := build.Card()
-		if probe.Card() > hint {
-			hint = probe.Card()
-		}
-		j := NewPipeliningSized(spec, hint)
-		// Interleave the operands to exercise the symmetric path.
-		bi, pi := 0, 0
-		const chunk = 16
-		for bi < len(build.Tuples) || pi < len(probe.Tuples) {
-			if bi < len(build.Tuples) {
-				hi := bi + chunk
-				if hi > len(build.Tuples) {
-					hi = len(build.Tuples)
-				}
-				out.Append(j.FromBuildSide(build.Tuples[bi:hi])...)
-				bi = hi
-			}
-			if pi < len(probe.Tuples) {
-				hi := pi + chunk
-				if hi > len(probe.Tuples) {
-					hi = len(probe.Tuples)
-				}
-				out.Append(j.FromProbeSide(probe.Tuples[pi:hi])...)
-				pi = hi
-			}
-		}
-		return out
-	}
-	j := NewSimpleSized(spec, build.Card())
-	// One-shot build from a materialized operand: transpose to columns and
-	// take the radix-partitioned bulk-insert path, then probe batch-wise.
 	var bb, pb, res relation.Batch
 	bb.AppendTuples(build.Tuples)
-	j.InsertBatch(&bb)
 	pb.AppendTuples(probe.Tuples)
-	j.ProbeBatchInto(&res, &pb)
+	var j *Pipelining
+	if pipelined {
+		j = NewPipeliningSized(spec, max(bb.Len(), pb.Len()))
+		const chunk = 16
+		for lo := 0; lo < max(bb.Len(), pb.Len()); lo += chunk {
+			b := bb.View(min(lo, bb.Len()), min(lo+chunk, bb.Len()))
+			j.FromBuildSideBatchInto(&res, &b)
+			p := pb.View(min(lo, pb.Len()), min(lo+chunk, pb.Len()))
+			j.FromProbeSideBatchInto(&res, &p)
+		}
+	} else {
+		j = NewSimpleSized(spec, bb.Len())
+		j.FromBuildSideBatchInto(&res, &bb)
+		j.CloseBuildSide()
+		j.FromProbeSideBatchInto(&res, &pb)
+	}
+	j.Release()
+	out := relation.New("join", build.TupleBytes)
 	res.AppendTo(out)
 	return out
 }

@@ -214,24 +214,33 @@ func TestEmptyOperands(t *testing.T) {
 	}
 }
 
+// rel returns a batch's tuples as a relation, for multiset comparison.
+func rel(b *relation.Batch) *relation.Relation {
+	out := relation.New("out", 208)
+	b.AppendTo(out)
+	return out
+}
+
 func TestPipeliningEmitsEarly(t *testing.T) {
 	// The defining property of the pipelining join (Section 2.3.2): results
 	// appear before either operand is complete.
-	j := NewPipelining(Spec{BuildIsLower: true})
-	out := j.FromBuildSide([]relation.Tuple{{Unique2: 1, Check: 1}})
-	if len(out) != 0 {
+	j := NewPipeliningSized(Spec{BuildIsLower: true}, 0)
+	var out relation.Batch
+	j.FromBuildSideBatchInto(&out, batchOf([]relation.Tuple{{Unique2: 1, Check: 1}}))
+	if out.Len() != 0 {
 		t.Fatal("no match possible yet")
 	}
-	out = j.FromProbeSide([]relation.Tuple{{Unique1: 1, Check: 2}})
-	if len(out) != 1 {
-		t.Fatalf("expected early result, got %d", len(out))
+	j.FromProbeSideBatchInto(&out, batchOf([]relation.Tuple{{Unique1: 1, Check: 2}}))
+	if out.Len() != 1 {
+		t.Fatalf("expected early result, got %d", out.Len())
 	}
 	// The simple join by contrast produces nothing until its probe phase,
 	// which the engine only enters after the full build.
-	s := NewSimple(Spec{BuildIsLower: true})
-	s.Insert([]relation.Tuple{{Unique2: 1, Check: 1}})
-	if s.BuildSize() != 1 {
-		t.Error("build size wrong")
+	s := NewSimpleSized(Spec{BuildIsLower: true}, 0)
+	out.Reset()
+	s.FromBuildSideBatchInto(&out, batchOf([]relation.Tuple{{Unique2: 1, Check: 1}}))
+	if b, p := s.Sizes(); b != 1 || p != 0 || out.Len() != 0 {
+		t.Errorf("simple join after one build tuple: Sizes (%d,%d), %d results", b, p, out.Len())
 	}
 }
 
@@ -241,28 +250,29 @@ func TestPipeliningBatchInterleavingInvariance(t *testing.T) {
 	spec := Spec{BuildIsLower: true}
 	want := Join(lower, higher, spec, false)
 
-	j := NewPipelining(spec)
-	out := relation.New("out", 208)
+	j := NewPipeliningSized(spec, 0)
+	var out relation.Batch
 	// Feed all of the probe side first, then all of the build side.
-	out.Append(j.FromProbeSide(higher.Tuples)...)
-	out.Append(j.FromBuildSide(lower.Tuples)...)
-	if d := relation.DiffMultiset(out, want); d != "" {
+	j.FromProbeSideBatchInto(&out, batchOf(higher.Tuples))
+	j.FromBuildSideBatchInto(&out, batchOf(lower.Tuples))
+	if d := relation.DiffMultiset(rel(&out), want); d != "" {
 		t.Errorf("probe-first interleaving differs: %s", d)
 	}
 }
 
 func TestPipeliningCloseSides(t *testing.T) {
 	spec := Spec{BuildIsLower: true}
-	j := NewPipelining(spec)
-	j.FromBuildSide([]relation.Tuple{{Unique2: 1, Check: 1}})
+	j := NewPipeliningSized(spec, 0)
+	var out relation.Batch
+	j.FromBuildSideBatchInto(&out, batchOf([]relation.Tuple{{Unique2: 1, Check: 1}}))
 	j.CloseBuildSide()
 	if !j.SideClosed(true) || j.SideClosed(false) {
 		t.Error("closed flags wrong")
 	}
 	// Probe tuples arriving after the build side closed still find matches
 	// but are no longer inserted into the probe table.
-	out := j.FromProbeSide([]relation.Tuple{{Unique1: 1, Check: 2}})
-	if len(out) != 1 {
+	j.FromProbeSideBatchInto(&out, batchOf([]relation.Tuple{{Unique1: 1, Check: 2}}))
+	if out.Len() != 1 {
 		t.Fatalf("match after close missing")
 	}
 	_, probeLen := j.Sizes()
@@ -276,19 +286,69 @@ func TestPipeliningCloseCorrectness(t *testing.T) {
 	lower, higher := makeOperands(100, 5)
 	spec := Spec{BuildIsLower: true}
 	want := Join(lower, higher, spec, false)
-	j := NewPipelining(spec)
-	out := relation.New("out", 208)
-	out.Append(j.FromBuildSide(lower.Tuples)...)
+	j := NewPipeliningSized(spec, 0)
+	var out relation.Batch
+	j.FromBuildSideBatchInto(&out, batchOf(lower.Tuples))
 	j.CloseBuildSide()
-	out.Append(j.FromProbeSide(higher.Tuples)...)
+	j.FromProbeSideBatchInto(&out, batchOf(higher.Tuples))
 	j.CloseProbeSide()
-	if d := relation.DiffMultiset(out, want); d != "" {
+	if d := relation.DiffMultiset(rel(&out), want); d != "" {
 		t.Errorf("result after closing differs: %s", d)
 	}
 }
 
+// TestSimpleJoinCost pins what a simple join costs. After a build of n rows
+// and one probe it holds the n build rows and no probe-side table at all:
+// Sizes (n, 0) and the MemBytes of its build table. One join's life —
+// construct, one 256-row build batch, close the build side, one probe
+// batch, Release — allocates at most 3 times for a simple join and 6 for a
+// pipelining one, with the table memory recycled.
+func TestSimpleJoinCost(t *testing.T) {
+	const n = 256
+	var build, probe relation.Batch
+	for i := range n {
+		build.Append(int64(i), int64(i), uint64(i))
+		probe.Append(int64(i), int64(i), uint64(i))
+	}
+	spec := Spec{BuildIsLower: true}
+	dst := relation.NewBatch(2 * n)
+
+	s := NewSimpleSized(spec, n)
+	s.FromBuildSideBatchInto(dst, &build)
+	s.CloseBuildSide()
+	s.FromProbeSideBatchInto(dst, &probe)
+	if b, p := s.Sizes(); b != n || p != 0 || dst.Len() != n {
+		t.Errorf("simple join: Sizes (%d,%d) and %d results, want (%d,0) and %d", b, p, dst.Len(), n, n)
+	}
+	if s.probeTable != nil || s.MemBytes() != s.buildTable.MemBytes() {
+		t.Errorf("simple join carries a probe-side table: MemBytes %d, build table %d", s.MemBytes(), s.buildTable.MemBytes())
+	}
+	s.Release()
+
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops recycled table memory at random")
+	}
+	simple := testing.AllocsPerRun(100, func() { joinLife(NewSimpleSized(spec, n), dst, &build, &probe) })
+	pipe := testing.AllocsPerRun(100, func() { joinLife(NewPipeliningSized(spec, n), dst, &build, &probe) })
+	t.Logf("allocations per life: simple join %.0f, pipelining join %.0f", simple, pipe)
+	if simple > 3 || pipe > 6 {
+		t.Errorf("allocations per life: simple join %.0f, pipelining join %.0f; want at most 3 and 6", simple, pipe)
+	}
+}
+
+// joinLife runs the rest of one join's life on j: one build batch, the
+// build side closed, one probe batch into dst, Release.
+func joinLife(j *Pipelining, dst, build, probe *relation.Batch) {
+	dst.Reset()
+	j.FromBuildSideBatchInto(dst, build)
+	j.CloseBuildSide()
+	j.FromProbeSideBatchInto(dst, probe)
+	j.Release()
+}
+
 // TestJoinAlgorithmsAgreeProperty: on random multisets with arbitrary key
-// skew, simple and pipelining joins agree, in both orientations.
+// skew, the simple and pipelining joins agree with each other and with the
+// MapTable oracle (MapJoin), in both orientations.
 func TestJoinAlgorithmsAgreeProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8, keys uint8) bool {
 		n := int(nRaw%60) + 1
@@ -304,11 +364,20 @@ func TestJoinAlgorithmsAgreeProperty(t *testing.T) {
 				Unique1: rng.Int63n(k), Unique2: rng.Int63n(100), Check: rng.Uint64(),
 			})
 		}
-		spec := Spec{BuildIsLower: true}
-		a := Join(lower, higher, spec, false)
-		b := Join(lower, higher, spec, true)
-		c := Join(higher, lower, Spec{BuildIsLower: false}, true)
-		return relation.EqualMultiset(a, b) && relation.EqualMultiset(a, c)
+		spec, mirrored := Spec{BuildIsLower: true}, Spec{BuildIsLower: false}
+		want := MapJoin(lower, higher, spec)
+		for _, got := range []*relation.Relation{
+			MapJoin(higher, lower, mirrored),
+			Join(lower, higher, spec, false),
+			Join(lower, higher, spec, true),
+			Join(higher, lower, mirrored, false),
+			Join(higher, lower, mirrored, true),
+		} {
+			if !relation.EqualMultiset(got, want) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -318,9 +387,10 @@ func TestJoinAlgorithmsAgreeProperty(t *testing.T) {
 func TestPipeliningMemorySizes(t *testing.T) {
 	// The pipelining join's documented cost: it holds both operands.
 	lower, higher := makeOperands(64, 6)
-	j := NewPipelining(Spec{BuildIsLower: true})
-	j.FromBuildSide(lower.Tuples)
-	j.FromProbeSide(higher.Tuples)
+	j := NewPipeliningSized(Spec{BuildIsLower: true}, 0)
+	var out relation.Batch
+	j.FromBuildSideBatchInto(&out, batchOf(lower.Tuples))
+	j.FromProbeSideBatchInto(&out, batchOf(higher.Tuples))
 	b, p := j.Sizes()
 	if b != 64 || p != 64 {
 		t.Errorf("Sizes = (%d,%d), want (64,64)", b, p)

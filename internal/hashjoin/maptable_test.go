@@ -32,3 +32,20 @@ func (t *MapTable) Len() int { return t.n }
 
 // Attr returns the key attribute.
 func (t *MapTable) Attr() relation.Attr { return t.attr }
+
+// MapJoin joins two materialized relations the scalar way, through a
+// MapTable over the build operand: the oracle the batch state machine that
+// runs both join algorithms is checked against.
+func MapJoin(build, probe *relation.Relation, spec Spec) *relation.Relation {
+	ref := NewMapTable(spec.BuildAttr())
+	for _, tp := range build.Tuples {
+		ref.Insert(tp)
+	}
+	out := relation.New("oracle", build.TupleBytes)
+	for _, tp := range probe.Tuples {
+		for _, m := range ref.Matches(tp.Get(spec.ProbeAttr())) {
+			out.Append(spec.Result(m, tp))
+		}
+	}
+	return out
+}

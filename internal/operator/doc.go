@@ -36,13 +36,17 @@
 // # The join step
 //
 // Join is the state machine of one process: data on a port yields a result
-// batch in the buffer the driver brings; punctuation closes an operand. The
-// pipelining join probes and inserts symmetrically and stops inserting into
-// a table whose opposite operand has ended. The simple join holds probe
-// batches until the build operand has ended and then hands them back in
-// arrival order. Operators without join state (scan, collect, a Grace join
-// whose work happens elsewhere) use the same type for its punctuation count
-// alone.
+// batch in the buffer the driver brings; punctuation closes an operand. Both
+// join algorithms run on one hash-join state machine, hashjoin.Pipelining,
+// which probes and inserts symmetrically and stops inserting into a table
+// whose opposite operand has ended. The simple join is that machine without
+// its probe-side table: Join holds its probe batches until the build
+// operand has ended, closes the build side and then hands them back in
+// arrival order, so they only probe. Its probe operand never closes — it
+// can end while its batches are still held, and the build batches still to
+// come must go into the table. Operators without join state (scan,
+// collect, a Grace join whose work happens elsewhere) use the same type for
+// its punctuation count alone.
 //
 // The step is signed. An insertion batch probes the other table and then
 // extends its own; a deletion batch first retracts its rows from its own

@@ -7,22 +7,21 @@ import (
 )
 
 // Join is the input side of one operation process: the punctuation count of
-// its ports and, once started on a join operator, the simple or pipelining
-// hash-join state machine. It is not safe for concurrent use and needs no
-// hand-over: every driver applies a process's batches where the process
-// itself runs (the goroutine runtime on the goroutine of the worker that
-// hosts the process, inside its processor's slot).
+// its ports and, once started on a join operator, the hash-join state
+// machine. It is not safe for concurrent use and needs no hand-over: every
+// driver applies a process's batches where the process itself runs (the
+// goroutine runtime on the goroutine of the worker that hosts the process,
+// inside its processor's slot).
 type Join struct {
 	node      *Node
 	want, got [numPorts]int
 
-	// Exactly one is non-nil once a join operator has started.
-	simple *hashjoin.Simple
-	pipe   *hashjoin.Pipelining
-
-	buildDone bool
-	resident  bool  // a process of a resident network (Start)
-	held      []Msg // simple join: probe input that arrived during the build phase
+	// pipe is non-nil once a join operator has started. simple marks a
+	// simple join: it holds probe input until its build operand has ended.
+	pipe     *hashjoin.Pipelining
+	simple   bool
+	resident bool  // a process of a resident network (Start)
+	held     []Msg // simple join: probe input that arrived during the build phase
 }
 
 // Init binds the Join to a process of operator n: the punctuation counts
@@ -50,11 +49,12 @@ func (j *Join) Start(resident bool) {
 	n := j.node
 	spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
 	j.resident = resident
+	j.simple = n.Op.Kind == xra.OpSimpleJoin && !resident
 	switch {
+	case j.simple:
+		j.pipe = hashjoin.NewSimpleSized(spec, n.TableHint())
 	case n.Op.Kind == xra.OpPipeJoin || resident:
 		j.pipe = hashjoin.NewPipeliningSized(spec, n.TableHint())
-	case n.Op.Kind == xra.OpSimpleJoin:
-		j.simple = hashjoin.NewSimpleSized(spec, n.TableHint())
 	}
 }
 
@@ -62,7 +62,7 @@ func (j *Join) Start(resident bool) {
 // join whose build phase is still open. The batch stays owned by the
 // process until EOS hands it back.
 func (j *Join) Hold(m Msg) bool {
-	if j.simple == nil || m.Port != Probe || j.buildDone {
+	if !j.simple || m.Port != Probe || j.pipe.SideClosed(true) {
 		return false
 	}
 	j.held = append(j.held, m)
@@ -70,24 +70,18 @@ func (j *Join) Hold(m Msg) bool {
 }
 
 // ApplyInto joins one data batch into the result buffer the driver brings,
-// which it empties first, and returns it; nil when the input cannot produce
-// any (the simple join's build phase). Insertions probe, then insert. A
-// batch of deletions (Sign < 0, resident processes only) retracts each row
-// from the process's own table first, drops the rows that matched nothing —
-// counting them (Unmatched) — and probes the other table with the rest:
-// the result tuples to retract, emitted with the batch's sign. The caller
-// keeps ownership of m.Batch and of res.
+// which it empties first, and returns it (empty in a simple join's build
+// phase). Insertions probe, then insert. A batch of deletions (Sign < 0,
+// resident processes only) retracts each row from the process's own table
+// first, drops the rows that matched nothing — counting them (Unmatched) —
+// and probes the other table with the rest: the result tuples to retract,
+// emitted with the batch's sign. The caller keeps ownership of m.Batch and
+// of res.
 func (j *Join) ApplyInto(res *relation.Batch, m Msg) *relation.Batch {
-	if j.simple != nil && m.Port == Build {
-		j.simple.InsertBatch(m.Batch)
-		return nil
-	}
 	res.Reset()
 	switch {
 	case m.Sign < 0:
 		j.pipe.RetractInto(res, m.Batch, m.Port == Build)
-	case j.simple != nil:
-		j.simple.ProbeBatchInto(res, m.Batch)
 	case m.Port == Build:
 		j.pipe.FromBuildSideBatchInto(res, m.Batch)
 	default:
@@ -97,30 +91,30 @@ func (j *Join) ApplyInto(res *relation.Batch, m Msg) *relation.Batch {
 }
 
 // EOS counts one punctuation mark on port p. When it is the last one of the
-// port, the operand has ended: the pipelining join stops inserting the
-// other operand's tuples (no future match can need them), and the end of a
-// simple join's build phase returns the probe messages held meanwhile, in
-// arrival order, for the driver to apply before any later input. A resident
-// process's marks end rounds instead: the first mark after a complete round
-// starts the count afresh, and no operand ever ends.
+// port, the operand has ended: the join stops inserting the other operand's
+// tuples (no future match can need them), and the end of a simple join's
+// build phase returns the probe messages held meanwhile, in arrival order,
+// for the driver to apply before any later input. A simple join's probe
+// operand may end while its input is still held, so it never closes: the
+// build batches still to come must go into the table. A resident process's
+// marks end rounds instead: the first mark after a complete round starts
+// the count afresh, and no operand ever ends.
 func (j *Join) EOS(p Port) []Msg {
 	if j.resident && j.got == j.want {
 		j.got = [numPorts]int{}
 	}
 	j.got[p]++
-	if j.got[p] != j.want[p] || j.resident {
+	if j.pipe == nil || j.got[p] != j.want[p] || j.resident {
 		return nil
 	}
-	switch {
-	case j.pipe != nil && p == Build:
+	if p == Build {
 		j.pipe.CloseBuildSide()
-	case j.pipe != nil:
-		j.pipe.CloseProbeSide()
-	case j.simple != nil && p == Build:
-		j.buildDone = true
 		held := j.held
 		j.held = nil
 		return held
+	}
+	if !j.simple {
+		j.pipe.CloseProbeSide()
 	}
 	return nil
 }
@@ -131,10 +125,6 @@ func (j *Join) Done() bool { return j.got == j.want }
 
 // Release recycles the hash tables for the joins still running.
 func (j *Join) Release() {
-	if j.simple != nil {
-		j.simple.Release()
-		j.simple = nil
-	}
 	if j.pipe != nil {
 		j.pipe.Release()
 		j.pipe = nil
@@ -150,25 +140,20 @@ func (j *Join) Unmatched() int64 { return j.pipe.Unmatched() }
 
 // Resident returns the number of tuples held in the join's hash tables.
 func (j *Join) Resident() int {
-	switch {
-	case j.simple != nil:
-		return j.simple.BuildSize()
-	case j.pipe != nil:
-		b, p := j.pipe.Sizes()
-		return b + p
+	if j.pipe == nil {
+		return 0
 	}
-	return 0
+	b, p := j.pipe.Sizes()
+	return b + p
 }
 
-// Symmetric reports whether a tuple arriving on port p performs both table
-// actions of the pipelining join, probe and insert: the other operand is
-// still open and its table non-empty. Otherwise the tuple costs one action
-// like a simple join's — which is why FP degenerates to RD-like per-tuple
-// cost on linear trees (Figure 13).
+// Symmetric reports whether a tuple arriving on port p of a started join
+// performs both table actions of the pipelining join, probe and insert: the
+// other operand is still open and its table non-empty. Otherwise the tuple
+// costs one action like a simple join's — always, on a simple join, whose
+// probe-side table stays empty — which is why FP degenerates to RD-like
+// per-tuple cost on linear trees (Figure 13).
 func (j *Join) Symmetric(p Port) bool {
-	if j.pipe == nil {
-		return false
-	}
 	b, pr := j.pipe.Sizes()
 	if p == Build {
 		return !j.pipe.SideClosed(false) && pr > 0

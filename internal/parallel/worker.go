@@ -266,7 +266,7 @@ func (w *host) apply(p *proc, m operator.Msg) bool {
 		w.slot.Lock()
 		res := p.join.ApplyInto(w.res, m)
 		w.slot.Unlock()
-		if res != nil && !w.out.EmitFrom(p.pos, res, m.Sign) {
+		if !w.out.EmitFrom(p.pos, res, m.Sign) {
 			return false
 		}
 	}
