@@ -31,10 +31,12 @@ test:
 # Spill equivalence under a forcing budget (a subset of `make test`, kept
 # as its own target for a quick local check of the out-of-core path; CI
 # runs it as part of `make test`): every strategy on the spill runtime with
-# a budget small enough that every join spills at least one partition, plus
-# the Grace join differential tests, all under -race.
+# a budget small enough that every join spills at least one partition, the
+# Grace join differential tests, and the kernel's join step in its
+# out-of-core mode (operator.Join owns the Grace join; the goroutine runtime
+# only drives it), all under -race.
 spill-check:
-	$(GO) test -race -run 'TestSpill|TestGrace' ./internal/core ./internal/hashjoin
+	$(GO) test -race -run 'TestSpill|TestGrace|TestJoinStep' ./internal/core ./internal/hashjoin ./internal/operator ./internal/parallel
 
 # Fuzz smoke: 30 seconds each of the randomized differential harnesses —
 # seeded sizes, skewed cardinalities, all strategies and shapes. The exec

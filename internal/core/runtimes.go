@@ -38,10 +38,13 @@ func (simRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc, si
 // parallel): one worker goroutine and one inbox per operator and processor
 // slot, hosting the operator's processes on that slot, wall-clock time. It
 // is registered twice. "parallel" keeps every join operand in memory.
-// "spill" runs the same driver memory-budgeted: join operands are
-// hash-partitioned against a per-run budget (Options.MemoryBudget, default
-// spill.DefaultBudgetBytes), overflow partitions are serialized to temp
-// files, and every join runs Grace-style, partition-at-a-time — the
+// "spill" runs the same driver out of core by handing it a meter
+// (parallel.Config.Meter): a private spill.NewMeter(Options.MemoryBudget),
+// whose budget below 1 means spill.DefaultBudgetBytes, or under an Engine
+// the query's child of the shared one. Every join process then runs the
+// kernel's out-of-core step (operator.Join's Grace mode): join operands are
+// hash-partitioned against the budget, overflow partitions are serialized to
+// temp files, and the join drains partition-at-a-time — the
 // memory-constrained scenario class the in-memory runtimes cannot run: the
 // result multiset is identical, but peak tuple residency is bounded by the
 // budget instead of the operand sizes.
@@ -60,12 +63,6 @@ func (r poolRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc,
 		BatchTuples:  opts.BatchTuples,
 		ChannelDepth: opts.ChannelDepth,
 	}
-	if r.spill {
-		cfg.MemoryBudget = opts.MemoryBudget
-		if cfg.MemoryBudget < 1 {
-			cfg.MemoryBudget = spill.DefaultBudgetBytes
-		}
-	}
 	if s := opts.shared; s != nil {
 		// Engine session: shared processor slots, and for a spill query the
 		// engine's shared memory budget (a per-query child meter) replaces
@@ -75,6 +72,8 @@ func (r poolRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc,
 		if r.spill {
 			cfg.Meter = s.meter
 		}
+	} else if r.spill {
+		cfg.Meter = spill.NewMeter(opts.MemoryBudget)
 	}
 	res, err := parallel.RunStream(ctx, plan, base, cfg, sink)
 	if err != nil {

@@ -99,11 +99,12 @@ type engineState struct {
 	startup, handshake sim.Duration
 
 	// The collect process pushes result batches into sink; ctx backs the
-	// pushes and sinkErr records the first failed one (the run is then
-	// aborted at the next event boundary and further pushes are skipped).
-	ctx     context.Context
-	sink    Sink
-	sinkErr error
+	// pushes. err records the first failure, of a push (the run is then
+	// aborted at the next event boundary) or of a join step; further pushes
+	// are skipped and the run returns it.
+	ctx  context.Context
+	sink Sink
+	err  error
 
 	// pool recycles transport batches: every batch delivered between
 	// instances is drawn here by the producer's outbox and returned by the
@@ -203,8 +204,8 @@ func (e *engineState) run() (*RunResult, error) {
 	if _, err := e.sim.RunContext(e.ctx, fire); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	if e.sinkErr != nil {
-		return nil, fmt.Errorf("engine: %w", e.sinkErr)
+	if e.err != nil {
+		return nil, fmt.Errorf("engine: %w", e.err)
 	}
 	var last sim.Time
 	e.stats.OpDone = make(map[string]time.Duration, len(e.ops))

@@ -109,7 +109,7 @@ func (in *instance) tryActivate() {
 // the outbox, and enqueues a scan's work.
 func (in *instance) start() {
 	bt := in.e.params.BatchTuples
-	in.join.Start(false)
+	in.join.Start(false, nil)
 	if k := in.op.Op.Kind; k == xra.OpSimpleJoin || k == xra.OpPipeJoin {
 		in.res = in.e.results.Get()
 	}
@@ -211,7 +211,10 @@ func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batc
 		if m.Remote {
 			units += n * costmodel.UnitsNetReceive
 		}
-		results = in.join.ApplyInto(in.res, m)
+		var err error
+		if results, err = in.join.ApplyInto(in.res, m); err != nil && in.e.err == nil {
+			in.e.err = err
+		}
 		in.e.pool.Put(m.Batch)
 		in.e.addTableTuples(in.proc.ID, in.join.Resident()-before)
 		units += float64(results.Len()) * costmodel.UnitsResult
@@ -223,11 +226,11 @@ func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batc
 		// blocked Push pauses the simulation, and a failed one
 		// (cancellation) is recorded so the event loop aborts at its next
 		// ctx check without further pushes.
-		if in.e.sinkErr == nil {
+		if in.e.err == nil {
 			batch := m.Batch
 			cnt := batch.Len() // before Push: ownership transfers with it
 			if err := in.e.sink.Push(in.e.ctx, batch, func() { in.e.pool.Put(batch) }); err != nil {
-				in.e.sinkErr = err
+				in.e.err = err
 			} else {
 				in.e.stats.ResultTuples += cnt
 			}

@@ -346,9 +346,9 @@ func (g *Grace) releasePart(p *gracePart) {
 	}
 }
 
-// Close releases every partition (idempotent): the runtime calls it after
-// all goroutines exited, so a cancelled run leaks neither file descriptors
-// nor meter reservations.
+// Close releases every partition (idempotent). Its owner, an out-of-core
+// operator.Join, calls it from Release on every exit path of the process,
+// so a cancelled run leaks neither file descriptors nor meter reservations.
 func (g *Grace) Close() {
 	g.releaseDrain()
 	for i := range g.build {

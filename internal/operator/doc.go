@@ -4,7 +4,7 @@
 // seam package dist, and in its resident mode the materialized views of
 // package ivm). The paper's execution model is stated here once; the drivers
 // add only what is theirs — virtual time and event scheduling, processor
-// slots, Grace mode and resident rounds.
+// slots and resident rounds.
 //
 // # Process model
 //
@@ -44,9 +44,18 @@
 // operand has ended, closes the build side and then hands them back in
 // arrival order, so they only probe. Its probe operand never closes — it
 // can end while its batches are still held, and the build batches still to
-// come must go into the table. Operators without join state (scan,
-// collect, a Grace join whose work happens elsewhere) use the same type for
-// its punctuation count alone.
+// come must go into the table. Operators without join state (scan and
+// collect) use the same type for its punctuation count alone.
+//
+// The step has an out-of-core mode, for a run short of memory: Join.Start
+// given the run's Spill (meter, temp directory, accounted batch pool)
+// starts a Grace join (hashjoin.Grace) whatever the operator's algorithm.
+// Each batch is then partitioned by port — to disk once the meter is over
+// budget — and yields no result; nothing is held, punctuation only counts,
+// and Done means both operands have ended. Drain then joins the partitions
+// one at a time and produces every result, and Release closes the partition
+// files. Partitioning and draining may block on file I/O, so such a step
+// takes no processor slot (Join.TakesSlot). The simulator never runs it.
 //
 // The step is signed. An insertion batch probes the other table and then
 // extends its own; a deletion batch first retracts its rows from its own

@@ -3,6 +3,7 @@ package operator
 import (
 	"multijoin/internal/hashjoin"
 	"multijoin/internal/relation"
+	"multijoin/internal/spill"
 	"multijoin/internal/xra"
 )
 
@@ -16,12 +17,24 @@ type Join struct {
 	node      *Node
 	want, got [numPorts]int
 
-	// pipe is non-nil once a join operator has started. simple marks a
-	// simple join: it holds probe input until its build operand has ended.
+	// Once a join operator has started, pipe is its in-memory join or grace
+	// its out-of-core one. simple marks an in-memory simple join: it holds
+	// probe input until its build operand has ended.
 	pipe     *hashjoin.Pipelining
+	grace    *hashjoin.Grace
 	simple   bool
 	resident bool  // a process of a resident network (Start)
 	held     []Msg // simple join: probe input that arrived during the build phase
+}
+
+// Spill is what an out-of-core run lends its join processes: the memory
+// meter their buffered operands are accounted against, the temp directory
+// their partition files go to, and the accounted pool of the batches those
+// files are re-read into.
+type Spill struct {
+	Meter *spill.Meter
+	Dir   string
+	Pool  *relation.BatchPool
 }
 
 // Init binds the Join to a process of operator n: the punctuation counts
@@ -45,12 +58,19 @@ func (j *Join) Marks() int { return j.want[Build] + j.want[Probe] + j.want[In] }
 // view, fed signed deltas — is symmetric whatever the operator's algorithm,
 // since a view maintains both operands, and its punctuation ends a round,
 // not an operand, so no table ever closes.
-func (j *Join) Start(resident bool) {
+//
+// Given a run's spill resources, a join starts out of core instead, whatever
+// its algorithm: a Grace join (hashjoin.Grace) that partitions both operands
+// as they arrive, to disk once the meter is over budget, and produces every
+// result in Drain. It holds nothing, and its punctuation only counts.
+func (j *Join) Start(resident bool, sp *Spill) {
 	n := j.node
 	spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
 	j.resident = resident
-	j.simple = n.Op.Kind == xra.OpSimpleJoin && !resident
+	j.simple = n.Op.Kind == xra.OpSimpleJoin && !resident && sp == nil
 	switch {
+	case sp != nil && (n.Op.Kind == xra.OpSimpleJoin || n.Op.Kind == xra.OpPipeJoin):
+		j.grace = hashjoin.NewGrace(spec, sp.Meter, sp.Dir, sp.Pool)
 	case j.simple:
 		j.pipe = hashjoin.NewSimpleSized(spec, n.TableHint())
 	case n.Op.Kind == xra.OpPipeJoin || resident:
@@ -77,7 +97,17 @@ func (j *Join) Hold(m Msg) bool {
 // and probes the other table with the rest: the result tuples to retract,
 // emitted with the batch's sign. The caller keeps ownership of m.Batch and
 // of res.
-func (j *Join) ApplyInto(res *relation.Batch, m Msg) *relation.Batch {
+//
+// An out-of-core join partitions the batch by port instead, needs no res and
+// returns no result; its error is the partitioning's (spill I/O), the only
+// one the step can fail with.
+func (j *Join) ApplyInto(res *relation.Batch, m Msg) (*relation.Batch, error) {
+	switch {
+	case j.grace != nil && m.Port == Build:
+		return nil, j.grace.AddBuild(m.Batch)
+	case j.grace != nil:
+		return nil, j.grace.AddProbe(m.Batch)
+	}
 	res.Reset()
 	switch {
 	case m.Sign < 0:
@@ -87,7 +117,23 @@ func (j *Join) ApplyInto(res *relation.Batch, m Msg) *relation.Batch {
 	default:
 		j.pipe.FromProbeSideBatchInto(res, m.Batch)
 	}
-	return res
+	return res, nil
+}
+
+// TakesSlot reports whether the join's steps compute on the process's
+// processor. An out-of-core join's do not: partitioning and Drain may block
+// on file I/O, and a blocked process must not occupy a processor.
+func (j *Join) TakesSlot() bool { return j.grace == nil }
+
+// Drain produces an out-of-core join's results once both operands have
+// ended: it joins the partitions one at a time and hands each result batch to
+// emit, which must copy what it keeps and may abort the drain with an error.
+// On an in-memory join it does nothing.
+func (j *Join) Drain(emit func(*relation.Batch) error) error {
+	if j.grace == nil {
+		return nil
+	}
+	return j.grace.Drain(emit)
 }
 
 // EOS counts one punctuation mark on port p. When it is the last one of the
@@ -98,7 +144,8 @@ func (j *Join) ApplyInto(res *relation.Batch, m Msg) *relation.Batch {
 // operand may end while its input is still held, so it never closes: the
 // build batches still to come must go into the table. A resident process's
 // marks end rounds instead: the first mark after a complete round starts
-// the count afresh, and no operand ever ends.
+// the count afresh, and no operand ever ends. An out-of-core join, and an
+// operator without join state, only counts.
 func (j *Join) EOS(p Port) []Msg {
 	if j.resident && j.got == j.want {
 		j.got = [numPorts]int{}
@@ -120,14 +167,21 @@ func (j *Join) EOS(p Port) []Msg {
 }
 
 // Done reports whether every port has received all its punctuation — of the
-// current round, on a resident process.
+// current round, on a resident process. For an out-of-core join that means
+// both operands have ended, and Drain may run.
 func (j *Join) Done() bool { return j.got == j.want }
 
-// Release recycles the hash tables for the joins still running.
+// Release recycles the hash tables for the joins still running, or closes
+// the out-of-core join: its partition files and meter reservations go. It is
+// idempotent, so a driver may call it on every exit path.
 func (j *Join) Release() {
 	if j.pipe != nil {
 		j.pipe.Release()
 		j.pipe = nil
+	}
+	if j.grace != nil {
+		j.grace.Close()
+		j.grace = nil
 	}
 }
 

@@ -3,11 +3,15 @@ package operator
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"multijoin/internal/jointree"
 	"multijoin/internal/relation"
+	"multijoin/internal/spill"
 	"multijoin/internal/strategy"
 	"multijoin/internal/wisconsin"
 	"multijoin/internal/xra"
@@ -106,7 +110,11 @@ type feed struct {
 // two-way join with random interleavings of build batches, probe batches
 // and punctuation marks — several marks per port, as a redistribution edge
 // delivers them — and checks that the union of the results is the
-// sequential reference multiset, for the simple and the pipelining join.
+// sequential reference multiset, for the simple and the pipelining join, in
+// memory and out of core. Out of core, under the fuzz harness's 512-byte
+// budget, every process spills: nothing is held, no step emits, Done holds
+// after the last mark, Drain produces the results, and Release leaves the
+// meter at zero and the temp directory empty.
 func TestJoinStepInterleavings(t *testing.T) {
 	db := chainDB(t, 2, 500)
 	base := func(leaf int) *relation.Relation { return db.Relation(leaf) }
@@ -125,74 +133,142 @@ func TestJoinStepInterleavings(t *testing.T) {
 			}
 		}
 		const marks = 3 // punctuation marks per port
-		for seed := int64(0); seed < 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			got := relation.New("got", want.TupleBytes)
-			for idx := range jn.Op.Procs {
-				var j Join
-				j.Init(jn)
-				j.Expect(Build, marks)
-				j.Expect(Probe, marks)
-				j.Start(false)
-				// Per port: the fragment cut into random batches, with the
-				// marks at random positions but the last one at the end.
-				var sched [2][]feed
-				for p := Build; p <= Probe; p++ {
-					n := operands[p].Frags[idx].Len()
-					for lo := 0; lo < n; {
-						hi := min(n, lo+1+rng.Intn(40))
-						sched[p] = append(sched[p], feed{p, lo, hi})
-						lo = hi
-					}
-					for m := 0; m < marks-1; m++ {
-						sched[p] = slices.Insert(sched[p], rng.Intn(len(sched[p])+1), feed{port: p, lo: -1})
-					}
-					sched[p] = append(sched[p], feed{port: p, lo: -1})
-				}
-				var scratch relation.Batch
-				apply := func(m Msg) {
-					if res := j.ApplyInto(&scratch, m); res != nil {
-						res.AppendTo(got)
-					}
-				}
-				var heldOrder, releasedOrder []*relation.Batch
-				for len(sched[Build])+len(sched[Probe]) > 0 {
-					p := Port(rng.Intn(2))
-					if len(sched[p]) == 0 {
-						p = 1 - p
-					}
-					f := sched[p][0]
-					sched[p] = sched[p][1:]
-					if f.lo < 0 {
-						for _, h := range j.EOS(p) {
-							releasedOrder = append(releasedOrder, h.Batch)
-							apply(h)
-						}
-						continue
-					}
-					b := operands[p].Frags[idx].View(f.lo, f.hi)
-					m := Msg{Batch: &b, Port: p, Sign: Insert}
-					if j.Hold(m) {
-						heldOrder = append(heldOrder, m.Batch)
-						continue
-					}
-					apply(m)
-				}
-				if !j.Done() {
-					t.Fatalf("%v seed %d: join not done after all punctuation", kind, seed)
-				}
-				if !slices.Equal(heldOrder, releasedOrder) {
-					t.Fatalf("%v seed %d: %d held probe batches released out of arrival order", kind, seed, len(heldOrder))
-				}
-				if kind == strategy.FP && len(heldOrder) > 0 {
-					t.Fatalf("pipelining join held %d batches", len(heldOrder))
-				}
-				j.Release()
+		for _, outOfCore := range []bool{false, true} {
+			var sp *Spill
+			if outOfCore {
+				meter := spill.NewMeter(512)
+				sp = &Spill{Meter: meter, Dir: t.TempDir(), Pool: relation.NewBatchPoolAccounted(64, 4, meter.Add)}
 			}
-			if diff := relation.DiffMultiset(got, want); diff != "" {
-				t.Fatalf("%v seed %d: %s", kind, seed, diff)
+			for seed := int64(0); seed < 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				got := relation.New("got", want.TupleBytes)
+				for idx := range jn.Op.Procs {
+					var j Join
+					j.Init(jn)
+					j.Expect(Build, marks)
+					j.Expect(Probe, marks)
+					j.Start(false, sp)
+					spilled := 0
+					if sp != nil {
+						spilled = sp.Meter.Partitions()
+					}
+					// Per port: the fragment cut into random batches, with the
+					// marks at random positions but the last one at the end.
+					var sched [2][]feed
+					for p := Build; p <= Probe; p++ {
+						n := operands[p].Frags[idx].Len()
+						for lo := 0; lo < n; {
+							hi := min(n, lo+1+rng.Intn(40))
+							sched[p] = append(sched[p], feed{p, lo, hi})
+							lo = hi
+						}
+						for m := 0; m < marks-1; m++ {
+							sched[p] = slices.Insert(sched[p], rng.Intn(len(sched[p])+1), feed{port: p, lo: -1})
+						}
+						sched[p] = append(sched[p], feed{port: p, lo: -1})
+					}
+					var scratch relation.Batch
+					apply := func(m Msg) {
+						res, err := j.ApplyInto(&scratch, m)
+						switch {
+						case err != nil:
+							t.Fatal(err)
+						case sp != nil && res != nil:
+							t.Fatalf("%v seed %d: an out-of-core step returned a result", kind, seed)
+						case res != nil:
+							res.AppendTo(got)
+						}
+					}
+					var heldOrder, releasedOrder []*relation.Batch
+					for len(sched[Build])+len(sched[Probe]) > 0 {
+						p := Port(rng.Intn(2))
+						if len(sched[p]) == 0 {
+							p = 1 - p
+						}
+						f := sched[p][0]
+						sched[p] = sched[p][1:]
+						if f.lo < 0 {
+							for _, h := range j.EOS(p) {
+								releasedOrder = append(releasedOrder, h.Batch)
+								apply(h)
+							}
+							continue
+						}
+						b := operands[p].Frags[idx].View(f.lo, f.hi)
+						m := Msg{Batch: &b, Port: p, Sign: Insert}
+						if j.Hold(m) {
+							heldOrder = append(heldOrder, m.Batch)
+							continue
+						}
+						apply(m)
+					}
+					if !j.Done() {
+						t.Fatalf("%v seed %d: join not done after all punctuation", kind, seed)
+					}
+					if !slices.Equal(heldOrder, releasedOrder) {
+						t.Fatalf("%v seed %d: %d held probe batches released out of arrival order", kind, seed, len(heldOrder))
+					}
+					if (kind == strategy.FP || sp != nil) && len(heldOrder) > 0 {
+						t.Fatalf("%v seed %d: a pipelining or out-of-core join held %d batches", kind, seed, len(heldOrder))
+					}
+					if j.TakesSlot() != (sp == nil) {
+						t.Fatalf("%v seed %d: TakesSlot = %v out of core = %v", kind, seed, j.TakesSlot(), sp != nil)
+					}
+					err := j.Drain(func(res *relation.Batch) error {
+						res.AppendTo(got)
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					j.Release()
+					if sp != nil {
+						if sp.Meter.Partitions() == spilled {
+							t.Fatalf("%v seed %d: process %d spilled nothing", kind, seed, idx)
+						}
+						if live := sp.Meter.Live(); live != 0 {
+							t.Fatalf("%v seed %d: meter reads %d live bytes after Release", kind, seed, live)
+						}
+						if files, err := os.ReadDir(sp.Dir); err != nil || len(files) != 0 {
+							t.Fatalf("%v seed %d: %d files left in the temp directory (%v)", kind, seed, len(files), err)
+						}
+					}
+				}
+				if diff := relation.DiffMultiset(got, want); diff != "" {
+					t.Fatalf("%v out of core %v seed %d: %s", kind, outOfCore, seed, diff)
+				}
 			}
 		}
+	}
+}
+
+// TestJoinStepSpillDirMissing: an out-of-core join whose temp directory does
+// not exist fails the first step that spills with an error naming the path,
+// and Release still gives the meter back everything.
+func TestJoinStepSpillDirMissing(t *testing.T) {
+	db := chainDB(t, 2, 500)
+	w, _ := wire(t, strategy.SP, jointree.LeftLinear, 2, 1)
+	if err := w.Place(func(leaf int) *relation.Relation { return db.Relation(leaf) }); err != nil {
+		t.Fatal(err)
+	}
+	scan := w.Nodes[0]
+	meter := spill.NewMeter(512)
+	sp := &Spill{Meter: meter, Dir: filepath.Join(t.TempDir(), "missing"), Pool: relation.NewBatchPoolAccounted(64, 4, meter.Add)}
+	var j Join
+	j.Init(scan.Out.To)
+	j.Start(false, sp)
+	frag := scan.Frags[0]
+	var err error
+	for lo := 0; lo < frag.Len() && err == nil; lo += 16 {
+		b := frag.View(lo, min(lo+16, frag.Len()))
+		_, err = j.ApplyInto(nil, Msg{Batch: &b, Port: scan.Out.Port, Sign: Insert})
+	}
+	if err == nil || !strings.Contains(err.Error(), sp.Dir) {
+		t.Fatalf("spilling into a missing directory returned %v, want an error naming %s", err, sp.Dir)
+	}
+	j.Release()
+	if live := meter.Live(); live != 0 {
+		t.Fatalf("meter reads %d live bytes after Release", live)
 	}
 }
 

@@ -13,10 +13,10 @@
 //     slot p mod MaxProcs, and the operation processes of one operator whose
 //     processors share a slot form a host: one worker goroutine, one inbox
 //     (a channel of operator.Msg) and one outbox for all of them. Each
-//     hosted process keeps what is its own — hash tables, held probe input,
-//     punctuation count, its Grace join — and a message names the process it
-//     is for (Msg.To), so every batch is still one process's and the worker
-//     joins it in that process's state;
+//     hosted process keeps what is its own — its operator.Join: hash tables
+//     or Grace partitions, held probe input, punctuation count — and a
+//     message names the process it is for (Msg.To), so every batch is still
+//     one process's and the worker joins it in that process's state;
 //   - the streams of the plan exist as routing decisions and end-of-stream
 //     counts, not as channels or goroutines of their own, and what the
 //     transport carries follows the hosts: the shared outbox fills one
@@ -46,9 +46,12 @@
 //     into an unbounded stash (the simulator's "input arriving earlier is
 //     buffered") and replays it, message by message to the process
 //     addressed, once the dependencies complete;
-//   - with a memory budget, join processes run Grace-style partitioned
-//     joins (hashjoin.Grace) outside the slot — partitioning may block on
-//     file I/O — instead of the kernel's in-memory join step;
+//   - out of core (Config.Meter), every join process starts the kernel's
+//     out-of-core join step (operator.Join given the run's operator.Spill):
+//     it partitions its operands as they arrive, to disk once the meter is
+//     over budget, and drains the partitions after both have ended. The host
+//     asks the step whether it takes a slot, and this one does not, since it
+//     may block on file I/O;
 //   - in resident mode (RunResident, the network of a materialized view)
 //     the same hosts outlive a run: every join starts symmetric, so After
 //     dependencies are moot, and takes signed batches; a host that has the
@@ -83,7 +86,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"multijoin/internal/hashjoin"
 	"multijoin/internal/operator"
 	"multijoin/internal/relation"
 	"multijoin/internal/spill"
@@ -268,13 +270,25 @@ type Config struct {
 	// also the credit window of each node-crossing stream in the distributed
 	// runtime. Zero means DefaultChannelDepth.
 	ChannelDepth int
-	// MemoryBudget, when positive, switches the run to out-of-core mode
-	// (the "spill" runtime): live pooled batches and buffered join
-	// operands are accounted against the budget in bytes, join processes
-	// use Grace-style partitioned joins (hashjoin.Grace), and operand
-	// tuples overflowing the budget are serialized to temp-file partitions
-	// that are re-read partition-at-a-time once both operands ended. Zero
-	// keeps the in-memory pipelining execution.
+
+	// Pool, when set, executes this run's operator work on the slots of a
+	// shared, long-lived ProcPool instead of a private set — the engine
+	// session mode, where one set of modeled processors caps concurrent
+	// computation across every in-flight query. MaxProcs is ignored; the
+	// pool's size takes its place. Unless the run is out of core it also
+	// draws its batches from the pool's resident batch pools and places
+	// pinned base relations through the pool's placement cache.
+	Pool *ProcPool
+
+	// Meter, when set, switches the run to out-of-core mode (the "spill"
+	// runtime) and accounts it against the meter's budget: a private
+	// spill.NewMeter or an engine session's shared child. Live pooled
+	// batches and buffered join operands are accounted in bytes, every join
+	// process runs the kernel's out-of-core join step (a Grace join,
+	// hashjoin.Grace), and operand tuples overflowing the budget are
+	// serialized to temp-file partitions that are re-read
+	// partition-at-a-time once both operands ended. Nil keeps the in-memory
+	// pipelining execution. The caller owns the meter's lifecycle (Settle).
 	//
 	// Out-of-core mode trades the paper's pipelining for the memory
 	// bound: every join materializes (partitioned, possibly on disk)
@@ -288,28 +302,12 @@ type Config struct {
 	// structurally at ~1/hashjoin.GraceFanout of one operand per process,
 	// but the reservation is visible, so concurrent runs on a shared meter
 	// spill in response).
-	MemoryBudget int64
-
-	// Pool, when set, executes this run's operator work on the slots of a
-	// shared, long-lived ProcPool instead of a private set — the engine
-	// session mode, where one set of modeled processors caps concurrent
-	// computation across every in-flight query. MaxProcs is ignored; the
-	// pool's size takes its place. Unless the run is memory-budgeted it
-	// also draws its batches from the pool's resident batch pools and
-	// places pinned base relations through the pool's placement cache.
-	Pool *ProcPool
-
-	// Meter, when set, accounts this run against a shared memory budget
-	// (an engine session's spill.Meter child) instead of a private
-	// NewMeter(MemoryBudget). It implies out-of-core mode like a positive
-	// MemoryBudget, whose value is then ignored: the shared meter carries
-	// its own budget. The caller owns the meter's lifecycle (Settle).
 	Meter *spill.Meter
 
 	// Partial, when set, executes only the operation processes placed on
 	// this node and hands node-crossing streams to the configured transport
 	// (the distributed runtime's reuse seam — see Partial). Incompatible
-	// with Pool and with out-of-core mode (MemoryBudget/Meter).
+	// with Pool and with out-of-core mode (Meter).
 	Partial *Partial
 }
 
@@ -341,7 +339,7 @@ func (c Config) withDefaults(plan *xra.Plan) Config {
 		}
 	}
 	if c.BatchTuples < 1 {
-		if c.MemoryBudget > 0 || c.Meter != nil {
+		if c.Meter != nil {
 			c.BatchTuples = DefaultSpillBatchTuples
 		} else {
 			c.BatchTuples = DefaultBatchTuples
@@ -355,7 +353,7 @@ func (c Config) withDefaults(plan *xra.Plan) Config {
 
 // Stats is the unified counter set (operator.Stats); a parallel run fills
 // the structural counters, Goroutines, MaxProcs, OpDone and, when
-// Config.MemoryBudget was set, the out-of-core counters.
+// Config.Meter was set, the out-of-core counters.
 type Stats = operator.Stats
 
 // RunResult is the outcome of one parallel execution.
@@ -382,25 +380,6 @@ type opState struct {
 	wallDone  time.Duration // written by the closing host before close(done)
 }
 
-// spillState carries the out-of-core machinery of one budgeted run: the
-// memory meter, the per-run temp directory every partition file lives in,
-// and the Grace joins to close during cleanup.
-type spillState struct {
-	meter  *spill.Meter
-	dir    string
-	graces []*hashjoin.Grace
-}
-
-// cleanup closes every Grace join (releasing file descriptors and meter
-// reservations) and removes the run's temp directory wholesale. It must run
-// after every goroutine of the run has exited.
-func (s *spillState) cleanup() {
-	for _, g := range s.graces {
-		g.Close()
-	}
-	os.RemoveAll(s.dir)
-}
-
 // runtimeState carries one execution.
 type runtimeState struct {
 	wiring   *operator.Wiring
@@ -412,7 +391,7 @@ type runtimeState struct {
 	pools    map[int]*relation.BatchPool // batch capacity → pool; read-only once workers launch
 	results  *relation.BatchPool         // join hosts' result buffers; nil unless the run has in-memory joins
 	ops      []*opState                  // plan order, indexed by Node.Index
-	spill    *spillState                 // nil unless the run is budgeted (MemoryBudget/Meter)
+	spill    *operator.Spill             // what the joins spill into; nil unless the run is out of core
 	partial  *Partial                    // nil for whole-plan (single-node) runs
 	resident *Resident                   // nil unless the network is resident (RunResident)
 
@@ -422,12 +401,10 @@ type runtimeState struct {
 	sink         Sink
 	resultTuples int
 
-	// failOnce/failErr record the first internal failure (spill I/O); the
-	// recording goroutine cancels the run context so every other goroutine
-	// unwinds as if the caller had cancelled.
-	failOnce  sync.Once
-	failErr   error
-	cancelRun context.CancelFunc
+	// cancel ends the run: with nil when it is over, with the error when a
+	// goroutine fails (spill I/O). The first call sets ctx's cause, and every
+	// other goroutine unwinds as if the caller had cancelled.
+	cancel context.CancelCauseFunc
 
 	start      time.Time
 	wg         sync.WaitGroup
@@ -453,7 +430,7 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 		if cfg.Partial.Ingress == nil || cfg.Partial.Egress == nil {
 			return nil, fmt.Errorf("parallel: Partial needs Ingress and Egress transport hooks")
 		}
-		if cfg.Pool != nil || cfg.MemoryBudget > 0 || cfg.Meter != nil {
+		if cfg.Pool != nil || cfg.Meter != nil {
 			return nil, fmt.Errorf("parallel: Partial is incompatible with Pool and out-of-core mode")
 		}
 	}
@@ -461,39 +438,33 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 	if err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
-	defer r.cancelRun()
+	defer r.cancel(nil)
 	r.sink, r.partial = sink, cfg.Partial
-	if r.cfg.MemoryBudget > 0 || r.cfg.Meter != nil {
+	if r.cfg.Meter != nil {
+		// Every partition file lives in the run's temp directory. Each join
+		// closes its own as its host exits; removing the directory once every
+		// goroutine has exited is the backstop.
 		dir, err := os.MkdirTemp("", "mjspill-")
 		if err != nil {
 			return nil, fmt.Errorf("parallel: spill dir: %w", err)
 		}
-		meter := r.cfg.Meter
-		if meter == nil {
-			meter = spill.NewMeter(r.cfg.MemoryBudget)
-		}
-		r.spill = &spillState{meter: meter, dir: dir}
+		defer os.RemoveAll(dir)
+		r.spill = &operator.Spill{Meter: r.cfg.Meter, Dir: dir, Pool: r.transportPool(r.cfg.BatchTuples)}
 	}
 	if r.partial != nil && r.partial.BatchPool != nil {
 		r.pools[r.cfg.BatchTuples] = r.partial.BatchPool
 	}
 	if err := r.setup(base); err != nil {
-		if r.spill != nil {
-			r.spill.cleanup()
-		}
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
 	r.start = time.Now()
 	r.launch()
 	r.wg.Wait()
-	if r.spill != nil {
-		r.spill.cleanup()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
-	if r.failErr != nil {
-		return nil, fmt.Errorf("parallel: %w", r.failErr)
+	if err := context.Cause(r.ctx); err != nil {
+		return nil, fmt.Errorf("parallel: %w", err)
 	}
 	return r.finish(), nil
 }
@@ -512,22 +483,13 @@ func newRuntime(ctx context.Context, plan *xra.Plan, cfg Config) (*runtimeState,
 		pools:  make(map[int]*relation.BatchPool),
 		ops:    make([]*opState, len(w.Nodes)),
 	}
-	r.ctx, r.cancelRun = context.WithCancel(ctx)
+	r.ctx, r.cancel = context.WithCancelCause(ctx)
 	r.streams = plan.NumStreams()
 	r.retain = min(r.streams*(r.cfg.ChannelDepth+1), relation.MaxPoolRetain)
 	if r.procs == nil {
 		r.procs = NewProcPool(r.cfg.MaxProcs)
 	}
 	return r, nil
-}
-
-// fail records the first internal failure and cancels the run so every
-// goroutine unwinds; RunStream returns the recorded error.
-func (r *runtimeState) fail(err error) {
-	r.failOnce.Do(func() {
-		r.failErr = err
-		r.cancelRun()
-	})
 }
 
 // setup groups every operator's processes into hosts with one inbox each,
@@ -542,9 +504,7 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 	// end-of-stream mark per producer host on a redistributed port (producers
 	// precede consumers in plan order, so their hosts are known), and the
 	// inbox holds ChannelDepth batches per mark its host's processes wait
-	// for: per incoming stream as the transport carries it. In out-of-core
-	// mode every join process gets a Grace join up front (single-threaded
-	// here, so registration for cleanup needs no lock).
+	// for: per incoming stream as the transport carries it.
 	bySlot := make([]*host, r.procs.Size())
 	for i, n := range r.wiring.Nodes {
 		os := &opState{Node: n, procs: make([]proc, len(n.Op.Procs)), ready: make(chan struct{}), done: make(chan struct{})}
@@ -566,7 +526,7 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 			os.procs[idx].host = h
 			h.procs = append(h.procs, idx)
 		}
-		// What every process of the operator waits for, and its Grace join.
+		// What every process of the operator waits for.
 		var join operator.Join
 		join.Init(n)
 		for _, from := range n.In {
@@ -575,7 +535,6 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 			}
 		}
 		joins := n.Op.Kind == xra.OpSimpleJoin || n.Op.Kind == xra.OpPipeJoin
-		grace := joins && r.spill != nil
 		if joins && r.spill == nil && r.results == nil {
 			// Twice a transport batch: a probe yields about one match per
 			// row on the chain queries.
@@ -591,13 +550,7 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 			}
 			h.inbox = make(chan operator.Msg, max(1, r.cfg.ChannelDepth*join.Marks()*len(h.procs)))
 			for _, idx := range h.procs {
-				p := &os.procs[idx]
-				p.join = join
-				if grace {
-					spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
-					p.grace = hashjoin.NewGrace(spec, r.spill.meter, r.spill.dir, r.transportPool(r.cfg.BatchTuples))
-					r.spill.graces = append(r.spill.graces, p.grace)
-				}
+				os.procs[idx].join = join
 			}
 		}
 		os.remaining.Store(int32(os.locals))
@@ -747,15 +700,15 @@ func sizeTransportBatch(expected, max int) int {
 // transportPool returns the run's pool of batches with capacity bt, on
 // first use creating it: accounted against the run's meter when it has one,
 // the engine session's resident pool of that capacity under Config.Pool,
-// otherwise a pool that lives as long as the run. Only called from the
-// single-threaded setup.
+// otherwise a pool that lives as long as the run. Only called before the
+// workers launch.
 func (r *runtimeState) transportPool(bt int) *relation.BatchPool {
 	p := r.pools[bt]
 	switch {
 	case p != nil:
 		return p
-	case r.spill != nil:
-		p = relation.NewBatchPoolAccounted(bt, r.retain, r.spill.meter.Add)
+	case r.cfg.Meter != nil:
+		p = relation.NewBatchPoolAccounted(bt, r.retain, r.cfg.Meter.Add)
 	case r.cfg.Pool != nil:
 		p = r.cfg.Pool.batchPool(bt)
 	default:
@@ -830,10 +783,10 @@ func (r *runtimeState) finish() *RunResult {
 			res.Stats.AddTransport(h.out)
 		}
 	}
-	if r.spill != nil {
-		res.Stats.BytesSpilled = r.spill.meter.SpilledBytes()
-		res.Stats.SpillPartitions = r.spill.meter.Partitions()
-		res.Stats.SpillTime = r.spill.meter.IOTime()
+	if m := r.cfg.Meter; m != nil {
+		res.Stats.BytesSpilled = m.SpilledBytes()
+		res.Stats.SpillPartitions = m.Partitions()
+		res.Stats.SpillTime = m.IOTime()
 	}
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"multijoin/internal/operator"
 	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
+	"multijoin/internal/spill"
 	"multijoin/internal/strategy"
 	"multijoin/internal/wisconsin"
 	"multijoin/internal/xra"
@@ -302,6 +304,56 @@ func TestHostedCancel(t *testing.T) {
 			t.Errorf("%v after the cancelled runs: %s", kind, diff)
 		}
 		atBaseline(fmt.Sprintf("%v completed", kind))
+	}
+}
+
+// TestSpillCancelReleasesJoins: an out-of-core run whose hosts hold several
+// Grace joins each, cancelled from inside its result stream — the first
+// join drains while the others still hold their partitions — closes every
+// partition file as its hosts exit and leaves no temp directory; the same
+// run to completion matches the reference and leaves its meter at zero.
+func TestSpillCancelReleasesJoins(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	db := testDB(t, 5, 1000)
+	tree, err := jointree.BuildShape(jointree.LeftLinear, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Reference(db, tree)
+	fds := func() int {
+		ents, _ := os.ReadDir("/proc/self/fd")
+		return len(ents)
+	}
+	for _, kind := range strategy.Kinds {
+		plan, err := core.Query{DB: db, Tree: tree, Strategy: kind, Procs: 12}.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fds()
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := parallel.Config{MaxProcs: 2, Meter: spill.NewMeter(512)}
+		if _, err := parallel.RunStream(ctx, plan, db.Relation, cfg, sinkFunc(func(*relation.Batch) { cancel() })); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: run cancelled mid-query returned %v, want context.Canceled", kind, err)
+		}
+		if after := fds(); after > before {
+			t.Errorf("%v: %d open files after the cancelled run, %d before", kind, after, before)
+		}
+		cfg.Meter = spill.NewMeter(512)
+		got := &operator.Gather{Rel: relation.New("got", want.TupleBytes)}
+		res, err := parallel.RunStream(context.Background(), plan, db.Relation, cfg, got)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if diff := relation.DiffMultiset(got.Rel, want); diff != "" {
+			t.Errorf("%v: %s", kind, diff)
+		}
+		if res.Stats.SpillPartitions == 0 || cfg.Meter.Live() != 0 {
+			t.Errorf("%v: %d partitions spilled, %d bytes live after the run", kind, res.Stats.SpillPartitions, cfg.Meter.Live())
+		}
+		if left, _ := os.ReadDir(tmp); len(left) != 0 {
+			t.Errorf("%v: %d temp directories left", kind, len(left))
+		}
 	}
 }
 

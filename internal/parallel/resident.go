@@ -32,8 +32,9 @@ type Resident struct {
 // with cfg.MaxProcs slots) and draw batches from its resident pools; After
 // dependencies are moot, since every join is symmetric. The network runs
 // until ctx is cancelled or Close is called. A resident network runs in
-// memory on one node: cfg.Partial, MemoryBudget and Meter are ignored.
+// memory on one node: cfg.Partial and cfg.Meter are ignored.
 func RunResident(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config) (*Resident, error) {
+	cfg.Meter = nil
 	r, err := newRuntime(ctx, plan, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
@@ -41,7 +42,7 @@ func RunResident(ctx context.Context, plan *xra.Plan, base func(leaf int) *relat
 	s := &Resident{r: r, sources: make(map[int]*operator.Outbox)}
 	r.resident = s
 	if err := r.setup(base); err != nil {
-		r.cancelRun()
+		r.cancel(nil)
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
 	for _, os := range r.ops {
@@ -103,10 +104,10 @@ func (s *Resident) Round() (tableBytes, unmatched int64) {
 	return s.tables.Load(), s.unmatched.Swap(0)
 }
 
-// Close stops the network and returns once every host has exited. The
-// tables, and batches still in the inboxes, are left to the garbage
-// collector.
+// Close stops the network and returns once every host has exited, each
+// having released its processes' tables. Batches still in the inboxes are
+// left to the garbage collector.
 func (s *Resident) Close() {
-	s.r.cancelRun()
+	s.r.cancel(nil)
 	s.r.wg.Wait()
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"multijoin/internal/hashjoin"
 	"multijoin/internal/operator"
 	"multijoin/internal/relation"
 	"multijoin/internal/xra"
@@ -17,9 +16,11 @@ import (
 // The worker receives for all of them (operator.Msg.To names the process),
 // joins in the state of the addressed one and sends through the one outbox,
 // so what a redistribution edge costs in buffers, batches and end-of-stream
-// marks follows the number of hosts, not of processes. Only the join step
-// occupies the modeled processor: the worker takes the slot for one batch
-// and holds it across no channel operation.
+// marks follows the number of hosts, not of processes. Only a join step that
+// says it takes a slot (operator.Join.TakesSlot: an in-memory one; an
+// out-of-core step may block on file I/O) occupies the modeled processor:
+// the worker takes the slot for one batch and holds it across no channel
+// operation.
 type host struct {
 	r  *runtimeState
 	op *opState
@@ -56,30 +57,40 @@ type host struct {
 type proc struct {
 	host *host
 	pos  int // position in host.procs, which is how the outbox knows the process
-	// join holds the process's own tables, held probe input and punctuation
-	// count.
+	// join holds the process's own tables (or, out of core, its Grace
+	// partitions), held probe input and punctuation count.
 	join operator.Join
-	// grace replaces the kernel's in-memory join step when the run has a
-	// memory budget (Config.MemoryBudget): the operands are partitioned — to
-	// disk when over budget — and joined partition-at-a-time after both
-	// ended. join then only counts end-of-stream marks.
-	grace *hashjoin.Grace
 }
 
-// run is the worker goroutine body. It first buffers any input that arrives
-// while the operator's After dependencies are pending — draining the inbox
-// unconditionally is what makes dependency waiting deadlock-free: producers
-// are never blocked forever by a consumer that is not allowed to start yet.
-// Once the dependencies complete it replays the stash, each message to the
-// process it is addressed to, and then processes live input until every
-// incoming stream of every hosted process has ended. Only then does it
+// run is the worker goroutine body: it serves the hosted processes (work)
+// and, on every exit path — cancellation and failure included — releases
+// their joins, before reporting the operator complete when they finished.
+func (w *host) run() {
+	defer w.r.wg.Done()
+	finished := w.work()
+	for _, i := range w.procs {
+		w.op.procs[i].join.Release()
+	}
+	if finished && w.op.remaining.Add(-1) == 0 {
+		w.op.wallDone = time.Since(w.r.start)
+		close(w.op.done)
+	}
+}
+
+// work first buffers any input that arrives while the operator's After
+// dependencies are pending — draining the inbox unconditionally is what makes
+// dependency waiting deadlock-free: producers are never blocked forever by a
+// consumer that is not allowed to start yet. Once the dependencies complete
+// it replays the stash, each message to the process it is addressed to, and
+// then processes live input until every incoming stream of every hosted
+// process has ended. Only then does it drain the out-of-core joins and
 // punctuate: a destination is ended once per host, after the last hosted
 // process that could still send to it. A resident host has no dependencies
 // to wait for (its joins are symmetric) and never runs out of input: at the
 // end of every round it forwards the round's marks and waits for the next,
-// until the network is closed.
-func (w *host) run() {
-	defer w.r.wg.Done()
+// until the network is closed. work reports whether the hosted processes
+// finished.
+func (w *host) work() bool {
 	var stash []operator.Msg // input that arrived while After dependencies were pending
 	for waiting := len(w.op.After) > 0 && w.r.resident == nil; waiting; {
 		m, ok := w.next(w.op.ready)
@@ -92,17 +103,19 @@ func (w *host) run() {
 			}
 			stash = append(stash, m)
 		case w.r.ctx.Err() != nil:
-			return
+			return false
 		default:
 			waiting = false
 		}
 	}
 	kind := w.op.Op.Kind
-	if w.r.spill == nil && (kind == xra.OpSimpleJoin || kind == xra.OpPipeJoin) {
-		w.res = w.r.results.Get()
-		defer w.r.results.Put(w.res)
+	if kind == xra.OpSimpleJoin || kind == xra.OpPipeJoin {
 		for _, i := range w.procs {
-			w.op.procs[i].join.Start(w.r.resident != nil)
+			w.op.procs[i].join.Start(w.r.resident != nil, w.r.spill)
+		}
+		if w.r.results != nil {
+			w.res = w.r.results.Get()
+			defer w.r.results.Put(w.res)
 		}
 	}
 	// Scan work is a column copy into pooled transport batches and is not
@@ -110,61 +123,45 @@ func (w *host) run() {
 	if kind == xra.OpScan {
 		for k, i := range w.procs {
 			if !w.out.EmitFrom(k, &w.op.Frags[i], operator.Insert) {
-				return
+				return false
 			}
 		}
 	}
 	for _, m := range stash {
 		if !w.handle(m) {
-			return
+			return false
 		}
 	}
 	for w.open > 0 {
 		m, ok := w.next(nil)
 		if !ok || !w.handle(m) {
-			return
+			return false
 		}
 		if w.open == 0 && w.r.resident != nil && !w.endRound() {
-			return
+			return false
 		}
 	}
 	if w.r.ctx.Err() != nil {
 		// Cancelled while draining: the partial output must not be
 		// reported as a completed operator.
-		return
+		return false
 	}
+	// An out-of-core join produces its results only now, outside the slot
+	// like its partitioning; the drain ends early on a lost delivery.
 	for k, i := range w.procs {
-		g := w.op.procs[i].grace
-		if g == nil {
-			break // the run is not budgeted, or this is no join
-		}
-		// Out-of-core join: both operands have ended; join the partitions
-		// one at a time, emitting result chunks downstream. This runs
-		// outside the processor's slot — it may block on file I/O and on
-		// downstream inbox sends, and blocked processes must not occupy a
-		// processor.
-		err := g.Drain(func(results *relation.Batch) error {
-			w.out.EmitFrom(k, results, operator.Insert)
-			return w.r.ctx.Err()
+		err := w.op.procs[i].join.Drain(func(res *relation.Batch) error {
+			if !w.out.EmitFrom(k, res, operator.Insert) {
+				return w.r.ctx.Err()
+			}
+			return nil
 		})
 		if err != nil {
-			if w.r.ctx.Err() == nil {
-				w.r.fail(err)
-			}
-			return
+			w.r.cancel(err)
+			return false
 		}
 	}
 	// Flush remaining buffers and end every outgoing stream.
-	if w.out != nil && !(w.out.Flush() && w.out.Punctuate()) {
-		return
-	}
-	for _, i := range w.procs {
-		w.op.procs[i].join.Release()
-	}
-	if w.op.remaining.Add(-1) == 0 {
-		w.op.wallDone = time.Since(w.r.start)
-		close(w.op.done)
-	}
+	return w.out == nil || w.out.Flush() && w.out.Punctuate()
 }
 
 // endRound ends a round of a resident host, whose processes have all seen
@@ -231,13 +228,12 @@ func (w *host) handle(m operator.Msg) bool {
 	return w.apply(p, m)
 }
 
-// apply consumes one data batch for hosted process p: a join computes in its
-// processor's slot — or partitions into its Grace join — and emits the
-// result downstream, the collect hands the batch to the sink. The exhausted
-// batch returns to the pool.
+// apply consumes one data batch for hosted process p: a join step computes —
+// in its processor's slot if it takes one — and emits any result
+// downstream, the collect hands the batch to the sink. The exhausted batch
+// returns to the pool.
 func (w *host) apply(p *proc, m operator.Msg) bool {
-	switch {
-	case w.op.Op.Kind == xra.OpCollect:
+	if w.op.Op.Kind == xra.OpCollect {
 		// Ownership transfers with the Push; the consumer's release
 		// (invoked on its Next past the batch, or during Close-drain)
 		// returns it to the run's pool. Push blocks until the consumer
@@ -250,25 +246,21 @@ func (w *host) apply(p *proc, m operator.Msg) bool {
 		}
 		w.r.resultTuples += n
 		return true
-	case p.grace != nil:
-		// Partitioning may block on file I/O, which must not occupy a
-		// modeled processor: it takes no slot. The join produces all output
-		// in the drain after both operands ended.
-		add := p.grace.AddProbe
-		if m.Port == operator.Build {
-			add = p.grace.AddBuild
-		}
-		if err := add(m.Batch); err != nil {
-			w.r.fail(err)
-			return false
-		}
-	default:
+	}
+	slot := p.join.TakesSlot()
+	if slot {
 		w.slot.Lock()
-		res := p.join.ApplyInto(w.res, m)
+	}
+	res, err := p.join.ApplyInto(w.res, m)
+	if slot {
 		w.slot.Unlock()
-		if !w.out.EmitFrom(p.pos, res, m.Sign) {
-			return false
-		}
+	}
+	if err != nil {
+		w.r.cancel(err)
+		return false
+	}
+	if res != nil && !w.out.EmitFrom(p.pos, res, m.Sign) {
+		return false
 	}
 	w.r.putBatch(m.Batch)
 	return true
