@@ -1,7 +1,7 @@
 # Single source of truth for the commands CI and humans run.
 GO ?= go
 
-.PHONY: all build lint test bench examples fuzz-smoke pooldebug spill-check throughput-smoke dist-smoke calibrate-smoke serve-smoke ivm-smoke sim-golden loc clean
+.PHONY: all build lint test allocs bench examples fuzz-smoke pooldebug spill-check throughput-smoke dist-smoke calibrate-smoke serve-smoke ivm-smoke sim-golden loc clean
 
 all: build lint test
 
@@ -27,6 +27,16 @@ lint:
 test:
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Allocation bounds: every test that pins how often a kernel allocates (a
+# join's table life, a batch insert, a delete, a simulator event, a view
+# round, a heap push and pop, a row decode, a control frame, an outbox), in
+# a build without -race. `make test` runs only under the race detector,
+# whose sync.Pool drops recycled memory at random, so the bounds that count
+# on recycled table memory skip there.
+ALLOC_TESTS = TestSimpleJoinCost|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox
+allocs:
+	$(GO) test -count=1 -run '^($(ALLOC_TESTS))$$' ./internal/hashjoin ./internal/engine ./internal/ivm ./internal/sim ./internal/relation ./internal/serve ./internal/operator
 
 # Spill equivalence under a forcing budget (a subset of `make test`, kept
 # as its own target for a quick local check of the out-of-core path; CI

@@ -1,8 +1,9 @@
 // Pipelining demonstrates the difference between the simple (build-probe)
 // hash-join and the pipelining (symmetric) hash-join of Section 2.3.2 at the
 // algorithm level: the pipelining join emits result tuples long before its
-// operands are complete, at the price of a second hash table. It then shows
-// the system-level consequence: on a linear pipeline, FP's response time
+// operands are complete, at the price of a second hash table, which it
+// holds only while both operands are open. It then shows the system-level
+// consequence: on a linear pipeline, FP's response time
 // beats a strategy without inter-operator pipelining.
 package main
 
@@ -48,12 +49,20 @@ func main() {
 	}
 	bt, pt := pipe.Sizes()
 	fmt.Printf("pipelining hash-join: first result after %d consumed tuples,\n", firstAt)
-	fmt.Printf("  half the output after %d of %d; memory: %d + %d tuples (two tables)\n\n",
-		halfAt, 2*n, bt, pt)
+	fmt.Printf("  half the output after %d of %d; memory: %d + %d tuples (two tables, %d KiB)\n",
+		halfAt, 2*n, bt, pt, pipe.MemBytes()>>10)
+	// Once an operand has ended nothing can probe the other operand's table
+	// again, and the join gives it back.
+	pipe.CloseProbeSide()
+	bt, pt = pipe.Sizes()
+	fmt.Printf("  after the probe operand ends: %d + %d tuples (one table, %d KiB)\n\n",
+		bt, pt, pipe.MemBytes()>>10)
+	pipe.Release()
 
-	// The simple join is the same state machine without the probe-side
-	// table: the build phase consumes the whole operand and closes it.
-	simple := hashjoin.NewSimpleSized(spec, n)
+	// The simple join is the same state machine whose build phase consumes
+	// the whole operand and closes it before probing: it never creates the
+	// probe-side table.
+	simple := hashjoin.NewPipeliningSized(spec, n)
 	out.Reset()
 	simple.FromBuildSideBatchInto(&out, &lb)
 	simple.CloseBuildSide()

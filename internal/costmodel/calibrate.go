@@ -141,8 +141,8 @@ func Calibrate(opt CalibrateOptions) (Calibration, error) {
 		hashTimes := make([]float64, 0, rounds)
 		probeTimes := make([]float64, 0, rounds)
 		for r := 0; r < rounds; r++ {
-			j := hashjoin.NewSimpleSized(spec, n)
-			start := time.Now()
+			j := hashjoin.NewPipeliningSized(spec, n)
+			start := time.Now() // the timed build creates its table, as a real one does
 			j.FromBuildSideBatchInto(&scratch, build)
 			j.CloseBuildSide()
 			hashTimes = append(hashTimes, float64(time.Since(start)))

@@ -128,9 +128,6 @@ func (e *engineState) addTableTuples(procID, delta int) {
 	if delta == 0 {
 		return
 	}
-	if e.tableNow == nil {
-		e.tableNow = make(map[int]int)
-	}
 	e.tableNow[procID] += delta
 	e.tableSum += delta
 	if e.tableNow[procID] > e.stats.PeakTableTuplesPerProc {
@@ -155,12 +152,13 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 		params.BatchTuples = 1
 	}
 	e := &engineState{
-		sim:     sim.New[event](),
-		machine: sim.NewMachine(params.RecordUtilization),
-		params:  params,
-		ctx:     ctx,
-		sink:    sink,
-		ops:     make([]*opState, len(w.Nodes)),
+		sim:      sim.New[event](),
+		machine:  sim.NewMachine(params.RecordUtilization),
+		params:   params,
+		ctx:      ctx,
+		sink:     sink,
+		ops:      make([]*opState, len(w.Nodes)),
+		tableNow: make(map[int]int),
 	}
 	if params.EventLimit > 0 {
 		e.sim.SetEventLimit(params.EventLimit)

@@ -73,8 +73,12 @@ type instance struct {
 	finished   bool
 
 	join operator.Join
-	res  *relation.Batch  // a join's result buffer, from the run's result pool
-	out  *operator.Outbox // nil for collect
+	// tables counts the tuples the process added to its hash tables. The
+	// paper holds a process's tables until it finishes, so the count leaves
+	// the processor's accounting then, whatever the join gave back before.
+	tables int
+	res    *relation.Batch  // a join's result buffer, from the run's result pool
+	out    *operator.Outbox // nil for collect
 
 	// scanChunks are per-batch views of the scan's pre-placed fragment,
 	// queued as messages (chunk-at-a-time cost events without copying the
@@ -216,7 +220,9 @@ func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batc
 			in.e.err = err
 		}
 		in.e.pool.Put(m.Batch)
-		in.e.addTableTuples(in.proc.ID, in.join.Resident()-before)
+		added := in.join.Resident() - before
+		in.tables += added
+		in.e.addTableTuples(in.proc.ID, added)
 		units += float64(results.Len()) * costmodel.UnitsResult
 	case xra.OpCollect:
 		// Gathering at the scheduler host is free and identical for every
@@ -250,7 +256,7 @@ func (in *instance) maybeFinish() {
 		return
 	}
 	in.finished = true
-	in.e.addTableTuples(in.proc.ID, -in.join.Resident())
+	in.e.addTableTuples(in.proc.ID, -in.tables)
 	in.join.Release()
 	in.e.results.Put(in.res)
 	if in.out != nil {

@@ -155,7 +155,7 @@ func TestProbeBatchIntoMatchesMapTable(t *testing.T) {
 			build.AppendTuple(tp)
 			ref.Insert(tp)
 		}
-		j := NewSimpleSized(spec, nBuild)
+		j := NewPipeliningSized(spec, nBuild)
 		var got relation.Batch
 		j.FromBuildSideBatchInto(&got, &build)
 		j.CloseBuildSide()
@@ -339,7 +339,7 @@ func BenchmarkHashTable_SimpleJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := NewSimpleSized(Spec{BuildIsLower: true}, n)
+		j := NewPipeliningSized(Spec{BuildIsLower: true}, n)
 		dst.Reset()
 		for lo := 0; lo < n; lo += batchTuples {
 			sub := build.View(lo, min(lo+batchTuples, n))

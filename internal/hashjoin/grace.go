@@ -240,7 +240,7 @@ func (g *Grace) Drain(emit func(results *relation.Batch) error) error {
 			g.drainBytes = fileBytes
 		}
 		// A simple join's build batches match nothing: scratch stays empty.
-		j := NewSimpleSized(g.spec, bp.tuples)
+		j := NewPipeliningSized(g.spec, bp.tuples)
 		if bp.file != nil {
 			start := time.Now()
 			err := bp.file.ReadBatches(g.pool, func(batch *relation.Batch) error {

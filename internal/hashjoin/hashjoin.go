@@ -11,9 +11,9 @@
 //   - the simple hash-join: a two-phase build-probe algorithm that first
 //     builds a hash table over its build (inner/"left") operand and then
 //     streams the probe (outer/"right") operand through it. It is the
-//     pipelining join without its second table (NewSimpleSized): its caller
-//     ends the build operand before the first probe batch, after which the
-//     pipelining join inserts nothing more and only probes.
+//     pipelining join whose caller ends the build operand before the first
+//     probe batch: the pipelining join then inserts nothing more, only
+//     probes, and never creates its second table.
 //
 // The state machine works on columnar batches; the execution engine drives
 // it and separately accounts simulated time. Join runs it over two
@@ -138,8 +138,9 @@ const radixBuckets = 256
 // fixed (for n up to 128 and tables below 2^25 slots). gracePartition meets
 // the same hazard with a salted hash.
 //
-// A nil *Table is the empty table a simple join has instead of a probe-side
-// table: it matches nothing, and Len, MemBytes and Release read it as empty.
+// A nil *Table is the empty table of a join side that has none — not yet, or
+// no longer (see Pipelining): it matches nothing, Len, MemBytes and Release
+// read it as empty, and Pipelining.RetractInto finds nothing to delete in it.
 type Table struct {
 	attr relation.Attr
 	keys []int64 // keys[s] is meaningful only when head[s] != 0
@@ -656,40 +657,50 @@ func (t *Table) Attr() relation.Attr { return t.attr }
 // where every build operand is a base relation that ends quickly, the
 // pipelining join therefore degenerates to simple-hash-join behaviour —
 // which is why RD and FP coincide on right-linear trees (Figure 13). The
-// simple join is that behaviour from the start (NewSimpleSized).
+// simple join is that behaviour from the start: its caller closes the build
+// side before the first probe batch.
+//
+// A side's table exists only while it can still be probed. It is created,
+// sized from the constructor's hint, by the first batch inserted into it, so
+// a side whose other operand ended first never gets one; and closing an
+// operand gives back the other side's table, which no future arrival can
+// probe, to the recycle pool. A simple join therefore holds one table for
+// its whole life, a pipelining join two only while both operands are open,
+// and a resident join, which never closes a side, both.
 //
 // A batch goes into a table through InsertBatchRadix, so a whole
 // materialized operand (the sequential reference, a Grace partition) is
 // built slot-ordered, while transport batches take the plain bulk insert.
 type Pipelining struct {
 	spec        Spec
-	buildTable  *Table // tuples seen on the build side
-	probeTable  *Table // tuples seen on the probe side; nil for a simple join
+	hint        int    // the capacity a table is created with
+	buildTable  *Table // tuples seen on the build side; nil when it has none
+	probeTable  *Table // tuples seen on the probe side; nil when it has none
 	buildClosed bool
 	probeClosed bool
 	heads       []int32 // probeBatch scratch
 	unmatched   int64   // RetractInto's dropped rows since the last Unmatched
 }
 
-// NewPipeliningSized returns a fresh pipelining hash-join whose two tables
-// each have capacity for hint tuples before any growth.
+// NewPipeliningSized returns a fresh hash-join holding no table yet; each
+// table it creates has capacity for hint tuples before any growth. Used as
+// a simple (build-probe) join, the caller closes the build side before the
+// first probe batch — the engine holds early probe input, which is exactly
+// the blocking behaviour of the algorithm — and must not close the probe
+// side before the build side: the held probe input has not been applied
+// yet, and the build batches still to come need the table.
 func NewPipeliningSized(spec Spec, hint int) *Pipelining {
-	return &Pipelining{
-		spec:       spec,
-		buildTable: NewTableSized(spec.BuildAttr(), hint),
-		probeTable: NewTableSized(spec.ProbeAttr(), hint),
-	}
+	return &Pipelining{spec: spec, hint: hint}
 }
 
-// NewSimpleSized returns a fresh simple (build-probe) hash-join whose table
-// has capacity for hint build tuples before any growth: a pipelining join
-// that never allocates its probe-side table. The caller must close the
-// build side before the first probe batch — the engine holds early probe
-// input, which is exactly the blocking behaviour of the algorithm — and
-// must not close the probe side before the build side: the held probe
-// input has not been applied yet.
-func NewSimpleSized(spec Spec, hint int) *Pipelining {
-	return &Pipelining{spec: spec, buildTable: NewTableSized(spec.BuildAttr(), hint)}
+// insert adds b to a side's table t, creating the table on the side's first
+// insert, and returns it.
+func (j *Pipelining) insert(t *Table, attr relation.Attr, b *relation.Batch) *Table {
+	if t == nil {
+		t = NewTableSized(attr, j.hint)
+	}
+	t.InsertBatchRadix(b)
+	return t
 }
 
 // FromBuildSideBatchInto consumes a columnar batch arriving on the build
@@ -701,7 +712,7 @@ func NewSimpleSized(spec Spec, hint int) *Pipelining {
 func (j *Pipelining) FromBuildSideBatchInto(dst, b *relation.Batch) {
 	j.heads = probeBatch(dst, j.probeTable, b, j.spec.BuildAttr(), j.spec.BuildIsLower, j.heads)
 	if !j.probeClosed {
-		j.buildTable.InsertBatchRadix(b)
+		j.buildTable = j.insert(j.buildTable, j.spec.BuildAttr(), b)
 	}
 }
 
@@ -710,7 +721,7 @@ func (j *Pipelining) FromBuildSideBatchInto(dst, b *relation.Batch) {
 func (j *Pipelining) FromProbeSideBatchInto(dst, b *relation.Batch) {
 	j.heads = probeBatch(dst, j.buildTable, b, j.spec.ProbeAttr(), !j.spec.BuildIsLower, j.heads)
 	if !j.buildClosed {
-		j.probeTable.InsertBatchRadix(b)
+		j.probeTable = j.insert(j.probeTable, j.spec.ProbeAttr(), b)
 	}
 }
 
@@ -718,15 +729,16 @@ func (j *Pipelining) FromProbeSideBatchInto(dst, b *relation.Batch) {
 // (the build operand when build is set): each row is deleted from that
 // operand's table, the rows found probe the other table — appending to dst
 // the result tuples they had produced — and the rows that matched nothing
-// are dropped, since they cannot have contributed, and counted (Unmatched).
-// b is compacted in place to the rows found.
+// are dropped, since they cannot have contributed, and counted (Unmatched):
+// on a side with no table yet, every row. b is compacted in place to the
+// rows found.
 func (j *Pipelining) RetractInto(dst, b *relation.Batch, build bool) {
 	own, other, attr, lower := j.probeTable, j.buildTable, j.spec.ProbeAttr(), !j.spec.BuildIsLower
 	if build {
 		own, other, attr, lower = j.buildTable, j.probeTable, j.spec.BuildAttr(), j.spec.BuildIsLower
 	}
 	n, k := b.Len(), 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && own != nil; i++ {
 		if own.Delete(b.Tuple(i)) {
 			b.U1[k], b.U2[k], b.Check[k] = b.U1[i], b.U2[i], b.Check[i]
 			k++
@@ -745,16 +757,26 @@ func (j *Pipelining) Unmatched() int64 {
 	return u
 }
 
-// MemBytes returns the resident size of both tables (Table.MemBytes); a
-// simple join's missing probe-side table counts as empty.
+// MemBytes returns the resident size of the tables the join holds
+// (Table.MemBytes); a side without one counts as empty.
 func (j *Pipelining) MemBytes() int64 { return j.buildTable.MemBytes() + j.probeTable.MemBytes() }
 
 // CloseBuildSide declares the build operand ended: probe-side tuples stop
-// being inserted (one table action per tuple instead of two).
-func (j *Pipelining) CloseBuildSide() { j.buildClosed = true }
+// being inserted (one table action per tuple instead of two), and the
+// probe-side table, which no build tuple will probe again, is given back.
+func (j *Pipelining) CloseBuildSide() {
+	j.buildClosed = true
+	j.probeTable.Release()
+	j.probeTable = nil
+}
 
-// CloseProbeSide declares the probe operand ended.
-func (j *Pipelining) CloseProbeSide() { j.probeClosed = true }
+// CloseProbeSide declares the probe operand ended and gives back the
+// build-side table, symmetrically to CloseBuildSide.
+func (j *Pipelining) CloseProbeSide() {
+	j.probeClosed = true
+	j.buildTable.Release()
+	j.buildTable = nil
+}
 
 // SideClosed reports whether the given side (build=true) has ended.
 func (j *Pipelining) SideClosed(build bool) bool {
@@ -765,8 +787,9 @@ func (j *Pipelining) SideClosed(build bool) bool {
 }
 
 // Sizes returns the number of tuples stored in the build- and probe-side
-// tables; the pipelining algorithm's extra memory cost is their sum, and a
-// simple join's probe size is always 0.
+// tables; the pipelining algorithm's extra memory cost is their sum while
+// both operands are open. A side without a table — a simple join's probe
+// side, the side whose other operand has ended — reports 0.
 func (j *Pipelining) Sizes() (build, probe int) {
 	return j.buildTable.Len(), j.probeTable.Len()
 }
@@ -800,7 +823,7 @@ func Join(build, probe *relation.Relation, spec Spec, pipelined bool) *relation.
 			j.FromProbeSideBatchInto(&res, &p)
 		}
 	} else {
-		j = NewSimpleSized(spec, bb.Len())
+		j = NewPipeliningSized(spec, bb.Len())
 		j.FromBuildSideBatchInto(&res, &bb)
 		j.CloseBuildSide()
 		j.FromProbeSideBatchInto(&res, &pb)

@@ -236,7 +236,7 @@ func TestPipeliningEmitsEarly(t *testing.T) {
 	}
 	// The simple join by contrast produces nothing until its probe phase,
 	// which the engine only enters after the full build.
-	s := NewSimpleSized(Spec{BuildIsLower: true}, 0)
+	s := NewPipeliningSized(Spec{BuildIsLower: true}, 0)
 	out.Reset()
 	s.FromBuildSideBatchInto(&out, batchOf([]relation.Tuple{{Unique2: 1, Check: 1}}))
 	if b, p := s.Sizes(); b != 1 || p != 0 || out.Len() != 0 {
@@ -300,9 +300,9 @@ func TestPipeliningCloseCorrectness(t *testing.T) {
 // TestSimpleJoinCost pins what a simple join costs. After a build of n rows
 // and one probe it holds the n build rows and no probe-side table at all:
 // Sizes (n, 0) and the MemBytes of its build table. One join's life —
-// construct, one 256-row build batch, close the build side, one probe
-// batch, Release — allocates at most 3 times for a simple join and 6 for a
-// pipelining one, with the table memory recycled.
+// construct, one 256-row batch on a side, close that side, one batch on the
+// other side, Release — builds one table, whichever side it is, and
+// allocates at most 3 times, with the table memory recycled.
 func TestSimpleJoinCost(t *testing.T) {
 	const n = 256
 	var build, probe relation.Batch
@@ -313,7 +313,7 @@ func TestSimpleJoinCost(t *testing.T) {
 	spec := Spec{BuildIsLower: true}
 	dst := relation.NewBatch(2 * n)
 
-	s := NewSimpleSized(spec, n)
+	s := NewPipeliningSized(spec, n)
 	s.FromBuildSideBatchInto(dst, &build)
 	s.CloseBuildSide()
 	s.FromProbeSideBatchInto(dst, &probe)
@@ -328,21 +328,102 @@ func TestSimpleJoinCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops recycled table memory at random")
 	}
-	simple := testing.AllocsPerRun(100, func() { joinLife(NewSimpleSized(spec, n), dst, &build, &probe) })
-	pipe := testing.AllocsPerRun(100, func() { joinLife(NewPipeliningSized(spec, n), dst, &build, &probe) })
-	t.Logf("allocations per life: simple join %.0f, pipelining join %.0f", simple, pipe)
-	if simple > 3 || pipe > 6 {
-		t.Errorf("allocations per life: simple join %.0f, pipelining join %.0f; want at most 3 and 6", simple, pipe)
+	for _, buildFirst := range []bool{true, false} {
+		allocs := testing.AllocsPerRun(100, func() { joinLife(NewPipeliningSized(spec, n), dst, &build, &probe, buildFirst) })
+		t.Logf("allocations per life (build side first %v): %.0f", buildFirst, allocs)
+		if allocs > 3 {
+			t.Errorf("allocations per life (build side first %v): %.0f, want at most 3", buildFirst, allocs)
+		}
 	}
 }
 
-// joinLife runs the rest of one join's life on j: one build batch, the
-// build side closed, one probe batch into dst, Release.
-func joinLife(j *Pipelining, dst, build, probe *relation.Batch) {
+// joinLife runs the rest of one join's life on j: one batch on the first
+// side — the build side when buildFirst is set — that side closed, one batch
+// on the other side into dst, Release.
+func joinLife(j *Pipelining, dst, build, probe *relation.Batch, buildFirst bool) {
 	dst.Reset()
-	j.FromBuildSideBatchInto(dst, build)
-	j.CloseBuildSide()
-	j.FromProbeSideBatchInto(dst, probe)
+	if buildFirst {
+		j.FromBuildSideBatchInto(dst, build)
+		j.CloseBuildSide()
+		j.FromProbeSideBatchInto(dst, probe)
+	} else {
+		j.FromProbeSideBatchInto(dst, probe)
+		j.CloseProbeSide()
+		j.FromBuildSideBatchInto(dst, build)
+	}
+	j.Release()
+}
+
+// TestPipeliningTableLifecycle pins when a join holds which table: none
+// while fresh; both while both operands are open; after an operand ends,
+// only the ended operand's own table, which the other side still probes;
+// and none ever for a side whose other operand ended before its first batch.
+func TestPipeliningTableLifecycle(t *testing.T) {
+	const n = 64
+	lower, higher := makeOperands(n, 7)
+	spec := Spec{BuildIsLower: true}
+	for _, closeBuild := range []bool{false, true} {
+		j := NewPipeliningSized(spec, n)
+		if m := j.MemBytes(); m != 0 {
+			t.Fatalf("a fresh join holds %d bytes of tables", m)
+		}
+		var out relation.Batch
+		j.FromBuildSideBatchInto(&out, batchOf(lower.Tuples))
+		j.FromProbeSideBatchInto(&out, batchOf(higher.Tuples))
+		if b, p := j.Sizes(); b != n || p != n || j.MemBytes() != j.buildTable.MemBytes()+j.probeTable.MemBytes() {
+			t.Fatalf("both operands open: Sizes (%d,%d), want (%d,%d)", b, p, n, n)
+		}
+		live := j.buildTable
+		if closeBuild {
+			j.CloseBuildSide()
+		} else {
+			j.CloseProbeSide()
+			live = j.probeTable
+		}
+		b, p := j.Sizes()
+		if closeBuild && (b != n || p != 0 || j.probeTable != nil) || !closeBuild && (b != 0 || p != n || j.buildTable != nil) {
+			t.Errorf("build side closed %v: Sizes (%d,%d), the other operand's table not given back", closeBuild, b, p)
+		}
+		if j.MemBytes() != live.MemBytes() {
+			t.Errorf("build side closed %v: MemBytes %d, the live table's %d", closeBuild, j.MemBytes(), live.MemBytes())
+		}
+		j.Release()
+	}
+
+	// The other operand ended first: batches on this side only probe.
+	j := NewPipeliningSized(spec, n)
+	j.CloseProbeSide()
+	b := batchOf(lower.Tuples)
+	dst := relation.NewBatch(n)
+	j.FromBuildSideBatchInto(dst, b)
+	if j.buildTable != nil || j.MemBytes() != 0 {
+		t.Fatalf("a build side whose probe operand had ended created a table of %d bytes", j.MemBytes())
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { dst.Reset(); j.FromBuildSideBatchInto(dst, b) }); allocs != 0 {
+		t.Errorf("a build batch after the probe operand ended allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestRetractWithoutTable: a deletion on a side that has no table yet — a
+// resident join whose first round on the operand is a delete — finds
+// nothing: every row is unmatched and nothing is emitted, however much the
+// other side's table holds.
+func TestRetractWithoutTable(t *testing.T) {
+	lower, higher := makeOperands(32, 8)
+	j := NewPipeliningSized(Spec{BuildIsLower: true}, 0)
+	var out relation.Batch
+	j.FromProbeSideBatchInto(&out, batchOf(higher.Tuples))
+	del := batchOf(lower.Tuples)
+	j.RetractInto(&out, del, true)
+	if out.Len() != 0 || del.Len() != 0 || j.buildTable != nil {
+		t.Errorf("a retraction without a table emitted %d rows and kept %d", out.Len(), del.Len())
+	}
+	if u := j.Unmatched(); u != 32 {
+		t.Errorf("Unmatched = %d, want 32", u)
+	}
 	j.Release()
 }
 

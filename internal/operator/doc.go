@@ -38,14 +38,17 @@
 // Join is the state machine of one process: data on a port yields a result
 // batch in the buffer the driver brings; punctuation closes an operand. Both
 // join algorithms run on one hash-join state machine, hashjoin.Pipelining,
-// which probes and inserts symmetrically and stops inserting into a table
-// whose opposite operand has ended. The simple join is that machine without
-// its probe-side table: Join holds its probe batches until the build
-// operand has ended, closes the build side and then hands them back in
-// arrival order, so they only probe. Its probe operand never closes — it
-// can end while its batches are still held, and the build batches still to
-// come must go into the table. Operators without join state (scan and
-// collect) use the same type for its punctuation count alone.
+// which probes and inserts symmetrically and holds a table only while it
+// can still be probed: a side's table is created by its first insert, no
+// insert goes into a table whose opposite operand has ended, and that table
+// is given back the moment the opposite operand ends. The simple join is
+// that machine driven so that it never creates its probe-side table: Join
+// holds its probe batches until the build operand has ended, closes the
+// build side and then hands them back in arrival order, so they only probe.
+// Its probe operand never closes — it can end while its batches are still
+// held, and the build batches still to come must go into the table.
+// Operators without join state (scan and collect) use the same type for its
+// punctuation count alone.
 //
 // The step has an out-of-core mode, for a run short of memory: Join.Start
 // given the run's Spill (meter, temp directory, accounted batch pool)

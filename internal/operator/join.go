@@ -51,10 +51,13 @@ func (j *Join) Expect(p Port, marks int) { j.want[p] = marks }
 func (j *Join) Marks() int { return j.want[Build] + j.want[Probe] + j.want[In] }
 
 // Start creates the join algorithm's state once the process may begin
-// (processes that wait on After dependencies hold no tables meanwhile):
-// hash tables sized from the operator's estimated per-process operand
-// cardinality so steady-state inserts never rehash. On operators other than
-// joins it does nothing. A resident join — a process of a materialized
+// (processes that wait on After dependencies hold no tables meanwhile). Both
+// algorithms are one hash-join, whose tables come into being on their
+// first insert, sized from the operator's estimated per-process operand
+// cardinality so steady-state inserts never rehash; a simple join differs
+// only in holding its probe input until the build operand has ended (Hold,
+// EOS), so it never creates a probe-side table. On operators other than
+// joins Start does nothing. A resident join — a process of a materialized
 // view, fed signed deltas — is symmetric whatever the operator's algorithm,
 // since a view maintains both operands, and its punctuation ends a round,
 // not an operand, so no table ever closes.
@@ -69,11 +72,10 @@ func (j *Join) Start(resident bool, sp *Spill) {
 	j.resident = resident
 	j.simple = n.Op.Kind == xra.OpSimpleJoin && !resident && sp == nil
 	switch {
-	case sp != nil && (n.Op.Kind == xra.OpSimpleJoin || n.Op.Kind == xra.OpPipeJoin):
+	case n.Op.Kind != xra.OpSimpleJoin && n.Op.Kind != xra.OpPipeJoin:
+	case sp != nil:
 		j.grace = hashjoin.NewGrace(spec, sp.Meter, sp.Dir, sp.Pool)
-	case j.simple:
-		j.pipe = hashjoin.NewSimpleSized(spec, n.TableHint())
-	case n.Op.Kind == xra.OpPipeJoin || resident:
+	default:
 		j.pipe = hashjoin.NewPipeliningSized(spec, n.TableHint())
 	}
 }
@@ -138,14 +140,15 @@ func (j *Join) Drain(emit func(*relation.Batch) error) error {
 
 // EOS counts one punctuation mark on port p. When it is the last one of the
 // port, the operand has ended: the join stops inserting the other operand's
-// tuples (no future match can need them), and the end of a simple join's
-// build phase returns the probe messages held meanwhile, in arrival order,
-// for the driver to apply before any later input. A simple join's probe
-// operand may end while its input is still held, so it never closes: the
-// build batches still to come must go into the table. A resident process's
-// marks end rounds instead: the first mark after a complete round starts
-// the count afresh, and no operand ever ends. An out-of-core join, and an
-// operator without join state, only counts.
+// tuples (no future match can need them) and gives back the other
+// operand's table (no future tuple can probe it), and the end of a simple
+// join's build phase returns the probe messages held meanwhile, in arrival
+// order, for the driver to apply before any later input. A simple join's
+// probe operand may end while its input is still held, so it never closes:
+// the build batches still to come must go into the table. A resident
+// process's marks end rounds instead: the first mark after a complete round
+// starts the count afresh, and no operand ever ends. An out-of-core join,
+// and an operator without join state, only counts.
 func (j *Join) EOS(p Port) []Msg {
 	if j.resident && j.got == j.want {
 		j.got = [numPorts]int{}
@@ -185,14 +188,17 @@ func (j *Join) Release() {
 	}
 }
 
-// MemBytes returns the resident size of a resident process's two tables.
+// MemBytes returns the resident size of a resident process's tables.
 func (j *Join) MemBytes() int64 { return j.pipe.MemBytes() }
 
 // Unmatched returns how many of a resident process's deletions found no row
 // to retract since the last call.
 func (j *Join) Unmatched() int64 { return j.pipe.Unmatched() }
 
-// Resident returns the number of tuples held in the join's hash tables.
+// Resident returns the number of tuples held in the join's hash tables now:
+// once an operand has ended, only the tables still probed count, so a
+// driver that holds a process's tables until it finishes (the simulator's
+// accounting) must count what it added rather than read this again.
 func (j *Join) Resident() int {
 	if j.pipe == nil {
 		return 0

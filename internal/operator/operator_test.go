@@ -111,10 +111,14 @@ type feed struct {
 // and punctuation marks — several marks per port, as a redistribution edge
 // delivers them — and checks that the union of the results is the
 // sequential reference multiset, for the simple and the pipelining join, in
-// memory and out of core. Out of core, under the fuzz harness's 512-byte
-// budget, every process spills: nothing is held, no step emits, Done holds
-// after the last mark, Drain produces the results, and Release leaves the
-// meter at zero and the temp directory empty.
+// memory, out of core and resident. Out of core, under the fuzz harness's
+// 512-byte budget, every process spills: nothing is held, no step emits,
+// Done holds after the last mark, Drain produces the results, and Release
+// leaves the meter at zero and the temp directory empty. In memory, a
+// pipelining join holds after a port's last mark only that port's table,
+// which the other port still probes, and no table once both have ended. A
+// resident process keeps both tables, and its round opens with a deletion
+// on a port that has seen no insert: it finds nothing and emits nothing.
 func TestJoinStepInterleavings(t *testing.T) {
 	db := chainDB(t, 2, 500)
 	base := func(leaf int) *relation.Relation { return db.Relation(leaf) }
@@ -133,7 +137,8 @@ func TestJoinStepInterleavings(t *testing.T) {
 			}
 		}
 		const marks = 3 // punctuation marks per port
-		for _, outOfCore := range []bool{false, true} {
+		for _, arm := range []struct{ outOfCore, resident bool }{{false, false}, {true, false}, {false, true}} {
+			outOfCore, resident := arm.outOfCore, arm.resident
 			var sp *Spill
 			if outOfCore {
 				meter := spill.NewMeter(512)
@@ -147,7 +152,7 @@ func TestJoinStepInterleavings(t *testing.T) {
 					j.Init(jn)
 					j.Expect(Build, marks)
 					j.Expect(Probe, marks)
-					j.Start(false, sp)
+					j.Start(resident, sp)
 					spilled := 0
 					if sp != nil {
 						spilled = sp.Meter.Partitions()
@@ -168,7 +173,18 @@ func TestJoinStepInterleavings(t *testing.T) {
 						sched[p] = append(sched[p], feed{port: p, lo: -1})
 					}
 					var scratch relation.Batch
+					if resident {
+						p := Port(rng.Intn(2))
+						del := relation.NewBatch(8)
+						del.AppendRange(&operands[p].Frags[idx], 0, 8)
+						res, err := j.ApplyInto(&scratch, Msg{Batch: del, Port: p, Sign: Delete})
+						if err != nil || res.Len() != 0 || j.Unmatched() != 8 {
+							t.Fatalf("%v seed %d: a deletion on a port with no insert emitted %d rows (err %v)", kind, seed, res.Len(), err)
+						}
+					}
+					var applied [2]int // rows applied per port
 					apply := func(m Msg) {
+						applied[m.Port] += m.Batch.Len()
 						res, err := j.ApplyInto(&scratch, m)
 						switch {
 						case err != nil:
@@ -192,6 +208,16 @@ func TestJoinStepInterleavings(t *testing.T) {
 								releasedOrder = append(releasedOrder, h.Batch)
 								apply(h)
 							}
+							tables := applied[p]
+							switch {
+							case resident:
+								tables = applied[Build] + applied[Probe]
+							case len(sched[1-p]) == 0:
+								tables = 0 // both operands have ended
+							}
+							if len(sched[p]) == 0 && (kind == strategy.FP && sp == nil || resident) && j.Resident() != tables {
+								t.Fatalf("%v seed %d resident %v: %d tuples in tables after port %d ended, want %d", kind, seed, resident, j.Resident(), p, tables)
+							}
 							continue
 						}
 						b := operands[p].Frags[idx].View(f.lo, f.hi)
@@ -208,8 +234,8 @@ func TestJoinStepInterleavings(t *testing.T) {
 					if !slices.Equal(heldOrder, releasedOrder) {
 						t.Fatalf("%v seed %d: %d held probe batches released out of arrival order", kind, seed, len(heldOrder))
 					}
-					if (kind == strategy.FP || sp != nil) && len(heldOrder) > 0 {
-						t.Fatalf("%v seed %d: a pipelining or out-of-core join held %d batches", kind, seed, len(heldOrder))
+					if (kind == strategy.FP || sp != nil || resident) && len(heldOrder) > 0 {
+						t.Fatalf("%v seed %d: a pipelining, out-of-core or resident join held %d batches", kind, seed, len(heldOrder))
 					}
 					if j.TakesSlot() != (sp == nil) {
 						t.Fatalf("%v seed %d: TakesSlot = %v out of core = %v", kind, seed, j.TakesSlot(), sp != nil)
@@ -235,7 +261,7 @@ func TestJoinStepInterleavings(t *testing.T) {
 					}
 				}
 				if diff := relation.DiffMultiset(got, want); diff != "" {
-					t.Fatalf("%v out of core %v seed %d: %s", kind, outOfCore, seed, diff)
+					t.Fatalf("%v out of core %v resident %v seed %d: %s", kind, outOfCore, resident, seed, diff)
 				}
 			}
 		}
