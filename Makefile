@@ -30,13 +30,14 @@ test:
 
 # Allocation bounds: every test that pins how often a kernel allocates (a
 # join's table life, a batch insert, a delete, a simulator event, a view
-# round, a heap push and pop, a row decode, a control frame, an outbox), in
-# a build without -race. `make test` runs only under the race detector,
+# round, a heap push and pop, a row decode, a control frame, an outbox, a
+# scan's lent view, an RD query on a warmed engine), in a build without
+# -race. `make test` runs only under the race detector,
 # whose sync.Pool drops recycled memory at random, so the bounds that count
 # on recycled table memory skip there.
-ALLOC_TESTS = TestSimpleJoinCost|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox
+ALLOC_TESTS = TestSimpleJoinCost|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox|TestLendAllocFree|TestRDQueryAllocs
 allocs:
-	$(GO) test -count=1 -run '^($(ALLOC_TESTS))$$' ./internal/hashjoin ./internal/engine ./internal/ivm ./internal/sim ./internal/relation ./internal/serve ./internal/operator
+	$(GO) test -count=1 -run '^($(ALLOC_TESTS))$$' ./internal/hashjoin ./internal/engine ./internal/ivm ./internal/sim ./internal/relation ./internal/serve ./internal/operator ./internal/core
 
 # Spill equivalence under a forcing budget (a subset of `make test`, kept
 # as its own target for a quick local check of the out-of-core path; CI

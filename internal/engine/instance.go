@@ -45,8 +45,10 @@ func fire(ev event) {
 			in.next()
 		}
 	case evWorkDone:
-		if ev.m.Batch != nil && ev.m.Batch.Len() > 0 {
-			in.out.Emit(ev.m.Batch, operator.Insert)
+		if b := ev.m.Batch; b != nil && in.op.Out.Local {
+			in.out.Lend(0, b) // a scan's chunk, as it is
+		} else if b != nil && b.Len() > 0 {
+			in.out.Emit(b, operator.Insert)
 		}
 		in.next()
 	}
@@ -80,9 +82,10 @@ type instance struct {
 	res    *relation.Batch  // a join's result buffer, from the run's result pool
 	out    *operator.Outbox // nil for collect
 
-	// scanChunks are per-batch views of the scan's pre-placed fragment,
-	// queued as messages (chunk-at-a-time cost events without copying the
-	// fragment). Scan views stay out of the batch pool.
+	// scanChunks are the scan's pre-placed fragment lent as batch-sized views
+	// (relation.Batch.Lend), queued as messages: chunk-at-a-time cost events
+	// without copying the fragment. On a local edge a chunk travels on as it
+	// is (Outbox.Lend); a redistribution scatters it into pooled batches.
 	scanChunks []relation.Batch
 }
 
@@ -121,12 +124,7 @@ func (in *instance) start() {
 		in.out = operator.NewOutbox(in.op.Node, in.idx, in.e.pool, bt, in)
 	}
 	if in.op.Op.Kind == xra.OpScan {
-		frag := &in.op.Frags[in.idx]
-		n := frag.Len()
-		in.scanChunks = make([]relation.Batch, 0, (n+bt-1)/bt)
-		for lo := 0; lo < n; lo += bt {
-			in.scanChunks = append(in.scanChunks, frag.View(lo, min(lo+bt, n)))
-		}
+		in.scanChunks = in.op.Frags[in.idx].Lend(bt)
 		for k := range in.scanChunks {
 			in.queue = append(in.queue, operator.Msg{Batch: &in.scanChunks[k]})
 		}
@@ -192,8 +190,7 @@ func (in *instance) next() {
 // units (Section 4.3: hash=1, net receive=1, result create+send=2) and any
 // result batch to emit. Join results live in the instance's result buffer
 // until the next apply, and the emit event consumes them before; exhausted
-// input batches return to the batch pool (scan chunks are borrowed views of
-// the base relation fragment and stay out of the pool).
+// input batches return to the batch pool, which drops the scans' lent views.
 func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batch) {
 	n := float64(m.Batch.Len())
 	switch in.op.Op.Kind {

@@ -157,6 +157,9 @@ type Table struct {
 	live  int   // inserted minus deleted tuples
 	mask  uint64
 	shift uint // 64 - log2(slots): hash >> shift is a home slot
+	// heads is the scratch of the batches that probe the table (probe),
+	// recycled with its memory.
+	heads []int32
 }
 
 // hashKey mixes a join-attribute value for slot addressing: relation.HashKey's
@@ -179,9 +182,10 @@ func NewTable(attr relation.Attr) *Table { return NewTableSized(attr, 0) }
 
 // tableMem is the recyclable backing memory of one Table: the slot arrays
 // of one power-of-two slot class plus the arena columns that grew on top of
-// them. Join tables are born and die with every operation process, so
-// recycling their backing store removes the dominant allocation (and the
-// page-zeroing that comes with it) from the per-query cost.
+// them, and the probe scratch. Join tables are born and die with every
+// operation process, so recycling their backing store removes the dominant
+// allocation (and the page-zeroing that comes with it) from the per-query
+// cost.
 type tableMem struct {
 	keys  []int64
 	head  []int32
@@ -189,6 +193,7 @@ type tableMem struct {
 	u2    []int64
 	check []uint64
 	next  []int32
+	heads []int32
 }
 
 // tablePools recycles table backing memory by slot class; index i holds
@@ -212,9 +217,10 @@ func (t *Table) Release() {
 		u2:    t.u2[:0],
 		check: t.check[:0],
 		next:  t.next[:0],
+		heads: t.heads,
 	}
 	t.keys, t.head = nil, nil
-	t.u1, t.u2, t.check, t.next = nil, nil, nil, nil
+	t.u1, t.u2, t.check, t.next, t.heads = nil, nil, nil, nil, nil
 	t.free, t.used, t.live, t.mask, t.shift = 0, 0, 0, 0, 0
 	tablePools[bits.TrailingZeros(uint(slots))].Put(m)
 }
@@ -235,7 +241,7 @@ func NewTableSized(attr relation.Attr, hint int) *Table {
 			m.head[i] = 0
 		}
 		t.keys, t.head = m.keys, m.head
-		t.u1, t.u2, t.check, t.next = m.u1, m.u2, m.check, m.next
+		t.u1, t.u2, t.check, t.next, t.heads = m.u1, m.u2, m.check, m.next, m.heads
 	} else {
 		t.keys = make([]int64, slots)
 		t.head = make([]int32, slots)
@@ -554,8 +560,8 @@ func (t *Table) DeleteBatch(b *relation.Batch) int {
 // probeIsLower orients the result: the paper's chain join emits
 // (lower.Unique1, higher.Unique2, combined check) regardless of which
 // operand built the table. heads is the caller's reusable scratch,
-// returned re-sliced: it is sized to the batch's capacity at once, so a
-// process whose input batches come from one pool allocates it a single time.
+// returned re-sliced: it is sized to the batch's capacity at once, so the
+// batches of one pool need it allocated a single time.
 // An empty table matches nothing, so the probe returns at once: FP's
 // pipelining joins probe empty tables while their first operand streams in,
 // and a simple join's build batches probe the nil table it has instead of a
@@ -615,6 +621,15 @@ func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.At
 // tuple; heads is the caller's reusable scratch, returned re-sliced.
 func (t *Table) ProbeBatchInto(dst *relation.Batch, b *relation.Batch, pa relation.Attr, probeIsLower bool, heads []int32) []int32 {
 	return probeBatch(dst, t, b, pa, probeIsLower, heads)
+}
+
+// probe is probeBatch with the table's own scratch, which the recycle pool
+// hands on with its memory: the joins' probes allocate none once the pool is
+// warm. A nil table matches nothing.
+func (t *Table) probe(dst, b *relation.Batch, pa relation.Attr, probeIsLower bool) {
+	if t.Len() > 0 {
+		t.heads = probeBatch(dst, t, b, pa, probeIsLower, t.heads)
+	}
 }
 
 // Matches returns the tuples whose key attribute equals k (nil if none).
@@ -678,8 +693,7 @@ type Pipelining struct {
 	probeTable  *Table // tuples seen on the probe side; nil when it has none
 	buildClosed bool
 	probeClosed bool
-	heads       []int32 // probeBatch scratch
-	unmatched   int64   // RetractInto's dropped rows since the last Unmatched
+	unmatched   int64 // RetractInto's dropped rows since the last Unmatched
 }
 
 // NewPipeliningSized returns a fresh hash-join holding no table yet; each
@@ -710,7 +724,7 @@ func (j *Pipelining) insert(t *Table, attr relation.Attr, b *relation.Batch) *Ta
 // inserting is equivalent to the per-tuple interleave because the two
 // tables index different operands.
 func (j *Pipelining) FromBuildSideBatchInto(dst, b *relation.Batch) {
-	j.heads = probeBatch(dst, j.probeTable, b, j.spec.BuildAttr(), j.spec.BuildIsLower, j.heads)
+	j.probeTable.probe(dst, b, j.spec.BuildAttr(), j.spec.BuildIsLower)
 	if !j.probeClosed {
 		j.buildTable = j.insert(j.buildTable, j.spec.BuildAttr(), b)
 	}
@@ -719,7 +733,7 @@ func (j *Pipelining) FromBuildSideBatchInto(dst, b *relation.Batch) {
 // FromProbeSideBatchInto consumes a columnar batch arriving on the probe
 // operand, symmetrically to FromBuildSideBatchInto.
 func (j *Pipelining) FromProbeSideBatchInto(dst, b *relation.Batch) {
-	j.heads = probeBatch(dst, j.buildTable, b, j.spec.ProbeAttr(), !j.spec.BuildIsLower, j.heads)
+	j.buildTable.probe(dst, b, j.spec.ProbeAttr(), !j.spec.BuildIsLower)
 	if !j.buildClosed {
 		j.probeTable = j.insert(j.probeTable, j.spec.ProbeAttr(), b)
 	}
@@ -746,7 +760,7 @@ func (j *Pipelining) RetractInto(dst, b *relation.Batch, build bool) {
 	}
 	b.U1, b.U2, b.Check = b.U1[:k], b.U2[:k], b.Check[:k]
 	j.unmatched += int64(n - k)
-	j.heads = probeBatch(dst, other, b, attr, lower, j.heads)
+	other.probe(dst, b, attr, lower)
 }
 
 // Unmatched returns how many deletions RetractInto dropped since the last

@@ -81,12 +81,14 @@
 // emits (EmitFrom), on a redistribution edge they fill one buffer per
 // consumer process between them, and on a local edge each keeps the
 // destination of its own index — a buffer is for one consumer process either
-// way. The transport counters are taken where this is known: tuples at
-// Emit, local or remote by the emitting process's processor, so that they
-// stay plan properties under any sharing; batches at delivery, which is
-// what sharing changes. One rule orders deliveries: a buffer of a later lane for
-// destination d is delivered only after any pending buffer of an earlier
-// lane for d. Lanes are Insert then Delete, so a retraction can never
+// way. A scan on a local edge copies nothing: it lends its placed fragment,
+// cut into transport-sized views (relation.Batch.Lend), one message per view
+// (Lend), exactly the messages a copy would have filled. The transport
+// counters are taken where this is known: tuples at Emit, local or remote
+// by the emitting process's processor, so that they stay plan properties
+// under any sharing; batches at delivery, which is what sharing changes.
+// One rule orders deliveries: a buffer of a later lane for destination d is
+// delivered only after any pending buffer of an earlier lane for d. Lanes are Insert then Delete, so a retraction can never
 // overtake the insertion it cancels, while an insertion may overtake a
 // deletion (per-tuple counts only rise before they fall). Queries emit on
 // the Insert lane only and the rule is vacuous for them.
@@ -101,4 +103,9 @@
 // cancellation returns its batch to the pool itself (Send); batches parked
 // in inboxes when a run is cancelled are garbage, reclaimed from an
 // accounted pool's meter by Settle.
+//
+// Nobody owns a lent view. It travels like a transport batch — held, applied,
+// handed back — but every pool drops it on Put, so the consumer needs no
+// case of its own and the fragment under it is never written; the memory is
+// the database's, and a memory budget does not count it.
 package operator

@@ -420,8 +420,8 @@ func TestOutboxSingleDestinationBulk(t *testing.T) {
 }
 
 // TestHostOutbox drives the outbox several processes of one operator share:
-// on a local edge a process's destination is the consumer process of its own
-// index; on a redistribution edge the processes fill one buffer per consumer
+// on a local edge a process lends its fragment to the consumer process of its
+// own index; on a redistribution edge the processes fill one buffer per consumer
 // process between them, the ordering rule holds per destination whoever
 // emitted, and the tuple counters follow the processor of the emitting
 // process. Either way Punctuate addresses every destination once, and every
@@ -459,20 +459,63 @@ func TestHostOutbox(t *testing.T) {
 	}
 	const size = 4
 
+	// A scan lends its placed fragment view by view (Lend). For each fragment
+	// that is the message sequence — addressee, port, remote mark, length —
+	// and the counters of the copy path, the outbox of the process alone
+	// cutting the fragment into pooled batches; but every batch delivered is
+	// a view of the fragment itself.
 	t.Run("local edge", func(t *testing.T) {
+		type delivery struct {
+			to     int32
+			port   Port
+			remote bool
+			n      int
+		}
+		deliveries := func(msgs []Msg) (out []delivery) {
+			for _, m := range msgs {
+				out = append(out, delivery{m.To, m.Port, m.Remote, m.Batch.Len()})
+			}
+			return out
+		}
+		hosted := []int{1, 3}
+		frags := []*relation.Batch{batch(1, 2, 3, 4, 5, 6, 7, 8, 9), batch(10, 11, 12)}
 		rec := &recorder{}
-		o := NewHostOutbox(scan, []int{1, 3}, relation.NewBatchPool(size, 8), size, rec)
-		if !(o.EmitFrom(0, batch(1, 2, 3, 4, 5), Insert) && o.EmitFrom(1, batch(6, 7, 8), Insert) && o.Flush() && o.Punctuate()) {
-			t.Fatal("delivery failed")
+		o := NewHostOutbox(scan, hosted, relation.NewBatchPool(size, 8), size, rec)
+		var copied []Msg
+		var want [3]int64
+		for k, frag := range frags {
+			cp := &recorder{}
+			c := NewOutbox(scan, hosted[k], relation.NewBatchPool(size, 8), size, cp)
+			if !(c.Emit(frag, Insert) && c.Flush()) {
+				t.Fatal("copy delivery failed")
+			}
+			copied = append(copied, cp.msgs...)
+			want[0], want[1], want[2] = want[0]+c.MovedLocal, want[1]+c.MovedRemote, want[2]+c.Batches
+			lent := len(rec.msgs)
+			views := frag.Lend(size)
+			for v := range views {
+				if !o.Lend(k, &views[v]) {
+					t.Fatal("lent delivery failed")
+				}
+			}
+			for v, m := range rec.msgs[lent:] {
+				if m.Batch != &views[v] || &m.Batch.U1[0] != &frag.U1[v*size] {
+					t.Errorf("fragment %d: message %d carries no view of the fragment", k, v)
+				}
+			}
 		}
-		if want := []string{"d0:+1 x4", "d0:+1 x1", "d1:+1 x3", "d0:mark", "d1:mark"}; !slices.Equal(rec.log, want) {
-			t.Errorf("delivered %v, want %v", rec.log, want)
+		if got, want := deliveries(rec.msgs), deliveries(copied); !slices.Equal(got, want) {
+			t.Errorf("lent deliveries %v, the copy path's %v", got, want)
 		}
-		if got, want := tos(rec.msgs), []int32{1, 1, 3, 1, 3}; !slices.Equal(got, want) {
-			t.Errorf("addressed to processes %v, want %v", got, want)
+		if got := [3]int64{o.MovedLocal, o.MovedRemote, o.Batches}; got != want || want != [3]int64{12, 0, 4} {
+			t.Errorf("local, remote, batches %v; the copy path's %v, want [12 0 4]", got, want)
 		}
-		if o.MovedLocal != 8 || o.MovedRemote != 0 || o.Batches != 3 {
-			t.Errorf("local %d, remote %d, batches %d; want 8, 0, 3", o.MovedLocal, o.MovedRemote, o.Batches)
+		rec.msgs = rec.msgs[:0]
+		if !(o.Flush() && o.Punctuate()) {
+			t.Fatal("Flush/Punctuate failed")
+		}
+		if got, want := tos(rec.msgs), []int32{1, 3}; !slices.Equal(got, want) {
+			t.Errorf("marks addressed to processes %v, want %v", got, want)
 		}
 	})
 
@@ -543,6 +586,37 @@ func TestHostOutbox(t *testing.T) {
 			t.Errorf("NewOutbox allocates %v times, want 2 (the outbox and its pending buffers' slice)", n)
 		}
 	})
+}
+
+// discard is a Deliverer that drops what it is given.
+type discard struct{}
+
+func (discard) Deliver(int, Msg) bool { return true }
+
+// TestLendAllocFree: delivering a lent view allocates nothing — no pooled
+// batch, no copy.
+func TestLendAllocFree(t *testing.T) {
+	w, _ := wire(t, strategy.RD, jointree.LeftLinear, 3, 4)
+	var scan *Node
+	for _, n := range w.Nodes {
+		if n.Out != nil && n.Out.Local {
+			scan = n
+			break
+		}
+	}
+	var frag relation.Batch
+	for i := int64(0); i < 1000; i++ {
+		frag.Append(i, i, uint64(i))
+	}
+	o := NewHostOutbox(scan, []int{0, 1}, relation.NewBatchPool(256, 8), 256, discard{})
+	views := frag.Lend(256)
+	if n := testing.AllocsPerRun(100, func() {
+		for v := range views {
+			o.Lend(1, &views[v])
+		}
+	}); n != 0 {
+		t.Errorf("lending a fragment of %d views allocates %v times, want 0", len(views), n)
+	}
 }
 
 // TestSendCancelReturnsBatch is the one cancel rule for a batch in flight:

@@ -106,7 +106,8 @@ func (o *Outbox) Emit(res *relation.Batch, sign int8) bool { return o.EmitFrom(0
 // EmitFrom routes res, the result of process hosted[k], with one sign. The
 // single-destination path is three bulk column copies per chunk;
 // redistribution hoists the routing key column and scatters row-at-a-time
-// over flat columns.
+// over flat columns. On a local edge only the outbox of a single process
+// copies; a scan lends its fragment instead (Lend).
 func (o *Outbox) EmitFrom(k int, res *relation.Batch, sign int8) bool {
 	lane := 0
 	if sign < 0 {
@@ -118,22 +119,18 @@ func (o *Outbox) EmitFrom(k int, res *relation.Batch, sign int8) bool {
 	pend, n := o.pend[lane], res.Len()
 	// Processors: the emitting process's, and the consumer processes'.
 	from, cons := o.node.Op.Procs[o.hosted[k]], o.node.Out.To.Op.Procs
-	if o.paired || len(pend) == 1 {
-		d := 0
-		if o.paired {
-			d = k
-		}
+	if len(pend) == 1 {
 		local := 0
-		if cons[o.target(d)] == from {
+		if cons[o.target(0)] == from {
 			local = n
 		}
 		o.moved(local, n)
 		for lo := 0; lo < n; {
-			buf := o.buffer(pend, d)
+			buf := o.buffer(pend, 0)
 			c := min(o.size-buf.Len(), n-lo)
 			buf.AppendRange(res, lo, lo+c)
 			lo += c
-			if buf.Len() == o.size && !o.full(lane, d) {
+			if buf.Len() == o.size && !o.full(lane, 0) {
 				return false
 			}
 		}
@@ -153,6 +150,22 @@ func (o *Outbox) EmitFrom(k int, res *relation.Batch, sign int8) bool {
 	}
 	o.moved(local, n)
 	return true
+}
+
+// Lend delivers view — a lent view of process hosted[k]'s placed fragment
+// (relation.Batch.Lend), at most a transport batch long — as it is to the
+// consumer process of the same index on the outbox's local edge: the one
+// message and the counters EmitFrom would have cut and taken for it,
+// without copying a tuple or drawing a pooled batch. The tuples stay on the
+// processor (xra.LocalEdge), and nothing is ever pending before them: a
+// scan's outbox carries its views only. A local edge never ends at the
+// collect, so the batch is counted.
+func (o *Outbox) Lend(k int, view *relation.Batch) bool {
+	o.moved(view.Len(), view.Len())
+	o.Batches++
+	m := o.header(k)
+	m.Batch, m.Sign = view, Insert
+	return o.to.Deliver(k, m)
 }
 
 // moved counts n emitted tuples, local of them for a consumer process on

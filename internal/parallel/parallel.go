@@ -68,10 +68,15 @@
 //
 // The hot data path is allocation-free in steady state: tuple batches come
 // from a relation.BatchPool and are returned by the consumer that exhausts
-// them, and join results are built in one pooled buffer per worker. What is
-// constant across the queries of an engine session — the un-metered batch
-// pools, result buffers included, and the placement of the resident base
-// relations — lives with the session's ProcPool, not with the run. Result
+// them, and join results are built in one pooled buffer per worker. A scan
+// on a local edge draws no batch at all: it lends its placed fragment as
+// read-only, transport-sized views (operator.Outbox.Lend), which every pool
+// drops, so the probe operands a simple join holds through its build phase
+// no longer drain the pools, and out of core the budget does not count them:
+// that memory is the database's. What is constant across the queries of an
+// engine session — the un-metered batch pools, result buffers included, the
+// placement of the resident base relations and the views lent from it —
+// lives with the session's ProcPool, not with the run. Result
 // equivalence against the sequential reference is asserted for every
 // strategy in the tests.
 package parallel
@@ -109,13 +114,12 @@ type Sink = operator.Sink
 
 // Bounds of the state a ProcPool keeps between runs.
 const (
-	// poolRetainBytes is what each resident batch pool may hold idle. It is
-	// sized against the batches one query parks outside the pool at once,
-	// which is what the next query draws back: the simple joins of RD on the
-	// 10×20K chain hold their probe operands until the build phases end,
-	// about 720 default-capacity batches (4.3 MB). Measured on mjperf
-	// exec_rd at 1, 2, 4 and 8 MiB: 5052, 4013, 1873 and 1092 KiB allocated
-	// per query for 47.3, 47.0, 48.0 and 48.4 MiB peak RSS.
+	// poolRetainBytes is what each resident batch pool may hold idle. It was
+	// sized against RD's held probe operands, which scans now lend instead
+	// (ProcPool.lend); it stays for the pipelining joins' redistributed
+	// operands and results in flight, which the next query draws back:
+	// measured on mjperf serve_fp_stream, 1 MiB raised the allocation from
+	// 1 183 to 1 487 KiB per query.
 	poolRetainBytes = 4 << 20
 	// maxResidentPools bounds the batch capacities that get a resident pool
 	// (the default transport sizes are five); a run asking for yet another
@@ -132,16 +136,23 @@ const (
 // resource that caps concurrent computation across in-flight queries, and
 // it owns what those queries would otherwise rebuild each time: the
 // un-metered batch pools, one per batch capacity, and the placed fragments
-// of the relations declared resident (Pin). Both are byte-bounded and
-// dropped by Close. A ProcPool owns no goroutines.
+// of the relations declared resident (Pin) with the views their scans lend.
+// Both are byte-bounded and dropped by Close. A ProcPool owns no goroutines.
 type ProcPool struct {
 	slots []sync.Mutex
 
 	mu          sync.Mutex // guards the fields below
 	pools       map[int]*relation.BatchPool
 	pinned      []*relation.Relation
-	placed      map[placement][]relation.Batch
+	placed      map[placement]*placed
 	placedBytes int64
+}
+
+// placed is one cached fragmentation and the views last lent from it.
+type placed struct {
+	frags []relation.Batch
+	views [][]relation.Batch // cut at size tuples
+	size  int
 }
 
 // placement identifies one fragmentation of a resident relation.
@@ -224,13 +235,13 @@ func (p *ProcPool) batchPool(size int) *relation.BatchPool {
 func (p *ProcPool) fragments(rel *relation.Relation, attr relation.Attr, degree int) []relation.Batch {
 	key := placement{rel, attr, degree}
 	p.mu.Lock()
-	frags := p.placed[key]
-	pinned := frags == nil && slices.Contains(p.pinned, rel)
+	e := p.placed[key]
+	pinned := e == nil && slices.Contains(p.pinned, rel)
 	p.mu.Unlock()
-	if frags != nil {
-		return frags
+	if e != nil {
+		return e.frags
 	}
-	frags = relation.FragmentBatches(rel, attr, degree)
+	frags := relation.FragmentBatches(rel, attr, degree)
 	bytes := int64(rel.Card()) * relation.TupleWireBytes
 	if !pinned || bytes > maxPlacedBytes {
 		return frags
@@ -239,12 +250,36 @@ func (p *ProcPool) fragments(rel *relation.Relation, attr relation.Attr, degree 
 	defer p.mu.Unlock()
 	if p.pinned != nil && p.placed[key] == nil { // the pool is still open
 		if p.placed == nil || p.placedBytes+bytes > maxPlacedBytes {
-			p.placed, p.placedBytes = make(map[placement][]relation.Batch), 0
+			p.placed, p.placedBytes = make(map[placement]*placed), 0
 		}
-		p.placed[key] = frags
+		p.placed[key] = &placed{frags: frags}
 		p.placedBytes += bytes
 	}
 	return frags
+}
+
+// lend cuts frags, a fragmentation of rel on attr, into lent views of size
+// tuples, one list per fragment (relation.Batch.Lend). A cached placement
+// keeps the views cut last — one size per placement unless queries ask for
+// different batch sizes, since the size follows from the relation, its
+// degree and the run's BatchTuples — so they go when it is evicted or the
+// pool closes; any other fragmentation is cut per call.
+func (p *ProcPool) lend(rel *relation.Relation, attr relation.Attr, frags []relation.Batch, size int) [][]relation.Batch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e := p.placed[placement{rel, attr, len(frags)}]
+	cached := e != nil && &e.frags[0] == &frags[0]
+	if cached && e.size == size {
+		return e.views
+	}
+	views := make([][]relation.Batch, len(frags))
+	for i := range frags {
+		views[i] = frags[i].Lend(size)
+	}
+	if cached {
+		e.views, e.size = views, size
+	}
+	return views
 }
 
 // Config parameterizes one parallel execution.
@@ -283,11 +318,12 @@ type Config struct {
 	// Meter, when set, switches the run to out-of-core mode (the "spill"
 	// runtime) and accounts it against the meter's budget: a private
 	// spill.NewMeter or an engine session's shared child. Live pooled
-	// batches and buffered join operands are accounted in bytes, every join
-	// process runs the kernel's out-of-core join step (a Grace join,
-	// hashjoin.Grace), and operand tuples overflowing the budget are
-	// serialized to temp-file partitions that are re-read
-	// partition-at-a-time once both operands ended. Nil keeps the in-memory
+	// batches and buffered join operands are accounted in bytes — not the
+	// views a scan lends on a local edge, whose memory is the database's
+	// placed fragments — every join process runs the kernel's out-of-core
+	// join step (a Grace join, hashjoin.Grace), and operand tuples
+	// overflowing the budget are serialized to temp-file partitions that are
+	// re-read partition-at-a-time once both operands ended. Nil keeps the in-memory
 	// pipelining execution. The caller owns the meter's lifecycle (Settle).
 	//
 	// Out-of-core mode trades the paper's pipelining for the memory
@@ -368,6 +404,9 @@ type RunResult struct {
 // opState is the shared runtime state of one plan operator.
 type opState struct {
 	*operator.Node
+	// views is a scan's placed fragments lent as transport-sized views, per
+	// process; nil unless the scan feeds a local edge.
+	views [][]relation.Batch
 	procs []proc  // the operator's processes, by position in Op.Procs
 	hosts []*host // the workers they are grouped under, in order of first process
 	// locals is the number of hosts placed on this node (all of them unless
@@ -627,6 +666,13 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 			size = sizeTransportBatch(os.EstCard/buffers, size)
 		}
 		pool := r.transportPool(size)
+		if e.Local && r.resident == nil {
+			var rel *relation.Relation // a partial run's fragments are never cached
+			if r.partial == nil {
+				rel = base(os.Op.Leaf)
+			}
+			os.views = r.procs.lend(rel, os.Op.FragAttr, os.Frags, size)
+		}
 		// Point every local host's outbox at the inboxes of its consumers'
 		// hosts: one destination per consumer process, or on a local edge one
 		// per hosted process, the consumer process of its own index. A stream

@@ -81,7 +81,8 @@ func TestResidentBatchPools(t *testing.T) {
 
 // TestPlacementCache: pinned relations are fragmented once per (relation,
 // attribute, degree), unpinned ones every time and never retained; the cache
-// is byte-bounded by eviction and emptied by Close.
+// is byte-bounded by eviction and emptied by Close. The views a placement
+// lends are cut once per size and cached with it, and go with it.
 func TestPlacementCache(t *testing.T) {
 	rel := func(name string, card int) *relation.Relation {
 		r := relation.NewWithCap(name, 208, card)
@@ -91,6 +92,7 @@ func TestPlacementCache(t *testing.T) {
 		return r
 	}
 	same := func(a, b []relation.Batch) bool { return &a[0] == &b[0] }
+	sameViews := func(a, b [][]relation.Batch) bool { return &a[0][0] == &b[0][0] }
 	resident, foreign := rel("resident", 1000), rel("foreign", 1000)
 	p := NewProcPool(2)
 	p.Pin([]*relation.Relation{resident})
@@ -111,11 +113,36 @@ func TestPlacementCache(t *testing.T) {
 	if got, want := p.PlacedBytes(), int64(3*1000*relation.TupleWireBytes); got != want {
 		t.Errorf("PlacedBytes = %d, want %d (three placements)", got, want)
 	}
+	v1 := p.lend(resident, relation.Unique1, f1, 64)
+	if !sameViews(v1, p.lend(resident, relation.Unique1, f1, 64)) {
+		t.Error("a cached placement's views were cut twice for one size")
+	}
+	if sameViews(v1, p.lend(resident, relation.Unique1, f1, 32)) {
+		t.Error("the view size must be part of the key")
+	}
+	for i := range f1 {
+		n := 0
+		for v := range v1[i] {
+			if &v1[i][v].U1[0] != &f1[i].U1[n] {
+				t.Fatalf("view %d of fragment %d does not start at row %d of the cached fragment", v, i, n)
+			}
+			n += v1[i][v].Len()
+		}
+		if n != f1[i].Len() {
+			t.Fatalf("the views of fragment %d hold %d tuples, want %d", i, n, f1[i].Len())
+		}
+	}
+	if own := relation.FragmentBatches(resident, relation.Unique1, 4); sameViews(v1, p.lend(resident, relation.Unique1, own, 64)) {
+		t.Error("a fragmentation the cache does not hold was served the cached views")
+	}
 
 	placed := p.PlacedBytes()
 	g1 := p.fragments(foreign, relation.Unique1, 4)
 	if same(g1, p.fragments(foreign, relation.Unique1, 4)) || p.PlacedBytes() != placed {
 		t.Error("an unpinned relation hit or grew the cache")
+	}
+	if sameViews(p.lend(foreign, relation.Unique1, g1, 64), p.lend(foreign, relation.Unique1, g1, 64)) {
+		t.Error("the views of an unpinned relation were cached")
 	}
 
 	// A relation too big for what is left evicts what was cached; one too
@@ -127,8 +154,12 @@ func TestPlacementCache(t *testing.T) {
 	if got, want := p.PlacedBytes(), int64(big.Card()*relation.TupleWireBytes); got != want {
 		t.Errorf("PlacedBytes after overflow = %d, want %d (only the newcomer)", got, want)
 	}
-	if same(f1, p.fragments(resident, relation.Unique1, 4)) {
+	f2 := p.fragments(resident, relation.Unique1, 4)
+	if same(f1, f2) {
 		t.Error("an evicted placement was served")
+	}
+	if v2 := p.lend(resident, relation.Unique1, f2, 64); sameViews(v1, v2) || !sameViews(v2, p.lend(resident, relation.Unique1, f2, 64)) {
+		t.Error("views outlived the eviction of their placement, or the new placement caches none")
 	}
 	if p.PlacedBytes() > maxPlacedBytes {
 		t.Errorf("PlacedBytes = %d exceeds the bound %d", p.PlacedBytes(), maxPlacedBytes)
@@ -138,9 +169,13 @@ func TestPlacementCache(t *testing.T) {
 		t.Error("a relation larger than the bound was cached")
 	}
 
+	v2 := p.lend(resident, relation.Unique1, f2, 64)
 	p.Close()
 	if p.PlacedBytes() != 0 || len(p.placed) != 0 || len(p.pinned) != 0 {
 		t.Error("Close left placement behind")
+	}
+	if sameViews(v2, p.lend(resident, relation.Unique1, f2, 64)) {
+		t.Error("views outlived Close")
 	}
 	if p.fragments(resident, relation.Unique1, 4); p.PlacedBytes() != 0 {
 		t.Error("a closed pool cached a placement")

@@ -118,12 +118,21 @@ func (w *host) work() bool {
 			defer w.r.results.Put(w.res)
 		}
 	}
-	// Scan work is a column copy into pooled transport batches and is not
-	// charged to the processor (the simulator's near-zero ScanUnits).
+	// Scan work is not charged to the processor (the simulator's near-zero
+	// ScanUnits): on a local edge it lends its placed fragment view by view,
+	// on a redistribution it scatters it into pooled transport batches.
 	if kind == xra.OpScan {
 		for k, i := range w.procs {
-			if !w.out.EmitFrom(k, &w.op.Frags[i], operator.Insert) {
-				return false
+			if w.op.views == nil {
+				if !w.out.EmitFrom(k, &w.op.Frags[i], operator.Insert) {
+					return false
+				}
+				continue
+			}
+			for v := range w.op.views[i] {
+				if !w.out.Lend(k, &w.op.views[i][v]) {
+					return false
+				}
 			}
 		}
 	}

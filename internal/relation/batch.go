@@ -8,14 +8,19 @@ package relation
 // run as tight loops over flat []int64 columns instead of chasing 24-byte
 // row structs, which is what lets them vectorize.
 //
-// A Batch is either pool-shaped (fixed capacity, recycled through a
-// BatchPool, ownership transferred along the data path) or a plain growable
-// buffer (scratch join results, Grace partition backlogs, scan fragments).
-// The zero value is an empty batch ready for appends.
+// A Batch is one of three kinds: pool-shaped (fixed capacity, recycled
+// through a BatchPool, ownership transferred along the data path), a plain
+// growable buffer (scratch join results, Grace partition backlogs, placed
+// fragments), or a lent view (Lend): a read-only window into a placed
+// fragment that nobody owns and no pool ever takes back, so it may travel
+// wherever a pooled batch does. The zero value is an empty batch ready for
+// appends.
 type Batch struct {
 	U1    []int64
 	U2    []int64
 	Check []uint64
+	// lent marks a view cut by Lend: BatchPool.Put drops it.
+	lent bool
 }
 
 // NewBatch returns an empty batch with capacity for capTuples tuples in
@@ -87,6 +92,23 @@ func (b *Batch) View(lo, hi int) Batch {
 		U2:    b.U2[lo:hi:hi],
 		Check: b.Check[lo:hi:hi],
 	}
+}
+
+// Lend returns the batch cut into views of size tuples each, the last one
+// shorter. The views share the batch's column
+// storage, must never be written, and are marked lent, so a consumer that
+// hands one to a BatchPool when done with it, as it would a pooled batch,
+// leaves it untouched: a scan lends its placed fragment instead of copying
+// it into transport batches.
+func (b *Batch) Lend(size int) []Batch {
+	n := b.Len()
+	views := make([]Batch, 0, (n+size-1)/size)
+	for lo := 0; lo < n; lo += size {
+		v := b.View(lo, min(lo+size, n))
+		v.lent = true
+		views = append(views, v)
+	}
+	return views
 }
 
 // Col returns the column of the given join attribute — the key column a

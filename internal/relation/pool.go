@@ -74,11 +74,12 @@ func (p *BatchPool) Get() *Batch {
 }
 
 // Put returns a batch to the pool. Batches that did not come from a pool of
-// the same size (or grew past their capacity) are dropped, so handing a
-// foreign batch to Put is harmless — but note that the pool will reuse
-// accepted batches: never Put a batch that something still aliases.
+// the same size (or grew past their capacity) are dropped, and so is a lent
+// view (Batch.Lend) before anything touches it, so handing a foreign batch
+// to Put is harmless — but note that the pool will reuse accepted batches:
+// never Put a pool-shaped batch that something still aliases.
 func (p *BatchPool) Put(b *Batch) {
-	if b == nil || b.Cap() != p.size {
+	if b == nil || b.lent || b.Cap() != p.size {
 		return
 	}
 	p.dbg.put(b)

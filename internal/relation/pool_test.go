@@ -62,3 +62,60 @@ func TestBatchPoolConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLendCutsViews: Lend cuts a fragment at the transport size — the chunk
+// boundaries a copy into pooled batches makes — into views that share the
+// fragment's columns and cannot append into them.
+func TestLendCutsViews(t *testing.T) {
+	var frag Batch
+	for i := int64(0); i < 10; i++ {
+		frag.Append(i, -i, uint64(i))
+	}
+	views := frag.Lend(4)
+	if len(views) != 3 || cap(views) != 3 {
+		t.Fatalf("%d views (cap %d), want 3", len(views), cap(views))
+	}
+	for v, want := range []int{4, 4, 2} {
+		b := &views[v]
+		if !b.lent || b.Len() != want || b.Cap() != want || &b.U1[0] != &frag.U1[4*v] || &b.Check[0] != &frag.Check[4*v] {
+			t.Errorf("view %d: lent %v, len %d, cap %d; want a lent view of rows [%d,%d)", v, b.lent, b.Len(), b.Cap(), 4*v, 4*v+want)
+		}
+	}
+	if whole := frag.Lend(10); len(whole) != 1 || whole[0].Len() != 10 {
+		t.Errorf("a fragment no longer than the size: %d views", len(whole))
+	}
+	var empty Batch
+	if got := empty.Lend(4); len(got) != 0 {
+		t.Errorf("an empty fragment lent %d views", len(got))
+	}
+}
+
+// TestLentViewNeverPooled: Put of a lent view is a no-op even where its
+// capacity is the pool's — the free list does not grow, the accounting hook
+// is not called, and the viewed columns are not written (under -tags
+// pooldebug: not poisoned) — and the pool keeps handing out batches of its
+// own.
+func TestLentViewNeverPooled(t *testing.T) {
+	var frag Batch
+	for i := int64(0); i < 8; i++ {
+		frag.Append(i, i+100, uint64(i)*7)
+	}
+	want := frag.Tuples()
+	calls := 0
+	p := NewBatchPoolAccounted(4, 8, func(int64) { calls++ })
+	views := frag.Lend(4)
+	for v := range views {
+		p.Put(&views[v])
+	}
+	if len(p.free) != 0 || calls != 0 {
+		t.Errorf("Put of lent views: %d batches on the free list, %d accounting calls; want 0, 0", len(p.free), calls)
+	}
+	for i, tp := range want {
+		if frag.Tuple(i) != tp {
+			t.Fatalf("row %d of the fragment is %+v after Put, want %+v", i, frag.Tuple(i), tp)
+		}
+	}
+	if b := p.Get(); b.lent || b.Cap() != 4 || &b.U1[:1][0] == &frag.U1[0] || &b.U1[:1][0] == &frag.U1[4] {
+		t.Error("the pool handed out a lent view")
+	}
+}
