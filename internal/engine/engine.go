@@ -106,16 +106,6 @@ type engineState struct {
 	sink Sink
 	err  error
 
-	// pool recycles transport batches: every batch delivered between
-	// instances is drawn here by the producer's outbox and returned by the
-	// consumer that applies it, so steady-state simulation allocates no
-	// per-batch garbage.
-	pool *relation.BatchPool
-	// results recycles join result buffers, twice a transport batch each (a
-	// probe yields about one match per row on the chain queries): a process
-	// draws one when it starts and returns it when it finishes.
-	results *relation.BatchPool
-
 	// Hash-table memory accounting (tuples resident per processor).
 	tableNow map[int]int
 	tableSum int
@@ -164,7 +154,6 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 		e.sim.SetEventLimit(params.EventLimit)
 	}
 	e.stats.Streams = plan.NumStreams()
-	e.pool = relation.NewBatchPool(params.BatchTuples, min(e.stats.Streams*2, relation.MaxPoolRetain))
 	// Sequential startup by the scheduler: process k may begin (receive
 	// handshakes, process input) only after the scheduler initialized
 	// processes 0..k, each costing Startup (Section 3.5, "startup"). Scan
@@ -189,7 +178,6 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 			e.sim.At(in.startupAt, event{in: in, kind: evActivate})
 		}
 	}
-	e.results = relation.NewBatchPool(2*params.BatchTuples, min(k, relation.MaxPoolRetain))
 	return e, nil
 }
 

@@ -3,6 +3,9 @@ package engine_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -438,5 +441,65 @@ func TestAllocationsPerEvent(t *testing.T) {
 		} else {
 			t.Logf("%v: %.0f allocations over %d events = %.2f per event", k, allocs, events, perEvent)
 		}
+	}
+}
+
+// TestConcurrentRuns: simulated runs on several goroutines at once draw on
+// the same shared pools, and each still yields the sequential reference,
+// the events and the response time of a run alone.
+func TestConcurrentRuns(t *testing.T) {
+	db := testDB(t, 6, 300, 7)
+	tree, _ := jointree.BuildShape(jointree.WideBushy, 6)
+	want := jointree.Reference(tree, baseFn(db))
+	var wg sync.WaitGroup
+	for _, k := range strategy.Kinds {
+		p := planFor(t, k, tree, 12, 300)
+		alone := run(t, p, db, costmodel.Default())
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := gather(p, baseFn(db), costmodel.Default())
+				switch {
+				case err != nil:
+					t.Error(err)
+				case !relation.EqualMultiset(res.Result, want):
+					t.Errorf("%v: a concurrent run's result differs from the reference", k)
+				case res.Time != alone.Time || res.Stats.SimEvents != alone.Stats.SimEvents:
+					t.Errorf("%v: a concurrent run took %v and %d events, alone %v and %d", k, res.Time, res.Stats.SimEvents, alone.Time, alone.Stats.SimEvents)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestSimRunAllocs pins what a simulated run allocates once relation's
+// shared pools hold what the run before it gave back: SP on wide-bushy
+// 10×500 at 40 processors, 13 240 streams whose buffers carry a few tuples
+// each. The second of two runs is measured, with the collector held off so
+// that the pools keep what the first run returned. Measured: 1 920 KiB;
+// 4 180 KiB when every run drew its transport batches and result buffers
+// from pools of its own and every pending buffer held a full transport
+// batch.
+func TestSimRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops recycled memory at random")
+	}
+	const bound = 2016 << 10 // bytes: the measured 1 920 KiB plus 5 %
+	db := testDB(t, 10, 500, 1995)
+	tree, _ := jointree.BuildShape(jointree.WideBushy, 10)
+	p := planFor(t, strategy.SP, tree, 40, 500)
+	params := costmodel.Default()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run(t, p, db, params)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	streams := run(t, p, db, params).Stats.Streams
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a warm run over %d streams allocates %d KiB", streams, bytes>>10)
+	if bytes > bound {
+		t.Errorf("a warm SP run allocates %d KiB, want at most %d", bytes>>10, bound>>10)
 	}
 }

@@ -79,7 +79,7 @@ type instance struct {
 	// paper holds a process's tables until it finishes, so the count leaves
 	// the processor's accounting then, whatever the join gave back before.
 	tables int
-	res    *relation.Batch  // a join's result buffer, from the run's result pool
+	res    *relation.Batch  // a join's result buffer, from a shared pool
 	out    *operator.Outbox // nil for collect
 
 	// scanChunks are the scan's pre-placed fragment lent as batch-sized views
@@ -113,20 +113,27 @@ func (in *instance) tryActivate() {
 }
 
 // start creates the join state, draws a join's result buffer and creates
-// the outbox, and enqueues a scan's work.
+// the outbox, and enqueues a scan's work. Buffers come from relation's
+// shared pools, which outlive the run: a join's result buffer holds twice a
+// transport batch (a probe yields about one match per row on the chain
+// queries), and the outbox's pending buffers start at the size their
+// streams are estimated to carry and grow to the transport size. Whoever
+// consumes a batch returns it by its capacity (relation.PutShared).
 func (in *instance) start() {
 	bt := in.e.params.BatchTuples
 	in.join.Start(false, nil)
 	if k := in.op.Op.Kind; k == xra.OpSimpleJoin || k == xra.OpPipeJoin {
-		in.res = in.e.results.Get()
+		in.res = relation.SharedPool(2 * bt).Get()
 	}
 	if in.op.Out != nil {
-		in.out = operator.NewOutbox(in.op.Node, in.idx, in.e.pool, bt, in)
+		start := in.op.BufferSize(len(in.op.Op.Procs), bt)
+		in.out = operator.NewOutbox(in.op.Node, in.idx, relation.SharedPool(start), bt, in)
 	}
 	if in.op.Op.Kind == xra.OpScan {
 		in.scanChunks = in.op.Frags[in.idx].Lend(bt)
+		in.queue = make([]operator.Msg, len(in.scanChunks))
 		for k := range in.scanChunks {
-			in.queue = append(in.queue, operator.Msg{Batch: &in.scanChunks[k]})
+			in.queue[k].Batch = &in.scanChunks[k]
 		}
 	}
 }
@@ -190,7 +197,8 @@ func (in *instance) next() {
 // units (Section 4.3: hash=1, net receive=1, result create+send=2) and any
 // result batch to emit. Join results live in the instance's result buffer
 // until the next apply, and the emit event consumes them before; exhausted
-// input batches return to the batch pool, which drops the scans' lent views.
+// input batches return to the shared pool of their capacity, which drops the
+// scans' lent views.
 func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batch) {
 	n := float64(m.Batch.Len())
 	switch in.op.Op.Kind {
@@ -216,7 +224,7 @@ func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batc
 		if results, err = in.join.ApplyInto(in.res, m); err != nil && in.e.err == nil {
 			in.e.err = err
 		}
-		in.e.pool.Put(m.Batch)
+		relation.PutShared(m.Batch)
 		added := in.join.Resident() - before
 		in.tables += added
 		in.e.addTableTuples(in.proc.ID, added)
@@ -225,14 +233,14 @@ func (in *instance) apply(m operator.Msg) (units float64, results *relation.Batc
 		// Gathering at the scheduler host is free and identical for every
 		// strategy; the paper's response time excludes it. The pooled batch
 		// goes to the sink in virtual-time order: ownership transfers with
-		// the Push (the consumer's release returns it to the pool); a
+		// the Push (the consumer's release returns it to its pool); a
 		// blocked Push pauses the simulation, and a failed one
 		// (cancellation) is recorded so the event loop aborts at its next
 		// ctx check without further pushes.
 		if in.e.err == nil {
 			batch := m.Batch
 			cnt := batch.Len() // before Push: ownership transfers with it
-			if err := in.e.sink.Push(in.e.ctx, batch, func() { in.e.pool.Put(batch) }); err != nil {
+			if err := in.e.sink.Push(in.e.ctx, batch, func() { relation.PutShared(batch) }); err != nil {
 				in.e.err = err
 			} else {
 				in.e.stats.ResultTuples += cnt
@@ -255,7 +263,7 @@ func (in *instance) maybeFinish() {
 	in.finished = true
 	in.e.addTableTuples(in.proc.ID, -in.tables)
 	in.join.Release()
-	in.e.results.Put(in.res)
+	relation.PutShared(in.res)
 	if in.out != nil {
 		in.out.Flush()
 		in.out.Punctuate()

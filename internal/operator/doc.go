@@ -74,7 +74,8 @@
 // # The outbox and its ordering rule
 //
 // Outbox routes a process's result tuples into one pooled buffer per
-// destination and sign lane and delivers a buffer the moment it is full;
+// destination and sign lane and delivers a buffer the moment it holds a
+// transport batch;
 // Flush delivers the rest and Punctuate ends the unit of work on every
 // outgoing stream. The processes of one operator that a driver runs on one
 // worker share one outbox (NewHostOutbox): the worker says which of them
@@ -98,8 +99,20 @@
 // A transport batch is drawn from a pool by the outbox that fills it and is
 // owned by exactly one party at a time: the outbox until delivery, then the
 // transport (an inbox channel, a simulator event), then the consuming
-// process, which returns it to the pool once applied — or passes ownership
-// on to the run's Sink at the collect. A delivery that loses the race with
+// process, which returns it to the pool of its capacity once applied — or
+// passes ownership on to the run's Sink at the collect.
+//
+// A batch's capacity and the transport size may differ. The goroutine
+// runtime sizes each edge's transport batches to what its buffers are
+// estimated to carry (Node.BufferSize) and starts its buffers there, so a
+// batch is delivered at its capacity. The simulator keeps the paper's
+// transport size and starts each buffer at the estimate instead: a buffer
+// that fills below the transport size is swapped for a batch of twice its
+// capacity from relation's shared pools, and the outbox returns the old one
+// to the pool of its own capacity. Delivery still happens only at the
+// transport size or on Flush, so messages and counters are those of
+// full-capacity buffers; a consumer may receive batches of several
+// capacities, and returns each by its own (relation.PutShared). A delivery that loses the race with
 // cancellation returns its batch to the pool itself (Send); batches parked
 // in inboxes when a run is cancelled are garbage, reclaimed from an
 // accounted pool's meter by Settle.

@@ -2,6 +2,7 @@ package operator
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -586,6 +587,161 @@ func TestHostOutbox(t *testing.T) {
 			t.Errorf("NewOutbox allocates %v times, want 2 (the outbox and its pending buffers' slice)", n)
 		}
 	})
+}
+
+// consumer is a Deliverer that records what each message carries — the
+// tuples copied out — and hands its batch back at once, as a consuming
+// process would.
+type consumer struct {
+	got []delivery
+	put func(*relation.Batch)
+}
+
+type delivery struct {
+	To     int32
+	Port   Port
+	Remote bool
+	Sign   int8
+	Tuples []relation.Tuple
+}
+
+func (c *consumer) Deliver(_ int, m Msg) bool {
+	d := delivery{To: m.To, Port: m.Port, Remote: m.Remote, Sign: m.Sign}
+	if m.Batch != nil {
+		d.Tuples = m.Batch.Tuples()
+		c.put(m.Batch)
+	}
+	c.got = append(c.got, d)
+	return true
+}
+
+// TestOutboxGrowsBuffers is the differential test of a buffer that starts
+// below the transport size: against an outbox whose buffers start at the
+// transport size it delivers the same messages — addressee, port, remote
+// mark, sign and tuples, in order — and ends with the same counters, on a
+// local edge, a single-destination edge and a redistribution, at a
+// transport size that is no power of two and at one below BufferSize's
+// floor. Every batch it drew, grown away or delivered, comes back to the
+// pool of its own capacity: each pool's meter ends at zero.
+func TestOutboxGrowsBuffers(t *testing.T) {
+	rd, _ := wire(t, strategy.RD, jointree.LeftLinear, 3, 4)
+	one, _ := wire(t, strategy.RD, jointree.LeftLinear, 3, 1)
+	find := func(w *Wiring, ok func(*Node) bool) *Node {
+		for _, n := range w.Nodes {
+			if n.Out != nil && n.Out.To.Op.Kind != xra.OpCollect && ok(n) {
+				return n
+			}
+		}
+		t.Fatal("plan has no such producer")
+		return nil
+	}
+	edges := []struct {
+		name string
+		n    *Node
+		idx  int
+	}{
+		{"local edge", find(rd, func(n *Node) bool { return n.Out.Local && len(n.Op.Procs) == 4 }), 2},
+		{"single destination", find(one, func(n *Node) bool { return !n.Out.Local && n.Out.Dests() == 1 }), 0},
+		{"redistribution", find(rd, func(n *Node) bool { return !n.Out.Local && n.Out.Dests() == 4 }), 1},
+	}
+	for _, e := range edges {
+		for _, sz := range []struct{ size, start int }{{100, 16}, {8, 1}} {
+			t.Run(fmt.Sprintf("%s/size %d", e.name, sz.size), func(t *testing.T) {
+				full := relation.NewBatchPool(sz.size, 64)
+				ref := &consumer{put: full.Put}
+				live := map[int]*int64{}
+				pools := map[int]*relation.BatchPool{}
+				pool := func(c int) *relation.BatchPool {
+					if pools[c] == nil {
+						n := new(int64)
+						live[c], pools[c] = n, relation.NewBatchPoolAccounted(c, 64, func(d int64) { *n += d })
+					}
+					return pools[c]
+				}
+				got := &consumer{put: func(b *relation.Batch) { pool(b.Cap()).Put(b) }}
+				a := NewOutbox(e.n, e.idx, full, sz.size, ref)
+				b := NewOutbox(e.n, e.idx, pool(sz.start), sz.size, got)
+				b.pools = pool
+
+				rng := rand.New(rand.NewSource(int64(sz.size)))
+				for i := 0; i < 60; i++ {
+					var res relation.Batch
+					for j := rng.Intn(3 * sz.size); j > 0; j-- {
+						k := rng.Int63n(1 << 20)
+						res.Append(k, k^0x5a5a, uint64(len(res.U1)+1000*i))
+					}
+					sign := Insert
+					if rng.Intn(3) == 0 {
+						sign = Delete
+					}
+					if !(a.Emit(&res, sign) && b.Emit(&res, sign)) {
+						t.Fatal("Emit failed")
+					}
+				}
+				if !(a.Flush() && a.Punctuate() && b.Flush() && b.Punctuate()) {
+					t.Fatal("Flush/Punctuate failed")
+				}
+				if len(got.got) != len(ref.got) {
+					t.Fatalf("%d messages from grown buffers, %d at full capacity", len(got.got), len(ref.got))
+				}
+				for i := range ref.got {
+					if g, r := got.got[i], ref.got[i]; g.To != r.To || g.Port != r.Port || g.Remote != r.Remote || g.Sign != r.Sign || !slices.Equal(g.Tuples, r.Tuples) {
+						t.Fatalf("message %d: %+v from grown buffers, %+v at full capacity", i, g, r)
+					}
+				}
+				if g, r := [3]int64{b.MovedLocal, b.MovedRemote, b.Batches}, [3]int64{a.MovedLocal, a.MovedRemote, a.Batches}; g != r || r[2] == 0 {
+					t.Errorf("local, remote, batches %v from grown buffers, %v at full capacity", g, r)
+				}
+				if len(pools) < 3 {
+					t.Errorf("buffers drew from capacities %v only: they never grew", slices.Sorted(maps.Keys(pools)))
+				}
+				for c, n := range live {
+					if *n != 0 {
+						t.Errorf("the pool of capacity %d has %d bytes checked out at the end", c, *n)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBufferSize: a buffer starts at the power-of-two ceiling of the tuples
+// it is estimated to carry, at least minBufferTuples and at most the
+// transport size, which is where a buffer expected to fill one starts.
+func TestBufferSize(t *testing.T) {
+	w, _ := wire(t, strategy.RD, jointree.LeftLinear, 3, 4)
+	var local, redist Node
+	for _, n := range w.Nodes {
+		switch {
+		case n.Out == nil || len(n.Op.Procs) != 4:
+		case n.Out.Local:
+			local = *n
+		case n.Out.Dests() == 4:
+			redist = *n
+		}
+	}
+	if local.Op == nil || redist.Op == nil {
+		t.Fatal("plan has no four-process producer on a local edge or redistributing to four processes")
+	}
+	for _, c := range []struct {
+		n              *Node
+		card, outboxes int
+		size, want     int
+	}{
+		{&local, 4 * 10, 4, 64, 16},   // 10 per buffer: the floor
+		{&local, 4 * 17, 1, 64, 32},   // one buffer per process, however many outboxes
+		{&local, 4 * 64, 4, 64, 64},   // expected to fill one
+		{&local, 4 * 70, 4, 100, 100}, // never above the transport size
+		{&local, 4 * 3, 4, 8, 8},      // a transport size below the floor
+		{&redist, 16 * 33, 4, 256, 64},
+		{&redist, 16 * 33, 2, 256, 128}, // fewer outboxes, fuller buffers
+		{&redist, 0, 4, 256, 16},
+	} {
+		c.n.EstCard = c.card
+		if got := c.n.BufferSize(c.outboxes, c.size); got != c.want {
+			t.Errorf("EstCard %d over %d outboxes, transport size %d: BufferSize %d, want %d", c.card, c.outboxes, c.size, got, c.want)
+		}
+	}
 }
 
 // discard is a Deliverer that drops what it is given.

@@ -16,11 +16,13 @@ type Deliverer interface {
 // Outbox is the output side of one operation process, or of the processes
 // of one operator that share a worker (NewHostOutbox): it routes result
 // tuples over the consumer edge into one pooled buffer per destination and
-// sign lane, delivers a buffer the moment it is full — so a pooled buffer
-// never regrows past its fixed capacity — and obeys the ordering rule of the
-// package documentation. A shared outbox is told which of its processes
-// emits; every buffer is still for one consumer process (Msg.To), whoever
-// filled it. Every method reports false once a delivery failed (the run was
+// sign lane, delivers a buffer the moment it holds a transport batch, and
+// obeys the ordering rule of the package documentation. A buffer starts at
+// its pool's capacity; one that fills below the transport size is swapped
+// for a pooled batch of twice the capacity (at most the transport size), so
+// a buffer never regrows by append. A shared outbox is told which of its
+// processes emits; every buffer is still for one consumer process (Msg.To),
+// whoever filled it. Every method reports false once a delivery failed (the run was
 // torn down).
 type Outbox struct {
 	node *Node // the producing operator
@@ -33,9 +35,13 @@ type Outbox struct {
 	// and tuples are hash-routed.
 	paired bool
 	bk     relation.Bucketer
-	pool   *relation.BatchPool
-	size   int // tuples per transport batch
-	to     Deliverer
+	pool   *relation.BatchPool // where a pending buffer starts
+	size   int                 // tuples per transport batch
+	// pools hands out the pool of each capacity a buffer grows through
+	// (relation.SharedPool), so only an outbox whose pool is shared starts
+	// below the transport size.
+	pools func(size int) *relation.BatchPool
+	to    Deliverer
 	// pend holds the pending buffer of each destination, per lane: [0]
 	// inserts, [1] deletes (allocated by the first delete; queries never
 	// do). A nil buffer is replaced from the pool on first use.
@@ -48,8 +54,8 @@ type Outbox struct {
 	MovedRemote, MovedLocal, Batches int64
 }
 
-// NewOutbox returns the outbox of process idx of operator n, filling
-// batches of size tuples drawn from pool.
+// NewOutbox returns the outbox of process idx of operator n, delivering
+// batches of size tuples from buffers that start at pool's capacity.
 func NewOutbox(n *Node, idx int, pool *relation.BatchPool, size int, to Deliverer) *Outbox {
 	o := newOutbox(n, n.Out.Local, n.Out.Dests(), pool, size, to)
 	o.one[0] = idx
@@ -79,7 +85,7 @@ func NewSourceOutbox(n *Node, pool *relation.BatchPool, size int, to Deliverer) 
 }
 
 func newOutbox(n *Node, paired bool, dests int, pool *relation.BatchPool, size int, to Deliverer) *Outbox {
-	o := &Outbox{node: n, paired: paired, bk: relation.NewBucketer(dests), pool: pool, size: size, to: to}
+	o := &Outbox{node: n, paired: paired, bk: relation.NewBucketer(dests), pool: pool, size: size, pools: relation.SharedPool, to: to}
 	o.hosted = o.one[:]
 	o.pend[0] = make([]*relation.Batch, dests)
 	return o
@@ -127,10 +133,10 @@ func (o *Outbox) EmitFrom(k int, res *relation.Batch, sign int8) bool {
 		o.moved(local, n)
 		for lo := 0; lo < n; {
 			buf := o.buffer(pend, 0)
-			c := min(o.size-buf.Len(), n-lo)
+			c := min(buf.Cap()-buf.Len(), n-lo)
 			buf.AppendRange(res, lo, lo+c)
 			lo += c
-			if buf.Len() == o.size && !o.full(lane, 0) {
+			if buf.Len() == buf.Cap() && !o.filled(lane, 0) {
 				return false
 			}
 		}
@@ -144,7 +150,7 @@ func (o *Outbox) EmitFrom(k int, res *relation.Batch, sign int8) bool {
 		}
 		buf := o.buffer(pend, d)
 		buf.Append(res.U1[i], res.U2[i], res.Check[i])
-		if buf.Len() == o.size && !o.full(lane, d) {
+		if buf.Len() == buf.Cap() && !o.filled(lane, d) {
 			return false
 		}
 	}
@@ -184,6 +190,22 @@ func (o *Outbox) buffer(pend []*relation.Batch, d int) *relation.Batch {
 		pend[d] = o.pool.Get()
 	}
 	return pend[d]
+}
+
+// filled takes the buffer of lane for destination d that reached its
+// capacity: at the transport size it is delivered (full); below, its tuples
+// move to a batch of twice the capacity, at most the transport size, and it
+// goes back to the pool of its own capacity.
+func (o *Outbox) filled(lane, d int) bool {
+	buf := o.pend[lane][d]
+	if buf.Len() == o.size {
+		return o.full(lane, d)
+	}
+	grown := o.pools(min(2*buf.Cap(), o.size)).Get()
+	grown.AppendRange(buf, 0, buf.Len())
+	o.pools(buf.Cap()).Put(buf)
+	o.pend[lane][d] = grown
+	return true
 }
 
 // full delivers the full buffer of lane for destination d — after any
@@ -243,4 +265,32 @@ func (o *Outbox) Punctuate() bool {
 		}
 	}
 	return true
+}
+
+// minBufferTuples is the floor of a pending buffer's starting capacity:
+// below a couple of cache lines per column the per-batch overhead dominates
+// any residency win.
+const minBufferTuples = 16
+
+// BufferSize returns the capacity the pending buffers of n's output start
+// at when outboxes outboxes share it and a transport batch holds size
+// tuples. EstCard is spread over all the buffers — one per process on a
+// local edge, one per outbox and consumer process on a redistribution — and
+// a buffer expected to fill a transport batch starts at size; otherwise at
+// the power-of-two ceiling of its expected tuples (so capacities stay few
+// and round), floored at minBufferTuples.
+func (n *Node) BufferSize(outboxes, size int) int {
+	buffers := len(n.Op.Procs)
+	if !n.Out.Local {
+		buffers = outboxes * n.Out.Dests()
+	}
+	expected := n.EstCard / buffers
+	if expected >= size {
+		return size
+	}
+	c := minBufferTuples
+	for c < expected {
+		c <<= 1
+	}
+	return min(c, size)
 }

@@ -56,7 +56,8 @@ type Node struct {
 	After, Dependents []*Node
 	// EstCard is the estimated output cardinality — exact for scans, the
 	// larger operand for the chain query's 1:1 joins — used to size hash
-	// tables and result buffers up front (set by Estimate or Place).
+	// tables, result buffers and stream buffers (BufferSize) up front (set
+	// by Estimate or Place).
 	EstCard int
 	// Frags holds a scan's pre-placed base-relation fragments, one per
 	// process (set by Place).

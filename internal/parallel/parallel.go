@@ -645,25 +645,22 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 			continue
 		}
 		// Size the producer's transport batches from the cardinality it is
-		// estimated to send into each pending buffer. A redistribution edge
-		// keeps one per producer host and consumer process (a local edge one
-		// per process); with as many slots as plan processors that is every
-		// one of the edge's n×m streams, and with the single global batch
-		// size a stream-heavy RD plan would pin far more batch memory than
-		// tuples it ever moves. A buffer expected to carry a few dozen tuples
-		// gets a correspondingly small pooled batch instead; batches of
-		// different capacities live in per-size pools (putBatch routes returns
-		// by capacity, since a pool silently drops — and an accounted pool
-		// never un-meters — foreign-capacity batches). Partial (distributed)
-		// runs keep the uniform size: the transport owns the pool and peer
-		// nodes must agree on wire batch capacity.
+		// estimated to send into each pending buffer (Node.BufferSize), and
+		// start the buffers at that size, so they never grow. A redistribution
+		// edge keeps one per producer host and consumer process (a local edge
+		// one per process); with as many slots as plan processors that is every
+		// one of the edge's n×m streams, and with the single global batch size a
+		// stream-heavy RD plan would pin far more batch memory than tuples it
+		// ever moves. A buffer expected to carry a few dozen tuples gets a
+		// correspondingly small pooled batch instead; batches of different
+		// capacities live in per-size pools (putBatch routes returns by
+		// capacity, since a pool silently drops — and an accounted pool never
+		// un-meters — foreign-capacity batches). Partial (distributed) runs keep
+		// the uniform size: the transport owns the pool and peer nodes must
+		// agree on wire batch capacity.
 		size := r.cfg.BatchTuples
 		if r.partial == nil {
-			buffers := len(os.procs)
-			if !e.Local {
-				buffers = len(os.hosts) * e.Dests()
-			}
-			size = sizeTransportBatch(os.EstCard/buffers, size)
+			size = os.BufferSize(len(os.hosts), size)
 		}
 		pool := r.transportPool(size)
 		if e.Local && r.resident == nil {
@@ -718,29 +715,6 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 		}
 	}
 	return nil
-}
-
-// minTransportTuples is the floor of the per-stream transport batch size:
-// below a couple of cache lines per column the per-batch channel overhead
-// dominates any residency win.
-const minTransportTuples = 16
-
-// sizeTransportBatch picks a producer's transport batch capacity: the run's
-// configured size when the stream is expected to fill it, otherwise the
-// power-of-two ceiling of the expected per-stream tuple count (so pools stay
-// few and batch capacities stay round), floored at minTransportTuples.
-func sizeTransportBatch(expected, max int) int {
-	if expected >= max {
-		return max
-	}
-	bt := minTransportTuples
-	for bt < expected {
-		bt <<= 1
-	}
-	if bt > max {
-		return max
-	}
-	return bt
 }
 
 // transportPool returns the run's pool of batches with capacity bt, on

@@ -19,6 +19,7 @@ type Batch struct {
 	U1    []int64
 	U2    []int64
 	Check []uint64
+	dbg   batchDebug // the pooldebug build's mark; takes no space otherwise
 	// lent marks a view cut by Lend: BatchPool.Put drops it.
 	lent bool
 }

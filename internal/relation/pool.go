@@ -1,33 +1,40 @@
 package relation
 
-// BatchPool recycles fixed-capacity columnar batches across the producers
-// and consumers of one execution: scans, redistribution out-buffers and
-// channel items draw batches with Get and the consumer that exhausts a
-// batch returns it with Put, so steady-state execution allocates no
-// per-batch garbage. The free list is a buffered channel — Get and Put are
-// themselves allocation-free (unlike sync.Pool, whose interface boxing
-// costs one header allocation per cycle) and safe for concurrent use. An
-// empty free list falls back to NewBatch; a full one drops the batch to the
-// garbage collector, so Put never blocks.
+import "sync"
+
+// BatchPool recycles fixed-capacity columnar batches between the producers
+// and consumers of executions: an outbox draws a batch with Get and the
+// consumer that exhausts it returns it with Put, so steady-state execution
+// allocates no per-batch garbage. Get and Put are allocation-free and safe
+// for concurrent use; an empty pool falls back to NewBatch.
+//
+// A pool keeps its idle batches in one of two ways. A session pool
+// (NewBatchPool) keeps a bounded free list, a buffered channel: what it
+// retains survives garbage collection, so an engine's pools stay warm
+// between queries however often the collector runs, and a full free list
+// drops the batch to the collector, so Put never blocks. A shared pool
+// (SharedPool) keeps them in a sync.Pool: unbounded between collections,
+// given back to the collector by the next ones, so every run in the process
+// can draw on it without any run's peak staying pinned.
 type BatchPool struct {
 	size int
-	free chan *Batch
+	free chan *Batch // a session pool's free list; nil for a shared pool
+	idle sync.Pool   // a shared pool's idle batches
 	// acct, when set, observes the live-batch byte balance: +batch bytes on
 	// every Get, -batch bytes on every Put of a pool-shaped batch. A memory
 	// budget (spill runtime) hangs off this hook.
 	acct func(deltaBytes int64)
-	dbg  poolDebug
 }
 
-// MaxPoolRetain is the conventional upper bound both runtimes place on a
-// pool's free list: beyond this many idle batches the pool would only
-// hoard memory.
+// MaxPoolRetain is the conventional upper bound on a session pool's free
+// list: beyond this many idle batches the pool would only hoard memory.
 const MaxPoolRetain = 1 << 14
 
-// NewBatchPool returns a pool of batches with capacity size tuples each,
-// retaining at most retain idle batches. retain should cover the number of
-// batches in flight at once (roughly streams × channel depth, capped at
-// MaxPoolRetain); beyond that the pool only trades memory for nothing.
+// NewBatchPool returns a session pool of batches with capacity size tuples
+// each, retaining at most retain idle batches. retain should cover the
+// number of batches in flight at once (roughly streams × channel depth,
+// capped at MaxPoolRetain); beyond that the pool only trades memory for
+// nothing.
 func NewBatchPool(size, retain int) *BatchPool {
 	if size < 1 {
 		size = 1
@@ -49,6 +56,32 @@ func NewBatchPoolAccounted(size, retain int, acct func(deltaBytes int64)) *Batch
 	return p
 }
 
+// sharedPools holds the shared pools by capacity (int -> *BatchPool).
+var sharedPools sync.Map
+
+// SharedPool returns the process-wide pool of batches with capacity size
+// tuples, creating it on first use. Shared pools outlive the runs that draw
+// from them and serve any number of them at once; a consumer that receives
+// batches of several capacities returns each with PutShared.
+func SharedPool(size int) *BatchPool {
+	if p, ok := sharedPools.Load(size); ok {
+		return p.(*BatchPool)
+	}
+	p, _ := sharedPools.LoadOrStore(size, &BatchPool{size: size})
+	return p.(*BatchPool)
+}
+
+// PutShared returns b to the shared pool of its capacity. A batch of a
+// capacity no shared pool has is dropped, and so is a lent view.
+func PutShared(b *Batch) {
+	if b == nil {
+		return
+	}
+	if p, ok := sharedPools.Load(b.Cap()); ok {
+		p.(*BatchPool).Put(b)
+	}
+}
+
 // batchBytes is the accounted size of one pooled batch: full capacity, since
 // the capacity is reserved whether or not the batch is full.
 func (p *BatchPool) batchBytes() int64 { return int64(p.size) * TupleWireBytes }
@@ -61,16 +94,21 @@ func (p *BatchPool) Get() *Batch {
 	if p.acct != nil {
 		p.acct(p.batchBytes())
 	}
-	select {
-	case b := <-p.free:
-		p.dbg.get(b, true)
-		b.Reset()
-		return b
-	default:
-		b := NewBatch(p.size)
-		p.dbg.get(b, false)
-		return b
+	var b *Batch
+	if p.free == nil {
+		b, _ = p.idle.Get().(*Batch)
+	} else {
+		select {
+		case b = <-p.free:
+		default:
+		}
 	}
+	if b == nil {
+		return NewBatch(p.size)
+	}
+	debugGet(b)
+	b.Reset()
+	return b
 }
 
 // Put returns a batch to the pool. Batches that did not come from a pool of
@@ -82,13 +120,16 @@ func (p *BatchPool) Put(b *Batch) {
 	if b == nil || b.lent || b.Cap() != p.size {
 		return
 	}
-	p.dbg.put(b)
+	debugPut(b)
 	if p.acct != nil {
 		p.acct(-p.batchBytes())
+	}
+	if p.free == nil {
+		p.idle.Put(b)
+		return
 	}
 	select {
 	case p.free <- b:
 	default:
-		p.dbg.drop(b)
 	}
 }

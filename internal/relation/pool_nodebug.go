@@ -2,11 +2,10 @@
 
 package relation
 
-// poolDebug is a no-op unless the binary is built with -tags pooldebug, in
+// batchDebug is empty unless the binary is built with -tags pooldebug, in
 // which case pool_pooldebug.go swaps in a double-Put / use-after-Put
-// detector. The zero value is ready to use and adds no per-call cost here.
-type poolDebug struct{}
+// detector. Here it takes no space and the hooks cost nothing.
+type batchDebug struct{}
 
-func (poolDebug) get(*Batch, bool) {}
-func (poolDebug) put(*Batch)       {}
-func (poolDebug) drop(*Batch)      {}
+func debugGet(*Batch) {}
+func debugPut(*Batch) {}

@@ -2,16 +2,12 @@
 
 package relation
 
-import (
-	"fmt"
-	"sync"
-	"unsafe"
-)
+import "fmt"
 
-// poolDebug (built with -tags pooldebug) enforces the pool's ownership
+// batchDebug (built with -tags pooldebug) enforces the pool's ownership
 // discipline at run time instead of assuming it:
 //
-//   - double Put: returning a batch that is already in the pool panics;
+//   - double Put: returning a batch that is already in a pool panics;
 //   - use after Put: Put poisons every column's full capacity with sentinel
 //     values, and Get verifies the poison is intact before handing the batch
 //     out — any write through a stale alias between Put and the next Get
@@ -22,14 +18,12 @@ import (
 // completed, or a second Put of the same batch, is caught deterministically
 // rather than surfacing as a corrupted join result.
 //
-// Batches are identified by the U1 column's backing-array pointer (the
-// columns travel together for a pooled batch's whole life); the tracking map
-// is global per pool and mutex-guarded, so pooldebug builds are for tests,
-// not benchmarks.
-type poolDebug struct {
-	mu     sync.Mutex
-	pooled map[unsafe.Pointer]bool // U1 data pointer -> currently in the free list
-}
+// The mark travels with the batch, not with a pool: a batch put into two
+// pools is a double Put too, and a batch its pool let go — a session pool's
+// full free list drops it, a shared pool's sync.Pool gives it to the
+// collector — keeps its mark, so a stale owner's second Put is still caught,
+// while the collector is free to reclaim it.
+type batchDebug struct{ pooled bool }
 
 // Poison sentinels per column. The values are implausible for real data
 // (join attributes are non-negative).
@@ -39,31 +33,24 @@ const (
 	poisonCheck = uint64(0xdeadbeefdeadbeef)
 )
 
-func batchPtr(b *Batch) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(b.U1)) }
-
-func (d *poolDebug) get(b *Batch, fromFreeList bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if fromFreeList {
-		u1, u2, ck := b.U1[:b.Cap()], b.U2[:cap(b.U2)], b.Check[:cap(b.Check)]
-		for i := range u1 {
-			if u1[i] != poisonU1 || u2[i] != poisonU2 || ck[i] != poisonCheck {
-				panic(fmt.Sprintf("relation: pooldebug: use after Put: batch %p slot %d was modified while in the pool", batchPtr(b), i))
-			}
+// debugGet verifies the poison of a batch leaving a pool's idle store and
+// clears its mark.
+func debugGet(b *Batch) {
+	u1, u2, ck := b.U1[:b.Cap()], b.U2[:cap(b.U2)], b.Check[:cap(b.Check)]
+	for i := range u1 {
+		if u1[i] != poisonU1 || u2[i] != poisonU2 || ck[i] != poisonCheck {
+			panic(fmt.Sprintf("relation: pooldebug: use after Put: batch %p slot %d was modified while in the pool", b, i))
 		}
 	}
-	if d.pooled == nil {
-		d.pooled = make(map[unsafe.Pointer]bool)
-	}
-	d.pooled[batchPtr(b)] = false
+	b.dbg.pooled = false
 }
 
-func (d *poolDebug) put(b *Batch) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.pooled[batchPtr(b)] {
-		panic(fmt.Sprintf("relation: pooldebug: double Put of batch %p", batchPtr(b)))
+// debugPut marks a batch entering a pool and poisons its columns.
+func debugPut(b *Batch) {
+	if b.dbg.pooled {
+		panic(fmt.Sprintf("relation: pooldebug: double Put of batch %p", b))
 	}
+	b.dbg.pooled = true
 	u1, u2, ck := b.U1[:b.Cap()], b.U2[:cap(b.U2)], b.Check[:cap(b.Check)]
 	for i := range u1 {
 		u1[i] = poisonU1
@@ -74,17 +61,4 @@ func (d *poolDebug) put(b *Batch) {
 	for i := range ck {
 		ck[i] = poisonCheck
 	}
-	if d.pooled == nil {
-		d.pooled = make(map[unsafe.Pointer]bool)
-	}
-	d.pooled[batchPtr(b)] = true
-}
-
-// drop forgets a batch the full free list rejected: it is garbage now, and a
-// later identical allocation at the same address must not look like a
-// double Put.
-func (d *poolDebug) drop(b *Batch) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.pooled, batchPtr(b))
 }

@@ -63,6 +63,77 @@ func TestBatchPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSharedPool: a shared pool is one per capacity for the whole process,
+// hands out batches of its capacity, and takes back from PutShared only
+// batches of a capacity it serves — not a lent view, not a batch of a
+// capacity no shared pool has.
+func TestSharedPool(t *testing.T) {
+	p := SharedPool(24)
+	if SharedPool(24) != p || p.BatchSize() != 24 {
+		t.Fatal("SharedPool(24) is not one pool of capacity 24")
+	}
+	b := p.Get()
+	if b.Len() != 0 || b.Cap() != 24 {
+		t.Fatalf("Get: len=%d cap=%d", b.Len(), b.Cap())
+	}
+	b.Append(1, 2, 3)
+	PutShared(b)
+	if got := p.Get(); got.Len() != 0 || got.Cap() != 24 {
+		t.Fatalf("Get after PutShared: len=%d cap=%d", got.Len(), got.Cap())
+	}
+	var frag Batch
+	for i := int64(0); i < 48; i++ {
+		frag.Append(i, i, uint64(i))
+	}
+	views := frag.Lend(24)
+	PutShared(&views[0])
+	PutShared(NewBatch(12345))
+	PutShared(nil)
+	if _, ok := sharedPools.Load(12345); ok {
+		t.Error("PutShared created a pool for a foreign capacity")
+	}
+	for i := int64(0); i < 48; i++ {
+		if frag.U1[i] != i {
+			t.Fatalf("row %d of a lent fragment changed after PutShared", i)
+		}
+	}
+	if raceEnabled {
+		return // the race detector's sync.Pool drops a share of what it is given
+	}
+	// A capacity past the small integers an interface holds without
+	// allocating: looking the pool up must not box it.
+	q := SharedPool(300)
+	if n := testing.AllocsPerRun(100, func() { PutShared(q.Get()) }); n != 0 {
+		t.Errorf("a shared Get and PutShared allocate %v times, want 0", n)
+	}
+}
+
+// TestSharedPoolConcurrent: concurrent runs draw on the same shared pools,
+// of several capacities, and return batches by capacity.
+func TestSharedPoolConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				b := SharedPool(16 << (i % 3)).Get()
+				for j := 0; j < b.Cap(); j++ {
+					b.Append(int64(g), int64(j), 0)
+				}
+				for j := range b.U1 {
+					if b.U1[j] != int64(g) {
+						t.Errorf("batch mutated by another goroutine")
+						return
+					}
+				}
+				PutShared(b)
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestLendCutsViews: Lend cuts a fragment at the transport size — the chunk
 // boundaries a copy into pooled batches makes — into views that share the
 // fragment's columns and cannot append into them.

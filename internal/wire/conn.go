@@ -255,10 +255,22 @@ func (c *Conn) DecodeMsg(payload []byte, v any) error {
 		return err
 	}
 	c.rd.Reset(payload)
-	if err := c.dec.Decode(v); err != nil {
+	if err := c.decode(v); err != nil {
 		return fmt.Errorf("wire: decode: %w", err)
 	}
 	return nil
+}
+
+// decode runs the gob decoder and reports a panic that escapes it as an
+// error: told to discard a value (nil v), encoding/gob dereferences a nil
+// engine on some malformed type definitions instead of failing.
+func (c *Conn) decode(v any) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("gob: %v", r)
+		}
+	}()
+	return c.dec.Decode(v)
 }
 
 // Types returns how many gob types the peer has defined on the connection.
