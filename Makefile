@@ -29,14 +29,15 @@ test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Allocation bounds: every test that pins how often a kernel allocates (a
-# join's table life, a batch insert, a delete, a simulator event, a view
+# hash join's table life, none; a simple-join process's life, at most its
+# held-probe queue; a batch insert, a delete, a simulator event, a view
 # round, a heap push and pop, a row decode, a control frame, an outbox, a
 # scan's lent view, an RD query on a warmed engine, a simulated run on warm
 # shared pools), in a build without
 # -race. `make test` runs only under the race detector,
 # whose sync.Pool drops recycled memory at random, so the bounds that count
 # on recycled table memory skip there.
-ALLOC_TESTS = TestSimpleJoinCost|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox|TestLendAllocFree|TestRDQueryAllocs|TestSimRunAllocs
+ALLOC_TESTS = TestSimpleJoinCost|TestSimpleJoinProcessAllocs|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox|TestLendAllocFree|TestRDQueryAllocs|TestSimRunAllocs
 allocs:
 	$(GO) test -count=1 -run '^($(ALLOC_TESTS))$$' ./internal/hashjoin ./internal/engine ./internal/ivm ./internal/sim ./internal/relation ./internal/serve ./internal/operator ./internal/core
 

@@ -13,15 +13,20 @@ import (
 // each — allocates on a warmed engine: its scans lend the pinned
 // relations' cached fragments, so the probe operands the simple joins hold
 // through their build phases are views, not batches the resident pools
-// would have to mint afresh, and the joins' probe scratch comes back with
-// their recycled tables. Measured on one processor (AllocsPerRun): 1 875
-// allocations per query; 2 234 when the scans copied into pooled batches and
-// each join allocated its probe scratch.
+// would have to mint afresh, and a join process allocates nothing of its own
+// but its held-probe queue, sized once: its tables come recycled whole with
+// their probe scratch, its hash join lives inside it, and its host's process
+// list is made at its final length. Measured on a two-processor machine (the
+// engine's slot count at Open): 642 allocations per query; 1 874 when each
+// join allocated its hash join and a table struct, a table's release its
+// memory's carrier, and the held queue and process lists grew by append;
+// 2 234 when the scans also copied into pooled batches and each join
+// allocated its probe scratch.
 func TestRDQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops recycled memory at random")
 	}
-	const bound = 1969 // allocations per query: the measured 1 875 plus 5 %
+	const bound = 674 // allocations per query: the measured 642 plus 5 %
 	db := sessionDB(t, 10, 2000)
 	eng, err := Open(db, WithEngineRuntime("parallel"))
 	if err != nil {

@@ -167,7 +167,7 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 		e.ops[i] = os
 		for idx, procID := range n.Op.Procs {
 			in := &instance{e: e, op: os, idx: idx, proc: e.machine.Proc(procID), label: opLabel(n.Op)}
-			in.join.Init(n)
+			in.join.Init(n, params.BatchTuples)
 			os.instances = append(os.instances, in)
 			e.stats.Processes++
 			if n.Op.Kind != xra.OpScan && n.Op.Kind != xra.OpCollect {

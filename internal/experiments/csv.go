@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-
-	"multijoin/internal/jointree"
 )
 
 // WriteCSV emits sweep points as CSV with the columns
@@ -45,20 +43,4 @@ func WriteCSV(w io.Writer, points []Point) error {
 		}
 	}
 	return nil
-}
-
-// CSVForShapes runs the sweeps for all five paper shapes over the given
-// sizes on the named runtime and writes a single CSV covering all of them.
-func (r *Runner) CSVForShapes(w io.Writer, sizes []ProblemSize, runtime string) error {
-	var all []Point
-	for _, shape := range jointree.Shapes {
-		for _, size := range sizes {
-			pts, err := r.SweepShape(shape, size, runtime)
-			if err != nil {
-				return err
-			}
-			all = append(all, pts...)
-		}
-	}
-	return WriteCSV(w, all)
 }

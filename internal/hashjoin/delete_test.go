@@ -148,6 +148,85 @@ func TestTableDeleteDrainRefill(t *testing.T) {
 	tab.Release()
 }
 
+// TestRecycledTableStartsEmpty: a table handed out again by NewTableSized
+// carries nothing of its previous life. The released table was keyed on
+// Unique1 and had deleted rows on its free list; its successor, of the same
+// slot class and keyed on Unique2, is empty, finds none of the old keys,
+// and after inserts and deletes of its own agrees with the MapTable oracle
+// over what remains — with as many occupied slots as it counts (used).
+func TestRecycledTableStartsEmpty(t *testing.T) {
+	const hint = 512
+	rng := rand.New(rand.NewSource(35))
+	var tab *Table
+	for try := 0; tab == nil; try++ {
+		if try == 20 {
+			t.Skip("the pool never handed the released table's memory back (race detector)")
+		}
+		old := NewTableSized(relation.Unique1, hint)
+		var rows []relation.Tuple
+		for i := range 400 {
+			tp := relation.Tuple{Unique1: int64(rng.Intn(300)), Unique2: int64(i), Check: uint64(i)}
+			old.Insert(tp)
+			rows = append(rows, tp)
+		}
+		for _, tp := range rows[:100] {
+			old.Delete(tp)
+		}
+		if old.free == 0 {
+			t.Fatal("deletes left no free-listed row")
+		}
+		head := &old.head[0]
+		old.Release()
+		if tab = NewTableSized(relation.Unique2, hint); &tab.head[0] != head {
+			tab.Release()
+			tab = nil
+		}
+	}
+	if tab.Len() != 0 {
+		t.Fatalf("a recycled table holds %d tuples", tab.Len())
+	}
+	for k := range int64(300) {
+		if m := tab.Matches(k); m != nil {
+			t.Fatalf("a recycled table matches old key %d: %v", k, m)
+		}
+	}
+	var live []relation.Tuple
+	for i := range 300 {
+		tp := relation.Tuple{Unique1: int64(i), Unique2: int64(rng.Intn(200)), Check: uint64(rng.Intn(50))}
+		tab.Insert(tp)
+		live = append(live, tp)
+		if i%3 == 0 {
+			j := rng.Intn(len(live))
+			if !tab.Delete(live[j]) {
+				t.Fatalf("Delete(%v) = false for a present tuple", live[j])
+			}
+			live = append(live[:j], live[j+1:]...)
+		}
+	}
+	oracle := NewMapTable(relation.Unique2)
+	for _, tp := range live {
+		oracle.Insert(tp)
+	}
+	if tab.Len() != oracle.Len() {
+		t.Fatalf("Len = %d, oracle %d", tab.Len(), oracle.Len())
+	}
+	for k := range int64(300) {
+		if got, want := tab.Matches(k), oracle.Matches(k); !sameMultiset(got, want) {
+			t.Fatalf("key %d: matches %v, oracle %v", k, got, want)
+		}
+	}
+	occupied := 0
+	for _, h := range tab.head {
+		if h != 0 {
+			occupied++
+		}
+	}
+	if occupied != tab.used {
+		t.Fatalf("%d occupied slots, the table counts %d", occupied, tab.used)
+	}
+	tab.Release()
+}
+
 // TestTableDeleteAllocFree gates the steady-state delete/insert cycle at
 // zero allocations — the resident view's per-delta hot path.
 func TestTableDeleteAllocFree(t *testing.T) {

@@ -126,7 +126,9 @@ const radixBuckets = 256
 //
 // Sizing the table from the operand's declared cardinality (NewTableSized)
 // avoids rehash churn entirely — the PRISMA/DB setting, where scans declare
-// their fragment sizes up front.
+// their fragment sizes up front. A table is recycled whole: Release empties
+// it into a pool of its slot class (tablePools), and NewTableSized hands it
+// out again, so a warm process's table costs no allocation at all.
 //
 // A key's home slot is the top log2(slots) bits of its multiplicative hash
 // (see home), not the low bits. A join process receives its operands by
@@ -158,8 +160,9 @@ type Table struct {
 	mask  uint64
 	shift uint // 64 - log2(slots): hash >> shift is a home slot
 	// heads is the scratch of the batches that probe the table (probe),
-	// recycled with its memory.
-	heads []int32
+	// recycled with the table.
+	heads  []int32
+	pooled bool // released and in tablePools until NewTableSized hands it out
 }
 
 // hashKey mixes a join-attribute value for slot addressing: relation.HashKey's
@@ -180,72 +183,56 @@ func slotShift(slots int) uint { return uint(64 - bits.TrailingZeros(uint(slots)
 // for small inputs. Use NewTableSized when the cardinality is known.
 func NewTable(attr relation.Attr) *Table { return NewTableSized(attr, 0) }
 
-// tableMem is the recyclable backing memory of one Table: the slot arrays
-// of one power-of-two slot class plus the arena columns that grew on top of
-// them, and the probe scratch. Join tables are born and die with every
-// operation process, so recycling their backing store removes the dominant
-// allocation (and the page-zeroing that comes with it) from the per-query
-// cost.
-type tableMem struct {
-	keys  []int64
-	head  []int32
-	u1    []int64
-	u2    []int64
-	check []uint64
-	next  []int32
-	heads []int32
-}
-
-// tablePools recycles table backing memory by slot class; index i holds
-// memory whose slot arrays have exactly 1<<i slots. sync.Pool keeps the
-// recycling GC-aware: an idle process drops the hoard on the next cycle.
+// tablePools recycles released tables by slot class; index i holds tables
+// whose slot arrays have exactly 1<<i slots. Join tables are born and die
+// with every operation process, so recycling them whole — the struct with
+// its slot arrays, arena columns and probe scratch — takes the dominant
+// allocation (and the page-zeroing that comes with it) out of the per-query
+// cost. sync.Pool keeps the recycling GC-aware: an idle process drops the
+// hoard on the next cycle.
 var tablePools [33]sync.Pool
 
-// Release returns the table's backing memory to the recycle pool and
-// leaves the table unusable. Only the owner that created the table may
-// release it, and must not touch the table — or any tuple slice previously
-// returned by Matches, which aliases the arena — afterwards.
+// Release empties the table and puts it into the recycle pool, from which
+// NewTableSized hands it out again. Only the owner that created the table
+// may release it, and must not touch the table — or any tuple slice
+// previously returned by Matches, which aliases the arena — afterwards: once
+// handed out again it is another owner's. A second Release is a no-op until
+// then. Built with -tags pooldebug, a released table is never handed out
+// again (its memory moves to a fresh one), so a stale owner's use panics
+// on its nil slot arrays and a second Release panics outright.
 func (t *Table) Release() {
-	if t == nil || len(t.head) == 0 {
+	if t == nil {
+		return
+	}
+	if t.pooled {
+		releasedAgain(t)
 		return
 	}
 	slots := len(t.head)
-	m := &tableMem{
-		keys:  t.keys,
-		head:  t.head,
-		u1:    t.u1[:0],
-		u2:    t.u2[:0],
-		check: t.check[:0],
-		next:  t.next[:0],
-		heads: t.heads,
-	}
-	t.keys, t.head = nil, nil
-	t.u1, t.u2, t.check, t.next, t.heads = nil, nil, nil, nil, nil
-	t.free, t.used, t.live, t.mask, t.shift = 0, 0, 0, 0, 0
-	tablePools[bits.TrailingZeros(uint(slots))].Put(m)
+	t.u1, t.u2, t.check, t.next = t.u1[:0], t.u2[:0], t.check[:0], t.next[:0]
+	t.free, t.used, t.live = 0, 0, 0
+	t.pooled = true
+	tablePools[bits.TrailingZeros(uint(slots))].Put(recycled(t))
 }
 
 // NewTableSized returns an empty hash table keyed on the given attribute
-// with capacity for hint tuples before any growth, reusing released
-// backing memory of the same slot class when available.
+// with capacity for hint tuples before any growth: a released table of the
+// same slot class when the pool has one.
 func NewTableSized(attr relation.Attr, hint int) *Table {
 	slots := minSlots
 	for slots*3 < hint*4 { // keep load factor under 3/4 at hint tuples
 		slots *= 2
 	}
-	t := &Table{attr: attr, mask: uint64(slots - 1), shift: slotShift(slots)}
-	if m, _ := tablePools[bits.TrailingZeros(uint(slots))].Get().(*tableMem); m != nil {
+	t, _ := tablePools[bits.TrailingZeros(uint(slots))].Get().(*Table)
+	if t != nil {
 		// Only the chain heads must read as empty; keys[s] is never read
 		// while head[s] == 0, so the stale keys need no clearing.
-		for i := range m.head {
-			m.head[i] = 0
-		}
-		t.keys, t.head = m.keys, m.head
-		t.u1, t.u2, t.check, t.next, t.heads = m.u1, m.u2, m.check, m.next, m.heads
+		clear(t.head)
+		t.pooled = false
 	} else {
-		t.keys = make([]int64, slots)
-		t.head = make([]int32, slots)
+		t = &Table{keys: make([]int64, slots), head: make([]int32, slots)}
 	}
+	t.attr, t.mask, t.shift = attr, uint64(slots-1), slotShift(slots)
 	if hint > 0 && cap(t.u1) < hint {
 		t.u1 = make([]int64, 0, hint)
 		t.u2 = make([]int64, 0, hint)
@@ -697,14 +684,15 @@ type Pipelining struct {
 }
 
 // NewPipeliningSized returns a fresh hash-join holding no table yet; each
-// table it creates has capacity for hint tuples before any growth. Used as
+// table it creates has capacity for hint tuples before any growth. It is a
+// value, so the process that runs it keeps it in its own state. Used as
 // a simple (build-probe) join, the caller closes the build side before the
 // first probe batch — the engine holds early probe input, which is exactly
 // the blocking behaviour of the algorithm — and must not close the probe
 // side before the build side: the held probe input has not been applied
 // yet, and the build batches still to come need the table.
-func NewPipeliningSized(spec Spec, hint int) *Pipelining {
-	return &Pipelining{spec: spec, hint: hint}
+func NewPipeliningSized(spec Spec, hint int) Pipelining {
+	return Pipelining{spec: spec, hint: hint}
 }
 
 // insert adds b to a side's table t, creating the table on the side's first
@@ -808,11 +796,13 @@ func (j *Pipelining) Sizes() (build, probe int) {
 	return j.buildTable.Len(), j.probeTable.Len()
 }
 
-// Release recycles both tables' memory. The join, and any tuple slice
-// previously returned by reference, must not be used afterwards.
+// Release recycles both tables, leaving the join without any: a second
+// Release does nothing. Any tuple slice previously returned by reference
+// must not be used afterwards.
 func (j *Pipelining) Release() {
 	j.buildTable.Release()
 	j.probeTable.Release()
+	j.buildTable, j.probeTable = nil, nil
 }
 
 // Join runs a complete join of two materialized relations with the given
@@ -826,7 +816,7 @@ func Join(build, probe *relation.Relation, spec Spec, pipelined bool) *relation.
 	var bb, pb, res relation.Batch
 	bb.AppendTuples(build.Tuples)
 	pb.AppendTuples(probe.Tuples)
-	var j *Pipelining
+	var j Pipelining
 	if pipelined {
 		j = NewPipeliningSized(spec, max(bb.Len(), pb.Len()))
 		const chunk = 16

@@ -50,6 +50,14 @@
 // Operators without join state (scan and collect) use the same type for its
 // punctuation count alone.
 //
+// A process allocates nothing of its own for the step but the input it must
+// hold. Join keeps the hash join by value, and the tables come from
+// hashjoin's recycle pool and go back to it whole when given back. A simple
+// join's held probe queue is allocated once, on its first held batch, at
+// the number of probe batches the process is estimated to receive: the
+// probe operand's estimated share in full transport batches plus one
+// partial batch per producer outbox (Join.Hold).
+//
 // The step has an out-of-core mode, for a run short of memory: Join.Start
 // given the run's Spill (meter, temp directory, accounted batch pool)
 // starts a Grace join (hashjoin.Grace) whatever the operator's algorithm.

@@ -13,14 +13,22 @@ import (
 // driver applies a process's batches where the process itself runs (the
 // goroutine runtime on the goroutine of the worker that hosts the process,
 // inside its processor's slot).
+//
+// A process's life allocates nothing of its own but a simple join's held
+// probe queue, made once at the number of probe batches the process is
+// estimated to receive (Hold): the hash join is held by value, and its
+// tables come recycled.
 type Join struct {
 	node      *Node
 	want, got [numPorts]int
+	batch     int // the driver's transport size: tuples per delivered batch at most
 
 	// Once a join operator has started, pipe is its in-memory join or grace
-	// its out-of-core one. simple marks an in-memory simple join: it holds
+	// its out-of-core one; an operator without join state, or a join out of
+	// core, keeps the zero pipe, which holds no table and whose operands
+	// close without effect. simple marks an in-memory simple join: it holds
 	// probe input until its build operand has ended.
-	pipe     *hashjoin.Pipelining
+	pipe     hashjoin.Pipelining
 	grace    *hashjoin.Grace
 	simple   bool
 	resident bool  // a process of a resident network (Start)
@@ -37,9 +45,9 @@ type Spill struct {
 	Pool  *relation.BatchPool
 }
 
-// Init binds the Join to a process of operator n: the punctuation counts
-// it waits for.
-func (j *Join) Init(n *Node) { j.node, j.want = n, n.eosWant }
+// Init binds the Join to a process of operator n, whose driver delivers
+// batches of at most batch tuples: the punctuation counts it waits for.
+func (j *Join) Init(n *Node, batch int) { j.node, j.want, j.batch = n, n.eosWant, batch }
 
 // Expect overrides how many punctuation marks port p waits for. Init's count
 // is one per stream; a driver whose producer processes share outboxes
@@ -82,10 +90,18 @@ func (j *Join) Start(resident bool, sp *Spill) {
 
 // Hold parks m and reports true when it must wait: probe input of a simple
 // join whose build phase is still open. The batch stays owned by the
-// process until EOS hands it back.
+// process until EOS hands it back. The first held batch sizes the queue for
+// all the probe batches the process is estimated to receive: the probe
+// operand's per-process estimate (TableHint's rule) in full transport
+// batches, plus one partial batch per producer outbox (one per punctuation
+// mark). A wrong estimate costs an append.
 func (j *Join) Hold(m Msg) bool {
 	if !j.simple || m.Port != Probe || j.pipe.SideClosed(true) {
 		return false
+	}
+	if j.held == nil {
+		est := relation.PerFragmentCap(j.node.In[Probe].EstCard, len(j.node.Op.Procs))
+		j.held = make([]Msg, 0, est/j.batch+j.want[Probe])
 	}
 	j.held = append(j.held, m)
 	return true
@@ -148,13 +164,14 @@ func (j *Join) Drain(emit func(*relation.Batch) error) error {
 // the build batches still to come must go into the table. A resident
 // process's marks end rounds instead: the first mark after a complete round
 // starts the count afresh, and no operand ever ends. An out-of-core join,
-// and an operator without join state, only counts.
+// and an operator without join state, only counts: closing their zero pipe
+// does nothing.
 func (j *Join) EOS(p Port) []Msg {
 	if j.resident && j.got == j.want {
 		j.got = [numPorts]int{}
 	}
 	j.got[p]++
-	if j.pipe == nil || j.got[p] != j.want[p] || j.resident {
+	if j.got[p] != j.want[p] || j.resident {
 		return nil
 	}
 	if p == Build {
@@ -178,10 +195,7 @@ func (j *Join) Done() bool { return j.got == j.want }
 // the out-of-core join: its partition files and meter reservations go. It is
 // idempotent, so a driver may call it on every exit path.
 func (j *Join) Release() {
-	if j.pipe != nil {
-		j.pipe.Release()
-		j.pipe = nil
-	}
+	j.pipe.Release()
 	if j.grace != nil {
 		j.grace.Close()
 		j.grace = nil
@@ -200,9 +214,6 @@ func (j *Join) Unmatched() int64 { return j.pipe.Unmatched() }
 // driver that holds a process's tables until it finishes (the simulator's
 // accounting) must count what it added rather than read this again.
 func (j *Join) Resident() int {
-	if j.pipe == nil {
-		return 0
-	}
 	b, p := j.pipe.Sizes()
 	return b + p
 }

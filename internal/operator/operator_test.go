@@ -150,7 +150,7 @@ func TestJoinStepInterleavings(t *testing.T) {
 				got := relation.New("got", want.TupleBytes)
 				for idx := range jn.Op.Procs {
 					var j Join
-					j.Init(jn)
+					j.Init(jn, 40)
 					j.Expect(Build, marks)
 					j.Expect(Probe, marks)
 					j.Start(resident, sp)
@@ -282,7 +282,7 @@ func TestJoinStepSpillDirMissing(t *testing.T) {
 	meter := spill.NewMeter(512)
 	sp := &Spill{Meter: meter, Dir: filepath.Join(t.TempDir(), "missing"), Pool: relation.NewBatchPoolAccounted(64, 4, meter.Add)}
 	var j Join
-	j.Init(scan.Out.To)
+	j.Init(scan.Out.To, 64)
 	j.Start(false, sp)
 	frag := scan.Frags[0]
 	var err error
@@ -296,6 +296,68 @@ func TestJoinStepSpillDirMissing(t *testing.T) {
 	j.Release()
 	if live := meter.Live(); live != 0 {
 		t.Fatalf("meter reads %d live bytes after Release", live)
+	}
+}
+
+// TestSimpleJoinProcessAllocs pins what one simple-join process's life
+// allocates once the table pool is warm: Start, the probe batches it is
+// estimated to receive held during the build phase, the build operand's
+// batches and its end, the held batches applied, Release. The hash join
+// lives inside the Join and its table comes recycled, so the one allocation
+// is the held-probe queue, made at its estimated length on the first Hold.
+func TestSimpleJoinProcessAllocs(t *testing.T) {
+	const bt = 64 // the driver's transport size
+	db := chainDB(t, 2, 2000)
+	w, _ := wire(t, strategy.RD, jointree.LeftLinear, 2, 4)
+	if err := w.Place(func(leaf int) *relation.Relation { return db.Relation(leaf) }); err != nil {
+		t.Fatal(err)
+	}
+	jn := w.Collect.In[In]
+	if jn.Op.Kind != xra.OpSimpleJoin {
+		t.Fatalf("top operator is %v, want a simple join", jn.Op.Kind)
+	}
+	build, probe := jn.In[Build].Frags[0].Lend(bt), jn.In[Probe].Frags[0].Lend(bt)
+	want := relation.PerFragmentCap(jn.In[Probe].EstCard, len(jn.Op.Procs))/bt + jn.eosWant[Probe]
+	if want < len(probe) {
+		t.Fatalf("estimated %d probe batches, the fragment has %d", want, len(probe))
+	}
+	res := relation.NewBatch(2 * bt)
+	var j Join
+	matched := 0
+	life := func() {
+		j = Join{}
+		j.Init(jn, bt)
+		j.Start(false, nil)
+		for k := range want {
+			if !j.Hold(Msg{Batch: &probe[k%len(probe)], Port: Probe}) {
+				t.Fatal("a simple join in its build phase did not hold probe input")
+			}
+		}
+		for k := range build {
+			j.ApplyInto(res, Msg{Batch: &build[k], Port: Build})
+		}
+		held := j.EOS(Build)
+		if len(held) != want || cap(held) != want {
+			t.Fatalf("EOS handed back %d held batches in a queue of %d, want %d in %d", len(held), cap(held), want, want)
+		}
+		matched = 0
+		for _, m := range held {
+			r, _ := j.ApplyInto(res, m)
+			matched += r.Len()
+		}
+		j.Release()
+	}
+	life()
+	if matched == 0 {
+		t.Fatal("the held probe batches matched nothing")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops recycled tables at random")
+	}
+	n := testing.AllocsPerRun(100, life)
+	t.Logf("allocations per life: %.0f", n)
+	if n > 1 {
+		t.Errorf("a simple-join process's life allocates %v times, want at most 1 (its held-probe queue)", n)
 	}
 }
 

@@ -543,22 +543,30 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 	// end-of-stream mark per producer host on a redistributed port (producers
 	// precede consumers in plan order, so their hosts are known), and the
 	// inbox holds ChannelDepth batches per mark its host's processes wait
-	// for: per incoming stream as the transport carries it.
-	bySlot := make([]*host, r.procs.Size())
+	// for: per incoming stream as the transport carries it. A host's process
+	// list is allocated once, at its final length: the processes per slot
+	// are counted first.
+	bySlot := make([]struct {
+		h     *host
+		procs int
+	}, r.procs.Size())
 	for i, n := range r.wiring.Nodes {
 		os := &opState{Node: n, procs: make([]proc, len(n.Op.Procs)), ready: make(chan struct{}), done: make(chan struct{})}
 		r.ops[i] = os
 		clear(bySlot)
+		for _, procID := range n.Op.Procs {
+			bySlot[r.slotOf(n, procID)].procs++
+		}
 		for idx, procID := range n.Op.Procs {
-			s := r.procs.index(procID)
-			if r.resident != nil && n.Op.Kind == xra.OpScan {
-				s = 0 // a resident scan is one source, never launched (Resident.Inject)
-			}
-			h := bySlot[s]
+			s := r.slotOf(n, procID)
+			h := bySlot[s].h
 			if h == nil || r.partial != nil {
 				h = &host{r: r, op: os, slot: &r.procs.slots[s], local: r.partial == nil || r.partial.Local(procID)}
 				h.procs = h.one[:0]
-				bySlot[s] = h
+				if r.partial == nil && bySlot[s].procs > 1 {
+					h.procs = make([]int, 0, bySlot[s].procs)
+				}
+				bySlot[s].h = h
 				os.hosts = append(os.hosts, h)
 			}
 			os.procs[idx].pos = len(h.procs)
@@ -567,7 +575,7 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 		}
 		// What every process of the operator waits for.
 		var join operator.Join
-		join.Init(n)
+		join.Init(n, r.cfg.BatchTuples)
 		for _, from := range n.In {
 			if from != nil && !from.Out.Local {
 				join.Expect(from.Out.Port, len(r.ops[from.Index].hosts))
@@ -715,6 +723,14 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 		}
 	}
 	return nil
+}
+
+// slotOf returns the slot of the host that runs process procID of n.
+func (r *runtimeState) slotOf(n *operator.Node, procID int) int {
+	if r.resident != nil && n.Op.Kind == xra.OpScan {
+		return 0 // a resident scan is one source, never launched (Resident.Inject)
+	}
+	return r.procs.index(procID)
 }
 
 // transportPool returns the run's pool of batches with capacity bt, on

@@ -25,7 +25,8 @@ type host struct {
 	r  *runtimeState
 	op *opState
 	// procs lists the hosted processes as ascending positions in Op.Procs;
-	// their state is op.procs[i]. one backs the list of a single process.
+	// their state is op.procs[i]. setup makes it at its final length; one
+	// backs the list of a single process.
 	procs []int
 	one   [1]int
 	// local reports whether the host runs on this node; a non-local host of
