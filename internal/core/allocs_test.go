@@ -8,44 +8,65 @@ import (
 	"multijoin/internal/strategy"
 )
 
-// TestRDQueryAllocs pins what an RD query shaped like the benchmark's
-// exec_rd — left-linear, ten relations, 40 processors, here at 2 000 tuples
-// each — allocates on a warmed engine: its scans lend the pinned
-// relations' cached fragments, so the probe operands the simple joins hold
-// through their build phases are views, not batches the resident pools
-// would have to mint afresh, and a join process allocates nothing of its own
-// but its held-probe queue, sized once: its tables come recycled whole with
-// their probe scratch, its hash join lives inside it, and its host's process
-// list is made at its final length. Measured on a two-processor machine (the
-// engine's slot count at Open): 642 allocations per query; 1 874 when each
-// join allocated its hash join and a table struct, a table's release its
-// memory's carrier, and the held queue and process lists grew by append;
-// 2 234 when the scans also copied into pooled batches and each join
-// allocated its probe scratch.
+// TestRDQueryAllocs pins what a query allocates on a warmed engine, in two
+// shapes of the repository benchmark: exec_rd's RD query — left-linear, ten
+// relations, 40 processors, here at 2 000 tuples each — and
+// serve_small_cycle's four-strategy cycle on wide-bushy 10×1 000 at 16
+// processors, counted per query. A query of a cached plan runs on the shell
+// its plan's last run left to the engine's ProcPool: the wiring, hosts,
+// inboxes, outboxes and join states are re-armed, not rebuilt, the held
+// probe queues keep their memory, and the scans lend the pinned relations'
+// cached fragments. What is left is the run's context and one-shot
+// signals, its goroutines, the collect's release closures and the result.
+// Measured on a two-processor machine (the engine's slot count at Open):
+// 130 and 122 allocations per query; 642 and 606 when every run built its
+// shell, and for the RD query 1 874 when each join allocated its hash join
+// and a table struct, a table's release its memory's carrier, and the held
+// queue and process lists grew by append, 2 234 when the scans also copied
+// into pooled batches and each join allocated its probe scratch.
 func TestRDQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops recycled memory at random")
 	}
-	const bound = 674 // allocations per query: the measured 642 plus 5 %
-	db := sessionDB(t, 10, 2000)
-	eng, err := Open(db, WithEngineRuntime("parallel"))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		shape jointree.Shape
+		card  int
+		procs int
+		kinds []strategy.Kind
+		bound float64 // allocations per query: the measured count plus 5 %
+	}{
+		{"exec_rd", jointree.LeftLinear, 2000, 40, []strategy.Kind{strategy.RD}, 137},
+		{"small_cycle", jointree.WideBushy, 1000, 16, strategy.Kinds, 129},
 	}
-	defer eng.Close()
-	q := sessionQuery(t, db, jointree.LeftLinear, strategy.RD)
-	q.Procs = 40
-	run := func() {
-		if _, err := eng.Exec(context.Background(), q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for range 5 {
-		run()
-	}
-	allocs := testing.AllocsPerRun(20, run)
-	t.Logf("allocations per query: %.0f", allocs)
-	if allocs > bound {
-		t.Errorf("an RD query allocates %.0f times, want at most %d", allocs, bound)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := sessionDB(t, 10, c.card)
+			eng, err := Open(db, WithEngineRuntime("parallel"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			qs := make([]Query, len(c.kinds))
+			for i, kind := range c.kinds {
+				qs[i] = sessionQuery(t, db, c.shape, kind)
+				qs[i].Procs = c.procs
+			}
+			run := func() {
+				for _, q := range qs {
+					if _, err := eng.Exec(context.Background(), q); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for range 5 {
+				run()
+			}
+			allocs := testing.AllocsPerRun(20, run) / float64(len(qs))
+			t.Logf("allocations per query: %.0f", allocs)
+			if allocs > c.bound {
+				t.Errorf("a query allocates %.0f times, want at most %.0f", allocs, c.bound)
+			}
+		})
 	}
 }

@@ -15,13 +15,13 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"multijoin/internal/jointree"
+	"multijoin/internal/wisconsin"
 	"multijoin/internal/xra"
 )
 
@@ -60,20 +60,35 @@ func newPlanCache() *planCache {
 	}
 }
 
-// key renders the canonical shape of a query: the join tree with its ids
-// (two trees with different JoinIDs yield different plan operator ids, so
-// the ids are part of the shape), the strategy, the processor budget, the
-// cost-function toggle, and each leaf's cardinality bucketed to the next
-// power of two. Queries differing only within a cardinality bucket share a
-// plan — processor allocation is proportional, so sub-2× differences do
-// not change it materially.
+// planKey renders the canonical shape of a query: the join tree with its
+// ids (two trees with different JoinIDs yield different plan operator ids,
+// so the ids are part of the shape) and each leaf's cardinality bucketed to
+// the next power of two, the strategy, the processor budget and the
+// cost-function toggle. Queries differing only within a cardinality bucket
+// share a plan — processor allocation is proportional, so sub-2×
+// differences do not change it materially.
 func planKey(q Query) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|p%d|eq%t|", q.Tree.String(), q.Strategy, q.Procs, q.EqualWork)
-	for _, leaf := range jointree.Leaves(q.Tree) {
-		fmt.Fprintf(&b, "c%d,", cardBucket(q.DB.Card(leaf.Leaf)))
+	b := appendShape(make([]byte, 0, 256), q.Tree, q.DB)
+	b = strconv.AppendInt(append(b, "|s"...), int64(q.Strategy), 10)
+	b = strconv.AppendInt(append(b, "|p"...), int64(q.Procs), 10)
+	b = strconv.AppendBool(append(b, "|eq"...), q.EqualWork)
+	return string(b)
+}
+
+// appendShape appends tree n in one walk: a leaf as R<leaf>c<card bucket>,
+// a join as (J<id> <build> <probe>).
+func appendShape(b []byte, n *jointree.Node, db *wisconsin.Database) []byte {
+	switch {
+	case n == nil:
+		return append(b, "<nil>"...)
+	case n.IsLeaf():
+		b = strconv.AppendInt(append(b, 'R'), int64(n.Leaf), 10)
+		return strconv.AppendInt(append(b, 'c'), int64(cardBucket(db.Card(n.Leaf))), 10)
 	}
-	return b.String()
+	b = strconv.AppendInt(append(b, "(J"...), int64(n.JoinID), 10)
+	b = appendShape(append(b, ' '), n.Build, db)
+	b = appendShape(append(b, ' '), n.Probe, db)
+	return append(b, ')')
 }
 
 // cardBucket buckets a cardinality to its power-of-two ceiling exponent.

@@ -53,10 +53,12 @@
 // A process allocates nothing of its own for the step but the input it must
 // hold. Join keeps the hash join by value, and the tables come from
 // hashjoin's recycle pool and go back to it whole when given back. A simple
-// join's held probe queue is allocated once, on its first held batch, at
-// the number of probe batches the process is estimated to receive: the
+// join's held probe queue is allocated on the first batch the process ever
+// holds, at the number of probe batches it is estimated to receive: the
 // probe operand's estimated share in full transport batches plus one
-// partial batch per producer outbox (Join.Hold).
+// partial batch per producer outbox (Join.Hold). A driver that runs the
+// same process again (the goroutine runtime's reused shells) Resets it
+// instead of starting a new one, and the queue's memory carries over.
 //
 // The step has an out-of-core mode, for a run short of memory: Join.Start
 // given the run's Spill (meter, temp directory, accounted batch pool)

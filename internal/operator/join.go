@@ -15,9 +15,9 @@ import (
 // inside its processor's slot).
 //
 // A process's life allocates nothing of its own but a simple join's held
-// probe queue, made once at the number of probe batches the process is
-// estimated to receive (Hold): the hash join is held by value, and its
-// tables come recycled.
+// probe queue, made on its first held batch at the number of probe batches
+// the process is estimated to receive (Hold) and kept, emptied, across EOS
+// and Reset: the hash join is held by value, and its tables come recycled.
 type Join struct {
 	node      *Node
 	want, got [numPorts]int
@@ -48,6 +48,15 @@ type Spill struct {
 // Init binds the Join to a process of operator n, whose driver delivers
 // batches of at most batch tuples: the punctuation counts it waits for.
 func (j *Join) Init(n *Node, batch int) { j.node, j.want, j.batch = n, n.eosWant, batch }
+
+// Reset releases the process (Release) and returns it to its state after
+// Init and Expect, for a driver that may run the same process again: its
+// held-probe queue keeps its memory, cleared so that it references no batch.
+func (j *Join) Reset() {
+	j.Release()
+	clear(j.held[:cap(j.held)])
+	*j = Join{node: j.node, want: j.want, batch: j.batch, held: j.held[:0]}
+}
 
 // Expect overrides how many punctuation marks port p waits for. Init's count
 // is one per stream; a driver whose producer processes share outboxes
@@ -90,9 +99,9 @@ func (j *Join) Start(resident bool, sp *Spill) {
 
 // Hold parks m and reports true when it must wait: probe input of a simple
 // join whose build phase is still open. The batch stays owned by the
-// process until EOS hands it back. The first held batch sizes the queue for
-// all the probe batches the process is estimated to receive: the probe
-// operand's per-process estimate (TableHint's rule) in full transport
+// process until EOS hands it back. The first batch a process ever holds
+// sizes the queue for all the probe batches it is estimated to receive: the
+// probe operand's per-process estimate (TableHint's rule) in full transport
 // batches, plus one partial batch per producer outbox (one per punctuation
 // mark). A wrong estimate costs an append.
 func (j *Join) Hold(m Msg) bool {
@@ -159,7 +168,8 @@ func (j *Join) Drain(emit func(*relation.Batch) error) error {
 // tuples (no future match can need them) and gives back the other
 // operand's table (no future tuple can probe it), and the end of a simple
 // join's build phase returns the probe messages held meanwhile, in arrival
-// order, for the driver to apply before any later input. A simple join's
+// order, for the driver to apply before any later input (the returned slice
+// is the queue's memory, which Reset clears). A simple join's
 // probe operand may end while its input is still held, so it never closes:
 // the build batches still to come must go into the table. A resident
 // process's marks end rounds instead: the first mark after a complete round
@@ -177,7 +187,7 @@ func (j *Join) EOS(p Port) []Msg {
 	if p == Build {
 		j.pipe.CloseBuildSide()
 		held := j.held
-		j.held = nil
+		j.held = held[:0]
 		return held
 	}
 	if !j.simple {

@@ -75,10 +75,17 @@
 // no longer drain the pools, and out of core the budget does not count them:
 // that memory is the database's. What is constant across the queries of an
 // engine session — the un-metered batch pools, result buffers included, the
-// placement of the resident base relations and the views lent from it —
-// lives with the session's ProcPool, not with the run. Result
-// equivalence against the sequential reference is asserted for every
-// strategy in the tests.
+// placement of the resident base relations and the views lent from it, and
+// the shell of each plan it runs — lives with the session's ProcPool, not
+// with the run. A run's shell is what follows from the plan, the resolved
+// Config and the base relations alone: the wiring, the operators' processes
+// with their join states, the hosts with their inboxes, outboxes and
+// destinations, and the pools. A run builds it and arms it (its context,
+// the operators' one-shot signals, the placement and lent views, the hosts'
+// input counts and transport counters); an in-memory run on a ProcPool that
+// completes leaves it to the pool, and the next run of the same plan on the
+// same relations only arms it. Result equivalence against the sequential
+// reference is asserted for every strategy in the tests.
 package parallel
 
 import (
@@ -128,6 +135,10 @@ const (
 	// maxPlacedBytes bounds the cached placement. A fragmentation that would
 	// overflow it evicts everything cached before.
 	maxPlacedBytes = 32 << 20
+	// maxIdleShells bounds the finished runs' shells kept for the next run of
+	// their plan; keeping one more evicts them all. A serving workload runs a
+	// handful of plans a few at a time.
+	maxIdleShells = 16
 )
 
 // ProcPool is a shared set of modeled processors — one slot (lock) each,
@@ -136,8 +147,11 @@ const (
 // resource that caps concurrent computation across in-flight queries, and
 // it owns what those queries would otherwise rebuild each time: the
 // un-metered batch pools, one per batch capacity, and the placed fragments
-// of the relations declared resident (Pin) with the views their scans lend.
-// Both are byte-bounded and dropped by Close. A ProcPool owns no goroutines.
+// of the relations declared resident (Pin) with the views their scans lend,
+// both byte-bounded, and the shells of finished in-memory runs, count-bounded:
+// the wiring, hosts, inboxes, outboxes and join states of a plan, which the
+// next run of the same plan re-arms instead of building them again. All of it
+// is dropped by Close. A ProcPool owns no goroutines.
 type ProcPool struct {
 	slots []sync.Mutex
 
@@ -146,6 +160,15 @@ type ProcPool struct {
 	pinned      []*relation.Relation
 	placed      map[placement]*placed
 	placedBytes int64
+	shells      map[shellKey][]*runtimeState
+	idle        int // the shells kept
+}
+
+// shellKey identifies the runs that may share a shell: one plan under one
+// resolved Config.
+type shellKey struct {
+	plan *xra.Plan
+	cfg  Config
 }
 
 // placed is one cached fragmentation and the views last lent from it.
@@ -192,13 +215,14 @@ func (p *ProcPool) PlacedBytes() int64 {
 	return p.placedBytes
 }
 
-// Close drops the resident batch pools, the pinned set and the cached
-// placement. It must not be called while runs still use the pool; a result
-// batch released afterwards goes to a pool nothing draws from any more.
+// Close drops the resident batch pools, the pinned set, the cached
+// placement and the idle shells. It must not be called while runs still use
+// the pool; a result batch released afterwards goes to a pool nothing draws
+// from any more.
 func (p *ProcPool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.pools, p.pinned, p.placed, p.placedBytes = nil, nil, nil, 0
+	p.pools, p.pinned, p.placed, p.placedBytes, p.shells, p.idle = nil, nil, nil, 0, nil, 0
 }
 
 // index returns which modeled processor serves plan processor id proc. The
@@ -280,6 +304,30 @@ func (p *ProcPool) lend(rel *relation.Relation, attr relation.Attr, frags []rela
 		e.views, e.size = views, size
 	}
 	return views
+}
+
+// reuse takes an idle shell of plan under cfg (resolved); nil if there is
+// none or if its scans do not read the relations base returns, in which
+// case the shell is dropped.
+func (p *ProcPool) reuse(plan *xra.Plan, cfg Config, base func(leaf int) *relation.Relation) *runtimeState {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	list := p.shells[shellKey{plan, cfg}]
+	if len(list) == 0 {
+		p.mu.Unlock()
+		return nil
+	}
+	r := list[len(list)-1]
+	p.shells[shellKey{plan, cfg}], p.idle = list[:len(list)-1], p.idle-1
+	p.mu.Unlock()
+	for _, os := range r.ops {
+		if os.Op.Kind == xra.OpScan && base(os.Op.Leaf) != os.rel {
+			return nil
+		}
+	}
+	return r
 }
 
 // Config parameterizes one parallel execution.
@@ -404,8 +452,13 @@ type RunResult struct {
 // opState is the shared runtime state of one plan operator.
 type opState struct {
 	*operator.Node
-	// views is a scan's placed fragments lent as transport-sized views, per
-	// process; nil unless the scan feeds a local edge.
+	// rel is a scan's base relation, which arm places (nil in a partial run
+	// and in a resident network), and size the tuples the operator's
+	// outboxes' buffers start at, which is the size of the views a scan
+	// lends; views is a scan's placed fragments lent at that size, per
+	// process, and nil unless the scan feeds a local edge.
+	rel   *relation.Relation
+	size  int
 	views [][]relation.Batch
 	procs []proc  // the operator's processes, by position in Op.Procs
 	hosts []*host // the workers they are grouped under, in order of first process
@@ -419,20 +472,27 @@ type opState struct {
 	wallDone  time.Duration // written by the closing host before close(done)
 }
 
-// runtimeState carries one execution.
+// runtimeState carries one execution. Its shell — the wiring, the operators'
+// processes, hosts, inboxes and outboxes, the pools — is built from the plan,
+// the resolved Config and the base relations; everything else is armed per
+// run. An in-memory run on a ProcPool leaves its shell to the pool, whose
+// next run of the plan on the same relations re-arms it.
 type runtimeState struct {
-	wiring   *operator.Wiring
-	cfg      Config
-	ctx      context.Context
-	procs    *ProcPool                   // the modeled processors: cfg.Pool, or the run's own
-	streams  int                         // the plan's streams (xra.Plan.NumStreams)
-	retain   int                         // free-list bound of the run's own pools
-	pools    map[int]*relation.BatchPool // batch capacity → pool; read-only once workers launch
-	results  *relation.BatchPool         // join hosts' result buffers; nil unless the run has in-memory joins
-	ops      []*opState                  // plan order, indexed by Node.Index
-	spill    *operator.Spill             // what the joins spill into; nil unless the run is out of core
-	partial  *Partial                    // nil for whole-plan (single-node) runs
-	resident *Resident                   // nil unless the network is resident (RunResident)
+	wiring  *operator.Wiring
+	cfg     Config
+	ctx     context.Context
+	procs   *ProcPool // the modeled processors: cfg.Pool, or the run's own
+	streams int       // the plan's streams (xra.Plan.NumStreams)
+	retain  int       // free-list bound of the run's own pools
+	// pools maps batch capacity to pool. It is read-only once built: a
+	// cursor may release an earlier run's result batches (putBatch) while
+	// the next run on the shell is going.
+	pools    map[int]*relation.BatchPool
+	results  *relation.BatchPool // join hosts' result buffers; nil unless the run has in-memory joins
+	ops      []*opState          // plan order, indexed by Node.Index
+	spill    *operator.Spill     // what the joins spill into; nil unless the run is out of core
+	partial  *Partial            // nil for whole-plan (single-node) runs
+	resident *Resident           // nil unless the network is resident (RunResident)
 
 	// sink receives the final result stream from the collect process (nil
 	// only on nodes of a partial run that do not host it); resultTuples
@@ -473,29 +533,36 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 			return nil, fmt.Errorf("parallel: Partial is incompatible with Pool and out-of-core mode")
 		}
 	}
-	r, err := newRuntime(ctx, plan, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("parallel: %w", err)
-	}
-	defer r.cancel(nil)
-	r.sink, r.partial = sink, cfg.Partial
-	if r.cfg.Meter != nil {
-		// Every partition file lives in the run's temp directory. Each join
-		// closes its own as its host exits; removing the directory once every
-		// goroutine has exited is the backstop.
-		dir, err := os.MkdirTemp("", "mjspill-")
-		if err != nil {
-			return nil, fmt.Errorf("parallel: spill dir: %w", err)
+	r := cfg.Pool.reuse(plan, cfg.withDefaults(plan), base)
+	if r == nil {
+		var err error
+		if r, err = newRuntime(plan, cfg); err != nil {
+			return nil, fmt.Errorf("parallel: %w", err)
 		}
-		defer os.RemoveAll(dir)
-		r.spill = &operator.Spill{Meter: r.cfg.Meter, Dir: dir, Pool: r.transportPool(r.cfg.BatchTuples)}
+		if r.cfg.Meter != nil {
+			// Every partition file lives in the run's temp directory. Each join
+			// closes its own as its host exits; removing the directory once every
+			// goroutine has exited is the backstop.
+			dir, err := os.MkdirTemp("", "mjspill-")
+			if err != nil {
+				return nil, fmt.Errorf("parallel: spill dir: %w", err)
+			}
+			defer os.RemoveAll(dir)
+			r.spill = &operator.Spill{Meter: r.cfg.Meter, Dir: dir, Pool: r.transportPool(r.cfg.BatchTuples)}
+		}
+		if r.partial != nil && r.partial.BatchPool != nil {
+			r.pools[r.cfg.BatchTuples] = r.partial.BatchPool
+		}
+		if err := r.build(base); err != nil {
+			return nil, fmt.Errorf("parallel: %w", err)
+		}
 	}
-	if r.partial != nil && r.partial.BatchPool != nil {
-		r.pools[r.cfg.BatchTuples] = r.partial.BatchPool
+	if sink == nil && r.ops[r.wiring.Collect.Index].locals > 0 {
+		return nil, fmt.Errorf("parallel: RunStream needs a sink")
 	}
-	if err := r.setup(base); err != nil {
-		return nil, fmt.Errorf("parallel: %w", err)
-	}
+	r.sink = sink
+	r.arm(ctx)
+	defer r.cancel(nil)
 	r.start = time.Now()
 	r.launch()
 	r.wg.Wait()
@@ -510,19 +577,19 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 
 // newRuntime wires plan and resolves cfg into the state of one execution,
 // on cfg.Pool or on a ProcPool of its own.
-func newRuntime(ctx context.Context, plan *xra.Plan, cfg Config) (*runtimeState, error) {
+func newRuntime(plan *xra.Plan, cfg Config) (*runtimeState, error) {
 	w, err := operator.Wire(plan)
 	if err != nil {
 		return nil, err
 	}
 	r := &runtimeState{
-		wiring: w,
-		cfg:    cfg.withDefaults(plan),
-		procs:  cfg.Pool,
-		pools:  make(map[int]*relation.BatchPool),
-		ops:    make([]*opState, len(w.Nodes)),
+		wiring:  w,
+		cfg:     cfg.withDefaults(plan),
+		procs:   cfg.Pool,
+		pools:   make(map[int]*relation.BatchPool),
+		ops:     make([]*opState, len(w.Nodes)),
+		partial: cfg.Partial,
 	}
-	r.ctx, r.cancel = context.WithCancelCause(ctx)
 	r.streams = plan.NumStreams()
 	r.retain = min(r.streams*(r.cfg.ChannelDepth+1), relation.MaxPoolRetain)
 	if r.procs == nil {
@@ -531,10 +598,11 @@ func newRuntime(ctx context.Context, plan *xra.Plan, cfg Config) (*runtimeState,
 	return r, nil
 }
 
-// setup groups every operator's processes into hosts with one inbox each,
-// places base relation fragments and points every host's outbox at the
-// inboxes of its consumers' hosts.
-func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
+// build groups every operator's processes into hosts with one inbox each,
+// estimates the operators' cardinalities from the base relations and points
+// every host's outbox at the inboxes of its consumers' hosts: the shell of
+// the run, which arm readies.
+func (r *runtimeState) build(base func(leaf int) *relation.Relation) error {
 	// A host is the processes of one operator whose processors share a slot.
 	// In a partial run every process is a host of its own — the transport's
 	// streams, credit windows and end-of-stream marks are per process — and
@@ -543,30 +611,18 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 	// end-of-stream mark per producer host on a redistributed port (producers
 	// precede consumers in plan order, so their hosts are known), and the
 	// inbox holds ChannelDepth batches per mark its host's processes wait
-	// for: per incoming stream as the transport carries it. A host's process
-	// list is allocated once, at its final length: the processes per slot
-	// are counted first.
-	bySlot := make([]struct {
-		h     *host
-		procs int
-	}, r.procs.Size())
+	// for: per incoming stream as the transport carries it.
+	bySlot := make([]*host, r.procs.Size())
 	for i, n := range r.wiring.Nodes {
-		os := &opState{Node: n, procs: make([]proc, len(n.Op.Procs)), ready: make(chan struct{}), done: make(chan struct{})}
+		os := &opState{Node: n, procs: make([]proc, len(n.Op.Procs))}
 		r.ops[i] = os
 		clear(bySlot)
-		for _, procID := range n.Op.Procs {
-			bySlot[r.slotOf(n, procID)].procs++
-		}
 		for idx, procID := range n.Op.Procs {
 			s := r.slotOf(n, procID)
-			h := bySlot[s].h
+			h := bySlot[s]
 			if h == nil || r.partial != nil {
 				h = &host{r: r, op: os, slot: &r.procs.slots[s], local: r.partial == nil || r.partial.Local(procID)}
-				h.procs = h.one[:0]
-				if r.partial == nil && bySlot[s].procs > 1 {
-					h.procs = make([]int, 0, bySlot[s].procs)
-				}
-				bySlot[s].h = h
+				bySlot[s] = h
 				os.hosts = append(os.hosts, h)
 			}
 			os.procs[idx].pos = len(h.procs)
@@ -592,41 +648,22 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 				continue
 			}
 			os.locals++
-			if !join.Done() {
-				h.open = len(h.procs)
-			}
 			h.inbox = make(chan operator.Msg, max(1, r.cfg.ChannelDepth*join.Marks()*len(h.procs)))
 			for _, idx := range h.procs {
 				os.procs[idx].join = join
 			}
 		}
-		os.remaining.Store(int32(os.locals))
-		if os.locals == 0 {
-			// No process of this operator runs here; its completion is
-			// another node's business. Closing done up front keeps local
-			// After dependencies on it from blocking (cross-node After
-			// ordering is node-local — see internal/dist).
-			close(os.done)
-		} else if n.Op.Kind == xra.OpCollect && r.sink == nil && r.resident == nil {
-			return fmt.Errorf("RunStream needs a sink")
-		}
 	}
 	// Base relation fragments: ideal initial fragmentation, identical to the
-	// simulator, through the ProcPool's placement cache (which only an engine
-	// session's pool has relations pinned in). A partial run receives its
+	// simulator, are placed per run (arm); the shell needs only the
+	// cardinalities they are estimated from. A partial run receives its
 	// fragments pre-placed by the coordinator (Partial.ScanFragment) instead
-	// of fragmenting in-process, and a resident network, whose scans are
-	// never launched, no fragments at all.
-	switch {
-	case r.resident != nil:
+	// of fragmenting in-process.
+	if r.partial == nil {
 		if err := r.wiring.PlaceWith(base, func(*relation.Relation, relation.Attr, int) []relation.Batch { return nil }); err != nil {
 			return err
 		}
-	case r.partial == nil:
-		if err := r.wiring.PlaceWith(base, r.procs.fragments); err != nil {
-			return err
-		}
-	default:
+	} else {
 		if r.partial.LeafCard == nil {
 			return fmt.Errorf("Partial needs LeafCard")
 		}
@@ -666,18 +703,14 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 		// un-meters — foreign-capacity batches). Partial (distributed) runs keep
 		// the uniform size: the transport owns the pool and peer nodes must
 		// agree on wire batch capacity.
-		size := r.cfg.BatchTuples
+		os.size = r.cfg.BatchTuples
 		if r.partial == nil {
-			size = os.BufferSize(len(os.hosts), size)
-		}
-		pool := r.transportPool(size)
-		if e.Local && r.resident == nil {
-			var rel *relation.Relation // a partial run's fragments are never cached
-			if r.partial == nil {
-				rel = base(os.Op.Leaf)
+			os.size = os.BufferSize(len(os.hosts), os.size)
+			if os.Op.Kind == xra.OpScan && r.resident == nil {
+				os.rel = base(os.Op.Leaf) // a partial run's fragments are never cached
 			}
-			os.views = r.procs.lend(rel, os.Op.FragAttr, os.Frags, size)
 		}
+		pool := r.transportPool(os.size)
 		// Point every local host's outbox at the inboxes of its consumers'
 		// hosts: one destination per consumer process, or on a local edge one
 		// per hosted process, the consumer process of its own index. A stream
@@ -693,14 +726,14 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 				dests = len(h.procs)
 			}
 			if h.local {
-				h.chans = operator.Chans{Dst: make([]chan<- operator.Msg, dests), Done: r.ctx.Done(), Pool: pool}
+				h.chans = operator.Chans{Dst: make([]chan<- operator.Msg, dests), Pool: pool}
 				if r.resident != nil && os.Op.Kind == xra.OpScan {
 					// Inject stands in for the scan's one host: it routes
 					// every tuple to its consumer process by hash.
-					h.out = operator.NewSourceOutbox(os.Node, pool, size, &h.chans)
+					h.out = operator.NewSourceOutbox(os.Node, pool, os.size, &h.chans)
 					r.resident.sources[os.Op.Leaf] = h.out
 				} else {
-					h.out = operator.NewHostOutbox(os.Node, h.procs, pool, size, &h.chans)
+					h.out = operator.NewHostOutbox(os.Node, h.procs, pool, os.size, &h.chans)
 				}
 			}
 			for d := 0; d < dests; d++ {
@@ -725,6 +758,58 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 	return nil
 }
 
+// arm readies the shell for one run under ctx: the run's context, the
+// operators' one-shot start and completion signals, the scans' fragments
+// and lent views — through the ProcPool's placement cache (which only an
+// engine session's pool has relations pinned in) — and each host's input
+// count and transport counters. A resident network's scans are never
+// launched and place nothing.
+func (r *runtimeState) arm(ctx context.Context) {
+	r.ctx, r.cancel = context.WithCancelCause(ctx)
+	r.resultTuples, r.goroutines = 0, 0
+	for _, os := range r.ops {
+		os.ready, os.done = make(chan struct{}), make(chan struct{})
+		os.remaining.Store(int32(os.locals))
+		if os.locals == 0 {
+			// No process of this operator runs here; its completion is
+			// another node's business. Closing done up front keeps local
+			// After dependencies on it from blocking (cross-node After
+			// ordering is node-local — see internal/dist).
+			close(os.done)
+		}
+		if os.rel != nil {
+			os.Frags = r.procs.fragments(os.rel, os.Op.FragAttr, len(os.procs))
+		}
+		if os.Op.Kind == xra.OpScan && os.Out.Local && r.resident == nil {
+			os.views = r.procs.lend(os.rel, os.Op.FragAttr, os.Frags, os.size)
+		}
+		for _, h := range os.hosts {
+			// Every hosted process waits for marks unless the operator has no
+			// input; a host on another node (a partial run's) has no join set
+			// up, waits for nothing and is never launched.
+			h.open = len(h.procs) * min(os.procs[h.procs[0]].join.Marks(), 1)
+			h.chans.Done = r.ctx.Done()
+			if h.out != nil {
+				h.out.MovedRemote, h.out.MovedLocal, h.out.Batches = 0, 0, 0
+			}
+		}
+	}
+}
+
+// keep leaves the shell of a completed run idle on its ProcPool. The bound
+// counts plans as well as shells, so that the plans whose shells were all
+// taken stay bounded too.
+func (r *runtimeState) keep() {
+	p, key := r.procs, shellKey{r.wiring.Plan, r.cfg}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.shells == nil || max(p.idle, len(p.shells)) >= maxIdleShells {
+		p.shells, p.idle = make(map[shellKey][]*runtimeState), 0
+	}
+	p.shells[key] = append(p.shells[key], r)
+	p.idle++
+}
+
 // slotOf returns the slot of the host that runs process procID of n.
 func (r *runtimeState) slotOf(n *operator.Node, procID int) int {
 	if r.resident != nil && n.Op.Kind == xra.OpScan {
@@ -736,8 +821,8 @@ func (r *runtimeState) slotOf(n *operator.Node, procID int) int {
 // transportPool returns the run's pool of batches with capacity bt, on
 // first use creating it: accounted against the run's meter when it has one,
 // the engine session's resident pool of that capacity under Config.Pool,
-// otherwise a pool that lives as long as the run. Only called before the
-// workers launch.
+// otherwise a pool that lives as long as the run. Only called while the
+// shell is built.
 func (r *runtimeState) transportPool(bt int) *relation.BatchPool {
 	p := r.pools[bt]
 	switch {
@@ -798,8 +883,12 @@ func (r *runtimeState) launch() {
 	}
 }
 
-// finish assembles the run result after every goroutine exited.
+// finish assembles the run result after every goroutine exited and drops
+// what the run placed. An in-memory run on a ProcPool then leaves its shell,
+// its processes reset by their hosts (host.run), to the pool (keep), unless
+// a message is left in an inbox.
 func (r *runtimeState) finish() *RunResult {
+	idle := r.cfg.Pool != nil && r.cfg.Meter == nil && r.partial == nil
 	res := &RunResult{Stats: Stats{
 		Counters: operator.Counters{
 			Processes:    r.wiring.Plan.NumProcesses(),
@@ -817,12 +906,17 @@ func (r *runtimeState) finish() *RunResult {
 		}
 		for _, h := range os.hosts {
 			res.Stats.AddTransport(h.out)
+			idle = idle && len(h.inbox) == 0
 		}
+		os.Frags, os.views = nil, nil
 	}
 	if m := r.cfg.Meter; m != nil {
 		res.Stats.BytesSpilled = m.SpilledBytes()
 		res.Stats.SpillPartitions = m.Partitions()
 		res.Stats.SpillTime = m.IOTime()
+	}
+	if idle {
+		r.keep()
 	}
 	return res
 }

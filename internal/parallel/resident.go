@@ -34,17 +34,17 @@ type Resident struct {
 // until ctx is cancelled or Close is called. A resident network runs in
 // memory on one node: cfg.Partial and cfg.Meter are ignored.
 func RunResident(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config) (*Resident, error) {
-	cfg.Meter = nil
-	r, err := newRuntime(ctx, plan, cfg)
+	cfg.Meter, cfg.Partial = nil, nil
+	r, err := newRuntime(plan, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
 	s := &Resident{r: r, sources: make(map[int]*operator.Outbox)}
 	r.resident = s
-	if err := r.setup(base); err != nil {
-		r.cancel(nil)
+	if err := r.build(base); err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
+	r.arm(ctx)
 	for _, os := range r.ops {
 		if k := os.Op.Kind; k == xra.OpSimpleJoin || k == xra.OpPipeJoin {
 			for _, h := range os.hosts {

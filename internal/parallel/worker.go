@@ -25,10 +25,8 @@ type host struct {
 	r  *runtimeState
 	op *opState
 	// procs lists the hosted processes as ascending positions in Op.Procs;
-	// their state is op.procs[i]. setup makes it at its final length; one
-	// backs the list of a single process.
+	// their state is op.procs[i].
 	procs []int
-	one   [1]int
 	// local reports whether the host runs on this node; a non-local host of
 	// a partial run is only a routing target (its streams are served by the
 	// transport) and is never launched.
@@ -44,6 +42,9 @@ type host struct {
 	inbox chan operator.Msg
 	open  int
 	res   *relation.Batch
+	// stash is the input that arrived while the operator's After
+	// dependencies were pending; its memory serves every run of the shell.
+	stash []operator.Msg
 	// tables is the size of the hosted processes' tables as of the last
 	// round's end (resident mode; Resident.tables sums them).
 	tables int64
@@ -65,12 +66,13 @@ type proc struct {
 
 // run is the worker goroutine body: it serves the hosted processes (work)
 // and, on every exit path — cancellation and failure included — releases
-// their joins, before reporting the operator complete when they finished.
+// and resets their joins, before reporting the operator complete when they
+// finished.
 func (w *host) run() {
 	defer w.r.wg.Done()
 	finished := w.work()
 	for _, i := range w.procs {
-		w.op.procs[i].join.Release()
+		w.op.procs[i].join.Reset()
 	}
 	if finished && w.op.remaining.Add(-1) == 0 {
 		w.op.wallDone = time.Since(w.r.start)
@@ -92,17 +94,16 @@ func (w *host) run() {
 // until the network is closed. work reports whether the hosted processes
 // finished.
 func (w *host) work() bool {
-	var stash []operator.Msg // input that arrived while After dependencies were pending
 	for waiting := len(w.op.After) > 0 && w.r.resident == nil; waiting; {
 		m, ok := w.next(w.op.ready)
 		switch {
 		case ok:
-			if stash == nil {
+			if w.stash == nil {
 				// Producers block once the inbox is full, so its capacity
 				// is what typically arrives before the dependencies end.
-				stash = make([]operator.Msg, 0, cap(w.inbox))
+				w.stash = make([]operator.Msg, 0, cap(w.inbox))
 			}
-			stash = append(stash, m)
+			w.stash = append(w.stash, m)
 		case w.r.ctx.Err() != nil:
 			return false
 		default:
@@ -137,11 +138,13 @@ func (w *host) work() bool {
 			}
 		}
 	}
-	for _, m := range stash {
+	for _, m := range w.stash {
 		if !w.handle(m) {
 			return false
 		}
 	}
+	clear(w.stash)
+	w.stash = w.stash[:0]
 	for w.open > 0 {
 		m, ok := w.next(nil)
 		if !ok || !w.handle(m) {

@@ -23,14 +23,15 @@ func TestMain(m *testing.M) {
 var runtimesUnderTest = []string{"sim", "parallel", "spill", "dist"}
 
 // execScenario runs a scenario on one runtime and returns the result
-// relation. The spill runtime gets the scenario's forcing memory budget so
+// relation of each run. The spill runtime gets the scenario's forcing memory budget so
 // the out-of-core path is exercised, not just registered; the dist runtime
 // runs the scenario across two loopback worker processes. The parallel
 // runtime is consumed through the session API — an Engine and a streaming
 // Rows cursor — so the fuzz harness also differential-tests the cursor
 // hand-off (pooled batch ownership, release on Next) against the other
-// backends' materialized paths.
-func execScenario(t testing.TB, s *Scenario, rt string) *relation.Relation {
+// backends' materialized paths — twice, so that the second run re-arms the
+// shell the first left to the engine.
+func execScenario(t testing.TB, s *Scenario, rt string) []*relation.Relation {
 	t.Helper()
 	opts := []core.Option{core.WithRuntime(rt), core.WithBatchTuples(s.BatchTuples)}
 	if rt == "parallel" {
@@ -39,18 +40,22 @@ func execScenario(t testing.TB, s *Scenario, rt string) *relation.Relation {
 			t.Fatalf("%s: %s: Open: %v", s.Desc, rt, err)
 		}
 		defer eng.Close()
-		rows, err := eng.Query(context.Background(), s.Query, opts...)
-		if err != nil {
-			t.Fatalf("%s: %s: Query: %v", s.Desc, rt, err)
+		var runs []*relation.Relation
+		for range 2 {
+			rows, err := eng.Query(context.Background(), s.Query, opts...)
+			if err != nil {
+				t.Fatalf("%s: %s: Query: %v", s.Desc, rt, err)
+			}
+			got := relation.New("result", 0)
+			for tp := range rows.Iter() {
+				got.Append(tp)
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatalf("%s: %s: Rows: %v", s.Desc, rt, err)
+			}
+			runs = append(runs, got)
 		}
-		got := relation.New("result", 0)
-		for tp := range rows.Iter() {
-			got.Append(tp)
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatalf("%s: %s: Rows: %v", s.Desc, rt, err)
-		}
-		return got
+		return runs
 	}
 	if rt == "spill" {
 		opts = append(opts, core.WithMemoryBudget(s.MemoryBudget))
@@ -62,7 +67,7 @@ func execScenario(t testing.TB, s *Scenario, rt string) *relation.Relation {
 	if err != nil {
 		t.Fatalf("%s: %s: %v", s.Desc, rt, err)
 	}
-	return res.Result
+	return []*relation.Relation{res.Result}
 }
 
 // FuzzExecEquivalence is the randomized differential harness: for any
@@ -91,9 +96,10 @@ func FuzzExecEquivalence(f *testing.F) {
 		}
 		want := core.Reference(s.Query.DB, s.Query.Tree)
 		for _, rt := range runtimesUnderTest {
-			got := execScenario(t, s, rt)
-			if diff := relation.DiffMultiset(got, want); diff != "" {
-				t.Errorf("%s: %s result differs from sequential reference: %s", s.Desc, rt, diff)
+			for i, got := range execScenario(t, s, rt) {
+				if diff := relation.DiffMultiset(got, want); diff != "" {
+					t.Errorf("%s: %s run %d result differs from sequential reference: %s", s.Desc, rt, i+1, diff)
+				}
 			}
 		}
 	})
