@@ -32,12 +32,13 @@ test:
 # hash join's table life, none; a simple-join process's life, at most its
 # held-probe queue; a batch insert, a delete, a simulator event, a view
 # round, a heap push and pop, a row decode, a control frame, an outbox, a
-# scan's lent view, an RD query on a warmed engine, a simulated run on warm
-# shared pools), in a build without
+# scan's lent view, a host outbox's redistribution scatter on a warm pool,
+# an RD query on a warmed engine, a simulated run on warm shared pools), in
+# a build without
 # -race. `make test` runs only under the race detector,
 # whose sync.Pool drops recycled memory at random, so the bounds that count
 # on recycled table memory skip there.
-ALLOC_TESTS = TestSimpleJoinCost|TestSimpleJoinProcessAllocs|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox|TestLendAllocFree|TestRDQueryAllocs|TestSimRunAllocs
+ALLOC_TESTS = TestSimpleJoinCost|TestSimpleJoinProcessAllocs|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox|TestLendAllocFree|TestScatterAllocFree|TestRDQueryAllocs|TestSimRunAllocs
 allocs:
 	$(GO) test -count=1 -run '^($(ALLOC_TESTS))$$' ./internal/hashjoin ./internal/engine ./internal/ivm ./internal/sim ./internal/relation ./internal/serve ./internal/operator ./internal/core
 

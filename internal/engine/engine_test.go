@@ -491,6 +491,9 @@ func TestSimRunAllocs(t *testing.T) {
 	tree, _ := jointree.BuildShape(jointree.WideBushy, 10)
 	p := planFor(t, strategy.SP, tree, 40, 500)
 	params := costmodel.Default()
+	// Finish any collection an earlier test started: one still in flight
+	// when the collector is held off would empty the pools mid-measurement.
+	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run(t, p, db, params)
 	var before, after runtime.MemStats

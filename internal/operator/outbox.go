@@ -19,8 +19,14 @@ type Deliverer interface {
 // sign lane, delivers a buffer the moment it holds a transport batch, and
 // obeys the ordering rule of the package documentation. A buffer starts at
 // its pool's capacity; one that fills below the transport size is swapped
-// for a pooled batch of twice the capacity (at most the transport size), so
-// a buffer never regrows by append. A shared outbox is told which of its
+// for a pooled batch of twice the capacity (at most the transport size).
+// While a buffer is pending it fills through a held write position: the
+// length of its U1 column is its fill, and its U2 and Check columns stay
+// resliced to their capacity (hold), so a tuple is three indexed stores and
+// one length update. The fill is written back to those two columns once,
+// when the buffer is delivered (deliver, so Flush too); a buffer moved to a
+// larger capacity (filled) is full, so its columns agree, and the larger
+// batch is held in its place. A shared outbox is told which of its
 // processes emits; every buffer is still for one consumer process (Msg.To),
 // whoever filled it. Every method reports false once a delivery failed (the run was
 // torn down).
@@ -91,6 +97,13 @@ func newOutbox(n *Node, paired bool, dests int, pool *relation.BatchPool, size i
 	return o
 }
 
+// hold reslices the U2 and Check columns of b to n tuples: to their
+// capacity while b is pending, to its fill (U1's length) when it leaves.
+func hold(b *relation.Batch, n int) *relation.Batch {
+	b.U2, b.Check = b.U2[:n], b.Check[:n]
+	return b
+}
+
 // target returns the consumer process that destination d addresses.
 func (o *Outbox) target(d int) int {
 	if o.paired {
@@ -109,11 +122,12 @@ func (o *Outbox) header(d int) Msg {
 // Emit routes the result of the outbox's only process; see EmitFrom.
 func (o *Outbox) Emit(res *relation.Batch, sign int8) bool { return o.EmitFrom(0, res, sign) }
 
-// EmitFrom routes res, the result of process hosted[k], with one sign. The
-// single-destination path is three bulk column copies per chunk;
-// redistribution hoists the routing key column and scatters row-at-a-time
-// over flat columns. On a local edge only the outbox of a single process
-// copies; a scan lends its fragment instead (Lend).
+// EmitFrom routes res, the result of process hosted[k], with one sign. Both
+// paths write at the held position of a pending buffer (see Outbox): the
+// single-destination path copies three column chunks at a time;
+// redistribution hoists the routing key column and stores each row's three
+// values at its destination's position. On a local edge only the outbox of
+// a single process copies; a scan lends its fragment instead (Lend).
 func (o *Outbox) EmitFrom(k int, res *relation.Batch, sign int8) bool {
 	lane := 0
 	if sign < 0 {
@@ -132,25 +146,36 @@ func (o *Outbox) EmitFrom(k int, res *relation.Batch, sign int8) bool {
 		}
 		o.moved(local, n)
 		for lo := 0; lo < n; {
-			buf := o.buffer(pend, 0)
-			c := min(buf.Cap()-buf.Len(), n-lo)
-			buf.AppendRange(res, lo, lo+c)
+			b := pend[0]
+			if b == nil {
+				b = o.open(pend, 0)
+			}
+			j := len(b.U1)
+			c := copy(b.U2[j:], res.U2[lo:n])
+			copy(b.Check[j:], res.Check[lo:lo+c])
+			b.U1 = append(b.U1, res.U1[lo:lo+c]...)
 			lo += c
-			if buf.Len() == buf.Cap() && !o.filled(lane, 0) {
+			if j+c == cap(b.U1) && !o.filled(lane, 0) {
 				return false
 			}
 		}
 		return true
 	}
-	keys, local := res.Col(o.node.Out.Route), 0
-	for i := 0; i < n; i++ {
-		d := o.bk.Bucket(keys[i])
+	keys, local := res.Col(o.node.Out.Route)[:n], 0
+	u1, u2, check, bk := res.U1[:n], res.U2[:n], res.Check[:n], o.bk
+	for i, key := range keys {
+		d := bk.Bucket(key)
 		if cons[d] == from {
 			local++
 		}
-		buf := o.buffer(pend, d)
-		buf.Append(res.U1[i], res.U2[i], res.Check[i])
-		if buf.Len() == buf.Cap() && !o.filled(lane, d) {
+		b := pend[d]
+		if b == nil {
+			b = o.open(pend, d)
+		}
+		j := len(b.U1)
+		b.U1 = b.U1[:j+1]
+		b.U1[j], b.U2[j], b.Check[j] = u1[i], u2[i], check[i]
+		if j+1 == cap(b.U1) && !o.filled(lane, d) {
 			return false
 		}
 	}
@@ -185,17 +210,18 @@ func (o *Outbox) moved(local, n int) {
 
 func (o *Outbox) counted() bool { return o.node.Out.To.Op.Kind != xra.OpCollect }
 
-func (o *Outbox) buffer(pend []*relation.Batch, d int) *relation.Batch {
-	if pend[d] == nil {
-		pend[d] = o.pool.Get()
-	}
+// open makes an empty batch from the pool, held at its capacity, the
+// pending buffer pend[d].
+func (o *Outbox) open(pend []*relation.Batch, d int) *relation.Batch {
+	b := o.pool.Get()
+	pend[d] = hold(b, b.Cap())
 	return pend[d]
 }
 
 // filled takes the buffer of lane for destination d that reached its
 // capacity: at the transport size it is delivered (full); below, its tuples
-// move to a batch of twice the capacity, at most the transport size, and it
-// goes back to the pool of its own capacity.
+// move to a batch of twice the capacity, at most the transport size, held
+// at that capacity, and it goes back to the pool of its own capacity.
 func (o *Outbox) filled(lane, d int) bool {
 	buf := o.pend[lane][d]
 	if buf.Len() == o.size {
@@ -204,7 +230,7 @@ func (o *Outbox) filled(lane, d int) bool {
 	grown := o.pools(min(2*buf.Cap(), o.size)).Get()
 	grown.AppendRange(buf, 0, buf.Len())
 	o.pools(buf.Cap()).Put(buf)
-	o.pend[lane][d] = grown
+	o.pend[lane][d] = hold(grown, grown.Cap())
 	return true
 }
 
@@ -219,7 +245,8 @@ func (o *Outbox) full(lane, d int) bool {
 	return true
 }
 
-// deliver sends the pending buffer of lane for destination d, if any.
+// deliver sends the pending buffer of lane for destination d, if any, at
+// the length of its fill.
 func (o *Outbox) deliver(lane, d int) bool {
 	buf := o.pend[lane][d]
 	if buf == nil {
@@ -231,7 +258,7 @@ func (o *Outbox) deliver(lane, d int) bool {
 		return true
 	}
 	m := o.header(d)
-	m.Batch, m.Sign = buf, Insert
+	m.Batch, m.Sign = hold(buf, buf.Len()), Insert
 	if lane == 1 {
 		m.Sign = Delete
 	}

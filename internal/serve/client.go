@@ -268,12 +268,14 @@ type Stream struct {
 	cl *Client
 	id uint32
 	*pending
+	owed uint32 // consumed window slots not yet granted back
 }
 
 // Recv returns the next result batch. It returns (tuples, nil, nil) for
-// each DATA batch — granting the server one credit back — then
-// (nil, done, nil) when the query completes, or (nil, nil, err) on query
-// failure, cancellation, or a lost connection.
+// each DATA batch, then (nil, done, nil) when the query completes, or
+// (nil, nil, err) on query failure, cancellation, or a lost connection.
+// Consumed batches are granted back to the server in one CREDIT per half
+// window (at least one batch). Recv is for one goroutine at a time.
 func (st *Stream) Recv() ([]relation.Tuple, *Done, error) {
 	e := <-st.ev
 	switch {
@@ -282,9 +284,14 @@ func (st *Stream) Recv() ([]relation.Tuple, *Done, error) {
 	case e.done != nil:
 		return nil, e.done, nil
 	default:
-		// Consumed one window slot: grant it back so the server keeps
-		// streaming. A write error surfaces on the next Recv via readLoop.
-		st.cl.c.WriteCredit(st.id, 1)
+		// Consumed one window slot. Granting half a window at a time keeps
+		// the server streaming with the other half in flight; the last,
+		// partial grant is never needed, since DONE takes no credit. A
+		// write error surfaces on the next Recv via readLoop.
+		if st.owed++; st.owed >= uint32(max(1, st.cl.window/2)) {
+			st.cl.c.WriteCredit(st.id, st.owed)
+			st.owed = 0
+		}
 		return e.tuples, nil, nil
 	}
 }

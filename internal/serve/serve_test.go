@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,6 +140,89 @@ func TestServeRoundTrip(t *testing.T) {
 		t.Errorf("goroutines %d -> %d after round trips", baseGo, n)
 	}
 	_ = baseFD
+}
+
+// relayFrames starts a loopback proxy for one connection to addr that
+// forwards every frame as it is, counting the DATA frames the server sends
+// and the CREDIT frames the client sends. wait returns both counts once the
+// client has hung up and both directions have stopped.
+func relayFrames(t *testing.T, addr string) (proxy string, wait func() (data, credits int64)) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nData, nCredit atomic.Int64
+	var wg sync.WaitGroup
+	relay := func(dst, src net.Conn, kind byte, n *atomic.Int64) {
+		defer wg.Done()
+		defer dst.Close()
+		in, out := wire.NewConn(src, 1<<26), wire.NewConn(dst, 1<<26)
+		for {
+			k, payload, err := in.ReadFrame()
+			if err != nil {
+				return
+			}
+			if k == kind {
+				n.Add(1)
+			}
+			if out.WriteFrame(k, payload) != nil {
+				return
+			}
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer ln.Close()
+		client, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		server, err := net.Dial("tcp", addr)
+		if err != nil {
+			client.Close()
+			return
+		}
+		wg.Add(2)
+		go relay(server, client, wire.KindCredit, &nCredit)
+		go relay(client, server, wire.KindData, &nData)
+	}()
+	return ln.Addr().String(), func() (int64, int64) {
+		wg.Wait()
+		return nData.Load(), nCredit.Load()
+	}
+}
+
+// TestStreamGrantsHalfWindow: a client grants consumed batches back in one
+// CREDIT per half window (at least one batch), so a stream of f DATA frames
+// under window w costs f / max(1, w/2) CREDIT frames, and a stream larger
+// than its window still completes.
+func TestStreamGrantsHalfWindow(t *testing.T) {
+	_, addr, _ := startServer(t, 3, 4000)
+	for _, w := range []int{1, 2, 8} {
+		proxy, wait := relayFrames(t, addr)
+		cl, err := serve.DialWindow(proxy, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := cl.Submit(serve.QuerySpec{Strategy: "RD", Runtime: "parallel"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, done, err := st.Drain()
+		cl.Close()
+		data, credits := wait()
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		if done.Rows != rows || data <= int64(w) {
+			t.Errorf("window %d: %d rows streamed of %d, in %d DATA frames; want all, in more frames than the window", w, rows, done.Rows, data)
+		}
+		if want := data / int64(max(1, w/2)); credits != want {
+			t.Errorf("window %d: %d CREDIT frames for %d DATA frames, want %d", w, credits, data, want)
+		}
+	}
 }
 
 // TestServeConcurrentStreams runs many interleaved streams on a handful of
