@@ -181,9 +181,10 @@ examples:
 	@echo "all examples ran"
 
 # Code size: non-test, non-blank, non-comment Go lines per internal package,
-# for the four packages of the operation-process kernel together, and for the
-# whole repository (bench/ excluded) — the measure the design items of
-# ROADMAP.md are held to, so comments and test files cannot game it.
+# for the four packages of the operation-process kernel together, for the
+# two clients of internal/wire together (dist+serve), and for the whole
+# repository (bench/ excluded) — the measure the design items of ROADMAP.md
+# are held to, so comments and test files cannot game it.
 LOC = xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 KERNEL = internal/engine internal/parallel internal/ivm internal/operator
 loc:
@@ -191,6 +192,7 @@ loc:
 		printf '%-22s %6d\n' $$p $$(find $$p -name '*.go' ! -name '*_test.go' | $(LOC)); \
 	done
 	@printf '%-22s %6d\n' 'kernel (engine+parallel+ivm+operator)' $$(find $(KERNEL) -name '*.go' ! -name '*_test.go' | $(LOC))
+	@printf '%-22s %6d\n' 'dist+serve' $$(find internal/dist internal/serve -name '*.go' ! -name '*_test.go' | $(LOC))
 	@printf '%-22s %6d\n' 'repo (without bench/)' $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | $(LOC))
 
 clean:

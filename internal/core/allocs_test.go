@@ -16,14 +16,16 @@ import (
 // its plan's last run left to the engine's ProcPool: the wiring, hosts,
 // inboxes, outboxes and join states are re-armed, not rebuilt, the held
 // probe queues keep their memory, and the scans lend the pinned relations'
-// cached fragments. What is left is the run's context and one-shot
-// signals, its goroutines, the collect's release closures and the result.
-// Measured on a two-processor machine (the engine's slot count at Open):
-// 130 and 122 allocations per query; 642 and 606 when every run built its
-// shell, and for the RD query 1 874 when each join allocated its hash join
-// and a table struct, a table's release its memory's carrier, and the held
-// queue and process lists grew by append, 2 234 when the scans also copied
-// into pooled batches and each join allocated its probe scratch.
+// cached fragments. What is left is the run's context, the start signals of
+// the operators with After dependencies, its goroutines, the collect's
+// release closures and the result. Measured on a two-processor machine (the
+// engine's slot count at Open): 91 and 82 allocations per query; 130 and 122
+// when every operator had start and completion channels and each one with
+// After dependencies a goroutine waiting on them; 642 and 606 when every run
+// built its shell, and for the RD query 1 874 when each join allocated its
+// hash join and a table struct, a table's release its memory's carrier, and
+// the held queue and process lists grew by append, 2 234 when the scans also
+// copied into pooled batches and each join allocated its probe scratch.
 func TestRDQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops recycled memory at random")
@@ -36,8 +38,8 @@ func TestRDQueryAllocs(t *testing.T) {
 		kinds []strategy.Kind
 		bound float64 // allocations per query: the measured count plus 5 %
 	}{
-		{"exec_rd", jointree.LeftLinear, 2000, 40, []strategy.Kind{strategy.RD}, 137},
-		{"small_cycle", jointree.WideBushy, 1000, 16, strategy.Kinds, 129},
+		{"exec_rd", jointree.LeftLinear, 2000, 40, []strategy.Kind{strategy.RD}, 96},
+		{"small_cycle", jointree.WideBushy, 1000, 16, strategy.Kinds, 87},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

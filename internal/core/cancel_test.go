@@ -169,7 +169,7 @@ func TestExecCancelledRepeatedly(t *testing.T) {
 // TestEngineCancelEveryStrategy audits cancellation under an engine, where
 // the batch pools outlive the query and inbox sends and receives try the
 // plain channel operation before they select on the run's cancellation:
-// for every strategy (RD and SE bring dependency waiters and buffering
+// for every strategy (RD and SE bring After dependencies and buffering
 // processes) on both goroutine runtimes, a pre-cancelled context starts
 // nothing, and a query cancelled while its consumer has stopped reading —
 // the run parked in Push, inboxes full behind it — unwinds completely:

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"multijoin/internal/operator"
 	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
 	"multijoin/internal/wire"
@@ -38,8 +37,6 @@ type Config struct {
 	// equals the resolved ChannelDepth.
 	BatchTuples  int
 	ChannelDepth int
-	// WorkerBinary overrides worker binary resolution (see workerBinary).
-	WorkerBinary string
 	// ListenAddr is the coordinator's bind address for control and data
 	// connections; empty means the single-host default (loopback with an
 	// ephemeral port). AdvertiseAddr overrides the address workers are
@@ -63,12 +60,6 @@ type workerProc struct {
 	killed atomic.Bool
 }
 
-// nodeDone pairs a DONE report with its worker.
-type nodeDone struct {
-	node int
-	msg  doneMsg
-}
-
 // Run executes the plan across Config.Workers freshly spawned worker
 // processes plus this process as coordinator, streaming the final result
 // into sink (the push contract of parallel.Sink / core.Sink). It returns
@@ -81,31 +72,31 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 	if sink == nil {
 		return nil, errors.New("dist: Run needs a sink")
 	}
-	wiring, err := operator.Wire(plan)
-	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	workers := cfg.Workers
+	workers, bt, depth := cfg.Workers, cfg.BatchTuples, cfg.ChannelDepth
 	if workers < 1 {
 		workers = DefaultWorkers
 	}
-	bin, err := workerBinary(cfg)
-	if err != nil {
-		return nil, err
-	}
-	bt := cfg.BatchTuples
 	if bt < 1 {
 		bt = parallel.DefaultBatchTuples
 	}
-	depth := cfg.ChannelDepth
 	if depth < 1 {
 		depth = parallel.DefaultChannelDepth
 	}
-	window := depth
-
+	bin, err := workerBinary()
+	if err != nil {
+		return nil, err
+	}
+	// fail ends the run with the first failure as its cause: a worker's
+	// exit, a lost connection, a bad frame.
+	runCtx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
+	n, err := newNode(runCtx, coordNode, workers, plan, bt, depth, fail)
+	if err != nil {
+		return nil, err
+	}
 	runID := newRunID()
 	ln, err := listenOn(cfg.ListenAddr, runID)
 	if err != nil {
@@ -117,312 +108,225 @@ func Run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 		return nil, err
 	}
 	start := time.Now()
+	n.reports = make(chan report, workers) // room for every worker's HELLO
+	n.accept(ln)
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var failed atomic.Bool
-	failCh := make(chan error, 1)
-	fail := func(err error) {
-		if failed.CompareAndSwap(false, true) {
-			failCh <- err
-			cancel()
-		}
-	}
-	var closing atomic.Bool
-
-	retain := plan.NumStreams() * (depth + 1)
-	if retain > relation.MaxPoolRetain {
-		retain = relation.MaxPoolRetain
-	}
-	pool := relation.NewBatchPool(bt, retain)
-	p := newPlane(runCtx, window, pool, fail)
-	for _, sp := range wiring.Streams() {
-		fn, tn := nodeOf(sp.FromProc(), workers), nodeOf(sp.ToProc(), workers)
-		if tn == coordNode && fn != coordNode {
-			p.expectIngress(uint32(sp.ID))
-		}
-	}
-
-	// Accept loop: control HELLOs go to the rendezvous channel, data
-	// connections straight to the plane.
-	type helloConn struct {
-		c *wire.Conn
-		h helloMsg
-	}
-	helloCh := make(chan helloConn, workers)
-	acceptDone := make(chan struct{})
-	go func() {
-		defer close(acceptDone)
-		for {
-			c, h, err := ln.Accept()
+	ws := make([]*workerProc, workers)
+	res, err := func() (*parallel.RunResult, error) {
+		// Spawn the children and watch each for a premature exit (the crash
+		// signal: gone before its DONE while the run is still live).
+		for i := range ws {
+			cmd, err := spawnWorker(bin, coordAddr, runID, i)
 			if err != nil {
-				return // listener closed
+				return nil, err
 			}
-			switch h.Kind {
-			case kindControl:
-				select {
-				case helloCh <- helloConn{c, h}:
-				default:
-					c.Close()
+			w := &workerProc{node: i, cmd: cmd, exited: make(chan struct{})}
+			ws[i] = w
+			go func() {
+				w.waitErr = w.cmd.Wait()
+				close(w.exited)
+				if !w.doneSeen.Load() && runCtx.Err() == nil {
+					status := "exited"
+					if w.waitErr != nil {
+						status = w.waitErr.Error()
+					}
+					fail(fmt.Errorf("dist: worker %d died mid-run (%s)", w.node, status))
 				}
-			case kindData:
-				p.track(c)
+			}()
+		}
+
+		// Rendezvous: every worker says HELLO with its data address.
+		dataAddrs := make([]string, workers)
+		err := n.await(runCtx, wire.KindHello, spawnTimeout, "worker handshakes", func(r report) bool {
+			if r.node < 0 || r.node >= workers || ws[r.node].ctrl != nil {
+				return false
+			}
+			ws[r.node].ctrl, dataAddrs[r.node] = r.c, r.addr
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
+
+		// Per-worker control readers, joined by the node's teardown: READY
+		// and DONE flow back on the control connections; anything else, or
+		// a lost connection, fails the run.
+		for _, w := range ws {
+			n.p.readers.Add(1)
+			go func() {
+				defer n.p.readers.Done()
+				for {
+					kind, payload, err := w.ctrl.ReadFrame()
+					r := report{node: w.node, kind: kind}
+					switch {
+					case err != nil:
+						fail(fmt.Errorf("dist: worker %d control connection lost: %w", w.node, err))
+						return
+					case kind == ftDone:
+						if err := w.ctrl.DecodeMsg(payload, &r.done); err != nil {
+							fail(err)
+							return
+						}
+						w.doneSeen.Store(true)
+					case kind != ftReady:
+						fail(fmt.Errorf("dist: unexpected frame 0x%02x from worker %d", kind, w.node))
+						return
+					}
+					select {
+					case n.reports <- r:
+					case <-runCtx.Done():
+						return
+					}
+				}
+			}()
+		}
+
+		// Ship each worker its SETUP: the plan as text, the peers' data
+		// addresses, and the pre-placed fragments of every scan instance it
+		// hosts (encoded as columnar blocks).
+		leafCards := make(map[int]int)
+		frags := make([][]fragMsg, workers)
+		for _, op := range plan.Ops {
+			if op.Kind != xra.OpScan {
+				continue
+			}
+			rel := base(op.Leaf)
+			if rel == nil {
+				return nil, fmt.Errorf("dist: no base relation for leaf %d", op.Leaf)
+			}
+			leafCards[op.Leaf] = rel.Card()
+			fb := relation.FragmentBatches(rel, op.FragAttr, len(op.Procs))
+			for i, proc := range op.Procs {
+				tn := nodeOf(proc, workers)
+				frags[tn] = append(frags[tn], fragMsg{
+					OpID:   op.ID,
+					Idx:    i,
+					Blocks: relation.AppendBlocksBytes(nil, &fb[i], relation.MaxBlockTuples),
+				})
 			}
 		}
+		planText := xra.Encode(plan)
+		for _, w := range ws {
+			su := setupMsg{
+				Workers:      workers,
+				Node:         w.node,
+				PeerAddrs:    dataAddrs,
+				CoordAddr:    coordAddr,
+				PlanText:     planText,
+				LeafCards:    leafCards,
+				BatchTuples:  bt,
+				ChannelDepth: depth,
+				Frags:        frags[w.node],
+			}
+			if err := w.ctrl.WriteMsg(ftSetup, su); err != nil {
+				return nil, fmt.Errorf("dist: setup worker %d: %w", w.node, err)
+			}
+		}
+
+		// READY barrier, then START: a worker only dials its data
+		// connections after START, when every receiver's queues exist.
+		if err := n.await(runCtx, ftReady, spawnTimeout, "worker setup", func(report) bool { return true }); err != nil {
+			return nil, err
+		}
+		for _, w := range ws {
+			if err := w.ctrl.WriteFrame(ftStart, nil); err != nil {
+				return nil, fmt.Errorf("dist: start worker %d: %w", w.node, err)
+			}
+		}
+
+		// The coordinator's own partial run: the collect, gathering the
+		// workers' streams into the caller's sink.
+		res, err := n.run(runCtx, leafCards, nil, sink)
+		if cause := context.Cause(runCtx); cause != nil {
+			return nil, cause
+		}
+		if err != nil {
+			return nil, err
+		}
+
+		// Gather every worker's DONE and merge its counters into the
+		// coordinator's own run (tuples, batches, goroutines and wire bytes
+		// are summed over the nodes; the structural plan counters are
+		// node-independent). The collect node's single slot is not the
+		// run's cap — every worker schedules its own processes — so
+		// MaxProcs reads 0.
+		st := &res.Stats
+		st.Goroutines += n.p.goroutines()
+		st.MaxProcs = 0
+		st.Workers = workers
+		st.BytesOnWire = n.p.bytes.Load()
+		return res, n.await(runCtx, ftDone, doneTimeout, "worker completion", func(r report) bool {
+			st.TuplesMovedRemote += r.done.TuplesMovedRemote
+			st.TuplesLocal += r.done.TuplesLocal
+			st.Batches += r.done.Batches
+			st.Goroutines += r.done.Goroutines
+			st.BytesOnWire += r.done.BytesOnWire
+			for id, d := range r.done.OpWall {
+				st.OpDone[id] = max(st.OpDone[id], d)
+			}
+			return true
+		})
 	}()
 
-	// Spawn the children and watch each for a premature exit (the crash
-	// signal: gone before its DONE while the run is still live).
-	ws := make([]*workerProc, workers)
-	abort := func(err error) (*parallel.RunResult, error) {
-		closing.Store(true)
-		cancel()
-		// Tell every worker we know to stop, then cut all control paths —
-		// including HELLOs still queued at the rendezvous — so workers
-		// blocked on SETUP see the run end instead of eating the reap grace.
-		for _, w := range ws {
-			if w != nil && w.ctrl != nil {
+	// The one exit. A successful run first flushes its data plane
+	// (quiesce); a failed one tells every worker to stop. Closing the
+	// control connections is every worker's signal that the run is over
+	// and its sockets may go.
+	if err == nil {
+		n.p.quiesce()
+	}
+	fail(nil)
+	for _, w := range ws {
+		if w != nil && w.ctrl != nil {
+			if err != nil {
 				w.ctrl.WriteFrame(ftCancel, nil)
-				w.ctrl.Close()
 			}
+			w.ctrl.Close()
 		}
-		ln.Close()
-		<-acceptDone
-		for {
-			select {
-			case hc := <-helloCh:
-				hc.c.Close()
-				continue
-			default:
-			}
-			break
+	}
+	n.close()
+	reapAll(ws, exitGrace)
+	if err != nil {
+		if ctx.Err() != nil {
+			err = fmt.Errorf("dist: %w", context.Cause(ctx))
 		}
-		reapAll(ws, exitGrace)
-		p.teardown()
 		// A child that vanished before its DONE (and that we did not kill
 		// ourselves) is the likeliest root cause — transport errors like a
 		// lost data connection are its symptoms. Name it in the error.
 		for _, w := range ws {
-			if w != nil && w.cmd != nil && w.waitErr != nil &&
-				!w.doneSeen.Load() && !w.killed.Load() {
+			if w != nil && w.waitErr != nil && !w.doneSeen.Load() && !w.killed.Load() {
 				err = fmt.Errorf("dist: worker %d died mid-run (%v): %w", w.node, w.waitErr, err)
 				break
 			}
 		}
 		return nil, err
 	}
-	for i := 0; i < workers; i++ {
-		cmd, err := spawnWorker(bin, coordAddr, runID, i)
-		if err != nil {
-			return abort(err)
-		}
-		w := &workerProc{node: i, cmd: cmd, exited: make(chan struct{})}
-		ws[i] = w
-		go func() {
-			w.waitErr = w.cmd.Wait()
-			close(w.exited)
-			if !w.doneSeen.Load() && !closing.Load() && runCtx.Err() == nil {
-				status := "exited"
-				if w.waitErr != nil {
-					status = w.waitErr.Error()
-				}
-				fail(fmt.Errorf("dist: worker %d died mid-run (%s)", w.node, status))
-			}
-		}()
-	}
-
-	// Rendezvous: every worker says HELLO with its data address.
-	dataAddrs := make([]string, workers)
-	for have := 0; have < workers; {
-		select {
-		case hc := <-helloCh:
-			n := hc.h.Node
-			if n < 0 || n >= workers || ws[n].ctrl != nil {
-				hc.c.Close()
-				return abort(fmt.Errorf("dist: bogus worker hello (node %d)", n))
-			}
-			ws[n].ctrl = hc.c
-			dataAddrs[n] = hc.h.DataAddr
-			have++
-		case err := <-failCh:
-			return abort(err)
-		case <-runCtx.Done():
-			return abort(fmt.Errorf("dist: %w", context.Cause(runCtx)))
-		case <-time.After(spawnTimeout):
-			return abort(fmt.Errorf("dist: timed out waiting for worker handshakes"))
-		}
-	}
-
-	// Per-worker control readers: READY and DONE flow back on the control
-	// connections; anything else (or a lost connection mid-run) fails the
-	// run.
-	readyCh := make(chan int, workers)
-	doneCh := make(chan nodeDone, workers)
-	for _, w := range ws {
-		w := w
-		go func() {
-			for {
-				kind, payload, err := w.ctrl.ReadFrame()
-				if err != nil {
-					if !closing.Load() && runCtx.Err() == nil {
-						fail(fmt.Errorf("dist: worker %d control connection lost: %w", w.node, err))
-					}
-					return
-				}
-				switch kind {
-				case ftReady:
-					readyCh <- w.node
-				case ftDone:
-					var d doneMsg
-					if err := w.ctrl.DecodeMsg(payload, &d); err != nil {
-						fail(err)
-						return
-					}
-					w.doneSeen.Store(true)
-					doneCh <- nodeDone{w.node, d}
-				default:
-					fail(fmt.Errorf("dist: unexpected frame 0x%02x from worker %d", kind, w.node))
-					return
-				}
-			}
-		}()
-	}
-
-	// Ship each worker its SETUP: the plan as text, the peers' data
-	// addresses, and the pre-placed fragments of every scan instance it
-	// hosts (encoded as columnar blocks).
-	leafCards := make(map[int]int)
-	frags := make([][]fragMsg, workers)
-	for _, op := range plan.Ops {
-		if op.Kind != xra.OpScan {
-			continue
-		}
-		rel := base(op.Leaf)
-		if rel == nil {
-			return abort(fmt.Errorf("dist: no base relation for leaf %d", op.Leaf))
-		}
-		leafCards[op.Leaf] = rel.Card()
-		fb := relation.FragmentBatches(rel, op.FragAttr, len(op.Procs))
-		for i, proc := range op.Procs {
-			tn := nodeOf(proc, workers)
-			frags[tn] = append(frags[tn], fragMsg{
-				OpID:   op.ID,
-				Idx:    i,
-				Blocks: relation.AppendBlocksBytes(nil, &fb[i], relation.MaxBlockTuples),
-			})
-		}
-	}
-	planText := xra.Encode(plan)
-	for _, w := range ws {
-		su := setupMsg{
-			Workers:      workers,
-			Node:         w.node,
-			PeerAddrs:    dataAddrs,
-			CoordAddr:    coordAddr,
-			PlanText:     planText,
-			LeafCards:    leafCards,
-			BatchTuples:  bt,
-			ChannelDepth: depth,
-			Window:       window,
-			Frags:        frags[w.node],
-		}
-		if err := w.ctrl.WriteMsg(ftSetup, su); err != nil {
-			return abort(fmt.Errorf("dist: setup worker %d: %w", w.node, err))
-		}
-	}
-
-	// READY barrier, then START: a worker only dials its data connections
-	// after START, when every receiver's queues exist.
-	for have := 0; have < workers; {
-		select {
-		case <-readyCh:
-			have++
-		case err := <-failCh:
-			return abort(err)
-		case <-runCtx.Done():
-			return abort(fmt.Errorf("dist: %w", context.Cause(runCtx)))
-		case <-time.After(spawnTimeout):
-			return abort(fmt.Errorf("dist: timed out waiting for worker setup"))
-		}
-	}
-	for _, w := range ws {
-		if err := w.ctrl.WriteFrame(ftStart, nil); err != nil {
-			return abort(fmt.Errorf("dist: start worker %d: %w", w.node, err))
-		}
-	}
-
-	// The coordinator's own partial run: just the scheduler-host processes
-	// (collect), gathering the workers' streams into the caller's sink.
-	res, runErr := parallel.RunStream(runCtx, plan, nil, parallel.Config{
-		MaxProcs:     1,
-		BatchTuples:  bt,
-		ChannelDepth: depth,
-		Partial: &parallel.Partial{
-			Local:     func(proc int) bool { return proc < 0 },
-			Ingress:   p.ingress,
-			Egress:    p.egress,
-			LeafCard:  func(leaf int) int { return leafCards[leaf] },
-			BatchPool: pool,
-		},
-	}, sink)
-	if runErr != nil {
-		if err := ctx.Err(); err != nil {
-			return abort(fmt.Errorf("dist: %w", err))
-		}
-		select {
-		case err := <-failCh:
-			return abort(err)
-		default:
-		}
-		return abort(runErr)
-	}
-
-	// Gather every worker's DONE and merge its counters into the
-	// coordinator's own run (tuples, batches, goroutines and wire bytes are
-	// summed over the nodes; the structural plan counters are
-	// node-independent). The collect node's single slot is not the run's
-	// cap — every worker schedules its own processes — so MaxProcs reads 0.
-	st := &res.Stats
-	st.Goroutines += p.goroutines()
-	st.MaxProcs = 0
-	st.Workers = workers
-	st.BytesOnWire = p.bytes.Load()
-	for have := 0; have < workers; {
-		select {
-		case nd := <-doneCh:
-			st.TuplesMovedRemote += nd.msg.TuplesMovedRemote
-			st.TuplesLocal += nd.msg.TuplesLocal
-			st.Batches += nd.msg.Batches
-			st.Goroutines += nd.msg.Goroutines
-			st.BytesOnWire += nd.msg.BytesOnWire
-			for id, d := range nd.msg.OpWall {
-				if d > st.OpDone[id] {
-					st.OpDone[id] = d
-				}
-			}
-			have++
-		case err := <-failCh:
-			return abort(err)
-		case <-runCtx.Done():
-			return abort(fmt.Errorf("dist: %w", context.Cause(runCtx)))
-		case <-time.After(doneTimeout):
-			return abort(fmt.Errorf("dist: timed out waiting for worker completion"))
-		}
-	}
-
-	// Clean teardown: closing the control connections is the workers'
-	// signal that the whole run is over and their sockets may go.
-	p.quiesce()
-	closing.Store(true)
-	for _, w := range ws {
-		w.ctrl.Close()
-	}
-	reapAll(ws, exitGrace)
-	ln.Close()
-	p.teardown()
-	<-acceptDone
 	res.WallTime = time.Since(start)
 	return res, nil
+}
+
+// await takes one report of kind from each worker off the node's reports,
+// handing each to got, which says whether it counts; a report that does
+// not is dropped, with the connection it brings. It returns early
+// with the run's failure, or once the whole phase has taken timeout.
+func (n *node) await(ctx context.Context, kind byte, timeout time.Duration, what string, got func(report) bool) error {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for have := 0; have < n.workers; {
+		select {
+		case r := <-n.reports:
+			if r.kind == kind && got(r) {
+				have++
+			} else if r.c != nil {
+				n.p.drop(r.c)
+			}
+		case <-ctx.Done():
+			return context.Cause(ctx)
+		case <-deadline.C:
+			return fmt.Errorf("dist: timed out waiting for %s", what)
+		}
+	}
+	return nil
 }
 
 // reapAll waits for every child to exit, killing stragglers once the

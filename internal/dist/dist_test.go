@@ -1,15 +1,17 @@
 // End-to-end audits of the distributed runtime: multiset equivalence with
 // the sequential reference across all four strategies and worker counts,
 // resource-leak checks (goroutines, file descriptors, child processes) on
-// completion and cancellation, and crash recovery when a worker dies
-// mid-run. The tests live in the external package so they can drive the
-// runtime through core.Exec exactly as callers do.
+// completion and cancellation, crash recovery when a worker dies mid-run,
+// and runs that stray and silent connections to the coordinator's port
+// must not disturb. The tests live in the external package so they can
+// drive the runtime through core.Exec exactly as callers do.
 package dist_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"runtime"
 	"strings"
@@ -21,7 +23,10 @@ import (
 	"multijoin/internal/core"
 	"multijoin/internal/dist"
 	"multijoin/internal/jointree"
+	"multijoin/internal/operator"
+	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
+	"multijoin/internal/wire"
 	"multijoin/internal/wisconsin"
 )
 
@@ -305,5 +310,114 @@ func TestDistWorkerCrash(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// freeAddr returns a loopback address whose port nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// runBeside runs a two-worker query with the coordinator on a fixed
+// address while hostile dials that address until stop closes. The run must
+// return the reference result well inside dist.HelloTimeout and, once
+// hostile is done, leave no goroutines, descriptors or child processes
+// behind.
+func runBeside(t *testing.T, hostile func(addr string, stop <-chan struct{})) {
+	q := testQuery(t, 5, 2000, 8, strategy.FP, jointree.WideBushy)
+	plan, err := q.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := recordSpawns(t)
+	beforeG := runtime.NumGoroutine()
+	beforeFD := openFDs()
+	addr := freeAddr(t)
+	stop, hostileDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(hostileDone)
+		hostile(addr, stop)
+	}()
+	got := relation.New("result", q.DB.Relation(0).TupleBytes)
+	start := time.Now()
+	_, err = dist.Run(context.Background(), plan, q.DB.Relation, dist.Config{Workers: 2, ListenAddr: addr}, &operator.Gather{Rel: got})
+	elapsed := time.Since(start)
+	close(stop)
+	<-hostileDone
+	if err != nil {
+		t.Fatalf("run beside hostile connections: %v", err)
+	}
+	if elapsed > dist.HelloTimeout/4 {
+		t.Errorf("run took %v beside hostile connections, want well under the %v HELLO timeout", elapsed, dist.HelloTimeout)
+	}
+	if diff := relation.DiffMultiset(core.Reference(q.DB, q.Tree), got); diff != "" {
+		t.Errorf("result differs from the reference: %s", diff)
+	}
+	assertChildrenReaped(t, rec)
+	if after := settleGoroutines(beforeG, 2, 5*time.Second); after > beforeG+2 {
+		t.Errorf("goroutine leak: %d before, %d after", beforeG, after)
+	}
+	if beforeFD >= 0 {
+		if after := settleFDs(beforeFD, 2, 5*time.Second); after > beforeFD+2 {
+			t.Errorf("fd leak: %d before, %d after", beforeFD, after)
+		}
+	}
+}
+
+// dialUntil dials addr until it answers or stop closes (nil then).
+func dialUntil(addr string, stop <-chan struct{}) net.Conn {
+	for {
+		if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			return c
+		}
+		select {
+		case <-stop:
+			return nil
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// TestDistStrayConnections runs a query while another client keeps
+// connecting to the coordinator's port, writing a frame that is no HELLO
+// and hanging up: each stray connection is dropped, and the run goes on.
+func TestDistStrayConnections(t *testing.T) {
+	strays := 0
+	runBeside(t, func(addr string, stop <-chan struct{}) {
+		for {
+			c := dialUntil(addr, stop)
+			if c == nil {
+				return
+			}
+			wire.NewConn(c, 1<<10).WriteFrame(wire.KindData, nil)
+			c.Close()
+			strays++
+		}
+	})
+	if strays == 0 {
+		t.Error("no stray connection reached the coordinator")
+	}
+}
+
+// TestDistSilentConnection runs a query while one client holds a connection
+// to the coordinator's port open through the whole run and never speaks:
+// its HELLO wait holds up no other connection, and the run's end closes it.
+func TestDistSilentConnection(t *testing.T) {
+	connected := false
+	runBeside(t, func(addr string, stop <-chan struct{}) {
+		if c := dialUntil(addr, stop); c != nil {
+			connected = true
+			<-stop
+			c.Close()
+		}
+	})
+	if !connected {
+		t.Error("the silent client never reached the coordinator")
 	}
 }

@@ -15,7 +15,7 @@ const helloTimeout = 20 * time.Second
 
 // Listener accepts the framed connections of one distributed run on a
 // loopback TCP port and validates each connection's HELLO handshake
-// (protocol version + run id) before handing it to the node.
+// (protocol version + run id) for the node.
 type Listener struct {
 	l     net.Listener
 	runID string
@@ -39,27 +39,28 @@ func (ln *Listener) Addr() string { return ln.l.Addr().String() }
 // Close stops accepting; blocked Accept calls fail.
 func (ln *Listener) Close() error { return ln.l.Close() }
 
-// Accept waits for the next connection and completes its handshake: the
-// first frame must be a HELLO matching this run's protocol version and run
-// id, read under helloTimeout. Invalid connections are closed and the
-// error returned; the caller decides whether that fails the run (it does —
-// nothing else should ever dial a run's port).
-func (ln *Listener) Accept() (*wire.Conn, helloMsg, error) {
+// Accept waits for the next connection. Its HELLO is left to handshake,
+// which the node runs on a goroutine of the connection's own, so that a
+// peer slow to speak holds up no other; an error means the listener is
+// closed.
+func (ln *Listener) Accept() (*wire.Conn, error) {
 	nc, err := ln.l.Accept()
 	if err != nil {
-		return nil, helloMsg{}, err
+		return nil, err
 	}
-	c := wire.NewConn(nc, maxFrame)
+	return wire.NewConn(nc, maxFrame), nil
+}
+
+// handshake reads an accepted connection's first frame, which must be a
+// HELLO matching this run's protocol version and run id, under
+// helloTimeout. The node drops a connection whose HELLO is refused and
+// goes on with the run: a stray or silent dialer fails nothing.
+func (ln *Listener) handshake(c *wire.Conn) (helloMsg, error) {
 	var h helloMsg
 	if err := c.ReadMsg(wire.KindHello, &h, helloTimeout); err != nil {
-		c.Close()
-		return nil, helloMsg{}, fmt.Errorf("dist: handshake: %w", err)
+		return h, fmt.Errorf("dist: handshake: %w", err)
 	}
-	if err := checkHello(h, ln.runID); err != nil {
-		c.Close()
-		return nil, helloMsg{}, err
-	}
-	return c, h, nil
+	return h, checkHello(h, ln.runID)
 }
 
 // dialHello opens a framed connection to addr and says h on it — the

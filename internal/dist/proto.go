@@ -3,11 +3,8 @@ package dist
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"time"
-
-	"multijoin/internal/wire"
 )
 
 // protoVersion is the protocol version carried in every HELLO frame; both
@@ -15,8 +12,9 @@ import (
 // with signed tuple blocks (package wire's documentation) — a version-1
 // reader would misparse the flagged count as an implausible batch length.
 // Version 3 made the control payloads one gob stream per direction (package
-// wire), which a version-2 peer's fresh encoder per frame breaks.
-const protoVersion = 3
+// wire), which a version-2 peer's fresh encoder per frame breaks. Version 4
+// dropped SETUP's credit window, which always equalled its ChannelDepth.
+const protoVersion = 4
 
 // The control frame kinds of the distributed runtime; HELLO and the
 // tuple-stream kinds are package wire's, whose documentation has the one
@@ -69,8 +67,7 @@ type setupMsg struct {
 	PlanText     string   // xra.Encode of the plan
 	LeafCards    map[int]int
 	BatchTuples  int
-	ChannelDepth int
-	Window       int
+	ChannelDepth int // also every node-crossing stream's credit window
 	Frags        []fragMsg
 }
 
@@ -83,18 +80,6 @@ type doneMsg struct {
 	Goroutines        int
 	BytesOnWire       int64
 	OpWall            map[string]time.Duration
-}
-
-// readCtrl is wire's ReadMsg under the control connection's one extra
-// rule: a CANCEL where another frame was expected is the coordinator
-// unwinding the run, a distinct error and not a protocol violation.
-func readCtrl(c *wire.Conn, kind byte, v any) error {
-	err := c.ReadMsg(kind, v, 0)
-	var u *wire.UnexpectedFrameError
-	if errors.As(err, &u) && u.Got == ftCancel {
-		return errCancelled
-	}
-	return err
 }
 
 // newRunID returns a fresh random run identifier, the token every

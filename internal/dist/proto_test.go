@@ -45,10 +45,11 @@ func TestControlTypes(t *testing.T) {
 	}
 }
 
-// TestHelloVersionRefused dials a listener with a version-2 HELLO and a
-// DONE after it: Accept refuses on the HELLO with the version mismatch,
-// before it reads the next frame — a version-2 peer would otherwise pass
-// HELLO and fail only later, with gob's duplicate type.
+// TestHelloVersionRefused dials a listener with a version-3 HELLO and a
+// DONE after it: the handshake refuses on the HELLO with the version
+// mismatch, before it reads the next frame — a version-3 worker would
+// otherwise pass HELLO and then read a SETUP without the credit window it
+// expects, which gob leaves at zero.
 func TestHelloVersionRefused(t *testing.T) {
 	ln, err := listenOn("127.0.0.1:0", "run")
 	if err != nil {
@@ -56,20 +57,20 @@ func TestHelloVersionRefused(t *testing.T) {
 	}
 	defer ln.Close()
 	go func() {
-		c, err := dialHello(ln.Addr(), helloMsg{Version: 2, RunID: "run", Kind: kindControl})
+		c, err := dialHello(ln.Addr(), helloMsg{Version: 3, RunID: "run", Kind: kindControl})
 		if err != nil {
 			return
 		}
 		defer c.Close()
 		c.WriteMsg(ftDone, doneMsg{})
-		c.ReadFrame() // until the listener hangs up
+		c.ReadFrame() // until the listener's side hangs up
 	}()
-	c, _, err := ln.Accept()
-	if err == nil {
-		c.Close()
-		t.Fatal("Accept took a version-2 HELLO")
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "protocol version mismatch") {
-		t.Fatalf("Accept of a version-2 HELLO: %v, want a version mismatch", err)
+	defer c.Close()
+	if _, err := ln.handshake(c); err == nil || !strings.Contains(err.Error(), "protocol version mismatch") {
+		t.Fatalf("handshake of a version-3 HELLO: %v, want a version mismatch", err)
 	}
 }

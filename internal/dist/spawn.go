@@ -63,12 +63,9 @@ func InitWorker() {
 }
 
 // workerBinary resolves the executable to spawn workers from:
-// Config.WorkerBinary, then $MJ_DIST_WORKER_BIN, then the current binary
-// if it passed through InitWorker.
-func workerBinary(cfg Config) (string, error) {
-	if cfg.WorkerBinary != "" {
-		return cfg.WorkerBinary, nil
-	}
+// $MJ_DIST_WORKER_BIN, then the current binary if it passed through
+// InitWorker.
+func workerBinary() (string, error) {
 	if p := os.Getenv(envWorkerBin); p != "" {
 		return p, nil
 	}

@@ -16,9 +16,10 @@ import (
 // context was cancelled).
 var errCancelled = errors.New("dist: cancelled by peer")
 
-// plane is one node's data plane: every data connection it serves, the
-// per-stream ingress queues and egress credit windows, and the pooled
-// batch recycling shared with the node's partial run.
+// plane is one node's data plane: every connection the node accepts or
+// dials (closed at teardown), the per-stream ingress queues and egress
+// credit windows, and the pooled batch recycling shared with the node's
+// partial run.
 //
 // Flow control is package wire's credit protocol: each egress stream
 // holds a wire.Window of window credits, and the receiving plane grants a
@@ -41,11 +42,12 @@ type plane struct {
 	out map[uint32]*outStream
 
 	mu      sync.Mutex
-	conns   []*wire.Conn
+	conns   map[*wire.Conn]bool
 	closing bool
 
-	// readers tracks per-connection serving goroutines (unblocked by
-	// closing their connection); movers tracks ingress pumps and egress
+	// readers tracks the goroutines that read a connection — handshakes,
+	// data connections, the coordinator's control readers — unblocked by
+	// closing their connection; movers tracks ingress pumps and egress
 	// senders (unblocked by ctx cancellation and stream completion).
 	readers sync.WaitGroup
 	movers  sync.WaitGroup
@@ -71,6 +73,7 @@ func newPlane(ctx context.Context, window int, pool *relation.BatchPool, fail fu
 		ctx:    ctx,
 		fail:   fail,
 		in:     make(map[uint32]*inStream),
+		conns:  make(map[*wire.Conn]bool),
 		out:    make(map[uint32]*outStream),
 	}
 }
@@ -88,12 +91,17 @@ func (p *plane) addEgress(sid uint32, c *wire.Conn) {
 	p.out[sid] = &outStream{win: wire.NewWindow(p.window), conn: c}
 }
 
-// track registers a data connection for teardown and starts its serving
-// goroutine. The connection's writes count toward bytes-on-wire.
-func (p *plane) track(c *wire.Conn) {
-	c.CountBytes(&p.bytes)
+// track registers a connection for teardown and starts its reading
+// goroutine. A dialed data connection (hello nil) is served at once; an
+// accepted one first completes its handshake on that goroutine, and is
+// served only if hello reports it a data connection. A data connection's
+// writes count toward bytes-on-wire.
+func (p *plane) track(c *wire.Conn, hello func(*wire.Conn) bool) {
+	if hello == nil {
+		c.CountBytes(&p.bytes)
+	}
 	p.mu.Lock()
-	p.conns = append(p.conns, c)
+	p.conns[c] = true
 	closing := p.closing
 	p.mu.Unlock()
 	if closing {
@@ -101,8 +109,26 @@ func (p *plane) track(c *wire.Conn) {
 		return
 	}
 	p.readers.Add(1)
-	p.spawns.Add(1)
-	go p.serve(c)
+	go func() {
+		defer p.readers.Done()
+		if hello != nil {
+			if !hello(c) {
+				return
+			}
+			c.CountBytes(&p.bytes)
+		}
+		p.spawns.Add(1)
+		p.serve(c)
+	}()
+}
+
+// drop closes a connection the node refused and forgets it, so that a
+// stream of stray connections pins nothing until the run ends.
+func (p *plane) drop(c *wire.Conn) {
+	c.Close()
+	p.mu.Lock()
+	delete(p.conns, c)
+	p.mu.Unlock()
 }
 
 // goroutines returns how many transport goroutines this plane launched —
@@ -115,7 +141,6 @@ func (p *plane) goroutines() int { return int(p.spawns.Load()) }
 // error during normal operation fails the run (a peer died); during
 // teardown it just ends the goroutine.
 func (p *plane) serve(c *wire.Conn) {
-	defer p.readers.Done()
 	for {
 		kind, payload, err := c.ReadFrame()
 		if err != nil {
@@ -275,18 +300,17 @@ func (p *plane) quiesce() {
 	p.mu.Unlock()
 }
 
-// teardown closes every data connection and joins all plane goroutines.
+// teardown closes every connection and joins all plane goroutines.
 // Closing the connections is what unblocks readers stuck in ReadFrame and
 // movers stuck in a TCP write on error paths (where quiesce was skipped
 // and the movers unwind via ctx or write errors instead).
 func (p *plane) teardown() {
 	p.mu.Lock()
 	p.closing = true
-	conns := p.conns
-	p.mu.Unlock()
-	for _, c := range conns {
+	for c := range p.conns {
 		c.Close()
 	}
+	p.mu.Unlock()
 	p.readers.Wait()
 	p.movers.Wait()
 }

@@ -5,49 +5,28 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"syscall"
 
-	"multijoin/internal/operator"
-	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
+	"multijoin/internal/wire"
 	"multijoin/internal/xra"
 )
 
-// coordNode is the placement id of the coordinator process: it hosts
-// exactly the plan processes bound to negative processor ids (the
-// scheduler host's collect, xra.HostProc).
-const coordNode = -1
-
-// nodeOf maps a plan processor id to the node that runs it: the
-// round-robin rule of the parallel runtime's processor slots, with the
-// scheduler host pinned to the coordinator.
-func nodeOf(proc, workers int) int {
-	if proc < 0 {
-		return coordNode
-	}
-	return proc % workers
-}
-
-// fragKey identifies one scan instance's pre-placed fragment.
-type fragKey struct {
-	op  string
-	idx int
-}
-
 // ServeWorkerOn runs one worker process of a distributed run to completion:
-// dial the coordinator, hand over our data address, build the partial run
-// the SETUP describes, execute it with the plan's own worker loop
-// (parallel.Partial), report DONE, and hold all connections open until the
-// coordinator closes the control connection — the signal that every node
-// has drained our frames. It is called by InitWorker in spawned processes
-// and by cmd/mjworker. bind is the address of the worker's data listener
-// and advertise an override for the address the peers are told to dial
-// (ResolveAdvertise semantics): empty bind means loopback with an
+// dial the coordinator, hand over our data address, build the node the
+// SETUP describes, run its share of the plan with the plan's own worker
+// loop (parallel.Partial), report DONE, and hold all connections open until
+// the coordinator closes the control connection — the signal that every
+// node has drained our frames. It is called by InitWorker in spawned
+// processes and by cmd/mjworker. bind is the address of the worker's data
+// listener and advertise an override for the address the peers are told to
+// dial (ResolveAdvertise semantics): empty bind means loopback with an
 // ephemeral port, empty advertise the bound address.
-func ServeWorkerOn(connect string, node int, runID, bind, advertise string) error {
+func ServeWorkerOn(connect string, id int, runID, bind, advertise string) error {
 	if connect == "" {
 		return errors.New("dist: worker: no coordinator address")
 	}
@@ -61,7 +40,7 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 		return err
 	}
 	ctrl, err := dialHello(connect, helloMsg{
-		Version: protoVersion, RunID: runID, Node: node,
+		Version: protoVersion, RunID: runID, Node: id,
 		Kind: kindControl, DataAddr: dataAddr,
 	})
 	if err != nil {
@@ -69,204 +48,132 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 	}
 	defer ctrl.Close()
 	var su setupMsg
-	if err := readCtrl(ctrl, ftSetup, &su); err != nil {
-		if errors.Is(err, errCancelled) || quietClose(err) {
+	if err := ctrl.ReadMsg(ftSetup, &su, 0); err != nil {
+		var u *wire.UnexpectedFrameError
+		if errors.As(err, &u) && u.Got == ftCancel || quietClose(err) {
 			return nil // the coordinator aborted before setting us up
 		}
-		return fmt.Errorf("dist: worker %d: setup: %w", node, err)
+		return fmt.Errorf("dist: worker %d: setup: %w", id, err)
 	}
 	plan, err := xra.Parse(su.PlanText)
 	if err != nil {
-		return fmt.Errorf("dist: worker %d: plan: %w", node, err)
+		return fmt.Errorf("dist: worker %d: plan: %w", id, err)
 	}
-
-	// fail cancels the run with the first failure as its cause. The control
-	// reader and the data plane's goroutines call it concurrently, so the
-	// cause is read through context.Cause, and read before the teardown's own
-	// cancel, which would record context.Canceled.
-	ctx, fail := context.WithCancelCause(context.Background())
-	defer fail(nil)
-
-	retain := plan.NumStreams() * (su.ChannelDepth + 1)
-	if retain > relation.MaxPoolRetain {
-		retain = relation.MaxPoolRetain
-	}
-	pool := relation.NewBatchPool(su.BatchTuples, retain)
-	p := newPlane(ctx, su.Window, pool, fail)
-
-	local := func(proc int) bool { return proc >= 0 && proc%su.Workers == node }
-
-	// Wire the node-crossing streams of the canonical enumeration: queues
-	// for everything arriving here, a per-target-node stream list for
-	// everything leaving.
-	egressTo := make(map[int][]int)
-	wiring, err := operator.Wire(plan)
-	if err != nil {
-		return fmt.Errorf("dist: worker %d: plan: %w", node, err)
-	}
-	for _, sp := range wiring.Streams() {
-		fn, tn := nodeOf(sp.FromProc(), su.Workers), nodeOf(sp.ToProc(), su.Workers)
-		if fn == node && tn != node {
-			egressTo[tn] = append(egressTo[tn], sp.ID)
-		}
-		if tn == node && fn != node {
-			p.expectIngress(uint32(sp.ID))
-		}
-	}
-
-	// Decode the pre-placed scan fragments shipped in SETUP.
 	frags := make(map[fragKey]relation.Batch, len(su.Frags))
 	for _, f := range su.Frags {
 		var b relation.Batch
 		if err := b.AppendBlocks(f.Blocks); err != nil {
-			return fmt.Errorf("dist: worker %d: fragment %s/%d: %w", node, f.OpID, f.Idx, err)
+			return fmt.Errorf("dist: worker %d: fragment %s/%d: %w", id, f.OpID, f.Idx, err)
 		}
 		frags[fragKey{f.OpID, f.Idx}] = b
 	}
 
-	// Serve incoming data connections (peers with egress toward us dial in
-	// after the START barrier, when our queues above already exist).
-	acceptDone := make(chan struct{})
-	go func() {
-		defer close(acceptDone)
-		for {
-			c, h, err := ln.Accept()
-			if err != nil {
-				return // listener closed (teardown)
-			}
-			if h.Kind != kindData {
-				c.Close()
-				continue
-			}
-			p.track(c)
-		}
-	}()
-
-	if err := ctrl.WriteFrame(ftReady, nil); err != nil {
-		return fmt.Errorf("dist: worker %d: ready: %w", node, err)
+	// fail cancels the run with the first failure as its cause. The control
+	// reader and the data plane's goroutines call it concurrently, so the
+	// cause is read through context.Cause, and read before the exit's own
+	// cancel, which would record context.Canceled.
+	ctx, fail := context.WithCancelCause(context.Background())
+	defer fail(nil)
+	n, err := newNode(ctx, id, su.Workers, plan, su.BatchTuples, su.ChannelDepth, fail)
+	if err != nil {
+		return err
 	}
-	if err := readCtrl(ctrl, ftStart, nil); err != nil {
-		if errors.Is(err, errCancelled) || quietClose(err) {
-			return nil // aborted between setup and start
-		}
-		return fmt.Errorf("dist: worker %d: start: %w", node, err)
-	}
+	n.accept(ln) // peers with streams toward us dial in after START
 
-	// From here the control connection carries at most a CANCEL, then the
-	// coordinator's final close. closing flips once we have sent DONE and
-	// the close is the expected outcome.
+	// The control connection carries START, then at most a CANCEL, then the
+	// coordinator's close, which ends the run: expected once we have sent
+	// DONE (closing), an abort to obey before START, a lost coordinator in
+	// between.
 	var closing atomic.Bool
-	ctrlClosed := make(chan struct{})
+	started, ctrlDone := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer close(ctrlClosed)
-		for {
+		defer close(ctrlDone)
+		for want := ftStart; ; want = ftCancel {
 			kind, _, err := ctrl.ReadFrame()
-			if err != nil {
+			switch {
+			case err != nil && want == ftStart && quietClose(err):
+				fail(errCancelled) // the coordinator aborted before START
+				return
+			case err != nil:
 				if !closing.Load() {
-					fail(fmt.Errorf("dist: worker %d: coordinator connection lost: %w", node, err))
+					fail(fmt.Errorf("dist: worker %d: coordinator connection lost: %w", id, err))
 				}
 				return
-			}
-			if kind == ftCancel {
+			case kind == ftCancel:
 				fail(errCancelled)
 				return
+			case kind != want:
+				fail(fmt.Errorf("dist: worker %d: unexpected frame 0x%02x", id, kind))
+				return
 			}
+			close(started)
 		}
 	}()
 
-	// Dial one data connection per node we send to (deterministic order),
-	// and hang every egress stream toward that node off it.
-	targets := make([]int, 0, len(egressTo))
-	for tn := range egressTo {
-		targets = append(targets, tn)
-	}
-	sort.Ints(targets)
-	for _, tn := range targets {
-		addr := su.CoordAddr
-		if tn != coordNode {
-			addr = su.PeerAddrs[tn]
+	err = func() error {
+		if err := ctrl.WriteFrame(ftReady, nil); err != nil {
+			return fmt.Errorf("dist: worker %d: ready: %w", id, err)
 		}
-		c, err := dialHello(addr, helloMsg{Version: protoVersion, RunID: runID, Node: node, Kind: kindData})
+		select {
+		case <-started:
+		case <-ctx.Done():
+			return nil // the cause is the run's error
+		}
+		// Dial one data connection per node we send to (deterministic
+		// order), and hang every egress stream toward that node off it.
+		for _, to := range slices.Sorted(maps.Keys(n.egressTo)) {
+			addr := su.CoordAddr
+			if to != coordNode {
+				addr = su.PeerAddrs[to]
+			}
+			c, err := dialHello(addr, helloMsg{Version: protoVersion, RunID: runID, Node: id, Kind: kindData})
+			if err != nil {
+				return err
+			}
+			n.p.track(c, nil)
+			for _, sid := range n.egressTo[to] {
+				n.p.addEgress(uint32(sid), c)
+			}
+		}
+		res, err := n.run(ctx, su.LeafCards, frags, nil) // no sink: collect runs on the coordinator
 		if err != nil {
-			fail(err)
-			break
+			return err
 		}
-		p.track(c)
-		for _, sid := range egressTo[tn] {
-			p.addEgress(uint32(sid), c)
-		}
-	}
-
-	var res *parallel.RunResult
-	var runErr error
-	if ctx.Err() == nil {
-		cfg := parallel.Config{
-			MaxProcs:     localProcCount(plan, local),
-			BatchTuples:  su.BatchTuples,
-			ChannelDepth: su.ChannelDepth,
-			Partial: &parallel.Partial{
-				Local:        local,
-				Ingress:      p.ingress,
-				Egress:       p.egress,
-				ScanFragment: func(opID string, idx int) relation.Batch { return frags[fragKey{opID, idx}] },
-				LeafCard:     func(leaf int) int { return su.LeafCards[leaf] },
-				BatchPool:    pool,
-			},
-		}
-		res, runErr = parallel.RunStream(ctx, plan, nil, cfg, nil) // no sink: collect runs on the coordinator
-	}
-
-	if failErr := context.Cause(ctx); runErr != nil || failErr != nil {
-		// Torn down (cancel, peer loss, or a local failure): close
-		// everything, unblocking any stuck goroutine, and report. A
-		// coordinator-initiated cancel is a clean exit, not a failure.
-		fail(nil)
+		// Flush every EOS (quiesce), report DONE with our counters, then
+		// hold the sockets open until the coordinator ends the run.
+		n.p.quiesce()
 		closing.Store(true)
-		p.teardown()
-		ln.Close()
-		ctrl.Close()
-		<-ctrlClosed
-		<-acceptDone
-		if errors.Is(failErr, errCancelled) {
-			return nil
+		st := &res.Stats
+		if err := ctrl.WriteMsg(ftDone, doneMsg{
+			TuplesMovedRemote: st.TuplesMovedRemote,
+			TuplesLocal:       st.TuplesLocal,
+			Batches:           st.Batches,
+			Goroutines:        st.Goroutines + n.p.goroutines(),
+			BytesOnWire:       n.p.bytes.Load(),
+			OpWall:            st.OpDone,
+		}); err != nil {
+			return fmt.Errorf("dist: worker %d: done: %w", id, err)
 		}
-		if failErr != nil {
-			return failErr
-		}
-		return runErr
-	}
+		<-ctrlDone
+		return nil
+	}()
 
-	// Success: flush every EOS (quiesce), report DONE with our counters,
-	// then hold the sockets open until the coordinator ends the run.
-	p.quiesce()
-	d := doneMsg{
-		TuplesMovedRemote: res.Stats.TuplesMovedRemote,
-		TuplesLocal:       res.Stats.TuplesLocal,
-		Batches:           res.Stats.Batches,
-		Goroutines:        res.Stats.Goroutines + p.goroutines(),
-		BytesOnWire:       p.bytes.Load(),
-		OpWall:            res.Stats.OpDone,
-	}
-	closing.Store(true)
-	if err := ctrl.WriteMsg(ftDone, d); err != nil {
-		fail(nil)
-		p.teardown()
-		ln.Close()
-		ctrl.Close()
-		<-ctrlClosed
-		<-acceptDone
-		return fmt.Errorf("dist: worker %d: done: %w", node, err)
-	}
-	<-ctrlClosed
-	failErr := context.Cause(ctx)
+	// The one exit: close everything, unblocking any stuck goroutine, and
+	// report the first failure. A coordinator-initiated cancel is a clean
+	// exit, not a failure.
+	cause := context.Cause(ctx)
 	fail(nil)
-	p.teardown()
-	ln.Close()
-	<-acceptDone
-	if failErr != nil && !errors.Is(failErr, errCancelled) {
-		return failErr
+	closing.Store(true)
+	ctrl.Close()
+	<-ctrlDone
+	n.close()
+	if errors.Is(cause, errCancelled) {
+		return nil
 	}
-	return nil
+	if cause != nil {
+		return cause
+	}
+	return err
 }
 
 // quietClose reports whether err is an orderly connection teardown — the
@@ -275,21 +182,4 @@ func ServeWorkerOn(connect string, node int, runID, bind, advertise string) erro
 func quietClose(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) ||
 		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
-}
-
-// localProcCount counts the distinct plan processor ids placed on this
-// node — the worker's modeled-processor (slot) count.
-func localProcCount(plan *xra.Plan, local func(int) bool) int {
-	seen := make(map[int]bool)
-	for _, op := range plan.Ops {
-		for _, p := range op.Procs {
-			if local(p) {
-				seen[p] = true
-			}
-		}
-	}
-	if len(seen) < 1 {
-		return 1
-	}
-	return len(seen)
 }

@@ -193,9 +193,10 @@ type Stats struct {
 
 	// Goroutines is the total number of goroutines launched: one worker per
 	// host — per operator and slot its processes use, so per operation
-	// process when the run has as many slots as the plan has processors —
-	// and one dependency waiter per operator with After dependencies. It has
-	// no per-stream term. The dist runtime sums it over its nodes.
+	// process when the run has as many slots as the plan has processors. It
+	// has no per-stream and no per-dependency term (the host that completes
+	// an operator counts it complete for its dependents). The dist runtime
+	// sums it, with each node's transport goroutines, over its nodes.
 	Goroutines int
 	// MaxProcs is the number of modeled processors (slots), the cap on
 	// concurrent computation; zero on the dist runtime, where every worker

@@ -466,10 +466,12 @@ type opState struct {
 	// the run is partial).
 	locals int
 
-	ready     chan struct{} // closed when all After dependencies completed
-	done      chan struct{} // closed when all local hosts finished
+	// ready is closed once pending, the count of After dependencies not yet
+	// complete, reaches zero; remaining counts the local hosts still running.
+	ready     chan struct{}
+	pending   atomic.Int32
 	remaining atomic.Int32
-	wallDone  time.Duration // written by the closing host before close(done)
+	wallDone  time.Duration // written by the host that completes the operator
 }
 
 // runtimeState carries one execution. Its shell — the wiring, the operators'
@@ -513,11 +515,10 @@ type runtimeState struct {
 // RunStream executes the plan: the collect process pushes each pooled
 // result batch into sink (transferring ownership; the consumer's release
 // returns it to the run's pool), Push backpressure propagates upstream
-// through the plan's inboxes, and every worker and dependency waiter
-// selects on ctx.Done() wherever it waits, so cancelling ctx tears the whole
-// process tree down — no goroutine outlives the call — and
-// the context's error is returned. sink may be nil only in a partial run
-// that does not host the collect process.
+// through the plan's inboxes, and every worker selects on ctx.Done()
+// wherever it waits, so cancelling ctx tears the whole process tree down —
+// no goroutine outlives the call — and the context's error is returned. sink
+// may be nil only in a partial run that does not host the collect process.
 func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config, sink Sink) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
@@ -759,24 +760,21 @@ func (r *runtimeState) build(base func(leaf int) *relation.Relation) error {
 }
 
 // arm readies the shell for one run under ctx: the run's context, the
-// operators' one-shot start and completion signals, the scans' fragments
-// and lent views — through the ProcPool's placement cache (which only an
-// engine session's pool has relations pinned in) — and each host's input
-// count and transport counters. A resident network's scans are never
+// operators' dependency counts and one-shot start signals, the scans'
+// fragments and lent views — through the ProcPool's placement cache (which
+// only an engine session's pool has relations pinned in) — and each host's
+// input count and transport counters. A resident network's scans are never
 // launched and place nothing.
 func (r *runtimeState) arm(ctx context.Context) {
 	r.ctx, r.cancel = context.WithCancelCause(ctx)
 	r.resultTuples, r.goroutines = 0, 0
 	for _, os := range r.ops {
-		os.ready, os.done = make(chan struct{}), make(chan struct{})
-		os.remaining.Store(int32(os.locals))
-		if os.locals == 0 {
-			// No process of this operator runs here; its completion is
-			// another node's business. Closing done up front keeps local
-			// After dependencies on it from blocking (cross-node After
-			// ordering is node-local — see internal/dist).
-			close(os.done)
+		os.ready = nil // only a host with After dependencies waits on it
+		if len(os.After) > 0 {
+			os.ready = make(chan struct{})
 		}
+		os.pending.Store(int32(len(os.After)))
+		os.remaining.Store(int32(os.locals))
 		if os.rel != nil {
 			os.Frags = r.procs.fragments(os.rel, os.Op.FragAttr, len(os.procs))
 		}
@@ -792,6 +790,25 @@ func (r *runtimeState) arm(ctx context.Context) {
 			if h.out != nil {
 				h.out.MovedRemote, h.out.MovedLocal, h.out.Batches = 0, 0, 0
 			}
+		}
+	}
+	for _, os := range r.ops {
+		if os.locals == 0 {
+			// No process of this operator runs here; its completion is
+			// another node's business, so local After dependencies on it
+			// count it complete at once (cross-node After ordering is
+			// node-local — see internal/dist).
+			r.complete(os)
+		}
+	}
+}
+
+// complete counts os complete for each operator that runs After it, and
+// closes the ready signal of every one whose last dependency that was.
+func (r *runtimeState) complete(os *opState) {
+	for _, d := range os.Dependents {
+		if dep := r.ops[d.Index]; dep.pending.Add(-1) == 0 {
+			close(dep.ready)
 		}
 	}
 }
@@ -850,29 +867,10 @@ func (r *runtimeState) putBatch(b *relation.Batch) {
 	}
 }
 
-// launch starts dependency waiters and workers. Every channel operation
-// that waits selects on ctx.Done() so cancellation unwinds the whole
-// goroutine tree.
+// launch starts the workers. Every channel operation that waits selects on
+// ctx.Done() so cancellation unwinds the whole goroutine tree.
 func (r *runtimeState) launch() {
-	done := r.ctx.Done()
 	for _, os := range r.ops {
-		if len(os.After) == 0 || os.locals == 0 {
-			close(os.ready)
-		} else {
-			r.wg.Add(1)
-			r.goroutines++
-			go func() {
-				defer r.wg.Done()
-				for _, d := range os.After {
-					select {
-					case <-r.ops[d.Index].done:
-					case <-done:
-						return
-					}
-				}
-				close(os.ready)
-			}()
-		}
 		for _, h := range os.hosts {
 			if h.local {
 				r.wg.Add(1)

@@ -100,8 +100,8 @@ func TestSimulatorEquivalence(t *testing.T) {
 // simulator counts on the virtual machine, pinned to the values the
 // run-queue scheduler reported for the same seed-pinned plans — whatever the
 // number of slots, while what it physically spends follows the slots: one
-// goroutine per host (the processes of an operator that share a slot) plus
-// the dependency waiters, with no per-stream and no per-processor term, all
+// goroutine per host (the processes of an operator that share a slot), with
+// no per-stream, no per-processor and no per-dependency term, all
 // of them gone when the run returns or is cancelled mid-query, and one
 // pending buffer per host and destination, so fewer and fuller batches the
 // fewer slots there are. With as many slots as plan processors a host is a
@@ -159,23 +159,20 @@ func TestStructuralCounters(t *testing.T) {
 			if res.Stats.Counters != want {
 				t.Errorf("%v on %d slots: Counters = %+v, want %+v", kind, slots, res.Stats.Counters, want)
 			}
-			hosts, waiters := 0, 0
+			hosts := 0
 			for _, op := range plan.Ops {
 				used := map[int]bool{}
 				for _, p := range op.Procs {
 					used[((p%slots)+slots)%slots] = true
 				}
 				hosts += len(used)
-				if len(op.After) > 0 {
-					waiters++
-				}
 			}
 			if slots == procs && hosts != plan.NumProcesses() {
 				t.Fatalf("%v: %d hosts on %d slots, want one per process (%d)", kind, hosts, slots, plan.NumProcesses())
 			}
-			if res.Stats.Goroutines != hosts+waiters {
-				t.Errorf("%v on %d slots: Goroutines = %d, want hosts + dependency waiters = %d + %d",
-					kind, slots, res.Stats.Goroutines, hosts, waiters)
+			if res.Stats.Goroutines != hosts {
+				t.Errorf("%v on %d slots: Goroutines = %d, want one per host = %d",
+					kind, slots, res.Stats.Goroutines, hosts)
 			}
 			if len(res.Stats.OpDone) != len(plan.Ops) {
 				t.Errorf("%v: OpDone has %d entries, want %d", kind, len(res.Stats.OpDone), len(plan.Ops))
@@ -469,7 +466,7 @@ func TestVerify(t *testing.T) {
 
 // TestRaceStress is the -race stress test: many concurrent small queries
 // across every strategy, exercising scheduler interleavings of workers
-// and dependency waiters. Data is seed-pinned; only goroutine
+// and their After dependencies. Data is seed-pinned; only goroutine
 // scheduling varies between runs.
 func TestRaceStress(t *testing.T) {
 	if testing.Short() {

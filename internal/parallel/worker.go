@@ -66,8 +66,8 @@ type proc struct {
 
 // run is the worker goroutine body: it serves the hosted processes (work)
 // and, on every exit path — cancellation and failure included — releases
-// and resets their joins, before reporting the operator complete when they
-// finished.
+// and resets their joins. The host that finishes the operator's last local
+// process counts the operator complete for its dependents.
 func (w *host) run() {
 	defer w.r.wg.Done()
 	finished := w.work()
@@ -76,7 +76,7 @@ func (w *host) run() {
 	}
 	if finished && w.op.remaining.Add(-1) == 0 {
 		w.op.wallDone = time.Since(w.r.start)
-		close(w.op.done)
+		w.r.complete(w.op)
 	}
 }
 

@@ -59,9 +59,10 @@
 // the definitions in each payload's gob message headers before decoding
 // it, fails once the count passes the cap, and refuses any type that
 // refers to an interface, whose values could carry definitions of their
-// own. Both protocols carry version 3 in their HELLO: version 2 encoded
-// every frame with a fresh encoder, whose repeated descriptors a version-3
-// reader rejects as duplicate types.
+// own. Both protocols moved to version 3 of their HELLO with this: version
+// 2 encoded every frame with a fresh encoder, whose repeated descriptors a
+// version-3 reader rejects as duplicate types. (The distributed runtime's
+// is at 4 since, for a change to its SETUP.)
 //
 // # Credit windows
 //
