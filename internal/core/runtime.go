@@ -102,6 +102,9 @@ type Options struct {
 	// against (processor pool, memory-budget meter); nil outside an Engine
 	// session. Set by Engine.Query only.
 	shared *sharedRes
+	// placement is the query database's resident placement, which the
+	// in-process runtimes read their scans' fragments from. Set by resolve.
+	placement *relation.Placement
 }
 
 // Option mutates Options — the functional options accepted by Exec.
@@ -207,9 +210,13 @@ func Exec(ctx context.Context, q Query, opts ...Option) (*Result, error) {
 
 // resolve is the option resolution every entry point shares: the caller's
 // defaults (none for Exec, the engine's for a session), the query's own
-// machine parameters, then the per-call options, and the runtime they name.
+// machine parameters and its database's placement, then the per-call
+// options, and the runtime they name.
 func resolve(o Options, q Query, opts []Option) (Options, Runtime, error) {
 	o.Params = q.Params
+	if q.DB != nil {
+		o.placement = q.DB.Placement()
+	}
 	for _, opt := range opts {
 		opt(&o)
 	}

@@ -27,7 +27,7 @@ type simRuntime struct{}
 func (simRuntime) Name() string { return "sim" }
 
 func (simRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc, sink Sink, opts Options) (*Result, error) {
-	res, err := engine.RunStream(ctx, plan, base, opts.Params, sink)
+	res, err := engine.RunPlaced(ctx, plan, base, opts.placement, opts.Params, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -62,6 +62,7 @@ func (r poolRuntime) Execute(ctx context.Context, plan *xra.Plan, base BaseFunc,
 		MaxProcs:     opts.MaxProcs,
 		BatchTuples:  opts.BatchTuples,
 		ChannelDepth: opts.ChannelDepth,
+		Placement:    opts.placement,
 	}
 	if s := opts.shared; s != nil {
 		// Engine session: shared processor slots, and for a spill query the

@@ -8,7 +8,7 @@
 // the whole machine. Open returns an Engine that owns the shared resources
 // instead: one processor pool (parallel.ProcPool) capping concurrent
 // computation across every in-flight query and keeping what is constant
-// across them (batch pools, the resident relations' placement), one
+// across them (batch pools, the shells of cached plans), one
 // spill.Meter memory budget
 // that concurrent spill queries draw down together, default runtime and
 // machine parameters, and one admission queue whose wait is reported per
@@ -62,7 +62,7 @@ type Engine struct {
 
 	queue *admissionQueue    // admission: arrival order (fifo) or cost-based SJF
 	plans *planCache         // memoized strategy.Plan output by query shape
-	procs *parallel.ProcPool // shared modeled processors, batch pools and db placement (wall-clock runtimes)
+	procs *parallel.ProcPool // shared modeled processors, batch pools and plan shells (wall-clock runtimes)
 	meter *spill.Meter       // shared memory budget (root; queries get children)
 
 	mu      sync.Mutex
@@ -169,7 +169,6 @@ func Open(db *wisconsin.Database, opts ...EngineOption) (*Engine, error) {
 		e.maxConc = 2 * runtime.GOMAXPROCS(0)
 	}
 	e.procs = parallel.NewProcPool(e.poolSize)
-	e.procs.Pin(db.Relations)
 	e.meter = spill.NewMeter(e.budget)
 	e.plans = newPlanCache()
 	e.cursors = make(map[*Rows]struct{})

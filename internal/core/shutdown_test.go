@@ -63,8 +63,9 @@ func TestEngineCloseWhileRowsStreaming(t *testing.T) {
 		}
 		cursors = append(cursors, rows)
 	}
-	if eng.procs.PlacedBytes() == 0 {
-		t.Error("the in-memory queries placed nothing in the engine's cache")
+	placed := q.DB.Placement().Bytes()
+	if placed == 0 {
+		t.Error("the in-memory queries placed nothing in the database's placement")
 	}
 
 	closeWithin(t, eng, 30*time.Second)
@@ -80,8 +81,8 @@ func TestEngineCloseWhileRowsStreaming(t *testing.T) {
 	if live := eng.MemoryLive(); live != 0 {
 		t.Errorf("engine meter live = %d bytes after Close, want 0 (stranded reservations/batches)", live)
 	}
-	if placed := eng.procs.PlacedBytes(); placed != 0 {
-		t.Errorf("engine keeps %d bytes of placed fragments after Close, want 0", placed)
+	if n := q.DB.Placement().Bytes(); n != placed {
+		t.Errorf("the database's placement went from %d to %d bytes at the engine's Close; it is the database's", placed, n)
 	}
 	if n := settleGoroutines(before, 4, 10*time.Second); n > before+4 {
 		t.Errorf("goroutines: %d before, %d after close (leak)", before, n)

@@ -10,6 +10,7 @@ import (
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
 	"multijoin/internal/wisconsin"
+	"multijoin/internal/xra"
 )
 
 // TestTableAccountingCloses: the simulator holds a process's hash-table
@@ -39,7 +40,7 @@ func TestTableAccountingCloses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := newEngine(context.Background(), plan, base, costmodel.Default(), &operator.Gather{Rel: relation.New("result", 0)})
+			e, err := newEngine(context.Background(), plan, base, nil, costmodel.Default(), &operator.Gather{Rel: relation.New("result", 0)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,6 +57,49 @@ func TestTableAccountingCloses(t *testing.T) {
 			t.Logf("%v/%v: peak %d per processor, %d in total", shape, k, got[0], got[1])
 			if want := pinned[shape][k]; got != want {
 				t.Errorf("%v/%v: peak %d per processor, %d in total; pinned %d and %d", shape, k, got[0], got[1], want[0], want[1])
+			}
+		}
+	}
+}
+
+// TestScansReadThePlacement: a simulated run on a placement reads its scans'
+// fragments and lent views from it — pointer-identical to what the placement
+// holds, so the run copies no tuple of an already placed relation — and a
+// second run reads the same ones.
+func TestScansReadThePlacement(t *testing.T) {
+	db, err := wisconsin.Chain(wisconsin.Config{Relations: 6, Cardinality: 300, Seed: 1995})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := func(leaf int) *relation.Relation { return db.Relation(leaf) }
+	tree, err := jointree.BuildShape(jointree.WideBushy, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := db.Placement()
+	params := costmodel.Default()
+	for _, k := range strategy.Kinds {
+		plan, err := strategy.Plan(k, tree, strategy.Config{Procs: 12, Card: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			e, err := newEngine(context.Background(), plan, base, place, params, &operator.Gather{Rel: relation.New("result", 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, os := range e.ops {
+				if os.Op.Kind != xra.OpScan {
+					continue
+				}
+				frags := place.Fragments(base(os.Op.Leaf), os.Op.FragAttr, len(os.Op.Procs))
+				views := place.Lend(base(os.Op.Leaf), os.Op.FragAttr, frags, params.BatchTuples)
+				if &os.Frags[0] != &frags[0] || &os.views[0] != &views[0] {
+					t.Fatalf("%v: scan %s does not read the placement's fragments and views", k, os.Op.ID)
+				}
+			}
+			if _, err := e.run(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

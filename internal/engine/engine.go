@@ -19,6 +19,11 @@
 // cost of an event is what the event does, not a closure and two interface
 // conversions around it.
 //
+// The base relations are fragmented ideally (Section 4.1) before any query
+// runs: a run reads its scans' fragments and their lent views from the
+// database's placement (RunPlaced, relation.Placement) and places nothing
+// itself; only RunStream, which has no placement, fragments per run.
+//
 // Real hash joins run inside the simulated operators — the stream pushed
 // into the sink is the true join result and is compared against a sequential
 // reference in tests — while the virtual clock yields the response times of
@@ -67,10 +72,18 @@ type RunResult struct {
 // event loop checks ctx between events, so cancelling it aborts the run at
 // the next event boundary with the context's error.
 func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, params costmodel.Params, sink Sink) (*RunResult, error) {
+	return RunPlaced(ctx, plan, base, nil, params, sink)
+}
+
+// RunPlaced is RunStream on base relations resident in place: the scans
+// read their fragments and lent views from it (relation.Placement), so a
+// run of an already placed relation copies nothing. A nil place fragments
+// per run.
+func RunPlaced(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, place *relation.Placement, params costmodel.Params, sink Sink) (*RunResult, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("engine: RunStream needs a sink")
 	}
-	e, err := newEngine(ctx, plan, base, params, sink)
+	e, err := newEngine(ctx, plan, base, place, params, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -80,6 +93,9 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 // opState is the runtime state of one plan operator.
 type opState struct {
 	*operator.Node
+	// views is a scan's placed fragments lent at the simulator's batch size,
+	// per process.
+	views     [][]relation.Batch
 	instances []*instance
 	doneCount int
 	finished  bool
@@ -128,12 +144,14 @@ func (e *engineState) addTableTuples(procID, delta int) {
 	}
 }
 
-// newEngine wires the plan, pre-places the base relation fragments, creates
-// the operation processes and schedules their sequential startup.
-func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, params costmodel.Params, sink Sink) (*engineState, error) {
+// newEngine wires the plan, reads the base relations' fragments and the
+// scans' lent views from place (the database's resident placement; nil
+// fragments them for this run), creates the operation processes and
+// schedules their sequential startup.
+func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, place *relation.Placement, params costmodel.Params, sink Sink) (*engineState, error) {
 	w, err := operator.Wire(plan)
 	if err == nil {
-		err = w.Place(base)
+		err = w.PlaceWith(base, place.Fragments)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
@@ -165,6 +183,9 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 	for i, n := range w.Nodes {
 		os := &opState{Node: n}
 		e.ops[i] = os
+		if n.Op.Kind == xra.OpScan {
+			os.views = place.Lend(base(n.Op.Leaf), n.Op.FragAttr, n.Frags, params.BatchTuples)
+		}
 		for idx, procID := range n.Op.Procs {
 			in := &instance{e: e, op: os, idx: idx, proc: e.machine.Proc(procID), label: opLabel(n.Op)}
 			in.join.Init(n, params.BatchTuples)

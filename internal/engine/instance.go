@@ -82,10 +82,12 @@ type instance struct {
 	res    *relation.Batch  // a join's result buffer, from a shared pool
 	out    *operator.Outbox // nil for collect
 
-	// scanChunks are the scan's pre-placed fragment lent as batch-sized views
+	// scanChunks are the scan's placed fragment lent as batch-sized views
 	// (relation.Batch.Lend), queued as messages: chunk-at-a-time cost events
-	// without copying the fragment. On a local edge a chunk travels on as it
-	// is (Outbox.Lend); a redistribution scatters it into pooled batches.
+	// without copying the fragment. The views are the placement's, shared
+	// with every run that reads it, and never written. On a local edge a
+	// chunk travels on as it is (Outbox.Lend); a redistribution scatters it
+	// into pooled batches.
 	scanChunks []relation.Batch
 }
 
@@ -130,7 +132,7 @@ func (in *instance) start() {
 		in.out = operator.NewOutbox(in.op.Node, in.idx, relation.SharedPool(start), bt, in)
 	}
 	if in.op.Op.Kind == xra.OpScan {
-		in.scanChunks = in.op.Frags[in.idx].Lend(bt)
+		in.scanChunks = in.op.views[in.idx]
 		in.queue = make([]operator.Msg, len(in.scanChunks))
 		for k := range in.scanChunks {
 			in.queue[k].Batch = &in.scanChunks[k]

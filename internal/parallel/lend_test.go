@@ -10,6 +10,7 @@ import (
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
 	"multijoin/internal/wisconsin"
+	"multijoin/internal/xra"
 )
 
 // cancelSink cancels its run at the first result batch it is pushed.
@@ -21,15 +22,26 @@ func (s cancelSink) Push(_ context.Context, _ *relation.Batch, release func()) e
 	return nil
 }
 
-// placedSums returns a checksum of every cached fragmentation, by key.
-func placedSums(p *ProcPool) map[placement]uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sums := make(map[placement]uint64, len(p.placed))
-	for key, e := range p.placed {
-		sums[key] = fragSum(e.frags)
+// placementKey is one fragmentation a plan's scans read.
+type placementKey struct {
+	rel    *relation.Relation
+	attr   relation.Attr
+	degree int
+}
+
+// placedFrags returns the fragmentations the plans' scans read from place,
+// by key.
+func placedFrags(place *relation.Placement, base func(int) *relation.Relation, plans []*xra.Plan) map[placementKey][]relation.Batch {
+	frags := make(map[placementKey][]relation.Batch)
+	for _, plan := range plans {
+		for _, op := range plan.Ops {
+			if op.Kind == xra.OpScan {
+				key := placementKey{base(op.Leaf), op.FragAttr, len(op.Procs)}
+				frags[key] = place.Fragments(key.rel, key.attr, key.degree)
+			}
+		}
 	}
-	return sums
+	return frags
 }
 
 func fragSum(frags []relation.Batch) uint64 {
@@ -44,12 +56,13 @@ func fragSum(frags []relation.Batch) uint64 {
 }
 
 // TestLentPlacementSurvivesRuns is the pool discipline of lent views on the
-// state an engine keeps between queries: one ProcPool with its database
-// pinned runs every strategy twice, with a run cancelled mid-scan between
-// the rounds. Scans lend the cached fragments' views to the joins, which
-// hold, apply and return them like pooled batches, and a cancelled delivery
-// hands its view back to a pool. None of that may write a fragment: the cache
-// afterwards is checksum-identical to what it held before, and to a fresh
+// placement a database keeps between queries: one ProcPool runs every
+// strategy twice on the database's placement, with a run cancelled mid-scan
+// between the rounds. Scans lend the placed fragments' views to the joins,
+// which hold, apply and return them like pooled batches, and a cancelled
+// delivery hands its view back to a pool. None of that may write a fragment
+// or place one again: afterwards the placement serves the very fragments it
+// served before, checksum-identical to what they held before and to a fresh
 // fragmentation of the relations, and every second run matches the
 // reference. Under -tags pooldebug (make pooldebug) a view taken into a pool
 // would be poisoned, which both checks see.
@@ -65,52 +78,60 @@ func TestLentPlacementSurvivesRuns(t *testing.T) {
 	want := jointree.Reference(tree, db.Relation)
 	p := NewProcPool(4)
 	defer p.Close()
-	p.Pin(db.Relations)
-	run := func(kind strategy.Kind) {
-		t.Helper()
+	cfg := Config{Pool: p, Placement: db.Placement()}
+	var plans []*xra.Plan
+	for _, kind := range strategy.Kinds {
 		plan, err := strategy.Plan(kind, tree, strategy.Config{Procs: 12, Card: float64(db.Cardinality())})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := &operator.Gather{Rel: relation.New("got", want.TupleBytes)}
-		if _, err := RunStream(context.Background(), plan, db.Relation, Config{Pool: p}, got); err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if diff := relation.DiffMultiset(got.Rel, want); diff != "" {
-			t.Fatalf("%v: result differs from the reference: %s", kind, diff)
+		plans = append(plans, plan)
+	}
+	run := func() {
+		t.Helper()
+		for i, plan := range plans {
+			got := &operator.Gather{Rel: relation.New("got", want.TupleBytes)}
+			if _, err := RunStream(context.Background(), plan, db.Relation, cfg, got); err != nil {
+				t.Fatalf("%v: %v", strategy.Kinds[i], err)
+			}
+			if diff := relation.DiffMultiset(got.Rel, want); diff != "" {
+				t.Fatalf("%v: result differs from the reference: %s", strategy.Kinds[i], diff)
+			}
 		}
 	}
-	for _, kind := range strategy.Kinds {
-		run(kind)
+	run()
+	placed := db.Placement().Bytes()
+	if placed == 0 {
+		t.Fatal("the runs placed nothing in the database's placement")
 	}
-	before := placedSums(p)
-	if len(before) == 0 {
-		t.Fatal("no placement was cached")
+	before := placedFrags(db.Placement(), db.Relation, plans)
+	sums := make(map[placementKey]uint64, len(before))
+	for key, frags := range before {
+		sums[key] = fragSum(frags)
 	}
 
 	// FP scans every relation at once, in 8-tuple views: its first result
 	// arrives while the scans are still lending.
-	plan, err := strategy.Plan(strategy.FP, tree, strategy.Config{Procs: 12, Card: float64(db.Cardinality())})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp := plans[len(plans)-1]
 	ctx, cancel := context.WithCancel(context.Background())
-	if _, err := RunStream(ctx, plan, db.Relation, Config{Pool: p, BatchTuples: 8}, cancelSink{cancel}); !errors.Is(err, context.Canceled) {
+	cancelled := cfg
+	cancelled.BatchTuples = 8
+	if _, err := RunStream(ctx, fp, db.Relation, cancelled, cancelSink{cancel}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("run cancelled mid-scan returned %v, want context.Canceled", err)
 	}
-	for _, kind := range strategy.Kinds {
-		run(kind)
-	}
+	run()
 
-	after := placedSums(p)
-	if len(after) != len(before) {
-		t.Fatalf("%d placements cached after the runs, %d before", len(after), len(before))
+	if n := db.Placement().Bytes(); n != placed {
+		t.Fatalf("the placement holds %d bytes after the runs, %d before", n, placed)
 	}
-	for key, sum := range before {
+	for key, frags := range placedFrags(db.Placement(), db.Relation, plans) {
 		fresh := fragSum(relation.FragmentBatches(key.rel, key.attr, key.degree))
-		if after[key] != sum || sum != fresh {
+		if &frags[0] != &before[key][0] {
+			t.Errorf("placement of %s on %v over %d was fragmented again", key.rel.Name, key.attr, key.degree)
+		}
+		if sum := fragSum(frags); sum != sums[key] || sum != fresh {
 			t.Errorf("placement of %s on %v over %d: checksum %x before the runs, %x after, %x fresh",
-				key.rel.Name, key.attr, key.degree, sum, after[key], fresh)
+				key.rel.Name, key.attr, key.degree, sums[key], sum, fresh)
 		}
 	}
 }

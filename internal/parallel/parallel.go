@@ -73,15 +73,17 @@
 // read-only, transport-sized views (operator.Outbox.Lend), which every pool
 // drops, so the probe operands a simple join holds through its build phase
 // no longer drain the pools, and out of core the budget does not count them:
-// that memory is the database's. What is constant across the queries of an
-// engine session — the un-metered batch pools, result buffers included, the
-// placement of the resident base relations and the views lent from it, and
-// the shell of each plan it runs — lives with the session's ProcPool, not
-// with the run. A run's shell is what follows from the plan, the resolved
-// Config and the base relations alone: the wiring, the operators' processes
-// with their join states, the hosts with their inboxes, outboxes and
+// that memory is the database's. The placement itself is the database's
+// too (Config.Placement, relation.Placement): a run reads its relations'
+// resident fragments and lent views instead of fragmenting them, and this
+// package holds none. What is constant across the queries of an engine
+// session — the un-metered batch pools, result buffers included, and the
+// shell of each plan it runs — lives with the session's ProcPool, not with
+// the run. A run's shell is what follows from the plan, the resolved Config
+// and the base relations alone: the wiring, the operators' processes with
+// their join states, the hosts with their inboxes, outboxes and
 // destinations, and the pools. A run builds it and arms it (its context,
-// the operators' one-shot signals, the placement and lent views, the hosts'
+// the operators' one-shot signals, the fragments and lent views, the hosts'
 // input counts and transport counters); an in-memory run on a ProcPool that
 // completes leaves it to the pool, and the next run of the same plan on the
 // same relations only arms it. Result equivalence against the sequential
@@ -93,7 +95,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,7 +124,7 @@ type Sink = operator.Sink
 const (
 	// poolRetainBytes is what each resident batch pool may hold idle. It was
 	// sized against RD's held probe operands, which scans now lend instead
-	// (ProcPool.lend); it stays for the pipelining joins' redistributed
+	// (relation.Placement.Lend); it stays for the pipelining joins' redistributed
 	// operands and results in flight, which the next query draws back:
 	// measured on mjperf serve_fp_stream, 1 MiB raised the allocation from
 	// 1 183 to 1 487 KiB per query.
@@ -132,9 +133,6 @@ const (
 	// (the default transport sizes are five); a run asking for yet another
 	// capacity gets a pool of its own.
 	maxResidentPools = 16
-	// maxPlacedBytes bounds the cached placement. A fragmentation that would
-	// overflow it evicts everything cached before.
-	maxPlacedBytes = 32 << 20
 	// maxIdleShells bounds the finished runs' shells kept for the next run of
 	// their plan; keeping one more evicts them all. A serving workload runs a
 	// handful of plans a few at a time.
@@ -146,22 +144,19 @@ const (
 // (Config.Pool) for the length of one join step. It is the session-level
 // resource that caps concurrent computation across in-flight queries, and
 // it owns what those queries would otherwise rebuild each time: the
-// un-metered batch pools, one per batch capacity, and the placed fragments
-// of the relations declared resident (Pin) with the views their scans lend,
-// both byte-bounded, and the shells of finished in-memory runs, count-bounded:
-// the wiring, hosts, inboxes, outboxes and join states of a plan, which the
-// next run of the same plan re-arms instead of building them again. All of it
-// is dropped by Close. A ProcPool owns no goroutines.
+// un-metered batch pools, one per batch capacity, byte-bounded, and the
+// shells of finished in-memory runs, count-bounded: the wiring, hosts,
+// inboxes, outboxes and join states of a plan, which the next run of the
+// same plan re-arms instead of building them again. All of it is dropped by
+// Close. It holds no placement — the base relations' fragments are their
+// database's (Config.Placement) — and owns no goroutines.
 type ProcPool struct {
 	slots []sync.Mutex
 
-	mu          sync.Mutex // guards the fields below
-	pools       map[int]*relation.BatchPool
-	pinned      []*relation.Relation
-	placed      map[placement]*placed
-	placedBytes int64
-	shells      map[shellKey][]*runtimeState
-	idle        int // the shells kept
+	mu     sync.Mutex // guards the fields below
+	pools  map[int]*relation.BatchPool
+	shells map[shellKey][]*runtimeState
+	idle   int // the shells kept
 }
 
 // shellKey identifies the runs that may share a shell: one plan under one
@@ -169,20 +164,6 @@ type ProcPool struct {
 type shellKey struct {
 	plan *xra.Plan
 	cfg  Config
-}
-
-// placed is one cached fragmentation and the views last lent from it.
-type placed struct {
-	frags []relation.Batch
-	views [][]relation.Batch // cut at size tuples
-	size  int
-}
-
-// placement identifies one fragmentation of a resident relation.
-type placement struct {
-	rel    *relation.Relation
-	attr   relation.Attr
-	degree int
 }
 
 // NewProcPool returns a pool of n modeled processors (n < 1 means
@@ -197,32 +178,13 @@ func NewProcPool(n int) *ProcPool {
 // Size returns the number of modeled processors (slots).
 func (p *ProcPool) Size() int { return len(p.slots) }
 
-// Pin declares rels resident for the pool's lifetime: runs on the pool
-// cache their placement (relation.FragmentBatches) by relation identity,
-// fragmentation attribute and degree instead of fragmenting per query. The
-// relations must not change while pinned. Any other base relation — a query
-// bringing its own database — is fragmented per run and never cached.
-func (p *ProcPool) Pin(rels []*relation.Relation) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pinned = append(p.pinned, rels...)
-}
-
-// PlacedBytes returns the size of the cached placement.
-func (p *ProcPool) PlacedBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.placedBytes
-}
-
-// Close drops the resident batch pools, the pinned set, the cached
-// placement and the idle shells. It must not be called while runs still use
-// the pool; a result batch released afterwards goes to a pool nothing draws
-// from any more.
+// Close drops the resident batch pools and the idle shells. It must not be
+// called while runs still use the pool; a result batch released afterwards
+// goes to a pool nothing draws from any more.
 func (p *ProcPool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.pools, p.pinned, p.placed, p.placedBytes, p.shells, p.idle = nil, nil, nil, 0, nil, 0
+	p.pools, p.shells, p.idle = nil, nil, 0
 }
 
 // index returns which modeled processor serves plan processor id proc. The
@@ -251,59 +213,6 @@ func (p *ProcPool) batchPool(size int) *relation.BatchPool {
 		}
 	}
 	return bp
-}
-
-// fragments is relation.FragmentBatches through the placement cache. Two
-// runs that miss on the same key both fragment and the first insert stays:
-// fragments are read-only and equal.
-func (p *ProcPool) fragments(rel *relation.Relation, attr relation.Attr, degree int) []relation.Batch {
-	key := placement{rel, attr, degree}
-	p.mu.Lock()
-	e := p.placed[key]
-	pinned := e == nil && slices.Contains(p.pinned, rel)
-	p.mu.Unlock()
-	if e != nil {
-		return e.frags
-	}
-	frags := relation.FragmentBatches(rel, attr, degree)
-	bytes := int64(rel.Card()) * relation.TupleWireBytes
-	if !pinned || bytes > maxPlacedBytes {
-		return frags
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pinned != nil && p.placed[key] == nil { // the pool is still open
-		if p.placed == nil || p.placedBytes+bytes > maxPlacedBytes {
-			p.placed, p.placedBytes = make(map[placement]*placed), 0
-		}
-		p.placed[key] = &placed{frags: frags}
-		p.placedBytes += bytes
-	}
-	return frags
-}
-
-// lend cuts frags, a fragmentation of rel on attr, into lent views of size
-// tuples, one list per fragment (relation.Batch.Lend). A cached placement
-// keeps the views cut last — one size per placement unless queries ask for
-// different batch sizes, since the size follows from the relation, its
-// degree and the run's BatchTuples — so they go when it is evicted or the
-// pool closes; any other fragmentation is cut per call.
-func (p *ProcPool) lend(rel *relation.Relation, attr relation.Attr, frags []relation.Batch, size int) [][]relation.Batch {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e := p.placed[placement{rel, attr, len(frags)}]
-	cached := e != nil && &e.frags[0] == &frags[0]
-	if cached && e.size == size {
-		return e.views
-	}
-	views := make([][]relation.Batch, len(frags))
-	for i := range frags {
-		views[i] = frags[i].Lend(size)
-	}
-	if cached {
-		e.views, e.size = views, size
-	}
-	return views
 }
 
 // reuse takes an idle shell of plan under cfg (resolved); nil if there is
@@ -359,9 +268,16 @@ type Config struct {
 	// session mode, where one set of modeled processors caps concurrent
 	// computation across every in-flight query. MaxProcs is ignored; the
 	// pool's size takes its place. Unless the run is out of core it also
-	// draws its batches from the pool's resident batch pools and places
-	// pinned base relations through the pool's placement cache.
+	// draws its batches from the pool's resident batch pools and leaves its
+	// shell to the pool.
 	Pool *ProcPool
+
+	// Placement, when set, is the base relations' resident placement (their
+	// database's, wisconsin.Database.Placement): the scans read their
+	// fragments and lent views from it, so a run of an already placed
+	// relation copies nothing. Nil fragments the base relations per run.
+	// Partial and resident runs place nothing.
+	Placement *relation.Placement
 
 	// Meter, when set, switches the run to out-of-core mode (the "spill"
 	// runtime) and accounts it against the meter's budget: a private
@@ -656,8 +572,8 @@ func (r *runtimeState) build(base func(leaf int) *relation.Relation) error {
 		}
 	}
 	// Base relation fragments: ideal initial fragmentation, identical to the
-	// simulator, are placed per run (arm); the shell needs only the
-	// cardinalities they are estimated from. A partial run receives its
+	// simulator, are read from the placement per run (arm); the shell needs
+	// only the cardinalities they are estimated from. A partial run receives its
 	// fragments pre-placed by the coordinator (Partial.ScanFragment) instead
 	// of fragmenting in-process.
 	if r.partial == nil {
@@ -708,7 +624,7 @@ func (r *runtimeState) build(base func(leaf int) *relation.Relation) error {
 		if r.partial == nil {
 			os.size = os.BufferSize(len(os.hosts), os.size)
 			if os.Op.Kind == xra.OpScan && r.resident == nil {
-				os.rel = base(os.Op.Leaf) // a partial run's fragments are never cached
+				os.rel = base(os.Op.Leaf) // a partial run's fragments come from the coordinator
 			}
 		}
 		pool := r.transportPool(os.size)
@@ -761,8 +677,7 @@ func (r *runtimeState) build(base func(leaf int) *relation.Relation) error {
 
 // arm readies the shell for one run under ctx: the run's context, the
 // operators' dependency counts and one-shot start signals, the scans'
-// fragments and lent views — through the ProcPool's placement cache (which
-// only an engine session's pool has relations pinned in) — and each host's
+// fragments and lent views — read from Config.Placement — and each host's
 // input count and transport counters. A resident network's scans are never
 // launched and place nothing.
 func (r *runtimeState) arm(ctx context.Context) {
@@ -776,10 +691,10 @@ func (r *runtimeState) arm(ctx context.Context) {
 		os.pending.Store(int32(len(os.After)))
 		os.remaining.Store(int32(os.locals))
 		if os.rel != nil {
-			os.Frags = r.procs.fragments(os.rel, os.Op.FragAttr, len(os.procs))
+			os.Frags = r.cfg.Placement.Fragments(os.rel, os.Op.FragAttr, len(os.procs))
 		}
 		if os.Op.Kind == xra.OpScan && os.Out.Local && r.resident == nil {
-			os.views = r.procs.lend(os.rel, os.Op.FragAttr, os.Frags, os.size)
+			os.views = r.cfg.Placement.Lend(os.rel, os.Op.FragAttr, os.Frags, os.size)
 		}
 		for _, h := range os.hosts {
 			// Every hosted process waits for marks unless the operator has no
@@ -882,7 +797,7 @@ func (r *runtimeState) launch() {
 }
 
 // finish assembles the run result after every goroutine exited and drops
-// what the run placed. An in-memory run on a ProcPool then leaves its shell,
+// the fragments and views the run read. An in-memory run on a ProcPool then leaves its shell,
 // its processes reset by their hosts (host.run), to the pool (keep), unless
 // a message is left in an inbox.
 func (r *runtimeState) finish() *RunResult {

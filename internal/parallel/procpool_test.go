@@ -85,109 +85,6 @@ func TestResidentBatchPools(t *testing.T) {
 	}
 }
 
-// TestPlacementCache: pinned relations are fragmented once per (relation,
-// attribute, degree), unpinned ones every time and never retained; the cache
-// is byte-bounded by eviction and emptied by Close. The views a placement
-// lends are cut once per size and cached with it, and go with it.
-func TestPlacementCache(t *testing.T) {
-	rel := func(name string, card int) *relation.Relation {
-		r := relation.NewWithCap(name, 208, card)
-		for i := 0; i < card; i++ {
-			r.Append(relation.Tuple{Unique1: int64(i), Unique2: int64(card - i), Check: uint64(i)})
-		}
-		return r
-	}
-	same := func(a, b []relation.Batch) bool { return &a[0] == &b[0] }
-	sameViews := func(a, b [][]relation.Batch) bool { return &a[0][0] == &b[0][0] }
-	resident, foreign := rel("resident", 1000), rel("foreign", 1000)
-	p := NewProcPool(2)
-	p.Pin([]*relation.Relation{resident})
-
-	f1 := p.fragments(resident, relation.Unique1, 4)
-	if !same(f1, p.fragments(resident, relation.Unique1, 4)) {
-		t.Error("a pinned relation was fragmented twice for one key")
-	}
-	if same(f1, p.fragments(resident, relation.Unique2, 4)) || same(f1, p.fragments(resident, relation.Unique1, 8)) {
-		t.Error("attribute and degree must be part of the key")
-	}
-	want := relation.FragmentBatches(resident, relation.Unique1, 4)
-	for i := range want {
-		if want[i].Len() != f1[i].Len() {
-			t.Fatalf("fragment %d holds %d tuples, want %d", i, f1[i].Len(), want[i].Len())
-		}
-	}
-	if got, want := p.PlacedBytes(), int64(3*1000*relation.TupleWireBytes); got != want {
-		t.Errorf("PlacedBytes = %d, want %d (three placements)", got, want)
-	}
-	v1 := p.lend(resident, relation.Unique1, f1, 64)
-	if !sameViews(v1, p.lend(resident, relation.Unique1, f1, 64)) {
-		t.Error("a cached placement's views were cut twice for one size")
-	}
-	if sameViews(v1, p.lend(resident, relation.Unique1, f1, 32)) {
-		t.Error("the view size must be part of the key")
-	}
-	for i := range f1 {
-		n := 0
-		for v := range v1[i] {
-			if &v1[i][v].U1[0] != &f1[i].U1[n] {
-				t.Fatalf("view %d of fragment %d does not start at row %d of the cached fragment", v, i, n)
-			}
-			n += v1[i][v].Len()
-		}
-		if n != f1[i].Len() {
-			t.Fatalf("the views of fragment %d hold %d tuples, want %d", i, n, f1[i].Len())
-		}
-	}
-	if own := relation.FragmentBatches(resident, relation.Unique1, 4); sameViews(v1, p.lend(resident, relation.Unique1, own, 64)) {
-		t.Error("a fragmentation the cache does not hold was served the cached views")
-	}
-
-	placed := p.PlacedBytes()
-	g1 := p.fragments(foreign, relation.Unique1, 4)
-	if same(g1, p.fragments(foreign, relation.Unique1, 4)) || p.PlacedBytes() != placed {
-		t.Error("an unpinned relation hit or grew the cache")
-	}
-	if sameViews(p.lend(foreign, relation.Unique1, g1, 64), p.lend(foreign, relation.Unique1, g1, 64)) {
-		t.Error("the views of an unpinned relation were cached")
-	}
-
-	// A relation too big for what is left evicts what was cached; one too
-	// big for the whole bound is never cached.
-	big := rel("big", maxPlacedBytes/relation.TupleWireBytes-1000)
-	huge := rel("huge", maxPlacedBytes/relation.TupleWireBytes+1)
-	p.Pin([]*relation.Relation{big, huge})
-	p.fragments(big, relation.Unique1, 2)
-	if got, want := p.PlacedBytes(), int64(big.Card()*relation.TupleWireBytes); got != want {
-		t.Errorf("PlacedBytes after overflow = %d, want %d (only the newcomer)", got, want)
-	}
-	f2 := p.fragments(resident, relation.Unique1, 4)
-	if same(f1, f2) {
-		t.Error("an evicted placement was served")
-	}
-	if v2 := p.lend(resident, relation.Unique1, f2, 64); sameViews(v1, v2) || !sameViews(v2, p.lend(resident, relation.Unique1, f2, 64)) {
-		t.Error("views outlived the eviction of their placement, or the new placement caches none")
-	}
-	if p.PlacedBytes() > maxPlacedBytes {
-		t.Errorf("PlacedBytes = %d exceeds the bound %d", p.PlacedBytes(), maxPlacedBytes)
-	}
-	placed = p.PlacedBytes()
-	if p.fragments(huge, relation.Unique1, 2); p.PlacedBytes() != placed {
-		t.Error("a relation larger than the bound was cached")
-	}
-
-	v2 := p.lend(resident, relation.Unique1, f2, 64)
-	p.Close()
-	if p.PlacedBytes() != 0 || len(p.placed) != 0 || len(p.pinned) != 0 {
-		t.Error("Close left placement behind")
-	}
-	if sameViews(v2, p.lend(resident, relation.Unique1, f2, 64)) {
-		t.Error("views outlived Close")
-	}
-	if p.fragments(resident, relation.Unique1, 4); p.PlacedBytes() != 0 {
-		t.Error("a closed pool cached a placement")
-	}
-}
-
 // keepSink gathers a run's result and keeps its batches until the first
 // push of its next run, which releases them: a finished run's batches are
 // still held while the next run of the plan — on a shell some finished run
@@ -227,7 +124,7 @@ func TestShellReuse(t *testing.T) {
 	want := jointree.Reference(tree, db.Relation)
 	p := NewProcPool(4)
 	defer p.Close()
-	p.Pin(db.Relations)
+	cfg := Config{Pool: p, Placement: db.Placement()}
 	planOf := func(kind strategy.Kind) *xra.Plan {
 		t.Helper()
 		plan, err := strategy.Plan(kind, tree, strategy.Config{Procs: 12, Card: float64(db.Cardinality())})
@@ -253,7 +150,7 @@ func TestShellReuse(t *testing.T) {
 			var first operator.Counters
 			for i := range runs {
 				s.got, s.previous, s.held = relation.New("got", want.TupleBytes), s.held, nil
-				res, err := RunStream(context.Background(), plan, db.Relation, Config{Pool: p}, s)
+				res, err := RunStream(context.Background(), plan, db.Relation, cfg, s)
 				if err != nil {
 					t.Errorf("run %d: %v", i, err)
 					return
@@ -272,13 +169,13 @@ func TestShellReuse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := len(p.shells[shellKey{plan, Config{Pool: p}.withDefaults(plan)}]); n < 1 || n > runners {
+	if n := len(p.shells[shellKey{plan, cfg.withDefaults(plan)}]); n < 1 || n > runners {
 		t.Errorf("%d idle shells of the plan after %d runs, %d at a time", n, runners*runs, runners)
 	}
 
 	for i := range maxIdleShells + 4 {
 		got := &operator.Gather{Rel: relation.New("got", want.TupleBytes)}
-		if _, err := RunStream(context.Background(), planOf(strategy.Kinds[i%4]), db.Relation, Config{Pool: p}, got); err != nil {
+		if _, err := RunStream(context.Background(), planOf(strategy.Kinds[i%4]), db.Relation, cfg, got); err != nil {
 			t.Fatal(err)
 		}
 		if diff := relation.DiffMultiset(got.Rel, want); diff != "" {

@@ -91,15 +91,18 @@ func (c Config) cards() []int {
 	return out
 }
 
-// Database is a generated chain of Wisconsin relations plus the boundary
-// permutations and pointer structure, kept so that expected query answers
-// can be computed without running any join.
+// Database is a generated chain of Wisconsin relations plus the pointer
+// structure between them, kept so that expected query answers can be
+// computed without running any join. The relations are generated
+// once and never change, so their declustering over a join's processors is
+// a property of the database, not of a query: the database owns their
+// placement (Placement), and it dies with the database.
 type Database struct {
-	Config     Config
-	Relations  []*relation.Relation
-	cards      []int
-	boundaries [][]int64 // boundaries[i][j] = B_i(j); len(boundaries[i]) = cards[min(i, k-1)]
-	targets    [][]int   // tuple j of relation i matches tuple targets[i][j] of relation i+1
+	Config    Config
+	Relations []*relation.Relation
+	cards     []int
+	targets   [][]int // tuple j of relation i matches tuple targets[i][j] of relation i+1; nil: tuple j
+	placement relation.Placement
 }
 
 // Chain generates a chain database. Tuples are produced in row order; the
@@ -120,13 +123,13 @@ func Chain(cfg Config) (*Database, error) {
 	// Boundary b sits between relations b-1 and b; its value domain is the
 	// Unique1 domain of relation b (for b < k) and a fresh domain of the
 	// last relation's size for the chain's outer edge b = k.
-	db.boundaries = make([][]int64, k+1)
+	boundaries := make([][]int64, k+1) // boundaries[b][j] = B_b(j)
 	for b := 0; b <= k; b++ {
 		size := db.cards[k-1]
 		if b < k {
 			size = db.cards[b]
 		}
-		db.boundaries[b] = permutation(rng, size)
+		boundaries[b] = permutation(rng, size)
 	}
 	db.targets = make([][]int, k)
 	for i := 0; i < k; i++ {
@@ -135,13 +138,12 @@ func Chain(cfg Config) (*Database, error) {
 		if i+1 < k {
 			next = db.cards[i+1]
 		}
+		if n == next {
+			continue // 1:1 regular workload: tuple j matches tuple j
+		}
 		db.targets[i] = make([]int, n)
 		for j := 0; j < n; j++ {
-			if n == next {
-				db.targets[i][j] = j // 1:1 regular workload
-			} else {
-				db.targets[i][j] = rng.Intn(next)
-			}
+			db.targets[i][j] = rng.Intn(next)
 		}
 	}
 	db.Relations = make([]*relation.Relation, k)
@@ -150,14 +152,23 @@ func Chain(cfg Config) (*Database, error) {
 		r.Tuples = make([]relation.Tuple, db.cards[i])
 		for j := 0; j < db.cards[i]; j++ {
 			r.Tuples[j] = relation.Tuple{
-				Unique1: db.boundaries[i][j],
-				Unique2: db.boundaries[i+1][db.targets[i][j]],
+				Unique1: boundaries[i][j],
+				Unique2: boundaries[i+1][db.target(i, j)],
 				Check:   BaseCheck(i, j),
 			}
 		}
 		db.Relations[i] = r
 	}
 	return db, nil
+}
+
+// target returns the tuple of relation i+1 that tuple j of relation i
+// matches.
+func (db *Database) target(i, j int) int {
+	if t := db.targets[i]; t != nil {
+		return t[j]
+	}
+	return j
 }
 
 // permutation returns a uniformly random permutation of [0, n) as int64s.
@@ -178,6 +189,11 @@ func BaseCheck(rel, row int) uint64 {
 	h ^= h >> 29
 	return h
 }
+
+// Placement returns the resident placement of the database's relations:
+// every in-process run of a query on the database reads its scans'
+// fragments and lent views from it instead of fragmenting per run.
+func (db *Database) Placement() *relation.Placement { return &db.placement }
 
 // Relation returns base relation i.
 func (db *Database) Relation(i int) *relation.Relation { return db.Relations[i] }
@@ -206,7 +222,9 @@ func (db *Database) SpanCard(lo, hi int) float64 {
 
 // ExpectedPairs returns the (Unique1, Unique2) pairs — with zero checksums —
 // that the join of chain span [lo, hi] (inclusive, 0-based) must produce,
-// computed by following the generator's pointer structure. Checksums depend
+// computed by following the generator's pointer structure: tuple j of
+// relation lo leads to one tuple of relation hi, whose Unique2 it pairs
+// with its own Unique1. Checksums depend
 // on the join tree shape and are verified separately against a sequential
 // reference execution.
 func (db *Database) ExpectedPairs(lo, hi int) (*relation.Relation, error) {
@@ -219,11 +237,11 @@ func (db *Database) ExpectedPairs(lo, hi int) (*relation.Relation, error) {
 	for j := 0; j < n; j++ {
 		row := j
 		for i := lo; i < hi; i++ {
-			row = db.targets[i][row]
+			row = db.target(i, row)
 		}
 		out.Tuples[j] = relation.Tuple{
-			Unique1: db.boundaries[lo][j],
-			Unique2: db.boundaries[hi+1][db.targets[hi][row]],
+			Unique1: db.Relations[lo].Tuples[j].Unique1,
+			Unique2: db.Relations[hi].Tuples[row].Unique2,
 		}
 	}
 	return out, nil
