@@ -20,13 +20,13 @@ type Deliverer interface {
 // obeys the ordering rule of the package documentation. A buffer starts at
 // its pool's capacity; one that fills below the transport size is swapped
 // for a pooled batch of twice the capacity (at most the transport size).
-// While a buffer is pending it fills through a held write position: the
-// length of its U1 column is its fill, and its U2 and Check columns stay
-// resliced to their capacity (hold), so a tuple is three indexed stores and
-// one length update. The fill is written back to those two columns once,
-// when the buffer is delivered (deliver, so Flush too); a buffer moved to a
-// larger capacity (filled) is full, so its columns agree, and the larger
-// batch is held in its place. A shared outbox is told which of its
+// While a buffer is pending its three columns stay resliced to their
+// capacity (hold) and the outbox keeps its fill beside it (pending), so a
+// routed tuple is three indexed stores and one store into the outbox's own
+// slice, never a write to the batch's headers. The columns are resliced to
+// the fill once, when the buffer leaves: delivered (deliver, so Flush too),
+// or moved to a larger capacity (filled), whose batch is held in its place.
+// A shared outbox is told which of its
 // processes emits; every buffer is still for one consumer process (Msg.To),
 // whoever filled it. Every method reports false once a delivery failed (the run was
 // torn down).
@@ -51,7 +51,7 @@ type Outbox struct {
 	// pend holds the pending buffer of each destination, per lane: [0]
 	// inserts, [1] deletes (allocated by the first delete; queries never
 	// do). A nil buffer is replaced from the pool on first use.
-	pend [2][]*relation.Batch
+	pend [2][]pending
 
 	// Transport counters (Counters semantics: the edge into the collect
 	// operator is not counted). Tuples are counted where they are emitted, against the emitting process's processor — they stay
@@ -90,17 +90,24 @@ func NewSourceOutbox(n *Node, pool *relation.BatchPool, size int, to Deliverer) 
 	return newOutbox(n, false, len(n.Out.To.Op.Procs), pool, size, to)
 }
 
+// pending is a buffer being filled: a pooled batch held at its capacity and
+// the n tuples written to it.
+type pending struct {
+	b *relation.Batch
+	n int
+}
+
 func newOutbox(n *Node, paired bool, dests int, pool *relation.BatchPool, size int, to Deliverer) *Outbox {
 	o := &Outbox{node: n, paired: paired, bk: relation.NewBucketer(dests), pool: pool, size: size, pools: relation.SharedPool, to: to}
 	o.hosted = o.one[:]
-	o.pend[0] = make([]*relation.Batch, dests)
+	o.pend[0] = make([]pending, dests)
 	return o
 }
 
-// hold reslices the U2 and Check columns of b to n tuples: to their
-// capacity while b is pending, to its fill (U1's length) when it leaves.
+// hold reslices the three columns of b to n tuples: to their capacity while
+// b is pending, to its fill when it leaves.
 func hold(b *relation.Batch, n int) *relation.Batch {
-	b.U2, b.Check = b.U2[:n], b.Check[:n]
+	b.U1, b.U2, b.Check = b.U1[:n], b.U2[:n], b.Check[:n]
 	return b
 }
 
@@ -123,7 +130,7 @@ func (o *Outbox) header(d int) Msg {
 func (o *Outbox) Emit(res *relation.Batch, sign int8) bool { return o.EmitFrom(0, res, sign) }
 
 // EmitFrom routes res, the result of process hosted[k], with one sign. Both
-// paths write at the held position of a pending buffer (see Outbox): the
+// paths write at the fill of a pending buffer (see Outbox): the
 // single-destination path copies three column chunks at a time;
 // redistribution hoists the routing key column and stores each row's three
 // values at its destination's position. On a local edge only the outbox of
@@ -133,7 +140,7 @@ func (o *Outbox) EmitFrom(k int, res *relation.Batch, sign int8) bool {
 	if sign < 0 {
 		lane = 1
 		if o.pend[1] == nil {
-			o.pend[1] = make([]*relation.Batch, len(o.pend[0]))
+			o.pend[1] = make([]pending, len(o.pend[0]))
 		}
 	}
 	pend, n := o.pend[lane], res.Len()
@@ -145,17 +152,18 @@ func (o *Outbox) EmitFrom(k int, res *relation.Batch, sign int8) bool {
 			local = n
 		}
 		o.moved(local, n)
+		p := &pend[0]
 		for lo := 0; lo < n; {
-			b := pend[0]
-			if b == nil {
-				b = o.open(pend, 0)
+			if p.b == nil {
+				o.open(p)
 			}
-			j := len(b.U1)
-			c := copy(b.U2[j:], res.U2[lo:n])
+			b, j := p.b, p.n
+			c := copy(b.U1[j:], res.U1[lo:n])
+			copy(b.U2[j:], res.U2[lo:lo+c])
 			copy(b.Check[j:], res.Check[lo:lo+c])
-			b.U1 = append(b.U1, res.U1[lo:lo+c]...)
+			p.n += c
 			lo += c
-			if j+c == cap(b.U1) && !o.filled(lane, 0) {
+			if p.n == len(b.U1) && !o.filled(lane, 0) {
 				return false
 			}
 		}
@@ -168,14 +176,14 @@ func (o *Outbox) EmitFrom(k int, res *relation.Batch, sign int8) bool {
 		if cons[d] == from {
 			local++
 		}
-		b := pend[d]
-		if b == nil {
-			b = o.open(pend, d)
+		p := &pend[d]
+		if p.b == nil {
+			o.open(p)
 		}
-		j := len(b.U1)
-		b.U1 = b.U1[:j+1]
+		b, j := p.b, p.n
 		b.U1[j], b.U2[j], b.Check[j] = u1[i], u2[i], check[i]
-		if j+1 == cap(b.U1) && !o.filled(lane, d) {
+		p.n = j + 1
+		if j+1 == len(b.U1) && !o.filled(lane, d) {
 			return false
 		}
 	}
@@ -211,11 +219,10 @@ func (o *Outbox) moved(local, n int) {
 func (o *Outbox) counted() bool { return o.node.Out.To.Op.Kind != xra.OpCollect }
 
 // open makes an empty batch from the pool, held at its capacity, the
-// pending buffer pend[d].
-func (o *Outbox) open(pend []*relation.Batch, d int) *relation.Batch {
+// pending buffer p.
+func (o *Outbox) open(p *pending) {
 	b := o.pool.Get()
-	pend[d] = hold(b, b.Cap())
-	return pend[d]
+	*p = pending{b: hold(b, b.Cap())}
 }
 
 // filled takes the buffer of lane for destination d that reached its
@@ -223,14 +230,14 @@ func (o *Outbox) open(pend []*relation.Batch, d int) *relation.Batch {
 // move to a batch of twice the capacity, at most the transport size, held
 // at that capacity, and it goes back to the pool of its own capacity.
 func (o *Outbox) filled(lane, d int) bool {
-	buf := o.pend[lane][d]
-	if buf.Len() == o.size {
+	p := &o.pend[lane][d]
+	if p.n == o.size {
 		return o.full(lane, d)
 	}
-	grown := o.pools(min(2*buf.Cap(), o.size)).Get()
-	grown.AppendRange(buf, 0, buf.Len())
-	o.pools(buf.Cap()).Put(buf)
-	o.pend[lane][d] = hold(grown, grown.Cap())
+	grown := o.pools(min(2*p.b.Cap(), o.size)).Get()
+	grown.AppendRange(p.b, 0, p.n)
+	o.pools(p.b.Cap()).Put(p.b)
+	p.b = hold(grown, grown.Cap())
 	return true
 }
 
@@ -248,17 +255,18 @@ func (o *Outbox) full(lane, d int) bool {
 // deliver sends the pending buffer of lane for destination d, if any, at
 // the length of its fill.
 func (o *Outbox) deliver(lane, d int) bool {
-	buf := o.pend[lane][d]
+	p := &o.pend[lane][d]
+	buf, n := p.b, p.n
 	if buf == nil {
 		return true
 	}
-	o.pend[lane][d] = nil
-	if buf.Len() == 0 {
+	*p = pending{}
+	if n == 0 {
 		o.pool.Put(buf)
 		return true
 	}
 	m := o.header(d)
-	m.Batch, m.Sign = hold(buf, buf.Len()), Insert
+	m.Batch, m.Sign = hold(buf, n), Insert
 	if lane == 1 {
 		m.Sign = Delete
 	}
