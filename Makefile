@@ -33,12 +33,14 @@ test:
 # held-probe queue; a batch insert, a delete, a simulator event, a view
 # round, a heap push and pop, a row decode, a control frame, an outbox, a
 # scan's lent view, a host outbox's redistribution scatter on a warm pool,
-# an RD query on a warmed engine, a simulated run on warm shared pools), in
-# a build without
-# -race. `make test` runs only under the race detector,
-# whose sync.Pool drops recycled memory at random, so the bounds that count
-# on recycled table memory skip there.
-ALLOC_TESTS = TestSimpleJoinCost|TestSimpleJoinProcessAllocs|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox|TestLendAllocFree|TestScatterAllocFree|TestRDQueryAllocs|TestSimRunAllocs
+# an RD query on a warmed engine, a simulated run on warm shared pools, a
+# warm round of simulated queries through core.Exec that reads its
+# database's placement), in a build without -race and without pooldebug.
+# `make test` runs only under the race detector, whose sync.Pool drops
+# recycled memory at random, and pooldebug's recycler moves a released
+# table's memory into a fresh Table, so the bounds that count on recycled
+# memory skip in both.
+ALLOC_TESTS = TestSimpleJoinCost|TestSimpleJoinProcessAllocs|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox|TestLendAllocFree|TestScatterAllocFree|TestRDQueryAllocs|TestSimRunAllocs|TestSimExecAllocs
 allocs:
 	$(GO) test -count=1 -run '^($(ALLOC_TESTS))$$' ./internal/hashjoin ./internal/engine ./internal/ivm ./internal/sim ./internal/relation ./internal/serve ./internal/operator ./internal/core
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"multijoin/internal/jointree"
@@ -27,8 +29,8 @@ import (
 // the held queue and process lists grew by append, 2 234 when the scans also
 // copied into pooled batches and each join allocated its probe scratch.
 func TestRDQueryAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops recycled memory at random")
+	if !exactAllocs {
+		t.Skip("allocation counts are not exact under -race or -tags pooldebug")
 	}
 	cases := []struct {
 		name  string
@@ -70,5 +72,51 @@ func TestRDQueryAllocs(t *testing.T) {
 				t.Errorf("a query allocates %.0f times, want at most %.0f", allocs, c.bound)
 			}
 		})
+	}
+}
+
+// TestSimExecAllocs pins what a warm round of simulated queries allocates
+// through core.Exec: SP, SE, RD and FP on one wide-bushy 10×500 database at
+// 40 processors. The first round places the database's relations and fills
+// relation's shared pools; the second is measured with the collector held
+// off, so that the pools keep what the first returned. A warm round reads
+// every fragment and lent view from the database's placement: a run that
+// fragmented its relations again would copy each one it scans, about 600
+// KiB more per round. Measured on a two-processor machine: 4 090–4 205 KiB
+// in 14 305–14 395 allocations.
+func TestSimExecAllocs(t *testing.T) {
+	if !exactAllocs {
+		t.Skip("allocation counts are not exact under -race or -tags pooldebug")
+	}
+	const (
+		boundBytes  = 4415 << 10 // the measured 4 205 KiB plus 5 %
+		boundAllocs = 15115      // the measured 14 395 plus 5 %
+	)
+	db := sessionDB(t, 10, 500)
+	qs := make([]Query, len(strategy.Kinds))
+	for i, kind := range strategy.Kinds {
+		qs[i] = sessionQuery(t, db, jointree.WideBushy, kind)
+		qs[i].Procs = 40
+	}
+	round := func() {
+		for _, q := range qs {
+			if _, err := Exec(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Finish any collection an earlier test started: one still in flight
+	// when the collector is held off would empty the pools mid-measurement.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	round()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	round()
+	runtime.ReadMemStats(&after)
+	bytes, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("a warm round of %d simulated queries allocates %d KiB in %d allocations", len(qs), bytes>>10, allocs)
+	if bytes > boundBytes || allocs > boundAllocs {
+		t.Errorf("a warm round allocates %d KiB in %d allocations, want at most %d KiB and %d", bytes>>10, allocs, boundBytes>>10, boundAllocs)
 	}
 }

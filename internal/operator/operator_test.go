@@ -351,8 +351,8 @@ func TestSimpleJoinProcessAllocs(t *testing.T) {
 	if matched == 0 {
 		t.Fatal("the held probe batches matched nothing")
 	}
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops recycled tables at random")
+	if !exactAllocs {
+		t.Skip("allocation counts are not exact under -race or -tags pooldebug")
 	}
 	n := testing.AllocsPerRun(100, life)
 	t.Logf("allocations per life: %.0f", n)
