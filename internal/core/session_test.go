@@ -632,7 +632,13 @@ func TestRowsCloseDuringIteration(t *testing.T) {
 		select {
 		case <-started:
 		case <-done:
-			t.Fatalf("trial %d: the stream ended before Close: %v", trial, rows.Err())
+			// A reader that raced through the whole stream closed both;
+			// only a stream that ended short of the trial's tuple fails.
+			select {
+			case <-started:
+			default:
+				t.Fatalf("trial %d: the stream ended before Close: %v", trial, rows.Err())
+			}
 		}
 		rows.Close()
 		<-done
