@@ -488,7 +488,7 @@ func TestSimRunAllocs(t *testing.T) {
 	if !exactAllocs {
 		t.Skip("allocation counts are not exact under -race or -tags pooldebug")
 	}
-	const bound = 2016 << 10 // bytes: the measured 1 920 KiB plus 5 %
+	const bound = 2016 << 10 // bytes: 1 920 KiB, measured with the fill in U1's length, plus 5 %
 	db := testDB(t, 10, 500, 1995)
 	tree, _ := jointree.BuildShape(jointree.WideBushy, 10)
 	p := planFor(t, strategy.SP, tree, 40, 500)

@@ -125,7 +125,7 @@ func TestJoinStepInterleavings(t *testing.T) {
 	base := func(leaf int) *relation.Relation { return db.Relation(leaf) }
 	for _, kind := range []strategy.Kind{strategy.SP, strategy.FP} {
 		w, tree := wire(t, kind, jointree.LeftLinear, 2, 3)
-		if err := w.Place(base); err != nil {
+		if err := w.PlaceWith(base, relation.FragmentBatches); err != nil {
 			t.Fatal(err)
 		}
 		want := jointree.Reference(tree, base)
@@ -275,7 +275,7 @@ func TestJoinStepInterleavings(t *testing.T) {
 func TestJoinStepSpillDirMissing(t *testing.T) {
 	db := chainDB(t, 2, 500)
 	w, _ := wire(t, strategy.SP, jointree.LeftLinear, 2, 1)
-	if err := w.Place(func(leaf int) *relation.Relation { return db.Relation(leaf) }); err != nil {
+	if err := w.PlaceWith(func(leaf int) *relation.Relation { return db.Relation(leaf) }, relation.FragmentBatches); err != nil {
 		t.Fatal(err)
 	}
 	scan := w.Nodes[0]
@@ -309,7 +309,7 @@ func TestSimpleJoinProcessAllocs(t *testing.T) {
 	const bt = 64 // the driver's transport size
 	db := chainDB(t, 2, 2000)
 	w, _ := wire(t, strategy.RD, jointree.LeftLinear, 2, 4)
-	if err := w.Place(func(leaf int) *relation.Relation { return db.Relation(leaf) }); err != nil {
+	if err := w.PlaceWith(func(leaf int) *relation.Relation { return db.Relation(leaf) }, relation.FragmentBatches); err != nil {
 		t.Fatal(err)
 	}
 	jn := w.Collect.In[In]

@@ -57,10 +57,10 @@ type Node struct {
 	// EstCard is the estimated output cardinality — exact for scans, the
 	// larger operand for the chain query's 1:1 joins — used to size hash
 	// tables, result buffers and stream buffers (BufferSize) up front (set
-	// by Estimate or Place).
+	// by Estimate or PlaceWith).
 	EstCard int
 	// Frags holds a scan's pre-placed base-relation fragments, one per
-	// process (set by Place).
+	// process (set by PlaceWith).
 	Frags []relation.Batch
 
 	// eosWant is how many punctuation marks each process of the operator
@@ -84,7 +84,7 @@ type Wiring struct {
 	// Collect is the plan's single collect node.
 	Collect *Node
 	// TupleBytes is the declared tuple width of the base relations (set by
-	// Place).
+	// PlaceWith).
 	TupleBytes int
 }
 
@@ -179,17 +179,12 @@ func (w *Wiring) Estimate(card func(leaf int) int) {
 	}
 }
 
-// Place pre-places every base relation — ideal initial fragmentation
+// PlaceWith pre-places every base relation — ideal initial fragmentation
 // (Section 4.1): declustered on the join attribute of its first join over
 // the processors used for that join, fragment i at scan process i — and
-// estimates cardinalities from the relations' sizes.
-func (w *Wiring) Place(base func(leaf int) *relation.Relation) error {
-	return w.PlaceWith(base, relation.FragmentBatches)
-}
-
-// PlaceWith is Place with the fragmentation supplied by the driver: frag
-// must return what relation.FragmentBatches would, and may return the same
-// read-only fragments to every run that asks (a session's placement cache).
+// estimates cardinalities from the relations' sizes. frag must return what
+// relation.FragmentBatches would, and may return the same read-only
+// fragments to every run that asks (the database's relation.Placement).
 func (w *Wiring) PlaceWith(base func(leaf int) *relation.Relation, frag func(r *relation.Relation, a relation.Attr, n int) []relation.Batch) error {
 	for _, n := range w.Nodes {
 		if n.Op.Kind != xra.OpScan {
