@@ -124,10 +124,10 @@ type Sink = operator.Sink
 const (
 	// poolRetainBytes is what each resident batch pool may hold idle. It was
 	// sized against RD's held probe operands, which scans now lend instead
-	// (relation.Placement.Lend); it stays for the pipelining joins' redistributed
-	// operands and results in flight, which the next query draws back:
-	// measured on mjperf serve_fp_stream, 1 MiB raised the allocation from
-	// 1 183 to 1 487 KiB per query.
+	// (relation.Placement.Lend); it stays for the pipelining joins'
+	// redistributed operands and results in flight, which the next query
+	// draws back: measured on mjperf serve_fp_stream, 1 MiB raised the
+	// allocation from 1 183 to 1 487 KiB per query.
 	poolRetainBytes = 4 << 20
 	// maxResidentPools bounds the batch capacities that get a resident pool
 	// (the default transport sizes are five); a run asking for yet another
@@ -573,9 +573,9 @@ func (r *runtimeState) build(base func(leaf int) *relation.Relation) error {
 	}
 	// Base relation fragments: ideal initial fragmentation, identical to the
 	// simulator, are read from the placement per run (arm); the shell needs
-	// only the cardinalities they are estimated from. A partial run receives its
-	// fragments pre-placed by the coordinator (Partial.ScanFragment) instead
-	// of fragmenting in-process.
+	// only the cardinalities they are estimated from. A partial run receives
+	// its fragments pre-placed by the coordinator (Partial.ScanFragment)
+	// instead of fragmenting in-process.
 	if r.partial == nil {
 		if err := r.wiring.PlaceWith(base, func(*relation.Relation, relation.Attr, int) []relation.Batch { return nil }); err != nil {
 			return err
@@ -797,9 +797,9 @@ func (r *runtimeState) launch() {
 }
 
 // finish assembles the run result after every goroutine exited and drops
-// the fragments and views the run read. An in-memory run on a ProcPool then leaves its shell,
-// its processes reset by their hosts (host.run), to the pool (keep), unless
-// a message is left in an inbox.
+// the fragments and views the run read. An in-memory run on a ProcPool then
+// leaves its shell, its processes reset by their hosts (host.run), to the
+// pool (keep), unless a message is left in an inbox.
 func (r *runtimeState) finish() *RunResult {
 	idle := r.cfg.Pool != nil && r.cfg.Meter == nil && r.partial == nil
 	res := &RunResult{Stats: Stats{

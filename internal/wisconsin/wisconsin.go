@@ -93,9 +93,9 @@ func (c Config) cards() []int {
 
 // Database is a generated chain of Wisconsin relations plus the pointer
 // structure between them, kept so that expected query answers can be
-// computed without running any join. The relations are generated
-// once and never change, so their declustering over a join's processors is
-// a property of the database, not of a query: the database owns their
+// computed without running any join. The relations are generated once and
+// never change, so their declustering over a join's processors is a
+// property of the database, not of a query: the database owns their
 // placement (Placement), and it dies with the database.
 type Database struct {
 	Config    Config
