@@ -1,7 +1,7 @@
 # Single source of truth for the commands CI and humans run.
 GO ?= go
 
-.PHONY: all build lint test allocs bench examples fuzz-smoke pooldebug spill-check throughput-smoke dist-smoke calibrate-smoke serve-smoke ivm-smoke sim-golden loc clean
+.PHONY: all build lint test race-repeat allocs bench examples fuzz-smoke pooldebug spill-check throughput-smoke dist-smoke calibrate-smoke serve-smoke ivm-smoke sim-golden loc clean
 
 all: build lint test
 
@@ -27,6 +27,14 @@ lint:
 test:
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Goroutine lifecycle, repeated (a subset of `make test`, run three times
+# under the race detector): a kept shell's parked hosts — started once,
+# woken per run, ended on every path that drops the shell — reused shells
+# under concurrent runners, and cancellation under a ProcPool and an engine.
+LIFECYCLE_TESTS = TestParkedHosts|TestShellReuse|TestHostedCancel|TestCachedPlanRuns|TestEngineCancel
+race-repeat:
+	$(GO) test -race -count=3 -run '$(LIFECYCLE_TESTS)' ./internal/parallel ./internal/core
 
 # Allocation bounds: every test that pins how often a kernel allocates (a
 # hash join's table life, none; a simple-join process's life, at most its

@@ -289,6 +289,18 @@ func (p *admissionQueue) kick() {
 	p.mu.Unlock()
 }
 
+// scanTuples sums the cardinalities of the tree's base relations. The sum is
+// an integer, so the order of the walk does not change it.
+func scanTuples(n *jointree.Node, card func(leaf int) int) int {
+	if n == nil {
+		return 0
+	}
+	if n.IsLeaf() {
+		return card(n.Leaf)
+	}
+	return scanTuples(n.Build, card) + scanTuples(n.Probe, card)
+}
+
 // estimateQuery derives the admission estimate for one planned query: work
 // units from the paper's cost function over the tree's span cardinalities,
 // wall time via the engine's calibration, and — for the spill runtime,
@@ -298,11 +310,7 @@ func (p *admissionQueue) kick() {
 func (e *Engine) estimateQuery(q Query, o Options, plan *xra.Plan) queryEstimate {
 	spanCard := q.DB.SpanCard
 	units := jointree.SubtreeWorkSpan(q.Tree, spanCard)
-	var scanTuples float64
-	for _, leaf := range jointree.Leaves(q.Tree) {
-		scanTuples += float64(q.DB.Card(leaf.Leaf))
-	}
-	units += q.Params.ScanUnits * scanTuples
+	units += q.Params.ScanUnits * float64(scanTuples(q.Tree, q.DB.Card))
 
 	unitNanos := defaultUnitNanos
 	if !e.cal.IsZero() {

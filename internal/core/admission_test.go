@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"multijoin/internal/jointree"
 	"multijoin/internal/spill"
 	"multijoin/internal/strategy"
+	"multijoin/internal/wisconsin"
 )
 
 // admitAsync runs admit in a goroutine and reports its outcome on the
@@ -287,5 +289,41 @@ func TestAdmissionOrder(t *testing.T) {
 				t.Errorf("admitted %v (relations joined), want %v", order, want)
 			}
 		})
+	}
+}
+
+// TestEstimateScanTuples: admission sums the scanned cardinalities with a
+// walk of the tree that allocates nothing. Over every shape and strategy,
+// on relations of unequal sizes, the estimate is bit-identical to the one
+// summed over jointree.Leaves in leaf order.
+func TestEstimateScanTuples(t *testing.T) {
+	db, err := wisconsin.Chain(wisconsin.Config{Cards: []int{1000, 4000, 250, 2000, 500, 3000, 1500, 750}, Seed: 1995})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, shape := range jointree.Shapes {
+		for _, kind := range strategy.Kinds {
+			q := sessionQuery(t, db, shape, kind)
+			q.Params = costmodel.Default()
+			plan, err := q.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := eng.estimateQuery(q, Options{Runtime: "parallel"}, plan)
+			var leaves float64
+			for _, l := range jointree.Leaves(q.Tree) {
+				leaves += float64(db.Card(l.Leaf))
+			}
+			want := queryEstimate{units: jointree.SubtreeWorkSpan(q.Tree, db.SpanCard) + q.Params.ScanUnits*leaves}
+			want.wall = time.Duration(want.units * defaultUnitNanos / float64(eng.procs.Size()))
+			if math.Float64bits(got.units) != math.Float64bits(want.units) || got != want {
+				t.Errorf("%v %v: estimate %+v, summed over the leaves %+v", shape, kind, got, want)
+			}
+		}
 	}
 }

@@ -12,22 +12,24 @@ import (
 
 // TestRDQueryAllocs pins what a query allocates on a warmed engine, in two
 // shapes of the repository benchmark: exec_rd's RD query — left-linear, ten
-// relations, 40 processors, here at 2 000 tuples each — and
-// serve_small_cycle's four-strategy cycle on wide-bushy 10×1 000 at 16
-// processors, counted per query. A query of a cached plan runs on the shell
-// its plan's last run left to the engine's ProcPool: the wiring, hosts,
-// inboxes, outboxes and join states are re-armed, not rebuilt, the held
-// probe queues keep their memory, and the scans lend the pinned relations'
-// cached fragments. What is left is the run's context, the start signals of
-// the operators with After dependencies, its goroutines, the collect's
-// release closures and the result. Measured on a two-processor machine (the
-// engine's slot count at Open): 91 and 82 allocations per query; 130 and 122
-// when every operator had start and completion channels and each one with
-// After dependencies a goroutine waiting on them; 642 and 606 when every run
-// built its shell, and for the RD query 1 874 when each join allocated its
-// hash join and a table struct, a table's release its memory's carrier, and
-// the held queue and process lists grew by append, 2 234 when the scans also
-// copied into pooled batches and each join allocated its probe scratch.
+// relations, 40 processors, here at 2 000 tuples each — and serve_small_cycle's
+// four-strategy cycle on wide-bushy 10×1 000 at 16 processors, counted per
+// query. A query of a cached plan runs on the shell its plan's last run left to
+// the engine's ProcPool: the wiring, hosts, inboxes, outboxes and join states
+// are re-armed, not rebuilt, the held probe queues keep their memory, and the
+// scans lend their database's placed fragments. Its hosts wake where they
+// parked after the last run instead of starting goroutines. What is left is the
+// run's context, the start signals of the operators with After dependencies,
+// the collect's release closures and the result. Measured on a two-processor
+// machine (the engine's slot count at Open): 44 and 37 allocations per query;
+// 91 and 82 when every run started a goroutine per host and the admission
+// estimate listed and sorted the tree's leaves; 130 and 122 when every operator
+// had start and completion channels and each one with After dependencies a
+// goroutine waiting on them; 642 and 606 when every run built its shell, and
+// for the RD query 1 874 when each join allocated its hash join and a table
+// struct, a table's release its memory's carrier, and the held queue and
+// process lists grew by append, 2 234 when the scans also copied into pooled
+// batches and each join allocated its probe scratch.
 func TestRDQueryAllocs(t *testing.T) {
 	if !exactAllocs {
 		t.Skip("allocation counts are not exact under -race or -tags pooldebug")
@@ -40,8 +42,8 @@ func TestRDQueryAllocs(t *testing.T) {
 		kinds []strategy.Kind
 		bound float64 // allocations per query: the measured count plus 5 %
 	}{
-		{"exec_rd", jointree.LeftLinear, 2000, 40, []strategy.Kind{strategy.RD}, 96},
-		{"small_cycle", jointree.WideBushy, 1000, 16, strategy.Kinds, 87},
+		{"exec_rd", jointree.LeftLinear, 2000, 40, []strategy.Kind{strategy.RD}, 47},
+		{"small_cycle", jointree.WideBushy, 1000, 16, strategy.Kinds, 39},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

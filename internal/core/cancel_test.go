@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/jointree"
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
@@ -38,20 +39,6 @@ func cancelQuery(t testing.TB) Query {
 // forcing budget live in spill_test.go.
 var builtinRuntimes = []string{"sim", "parallel", "spill"}
 
-// settleGoroutines polls until the goroutine count drops back to at most
-// base+slack or the deadline passes, and returns the final count. The
-// settle loop absorbs runtime-internal goroutines (GC, timers) that come
-// and go independently of the code under test.
-func settleGoroutines(base, slack int, deadline time.Duration) int {
-	limit := time.Now().Add(deadline)
-	n := runtime.NumGoroutine()
-	for n > base+slack && time.Now().Before(limit) {
-		time.Sleep(10 * time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
-
 // TestExecCancelMidQuery cancels a context mid-execution on both built-in
 // runtimes and asserts a prompt context.Canceled return and no leaked
 // goroutines.
@@ -78,9 +65,8 @@ func TestExecCancelMidQuery(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatalf("Exec did not return within 10s of cancellation (started %v ago)", time.Since(start))
 			}
-			after := settleGoroutines(before, 2, 5*time.Second)
-			if after > before+2 {
-				t.Errorf("goroutine leak after cancel: %d before, %d after", before, after)
+			if err := atrest.Goroutines(before+2, 5*time.Second); err != nil {
+				t.Errorf("goroutine leak after cancel: %v", err)
 			}
 		})
 	}
@@ -104,9 +90,8 @@ func TestExecCancelBeforeStart(t *testing.T) {
 			if elapsed := time.Since(start); elapsed > time.Second {
 				t.Errorf("pre-cancelled Exec took %v, want immediate return", elapsed)
 			}
-			after := settleGoroutines(before, 2, 5*time.Second)
-			if after > before+2 {
-				t.Errorf("goroutine leak: %d before, %d after", before, after)
+			if err := atrest.Goroutines(before+2, 5*time.Second); err != nil {
+				t.Errorf("goroutine leak: %v", err)
 			}
 		})
 	}
@@ -160,9 +145,8 @@ func TestExecCancelledRepeatedly(t *testing.T) {
 			}
 		}
 	}
-	after := settleGoroutines(before, 4, 5*time.Second)
-	if after > before+4 {
-		t.Errorf("goroutine accumulation across cancelled runs: %d before, %d after", before, after)
+	if err := atrest.Goroutines(before+4, 5*time.Second); err != nil {
+		t.Errorf("goroutine accumulation across cancelled runs: %v", err)
 	}
 }
 
@@ -173,7 +157,9 @@ func TestExecCancelledRepeatedly(t *testing.T) {
 // processes) on both goroutine runtimes, a pre-cancelled context starts
 // nothing, and a query cancelled while its consumer has stopped reading —
 // the run parked in Push, inboxes full behind it — unwinds completely:
-// goroutines back to the baseline, the shared meter at zero, no temp files.
+// goroutines back to the baseline plus the hosts the engine's ProcPool keeps
+// parked for the completed queries' plans, the shared meter at zero, no
+// temp files.
 // The batches such a run strands in its inboxes are garbage, never returned
 // to the resident pools, so the same engine then still answers the query
 // correctly from those pools.
@@ -191,8 +177,8 @@ func TestEngineCancelEveryStrategy(t *testing.T) {
 			before := runtime.NumGoroutine()
 			atRest := func(when string) {
 				t.Helper()
-				if after := settleGoroutines(before, 2, 5*time.Second); after > before+2 {
-					t.Errorf("%s: %d goroutines, %d before", when, after, before)
+				if err := atrest.Goroutines(before+2+eng.procs.Parked(), 5*time.Second); err != nil {
+					t.Errorf("%s: %v", when, err)
 				}
 				if live := eng.MemoryLive(); live != 0 {
 					t.Errorf("%s: %d live bytes on the shared meter", when, live)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/jointree"
 	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
@@ -223,8 +224,8 @@ func TestRowsMidCloseNoLeaks(t *testing.T) {
 			if live := eng.MemoryLive(); live != 0 {
 				t.Errorf("mid-iteration Close stranded %d live bytes on the shared budget", live)
 			}
-			if after := settleGoroutines(before, 2, 5*time.Second); after > before+2 {
-				t.Errorf("goroutine leak after mid-iteration Close: %d before, %d after", before, after)
+			if err := atrest.Goroutines(before+2+eng.procs.Parked(), 5*time.Second); err != nil {
+				t.Errorf("goroutine leak after mid-iteration Close: %v", err)
 			}
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
@@ -270,8 +271,8 @@ func TestRowsContextCancelMidIteration(t *testing.T) {
 			if live := eng.MemoryLive(); live != 0 {
 				t.Errorf("ctx cancel stranded %d live bytes on the shared budget", live)
 			}
-			if after := settleGoroutines(before, 2, 5*time.Second); after > before+2 {
-				t.Errorf("goroutine leak after ctx cancel: %d before, %d after", before, after)
+			if err := atrest.Goroutines(before+2+eng.procs.Parked(), 5*time.Second); err != nil {
+				t.Errorf("goroutine leak after ctx cancel: %v", err)
 			}
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)

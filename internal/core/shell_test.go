@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/jointree"
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
@@ -18,7 +19,8 @@ import (
 // shell an earlier completed run of its plan left to the engine's ProcPool —
 // with a cancel after the first Next, a cancel while queued and a deadline
 // mid-run interleaved. After every run the result is the reference's, the
-// engine's meter is at zero and no goroutine is left. A query on a second
+// engine's meter is at zero and no goroutine is left but the hosts its
+// ProcPool keeps parked (Parked). A query on a second
 // database whose cardinalities bucket to the same plan key gets the cached
 // plan but not a shell placed on the first database's relations.
 func TestCachedPlanRuns(t *testing.T) {
@@ -109,8 +111,8 @@ func TestCachedPlanRuns(t *testing.T) {
 		if live := eng.MemoryLive(); live != 0 {
 			t.Fatalf("run %d: %d bytes live on the engine's meter", i, live)
 		}
-		if n := settleGoroutines(baseline, 0, 5*time.Second); n > baseline {
-			t.Fatalf("run %d: %d goroutines, %d before the runs", i, n, baseline)
+		if err := atrest.Goroutines(baseline+eng.procs.Parked(), 5*time.Second); err != nil {
+			t.Fatalf("run %d: %v (%d before the runs, %d parked)", i, err, baseline, eng.procs.Parked())
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/jointree"
 	"multijoin/internal/strategy"
 )
@@ -34,7 +35,7 @@ func closeWithin(t *testing.T, eng *Engine, d time.Duration) {
 // ErrEngineClosed, never a silently truncated clean stream.
 func TestEngineCloseWhileRowsStreaming(t *testing.T) {
 	before := runtime.NumGoroutine()
-	fdBefore := openFDs()
+	fdBefore := atrest.OpenFDs()
 	q := cancelQuery(t)
 	eng, err := Open(q.DB,
 		WithMaxConcurrent(8),
@@ -84,19 +85,11 @@ func TestEngineCloseWhileRowsStreaming(t *testing.T) {
 	if n := q.DB.Placement().Bytes(); n != placed {
 		t.Errorf("the database's placement went from %d to %d bytes at the engine's Close; it is the database's", placed, n)
 	}
-	if n := settleGoroutines(before, 4, 10*time.Second); n > before+4 {
-		t.Errorf("goroutines: %d before, %d after close (leak)", before, n)
+	if err := atrest.Goroutines(before+4, 10*time.Second); err != nil {
+		t.Errorf("goroutines after close (leak): %v", err)
 	}
-	if fdBefore >= 0 {
-		limit := time.Now().Add(10 * time.Second)
-		n := openFDs()
-		for n > fdBefore && time.Now().Before(limit) {
-			time.Sleep(10 * time.Millisecond)
-			n = openFDs()
-		}
-		if n > fdBefore {
-			t.Errorf("fds: %d before, %d after close (leaked spill temp files)", fdBefore, n)
-		}
+	if err := atrest.FDs(fdBefore, 10*time.Second); err != nil {
+		t.Errorf("fds after close (leaked spill temp files): %v", err)
 	}
 }
 

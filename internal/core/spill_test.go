@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/jointree"
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
@@ -47,16 +47,6 @@ func spillTempFiles(t *testing.T, dir string) []string {
 	return matches
 }
 
-// openFDs returns the number of open file descriptors of this process, or
-// -1 on platforms without /proc.
-func openFDs() int {
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		return -1
-	}
-	return len(ents)
-}
-
 // TestRuntimeNamesIncludeSpill pins the acceptance criterion that "spill"
 // is a registered runtime.
 func TestRuntimeNamesIncludeSpill(t *testing.T) {
@@ -88,7 +78,7 @@ func TestSpillEquivalenceAllStrategies(t *testing.T) {
 					t.Fatal(err)
 				}
 				beforeG := runtime.NumGoroutine()
-				beforeFD := openFDs()
+				beforeFD := atrest.OpenFDs()
 				q := Query{DB: db, Tree: tree, Strategy: kind, Procs: 8}
 				res, err := Exec(context.Background(), q,
 					WithRuntime("spill"), WithMemoryBudget(tinyBudget))
@@ -109,13 +99,11 @@ func TestSpillEquivalenceAllStrategies(t *testing.T) {
 				if left := spillTempFiles(t, tmp); len(left) != 0 {
 					t.Errorf("spill run left temp files: %v", left)
 				}
-				if afterG := settleGoroutines(beforeG, 2, 5*time.Second); afterG > beforeG+2 {
-					t.Errorf("goroutine leak: %d before, %d after", beforeG, afterG)
+				if err := atrest.Goroutines(beforeG+2, 5*time.Second); err != nil {
+					t.Errorf("goroutine leak: %v", err)
 				}
-				if beforeFD >= 0 {
-					if afterFD := openFDs(); afterFD > beforeFD {
-						t.Errorf("fd leak: %d before, %d after", beforeFD, afterFD)
-					}
+				if err := atrest.FDs(beforeFD, 0); err != nil {
+					t.Errorf("fd leak: %v", err)
 				}
 			})
 		}
@@ -195,7 +183,7 @@ func TestSpillCancelMidQuery(t *testing.T) {
 	q := cancelQuery(t)
 	for i := 0; i < 6; i++ {
 		beforeG := runtime.NumGoroutine()
-		beforeFD := openFDs()
+		beforeFD := atrest.OpenFDs()
 		ctx, cancel := context.WithCancel(context.Background())
 		errc := make(chan error, 1)
 		go func() {
@@ -217,13 +205,11 @@ func TestSpillCancelMidQuery(t *testing.T) {
 		if left := spillTempFiles(t, tmp); len(left) != 0 {
 			t.Fatalf("round %d: cancelled spill run left temp files: %v", i, left)
 		}
-		if afterG := settleGoroutines(beforeG, 2, 5*time.Second); afterG > beforeG+2 {
-			t.Errorf("round %d: goroutine leak after cancel: %d before, %d after", i, beforeG, afterG)
+		if err := atrest.Goroutines(beforeG+2, 5*time.Second); err != nil {
+			t.Errorf("round %d: goroutine leak after cancel: %v", i, err)
 		}
-		if beforeFD >= 0 {
-			if afterFD := openFDs(); afterFD > beforeFD {
-				t.Errorf("round %d: fd leak after cancel: %d before, %d after", i, beforeFD, afterFD)
-			}
+		if err := atrest.FDs(beforeFD, 0); err != nil {
+			t.Errorf("round %d: fd leak after cancel: %v", i, err)
 		}
 	}
 }

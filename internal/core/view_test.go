@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/ivm"
 	"multijoin/internal/jointree"
 	"multijoin/internal/relation"
@@ -176,8 +177,8 @@ func TestEngineShutdownWithViewMidApply(t *testing.T) {
 	if live := eng.MemoryLive(); live != 0 {
 		t.Errorf("engine meter live = %d after shutdown with open view, want 0", live)
 	}
-	if n := settleGoroutines(before, 4, 10*time.Second); n > before+4 {
-		t.Errorf("goroutines: %d before, %d after shutdown (leak)", before, n)
+	if err := atrest.Goroutines(before+4, 10*time.Second); err != nil {
+		t.Errorf("goroutines after shutdown (leak): %v", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/core"
 	"multijoin/internal/dist"
 	"multijoin/internal/jointree"
@@ -42,40 +42,6 @@ func testQuery(t testing.TB, relations, card, procs int, kind strategy.Kind, sha
 		t.Fatal(err)
 	}
 	return core.Query{DB: db, Tree: tree, Strategy: kind, Procs: procs}
-}
-
-// settleGoroutines polls until the goroutine count drops back to at most
-// base+slack or the deadline passes, and returns the final count.
-func settleGoroutines(base, slack int, deadline time.Duration) int {
-	limit := time.Now().Add(deadline)
-	n := runtime.NumGoroutine()
-	for n > base+slack && time.Now().Before(limit) {
-		time.Sleep(10 * time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
-
-// openFDs returns the number of open file descriptors of this process, or
-// -1 on platforms without /proc.
-func openFDs() int {
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		return -1
-	}
-	return len(ents)
-}
-
-// settleFDs polls until the descriptor count drops back to at most
-// base+slack (sockets linger briefly after Close) or the deadline passes.
-func settleFDs(base, slack int, deadline time.Duration) int {
-	limit := time.Now().Add(deadline)
-	n := openFDs()
-	for n > base+slack && time.Now().Before(limit) {
-		time.Sleep(10 * time.Millisecond)
-		n = openFDs()
-	}
-	return n
 }
 
 // pidRecorder collects the (node, pid) pairs of every worker the runtime
@@ -143,7 +109,7 @@ func TestDistEquivalenceAllStrategies(t *testing.T) {
 				q.Strategy = kind
 				rec := recordSpawns(t)
 				beforeG := runtime.NumGoroutine()
-				beforeFD := openFDs()
+				beforeFD := atrest.OpenFDs()
 				res, err := core.Exec(context.Background(), q,
 					core.WithRuntime("dist"), core.WithWorkers(workers), core.WithVerify())
 				if err != nil {
@@ -159,13 +125,11 @@ func TestDistEquivalenceAllStrategies(t *testing.T) {
 					t.Errorf("Stats.ResultTuples = %d, result card = %d", res.Stats.ResultTuples, res.Result.Card())
 				}
 				assertChildrenReaped(t, rec)
-				if after := settleGoroutines(beforeG, 2, 5*time.Second); after > beforeG+2 {
-					t.Errorf("goroutine leak: %d before, %d after", beforeG, after)
+				if err := atrest.Goroutines(beforeG+2, 5*time.Second); err != nil {
+					t.Errorf("goroutine leak: %v", err)
 				}
-				if beforeFD >= 0 {
-					if after := settleFDs(beforeFD, 2, 5*time.Second); after > beforeFD+2 {
-						t.Errorf("fd leak: %d before, %d after", beforeFD, after)
-					}
+				if err := atrest.FDs(beforeFD+2, 5*time.Second); err != nil {
+					t.Errorf("fd leak: %v", err)
 				}
 			})
 		}
@@ -211,7 +175,7 @@ func TestDistCancelMidQuery(t *testing.T) {
 		t.Run(delay.String(), func(t *testing.T) {
 			rec := recordSpawns(t)
 			beforeG := runtime.NumGoroutine()
-			beforeFD := openFDs()
+			beforeFD := atrest.OpenFDs()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			errc := make(chan error, 1)
@@ -231,13 +195,11 @@ func TestDistCancelMidQuery(t *testing.T) {
 				t.Fatal("Exec did not return within 20s of cancellation")
 			}
 			assertChildrenReaped(t, rec)
-			if after := settleGoroutines(beforeG, 2, 5*time.Second); after > beforeG+2 {
-				t.Errorf("goroutine leak after cancel: %d before, %d after", beforeG, after)
+			if err := atrest.Goroutines(beforeG+2, 5*time.Second); err != nil {
+				t.Errorf("goroutine leak after cancel: %v", err)
 			}
-			if beforeFD >= 0 {
-				if after := settleFDs(beforeFD, 2, 5*time.Second); after > beforeFD+2 {
-					t.Errorf("fd leak after cancel: %d before, %d after", beforeFD, after)
-				}
+			if err := atrest.FDs(beforeFD+2, 5*time.Second); err != nil {
+				t.Errorf("fd leak after cancel: %v", err)
 			}
 		})
 	}
@@ -259,7 +221,7 @@ func TestDistWorkerCrash(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := recordSpawns(t)
 			beforeG := runtime.NumGoroutine()
-			beforeFD := openFDs()
+			beforeFD := atrest.OpenFDs()
 			killed := make(chan struct{})
 			go func() {
 				defer close(killed)
@@ -301,13 +263,11 @@ func TestDistWorkerCrash(t *testing.T) {
 				t.Errorf("error does not identify the dead worker: %v", err)
 			}
 			assertChildrenReaped(t, rec)
-			if after := settleGoroutines(beforeG, 2, 5*time.Second); after > beforeG+2 {
-				t.Errorf("goroutine leak after crash: %d before, %d after", beforeG, after)
+			if err := atrest.Goroutines(beforeG+2, 5*time.Second); err != nil {
+				t.Errorf("goroutine leak after crash: %v", err)
 			}
-			if beforeFD >= 0 {
-				if after := settleFDs(beforeFD, 2, 5*time.Second); after > beforeFD+2 {
-					t.Errorf("fd leak after crash: %d before, %d after", beforeFD, after)
-				}
+			if err := atrest.FDs(beforeFD+2, 5*time.Second); err != nil {
+				t.Errorf("fd leak after crash: %v", err)
 			}
 		})
 	}
@@ -337,7 +297,7 @@ func runBeside(t *testing.T, hostile func(addr string, stop <-chan struct{})) {
 	}
 	rec := recordSpawns(t)
 	beforeG := runtime.NumGoroutine()
-	beforeFD := openFDs()
+	beforeFD := atrest.OpenFDs()
 	addr := freeAddr(t)
 	stop, hostileDone := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -360,13 +320,11 @@ func runBeside(t *testing.T, hostile func(addr string, stop <-chan struct{})) {
 		t.Errorf("result differs from the reference: %s", diff)
 	}
 	assertChildrenReaped(t, rec)
-	if after := settleGoroutines(beforeG, 2, 5*time.Second); after > beforeG+2 {
-		t.Errorf("goroutine leak: %d before, %d after", beforeG, after)
+	if err := atrest.Goroutines(beforeG+2, 5*time.Second); err != nil {
+		t.Errorf("goroutine leak: %v", err)
 	}
-	if beforeFD >= 0 {
-		if after := settleFDs(beforeFD, 2, 5*time.Second); after > beforeFD+2 {
-			t.Errorf("fd leak: %d before, %d after", beforeFD, after)
-		}
+	if err := atrest.FDs(beforeFD+2, 5*time.Second); err != nil {
+		t.Errorf("fd leak: %v", err)
 	}
 }
 

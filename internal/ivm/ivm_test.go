@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/jointree"
 	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
@@ -315,14 +316,9 @@ func TestViewCloseUnblocksApply(t *testing.T) {
 	if _, err := h.view.Rows(); err != ErrViewClosed {
 		t.Fatalf("Rows on closed view returned %v, want ErrViewClosed", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := atrest.Goroutines(before+2, 5*time.Second); err != nil {
+		t.Fatalf("goroutines leaked after close: %v", err)
 	}
-	t.Fatalf("goroutines leaked: %d before, %d after close", before, runtime.NumGoroutine())
 }
 
 // TestViewApplyCancelledContext: an Apply whose context is already done

@@ -191,12 +191,14 @@ type Stats struct {
 
 	// Wall-clock-runtime-only counters (zero on the simulator).
 
-	// Goroutines is the total number of goroutines launched: one worker per
+	// Goroutines is the number of worker goroutines the run used: one per
 	// host — per operator and slot its processes use, so per operation
-	// process when the run has as many slots as the plan has processors. It
-	// has no per-stream and no per-dependency term (the host that completes
-	// an operator counts it complete for its dependents). The dist runtime
-	// sums it, with each node's transport goroutines, over its nodes.
+	// process when the run has as many slots as the plan has processors —
+	// whether the run started it or woke it where a kept shell's host
+	// parked. It has no per-stream and no per-dependency term (the host that
+	// completes an operator counts it complete for its dependents). The dist
+	// runtime sums it, with each node's transport goroutines, over its
+	// nodes.
 	Goroutines int
 	// MaxProcs is the number of modeled processors (slots), the cap on
 	// concurrent computation; zero on the dist runtime, where every worker

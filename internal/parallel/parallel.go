@@ -86,11 +86,16 @@
 // the operators' one-shot signals, the fragments and lent views, the hosts'
 // input counts and transport counters); an in-memory run on a ProcPool that
 // completes leaves it to the pool, and the next run of the same plan on the
-// same relations only arms it. Result equivalence against the sequential
-// reference is asserted for every strategy in the tests.
+// same relations only arms it. The hosts of such a shell keep their
+// goroutines: each parks when its run ends and the next run wakes it, so a
+// warm run starts no goroutine, and whatever drops the shell — eviction, a
+// run on other relations, cancellation, ProcPool.Close — ends them. Result
+// equivalence against the sequential reference is asserted for every
+// strategy in the tests.
 package parallel
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
@@ -149,7 +154,9 @@ const (
 // inboxes, outboxes and join states of a plan, which the next run of the
 // same plan re-arms instead of building them again. All of it is dropped by
 // Close. It holds no placement — the base relations' fragments are their
-// database's (Config.Placement) — and owns no goroutines.
+// database's (Config.Placement). The goroutines it owns are its idle shells'
+// hosts, parked until the next run of their plan wakes them (Parked counts
+// them); Close ends them.
 type ProcPool struct {
 	slots []sync.Mutex
 
@@ -157,6 +164,7 @@ type ProcPool struct {
 	pools  map[int]*relation.BatchPool
 	shells map[shellKey][]*runtimeState
 	idle   int // the shells kept
+	parked int // their hosts' goroutines
 }
 
 // shellKey identifies the runs that may share a shell: one plan under one
@@ -172,19 +180,41 @@ func NewProcPool(n int) *ProcPool {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	return &ProcPool{slots: make([]sync.Mutex, n)}
+	return &ProcPool{slots: make([]sync.Mutex, n), shells: make(map[shellKey][]*runtimeState)}
 }
 
 // Size returns the number of modeled processors (slots).
 func (p *ProcPool) Size() int { return len(p.slots) }
 
-// Close drops the resident batch pools and the idle shells. It must not be
-// called while runs still use the pool; a result batch released afterwards
-// goes to a pool nothing draws from any more.
+// Close drops the resident batch pools and the idle shells, whose parked
+// hosts it ends. It must not be called while runs still use the pool; a
+// result batch released afterwards goes to a pool nothing draws from any
+// more.
 func (p *ProcPool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.pools, p.shells, p.idle = nil, nil, 0
+	p.dropIdle()
+	p.pools = nil
+}
+
+// Parked returns the number of goroutines the idle shells' hosts hold
+// parked: with no run in flight, what the pool adds to the process's
+// goroutines.
+func (p *ProcPool) Parked() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.parked
+}
+
+// dropIdle drops the idle shells and stops their hosts; p.mu is held.
+func (p *ProcPool) dropIdle() {
+	for _, list := range p.shells {
+		for _, r := range list {
+			r.stop()
+		}
+	}
+	clear(p.shells)
+	p.idle, p.parked = 0, 0
 }
 
 // index returns which modeled processor serves plan processor id proc. The
@@ -217,7 +247,7 @@ func (p *ProcPool) batchPool(size int) *relation.BatchPool {
 
 // reuse takes an idle shell of plan under cfg (resolved); nil if there is
 // none or if its scans do not read the relations base returns, in which
-// case the shell is dropped.
+// case the shell is dropped and its hosts stopped.
 func (p *ProcPool) reuse(plan *xra.Plan, cfg Config, base func(leaf int) *relation.Relation) *runtimeState {
 	if p == nil {
 		return nil
@@ -229,10 +259,11 @@ func (p *ProcPool) reuse(plan *xra.Plan, cfg Config, base func(leaf int) *relati
 		return nil
 	}
 	r := list[len(list)-1]
-	p.shells[shellKey{plan, cfg}], p.idle = list[:len(list)-1], p.idle-1
+	p.shells[shellKey{plan, cfg}], p.idle, p.parked = list[:len(list)-1], p.idle-1, p.parked-r.goroutines
 	p.mu.Unlock()
 	for _, os := range r.ops {
 		if os.Op.Kind == xra.OpScan && base(os.Op.Leaf) != os.rel {
+			r.stop()
 			return nil
 		}
 	}
@@ -433,8 +464,9 @@ type runtimeState struct {
 // returns it to the run's pool), Push backpressure propagates upstream
 // through the plan's inboxes, and every worker selects on ctx.Done()
 // wherever it waits, so cancelling ctx tears the whole process tree down —
-// no goroutine outlives the call — and the context's error is returned. sink
-// may be nil only in a partial run that does not host the collect process.
+// no goroutine of the run outlives the call, since a cancelled run's shell
+// is not kept — and the context's error is returned. sink may be nil only
+// in a partial run that does not host the collect process.
 func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config, sink Sink) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
@@ -475,6 +507,7 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 		}
 	}
 	if sink == nil && r.ops[r.wiring.Collect.Index].locals > 0 {
+		r.stop()
 		return nil, fmt.Errorf("parallel: RunStream needs a sink")
 	}
 	r.sink = sink
@@ -483,10 +516,8 @@ func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 	r.start = time.Now()
 	r.launch()
 	r.wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("parallel: %w", err)
-	}
-	if err := context.Cause(r.ctx); err != nil {
+	if err := cmp.Or(ctx.Err(), context.Cause(r.ctx)); err != nil {
+		r.stop()
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
 	return r.finish(), nil
@@ -690,6 +721,7 @@ func (r *runtimeState) arm(ctx context.Context) {
 		}
 		os.pending.Store(int32(len(os.After)))
 		os.remaining.Store(int32(os.locals))
+		r.goroutines += os.locals
 		if os.rel != nil {
 			os.Frags = r.cfg.Placement.Fragments(os.rel, os.Op.FragAttr, len(os.procs))
 		}
@@ -728,18 +760,19 @@ func (r *runtimeState) complete(os *opState) {
 	}
 }
 
-// keep leaves the shell of a completed run idle on its ProcPool. The bound
-// counts plans as well as shells, so that the plans whose shells were all
-// taken stay bounded too.
+// keep leaves the shell of a completed run idle on its ProcPool, its hosts
+// parked. The bound counts plans as well as shells, so that the plans whose
+// shells were all taken stay bounded too; evicting the idle shells stops
+// their hosts.
 func (r *runtimeState) keep() {
 	p, key := r.procs, shellKey{r.wiring.Plan, r.cfg}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.shells == nil || max(p.idle, len(p.shells)) >= maxIdleShells {
-		p.shells, p.idle = make(map[shellKey][]*runtimeState), 0
+	if max(p.idle, len(p.shells)) >= maxIdleShells {
+		p.dropIdle()
 	}
 	p.shells[key] = append(p.shells[key], r)
-	p.idle++
+	p.idle, p.parked = p.idle+1, p.parked+r.goroutines
 }
 
 // slotOf returns the slot of the host that runs process procID of n.
@@ -783,25 +816,50 @@ func (r *runtimeState) putBatch(b *relation.Batch) {
 }
 
 // launch starts the workers. Every channel operation that waits selects on
-// ctx.Done() so cancellation unwinds the whole goroutine tree.
+// ctx.Done() so cancellation unwinds the whole goroutine tree. A host of a
+// shell that may be kept runs on one goroutine for the shell's life: the
+// first run starts it, and every later run wakes it where it parked.
 func (r *runtimeState) launch() {
+	r.wg.Add(r.goroutines)
+	keepable := r.cfg.Pool != nil && r.cfg.Meter == nil && r.partial == nil
 	for _, os := range r.ops {
 		for _, h := range os.hosts {
-			if h.local {
-				r.wg.Add(1)
-				r.goroutines++
+			switch {
+			case !h.local:
+			case h.wake != nil:
+				h.wake <- true
+			case keepable:
+				h.wake = make(chan bool, 1)
+				go h.park(h.wake)
+			default:
 				go h.run()
 			}
 		}
 	}
 }
 
-// finish assembles the run result after every goroutine exited and drops
-// the fragments and views the run read. An in-memory run on a ProcPool then
-// leaves its shell, its processes reset by their hosts (host.run), to the
-// pool (keep), unless a message is left in an inbox.
+// stop ends the parked hosts of a shell that will not run again. It does not
+// wait for them: a host returns as soon as it takes the signal, and touches
+// nothing of the shell on its way out.
+func (r *runtimeState) stop() {
+	for _, os := range r.ops {
+		for _, h := range os.hosts {
+			if h.wake != nil {
+				h.wake <- false
+				h.wake = nil
+			}
+		}
+	}
+}
+
+// finish assembles the run result after every host finished its run and
+// drops the fragments and views the run read. A run whose hosts park — an
+// in-memory run on a ProcPool (launch) — then leaves its shell, its
+// processes reset by their hosts (host.run), to the pool (keep), unless a
+// message is left in an inbox: then the shell is dropped and its hosts
+// stopped.
 func (r *runtimeState) finish() *RunResult {
-	idle := r.cfg.Pool != nil && r.cfg.Meter == nil && r.partial == nil
+	idle := true
 	res := &RunResult{Stats: Stats{
 		Counters: operator.Counters{
 			Processes:    r.wiring.Plan.NumProcesses(),
@@ -819,7 +877,7 @@ func (r *runtimeState) finish() *RunResult {
 		}
 		for _, h := range os.hosts {
 			res.Stats.AddTransport(h.out)
-			idle = idle && len(h.inbox) == 0
+			idle = idle && h.wake != nil && len(h.inbox) == 0
 		}
 		os.Frags, os.views = nil, nil
 	}
@@ -830,6 +888,8 @@ func (r *runtimeState) finish() *RunResult {
 	}
 	if idle {
 		r.keep()
+	} else {
+		r.stop()
 	}
 	return res
 }

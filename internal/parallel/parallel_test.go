@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/core"
 	"multijoin/internal/jointree"
 	"multijoin/internal/operator"
@@ -129,12 +130,8 @@ func TestStructuralCounters(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	settled := func(when string) {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > baseline {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines, baseline %d", when, runtime.NumGoroutine(), baseline)
-			}
-			time.Sleep(time.Millisecond)
+		if err := atrest.Goroutines(baseline, 5*time.Second); err != nil {
+			t.Fatalf("%s: %v", when, err)
 		}
 	}
 	for _, kind := range strategy.Kinds {
@@ -248,8 +245,9 @@ func TestHostedProcesses(t *testing.T) {
 
 // TestHostedCancel: a run whose workers host several processes each unwinds
 // from a context cancelled before it starts and from one cancelled from
-// inside its result stream with no goroutine left, and the batches it
-// stranded do not disturb the next query on the same ProcPool.
+// inside its result stream with no goroutine left but those the ProcPool
+// keeps parked (Parked), and the batches it stranded do not disturb the
+// next query on the same ProcPool.
 func TestHostedCancel(t *testing.T) {
 	db := testDB(t, 6, 2000)
 	tree, err := jointree.BuildShape(jointree.LeftLinear, 6)
@@ -261,14 +259,12 @@ func TestHostedCancel(t *testing.T) {
 	defer pool.Close()
 	cfg := parallel.Config{Pool: pool, BatchTuples: 32}
 	baseline := runtime.NumGoroutine()
+	// A cancelled run's shell is dropped with its hosts; a completed run's
+	// hosts stay parked on the pool for the next run of its plan.
 	atBaseline := func(when string) {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > baseline {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines, baseline %d", when, runtime.NumGoroutine(), baseline)
-			}
-			time.Sleep(time.Millisecond)
+		if err := atrest.Goroutines(baseline+pool.Parked(), 5*time.Second); err != nil {
+			t.Fatalf("%s: %v (baseline %d, %d parked)", when, err, baseline, pool.Parked())
 		}
 	}
 	for _, kind := range strategy.Kinds {

@@ -2,10 +2,16 @@ package parallel
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/jointree"
 	"multijoin/internal/operator"
 	"multijoin/internal/relation"
@@ -185,4 +191,143 @@ func TestShellReuse(t *testing.T) {
 			t.Fatalf("%d idle shells after %d distinct plans, bound %d", p.idle, i+1, maxIdleShells)
 		}
 	}
+}
+
+// parkedStacks counts the goroutines parked in host.park, from a dump of
+// every goroutine's stack.
+func parkedStacks() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "parallel.(*host).park(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestParkedHosts: the hosts of a kept shell stay parked between its runs,
+// and every path that drops a shell ends them — the 17th distinct plan
+// (evict-all), a run on other relations (reuse), a cancelled run, a run
+// that fails, a finished run that leaves input behind, and Close. After
+// each step Parked reports exactly the goroutines parked in host.park, the
+// process runs no more than the baseline plus them, and the pool's idle
+// shells hold exactly what their last runs counted.
+func TestParkedHosts(t *testing.T) {
+	db, err := wisconsin.Chain(wisconsin.Config{Relations: 6, Cardinality: 2000, Seed: 1995})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := wisconsin.Chain(wisconsin.Config{Relations: 6, Cardinality: 2000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := jointree.BuildShape(jointree.WideBushy, db.NumRelations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	planOf := func(kind strategy.Kind) *xra.Plan {
+		t.Helper()
+		plan, err := strategy.Plan(kind, tree, strategy.Config{Procs: 12, Card: float64(db.Cardinality())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	p := NewProcPool(2)
+	cfg := Config{Pool: p}
+	baseline := runtime.NumGoroutine()
+	check := func(when string, parked int) {
+		t.Helper()
+		if n := p.Parked(); n != parked {
+			t.Fatalf("%s: Parked() = %d, want %d", when, n, parked)
+		}
+		if err := atrest.Goroutines(baseline+parked, 5*time.Second); err != nil {
+			t.Fatalf("%s: %v (baseline %d, %d parked)", when, err, baseline, parked)
+		}
+		for deadline := time.Now().Add(5 * time.Second); parkedStacks() != parked; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines in host.park, Parked() = %d", when, parkedStacks(), parked)
+			}
+		}
+	}
+	// run completes plan on db's relations, or on other's, and reports the
+	// goroutines it counted.
+	run := func(plan *xra.Plan, db *wisconsin.Database) int {
+		t.Helper()
+		got := &operator.Gather{Rel: relation.New("got", relation.TupleWireBytes)}
+		res, err := RunStream(context.Background(), plan, db.Relation, cfg, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := relation.DiffMultiset(got.Rel, jointree.Reference(tree, db.Relation)); diff != "" {
+			t.Fatalf("result differs from the reference: %s", diff)
+		}
+		return res.Stats.Goroutines
+	}
+
+	rd := planOf(strategy.RD)
+	hosts := run(rd, db)
+	check("a completed run", hosts)
+	if run(rd, db) != hosts {
+		t.Fatal("the rerun counted other goroutines")
+	}
+	check("a rerun on the kept shell", hosts)
+
+	// Distinct plans up to the bound are all kept; the next evicts them all.
+	parked := hosts
+	for i := 1; i < maxIdleShells; i++ {
+		parked += run(planOf(strategy.Kinds[i%4]), db)
+	}
+	check(fmt.Sprintf("%d distinct plans", maxIdleShells), parked)
+	fp := planOf(strategy.FP)
+	hosts = run(fp, db)
+	check("the 17th distinct plan", hosts)
+
+	// A run of the plan on other relations drops the shell placed on these.
+	hosts = run(fp, other)
+	check("a run on other relations", hosts)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	if _, err := RunStream(ctx, fp, other.Relation, cfg, cancelSink{cancel}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	check("a cancelled run", 0)
+
+	hosts = run(fp, db)
+	if _, err := RunStream(context.Background(), fp, db.Relation, cfg, nil); err == nil {
+		t.Fatal("a run without a sink did not fail")
+	}
+	check("a run that fails", 0)
+
+	// Concurrent runners each take a shell of the plan or build one; every
+	// one they leave holds its hosts parked.
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				got := &operator.Gather{Rel: relation.New("got", relation.TupleWireBytes)}
+				if _, err := RunStream(context.Background(), fp, db.Relation, cfg, got); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	shells := len(p.shells[shellKey{fp, cfg.withDefaults(fp)}])
+	if shells < 1 || shells > 4 {
+		t.Fatalf("%d idle shells after 4 concurrent runners", shells)
+	}
+	check("concurrent runners", shells*hosts)
+
+	// A finished run that left a message in an inbox does not keep its shell.
+	r := p.reuse(fp, cfg.withDefaults(fp), db.Relation)
+	r.ops[0].hosts[0].inbox <- operator.Msg{}
+	r.finish()
+	check("a finished run with input left", (shells-1)*hosts)
+
+	p.Close()
+	check("Close", 0)
 }

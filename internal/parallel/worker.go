@@ -53,6 +53,10 @@ type host struct {
 	// and its destinations.
 	out   *operator.Outbox
 	chans operator.Chans
+
+	// wake hands a parked host its next run (true) or ends it (false); nil
+	// unless the host's shell may be kept (runtimeState.launch).
+	wake chan bool
 }
 
 // proc is the state of one operation process: what its host cannot share.
@@ -77,6 +81,14 @@ func (w *host) run() {
 	if finished && w.op.remaining.Add(-1) == 0 {
 		w.op.wallDone = time.Since(w.r.start)
 		w.r.complete(w.op)
+	}
+}
+
+// park is the goroutine of a host whose shell may be kept: it serves a run,
+// parks until woken for the next, and returns once woken to stop.
+func (w *host) park(wake <-chan bool) {
+	for ok := true; ok; ok = <-wake {
+		w.run()
 	}
 }
 

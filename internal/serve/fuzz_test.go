@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/core"
 	"multijoin/internal/relation"
 	"multijoin/internal/wire"
@@ -349,11 +350,7 @@ func TestServeTypeFlood(t *testing.T) {
 	if want := strings.Repeat("ERROR ", wire.MaxTypes-1) + "hangup"; got != want {
 		t.Fatalf("type flood drew %q, want %q", got, want)
 	}
-	n := runtime.NumGoroutine()
-	for limit := time.Now().Add(10 * time.Second); n > base && time.Now().Before(limit); n = runtime.NumGoroutine() {
-		time.Sleep(time.Millisecond)
-	}
-	if n > base {
-		t.Fatalf("%d goroutines after the flood, %d before", n, base)
+	if err := atrest.Goroutines(base, 10*time.Second); err != nil {
+		t.Fatalf("after the flood: %v", err)
 	}
 }

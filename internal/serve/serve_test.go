@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/core"
 	"multijoin/internal/jointree"
 	"multijoin/internal/relation"
@@ -24,40 +25,6 @@ import (
 	"multijoin/internal/wire"
 	"multijoin/internal/wisconsin"
 )
-
-// settleGoroutines polls until the goroutine count drops back to at most
-// base+slack or the deadline passes, and returns the final count.
-func settleGoroutines(base, slack int, deadline time.Duration) int {
-	limit := time.Now().Add(deadline)
-	n := runtime.NumGoroutine()
-	for n > base+slack && time.Now().Before(limit) {
-		time.Sleep(10 * time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
-
-// openFDs returns the number of open file descriptors of this process, or
-// -1 on platforms without /proc.
-func openFDs() int {
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		return -1
-	}
-	return len(ents)
-}
-
-// settleFDs polls until the descriptor count drops back to at most
-// base+slack or the deadline passes.
-func settleFDs(base, slack int, deadline time.Duration) int {
-	limit := time.Now().Add(deadline)
-	n := openFDs()
-	for n > base+slack && time.Now().Before(limit) {
-		time.Sleep(10 * time.Millisecond)
-		n = openFDs()
-	}
-	return n
-}
 
 // startServer opens an engine over a fresh chain database and serves it on
 // an ephemeral loopback port. The cleanup asserts the server shut down
@@ -95,8 +62,8 @@ func startServer(t *testing.T, relations, card int, engOpts ...core.EngineOption
 // against the sequential reference.
 func TestServeRoundTrip(t *testing.T) {
 	baseGo := runtime.NumGoroutine()
-	baseFD := openFDs()
-	_, addr, db := startServer(t, 4, 400)
+	baseFD := atrest.OpenFDs()
+	srv, addr, db := startServer(t, 4, 400)
 	tree, err := jointree.BuildShape(jointree.WideBushy, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -136,10 +103,19 @@ func TestServeRoundTrip(t *testing.T) {
 	}
 	cl.Close()
 
-	if n := settleGoroutines(baseGo, 4, 10*time.Second); n > baseGo+4 {
-		t.Errorf("goroutines %d -> %d after round trips", baseGo, n)
+	// The engine's pool keeps the completed plans' hosts parked while it is
+	// open; shut down, the server leaves nothing behind.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("server shutdown: %v", err)
 	}
-	_ = baseFD
+	if err := atrest.Goroutines(baseGo+4, 10*time.Second); err != nil {
+		t.Errorf("goroutines after round trips and shutdown: %v", err)
+	}
+	if err := atrest.FDs(baseFD+4, 10*time.Second); err != nil {
+		t.Errorf("fds after round trips and shutdown: %v", err)
+	}
 }
 
 // relayFrames starts a loopback proxy for one connection to addr that
@@ -550,7 +526,7 @@ func TestServeOversizedProcs(t *testing.T) {
 // without leaking the per-query goroutines.
 func TestServeClientDisconnectMidStream(t *testing.T) {
 	baseGo := runtime.NumGoroutine()
-	baseFD := openFDs()
+	baseFD := atrest.OpenFDs()
 	_, addr, _ := startServer(t, 6, 2000, core.WithEngineMemoryBudget(1<<20))
 
 	for i := 0; i < 3; i++ {
@@ -570,13 +546,11 @@ func TestServeClientDisconnectMidStream(t *testing.T) {
 		cl.Close()
 	}
 
-	if n := settleGoroutines(baseGo, 4, 15*time.Second); n > baseGo+4 {
-		t.Errorf("goroutines %d -> %d after client disconnects", baseGo, n)
+	if err := atrest.Goroutines(baseGo+4, 15*time.Second); err != nil {
+		t.Errorf("goroutines after client disconnects: %v", err)
 	}
-	if baseFD >= 0 {
-		if n := settleFDs(baseFD, 4, 15*time.Second); n > baseFD+4 {
-			t.Errorf("fds %d -> %d after client disconnects", baseFD, n)
-		}
+	if err := atrest.FDs(baseFD+4, 15*time.Second); err != nil {
+		t.Errorf("fds after client disconnects: %v", err)
 	}
 }
 

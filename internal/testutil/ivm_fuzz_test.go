@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/atrest"
 	"multijoin/internal/ivm"
 	"multijoin/internal/jointree"
 	"multijoin/internal/parallel"
@@ -70,12 +71,8 @@ func FuzzViewEquivalence(f *testing.F) {
 		}
 		defer func() {
 			view.Close()
-			deadline := time.Now().Add(10 * time.Second)
-			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > baseline {
-				t.Errorf("%s: %d goroutines after Close, %d before the view", s.Desc, n, baseline)
+			if err := atrest.Goroutines(baseline, 10*time.Second); err != nil {
+				t.Errorf("%s: after Close: %v", s.Desc, err)
 			}
 		}()
 
