@@ -31,10 +31,12 @@ test:
 # Goroutine lifecycle, repeated (a subset of `make test`, run three times
 # under the race detector): a kept shell's parked hosts — started once,
 # woken per run, ended on every path that drops the shell — reused shells
-# under concurrent runners, and cancellation under a ProcPool and an engine.
-LIFECYCLE_TESTS = TestParkedHosts|TestShellReuse|TestHostedCancel|TestCachedPlanRuns|TestEngineCancel
+# under concurrent runners, cancellation under a ProcPool and an engine,
+# and the serve client's row buffers, handed between its connection reader
+# and two streams' Recv.
+LIFECYCLE_TESTS = TestParkedHosts|TestShellReuse|TestHostedCancel|TestCachedPlanRuns|TestEngineCancel|TestRecvRecycles
 race-repeat:
-	$(GO) test -race -count=3 -run '$(LIFECYCLE_TESTS)' ./internal/parallel ./internal/core
+	$(GO) test -race -count=3 -run '$(LIFECYCLE_TESTS)' ./internal/parallel ./internal/core ./internal/serve
 
 # Allocation bounds: every test that pins how often a kernel allocates (a
 # hash join's table life, none; a simple-join process's life, at most its
@@ -43,12 +45,14 @@ race-repeat:
 # scan's lent view, a host outbox's redistribution scatter on a warm pool,
 # an RD query on a warmed engine, a simulated run on warm shared pools, a
 # warm round of simulated queries through core.Exec that reads its
-# database's placement), in a build without -race and without pooldebug.
+# database's placement, a serve client's query whatever its DATA frame
+# count, a VAPPLY round on either end whatever its delta size), in a build
+# without -race and without pooldebug.
 # `make test` runs only under the race detector, whose sync.Pool drops
 # recycled memory at random, and pooldebug's recycler moves a released
 # table's memory into a fresh Table, so the bounds that count on recycled
 # memory skip in both.
-ALLOC_TESTS = TestSimpleJoinCost|TestSimpleJoinProcessAllocs|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox|TestLendAllocFree|TestScatterAllocFree|TestRDQueryAllocs|TestSimRunAllocs|TestSimExecAllocs
+ALLOC_TESTS = TestSimpleJoinCost|TestSimpleJoinProcessAllocs|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox|TestLendAllocFree|TestScatterAllocFree|TestRDQueryAllocs|TestSimRunAllocs|TestSimExecAllocs|TestRecvAllocFree|TestViewApplyAllocs
 allocs:
 	$(GO) test -count=1 -run '^($(ALLOC_TESTS))$$' ./internal/hashjoin ./internal/engine ./internal/ivm ./internal/sim ./internal/relation ./internal/serve ./internal/operator ./internal/core
 

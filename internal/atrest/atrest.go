@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 )
 
@@ -22,6 +23,32 @@ import (
 // reports how many it still runs once deadline has passed.
 func Goroutines(want int, deadline time.Duration) error {
 	return settle("goroutines", runtime.NumGoroutine, want, deadline)
+}
+
+// Exited checks, without waiting, what a Close that waits on a
+// sync.WaitGroup for the goroutines it stops should leave: the process runs
+// at most want goroutines besides those still inside the WaitGroup's Done
+// on their way out of exiting, a function named as a stack trace prints
+// it. Go reaps a goroutine a moment after its last call returns, so such
+// a goroutine may still be counted, but nothing else may.
+func Exited(want int, exiting string) error {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	live, leaving := 0, 0
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		live++
+		if strings.Contains(g, exiting+"(") && strings.Contains(g, "sync.(*WaitGroup).Done(") {
+			leaving++
+		}
+	}
+	if live-leaving > want {
+		return fmt.Errorf("%d goroutines, %d of them leaving %s; want at most %d besides those", live, leaving, exiting, want)
+	}
+	return nil
 }
 
 // FDs waits until the process holds at most want open file descriptors, and

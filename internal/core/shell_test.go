@@ -22,7 +22,8 @@ import (
 // engine's meter is at zero and no goroutine is left but the hosts its
 // ProcPool keeps parked (Parked). A query on a second
 // database whose cardinalities bucket to the same plan key gets the cached
-// plan but not a shell placed on the first database's relations.
+// plan but not a shell placed on the first database's relations. Right
+// after Close no parked host is left (atrest.Exited).
 func TestCachedPlanRuns(t *testing.T) {
 	db := sessionDB(t, 6, parkedCard)
 	tree, err := jointree.BuildShape(jointree.WideBushy, db.NumRelations())
@@ -134,5 +135,14 @@ func TestCachedPlanRuns(t *testing.T) {
 	}
 	if diff := relation.DiffMultiset(res.Result, want2); diff != "" {
 		t.Fatalf("the second database's query ran on the first one's relations: %s", diff)
+	}
+
+	// Close returns once the parked hosts have exited: no polling after it.
+	if err := atrest.Goroutines(baseline+eng.procs.Parked(), 5*time.Second); err != nil {
+		t.Fatalf("after the runs: %v (%d before them, %d parked)", err, baseline, eng.procs.Parked())
+	}
+	eng.Close()
+	if err := atrest.Exited(baseline, "parallel.(*host).park"); err != nil {
+		t.Fatalf("right after Close: %v", err)
 	}
 }

@@ -156,9 +156,10 @@ const (
 // Close. It holds no placement — the base relations' fragments are their
 // database's (Config.Placement). The goroutines it owns are its idle shells'
 // hosts, parked until the next run of their plan wakes them (Parked counts
-// them); Close ends them.
+// them); Close ends them, and returns once each has left its loop.
 type ProcPool struct {
 	slots []sync.Mutex
+	hosts sync.WaitGroup // the goroutines of hosts that park (runtimeState.launch)
 
 	mu     sync.Mutex // guards the fields below
 	pools  map[int]*relation.BatchPool
@@ -186,15 +187,17 @@ func NewProcPool(n int) *ProcPool {
 // Size returns the number of modeled processors (slots).
 func (p *ProcPool) Size() int { return len(p.slots) }
 
-// Close drops the resident batch pools and the idle shells, whose parked
-// hosts it ends. It must not be called while runs still use the pool; a
-// result batch released afterwards goes to a pool nothing draws from any
-// more.
+// Close drops the resident batch pools and the idle shells, and returns
+// once their parked hosts have left their loops and touch nothing more (a
+// host goroutine still counted right after Close is one Go has not reaped
+// yet). It must not be called while runs still use the pool; a result
+// batch released afterwards goes to a pool nothing draws from any more.
 func (p *ProcPool) Close() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.dropIdle()
 	p.pools = nil
+	p.mu.Unlock()
+	p.hosts.Wait()
 }
 
 // Parked returns the number of goroutines the idle shells' hosts hold
@@ -830,6 +833,7 @@ func (r *runtimeState) launch() {
 				h.wake <- true
 			case keepable:
 				h.wake = make(chan bool, 1)
+				r.procs.hosts.Add(1)
 				go h.park(h.wake)
 			default:
 				go h.run()
@@ -840,7 +844,7 @@ func (r *runtimeState) launch() {
 
 // stop ends the parked hosts of a shell that will not run again. It does not
 // wait for them: a host returns as soon as it takes the signal, and touches
-// nothing of the shell on its way out.
+// nothing of the shell on its way out; ProcPool.Close waits for them all.
 func (r *runtimeState) stop() {
 	for _, os := range r.ops {
 		for _, h := range os.hosts {

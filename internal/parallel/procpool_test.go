@@ -212,7 +212,10 @@ func parkedStacks() int {
 // that fails, a finished run that leaves input behind, and Close. After
 // each step Parked reports exactly the goroutines parked in host.park, the
 // process runs no more than the baseline plus them, and the pool's idle
-// shells hold exactly what their last runs counted.
+// shells hold exactly what their last runs counted. Close returns only once
+// the hosts it stops have left their loops, so right after it, with no
+// polling, the process runs the baseline and at most hosts still returning
+// from their WaitGroup.Done, which Go reaps a moment later.
 func TestParkedHosts(t *testing.T) {
 	db, err := wisconsin.Chain(wisconsin.Config{Relations: 6, Cardinality: 2000, Seed: 1995})
 	if err != nil {
@@ -328,6 +331,12 @@ func TestParkedHosts(t *testing.T) {
 	r.finish()
 	check("a finished run with input left", (shells-1)*hosts)
 
+	// Close with an RD shell's hosts parked beside what is left.
+	parked = (shells-1)*hosts + run(rd, db)
+	check("an RD run before Close", parked)
 	p.Close()
+	if err := atrest.Exited(baseline, "parallel.(*host).park"); err != nil {
+		t.Fatalf("right after Close: %v", err)
+	}
 	check("Close", 0)
 }

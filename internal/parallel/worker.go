@@ -87,6 +87,7 @@ func (w *host) run() {
 // park is the goroutine of a host whose shell may be kept: it serves a run,
 // parks until woken for the next, and returns once woken to stop.
 func (w *host) park(wake <-chan bool) {
+	defer w.r.procs.hosts.Done()
 	for ok := true; ok; ok = <-wake {
 		w.run()
 	}

@@ -175,11 +175,7 @@ func TuplesFromBytes(dst []Tuple, src []byte) ([]Tuple, error) {
 		total += n
 		rest = rest[size:]
 	}
-	if cap(dst)-len(dst) < total {
-		grown := make([]Tuple, len(dst), len(dst)+total)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = growTuples(dst, total)
 	for len(src) > 0 {
 		n, size, _ := BlockHeader(src)
 		body := src[BlockHeaderBytes:size]
@@ -189,6 +185,17 @@ func TuplesFromBytes(dst []Tuple, src []byte) ([]Tuple, error) {
 		src = src[size:]
 	}
 	return dst, nil
+}
+
+// growTuples returns dst with room for n more rows: dst itself when it has
+// it, otherwise a copy of exactly len(dst)+n capacity.
+func growTuples(dst []Tuple, n int) []Tuple {
+	if cap(dst)-len(dst) < n {
+		grown := make([]Tuple, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	return dst
 }
 
 // blockRow decodes row i of an n-tuple block body (the bytes after the

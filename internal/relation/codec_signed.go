@@ -148,16 +148,17 @@ func SignedBlockHeader(src []byte) (tuples, size int, signed bool, err error) {
 }
 
 // DecodeSignedTuples decodes src — a whole number of consecutive blocks,
-// signed or unsigned — into row-form insert and delete slices of exactly
-// the sizes the headers and sign bitmaps announce (every row of an
-// unsigned block is an insert): one pass validates and counts, the second
-// decodes each row straight into its side. serve's VAPPLY decoder.
-func DecodeSignedTuples(src []byte) (ins, del []Tuple, err error) {
+// signed or unsigned — appending its insert rows to ins and its delete rows
+// to del (every row of an unsigned block is an insert), and returns both.
+// One pass validates and counts, so a side without room for its rows grows
+// once, to exactly the size the headers and sign bitmaps announce; the
+// second decodes each row straight into its side. serve's VAPPLY decoder.
+func DecodeSignedTuples(ins, del []Tuple, src []byte) ([]Tuple, []Tuple, error) {
 	ni, nd := 0, 0
 	for rest := src; len(rest) > 0; {
 		n, size, signed, err := SignedBlockHeader(rest)
 		if err != nil {
-			return nil, nil, err
+			return ins, del, err
 		}
 		neg := 0
 		if signed {
@@ -167,12 +168,7 @@ func DecodeSignedTuples(src []byte) (ins, del []Tuple, err error) {
 		nd += neg
 		rest = rest[size:]
 	}
-	if ni > 0 {
-		ins = make([]Tuple, 0, ni)
-	}
-	if nd > 0 {
-		del = make([]Tuple, 0, nd)
-	}
+	ins, del = growTuples(ins, ni), growTuples(del, nd)
 	for len(src) > 0 {
 		n, size, signed, _ := SignedBlockHeader(src)
 		body := src[BlockHeaderBytes:size]

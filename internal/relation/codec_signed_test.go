@@ -62,7 +62,7 @@ func TestSignedBlockRoundTrip(t *testing.T) {
 // rows of ins and del, in slices of exactly their length.
 func rowsEqual(t *testing.T, name string, enc []byte, ins, del *Batch) {
 	t.Helper()
-	gotIns, gotDel, err := DecodeSignedTuples(enc)
+	gotIns, gotDel, err := DecodeSignedTuples(nil, nil, enc)
 	if err != nil {
 		t.Fatalf("%s: DecodeSignedTuples: %v", name, err)
 	}
@@ -71,6 +71,12 @@ func rowsEqual(t *testing.T, name string, enc []byte, ins, del *Batch) {
 	}
 	if cap(gotIns) != len(gotIns) || cap(gotDel) != len(gotDel) {
 		t.Fatalf("%s: row slices of capacity %d+%d for %d+%d rows", name, cap(gotIns), cap(gotDel), len(gotIns), len(gotDel))
+	}
+	// Decoding again appends: each side keeps its rows and takes a second
+	// copy after them.
+	twiceIns, twiceDel, err := DecodeSignedTuples(gotIns, gotDel, enc)
+	if err != nil || !slices.Equal(twiceIns, slices.Concat(gotIns, gotIns)) || !slices.Equal(twiceDel, slices.Concat(gotDel, gotDel)) {
+		t.Fatalf("%s: a second decode gave %d+%d rows (%v), want %d+%d", name, len(twiceIns), len(twiceDel), err, 2*len(gotIns), 2*len(gotDel))
 	}
 }
 
@@ -92,15 +98,16 @@ func TestSignedBlocksInterleaveUnsigned(t *testing.T) {
 	batchesEqual(t, "mixed del", gotDel, del)
 	rowsEqual(t, "mixed", enc, want, del)
 	for _, cut := range []int{1, BlockHeaderBytes + 1, len(enc) - 1} {
-		if _, _, err := DecodeSignedTuples(enc[:cut]); err == nil {
+		if _, _, err := DecodeSignedTuples(nil, nil, enc[:cut]); err == nil {
 			t.Fatalf("DecodeSignedTuples accepted %d of %d bytes", cut, len(enc))
 		}
 	}
 }
 
 // TestRowDecodersAllocateOnce pins the allocations of the row-form
-// decoders the serve front door runs per frame: one exact-size slice for a
-// 256-tuple DATA block, one per side of a 64+64 delta.
+// decoders the serve front door runs per frame: into nil destinations, one
+// exact-size slice for a 256-tuple DATA block and one per side of a 64+64
+// delta; into recycled slices with room, none.
 func TestRowDecodersAllocateOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1995))
 	block := AppendBatchBytes(nil, randBatch(rng, 256))
@@ -108,8 +115,16 @@ func TestRowDecodersAllocateOnce(t *testing.T) {
 		t.Errorf("TuplesFromBytes of a 256-tuple block: %v allocations, want 1", n)
 	}
 	delta := AppendSignedBlocksBytes(nil, randBatch(rng, 64), randBatch(rng, 64), 0)
-	if n := testing.AllocsPerRun(100, func() { DecodeSignedTuples(delta) }); n != 2 {
+	if n := testing.AllocsPerRun(100, func() { DecodeSignedTuples(nil, nil, delta) }); n != 2 {
 		t.Errorf("DecodeSignedTuples of a 64+64 delta: %v allocations, want 2", n)
+	}
+	rows, _ := TuplesFromBytes(nil, block)
+	ins, del, _ := DecodeSignedTuples(nil, nil, delta)
+	if n := testing.AllocsPerRun(100, func() {
+		TuplesFromBytes(rows[:0], block)
+		DecodeSignedTuples(ins[:0], del[:0], delta)
+	}); n != 0 {
+		t.Errorf("decoding into recycled slices: %v allocations, want 0", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -46,6 +47,11 @@ type Client struct {
 	open   map[uint32]*pending // every stream id awaiting frames: queries and views
 	nextID uint32
 	err    error // first reader error, ErrClientClosed after Close
+
+	// free holds the row buffers DATA frames are decoded into while no
+	// stream holds them: at most the window+1 a stream can have in flight,
+	// the window's frames and the batch its consumer holds.
+	free chan []relation.Tuple
 
 	readerDone chan struct{}
 }
@@ -104,7 +110,8 @@ func DialWindow(addr string, window int) (*Client, error) {
 		c.Close()
 		return nil, err
 	}
-	cl := &Client{c: c, window: window, open: make(map[uint32]*pending), readerDone: make(chan struct{})}
+	cl := &Client{c: c, window: window, open: make(map[uint32]*pending), readerDone: make(chan struct{}),
+		free: make(chan []relation.Tuple, window+1)}
 	go cl.readLoop()
 	return cl, nil
 }
@@ -156,6 +163,14 @@ func (cl *Client) lookup(sid uint32, last bool) *pending {
 	return p
 }
 
+// recycle puts a row buffer back on the free list, unless it is full.
+func (cl *Client) recycle(rows []relation.Tuple) {
+	select {
+	case cl.free <- rows[:0]:
+	default:
+	}
+}
+
 // Submit starts one query stream.
 func (cl *Client) Submit(spec QuerySpec) (*Stream, error) {
 	if spec.Shape == "" {
@@ -201,14 +216,21 @@ func (cl *Client) readLoop() {
 				return
 			}
 			// The payload views the connection's reusable read buffer;
-			// decoding into fresh tuples is also the copy.
-			tuples, err := relation.TuplesFromBytes(nil, block)
+			// decoding into a row buffer of the free list is also the copy.
+			var rows []relation.Tuple
+			select {
+			case rows = <-cl.free:
+			default:
+			}
+			tuples, err := relation.TuplesFromBytes(rows, block)
 			if err != nil {
 				cl.fail(err)
 				return
 			}
 			if p := cl.lookup(sid, false); p != nil {
 				p.deliver(event{tuples: tuples})
+			} else {
+				cl.recycle(tuples)
 			}
 		case wire.KindEOS:
 			// Informational: the terminal DONE follows immediately.
@@ -268,15 +290,22 @@ type Stream struct {
 	cl *Client
 	id uint32
 	*pending
-	owed uint32 // consumed window slots not yet granted back
+	owed uint32           // consumed window slots not yet granted back
+	held []relation.Tuple // the batch the last Recv returned
 }
 
 // Recv returns the next result batch. It returns (tuples, nil, nil) for
 // each DATA batch, then (nil, done, nil) when the query completes, or
 // (nil, nil, err) on query failure, cancellation, or a lost connection.
-// Consumed batches are granted back to the server in one CREDIT per half
-// window (at least one batch). Recv is for one goroutine at a time.
+// The returned tuples are valid until the next Recv on the stream, which
+// gives their memory back to the client for a later batch to be decoded
+// into. Consumed batches are granted back to the server in one CREDIT per
+// half window (at least one batch). Recv is for one goroutine at a time.
 func (st *Stream) Recv() ([]relation.Tuple, *Done, error) {
+	if st.held != nil {
+		st.cl.recycle(st.held)
+		st.held = nil
+	}
 	e := <-st.ev
 	switch {
 	case e.err != nil:
@@ -292,6 +321,7 @@ func (st *Stream) Recv() ([]relation.Tuple, *Done, error) {
 			st.cl.c.WriteCredit(st.id, st.owed)
 			st.owed = 0
 		}
+		st.held = e.tuples
 		return e.tuples, nil, nil
 	}
 }
@@ -353,7 +383,7 @@ type ViewHandle struct {
 	closed bool // set by Close; later ops fail locally, their replies having no handle
 	// Apply's encoding scratch, reused across rounds under opMu.
 	ins, del relation.Batch
-	blocks   []byte
+	frame    []byte
 	*pending
 }
 
@@ -392,21 +422,20 @@ func (vh *ViewHandle) Apply(deltas ...ivm.Delta) (ApplyStats, error) {
 	if vh.closed {
 		return ApplyStats{}, ivm.ErrViewClosed
 	}
-	// Every delta's blocks go into one buffer. A delta's slice taken before
-	// the buffer grows keeps viewing the old array, which nothing rewrites
-	// before the frame is encoded.
-	msg := viewApplyMsg{ID: vh.id, Deltas: make([]viewDeltaMsg, 0, len(deltas))}
-	vh.blocks = vh.blocks[:0]
+	p := binary.LittleEndian.AppendUint32(vh.frame[:0], vh.id)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(deltas)))
 	for _, d := range deltas {
+		if int(int32(d.Rel)) != d.Rel {
+			return ApplyStats{}, fmt.Errorf("serve: delta for base relation %d", d.Rel)
+		}
 		vh.ins.Reset()
 		vh.del.Reset()
 		vh.ins.AppendTuples(d.Insert)
 		vh.del.AppendTuples(d.Delete)
-		lo := len(vh.blocks)
-		vh.blocks = relation.AppendSignedBlocksBytes(vh.blocks, &vh.ins, &vh.del, 0)
-		msg.Deltas = append(msg.Deltas, viewDeltaMsg{Rel: d.Rel, Blocks: vh.blocks[lo:]})
+		p = appendDelta(p, int32(d.Rel), &vh.ins, &vh.del)
 	}
-	if err := vh.cl.c.WriteMsg(fsViewApply, msg); err != nil {
+	vh.frame = p
+	if err := vh.cl.c.WriteFrame(fsViewApply, p); err != nil {
 		return ApplyStats{}, err
 	}
 	e := <-vh.ev

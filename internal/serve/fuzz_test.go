@@ -252,9 +252,13 @@ func seedScripts() []seedScript {
 	ins.Append(1<<32, 7, 42)
 	del.Append(-5, 0, 0)
 	blocks := relation.AppendSignedBlocksBytes(nil, &ins, &del, 0)
-	apply := func(rel int, blocks []byte) viewApplyMsg {
-		return viewApplyMsg{ID: 3, Deltas: []viewDeltaMsg{{Rel: rel, Blocks: blocks}}}
+	// applyClaims is a VAPPLY payload on view 3 that carries one delta but
+	// claims n, and whose delta claims size bytes of blocks; apply is one
+	// whose claims hold.
+	applyClaims := func(n uint32, rel int32, size uint32, blocks []byte) []byte {
+		return append(sidPayload(3, n, uint32(rel), size), blocks...)
 	}
+	apply := func(rel int32, blocks []byte) []byte { return applyClaims(1, rel, uint32(len(blocks)), blocks) }
 	msg := func(kind byte, v any) scriptFrame { return scriptFrame{kind: kind, msg: v} }
 	raw := func(kind byte, p []byte) scriptFrame { return scriptFrame{kind: kind, raw: p} }
 	cut := func(kind byte, v any, n int) scriptFrame { return scriptFrame{kind: kind, msg: v, cut: n} }
@@ -269,16 +273,20 @@ func seedScripts() []seedScript {
 		{"submit-procs", streamScript(msg(fsSubmit, submitMsg{ID: 1, Shape: "wide-bushy", Strategy: "RD", Procs: 1 << 30})), "ERROR"},
 		{"submit-truncated", streamScript(cut(fsSubmit, sub1, 89)), "hangup"},
 		{"unknown-kind", streamScript(raw(0x7f, sidPayload(1)), msg(fsSubmit, sub1)), "hangup"},
-		{"vapply-bad-blocks", streamScript(msg(fsViewCreate, create), msg(fsViewApply, apply(1, blocks[:len(blocks)-5]))), "ERROR VOK"},
-		{"vapply-no-view", streamScript(msg(fsViewApply, apply(0, blocks))), "ERROR"},
-		{"vapply-rel-neg", streamScript(msg(fsViewCreate, create), msg(fsViewApply, apply(-1, blocks)), raw(fsViewClose, sidPayload(3))), "DONE ERROR VOK"},
-		{"vapply-truncated", streamScript(msg(fsViewCreate, create), cut(fsViewApply, apply(0, blocks), 136)), "VOK hangup"},
+		{"vapply-bad-blocks", streamScript(msg(fsViewCreate, create), raw(fsViewApply, apply(1, blocks[:len(blocks)-5]))), "ERROR VOK"},
+		// A count no payload of this size can hold, and a block length past
+		// the frame's end: parseApply refuses both before sizing anything.
+		{"vapply-count-overrun", streamScript(msg(fsViewCreate, create), raw(fsViewApply, applyClaims(1<<31, 0, uint32(len(blocks)), blocks))), "VOK hangup"},
+		{"vapply-length-overrun", streamScript(msg(fsViewCreate, create), raw(fsViewApply, applyClaims(1, 0, 1<<31, blocks))), "VOK hangup"},
+		{"vapply-no-view", streamScript(raw(fsViewApply, apply(0, blocks))), "ERROR"},
+		{"vapply-rel-neg", streamScript(msg(fsViewCreate, create), raw(fsViewApply, apply(-1, blocks)), raw(fsViewClose, sidPayload(3))), "DONE ERROR VOK"},
+		{"vapply-truncated", streamScript(msg(fsViewCreate, create), raw(fsViewApply, apply(0, blocks)[:len(apply(0, blocks))-1])), "VOK hangup"},
 		{"vclose-truncated", streamScript(msg(fsViewCreate, create), raw(fsViewClose, sidPayload(3)[:2])), "VOK hangup"},
 		{"vcreate-procs", streamScript(msg(fsViewCreate, viewCreateMsg{ID: 3, Procs: 1 << 30})), "ERROR"},
 		{"vcreate-truncated", streamScript(cut(fsViewCreate, create, 58)), "hangup"},
-		{"view", streamScript(msg(fsViewCreate, create), msg(fsViewApply, apply(0, blocks)), raw(fsViewClose, sidPayload(3))), "DONE VOK VRESULT"},
+		{"view", streamScript(msg(fsViewCreate, create), raw(fsViewApply, apply(0, blocks)), raw(fsViewClose, sidPayload(3))), "DONE VOK VRESULT"},
 		{"view-duplicate", streamScript(msg(fsViewCreate, create), msg(fsViewCreate, create), raw(fsViewClose, sidPayload(3)), raw(fsViewClose, sidPayload(3))), "DONE ERROR ERROR VOK"},
-		{"view-left-open", streamScript(msg(fsViewCreate, create), msg(fsViewApply, apply(0, blocks))), "VOK VRESULT"},
+		{"view-left-open", streamScript(msg(fsViewCreate, create), raw(fsViewApply, apply(0, blocks))), "VOK VRESULT"},
 		{"view-then-submit-same-id", streamScript(msg(fsViewCreate, create), msg(fsSubmit, submitMsg{ID: 3, Shape: "left-linear", Strategy: "FP", Runtime: "parallel"}), raw(fsViewClose, sidPayload(3))), "DONE ERROR VOK"},
 		{"type-flood", streamScript(floodFrames()...), strings.Repeat("ERROR ", wire.MaxTypes-1) + "hangup"},
 	}

@@ -8,9 +8,11 @@
 // the one table of every frame kind, serve's 0x20–0x28 included — and is
 // specified in its documentation. What follows is what the front door
 // builds on it. Every connection opens with a HELLO in each direction
-// (helloMsg: protocol version 3 and role), each read under helloTimeout.
+// (helloMsg: protocol version 4 and role), each read under helloTimeout.
 // Each direction's control messages are one gob stream, decoded in order
-// by the connection's one reader; a type crosses a connection once.
+// by the connection's one reader; a type crosses a connection once. Tuples
+// never travel as gob: DATA and VAPPLY frames carry columnar blocks raw,
+// and neither end allocates per tuple to read them.
 //
 // A query is one credit-windowed stream: the client picks a stream id and
 // an initial window W in SUBMIT; the server may have at most W unconsumed
@@ -20,13 +22,17 @@
 // server sends DONE with the query's Result stats (rows, wall time, queue
 // wait, spilled bytes, plan-cache hit). CANCEL aborts the query's context;
 // the server acknowledges with ERROR carrying context.Canceled's message.
+// The client decodes each DATA frame into a row buffer it recycles: the
+// tuples Stream.Recv returns are valid until the next Recv on that stream.
 //
 // A materialized view is one stream id held open across rounds: VCREATE
 // populates the view on the server's engine (CreateView, the FP network
 // kept resident) and answers VOK carrying the database's per-relation
 // cardinalities so the client can synthesize join-compatible deltas;
-// each VAPPLY carries one round of base-relation deltas encoded as the
-// signed columnar blocks of relation.AppendSignedBlocksBytes and answers
+// each VAPPLY carries one round of base-relation deltas, raw —
+// sid u32 | ndeltas u32 | ndeltas × (rel i32 | len u32 | len bytes), the
+// bytes being the signed columnar blocks of relation.AppendSignedBlocksBytes
+// — which the server parses in place from its read buffer, and answers
 // VRESULT once the view is exact again; VCLOSE releases the view's
 // resident tables and answers DONE. View operations on a connection
 // execute synchronously in its demultiplex loop — a ticker connection is
@@ -34,8 +40,11 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
+
+	"multijoin/internal/relation"
 )
 
 // protoVersion is carried in every HELLO; both ends must agree exactly.
@@ -43,7 +52,9 @@ import (
 // columnar block format they carry. Version 3 made the control payloads
 // one gob stream per direction: a version-2 peer re-sends every type
 // descriptor and would fail on its second frame with a duplicate type.
-const protoVersion = 3
+// Version 4 carries VAPPLY raw instead of as a gob value, which a
+// version-3 server would read as a malformed gob message.
+const protoVersion = 4
 
 // The front door's control frame kinds; HELLO and the tuple-stream kinds
 // are package wire's.
@@ -65,9 +76,11 @@ const (
 // is sized against its largest legitimate frame and not against dist's
 // (whose SETUP carries whole relations): a DATA frame is one of the
 // runtime's result batches, 256 tuples or 6 KiB by default, and the big
-// one is a VAPPLY round — 31 KiB in mjperf's view_refresh, 24 bytes per
-// delta tuple. 16 MiB leaves room for a round of some 600 000 delta tuples
-// and still bounds what four hostile bytes can make a connection allocate.
+// one is a VAPPLY round — 31 KiB in mjperf's view_refresh, 24 bytes and a
+// sign bit per delta tuple, raw. 16 MiB leaves room for a round of some
+// 600 000 delta tuples and still bounds what four hostile bytes can make a
+// connection allocate: the read buffer, and the server's round buffers,
+// which a VAPPLY is decoded into only once its framing holds.
 const maxFrame = 16 << 20
 
 // helloTimeout bounds a client's dial and either end's wait for the
@@ -138,17 +151,52 @@ type viewOKMsg struct {
 	Cards    []int64 // base-relation cardinalities, chain order
 }
 
-// viewApplyMsg is one maintenance round: per-relation deltas whose tuples
-// travel as signed columnar blocks (relation.AppendSignedBlocksBytes).
-type viewApplyMsg struct {
-	ID     uint32
-	Deltas []viewDeltaMsg
+// A VAPPLY frame is one maintenance round, raw and in the shape of a DATA
+// frame — no gob:
+//
+//	sid u32 | ndeltas u32 | ndeltas × (rel i32 | len u32 | len bytes of blocks)
+//
+// where each delta's blocks are its relation's signed columnar blocks
+// (relation.AppendSignedBlocksBytes), inserts then deletes, and every
+// integer is little-endian.
+
+// appendDelta appends one delta of a VAPPLY payload: rel, then ins as
+// inserts and del as deletes.
+func appendDelta(p []byte, rel int32, ins, del *relation.Batch) []byte {
+	p = binary.LittleEndian.AppendUint32(p, uint32(rel))
+	at := len(p)
+	p = relation.AppendSignedBlocksBytes(append(p, 0, 0, 0, 0), ins, del, 0)
+	binary.LittleEndian.PutUint32(p[at:], uint32(len(p)-at-4))
+	return p
 }
 
-// viewDeltaMsg is one base relation's signed update within a round.
-type viewDeltaMsg struct {
-	Rel    int
-	Blocks []byte // consecutive signed blocks: inserts then deletes
+// nextDelta splits the delta at the head of p, the deltas of a VAPPLY
+// payload. ok is false when its 8-byte header is short or its length runs
+// past the end of p.
+func nextDelta(p []byte) (rel int, blocks, rest []byte, ok bool) {
+	if len(p) < 8 || uint64(binary.LittleEndian.Uint32(p[4:])) > uint64(len(p)-8) {
+		return 0, nil, nil, false
+	}
+	end := 8 + int(binary.LittleEndian.Uint32(p[4:]))
+	return int(int32(binary.LittleEndian.Uint32(p))), p[8:end], p[end:], true
+}
+
+// parseApply checks a VAPPLY payload's framing — every length against the
+// bytes that remain, and no byte left over — and returns its stream id,
+// delta count and deltas. It sizes nothing from the header: a count that
+// the payload cannot hold, at 8 bytes a delta at least, fails at once.
+func parseApply(p []byte) (sid uint32, n int, deltas []byte, ok bool) {
+	if len(p) < 8 || uint64(binary.LittleEndian.Uint32(p[4:])) > uint64(len(p)-8)/8 {
+		return 0, 0, nil, false
+	}
+	sid, n, deltas = binary.LittleEndian.Uint32(p), int(binary.LittleEndian.Uint32(p[4:])), p[8:]
+	rest := deltas
+	for i := 0; i < n; i++ {
+		if _, _, rest, ok = nextDelta(rest); !ok {
+			return 0, 0, nil, false
+		}
+	}
+	return sid, n, deltas, len(rest) == 0
 }
 
 // viewResultMsg answers one VAPPLY once the view is exact again.

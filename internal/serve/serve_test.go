@@ -304,7 +304,7 @@ func TestServeMalformedFrames(t *testing.T) {
 		if err := c.WriteMsg(wire.KindHello, struct {
 			Version int
 			Role    string
-		}{3, "client"}); err != nil {
+		}{4, "client"}); err != nil {
 			t.Fatal(err)
 		}
 		if kind, _, err := c.ReadFrame(); err != nil || kind != wire.KindHello {
@@ -428,7 +428,7 @@ func TestServeStreamIDCollision(t *testing.T) {
 		Shape, Strategy   string
 		Relations, Window int
 	}
-	if err := c.WriteMsg(wire.KindHello, hello{3, "client"}); err != nil {
+	if err := c.WriteMsg(wire.KindHello, hello{4, "client"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ReadMsg(wire.KindHello, nil, 5*time.Second); err != nil {

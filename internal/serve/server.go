@@ -11,6 +11,7 @@ import (
 	"multijoin/internal/core"
 	"multijoin/internal/ivm"
 	"multijoin/internal/jointree"
+	"multijoin/internal/parallel"
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
 	"multijoin/internal/wire"
@@ -28,20 +29,34 @@ type Config struct{}
 // in-flight cursors through the engine's own graceful-drain path before
 // closing it.
 type Server struct {
-	eng *core.Engine
+	eng     *core.Engine
+	batches *relation.BatchPool // the result batches runQuery reads into
 
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[*srvConn]struct{}
+	trees  map[treeKey]*jointree.Node // built join trees (tree)
 	closed bool
 
 	wg sync.WaitGroup // accept loop + connection handlers
 }
 
+// treeKey names one join tree a request may ask for: a shape over the
+// first k relations of the database.
+type treeKey struct {
+	shape jointree.Shape
+	k     int
+}
+
+// maxIdleBatches bounds the result batches the server keeps idle between
+// queries: one per query it streams at once, up to this many.
+const maxIdleBatches = 64
+
 // NewServer wraps an open engine. The server owns eng from here on:
 // Server.Shutdown (or Close) closes it.
 func NewServer(eng *core.Engine, cfg Config) *Server {
-	return &Server{eng: eng, conns: make(map[*srvConn]struct{})}
+	return &Server{eng: eng, conns: make(map[*srvConn]struct{}), trees: make(map[treeKey]*jointree.Node),
+		batches: relation.NewBatchPool(parallel.DefaultBatchTuples, maxIdleBatches)}
 }
 
 // Start binds addr (host:port; port 0 picks an ephemeral port), spawns the
@@ -159,6 +174,12 @@ type srvConn struct {
 	mu      sync.Mutex
 	streams map[uint32]*srvStream // every open stream id, queries and views
 	qwg     sync.WaitGroup
+
+	// A VAPPLY round's decoded rows, reused by the next round: the view
+	// copies what it is handed (parallel.Resident.Inject). Only the
+	// demultiplex loop touches them.
+	ins, del []relation.Tuple
+	deltas   []ivm.Delta
 }
 
 // srvStream is what one open stream id addresses: an in-flight query
@@ -268,11 +289,11 @@ func (sc *srvConn) serve() {
 			}
 			sc.viewCreate(vc)
 		case fsViewApply:
-			var va viewApplyMsg
-			if err := sc.c.DecodeMsg(payload, &va); err != nil {
+			sid, n, deltas, ok := parseApply(payload)
+			if !ok {
 				return
 			}
-			sc.viewApply(va)
+			sc.viewApply(sid, n, deltas)
 		case fsViewClose:
 			sid, err := wire.ParseStreamID(payload)
 			if err != nil {
@@ -330,11 +351,12 @@ func (sc *srvConn) runQuery(ctx context.Context, sq *srvStream, sub submitMsg) {
 	}
 	defer rows.Close()
 	var nrows int64
-	var batch relation.Batch
-	for ; core.ReadBatch(rows, &batch); batch.Reset() {
+	batch := sc.srv.batches.Get()
+	defer sc.srv.batches.Put(batch)
+	for ; core.ReadBatch(rows, batch); batch.Reset() {
 		err := sq.win.Take(ctx)
 		if err == nil {
-			err = sc.c.WriteBatch(sub.ID, &batch)
+			err = sc.c.WriteBatch(sub.ID, batch)
 		}
 		if err != nil {
 			// Client gone or query cancelled: abort the execution and let
@@ -405,31 +427,36 @@ func (sc *srvConn) viewCreate(vc viewCreateMsg) {
 	})
 }
 
-// viewApply runs one maintenance round and acknowledges with VRESULT.
-func (sc *srvConn) viewApply(va viewApplyMsg) {
-	st := sc.stream(va.ID)
+// viewApply runs one maintenance round — the n deltas of a VAPPLY frame
+// whose framing parseApply checked — and acknowledges with VRESULT. The
+// rows are decoded straight from the connection's read buffer into the
+// connection's round buffers; a delta slice taken before a buffer grows
+// keeps viewing the old array, which nothing rewrites.
+func (sc *srvConn) viewApply(sid uint32, n int, deltas []byte) {
+	st := sc.stream(sid)
 	if st == nil || st.view == nil {
-		sc.writeErr(va.ID, fmt.Errorf("serve: no view on stream id %d", va.ID))
+		sc.writeErr(sid, fmt.Errorf("serve: no view on stream id %d", sid))
 		return
 	}
-	v := st.view
-	deltas := make([]ivm.Delta, 0, len(va.Deltas))
-	for _, wd := range va.Deltas {
-		ins, del, err := relation.DecodeSignedTuples(wd.Blocks)
+	sc.ins, sc.del, sc.deltas = sc.ins[:0], sc.del[:0], sc.deltas[:0]
+	for ; n > 0; n-- {
+		rel, blocks, rest, _ := nextDelta(deltas)
+		ins, del, err := relation.DecodeSignedTuples(sc.ins, sc.del, blocks)
 		if err != nil {
-			sc.writeErr(va.ID, err)
+			sc.writeErr(sid, err)
 			return
 		}
-		deltas = append(deltas, ivm.Delta{Rel: wd.Rel, Insert: ins, Delete: del})
+		d := ivm.Delta{Rel: rel, Insert: ins[len(sc.ins):len(ins):len(ins)], Delete: del[len(sc.del):len(del):len(del)]}
+		sc.ins, sc.del, sc.deltas, deltas = ins, del, append(sc.deltas, d), rest
 	}
 	t0 := time.Now()
-	res, err := v.Apply(context.Background(), deltas...)
+	res, err := st.view.Apply(context.Background(), sc.deltas...)
 	if err != nil {
-		sc.writeErr(va.ID, err)
+		sc.writeErr(sid, err)
 		return
 	}
 	sc.c.WriteMsg(fsViewResult, viewResultMsg{
-		ID: va.ID, Inserted: int64(res.Inserted), Deleted: int64(res.Deleted),
+		ID: sid, Inserted: int64(res.Inserted), Deleted: int64(res.Deleted),
 		Unmatched: res.Unmatched, Changes: int64(res.Changes),
 		Rows: int64(res.ResultCard), WallNanos: time.Since(t0).Nanoseconds(),
 	})
@@ -477,7 +504,7 @@ func (s *Server) buildQuery(sub submitMsg) (core.Query, []core.Option, error) {
 	if err != nil {
 		return core.Query{}, nil, err
 	}
-	tree, err := jointree.BuildShape(shape, k)
+	tree, err := s.tree(shape, k)
 	if err != nil {
 		return core.Query{}, nil, err
 	}
@@ -499,4 +526,22 @@ func (s *Server) buildQuery(sub submitMsg) (core.Query, []core.Option, error) {
 		opts = append(opts, core.WithRuntime(sub.Runtime))
 	}
 	return q, opts, nil
+}
+
+// tree returns the join tree of shape over k relations, built by the first
+// request that asks for it and shared by every later one: nothing writes
+// to a built tree (core.Advise mirrors a Clone). buildQuery has checked k
+// against the database, so the trees are bounded by shapes × relations.
+func (s *Server) tree(shape jointree.Shape, k int) (*jointree.Node, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.trees[treeKey{shape, k}]
+	if !ok {
+		var err error
+		if t, err = jointree.BuildShape(shape, k); err != nil {
+			return nil, err
+		}
+		s.trees[treeKey{shape, k}] = t
+	}
+	return t, nil
 }

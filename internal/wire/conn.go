@@ -27,9 +27,10 @@ const (
 // MaxTypes bounds the gob types a peer may define on one connection's
 // control stream. A connection's decoder keeps every definition it has
 // received for the rest of the connection, so without a bound a peer that
-// defines a new type in every frame would grow it forever. Serve's client
-// and server each define 6 types in all and dist's nodes fewer; DecodeMsg
-// fails, and keeps failing, once a peer has defined more than this.
+// defines a new type in every frame would grow it forever. Serve's server
+// defines 6 types in all, its client 3 (its VAPPLY is raw) and dist's
+// nodes fewer than 6; DecodeMsg fails, and keeps failing, once a peer has
+// defined more than this.
 const MaxTypes = 16
 
 // Conn is one framed connection. Writes are frame-atomic (a mutex
@@ -51,6 +52,7 @@ type Conn struct {
 	wbuf stage
 	enc  *gob.Encoder // writes into wbuf; used under wmu
 	rbuf []byte
+	hdr  [4]byte // the frame length being read: a local would escape into io.ReadFull
 
 	dec   *gob.Decoder // reads rd; used by the one reader
 	rd    bytes.Reader
@@ -185,11 +187,10 @@ func (c *Conn) WriteCredit(sid uint32, n uint32) error {
 // length above the connection's cap, on a closed connection, and on any
 // transport error.
 func (c *Conn) ReadFrame() (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(c.hdr[:])
 	if n < 1 || n > c.maxFrame {
 		return 0, nil, fmt.Errorf("wire: implausible frame length %d", n)
 	}

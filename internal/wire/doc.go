@@ -44,7 +44,9 @@
 //	ERROR   0x23  gob(errMsg)        server: stream failed or cancelled
 //	VCREATE 0x24  gob(viewCreateMsg) client: materialize a view
 //	VOK     0x25  gob(viewOKMsg)     server: view ready + database shape
-//	VAPPLY  0x26  gob(viewApplyMsg)  client: one round of signed deltas
+//	VAPPLY  0x26  sid(u32) n(u32)    client: one round of signed deltas,
+//	              n × (rel(i32)      raw: each delta's relation, then its
+//	              len(u32) blocks)   len bytes of signed blocks
 //	VRESULT 0x27  gob(viewResultMsg) server: round applied + its stats
 //	VCLOSE  0x28  sid(u32)           client: tear the view down
 //
@@ -61,8 +63,9 @@
 // refers to an interface, whose values could carry definitions of their
 // own. Both protocols moved to version 3 of their HELLO with this: version
 // 2 encoded every frame with a fresh encoder, whose repeated descriptors a
-// version-3 reader rejects as duplicate types. (The distributed runtime's
-// is at 4 since, for a change to its SETUP.)
+// version-3 reader rejects as duplicate types. Both are at 4 since: the
+// distributed runtime's for a change to its SETUP, serve's for VAPPLY,
+// which left gob to carry its blocks raw, as DATA does.
 //
 // # Credit windows
 //
@@ -88,6 +91,6 @@
 // two interleave freely; the flag makes a signed block unmistakable to a
 // version-2 reader and an implausible tuple count to anything older, which
 // is why both HELLO versions moved to 2. The codec is package relation's
-// (AppendSignedBlocksBytes, DecodeSignedBlocks); serve's VAPPLY carries
-// view deltas as exactly these blocks.
+// (AppendSignedBlocksBytes, DecodeSignedBlocks, DecodeSignedTuples);
+// serve's VAPPLY carries view deltas as exactly these blocks.
 package wire

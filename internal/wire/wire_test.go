@@ -345,7 +345,7 @@ func FuzzReadFrame(f *testing.F) {
 			if errBlocks == nil && (ins.Len()+del.Len())*relation.TupleWireBytes > len(block) {
 				t.Fatalf("DecodeSignedBlocks made %d tuples of %d bytes", ins.Len()+del.Len(), len(block))
 			}
-			rins, rdel, err := relation.DecodeSignedTuples(block)
+			rins, rdel, err := relation.DecodeSignedTuples(nil, nil, block)
 			if (err == nil) != (errBlocks == nil) {
 				t.Fatalf("DecodeSignedTuples err %v, DecodeSignedBlocks err %v", err, errBlocks)
 			}
