@@ -46,13 +46,14 @@ race-repeat:
 # an RD query on a warmed engine, a simulated run on warm shared pools, a
 # warm round of simulated queries through core.Exec that reads its
 # database's placement, a serve client's query whatever its DATA frame
-# count, a VAPPLY round on either end whatever its delta size), in a build
-# without -race and without pooldebug.
+# count, a VAPPLY round on either end whatever its delta size, a VAPPLY
+# round of many one-tuple deltas in server memory linear in its frame), in
+# a build without -race and without pooldebug.
 # `make test` runs only under the race detector, whose sync.Pool drops
 # recycled memory at random, and pooldebug's recycler moves a released
 # table's memory into a fresh Table, so the bounds that count on recycled
 # memory skip in both.
-ALLOC_TESTS = TestSimpleJoinCost|TestSimpleJoinProcessAllocs|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox|TestLendAllocFree|TestScatterAllocFree|TestRDQueryAllocs|TestSimRunAllocs|TestSimExecAllocs|TestRecvAllocFree|TestViewApplyAllocs
+ALLOC_TESTS = TestSimpleJoinCost|TestSimpleJoinProcessAllocs|TestPipeliningTableLifecycle|TestInsertBatchAllocFree|TestTableDeleteAllocFree|TestAllocationsPerEvent|TestViewRoundAllocs|TestScheduleAndPopAllocateNothing|TestRowDecodersAllocateOnce|TestControlFrameAllocs|TestHostOutbox|TestLendAllocFree|TestScatterAllocFree|TestRDQueryAllocs|TestSimRunAllocs|TestSimExecAllocs|TestRecvAllocFree|TestViewApplyAllocs|TestViewApplyManyDeltas
 allocs:
 	$(GO) test -count=1 -run '^($(ALLOC_TESTS))$$' ./internal/hashjoin ./internal/engine ./internal/ivm ./internal/sim ./internal/relation ./internal/serve ./internal/operator ./internal/core
 

@@ -5,7 +5,8 @@
 // shells hold parked (parallel.ProcPool.Parked). A goroutine that has
 // finished its work, or a socket just closed, may take a moment to go, so
 // each check polls until its count is down to the bound or the deadline
-// passes.
+// passes — all but Closing's, made right after a Close that waits for the
+// goroutines it stops.
 //
 // It is a leaf package so that the tests of any package can import it;
 // testutil cannot hold it, since it imports core.
@@ -25,30 +26,63 @@ func Goroutines(want int, deadline time.Duration) error {
 	return settle("goroutines", runtime.NumGoroutine, want, deadline)
 }
 
-// Exited checks, without waiting, what a Close that waits on a
-// sync.WaitGroup for the goroutines it stops should leave: the process runs
-// at most want goroutines besides those still inside the WaitGroup's Done
-// on their way out of exiting, a function named as a stack trace prints
-// it. Go reaps a goroutine a moment after its last call returns, so such
-// a goroutine may still be counted, but nothing else may.
-func Exited(want int, exiting string) error {
+// HostLoop is how a stack trace names the loop a kept shell's host runs
+// (parallel's host.park): it parks in a channel receive between runs, and
+// returns once woken to stop.
+const HostLoop = "multijoin/internal/parallel.(*host).park("
+
+// Stacks returns the stack of every goroutine of the process, one entry
+// each, as runtime.Stack prints them.
+func Stacks() []string {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
 	for n == len(buf) {
 		buf = make([]byte, 2*len(buf))
 		n = runtime.Stack(buf, true)
 	}
-	live, leaving := 0, 0
-	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
-		live++
-		if strings.Contains(g, exiting+"(") && strings.Contains(g, "sync.(*WaitGroup).Done(") {
-			leaving++
+	return strings.Split(string(buf[:n]), "\n\n")
+}
+
+// Closing is called just before a Close that waits for the parked hosts it
+// stops (ProcPool.Close). It returns the check to make right after Close,
+// without waiting: the process runs at most want goroutines besides hosts
+// that have left the loop's receive. Such a host is on its way out — in its
+// deferred WaitGroup.Done, in the loop's epilogue — and Go reaps it a moment
+// later. A host still at the receive, parked or woken but not yet run, is
+// not: its frame in HostLoop sits where those of the hosts parked now do.
+func Closing() func(want int) error {
+	receive := map[string]bool{}
+	for _, g := range Stacks() {
+		header, _, _ := strings.Cut(g, "\n")
+		if pos := hostPos(g); pos != "" && strings.Contains(header, "[chan receive") {
+			receive[pos] = true
 		}
 	}
-	if live-leaving > want {
-		return fmt.Errorf("%d goroutines, %d of them leaving %s; want at most %d besides those", live, leaving, exiting, want)
+	return func(want int) error {
+		live, leaving := 0, 0
+		for _, g := range Stacks() {
+			live++
+			if pos := hostPos(g); pos != "" && !receive[pos] {
+				leaving++
+			}
+		}
+		if live-leaving > want {
+			return fmt.Errorf("%d goroutines, %d of them leaving the host loop; want at most %d besides those", live, leaving, want)
+		}
+		return nil
 	}
-	return nil
+}
+
+// hostPos returns the position (file:line +pc offset) of a goroutine's
+// frame in HostLoop, or "" if it has none.
+func hostPos(g string) string {
+	_, frame, ok := strings.Cut(g, HostLoop)
+	if !ok {
+		return ""
+	}
+	_, frame, _ = strings.Cut(frame, "\n\t")
+	pos, _, _ := strings.Cut(frame, "\n")
+	return pos
 }
 
 // FDs waits until the process holds at most want open file descriptors, and

@@ -23,7 +23,7 @@ import (
 // ProcPool keeps parked (Parked). A query on a second
 // database whose cardinalities bucket to the same plan key gets the cached
 // plan but not a shell placed on the first database's relations. Right
-// after Close no parked host is left (atrest.Exited).
+// after Close no parked host is left (atrest.Closing).
 func TestCachedPlanRuns(t *testing.T) {
 	db := sessionDB(t, 6, parkedCard)
 	tree, err := jointree.BuildShape(jointree.WideBushy, db.NumRelations())
@@ -141,8 +141,9 @@ func TestCachedPlanRuns(t *testing.T) {
 	if err := atrest.Goroutines(baseline+eng.procs.Parked(), 5*time.Second); err != nil {
 		t.Fatalf("after the runs: %v (%d before them, %d parked)", err, baseline, eng.procs.Parked())
 	}
+	exited := atrest.Closing()
 	eng.Close()
-	if err := atrest.Exited(baseline, "parallel.(*host).park"); err != nil {
+	if err := exited(baseline); err != nil {
 		t.Fatalf("right after Close: %v", err)
 	}
 }

@@ -193,17 +193,16 @@ func TestShellReuse(t *testing.T) {
 	}
 }
 
-// parkedStacks counts the goroutines parked in host.park, from a dump of
-// every goroutine's stack.
+// parkedStacks counts the goroutines in host.park, from a dump of every
+// goroutine's stack.
 func parkedStacks() int {
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "parallel.(*host).park(")
+	n := 0
+	for _, g := range atrest.Stacks() {
+		if strings.Contains(g, atrest.HostLoop) {
+			n++
 		}
-		buf = make([]byte, 2*len(buf))
 	}
+	return n
 }
 
 // TestParkedHosts: the hosts of a kept shell stay parked between its runs,
@@ -214,8 +213,8 @@ func parkedStacks() int {
 // process runs no more than the baseline plus them, and the pool's idle
 // shells hold exactly what their last runs counted. Close returns only once
 // the hosts it stops have left their loops, so right after it, with no
-// polling, the process runs the baseline and at most hosts still returning
-// from their WaitGroup.Done, which Go reaps a moment later.
+// polling, the process runs the baseline and at most hosts past their last
+// receive, which Go reaps a moment later (atrest.Closing).
 func TestParkedHosts(t *testing.T) {
 	db, err := wisconsin.Chain(wisconsin.Config{Relations: 6, Cardinality: 2000, Seed: 1995})
 	if err != nil {
@@ -334,8 +333,9 @@ func TestParkedHosts(t *testing.T) {
 	// Close with an RD shell's hosts parked beside what is left.
 	parked = (shells-1)*hosts + run(rd, db)
 	check("an RD run before Close", parked)
+	exited := atrest.Closing()
 	p.Close()
-	if err := atrest.Exited(baseline, "parallel.(*host).park"); err != nil {
+	if err := exited(baseline); err != nil {
 		t.Fatalf("right after Close: %v", err)
 	}
 	check("Close", 0)

@@ -161,7 +161,7 @@ func (b *Batch) AppendColumns(body []byte, n, lo, hi int) {
 // TuplesFromBytes decodes src (a whole number of encoded blocks) and
 // appends the tuples to dst, returning the extended slice. It is the serve
 // client's DATA decoder as well as the row-form oracle of tests: every
-// block header is validated first, dst grows once to the exact total, and
+// block header is validated first, dst grows once (growTuples), and
 // each block's three columns decode straight into rows — one allocation
 // for a frame decoded into a nil dst. On a malformed block it returns dst
 // unchanged with the error.
@@ -188,10 +188,13 @@ func TuplesFromBytes(dst []Tuple, src []byte) ([]Tuple, error) {
 }
 
 // growTuples returns dst with room for n more rows: dst itself when it has
-// it, otherwise a copy of exactly len(dst)+n capacity.
+// it, otherwise a copy with room for len(dst)+n rows or twice cap(dst),
+// whichever is more. An empty dst grows to exactly n; one decoded into a
+// few rows at a time, as serve's VAPPLY rounds are, is copied amortized
+// linear bytes in all.
 func growTuples(dst []Tuple, n int) []Tuple {
 	if cap(dst)-len(dst) < n {
-		grown := make([]Tuple, len(dst), len(dst)+n)
+		grown := make([]Tuple, len(dst), max(len(dst)+n, 2*cap(dst)))
 		copy(grown, dst)
 		dst = grown
 	}

@@ -151,8 +151,9 @@ func SignedBlockHeader(src []byte) (tuples, size int, signed bool, err error) {
 // signed or unsigned — appending its insert rows to ins and its delete rows
 // to del (every row of an unsigned block is an insert), and returns both.
 // One pass validates and counts, so a side without room for its rows grows
-// once, to exactly the size the headers and sign bitmaps announce; the
-// second decodes each row straight into its side. serve's VAPPLY decoder.
+// once (growTuples: to exactly the size the headers and sign bitmaps
+// announce when it is empty); the second decodes each row straight into
+// its side. serve's VAPPLY decoder.
 func DecodeSignedTuples(ins, del []Tuple, src []byte) ([]Tuple, []Tuple, error) {
 	ni, nd := 0, 0
 	for rest := src; len(rest) > 0; {

@@ -107,7 +107,8 @@ func TestSignedBlocksInterleaveUnsigned(t *testing.T) {
 // TestRowDecodersAllocateOnce pins the allocations of the row-form
 // decoders the serve front door runs per frame: into nil destinations, one
 // exact-size slice for a 256-tuple DATA block and one per side of a 64+64
-// delta; into recycled slices with room, none.
+// delta; into recycled slices with room, none; appended to a few rows at a
+// time, one per doubling.
 func TestRowDecodersAllocateOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1995))
 	block := AppendBatchBytes(nil, randBatch(rng, 256))
@@ -125,6 +126,17 @@ func TestRowDecodersAllocateOnce(t *testing.T) {
 		DecodeSignedTuples(ins[:0], del[:0], delta)
 	}); n != 0 {
 		t.Errorf("decoding into recycled slices: %v allocations, want 0", n)
+	}
+	// Decoded a row at a time into one side, as a VAPPLY round of one-tuple
+	// deltas is, a side grows by doubling: 11 allocations for 1 024 rows.
+	one := AppendSignedBlocksBytes(nil, randBatch(rng, 1), nil, 0)
+	if n := testing.AllocsPerRun(10, func() {
+		var ins, del []Tuple
+		for range 1024 {
+			ins, del, _ = DecodeSignedTuples(ins, del, one)
+		}
+	}); n != 11 {
+		t.Errorf("1 024 one-row decodes appended to one slice: %v allocations, want 11", n)
 	}
 }
 

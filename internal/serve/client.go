@@ -422,8 +422,8 @@ func (vh *ViewHandle) Apply(deltas ...ivm.Delta) (ApplyStats, error) {
 	if vh.closed {
 		return ApplyStats{}, ivm.ErrViewClosed
 	}
-	p := binary.LittleEndian.AppendUint32(vh.frame[:0], vh.id)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(deltas)))
+	vh.frame = binary.LittleEndian.AppendUint32(vh.frame[:0], vh.id)
+	vh.frame = binary.LittleEndian.AppendUint32(vh.frame, uint32(len(deltas)))
 	for _, d := range deltas {
 		if int(int32(d.Rel)) != d.Rel {
 			return ApplyStats{}, fmt.Errorf("serve: delta for base relation %d", d.Rel)
@@ -432,10 +432,9 @@ func (vh *ViewHandle) Apply(deltas ...ivm.Delta) (ApplyStats, error) {
 		vh.del.Reset()
 		vh.ins.AppendTuples(d.Insert)
 		vh.del.AppendTuples(d.Delete)
-		p = appendDelta(p, int32(d.Rel), &vh.ins, &vh.del)
+		vh.frame = appendDelta(vh.frame, int32(d.Rel), &vh.ins, &vh.del)
 	}
-	vh.frame = p
-	if err := vh.cl.c.WriteFrame(fsViewApply, p); err != nil {
+	if err := vh.cl.c.WriteFrame(fsViewApply, vh.frame); err != nil {
 		return ApplyStats{}, err
 	}
 	e := <-vh.ev

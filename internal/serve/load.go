@@ -106,22 +106,40 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	clients, err := dialAll("load", cfg.Addr, cfg.Conns, cfg.Window)
-	if err != nil {
-		return nil, err
+	clients := make([]*Client, cfg.Conns)
+	for i := range clients {
+		cl, err := DialWindow(cfg.Addr, cfg.Window)
+		if err != nil {
+			for _, c := range clients[:i] {
+				c.Close()
+			}
+			return nil, fmt.Errorf("serve: load dial %d: %w", i, err)
+		}
+		clients[i] = cl
 	}
-	defer closeAll(clients)
+	defer func() {
+		for _, cl := range clients {
+			cl.Close()
+		}
+	}()
 
 	stats := &loadStats{}
 	start := time.Now()
 	deadline := start.Add(cfg.Duration)
-	drive(clients, cfg.Seed, func(cl *Client, rng *rand.Rand) {
-		if cfg.OfferedQPS > 0 {
-			openLoop(cl, cfg, rng, deadline, stats)
-		} else {
-			closedLoop(cl, cfg, rng, deadline, stats)
-		}
-	})
+	var wg sync.WaitGroup
+	for i, cl := range clients {
+		wg.Add(1)
+		go func(i int, cl *Client) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+			if cfg.OfferedQPS > 0 {
+				openLoop(cl, cfg, rng, deadline, stats)
+			} else {
+				closedLoop(cl, cfg, rng, deadline, stats)
+			}
+		}(i, cl)
+	}
+	wg.Wait()
 	elapsed := time.Since(start)
 
 	res := &LoadResult{
@@ -236,42 +254,6 @@ func openLoop(cl *Client, cfg LoadConfig, rng *rand.Rand, deadline time.Time, st
 			return true
 		})
 		<-graceDone
-	}
-}
-
-// dialAll opens n connections to addr with the given credit window; if one
-// fails, it closes those it opened and names the step in the error.
-func dialAll(step, addr string, n, window int) ([]*Client, error) {
-	clients := make([]*Client, n)
-	for i := range clients {
-		cl, err := DialWindow(addr, window)
-		if err != nil {
-			closeAll(clients[:i])
-			return nil, fmt.Errorf("serve: %s dial %d: %w", step, i, err)
-		}
-		clients[i] = cl
-	}
-	return clients, nil
-}
-
-// drive runs f on every client at once, each with a generator of its own
-// seeded from seed, and returns once every f has.
-func drive(clients []*Client, seed int64, f func(cl *Client, rng *rand.Rand)) {
-	var wg sync.WaitGroup
-	for i, cl := range clients {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f(cl, rand.New(rand.NewSource(seed+int64(i)*7919)))
-		}()
-	}
-	wg.Wait()
-}
-
-// closeAll closes every client.
-func closeAll(clients []*Client) {
-	for _, cl := range clients {
-		cl.Close()
 	}
 }
 

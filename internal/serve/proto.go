@@ -190,13 +190,11 @@ func parseApply(p []byte) (sid uint32, n int, deltas []byte, ok bool) {
 		return 0, 0, nil, false
 	}
 	sid, n, deltas = binary.LittleEndian.Uint32(p), int(binary.LittleEndian.Uint32(p[4:])), p[8:]
-	rest := deltas
-	for i := 0; i < n; i++ {
-		if _, _, rest, ok = nextDelta(rest); !ok {
-			return 0, 0, nil, false
-		}
+	rest, ok := deltas, true
+	for i := 0; i < n && ok; i++ {
+		_, _, rest, ok = nextDelta(rest)
 	}
-	return sid, n, deltas, len(rest) == 0
+	return sid, n, deltas, ok && len(rest) == 0
 }
 
 // viewResultMsg answers one VAPPLY once the view is exact again.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -262,35 +264,8 @@ func TestViewApplyAllocs(t *testing.T) {
 	})
 
 	t.Run("server", func(t *testing.T) {
-		eng, err := core.Open(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(eng, Config{})
-		defer srv.Close()
-		addr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := wire.Dial(addr, helloTimeout, maxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.WriteMsg(wire.KindHello, helloMsg{Version: protoVersion, Role: roleClient}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.ReadMsg(wire.KindHello, nil, helloTimeout); err != nil {
-			t.Fatal(err)
-		}
 		const sid = 1
-		var ok viewOKMsg
-		if err := c.WriteMsg(fsViewCreate, viewCreateMsg{ID: sid, Shape: "left-linear"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.ReadMsg(fsViewOK, &ok, 0); err != nil {
-			t.Fatal(err)
-		}
+		c, ok := rawView(t, db, sid)
 		frames := map[int][]byte{}
 		for _, ds := range [][]ivm.Delta{small, large} {
 			p := sidPayload(sid, uint32(len(ds)))
@@ -314,6 +289,82 @@ func TestViewApplyAllocs(t *testing.T) {
 		})
 		check("server", small, large, serverApplyAllocs)
 	})
+}
+
+// rawView serves db and opens a view on stream sid over a bare connection
+// that has sent its HELLO, returning the connection and the VOK. Both are
+// released when the test ends.
+func rawView(t *testing.T, db *wisconsin.Database, sid uint32) (*wire.Conn, viewOKMsg) {
+	t.Helper()
+	eng, err := core.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(eng, Config{})
+	t.Cleanup(func() { srv.Close() })
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := wire.Dial(addr, helloTimeout, maxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := c.WriteMsg(wire.KindHello, helloMsg{Version: protoVersion, Role: roleClient}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadMsg(wire.KindHello, nil, helloTimeout); err != nil {
+		t.Fatal(err)
+	}
+	var ok viewOKMsg
+	if err := c.WriteMsg(fsViewCreate, viewCreateMsg{ID: sid, Shape: "left-linear"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadMsg(fsViewOK, &ok, 0); err != nil {
+		t.Fatal(err)
+	}
+	return c, ok
+}
+
+// TestViewApplyManyDeltas: a VAPPLY round of many one-tuple deltas costs
+// the server memory linear in its frame. Each delta is decoded into the
+// connection's round buffers before the view checks a single relation, so
+// a buffer that grew by exactly each delta's rows would be copied whole
+// per delta, and every earlier array would stay live with the delta that
+// views it: sum(i*24) bytes, 50 MB at this frame's 2 048 deltas of 84 KB
+// (and terabytes at the 420 000 a 16 MiB frame holds). The round names a
+// relation the view does not have, so the view refuses it whole and what
+// the server allocates is the frame's read and decode.
+func TestViewApplyManyDeltas(t *testing.T) {
+	db, err := wisconsin.Chain(wisconsin.Config{Relations: 3, Cardinality: 100, Seed: 1995})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sid, deltas = 1, 2048
+	c, _ := rawView(t, db, sid)
+	var one relation.Batch
+	one.AppendTuples(db.Relation(0).Tuples[:1])
+	frame := sidPayload(sid, deltas)
+	for range deltas {
+		frame = appendDelta(frame, 99, &one, nil)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var em errMsg
+	if err := c.WriteFrame(fsViewApply, frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadMsg(fsError, &em, 0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(16*len(frame)); got > bound {
+		t.Errorf("a round of %d one-tuple deltas (%d bytes) allocated %d bytes, want at most %d", deltas, len(frame), got, bound)
+	}
+	if !strings.Contains(em.Msg, "unknown base relation 99") {
+		t.Errorf("round answered %q, want the view's refusal of relation 99", em.Msg)
+	}
 }
 
 // The allocations of a warm VAPPLY round on each end (TestViewApplyAllocs),

@@ -29,34 +29,22 @@ type Config struct{}
 // in-flight cursors through the engine's own graceful-drain path before
 // closing it.
 type Server struct {
-	eng     *core.Engine
-	batches *relation.BatchPool // the result batches runQuery reads into
+	eng *core.Engine
 
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[*srvConn]struct{}
-	trees  map[treeKey]*jointree.Node // built join trees (tree)
 	closed bool
 
 	wg sync.WaitGroup // accept loop + connection handlers
-}
 
-// treeKey names one join tree a request may ask for: a shape over the
-// first k relations of the database.
-type treeKey struct {
-	shape jointree.Shape
-	k     int
+	trees sync.Map // [2]int{shape, k} -> *jointree.Node: built join trees (tree)
 }
-
-// maxIdleBatches bounds the result batches the server keeps idle between
-// queries: one per query it streams at once, up to this many.
-const maxIdleBatches = 64
 
 // NewServer wraps an open engine. The server owns eng from here on:
 // Server.Shutdown (or Close) closes it.
 func NewServer(eng *core.Engine, cfg Config) *Server {
-	return &Server{eng: eng, conns: make(map[*srvConn]struct{}), trees: make(map[treeKey]*jointree.Node),
-		batches: relation.NewBatchPool(parallel.DefaultBatchTuples, maxIdleBatches)}
+	return &Server{eng: eng, conns: make(map[*srvConn]struct{})}
 }
 
 // Start binds addr (host:port; port 0 picks an ephemeral port), spawns the
@@ -351,8 +339,8 @@ func (sc *srvConn) runQuery(ctx context.Context, sq *srvStream, sub submitMsg) {
 	}
 	defer rows.Close()
 	var nrows int64
-	batch := sc.srv.batches.Get()
-	defer sc.srv.batches.Put(batch)
+	batch := relation.SharedPool(parallel.DefaultBatchTuples).Get()
+	defer relation.PutShared(batch)
 	for ; core.ReadBatch(rows, batch); batch.Reset() {
 		err := sq.win.Take(ctx)
 		if err == nil {
@@ -532,16 +520,16 @@ func (s *Server) buildQuery(sub submitMsg) (core.Query, []core.Option, error) {
 // request that asks for it and shared by every later one: nothing writes
 // to a built tree (core.Advise mirrors a Clone). buildQuery has checked k
 // against the database, so the trees are bounded by shapes × relations.
+// Two first requests may both build; every request gets the one stored.
 func (s *Server) tree(shape jointree.Shape, k int) (*jointree.Node, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.trees[treeKey{shape, k}]
-	if !ok {
-		var err error
-		if t, err = jointree.BuildShape(shape, k); err != nil {
-			return nil, err
-		}
-		s.trees[treeKey{shape, k}] = t
+	key := [2]int{int(shape), k}
+	if t, ok := s.trees.Load(key); ok {
+		return t.(*jointree.Node), nil
 	}
-	return t, nil
+	t, err := jointree.BuildShape(shape, k)
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := s.trees.LoadOrStore(key, t)
+	return shared.(*jointree.Node), nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -75,16 +76,36 @@ func RunTicker(cfg TickerConfig) (*TickerResult, error) {
 	if cfg.DeltaTuples <= 0 {
 		cfg.DeltaTuples = 16
 	}
-	clients, err := dialAll("ticker", cfg.Addr, cfg.Views, DefaultWindow)
-	if err != nil {
-		return nil, err
+	clients := make([]*Client, cfg.Views)
+	for i := range clients {
+		cl, err := Dial(cfg.Addr)
+		if err != nil {
+			for _, c := range clients[:i] {
+				c.Close()
+			}
+			return nil, fmt.Errorf("serve: ticker dial %d: %w", i, err)
+		}
+		clients[i] = cl
 	}
-	defer closeAll(clients)
+	defer func() {
+		for _, cl := range clients {
+			cl.Close()
+		}
+	}()
 
 	stats := &tickerStats{}
 	start := time.Now()
 	deadline := start.Add(cfg.Duration)
-	drive(clients, cfg.Seed, func(cl *Client, rng *rand.Rand) { tickOne(cl, cfg, rng, deadline, stats) })
+	var wg sync.WaitGroup
+	for i, cl := range clients {
+		wg.Add(1)
+		go func(i int, cl *Client) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+			tickOne(cl, cfg, rng, deadline, stats)
+		}(i, cl)
+	}
+	wg.Wait()
 	elapsed := time.Since(start)
 
 	res := &TickerResult{
