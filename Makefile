@@ -32,11 +32,12 @@ test:
 # under the race detector): a kept shell's parked hosts — started once,
 # woken per run, ended on every path that drops the shell — reused shells
 # under concurrent runners, cancellation under a ProcPool and an engine,
-# and the serve client's row buffers, handed between its connection reader
-# and two streams' Recv.
-LIFECYCLE_TESTS = TestParkedHosts|TestShellReuse|TestHostedCancel|TestCachedPlanRuns|TestEngineCancel|TestRecvRecycles
+# the serve client's row buffers, handed between its connection reader
+# and two streams' Recv, and a view's Rows, which reads the join tables
+# Close releases.
+LIFECYCLE_TESTS = TestParkedHosts|TestShellReuse|TestHostedCancel|TestCachedPlanRuns|TestEngineCancel|TestRecvRecycles|TestViewRowsDuringClose
 race-repeat:
-	$(GO) test -race -count=3 -run '$(LIFECYCLE_TESTS)' ./internal/parallel ./internal/core ./internal/serve
+	$(GO) test -race -count=3 -run '$(LIFECYCLE_TESTS)' ./internal/parallel ./internal/core ./internal/serve ./internal/ivm
 
 # Allocation bounds: every test that pins how often a kernel allocates (a
 # hash join's table life, none; a simple-join process's life, at most its

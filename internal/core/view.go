@@ -27,7 +27,7 @@ import (
 )
 
 // View is an engine-owned materialized view over one query: the resident
-// FP join network plus the maintained result multiset. All methods are
+// FP join network, whose top join's tables hold the result. All methods are
 // safe for concurrent use with each other and with engine shutdown;
 // Apply calls themselves serialize (one delta round at a time).
 type View struct {
@@ -133,9 +133,9 @@ func (v *View) Changes() *ivm.ChangeStream { return v.iv.Changes() }
 // ResultCard returns the current result cardinality without materializing.
 func (v *View) ResultCard() int { return v.iv.ResultCard() }
 
-// Resident returns the view's current resident bytes (join operand tables
-// plus the maintained result) — the amount charged to the engine's shared
-// memory budget, before any admission reservation.
+// Resident returns the view's current resident bytes (its join operand
+// tables, which also hold the result) — the amount charged to the engine's
+// shared memory budget, before any admission reservation.
 func (v *View) Resident() int64 { return v.iv.Resident() }
 
 // Close tears the view's network down, settles its charge and reservation

@@ -759,6 +759,29 @@ func (j *Pipelining) Unmatched() int64 {
 	return u
 }
 
+// AppendResult appends to rel the join of the two tables as they stand:
+// each occupied build-side slot probes the probe-side table with its key,
+// and every pair of chain entries is combined by Spec.Result. A resident
+// join's tables hold both operands whole, so this is its result multiset; a
+// join with a side without a table appends nothing.
+func (j *Pipelining) AppendResult(rel *relation.Relation) {
+	b, p := j.buildTable, j.probeTable
+	if b.Len() == 0 || p.Len() == 0 {
+		return
+	}
+	for s, h := range b.head {
+		if h == 0 {
+			continue
+		}
+		first := p.First(b.keys[s])
+		for e := h - 1; first >= 0 && e >= 0; e = b.Next(e) {
+			for i := first; i >= 0; i = p.Next(i) {
+				rel.Tuples = append(rel.Tuples, j.spec.Result(b.At(e), p.At(i)))
+			}
+		}
+	}
+}
+
 // MemBytes returns the resident size of the tables the join holds
 // (Table.MemBytes); a side without one counts as empty.
 func (j *Pipelining) MemBytes() int64 { return j.buildTable.MemBytes() + j.probeTable.MemBytes() }

@@ -480,3 +480,95 @@ func TestPipeliningMemorySizes(t *testing.T) {
 		t.Errorf("Sizes = (%d,%d), want (64,64)", b, p)
 	}
 }
+
+// TestAppendResult: after any sequence of signed insert and retraction
+// batches on both sides of a join that closes neither — the resident join of
+// a view — AppendResult yields exactly the join of the surviving operands,
+// in both orientations. Narrow keys make duplicate chains; every round also
+// retracts one key's whole chain on each side, which empties its slot
+// (clearSlot); and a small hint makes the tables grow. A join with a side
+// that has no table appends nothing.
+func TestAppendResult(t *testing.T) {
+	const keys = 13
+	for _, buildIsLower := range []bool{true, false} {
+		spec := Spec{BuildIsLower: buildIsLower}
+		rng := rand.New(rand.NewSource(1995))
+		gen := func(build bool) relation.Tuple {
+			k, other := rng.Int63n(keys), rng.Int63n(1000)
+			if build == buildIsLower { // the lower operand joins on Unique2
+				return relation.Tuple{Unique1: other, Unique2: k, Check: rng.Uint64()}
+			}
+			return relation.Tuple{Unique1: k, Unique2: other, Check: rng.Uint64()}
+		}
+		j := NewPipeliningSized(spec, 4)
+		live := [2]*relation.Relation{relation.New("B", 208), relation.New("P", 208)}
+		attrs := [2]relation.Attr{spec.BuildAttr(), spec.ProbeAttr()}
+		var out relation.Batch
+		var cleared int
+		for round := 0; round < 40; round++ {
+			for side, build := range []bool{true, false} {
+				var ins relation.Batch
+				for i := rng.Intn(12); i > 0; i-- {
+					tp := gen(build)
+					ins.AppendTuple(tp)
+					live[side].Append(tp)
+				}
+				out.Reset()
+				if build {
+					j.FromBuildSideBatchInto(&out, &ins)
+				} else {
+					j.FromProbeSideBatchInto(&out, &ins)
+				}
+				// Retract some survivors, one key's whole chain and a ghost.
+				gone := rng.Int63n(keys)
+				var del relation.Batch
+				kept := live[side].Tuples[:0]
+				for _, tp := range live[side].Tuples {
+					if tp.Get(attrs[side]) == gone || rng.Intn(4) == 0 {
+						del.AppendTuple(tp)
+					} else {
+						kept = append(kept, tp)
+					}
+				}
+				live[side].Tuples = kept
+				del.AppendTuple(relation.Tuple{Unique1: -1, Unique2: -1})
+				tab := j.probeTable
+				if build {
+					tab = j.buildTable
+				}
+				used := 0
+				if tab != nil {
+					used = tab.used
+				}
+				out.Reset()
+				j.RetractInto(&out, &del, build)
+				if tab != nil && tab.used < used {
+					cleared++
+				}
+				if u := j.Unmatched(); u != 1 {
+					t.Fatalf("BuildIsLower=%v round %d: Unmatched = %d, want the one ghost", buildIsLower, round, u)
+				}
+			}
+			got := relation.New("got", 208)
+			j.AppendResult(got)
+			if want := Join(live[0], live[1], spec, false); !relation.EqualMultiset(got, want) {
+				t.Fatalf("BuildIsLower=%v round %d: AppendResult: %s", buildIsLower, round, relation.DiffMultiset(got, want))
+			}
+		}
+		if cleared == 0 {
+			t.Errorf("BuildIsLower=%v: no retraction emptied a slot", buildIsLower)
+		}
+		j.Release()
+
+		one := NewPipeliningSized(spec, 0)
+		one.FromBuildSideBatchInto(&out, batchOf([]relation.Tuple{gen(true)}))
+		got := relation.New("got", 208)
+		one.AppendResult(got)
+		var none Pipelining
+		none.AppendResult(got)
+		if got.Card() != 0 {
+			t.Errorf("BuildIsLower=%v: a join with a nil side appended %d tuples", buildIsLower, got.Card())
+		}
+		one.Release()
+	}
+}

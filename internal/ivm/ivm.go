@@ -23,18 +23,25 @@
 // queries, running the kernel's signed join step (operator.Join) and
 // outbox, whose ordering rule keeps a retraction behind the insertion it
 // cancels. What is left here is the view's: staging rounds, the collector
-// of the result multiset, change streams, and metering its residency.
+// that counts the round's result changes, change streams, and metering its
+// residency.
+//
+// The view keeps no copy of its result. Both operand tables of the top join
+// stay resident, so by the same delta identity its result is the join of
+// those two tables, which Rows computes on demand (parallel.Resident.Result).
 //
 // Rounds are separated by a punctuation barrier: one Apply injects its
 // delta through every scan edge, then sends one end-of-round mark down
 // every stream of the plan. A host forwards its marks only after each of
 // its processes has collected one per incoming stream — by then, stream
 // FIFO order guarantees it has processed and forwarded all of its round
-// input — so
-// the collector holding every mark implies the result multiset is exact
+// input — so the collector holding every mark implies every table is exact
 // for the round. The collector then reports the round's change count,
 // publishes the changes to subscribed change streams (View.Changes), and
-// releases the waiting Apply.
+// releases the waiting Apply. Each host wrote its tables before it
+// forwarded its marks, and the marks, the collector, Apply's return and
+// the view's lock order those writes before any Rows that follows; Close
+// takes the lock before it releases the tables.
 //
 // Where a view sits relative to Berkholz et al.'s tractability boundary:
 // they maintain queries in constant time per update on databases of
@@ -46,10 +53,9 @@
 // Deltas that repeat a key raise the degree, and with it the matches one
 // probe can yield.
 //
-// Resident state — two hash tables per join process plus the collector's
-// result multiset — is measured after every round and charged to the
-// configured spill.Meter, so views compete for the same memory budget as
-// queries.
+// Resident state — two hash tables per join process, at their exact bytes —
+// is measured after every round and charged to the configured spill.Meter,
+// so views compete for the same memory budget as queries.
 package ivm
 
 import (
@@ -68,20 +74,15 @@ import (
 // ErrViewClosed is returned by Apply/Rows on a closed (or torn-down) view.
 var ErrViewClosed = errors.New("ivm: view is closed")
 
-// collEntryBytes estimates the resident cost of one distinct result tuple
-// in the collector's multiset: the 24-byte tuple, an 8-byte count, and map
-// bookkeeping.
-const collEntryBytes = 48
-
 // Config parameterizes a view.
 type Config struct {
 	// TupleBytes is the declared tuple width of Rows snapshots (zero:
 	// relation.TupleWireBytes).
 	TupleBytes int
-	// Meter, when set, is charged with the view's resident bytes — join
-	// tables plus the result multiset — re-measured after every round and
-	// released on Close. Pass a child of the engine's shared meter so
-	// views and queries draw down one budget.
+	// Meter, when set, is charged with the view's resident bytes — its
+	// join tables, which hold the result too — re-measured after every
+	// round and released on Close. Pass a child of the engine's shared
+	// meter so views and queries draw down one budget.
 	Meter *spill.Meter
 }
 
@@ -114,16 +115,15 @@ type Change struct {
 type roundResult struct {
 	changes int
 	card    int
-	bytes   int64 // the result multiset's resident size
 }
 
-// collector owns the result multiset and the change-stream subscribers.
+// collector counts the result changes and owns the change-stream
+// subscribers.
 type collector struct {
 	v       *View
 	in      <-chan operator.Msg
 	expect  int
-	counts  map[relation.Tuple]int64
-	card    int
+	card    int // the result multiset's size
 	changes int // signed changes in the current round
 
 	subMu      sync.Mutex
@@ -132,7 +132,7 @@ type collector struct {
 }
 
 // View is a continuously maintained materialization of one query: the
-// resident join network plus the collected result multiset. Apply, Rows,
+// resident join network, whose top join's tables hold the result. Apply, Rows,
 // Changes and Close are safe for concurrent use; one Apply runs at a time.
 type View struct {
 	cfg  Config
@@ -145,7 +145,7 @@ type View struct {
 
 	roundDone chan roundResult
 
-	mu      sync.Mutex // serializes rounds, snapshots and subscriptions
+	mu      sync.Mutex // serializes rounds, snapshots, subscriptions and Close
 	charged int64      // bytes currently charged to cfg.Meter
 
 	closeOnce sync.Once
@@ -172,7 +172,7 @@ func New(plan *xra.Plan, base func(leaf int) *relation.Relation, run parallel.Co
 	}
 	in, marks := net.Collected()
 	v := &View{cfg: cfg, net: net, ctx: ctx, cancel: cancel, roundDone: make(chan roundResult, 1)}
-	v.coll = &collector{v: v, in: in, expect: marks, counts: make(map[relation.Tuple]int64)}
+	v.coll = &collector{v: v, in: in, expect: marks}
 	v.wg.Add(1)
 	go v.coll.run()
 
@@ -208,7 +208,7 @@ func (c *collector) run() {
 					continue
 				}
 				got = 0
-				r := roundResult{changes: c.changes, card: c.card, bytes: int64(len(c.counts)) * collEntryBytes}
+				r := roundResult{changes: c.changes, card: c.card}
 				c.changes = 0
 				if !c.push(changes) {
 					return
@@ -222,20 +222,12 @@ func (c *collector) run() {
 				continue
 			}
 			b := m.Batch
-			wantChanges := c.hasSubs()
-			for i, n := 0, b.Len(); i < n; i++ {
-				t := b.Tuple(i)
-				cnt := c.counts[t] + int64(m.Sign)
-				if cnt == 0 {
-					delete(c.counts, t)
-				} else {
-					c.counts[t] = cnt
-				}
-				c.card += int(m.Sign)
-				if wantChanges {
-					changes = append(changes, Change{Tuple: t, Sign: m.Sign})
+			if c.hasSubs() {
+				for i, n := 0, b.Len(); i < n; i++ {
+					changes = append(changes, Change{Tuple: b.Tuple(i), Sign: m.Sign})
 				}
 			}
+			c.card += int(m.Sign) * b.Len()
 			c.changes += b.Len()
 			c.v.net.Release(b)
 		case <-c.v.ctx.Done():
@@ -357,10 +349,10 @@ func (v *View) Changes() *ChangeStream {
 
 // Apply runs one maintenance round: every delta's inserts, then every
 // delta's deletes, are routed into the network, the round is fenced with
-// tokens, and Apply returns once the collector holds the exact new result.
-// A ctx already done fails the call before anything is injected, leaving
-// the view as it was. Once the round is in flight ctx still aborts the
-// wait, but the round cannot be unwound, so that tears the view down.
+// tokens, and Apply returns once the network's tables hold the exact new
+// result. A ctx already done fails the call before anything is injected,
+// leaving the view as it was. Once the round is in flight ctx still aborts
+// the wait, but the round cannot be unwound, so that tears the view down.
 func (v *View) Apply(ctx context.Context, deltas ...Delta) (ApplyResult, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -407,13 +399,13 @@ func (v *View) round(ctx context.Context, deltas []Delta) (ApplyResult, error) {
 	}
 	tables, unmatched := v.net.Round()
 	out.Changes, out.ResultCard, out.Unmatched = r.changes, r.card, unmatched
-	v.recharge(tables + r.bytes)
+	v.recharge(tables)
 	return out, nil
 }
 
 // recharge charges the meter with the difference between total, the
-// resident bytes re-measured at the end of a round — the network's tables
-// plus the result multiset — and what it holds. Callers hold v.mu.
+// resident bytes re-measured at the end of a round — the network's tables —
+// and what it holds. Callers hold v.mu.
 func (v *View) recharge(total int64) {
 	if d := total - v.charged; d != 0 {
 		if v.cfg.Meter != nil {
@@ -423,21 +415,17 @@ func (v *View) recharge(total int64) {
 	}
 }
 
-// Rows materializes the current result multiset. The snapshot is exact:
-// it reflects every Apply that returned and nothing in flight.
+// Rows materializes the current result multiset by joining the top join's
+// two tables. The snapshot is exact: it reflects every Apply that returned
+// and nothing in flight.
 func (v *View) Rows() (*relation.Relation, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.ctx.Err() != nil {
 		return nil, ErrViewClosed
 	}
-	c := v.coll
-	rel := relation.NewWithCap("view", v.cfg.TupleBytes, c.card)
-	for t, n := range c.counts {
-		for ; n > 0; n-- {
-			rel.Append(t)
-		}
-	}
+	rel := relation.NewWithCap("view", v.cfg.TupleBytes, v.coll.card)
+	v.net.Result(rel)
 	return rel, nil
 }
 
@@ -449,7 +437,7 @@ func (v *View) ResultCard() int {
 }
 
 // Resident returns the bytes currently charged for the view's resident
-// state (hash tables plus result multiset).
+// state: its join tables' exact bytes.
 func (v *View) Resident() int64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -459,13 +447,14 @@ func (v *View) Resident() int64 {
 // Close tears the network down: goroutines exit, the hash tables are
 // dropped, subscribers' streams end, and the meter charge is released.
 // Close is idempotent and unblocks a concurrent Apply (which reports
-// ErrViewClosed).
+// ErrViewClosed). It releases the tables only under the view's lock, so a
+// Rows in progress finishes reading them first.
 func (v *View) Close() error {
 	v.closeOnce.Do(func() {
 		v.cancel()
+		v.mu.Lock()
 		v.net.Close()
 		v.wg.Wait()
-		v.mu.Lock()
 		if v.charged != 0 {
 			if v.cfg.Meter != nil {
 				v.cfg.Meter.Add(-v.charged)

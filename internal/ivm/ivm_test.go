@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -321,6 +322,48 @@ func TestViewCloseUnblocksApply(t *testing.T) {
 	}
 }
 
+// TestViewRowsDuringClose: Rows joins the top join's tables, which Close
+// releases, so Close must wait out a Rows in progress. Goroutines loop on
+// Rows while Close runs; every call returns the exact multiset or
+// ErrViewClosed, and none reads a released table (which -race and
+// -tags pooldebug would catch).
+func TestViewRowsDuringClose(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		h := newHarness(t, jointree.LeftLinear, strategy.FP, 4, 2000, int64(trial+1), parallel.Config{}, Config{})
+		want := jointree.Reference(h.tree, func(leaf int) *relation.Relation { return h.shadow[leaf] })
+		errs := make(chan error, 4)
+		var wg sync.WaitGroup
+		for g := 0; g < cap(errs); g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					got, err := h.view.Rows()
+					if errors.Is(err, ErrViewClosed) {
+						return
+					}
+					if err == nil {
+						if diff := relation.DiffMultiset(got, want); diff != "" {
+							err = errors.New(diff)
+						}
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(trial) * time.Millisecond)
+		h.view.Close()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("trial %d: Rows during Close: %v", trial, err)
+		}
+	}
+}
+
 // TestViewApplyCancelledContext: an Apply whose context is already done
 // fails with the context's error before injecting anything, and the view
 // stays as it was and keeps serving.
@@ -378,7 +421,7 @@ func TestViewRoundAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 50; i++ { // until scratch buffers, free lists and the result map settle
+	for i := 0; i < 50; i++ { // until scratch buffers and free lists settle
 		round()
 	}
 	allocs := testing.AllocsPerRun(50, round)

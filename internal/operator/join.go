@@ -215,6 +215,10 @@ func (j *Join) Release() {
 // MemBytes returns the resident size of a resident process's tables.
 func (j *Join) MemBytes() int64 { return j.pipe.MemBytes() }
 
+// AppendResult appends a resident process's share of the join result, the
+// join of its two tables, to rel (hashjoin.Pipelining.AppendResult).
+func (j *Join) AppendResult(rel *relation.Relation) { j.pipe.AppendResult(rel) }
+
 // Unmatched returns how many of a resident process's deletions found no row
 // to retract since the last call.
 func (j *Join) Unmatched() int64 { return j.pipe.Unmatched() }

@@ -15,8 +15,8 @@ import (
 // hosts like a query's, on the same slots, but every one starts symmetric
 // and treats punctuation as the end of a round. The scans are not launched
 // — Inject stands in for them — and neither is the collect: its inbox is
-// the caller's to drain (Collected). Inject, EndRound and Round are for one
-// goroutine at a time.
+// the caller's to drain (Collected). Inject, EndRound, Round and Result are
+// for one goroutine at a time.
 type Resident struct {
 	r         *runtimeState
 	sources   map[int]*operator.Outbox // by scan leaf: the scan's consumer edge
@@ -104,10 +104,27 @@ func (s *Resident) Round() (tableBytes, unmatched int64) {
 	return s.tables.Load(), s.unmatched.Swap(0)
 }
 
-// Close stops the network and returns once every host has exited, each
-// having released its processes' tables. Batches still in the inboxes are
-// left to the garbage collector.
+// Result appends the network's result multiset to rel: the join of each
+// top-join process's two tables. Call it between rounds, like Round, and
+// not concurrently with Close, which releases the tables; the hosts leave
+// them to Close, so a Result that ends before Close starts is safe even
+// once the network is cancelled.
+func (s *Resident) Result(rel *relation.Relation) {
+	top := s.r.ops[s.r.wiring.Collect.In[operator.In].Index]
+	for i := range top.procs {
+		top.procs[i].join.AppendResult(rel)
+	}
+}
+
+// Close stops the network, waits for every host to exit and releases the
+// processes' tables. Batches still in the inboxes are left to the garbage
+// collector.
 func (s *Resident) Close() {
 	s.r.cancel(nil)
 	s.r.wg.Wait()
+	for _, os := range s.r.ops {
+		for i := range os.procs {
+			os.procs[i].join.Reset()
+		}
+	}
 }

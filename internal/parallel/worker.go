@@ -70,13 +70,17 @@ type proc struct {
 
 // run is the worker goroutine body: it serves the hosted processes (work)
 // and, on every exit path — cancellation and failure included — releases
-// and resets their joins. The host that finishes the operator's last local
-// process counts the operator complete for its dependents.
+// and resets their joins, unless the network is resident: its tables hold
+// the result Resident.Result reads, and Resident.Close releases them. The
+// host that finishes the operator's last local process counts the operator
+// complete for its dependents.
 func (w *host) run() {
 	defer w.r.wg.Done()
 	finished := w.work()
 	for _, i := range w.procs {
-		w.op.procs[i].join.Reset()
+		if w.r.resident == nil {
+			w.op.procs[i].join.Reset()
+		}
 	}
 	if finished && w.op.remaining.Add(-1) == 0 {
 		w.op.wallDone = time.Since(w.r.start)

@@ -34,7 +34,14 @@ func removeOne(rel *relation.Relation, tp relation.Tuple) bool {
 // and any generated delta script, the incrementally maintained view must
 // equal a from-scratch recompute of the sequential reference over shadow
 // base relations after every round, with the unmatched-delete count
-// predicted exactly by the script's ghost deletes.
+// predicted exactly by the script's ghost deletes and the result size
+// ApplyResult reports equal to the recompute's.
+//
+// Rows joins the network's tables, so it does not see the signed batches
+// the network emits. In half the inputs (deltaSeed odd) the oracle
+// therefore also subscribes a change stream and folds every round's
+// changes into a multiset of its own, seeded from the initial Rows, which
+// must equal the recompute too.
 //
 // One byte of the input (the low byte of seed^deltaSeed) also picks a
 // cancellation point: bits 0–2 the round whose context is cancelled (none
@@ -83,9 +90,14 @@ func FuzzViewEquivalence(f *testing.F) {
 			cp.Append(r.Tuples...)
 			shadow[i] = cp
 		}
-		// check compares the view with the recompute; false means the view
-		// was torn down.
-		check := func(round int) bool {
+		// folded is the subscribed change stream's multiset (nil without
+		// one).
+		var stream *ivm.ChangeStream
+		var folded map[relation.Tuple]int64
+		// check compares the view, its result size card and the folded
+		// change stream with the recompute; false means the view was torn
+		// down.
+		check := func(round, card int) bool {
 			got, err := view.Rows()
 			if errors.Is(err, ivm.ErrViewClosed) {
 				return false
@@ -97,9 +109,39 @@ func FuzzViewEquivalence(f *testing.F) {
 			if diff := relation.DiffMultiset(got, want); diff != "" {
 				t.Fatalf("%s: deltaSeed=%d round %d: view differs from recompute: %s", s.Desc, deltaSeed, round, diff)
 			}
+			if card != want.Card() {
+				t.Fatalf("%s: deltaSeed=%d round %d: result size %d, recompute has %d", s.Desc, deltaSeed, round, card, want.Card())
+			}
+			if folded == nil {
+				return true
+			}
+			changed := relation.New("changes", want.TupleBytes)
+			for tp, n := range folded {
+				if n < 0 {
+					t.Fatalf("%s: deltaSeed=%d round %d: change stream leaves %v at count %d", s.Desc, deltaSeed, round, tp, n)
+				}
+				for ; n > 0; n-- {
+					changed.Append(tp)
+				}
+			}
+			if diff := relation.DiffMultiset(changed, want); diff != "" {
+				t.Fatalf("%s: deltaSeed=%d round %d: folded changes differ from recompute: %s", s.Desc, deltaSeed, round, diff)
+			}
 			return true
 		}
-		check(0)
+		check(0, view.ResultCard())
+		if deltaSeed&1 != 0 {
+			stream = view.Changes()
+			defer stream.Close()
+			initial, err := view.Rows()
+			if err != nil {
+				t.Fatalf("%s: Rows: %v", s.Desc, err)
+			}
+			folded = make(map[relation.Tuple]int64, initial.Card())
+			for _, tp := range initial.Tuples {
+				folded[tp]++
+			}
+		}
 
 		for r, round := range DeltaScript(db, deltaSeed, 4) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -126,7 +168,7 @@ func FuzzViewEquivalence(f *testing.F) {
 				if r != cutRound || !errors.Is(err, context.Canceled) {
 					t.Fatalf("%s: deltaSeed=%d round %d: Apply: %v", s.Desc, deltaSeed, r, err)
 				}
-				if !check(r + 1) {
+				if !check(r+1, view.ResultCard()) {
 					return // torn down mid-round: closed, not half-applied
 				}
 				continue // refused before injecting: exact without the round
@@ -148,7 +190,14 @@ func FuzzViewEquivalence(f *testing.F) {
 				t.Fatalf("%s: deltaSeed=%d round %d: Unmatched = %d, script has %d ghost deletes",
 					s.Desc, deltaSeed, r, res.Unmatched, ghosts)
 			}
-			if !check(r + 1) {
+			for seen := 0; stream != nil && seen < res.Changes; seen++ {
+				if !stream.Next() {
+					t.Fatalf("%s: deltaSeed=%d round %d: change stream ended after %d of %d changes", s.Desc, deltaSeed, r, seen, res.Changes)
+				}
+				c := stream.Change()
+				folded[c.Tuple] += int64(c.Sign)
+			}
+			if !check(r+1, res.ResultCard) {
 				t.Fatalf("%s: deltaSeed=%d round %d: view closed after a successful Apply", s.Desc, deltaSeed, r)
 			}
 		}
