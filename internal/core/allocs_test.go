@@ -18,11 +18,13 @@ import (
 // the engine's ProcPool: the wiring, hosts, inboxes, outboxes and join states
 // are re-armed, not rebuilt, the held probe queues keep their memory, and the
 // scans lend their database's placed fragments. Its hosts wake where they
-// parked after the last run instead of starting goroutines. What is left is the
-// run's context, the start signals of the operators with After dependencies,
-// the collect's release closures and the result. Measured on a two-processor
-// machine (the engine's slot count at Open): 44 and 37 allocations per query;
-// 91 and 82 when every run started a goroutine per host and the admission
+// parked after the last run instead of starting goroutines, and the collect
+// hands each result batch over with a recycled releaser. What is left is the
+// run's context, the start signals of the operators with After dependencies
+// and the result. Measured on a two-processor machine (the engine's slot
+// count at Open): 36 and 33 allocations per query; 44 and 37 when the collect
+// made a release closure per result batch; 91 and 82 when every run started a
+// goroutine per host and the admission
 // estimate listed and sorted the tree's leaves; 130 and 122 when every operator
 // had start and completion channels and each one with After dependencies a
 // goroutine waiting on them; 642 and 606 when every run built its shell, and
@@ -42,8 +44,8 @@ func TestRDQueryAllocs(t *testing.T) {
 		kinds []strategy.Kind
 		bound float64 // allocations per query: the measured count plus 5 %
 	}{
-		{"exec_rd", jointree.LeftLinear, 2000, 40, []strategy.Kind{strategy.RD}, 47},
-		{"small_cycle", jointree.WideBushy, 1000, 16, strategy.Kinds, 39},
+		{"exec_rd", jointree.LeftLinear, 2000, 40, []strategy.Kind{strategy.RD}, 38},
+		{"small_cycle", jointree.WideBushy, 1000, 16, strategy.Kinds, 35},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -46,7 +46,7 @@ func fire(ev event) {
 		}
 	case evWorkDone:
 		if b := ev.m.Batch; b != nil && in.op.Out.Local {
-			in.out.Lend(0, b) // a scan's chunk, as it is
+			in.out.Lend(b) // a scan's chunk, as it is
 		} else if b != nil && b.Len() > 0 {
 			in.out.Emit(b, operator.Insert)
 		}
@@ -128,7 +128,7 @@ func (in *instance) start() {
 		in.res = relation.SharedPool(2 * bt).Get()
 	}
 	if in.op.Out != nil {
-		start := in.op.BufferSize(len(in.op.Op.Procs), bt)
+		start := in.op.BufferSize(len(in.op.Op.Procs), in.op.Out.Dests(), bt)
 		in.out = operator.NewOutbox(in.op.Node, in.idx, relation.SharedPool(start), bt, in)
 	}
 	if in.op.Op.Kind == xra.OpScan {

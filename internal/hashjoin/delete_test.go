@@ -2,6 +2,7 @@ package hashjoin
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -244,4 +245,58 @@ func TestTableDeleteAllocFree(t *testing.T) {
 		t.Fatalf("delete/insert cycle allocates %.1f/op, want 0", allocs)
 	}
 	tab.Release()
+}
+
+// TestTableRetractDifferential: retracting a batch (the two-phase delete of
+// RetractInto) leaves the table and the batch exactly as Delete row by row
+// would — the same rows found, in order, and the same chains — on batches
+// that repeat keys and tuples, delete tuples that are absent or already
+// deleted earlier in the batch, and empty slots in the middle of clusters,
+// so that later rows of the batch must be resolved again.
+func TestTableRetractDifferential(t *testing.T) {
+	for _, seed := range []int64{1, 7, 1995, 40} {
+		rng := rand.New(rand.NewSource(seed))
+		// A table of few slots and keys that all collide into long clusters,
+		// and its twin that deletes row by row.
+		tab, twin := NewTableSized(relation.Unique2, 8), NewTableSized(relation.Unique2, 8)
+		var pool []relation.Tuple
+		for round := 0; round < 200; round++ {
+			for i := rng.Intn(40); i > 0; i-- {
+				tp := relation.Tuple{Unique1: int64(rng.Intn(8)), Unique2: int64(rng.Intn(60)), Check: uint64(rng.Intn(4))}
+				tab.Insert(tp)
+				twin.Insert(tp)
+				pool = append(pool, tp)
+			}
+			var b relation.Batch
+			for i := rng.Intn(48); i > 0 && len(pool) > 0; i-- {
+				tp := pool[rng.Intn(len(pool))] // may repeat: its second deletion may find nothing
+				if rng.Intn(8) == 0 {
+					tp.Check = 99 // absent
+				}
+				b.AppendTuple(tp)
+			}
+			var want []relation.Tuple
+			for _, tp := range b.Tuples() {
+				if twin.Delete(tp) {
+					want = append(want, tp)
+				}
+			}
+			tab.retract(&b)
+			if got := b.Tuples(); len(got) != len(want) || (len(got) > 0 && !slices.Equal(got, want)) {
+				t.Fatalf("seed %d round %d: retract kept %v, Delete row by row %v", seed, round, got, want)
+			}
+			if tab.Len() != twin.Len() || tab.used != twin.used {
+				t.Fatalf("seed %d round %d: %d tuples in %d slots, row by row %d in %d", seed, round, tab.Len(), tab.used, twin.Len(), twin.used)
+			}
+			for k := int64(0); k < 60; k++ {
+				if got, want := tab.Matches(k), twin.Matches(k); !slices.Equal(got, want) {
+					t.Fatalf("seed %d round %d key %d: chain %v, row by row %v", seed, round, k, got, want)
+				}
+			}
+			pool = pool[:0]
+			for k := int64(0); k < 60; k++ {
+				pool = append(pool, twin.Matches(k)...)
+			}
+		}
+	}
 }

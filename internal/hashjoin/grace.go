@@ -208,8 +208,10 @@ func (g *Grace) flush(p *gracePart) error {
 }
 
 // Drain joins the buffered operands partition-at-a-time and hands result
-// batches to emit. emit owns nothing: the batch is reused between calls, so
-// it must forward (copy) the tuples before returning. Returning a non-nil
+// batches to emit, with each row's tag when the Spec has Tags (nil
+// otherwise; Pipelining.Tags). emit owns nothing: the batch and the tags are
+// reused between calls, so it must forward (copy) the tuples before
+// returning. Returning a non-nil
 // error (e.g. on cancellation) aborts the drain. Partition files are closed
 // and removed as they are consumed.
 //
@@ -222,7 +224,7 @@ func (g *Grace) flush(p *gracePart) error {
 // of the same hash, see gracePartition) and drained recursively, so peak
 // residency stays bounded by budget/GraceFanout per level instead of by the
 // largest skewed partition.
-func (g *Grace) Drain(emit func(results *relation.Batch) error) error {
+func (g *Grace) Drain(emit func(results *relation.Batch, tags []int32) error) error {
 	var scratch relation.Batch
 	for i := range g.build {
 		bp, pp := &g.build[i], &g.probe[i]
@@ -260,7 +262,7 @@ func (g *Grace) Drain(emit func(results *relation.Batch) error) error {
 			if scratch.Len() == 0 {
 				return nil
 			}
-			return emit(&scratch)
+			return emit(&scratch, j.Tags())
 		}
 		if pp.file != nil {
 			start := time.Now()
@@ -289,7 +291,7 @@ func (g *Grace) Drain(emit func(results *relation.Batch) error) error {
 // together and bottoms out at maxGraceLevel. Feeding goes through the same
 // AddBuild/AddProbe path as the parent's input, so a sub-partition that is
 // still over budget spills — and, if oversized again, recurses again.
-func (g *Grace) recurse(bp, pp *gracePart, emit func(*relation.Batch) error) error {
+func (g *Grace) recurse(bp, pp *gracePart, emit func(*relation.Batch, []int32) error) error {
 	g.recursions++
 	sub := NewGrace(g.spec, g.meter, g.dir, g.pool)
 	sub.level = g.level + 1

@@ -54,7 +54,7 @@ func TestGraceRecursesOnSkewedPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := relation.New("grace", build.TupleBytes)
-	if err := g.Drain(func(rs *relation.Batch) error { rs.AppendTo(got); return nil }); err != nil {
+	if err := g.Drain(func(rs *relation.Batch, _ []int32) error { rs.AppendTo(got); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if g.Recursions() == 0 {
@@ -94,7 +94,7 @@ func TestGraceRecursionBottomsOutOnDuplicateKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := relation.New("grace", build.TupleBytes)
-	if err := g.Drain(func(rs *relation.Batch) error { rs.AppendTo(got); return nil }); err != nil {
+	if err := g.Drain(func(rs *relation.Batch, _ []int32) error { rs.AppendTo(got); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if g.Recursions() == 0 {

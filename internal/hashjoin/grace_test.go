@@ -70,7 +70,7 @@ func runGrace(t *testing.T, build, probe *relation.Relation, budget int64) (*rel
 	}
 	sb, sp := g.SpilledSides()
 	out := relation.New("grace", build.TupleBytes)
-	if err := g.Drain(func(results *relation.Batch) error {
+	if err := g.Drain(func(results *relation.Batch, _ []int32) error {
 		results.AppendTo(out) // AppendTo copies; the chunk may be reused
 		return nil
 	}); err != nil {
@@ -125,7 +125,7 @@ func TestGraceMatchesPipelining(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := relation.New("grace", build.TupleBytes)
-	if err := g.Drain(func(rs *relation.Batch) error { rs.AppendTo(got); return nil }); err != nil {
+	if err := g.Drain(func(rs *relation.Batch, _ []int32) error { rs.AppendTo(got); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if diff := relation.DiffMultiset(got, want); diff != "" {
@@ -149,7 +149,7 @@ func TestGraceDrainRemovesFiles(t *testing.T) {
 	if meter.Partitions() == 0 {
 		t.Fatal("tiny budget created no spill partitions")
 	}
-	if err := g.Drain(func(*relation.Batch) error { return nil }); err != nil {
+	if err := g.Drain(func(*relation.Batch, []int32) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	g.Close()

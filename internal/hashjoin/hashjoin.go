@@ -49,6 +49,20 @@ type Spec struct {
 	// span. Left-oriented trees build on the lower (intermediate) side;
 	// mirrored trees flip this.
 	BuildIsLower bool
+	// Tags, when set, tags every result row by its join key
+	// (Pipelining.Tags): a join that stands for several hash partitions at
+	// once tells its caller which one produced each row. Nil tags nothing.
+	Tags *Tags
+}
+
+// Tags maps a join key to the tag of its hash partition, Of[Bk.Bucket(key)],
+// and keeps the tags of the result rows of the join's last batch call (Rows,
+// Pipelining.Tags): scratch for one join at a time — out of core, a Grace
+// join's partitions take turns with it.
+type Tags struct {
+	Bk   relation.Bucketer
+	Of   []int32
+	Rows []int32
 }
 
 // BuildAttr returns the join attribute of the build operand: the lower span
@@ -439,14 +453,21 @@ func (t *Table) grow(slots int) {
 //
 // The loop allocates nothing.
 func (t *Table) First(k int64) int32 {
-	s := t.home(k)
-	for t.head[s] != 0 {
-		if t.keys[s] == k {
-			return t.head[s] - 1
-		}
-		s = (s + 1) & t.mask
+	s, ok := t.lookup(k)
+	if !ok {
+		return -1
 	}
-	return -1
+	return t.head[s] - 1
+}
+
+// lookup returns the slot of key k, and false when no entry has it.
+func (t *Table) lookup(k int64) (uint64, bool) {
+	for s := t.home(k); t.head[s] != 0; s = (s + 1) & t.mask {
+		if t.keys[s] == k {
+			return s, true
+		}
+	}
+	return 0, false
 }
 
 // Next returns the arena index of the next tuple with the same key as entry
@@ -464,17 +485,13 @@ func (t *Table) At(i int32) relation.Tuple {
 // backward-shift deletion, so no tombstones accumulate and the probe
 // loops' invariants are untouched. Delete allocates nothing.
 func (t *Table) Delete(tp relation.Tuple) bool {
-	k := tp.Get(t.attr)
-	s := t.home(k)
-	for {
-		if t.head[s] == 0 {
-			return false
-		}
-		if t.keys[s] == k {
-			break
-		}
-		s = (s + 1) & t.mask
-	}
+	s, ok := t.lookup(tp.Get(t.attr))
+	return ok && t.deleteAt(s, tp)
+}
+
+// deleteAt removes one instance of tp from the chain of slot s, its key's,
+// and reports whether one was found (Delete).
+func (t *Table) deleteAt(s uint64, tp relation.Tuple) bool {
 	var prev int32
 	for e := t.head[s]; e != 0; {
 		j := e - 1
@@ -526,6 +543,40 @@ func (t *Table) clearSlot(s uint64) {
 	}
 }
 
+// retract removes one instance of every row of b, as Delete one by one
+// would, and compacts b to the rows it found, in the probe's two phases:
+// every row's key is resolved to its slot for the whole batch first, in one
+// loop whose lookups do not wait for each other, and the rows are then
+// unlinked at their slots. A slot that a row's deletion empties shifts the
+// rest of its cluster back (clearSlot), so a later row whose slot no longer
+// holds its key is resolved again.
+func (t *Table) retract(b *relation.Batch) {
+	keys := b.Col(t.attr)
+	if cap(t.heads) < len(keys) {
+		t.heads = make([]int32, len(keys), cap(keys))
+	}
+	at := t.heads[:len(keys)]
+	for i, k := range keys {
+		s, ok := t.lookup(k)
+		at[i] = int32(s)
+		if !ok {
+			at[i] = -1
+		}
+	}
+	n := 0
+	for i, k := range keys {
+		s, ok := uint64(at[i]), at[i] >= 0
+		if ok && (t.head[s] == 0 || t.keys[s] != k) {
+			s, ok = t.lookup(k)
+		}
+		if ok && t.deleteAt(s, b.Tuple(i)) {
+			b.U1[n], b.U2[n], b.Check[n] = b.U1[i], b.U2[i], b.Check[i]
+			n++
+		}
+	}
+	b.U1, b.U2, b.Check = b.U1[:n], b.U2[:n], b.Check[:n]
+}
+
 // DeleteBatch removes one instance of every tuple in a columnar batch and
 // returns how many were found.
 func (t *Table) DeleteBatch(b *relation.Batch) int {
@@ -548,12 +599,15 @@ func (t *Table) DeleteBatch(b *relation.Batch) int {
 // (lower.Unique1, higher.Unique2, combined check) regardless of which
 // operand built the table. heads is the caller's reusable scratch,
 // returned re-sliced: it is sized to the batch's capacity at once, so the
-// batches of one pool need it allocated a single time.
+// batches of one pool need it allocated a single time; phase two leaves
+// in it where each row's matches end. Given tags, a third pass appends to
+// tags.Rows the tag of every match's key, computed once per probing row
+// that matched (Spec.Tags).
 // An empty table matches nothing, so the probe returns at once: FP's
 // pipelining joins probe empty tables while their first operand streams in,
 // and a simple join's build batches probe the nil table it has instead of a
 // probe-side one.
-func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.Attr, probeIsLower bool, heads []int32) []int32 {
+func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.Attr, probeIsLower bool, heads []int32, tags *Tags) []int32 {
 	if t.Len() == 0 {
 		return heads
 	}
@@ -575,6 +629,9 @@ func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.At
 		}
 		heads[i] = e
 	}
+	// Phase two leaves in heads[i] where row i's matches end in dst, which
+	// is all the tags need: they never walk a chain twice.
+	start := int32(len(dst.U1))
 	u1, u2, ck := dst.U1, dst.U2, dst.Check
 	if probeIsLower {
 		for i, e := range heads {
@@ -585,6 +642,7 @@ func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.At
 				ck = append(ck, relation.CombineChecks(b.Check[i], t.check[j]))
 				e = t.next[j]
 			}
+			heads[i] = int32(len(u1))
 		}
 	} else {
 		for i, e := range heads {
@@ -595,7 +653,20 @@ func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.At
 				ck = append(ck, relation.CombineChecks(t.check[j], b.Check[i]))
 				e = t.next[j]
 			}
+			heads[i] = int32(len(u1))
 		}
+	}
+	if tags != nil {
+		bk, of, tg := tags.Bk, tags.Of, tags.Rows
+		for i, end := range heads {
+			if end > start {
+				tag := of[bk.Bucket(keys[i])]
+				for ; start < end; start++ {
+					tg = append(tg, tag)
+				}
+			}
+		}
+		tags.Rows = tg
 	}
 	dst.U1, dst.U2, dst.Check = u1, u2, ck
 	return heads
@@ -607,15 +678,19 @@ func probeBatch(dst *relation.Batch, t *Table, b *relation.Batch, pa relation.At
 // matches are appended column-wise to dst. probeIsLower orients the result
 // tuple; heads is the caller's reusable scratch, returned re-sliced.
 func (t *Table) ProbeBatchInto(dst *relation.Batch, b *relation.Batch, pa relation.Attr, probeIsLower bool, heads []int32) []int32 {
-	return probeBatch(dst, t, b, pa, probeIsLower, heads)
+	return probeBatch(dst, t, b, pa, probeIsLower, heads, nil)
 }
 
 // probe is probeBatch with the table's own scratch, which the recycle pool
 // hands on with its memory: the joins' probes allocate none once the pool is
-// warm. A nil table matches nothing.
-func (t *Table) probe(dst, b *relation.Batch, pa relation.Attr, probeIsLower bool) {
+// warm. Given tags, tags.Rows becomes the tag of each row it appended to
+// dst (see Spec.Tags). A nil table matches nothing.
+func (t *Table) probe(dst, b *relation.Batch, pa relation.Attr, probeIsLower bool, tags *Tags) {
+	if tags != nil {
+		tags.Rows = tags.Rows[:0]
+	}
 	if t.Len() > 0 {
-		t.heads = probeBatch(dst, t, b, pa, probeIsLower, t.heads)
+		t.heads = probeBatch(dst, t, b, pa, probeIsLower, t.heads, tags)
 	}
 }
 
@@ -712,7 +787,7 @@ func (j *Pipelining) insert(t *Table, attr relation.Attr, b *relation.Batch) *Ta
 // inserting is equivalent to the per-tuple interleave because the two
 // tables index different operands.
 func (j *Pipelining) FromBuildSideBatchInto(dst, b *relation.Batch) {
-	j.probeTable.probe(dst, b, j.spec.BuildAttr(), j.spec.BuildIsLower)
+	j.probeTable.probe(dst, b, j.spec.BuildAttr(), j.spec.BuildIsLower, j.spec.Tags)
 	if !j.probeClosed {
 		j.buildTable = j.insert(j.buildTable, j.spec.BuildAttr(), b)
 	}
@@ -721,7 +796,7 @@ func (j *Pipelining) FromBuildSideBatchInto(dst, b *relation.Batch) {
 // FromProbeSideBatchInto consumes a columnar batch arriving on the probe
 // operand, symmetrically to FromBuildSideBatchInto.
 func (j *Pipelining) FromProbeSideBatchInto(dst, b *relation.Batch) {
-	j.buildTable.probe(dst, b, j.spec.ProbeAttr(), !j.spec.BuildIsLower)
+	j.buildTable.probe(dst, b, j.spec.ProbeAttr(), !j.spec.BuildIsLower, j.spec.Tags)
 	if !j.buildClosed {
 		j.probeTable = j.insert(j.probeTable, j.spec.ProbeAttr(), b)
 	}
@@ -739,16 +814,24 @@ func (j *Pipelining) RetractInto(dst, b *relation.Batch, build bool) {
 	if build {
 		own, other, attr, lower = j.buildTable, j.probeTable, j.spec.BuildAttr(), j.spec.BuildIsLower
 	}
-	n, k := b.Len(), 0
-	for i := 0; i < n && own != nil; i++ {
-		if own.Delete(b.Tuple(i)) {
-			b.U1[k], b.U2[k], b.Check[k] = b.U1[i], b.U2[i], b.Check[i]
-			k++
-		}
+	n := b.Len()
+	if own == nil {
+		b.U1, b.U2, b.Check = b.U1[:0], b.U2[:0], b.Check[:0]
+	} else {
+		own.retract(b)
 	}
-	b.U1, b.U2, b.Check = b.U1[:k], b.U2[:k], b.Check[:k]
-	j.unmatched += int64(n - k)
-	other.probe(dst, b, attr, lower)
+	j.unmatched += int64(n - b.Len())
+	other.probe(dst, b, attr, lower, j.spec.Tags)
+}
+
+// Tags returns the tag of each result row the last batch call appended to
+// dst, in order, when the join's Spec has Tags (its Rows, valid until the
+// next call); nil otherwise.
+func (j *Pipelining) Tags() []int32 {
+	if j.spec.Tags == nil {
+		return nil
+	}
+	return j.spec.Tags.Rows
 }
 
 // Unmatched returns how many deletions RetractInto dropped since the last

@@ -22,16 +22,15 @@
 // # Messages and punctuation
 //
 // Everything a process receives is a Msg: a batch of tuples for one port,
-// with a sign, or — when Batch is nil — a punctuation mark on that port;
-// either names the consumer process it is for (Msg.To), so processes that
-// share an inbox need no tag on the tuples. Each stream carries exactly one
-// punctuation per unit of work: the end-of-stream of a query, the
-// end-of-round token of a view. A process has seen all of a port's input
-// once it has counted as many punctuation marks as streams end there
-// (Join.Init); because a stream delivers in order, every batch its
-// producer sent precedes the mark. A driver that lets producer processes
-// share an outbox carries their streams to one consumer process as one: it
-// delivers one mark per outbox and tells the consumer so (Join.Expect).
+// with a sign, or — when Batch is nil — a punctuation mark on that port.
+// Each stream carries exactly one punctuation per unit of work: the
+// end-of-stream of a query, the end-of-round token of a view. A process has
+// seen all of a port's input once it has counted as many punctuation marks
+// as streams end there (Join.Init); because a stream delivers in order,
+// every batch its producer sent precedes the mark. A driver that runs
+// several processes of an operator as one process (a host) carries the
+// streams between two hosts as one: it delivers one mark per host pair and
+// tells the consumer so (Join.Expect).
 //
 // # The join step
 //
@@ -49,6 +48,13 @@
 // held, and the build batches still to come must go into the table.
 // Operators without join state (scan and collect) use the same type for its
 // punctuation count alone.
+//
+// A driver may run several processes of one operator as one (Join.Fold):
+// one hash join whose tables hold all of their partitions, one held probe
+// queue, one punctuation count. Every result row is still one process's —
+// the one whose hash partition its join key is in — and the folded join
+// tags each with that process's processor for the transport counters
+// (Join.Tags), unless no row can stay on its processor anyway.
 //
 // A process allocates nothing of its own for the step but the input it must
 // hold. Join keeps the hash join by value, and the tables come from
@@ -85,19 +91,19 @@
 //
 // Outbox routes a process's result tuples into one pooled buffer per
 // destination and sign lane and delivers a buffer the moment it holds a
-// transport batch;
-// Flush delivers the rest and Punctuate ends the unit of work on every
-// outgoing stream. The processes of one operator that a driver runs on one
-// worker share one outbox (NewHostOutbox): the worker says which of them
-// emits (EmitFrom), on a redistribution edge they fill one buffer per
-// consumer process between them, and on a local edge each keeps the
-// destination of its own index — a buffer is for one consumer process either
-// way. A scan on a local edge copies nothing: it lends its placed fragment,
-// cut into transport-sized views (relation.Batch.Lend), one message per view
-// (Lend), exactly the messages a copy would have filled. The transport
-// counters are taken where this is known: tuples at Emit, local or remote
-// by the emitting process's processor, so that they stay plan properties
-// under any sharing; batches at delivery, which is what sharing changes.
+// transport batch; Flush delivers the rest and Punctuate ends the unit of
+// work on every outgoing stream. The processes of one operator that a driver
+// runs as one share one outbox (NewHostOutbox) with one destination per
+// consumer host: a tuple is routed to its consumer process by hash, and that
+// process's host is the destination; on a local edge the one consumer host
+// of the hosted processes' own. A scan on a local edge copies nothing: it
+// lends its placed fragment, cut into transport-sized views
+// (relation.Batch.Lend), one message per view (Lend), exactly the messages a
+// copy would have filled. The transport counters are taken where this is
+// known: tuples at Emit, local or remote by the processors of the process
+// that produced each (EmitFrom names it for the whole batch, EmitTagged per
+// row) and of its consumer process, so that they stay plan properties under
+// any folding; batches at delivery, which is what folding changes.
 // One rule orders deliveries: a buffer of a later lane for destination d is
 // delivered only after any pending buffer of an earlier lane for d. Lanes are Insert then Delete, so a retraction can never
 // overtake the insertion it cancels, while an insertion may overtake a

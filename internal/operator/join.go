@@ -1,6 +1,8 @@
 package operator
 
 import (
+	"slices"
+
 	"multijoin/internal/hashjoin"
 	"multijoin/internal/relation"
 	"multijoin/internal/spill"
@@ -11,8 +13,13 @@ import (
 // its ports and, once started on a join operator, the hash-join state
 // machine. It is not safe for concurrent use and needs no hand-over: every
 // driver applies a process's batches where the process itself runs (the
-// goroutine runtime on the goroutine of the worker that hosts the process,
-// inside its processor's slot).
+// goroutine runtime on the goroutine of the host that runs it, inside its
+// processor's slot).
+//
+// A driver may fold several processes of one operator into one (Fold): the
+// Join then is one process with tables for all of them, and it tags each
+// result row with the processor of the process that would have produced it
+// (Tags).
 //
 // A process's life allocates nothing of its own but a simple join's held
 // probe queue, made on its first held batch at the number of probe batches
@@ -22,6 +29,10 @@ type Join struct {
 	node      *Node
 	want, got [numPorts]int
 	batch     int // the driver's transport size: tuples per delivered batch at most
+	procs     int // the operator's processes the Join stands for (Fold)
+	// tags maps a join key to the processor of the process that holds it:
+	// the Spec's Tags of a folded join whose results are counted (Start).
+	tags *hashjoin.Tags
 
 	// Once a join operator has started, pipe is its in-memory join or grace
 	// its out-of-core one; an operator without join state, or a join out of
@@ -47,15 +58,24 @@ type Spill struct {
 
 // Init binds the Join to a process of operator n, whose driver delivers
 // batches of at most batch tuples: the punctuation counts it waits for.
-func (j *Join) Init(n *Node, batch int) { j.node, j.want, j.batch = n, n.eosWant, batch }
+func (j *Join) Init(n *Node, batch int) {
+	j.node, j.want, j.batch, j.procs = n, n.eosWant, batch, 1
+}
+
+// Fold makes the Join stand for procs of its operator's processes at once,
+// for a driver that runs them as one: its tables and held-probe queue are
+// sized for all of them, and it tags its results with their processors
+// (Tags). Call it before Start.
+func (j *Join) Fold(procs int) { j.procs = procs }
 
 // Reset releases the process (Release) and returns it to its state after
-// Init and Expect, for a driver that may run the same process again: its
-// held-probe queue keeps its memory, cleared so that it references no batch.
+// Init, Fold and Expect, for a driver that may run the same process again:
+// its held-probe queue and its tags keep their memory, the queue cleared so
+// that it references no batch.
 func (j *Join) Reset() {
 	j.Release()
 	clear(j.held[:cap(j.held)])
-	*j = Join{node: j.node, want: j.want, batch: j.batch, held: j.held[:0]}
+	*j = Join{node: j.node, want: j.want, batch: j.batch, procs: j.procs, tags: j.tags, held: j.held[:0]}
 }
 
 // Expect overrides how many punctuation marks port p waits for. Init's count
@@ -70,9 +90,9 @@ func (j *Join) Marks() int { return j.want[Build] + j.want[Probe] + j.want[In] }
 // Start creates the join algorithm's state once the process may begin
 // (processes that wait on After dependencies hold no tables meanwhile). Both
 // algorithms are one hash-join, whose tables come into being on their
-// first insert, sized from the operator's estimated per-process operand
-// cardinality so steady-state inserts never rehash; a simple join differs
-// only in holding its probe input until the build operand has ended (Hold,
+// first insert, sized from the operator's estimated operand cardinality
+// for the processes it stands for (Node.TableHint) so steady-state inserts
+// never rehash; a simple join differs only in holding its probe input until the build operand has ended (Hold,
 // EOS), so it never creates a probe-side table. On operators other than
 // joins Start does nothing. A resident join — a process of a materialized
 // view, fed signed deltas — is symmetric whatever the operator's algorithm,
@@ -83,9 +103,23 @@ func (j *Join) Marks() int { return j.want[Build] + j.want[Probe] + j.want[In] }
 // its algorithm: a Grace join (hashjoin.Grace) that partitions both operands
 // as they arrive, to disk once the meter is over budget, and produces every
 // result in Drain. It holds nothing, and its punctuation only counts.
+//
+// A folded join whose output is counted (Counters: not the edge into the
+// collect) tags every result row with the processor of the process that
+// holds its join key — its hash partition over the operator's processes, so
+// the process that would have produced the row (Tags) — unless no processor
+// of the operator is one of its consumer's: then no row can stay on its
+// processor, and the tags would tell the outbox nothing.
 func (j *Join) Start(resident bool, sp *Spill) {
 	n := j.node
-	spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower}
+	if j.procs > 1 && j.tags == nil && n.Out != nil && n.Out.To.Op.Kind != xra.OpCollect &&
+		slices.ContainsFunc(n.Op.Procs, func(p int) bool { return slices.Contains(n.Out.To.Op.Procs, p) }) {
+		j.tags = &hashjoin.Tags{Bk: relation.NewBucketer(len(n.Op.Procs)), Of: make([]int32, len(n.Op.Procs))}
+		for i, p := range n.Op.Procs {
+			j.tags.Of[i] = int32(p)
+		}
+	}
+	spec := hashjoin.Spec{BuildIsLower: n.Op.BuildIsLower, Tags: j.tags}
 	j.resident = resident
 	j.simple = n.Op.Kind == xra.OpSimpleJoin && !resident && sp == nil
 	switch {
@@ -93,7 +127,7 @@ func (j *Join) Start(resident bool, sp *Spill) {
 	case sp != nil:
 		j.grace = hashjoin.NewGrace(spec, sp.Meter, sp.Dir, sp.Pool)
 	default:
-		j.pipe = hashjoin.NewPipeliningSized(spec, n.TableHint())
+		j.pipe = hashjoin.NewPipeliningSized(spec, n.TableHint(j.procs))
 	}
 }
 
@@ -101,15 +135,16 @@ func (j *Join) Start(resident bool, sp *Spill) {
 // join whose build phase is still open. The batch stays owned by the
 // process until EOS hands it back. The first batch a process ever holds
 // sizes the queue for all the probe batches it is estimated to receive: the
-// probe operand's per-process estimate (TableHint's rule) in full transport
-// batches, plus one partial batch per producer outbox (one per punctuation
-// mark). A wrong estimate costs an append.
+// probe operand's per-process estimate (TableHint's rule) for every process
+// the Join stands for, in full transport batches, plus one partial batch per
+// producer outbox (one per punctuation mark). A wrong estimate costs an
+// append.
 func (j *Join) Hold(m Msg) bool {
 	if !j.simple || m.Port != Probe || j.pipe.SideClosed(true) {
 		return false
 	}
 	if j.held == nil {
-		est := relation.PerFragmentCap(j.node.In[Probe].EstCard, len(j.node.Op.Procs))
+		est := relation.PerFragmentCap(j.node.In[Probe].EstCard, len(j.node.Op.Procs)) * j.procs
 		j.held = make([]Msg, 0, est/j.batch+j.want[Probe])
 	}
 	j.held = append(j.held, m)
@@ -147,6 +182,13 @@ func (j *Join) ApplyInto(res *relation.Batch, m Msg) (*relation.Batch, error) {
 	return res, nil
 }
 
+// Tags returns, for a folded join (Fold) that tags its results (Start), the
+// processor of the process that produced each row of the last ApplyInto's
+// result (Outbox.EmitTagged). It is nil otherwise — every row is the one
+// process's, or no row can stay on its processor — and valid until the next
+// ApplyInto.
+func (j *Join) Tags() []int32 { return j.pipe.Tags() }
+
 // TakesSlot reports whether the join's steps compute on the process's
 // processor. An out-of-core join's do not: partitioning and Drain may block
 // on file I/O, and a blocked process must not occupy a processor.
@@ -154,9 +196,10 @@ func (j *Join) TakesSlot() bool { return j.grace == nil }
 
 // Drain produces an out-of-core join's results once both operands have
 // ended: it joins the partitions one at a time and hands each result batch to
-// emit, which must copy what it keeps and may abort the drain with an error.
-// On an in-memory join it does nothing.
-func (j *Join) Drain(emit func(*relation.Batch) error) error {
+// emit, with its rows' tags as Tags would report them, and emit must copy
+// what it keeps and may abort the drain with an error. On an in-memory join
+// it does nothing.
+func (j *Join) Drain(emit func(res *relation.Batch, tags []int32) error) error {
 	if j.grace == nil {
 		return nil
 	}

@@ -32,15 +32,11 @@ type Msg struct {
 	Sign  int8
 	// Remote reports that producer and consumer process are bound to
 	// different processors (the tuples crossed the network). Only the outbox
-	// of a single process sets it — a shared outbox's buffer mixes producers
-	// on different processors — and only the simulator reads it, to charge
-	// network latency and receive cost; the transport counters are taken at
-	// Emit instead.
+	// of a single process addressing processes sets it — a host outbox's
+	// buffer mixes processes on different processors — and only the
+	// simulator reads it, to charge network latency and receive cost; the
+	// transport counters are taken at Emit instead.
 	Remote bool
-	// To is the consumer process the message is addressed to (its position
-	// in the consumer's Op.Procs): every batch is for one process, so an
-	// inbox shared by the processes of one worker needs no per-tuple tag.
-	To int32
 }
 
 // Send delivers m into inbox. It tries the plain send first, so the common
@@ -65,8 +61,7 @@ func Send(inbox chan<- Msg, m Msg, done <-chan struct{}, pool *relation.BatchPoo
 }
 
 // Chans is the Deliverer of the goroutine drivers: destination d of the
-// outbox is the inbox channel Dst[d] (several destinations share a channel
-// when their consumer processes share a worker; Msg.To tells them apart).
+// outbox is the inbox channel Dst[d], its consumer host's.
 type Chans struct {
 	Dst  []chan<- Msg
 	Done <-chan struct{}
@@ -114,12 +109,12 @@ type Counters struct {
 	// TuplesLocal counts tuples delivered processor-locally.
 	TuplesLocal int64
 	// Batches counts delivered data batches, and unlike its neighbours it is
-	// a property of the transport, not of the plan: producer processes that
-	// share an outbox (the goroutine runtime's hosted processes) fill one
-	// buffer per destination between them, so the same tuples travel in
-	// fewer, fuller batches the fewer processor slots the run has. With one
-	// outbox per process — the simulator, or as many slots as plan
-	// processors — it is the same for every runtime. The final gather at
+	// a property of the transport, not of the plan: the processes a driver
+	// runs as one (the goroutine runtime's hosts) fill one buffer per
+	// consumer host between them, so the same tuples travel in fewer, fuller
+	// batches the fewer processor slots the run has. With one outbox per
+	// process — the simulator, or as many slots as plan processors — it is
+	// the same for every runtime. The final gather at
 	// the collect operator is identical for every strategy and excluded from
 	// the three transport counters.
 	Batches int64

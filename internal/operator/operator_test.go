@@ -241,7 +241,7 @@ func TestJoinStepInterleavings(t *testing.T) {
 					if j.TakesSlot() != (sp == nil) {
 						t.Fatalf("%v seed %d: TakesSlot = %v out of core = %v", kind, seed, j.TakesSlot(), sp != nil)
 					}
-					err := j.Drain(func(res *relation.Batch) error {
+					err := j.Drain(func(res *relation.Batch, _ []int32) error {
 						res.AppendTo(got)
 						return nil
 					})
@@ -482,13 +482,15 @@ func TestOutboxSingleDestinationBulk(t *testing.T) {
 	}
 }
 
-// TestHostOutbox drives the outbox several processes of one operator share:
-// on a local edge a process lends its fragment to the consumer process of its
-// own index; on a redistribution edge the processes fill one buffer per consumer
-// process between them, the ordering rule holds per destination whoever
-// emitted, and the tuple counters follow the processor of the emitting
-// process. Either way Punctuate addresses every destination once, and every
-// message names its consumer process.
+// TestHostOutbox drives the outbox of a host, the processes of one operator
+// a driver runs as one: it has one destination per consumer host, never
+// marks a message remote, and counts every tuple against the processors of
+// the process that produced it and of the consumer process its key routes
+// to. On a local edge the host's processes lend their fragments to its one
+// destination; on a redistribution edge a tuple goes to the host of its
+// consumer process, whichever hosted process emitted it (EmitFrom) or
+// produced each of its rows (EmitTagged), and the ordering rule holds per
+// destination. Either way Punctuate ends every destination with one mark.
 func TestHostOutbox(t *testing.T) {
 	w, _ := wire(t, strategy.RD, jointree.LeftLinear, 3, 4)
 	var scan, join *Node
@@ -511,39 +513,36 @@ func TestHostOutbox(t *testing.T) {
 		}
 		return &b
 	}
-	tos := func(msgs []Msg) (out []int32) {
-		for _, m := range msgs {
+	noneRemote := func(msgs []Msg) {
+		t.Helper()
+		for i, m := range msgs {
 			if m.Remote {
-				t.Errorf("a shared outbox marked a message for process %d remote", m.To)
+				t.Errorf("message %d of a host outbox is marked remote", i)
 			}
-			out = append(out, m.To)
 		}
-		return out
 	}
 	const size = 4
 
-	// A scan lends its placed fragment view by view (Lend). For each fragment
-	// that is the message sequence — addressee, port, remote mark, length —
-	// and the counters of the copy path, the outbox of the process alone
-	// cutting the fragment into pooled batches; but every batch delivered is
-	// a view of the fragment itself.
+	// A scan lends its placed fragments view by view (Lend), all to the one
+	// destination. For each fragment that is the message sequence — port,
+	// length — and the counters of the copy path, the outbox of the process
+	// alone cutting the fragment into pooled batches; but every batch
+	// delivered is a view of the fragment itself.
 	t.Run("local edge", func(t *testing.T) {
 		type delivery struct {
-			to     int32
-			port   Port
-			remote bool
-			n      int
+			port Port
+			n    int
 		}
 		deliveries := func(msgs []Msg) (out []delivery) {
 			for _, m := range msgs {
-				out = append(out, delivery{m.To, m.Port, m.Remote, m.Batch.Len()})
+				out = append(out, delivery{m.Port, m.Batch.Len()})
 			}
 			return out
 		}
 		hosted := []int{1, 3}
 		frags := []*relation.Batch{batch(1, 2, 3, 4, 5, 6, 7, 8, 9), batch(10, 11, 12)}
 		rec := &recorder{}
-		o := NewHostOutbox(scan, hosted, relation.NewBatchPool(size, 8), size, rec)
+		o := NewHostOutbox(scan, hosted, []int32{0, 1, 0, 1}, relation.NewBatchPool(size, 8), size, rec)
 		var copied []Msg
 		var want [3]int64
 		for k, frag := range frags {
@@ -557,7 +556,7 @@ func TestHostOutbox(t *testing.T) {
 			lent := len(rec.msgs)
 			views := frag.Lend(size)
 			for v := range views {
-				if !o.Lend(k, &views[v]) {
+				if !o.Lend(&views[v]) {
 					t.Fatal("lent delivery failed")
 				}
 			}
@@ -570,15 +569,21 @@ func TestHostOutbox(t *testing.T) {
 		if got, want := deliveries(rec.msgs), deliveries(copied); !slices.Equal(got, want) {
 			t.Errorf("lent deliveries %v, the copy path's %v", got, want)
 		}
-		if got := [3]int64{o.MovedLocal, o.MovedRemote, o.Batches}; got != want || want != [3]int64{12, 0, 4} {
+		for i, l := range rec.log {
+			if !strings.HasPrefix(l, "d0:") {
+				t.Errorf("delivery %d went to %s, want the one destination d0", i, l)
+			}
+		}
+		noneRemote(rec.msgs)
+		if got, want := [3]int64{o.MovedLocal, o.MovedRemote, o.Batches}, want; got != want || want != [3]int64{12, 0, 4} {
 			t.Errorf("local, remote, batches %v; the copy path's %v, want [12 0 4]", got, want)
 		}
-		rec.msgs = rec.msgs[:0]
+		rec.log = rec.log[:0]
 		if !(o.Flush() && o.Punctuate()) {
 			t.Fatal("Flush/Punctuate failed")
 		}
-		if got, want := tos(rec.msgs), []int32{1, 3}; !slices.Equal(got, want) {
-			t.Errorf("marks addressed to processes %v, want %v", got, want)
+		if want := []string{"d0:mark"}; !slices.Equal(rec.log, want) {
+			t.Errorf("ended with %v, want %v", rec.log, want)
 		}
 	})
 
@@ -586,41 +591,86 @@ func TestHostOutbox(t *testing.T) {
 		// Keys routed to each process of the four-process consumer.
 		var keys [4][]int64
 		bk := relation.NewBucketer(4)
-		for k := int64(0); len(keys[0]) < 8 || len(keys[2]) < 8; k++ {
+		for k := int64(0); len(keys[0]) < 8 || len(keys[1]) < 8 || len(keys[2]) < 8 || len(keys[3]) < 8; k++ {
 			d := bk.Bucket(k)
 			keys[d] = append(keys[d], k)
 		}
-		rec := &recorder{}
-		// Processes 0 and 2, on processors 0 and 2 like consumer processes
-		// 0 and 2.
-		o := NewHostOutbox(join, []int{0, 2}, relation.NewBatchPool(size, 8), size, rec)
-		if join.Op.Procs[0] != join.Out.To.Op.Procs[0] || join.Op.Procs[2] != join.Out.To.Op.Procs[2] {
-			t.Fatal("producer and consumer are not on the same processors")
+		procs, cons := join.Op.Procs, join.Out.To.Op.Procs
+		if procs[0] != cons[0] || procs[2] != cons[2] || procs[0] == procs[2] || slices.Contains([]int{cons[1], cons[3]}, procs[0]) || slices.Contains([]int{cons[1], cons[3]}, procs[2]) {
+			t.Fatal("producer processes 0 and 2 are not on the processors of consumer processes 0 and 2 alone")
 		}
-		ok := o.EmitFrom(0, batch(keys[0][0], keys[0][1], keys[2][0]), Insert) && // 2 local, 1 remote
-			o.EmitFrom(1, batch(keys[0][2], keys[2][1]), Insert) && // 1 remote, 1 local
-			// The deletes of process 2 fill a buffer for destination 0: the
+		p0, p2 := int32(procs[0]), int32(procs[2])
+		rec := &recorder{}
+		// Processes 0 and 2 run as one, and so do consumer processes 0 and 2
+		// (destination 0) and 1 and 3 (destination 1).
+		o := NewHostOutbox(join, []int{0, 2}, []int32{0, 1, 0, 1}, relation.NewBatchPool(size, 8), size, rec)
+		ok := o.EmitFrom(0, batch(keys[0][0], keys[0][1], keys[1][0]), Insert) && // 2 local, 1 remote
+			// Rows of processes 2, 0 and 2: local, local, remote; the buffer
+			// of destination 0 fills.
+			o.EmitTagged(batch(keys[2][0], keys[0][2], keys[3][0]), []int32{p2, p0, p2}, Insert) &&
+			// The deletes of process 2 fill a buffer for destination 1: the
 			// inserts pending there, of both processes, go first.
-			o.EmitFrom(1, batch(keys[0][3], keys[0][4], keys[0][5], keys[0][6]), Delete) && // 4 remote
+			o.EmitFrom(1, batch(keys[1][1], keys[3][1], keys[1][2], keys[3][2]), Delete) && // 4 remote
+			o.EmitTagged(batch(keys[1][3]), nil, Insert) && // process 0's: remote
 			o.Flush() && o.Punctuate()
 		if !ok {
 			t.Fatal("delivery failed")
 		}
-		want := []string{"d0:+1 x3", "d0:-1 x4", "d2:+1 x2", "d0:mark", "d1:mark", "d2:mark", "d3:mark"}
+		want := []string{"d0:+1 x4", "d1:+1 x2", "d1:-1 x4", "d1:+1 x1", "d0:mark", "d1:mark"}
 		if !slices.Equal(rec.log, want) {
 			t.Errorf("delivered %v, want %v", rec.log, want)
 		}
-		if got, want := tos(rec.msgs), []int32{0, 0, 2, 0, 1, 2, 3}; !slices.Equal(got, want) {
-			t.Errorf("addressed to processes %v, want %v", got, want)
+		tuples := [][]int64{
+			{keys[0][0], keys[0][1], keys[2][0], keys[0][2]},
+			{keys[1][0], keys[3][0]},
+			{keys[1][1], keys[3][1], keys[1][2], keys[3][2]},
+			{keys[1][3]},
 		}
-		if o.MovedLocal != 3 || o.MovedRemote != 6 || o.Batches != 3 {
-			t.Errorf("local %d, remote %d, batches %d; want 3, 6, 3", o.MovedLocal, o.MovedRemote, o.Batches)
+		for i, want := range tuples {
+			if got := rec.msgs[i].Batch.U1; !slices.Equal(got, want) {
+				t.Errorf("message %d carries keys %v, want %v", i, got, want)
+			}
+		}
+		noneRemote(rec.msgs)
+		if o.MovedLocal != 4 || o.MovedRemote != 7 || o.Batches != 4 {
+			t.Errorf("local %d, remote %d, batches %d; want 4, 7, 4", o.MovedLocal, o.MovedRemote, o.Batches)
 		}
 	})
 
-	// The outbox of a single process is what the simulator and the views
-	// build per process and run: it marks what crosses processors, counts the
-	// same tuples, and costs the two allocations it always did.
+	// A host of every consumer process is one destination, but the counters
+	// still route each tuple to its consumer process.
+	t.Run("one consumer host", func(t *testing.T) {
+		rec := &recorder{}
+		o := NewHostOutbox(join, []int{0, 2}, []int32{0, 0, 0, 0}, relation.NewBatchPool(size, 8), size, rec)
+		var keys []int64
+		for k := int64(0); len(keys) < 8; k++ {
+			keys = append(keys, k)
+		}
+		var tags []int32
+		for _, p := range []int{0, 0, 2, 2, 0, 2, 0, 2} {
+			tags = append(tags, int32(join.Op.Procs[p]))
+		}
+		if !(o.EmitTagged(batch(keys...), tags, Insert) && o.Flush() && o.Punctuate()) {
+			t.Fatal("delivery failed")
+		}
+		if want := []string{"d0:+1 x4", "d0:+1 x4", "d0:mark"}; !slices.Equal(rec.log, want) {
+			t.Errorf("delivered %v, want %v", rec.log, want)
+		}
+		local := 0
+		for i, p := range []int{0, 0, 2, 2, 0, 2, 0, 2} {
+			if cons := join.Out.To.Op.Procs[relation.HashKey(keys[i], 4)]; cons == join.Op.Procs[p] {
+				local++
+			}
+		}
+		if o.MovedLocal != int64(local) || o.MovedRemote != int64(8-local) || o.Batches != 2 {
+			t.Errorf("local %d, remote %d, batches %d; want %d, %d, 2", o.MovedLocal, o.MovedRemote, o.Batches, local, 8-local)
+		}
+	})
+
+	// The outbox of a single process is what the simulator builds per
+	// process and runs: one destination per consumer process, it marks what
+	// crosses processors, counts the same tuples, and costs the two
+	// allocations it always did.
 	t.Run("single process", func(t *testing.T) {
 		rec := &recorder{}
 		pool := relation.NewBatchPool(size, 8)
@@ -637,13 +687,17 @@ func TestHostOutbox(t *testing.T) {
 		if !(o.Emit(batch(keys...), Insert) && o.Flush() && o.Punctuate()) {
 			t.Fatal("delivery failed")
 		}
+		want := []string{"d0:+1 x1", "d1:+1 x1", "d2:+1 x1", "d3:+1 x1", "d0:mark", "d1:mark", "d2:mark", "d3:mark"}
+		if !slices.Equal(rec.log, want) {
+			t.Errorf("delivered %v, want %v", rec.log, want)
+		}
 		for i, m := range rec.msgs {
-			if d := i % 4; m.To != int32(d) || m.Remote != (d != 2) {
-				t.Errorf("message %d: To %d, Remote %v; want To %d, Remote %v", i, m.To, m.Remote, d, d != 2)
+			if d := i % 4; m.Remote != (d != 2) {
+				t.Errorf("message %d to process %d: Remote %v, want %v", i, d, m.Remote, d != 2)
 			}
 		}
-		if len(rec.msgs) != 8 || o.MovedLocal != 1 || o.MovedRemote != 3 || o.Batches != 4 {
-			t.Errorf("%d messages, local %d, remote %d, batches %d; want 8, 1, 3, 4", len(rec.msgs), o.MovedLocal, o.MovedRemote, o.Batches)
+		if o.MovedLocal != 1 || o.MovedRemote != 3 || o.Batches != 4 {
+			t.Errorf("local %d, remote %d, batches %d; want 1, 3, 4", o.MovedLocal, o.MovedRemote, o.Batches)
 		}
 		if n := testing.AllocsPerRun(100, func() { NewOutbox(join, 2, pool, size, rec) }); n != 2 {
 			t.Errorf("NewOutbox allocates %v times, want 2 (the outbox and its pending buffers' slice)", n)
@@ -660,15 +714,15 @@ type consumer struct {
 }
 
 type delivery struct {
-	To     int32
+	Dest   int
 	Port   Port
 	Remote bool
 	Sign   int8
 	Tuples []relation.Tuple
 }
 
-func (c *consumer) Deliver(_ int, m Msg) bool {
-	d := delivery{To: m.To, Port: m.Port, Remote: m.Remote, Sign: m.Sign}
+func (c *consumer) Deliver(dest int, m Msg) bool {
+	d := delivery{Dest: dest, Port: m.Port, Remote: m.Remote, Sign: m.Sign}
 	if m.Batch != nil {
 		d.Tuples = m.Batch.Tuples()
 		c.put(m.Batch)
@@ -747,7 +801,7 @@ func TestOutboxGrowsBuffers(t *testing.T) {
 					t.Fatalf("%d messages from grown buffers, %d at full capacity", len(got.got), len(ref.got))
 				}
 				for i := range ref.got {
-					if g, r := got.got[i], ref.got[i]; g.To != r.To || g.Port != r.Port || g.Remote != r.Remote || g.Sign != r.Sign || !slices.Equal(g.Tuples, r.Tuples) {
+					if g, r := got.got[i], ref.got[i]; g.Dest != r.Dest || g.Port != r.Port || g.Remote != r.Remote || g.Sign != r.Sign || !slices.Equal(g.Tuples, r.Tuples) {
 						t.Fatalf("message %d: %+v from grown buffers, %+v at full capacity", i, g, r)
 					}
 				}
@@ -768,7 +822,9 @@ func TestOutboxGrowsBuffers(t *testing.T) {
 }
 
 // TestBufferSize: a buffer starts at the power-of-two ceiling of the tuples
-// it is estimated to carry, at least minBufferTuples and at most the
+// it is estimated to carry — the estimate spread over one buffer per
+// producer outbox on a local edge, per producer outbox and consumer
+// destination on a redistribution — at least minBufferTuples and at most the
 // transport size, which is where a buffer expected to fill one starts.
 func TestBufferSize(t *testing.T) {
 	w, _ := wire(t, strategy.RD, jointree.LeftLinear, 3, 4)
@@ -786,22 +842,25 @@ func TestBufferSize(t *testing.T) {
 		t.Fatal("plan has no four-process producer on a local edge or redistributing to four processes")
 	}
 	for _, c := range []struct {
-		n              *Node
-		card, outboxes int
-		size, want     int
+		n                          *Node
+		card, producers, consumers int
+		size, want                 int
 	}{
-		{&local, 4 * 10, 4, 64, 16},   // 10 per buffer: the floor
-		{&local, 4 * 17, 1, 64, 32},   // one buffer per process, however many outboxes
-		{&local, 4 * 64, 4, 64, 64},   // expected to fill one
-		{&local, 4 * 70, 4, 100, 100}, // never above the transport size
-		{&local, 4 * 3, 4, 8, 8},      // a transport size below the floor
-		{&redist, 16 * 33, 4, 256, 64},
-		{&redist, 16 * 33, 2, 256, 128}, // fewer outboxes, fuller buffers
-		{&redist, 0, 4, 256, 16},
+		{&local, 4 * 10, 4, 4, 64, 16},   // 10 per buffer: the floor
+		{&local, 4 * 17, 4, 1, 64, 32},   // one buffer per outbox, whatever the consumers
+		{&local, 4 * 17, 2, 2, 64, 64},   // two outboxes, fuller buffers
+		{&local, 4 * 64, 4, 4, 64, 64},   // expected to fill one
+		{&local, 4 * 70, 4, 4, 100, 100}, // never above the transport size
+		{&local, 4 * 3, 4, 4, 8, 8},      // a transport size below the floor
+		{&redist, 16 * 33, 4, 4, 256, 64},
+		{&redist, 16 * 33, 2, 4, 256, 128}, // fewer producer outboxes, fuller buffers
+		{&redist, 16 * 33, 4, 2, 256, 128}, // fewer consumer destinations, fuller buffers
+		{&redist, 16 * 33, 2, 2, 256, 256},
+		{&redist, 0, 4, 4, 256, 16},
 	} {
 		c.n.EstCard = c.card
-		if got := c.n.BufferSize(c.outboxes, c.size); got != c.want {
-			t.Errorf("EstCard %d over %d outboxes, transport size %d: BufferSize %d, want %d", c.card, c.outboxes, c.size, got, c.want)
+		if got := c.n.BufferSize(c.producers, c.consumers, c.size); got != c.want {
+			t.Errorf("EstCard %d over %d producers and %d consumers, transport size %d: BufferSize %d, want %d", c.card, c.producers, c.consumers, c.size, got, c.want)
 		}
 	}
 }
@@ -826,11 +885,11 @@ func TestLendAllocFree(t *testing.T) {
 	for i := int64(0); i < 1000; i++ {
 		frag.Append(i, i, uint64(i))
 	}
-	o := NewHostOutbox(scan, []int{0, 1}, relation.NewBatchPool(256, 8), 256, discard{})
+	o := NewHostOutbox(scan, []int{0, 1}, nil, relation.NewBatchPool(256, 8), 256, discard{})
 	views := frag.Lend(256)
 	if n := testing.AllocsPerRun(100, func() {
 		for v := range views {
-			o.Lend(1, &views[v])
+			o.Lend(&views[v])
 		}
 	}); n != 0 {
 		t.Errorf("lending a fragment of %d views allocates %v times, want 0", len(views), n)

@@ -74,8 +74,14 @@ func (n *Node) InStreams() int {
 	return n.eosWant[Build] + n.eosWant[Probe] + n.eosWant[In]
 }
 
-// TableHint is the per-process operand cardinality to size hash tables for.
-func (n *Node) TableHint() int { return relation.PerFragmentCap(n.EstCard, len(n.Op.Procs)) }
+// TableHint is the operand cardinality to size the hash tables of procs of
+// n's processes run as one for: their share of EstCard plus the slack of one
+// process (relation.PerFragmentCap), since the hash skew of several
+// partitions evens out — p processes' slack would round a table up to twice
+// the slots on a power-of-two boundary.
+func (n *Node) TableHint(procs int) int {
+	return relation.PerFragmentCap(n.EstCard, len(n.Op.Procs)) + (procs-1)*(n.EstCard/len(n.Op.Procs))
+}
 
 // Wiring is a validated plan resolved into nodes and edges.
 type Wiring struct {

@@ -11,31 +11,34 @@
 //
 //   - the plan's processors are modeled as slots, plan processor id p on
 //     slot p mod MaxProcs, and the operation processes of one operator whose
-//     processors share a slot form a host: one worker goroutine, one inbox
-//     (a channel of operator.Msg) and one outbox for all of them. Each
-//     hosted process keeps what is its own — its operator.Join: hash tables
-//     or Grace partitions, held probe input, punctuation count — and a
-//     message names the process it is for (Msg.To), so every batch is still
-//     one process's and the worker joins it in that process's state;
+//     processors share a slot run as one process, a host: one worker
+//     goroutine, one inbox (a channel of operator.Msg), one operator.Join and
+//     one outbox for all of them. The join's tables hold every hosted
+//     process's hash partition, sized for all of them, and its held probe
+//     queue and punctuation count are the host's (operator.Join.Fold), so a
+//     host pays for its processes' start-up and bookkeeping once;
 //   - the streams of the plan exist as routing decisions and end-of-stream
 //     counts, not as channels or goroutines of their own, and what the
-//     transport carries follows the hosts: the shared outbox fills one
-//     buffer per consumer process, sends a full one straight into the inbox
-//     of that process's host, and — once every hosted process has seen all
-//     its input — ends each destination with one mark, so a consumer process
-//     waits for one mark per producer host. An inbox holds ChannelDepth
-//     batches per mark its hosted processes wait for. On MaxProcs slots a
-//     redistribution edge between operators on n and m processors costs at
-//     most min(n, MaxProcs) × m buffers and marks, not n × m; Processes,
-//     Streams and the tuples moved stay the plan properties they are
-//     (counted per tuple against the emitting process's processor), Batches
-//     and Goroutines are what physically happened;
+//     transport carries follows the hosts: the outbox routes every tuple to
+//     its consumer process by hash as ever, fills one buffer per consumer
+//     host, sends a full one straight into that host's inbox, and once the
+//     host has seen all its input ends each destination with one mark, so a
+//     host waits for one mark per producer host on a redistributed port. An
+//     inbox holds ChannelDepth batches per mark its host waits for. On
+//     MaxProcs slots a redistribution edge between operators on n and m
+//     processors costs at most min(n, MaxProcs) × min(m, MaxProcs) buffers
+//     and marks, not n × m. Processes, Streams and the tuples moved stay the
+//     plan properties they are: a tuple is counted against the processor of
+//     the process that produced it — a scan's, the one whose fragment it
+//     was; a join's, the one whose partition its join key is in, which the
+//     join tags each result row with (operator.Join.Tags) — and of its
+//     consumer process. Batches and Goroutines are what physically happened;
 //   - a host of one process is the same code path: it is what every process
 //     gets when the run has as many slots as the plan has processors, and
 //     what every process of a partial run gets (dist's streams, credit
 //     windows and wire format are per process);
 //   - a worker computes a join step while it holds the lock of its slot, so
-//     at most MaxProcs processes compute at once and the processes of one
+//     at most MaxProcs hosts compute at once and the processes of one
 //     processor are serialized, exactly like the paper's shared-nothing
 //     nodes. The lock is held for one batch and never across a channel
 //     operation (blocked processes occupy no processor, as on a real
@@ -44,9 +47,9 @@
 //   - Op.After start dependencies are honored without deadlock: a worker
 //     whose operator's dependencies are pending keeps draining its inbox
 //     into an unbounded stash (the simulator's "input arriving earlier is
-//     buffered") and replays it, message by message to the process
-//     addressed, once the dependencies complete;
-//   - out of core (Config.Meter), every join process starts the kernel's
+//     buffered") and replays it, in arrival order, once the dependencies
+//     complete;
+//   - out of core (Config.Meter), every join host starts the kernel's
 //     out-of-core join step (operator.Join given the run's operator.Spill):
 //     it partitions its operands as they arrive, to disk once the meter is
 //     over budget, and drains the partitions after both have ended. The host
@@ -68,7 +71,8 @@
 //
 // The hot data path is allocation-free in steady state: tuple batches come
 // from a relation.BatchPool and are returned by the consumer that exhausts
-// them, and join results are built in one pooled buffer per worker. A scan
+// them, join results are built in one pooled buffer per worker, and the
+// collect hands each result batch to the sink with a recycled releaser. A scan
 // on a local edge draws no batch at all: it lends its placed fragment as
 // read-only, transport-sized views (operator.Outbox.Lend), which every pool
 // drops, so the probe operands a simple join holds through its build phase
@@ -80,9 +84,8 @@
 // session — the un-metered batch pools, result buffers included, and the
 // shell of each plan it runs — lives with the session's ProcPool, not with
 // the run. A run's shell is what follows from the plan, the resolved Config
-// and the base relations alone: the wiring, the operators' processes with
-// their join states, the hosts with their inboxes, outboxes and
-// destinations, and the pools. A run builds it and arms it (its context,
+// and the base relations alone: the wiring, the operators' hosts with their
+// join states, inboxes, outboxes and destinations, and the pools. A run builds it and arms it (its context,
 // the operators' one-shot signals, the fragments and lent views, the hosts'
 // input counts and transport counters); an in-memory run on a ProcPool that
 // completes leaves it to the pool, and the next run of the same plan on the
@@ -277,11 +280,11 @@ func (p *ProcPool) reuse(plan *xra.Plan, cfg Config, base func(leaf int) *relati
 type Config struct {
 	// MaxProcs is the number of modeled processors: one slot each. Plan
 	// processor id p maps to slot p mod MaxProcs; the processes of one
-	// operator on one slot share a worker, and a worker holds its slot while
-	// it computes, so at most MaxProcs operation processes compute at any
-	// instant and processes sharing a plan processor are serialized. Zero
-	// means the plan's own processor count (MaxProc+1), i.e. the machine the
-	// plan was generated for, where every process has a worker of its own.
+	// operator on one slot run as one host, and a host holds its slot while
+	// it computes, so at most MaxProcs hosts compute at any instant and
+	// processes sharing a plan processor are serialized. Zero means the
+	// plan's own processor count (MaxProc+1), i.e. the machine the plan was
+	// generated for, where every process is a host of its own.
 	MaxProcs int
 	// BatchTuples is the number of tuples per transport batch (the
 	// pipelining granularity and the batch-pool capacity). Zero means
@@ -289,10 +292,10 @@ type Config struct {
 	BatchTuples int
 	// ChannelDepth is the buffer capacity, in batches, each incoming tuple
 	// stream contributes to its consumer's inbox, a stream being what the
-	// transport carries: a worker's inbox holds ChannelDepth batches per
-	// producer worker (one on a local edge) of every process it hosts, so
-	// every producer can run a few batches ahead of a consumer that has not
-	// been scheduled yet. It is resolved once per run, not per edge, and is
+	// transport carries: a host's inbox holds ChannelDepth batches per
+	// producer host on each of its ports (one on a local edge), so every
+	// producer can run a few batches ahead of a consumer that has not been
+	// scheduled yet. It is resolved once per run, not per edge, and is
 	// also the credit window of each node-crossing stream in the distributed
 	// runtime. Zero means DefaultChannelDepth.
 	ChannelDepth int
@@ -410,8 +413,11 @@ type opState struct {
 	rel   *relation.Relation
 	size  int
 	views [][]relation.Batch
-	procs []proc  // the operator's processes, by position in Op.Procs
-	hosts []*host // the workers they are grouped under, in order of first process
+	hosts []*host // the operator's hosts, in order of first process
+	// hostOf maps each process (position in Op.Procs) to its host's index
+	// in hosts: the destination of the process's tuples in a producer's
+	// outbox.
+	hostOf []int32
 	// locals is the number of hosts placed on this node (all of them unless
 	// the run is partial).
 	locals int
@@ -549,44 +555,34 @@ func newRuntime(plan *xra.Plan, cfg Config) (*runtimeState, error) {
 	return r, nil
 }
 
-// build groups every operator's processes into hosts with one inbox each,
-// estimates the operators' cardinalities from the base relations and points
-// every host's outbox at the inboxes of its consumers' hosts: the shell of
-// the run, which arm readies.
+// build groups every operator's processes into hosts with one inbox and one
+// join each, estimates the operators' cardinalities from the base relations
+// and points every host's outbox at the inboxes of its consumer's hosts: the
+// shell of the run, which arm readies.
 func (r *runtimeState) build(base func(leaf int) *relation.Relation) error {
 	// A host is the processes of one operator whose processors share a slot.
 	// In a partial run every process is a host of its own — the transport's
 	// streams, credit windows and end-of-stream marks are per process — and
 	// one whose processor is placed on another node exists only as a routing
-	// target: it is never launched and owns no inbox. A process receives one
-	// end-of-stream mark per producer host on a redistributed port (producers
-	// precede consumers in plan order, so their hosts are known), and the
-	// inbox holds ChannelDepth batches per mark its host's processes wait
-	// for: per incoming stream as the transport carries it.
-	bySlot := make([]*host, r.procs.Size())
+	// target: it is never launched and owns no inbox or join. A host's join
+	// receives one end-of-stream mark per producer host on a redistributed
+	// port (producers precede consumers in plan order, so their hosts are
+	// known) and one on a local edge, and the inbox holds ChannelDepth
+	// batches per mark: per incoming stream as the transport carries it.
+	bySlot := make([]int32, r.procs.Size()) // host index + 1, 0 for none yet
 	for i, n := range r.wiring.Nodes {
-		os := &opState{Node: n, procs: make([]proc, len(n.Op.Procs))}
+		os := &opState{Node: n, hostOf: make([]int32, len(n.Op.Procs))}
 		r.ops[i] = os
 		clear(bySlot)
 		for idx, procID := range n.Op.Procs {
 			s := r.slotOf(n, procID)
-			h := bySlot[s]
-			if h == nil || r.partial != nil {
-				h = &host{r: r, op: os, slot: &r.procs.slots[s], local: r.partial == nil || r.partial.Local(procID)}
-				bySlot[s] = h
-				os.hosts = append(os.hosts, h)
+			if bySlot[s] == 0 || r.partial != nil {
+				os.hosts = append(os.hosts, &host{r: r, op: os, slot: &r.procs.slots[s], local: r.partial == nil || r.partial.Local(procID)})
+				bySlot[s] = int32(len(os.hosts))
 			}
-			os.procs[idx].pos = len(h.procs)
-			os.procs[idx].host = h
+			h := os.hosts[bySlot[s]-1]
+			os.hostOf[idx] = bySlot[s] - 1
 			h.procs = append(h.procs, idx)
-		}
-		// What every process of the operator waits for.
-		var join operator.Join
-		join.Init(n, r.cfg.BatchTuples)
-		for _, from := range n.In {
-			if from != nil && !from.Out.Local {
-				join.Expect(from.Out.Port, len(r.ops[from.Index].hosts))
-			}
 		}
 		joins := n.Op.Kind == xra.OpSimpleJoin || n.Op.Kind == xra.OpPipeJoin
 		if joins && r.spill == nil && r.results == nil {
@@ -599,10 +595,14 @@ func (r *runtimeState) build(base func(leaf int) *relation.Relation) error {
 				continue
 			}
 			os.locals++
-			h.inbox = make(chan operator.Msg, max(1, r.cfg.ChannelDepth*join.Marks()*len(h.procs)))
-			for _, idx := range h.procs {
-				os.procs[idx].join = join
+			h.join.Init(n, r.cfg.BatchTuples)
+			h.join.Fold(len(h.procs))
+			for _, from := range n.In {
+				if from != nil && !from.Out.Local {
+					h.join.Expect(from.Out.Port, len(r.ops[from.Index].hosts))
+				}
 			}
+			h.inbox = make(chan operator.Msg, max(1, r.cfg.ChannelDepth*h.join.Marks()))
 		}
 	}
 	// Base relation fragments: ideal initial fragmentation, identical to the
@@ -626,9 +626,9 @@ func (r *runtimeState) build(base func(leaf int) *relation.Relation) error {
 			if r.partial.ScanFragment == nil {
 				return fmt.Errorf("Partial needs ScanFragment (local scan %s)", os.Op.ID)
 			}
-			os.Frags = make([]relation.Batch, len(os.procs))
-			for i := range os.procs {
-				if os.procs[i].host.local {
+			os.Frags = make([]relation.Batch, len(os.Op.Procs))
+			for i, hi := range os.hostOf {
+				if os.hosts[hi].local {
 					os.Frags[i] = r.partial.ScanFragment(os.Op.ID, i)
 				}
 			}
@@ -640,12 +640,17 @@ func (r *runtimeState) build(base func(leaf int) *relation.Relation) error {
 		if e == nil {
 			continue
 		}
+		to := r.ops[e.To.Index]
+		// A resident scan is one source that routes every tuple by hash, even
+		// over a local edge (Resident.Inject).
+		source := r.resident != nil && os.Op.Kind == xra.OpScan
+		local := e.Local && !source
 		// Size the producer's transport batches from the cardinality it is
 		// estimated to send into each pending buffer (Node.BufferSize), and
-		// start the buffers at that size, so they never grow. A redistribution
-		// edge keeps one per producer host and consumer process (a local edge
-		// one per process); with as many slots as plan processors that is every
-		// one of the edge's n×m streams, and with the single global batch size a
+		// start the buffers at that size, so they never grow. An outbox keeps
+		// one per consumer host on a redistribution edge (one on a local
+		// edge); with as many slots as plan processors that is every one of
+		// the edge's n×m streams, and with the single global batch size a
 		// stream-heavy RD plan would pin far more batch memory than tuples it
 		// ever moves. A buffer expected to carry a few dozen tuples gets a
 		// correspondingly small pooled batch instead; batches of different
@@ -656,52 +661,48 @@ func (r *runtimeState) build(base func(leaf int) *relation.Relation) error {
 		// agree on wire batch capacity.
 		os.size = r.cfg.BatchTuples
 		if r.partial == nil {
-			os.size = os.BufferSize(len(os.hosts), os.size)
+			os.size = os.BufferSize(len(os.hosts), len(to.hosts), os.size)
 			if os.Op.Kind == xra.OpScan && r.resident == nil {
 				os.rel = base(os.Op.Leaf) // a partial run's fragments come from the coordinator
 			}
 		}
 		pool := r.transportPool(os.size)
-		// Point every local host's outbox at the inboxes of its consumers'
-		// hosts: one destination per consumer process, or on a local edge one
-		// per hosted process, the consumer process of its own index. A stream
-		// crossing the node boundary goes to the transport instead: a channel
-		// of its own toward a remote consumer, the local consumer's inbox
-		// from a remote producer. Stream ids come from the canonical
-		// enumeration (a partial run's hosts are single processes), so they
-		// can never drift from the peers'.
-		to := r.ops[e.To.Index]
+		// Point every local host's outbox at the inboxes of its consumer's
+		// hosts: one destination per consumer host, or on a local edge the
+		// one host of its processes' consumer processes. A stream crossing the
+		// node boundary goes to the transport instead: a channel of its own
+		// toward a remote consumer, the local consumer's inbox from a remote
+		// producer. Stream ids come from the canonical enumeration (a partial
+		// run's hosts are single processes), so they can never drift from the
+		// peers'.
+		dests := len(to.hosts)
+		if local {
+			dests = 1
+		}
 		for _, h := range os.hosts {
-			dests := e.Dests()
-			if e.Local {
-				dests = len(h.procs)
-			}
 			if h.local {
 				h.chans = operator.Chans{Dst: make([]chan<- operator.Msg, dests), Pool: pool}
-				if r.resident != nil && os.Op.Kind == xra.OpScan {
-					// Inject stands in for the scan's one host: it routes
-					// every tuple to its consumer process by hash.
-					h.out = operator.NewSourceOutbox(os.Node, pool, os.size, &h.chans)
+				if source {
+					h.out = operator.NewSourceOutbox(os.Node, to.hostOf, pool, os.size, &h.chans)
 					r.resident.sources[os.Op.Leaf] = h.out
 				} else {
-					h.out = operator.NewHostOutbox(os.Node, h.procs, pool, os.size, &h.chans)
+					h.out = operator.NewHostOutbox(os.Node, h.procs, to.hostOf, pool, os.size, &h.chans)
 				}
 			}
-			for d := 0; d < dests; d++ {
-				target := d
-				if e.Local {
-					target = h.procs[d]
+			for d := range dests {
+				c := to.hosts[d]
+				if local {
+					c = to.hosts[to.hostOf[h.procs[0]]]
 				}
-				dest := to.procs[target].host
 				switch {
-				case h.local && dest.local:
-					h.chans.Dst[d] = dest.inbox
+				case h.local && c.local:
+					h.chans.Dst[d] = c.inbox
 				case h.local:
 					out := make(chan operator.Msg, depth) // the stream's share of the remote inbox
 					h.chans.Dst[d] = out
 					r.partial.Egress(e.Stream(h.procs[0], d), out)
-				case dest.local:
-					r.partial.Ingress(e.Stream(h.procs[0], d), operator.Msg{Port: e.Port, Sign: operator.Insert, To: int32(target)}, dest.inbox)
+				case c.local:
+					r.partial.Ingress(e.Stream(h.procs[0], d), operator.Msg{Port: e.Port, Sign: operator.Insert}, c.inbox)
 				}
 			}
 		}
@@ -726,16 +727,16 @@ func (r *runtimeState) arm(ctx context.Context) {
 		os.remaining.Store(int32(os.locals))
 		r.goroutines += os.locals
 		if os.rel != nil {
-			os.Frags = r.cfg.Placement.Fragments(os.rel, os.Op.FragAttr, len(os.procs))
+			os.Frags = r.cfg.Placement.Fragments(os.rel, os.Op.FragAttr, len(os.Op.Procs))
 		}
 		if os.Op.Kind == xra.OpScan && os.Out.Local && r.resident == nil {
 			os.views = r.cfg.Placement.Lend(os.rel, os.Op.FragAttr, os.Frags, os.size)
 		}
 		for _, h := range os.hosts {
-			// Every hosted process waits for marks unless the operator has no
-			// input; a host on another node (a partial run's) has no join set
-			// up, waits for nothing and is never launched.
-			h.open = len(h.procs) * min(os.procs[h.procs[0]].join.Marks(), 1)
+			// A host waits for marks unless the operator has no input; a host
+			// on another node (a partial run's) has no join set up, waits for
+			// nothing and is never launched.
+			h.open = h.join.Marks() > 0
 			h.chans.Done = r.ctx.Done()
 			if h.out != nil {
 				h.out.MovedRemote, h.out.MovedLocal, h.out.Batches = 0, 0, 0

@@ -117,9 +117,9 @@ func TestStructuralCounters(t *testing.T) {
 	}
 	const procs, fewSlots = 20, 4
 	batches := map[strategy.Kind]map[int]int64{ // by slots
-		strategy.SP: {fewSlots: 798, procs: 1481},
-		strategy.SE: {fewSlots: 396, procs: 604},
-		strategy.RD: {fewSlots: 378, procs: 675},
+		strategy.SP: {fewSlots: 340, procs: 1481},
+		strategy.SE: {fewSlots: 202, procs: 604},
+		strategy.RD: {fewSlots: 233, procs: 675},
 		strategy.FP: {fewSlots: 64, procs: 64}, // one process per operator and slot at this size
 	}
 	db := testDB(t, 10, 200)

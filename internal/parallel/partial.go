@@ -24,8 +24,8 @@ type Partial struct {
 	// Ingress is called during setup for every stream whose producer is
 	// remote and whose consumer is local, identified by its canonical
 	// stream id (operator.Edge.Stream). The transport must deliver every
-	// decoded batch into inbox — the consuming process's own — as hdr (which
-	// names that process) with Batch set (operator.Send), and hdr itself,
+	// decoded batch into inbox — the consuming process's own — as hdr with
+	// Batch set (operator.Send), and hdr itself,
 	// the stream's end-of-stream mark, once the stream has ended; batches
 	// must come from BatchPool so the consuming process can return them
 	// after use.

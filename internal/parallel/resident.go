@@ -90,7 +90,7 @@ func (s *Resident) EndRound() bool {
 // punctuation marks.
 func (s *Resident) Collected() (in <-chan operator.Msg, marks int) {
 	c := s.r.ops[s.r.wiring.Collect.Index].hosts[0]
-	return c.inbox, c.op.procs[0].join.Marks()
+	return c.inbox, c.join.Marks()
 }
 
 // Release returns a batch drained from the collect inbox to its pool.
@@ -105,26 +105,25 @@ func (s *Resident) Round() (tableBytes, unmatched int64) {
 }
 
 // Result appends the network's result multiset to rel: the join of each
-// top-join process's two tables. Call it between rounds, like Round, and
+// top-join host's two tables. Call it between rounds, like Round, and
 // not concurrently with Close, which releases the tables; the hosts leave
 // them to Close, so a Result that ends before Close starts is safe even
 // once the network is cancelled.
 func (s *Resident) Result(rel *relation.Relation) {
-	top := s.r.ops[s.r.wiring.Collect.In[operator.In].Index]
-	for i := range top.procs {
-		top.procs[i].join.AppendResult(rel)
+	for _, h := range s.r.ops[s.r.wiring.Collect.In[operator.In].Index].hosts {
+		h.join.AppendResult(rel)
 	}
 }
 
 // Close stops the network, waits for every host to exit and releases the
-// processes' tables. Batches still in the inboxes are left to the garbage
+// hosts' tables. Batches still in the inboxes are left to the garbage
 // collector.
 func (s *Resident) Close() {
 	s.r.cancel(nil)
 	s.r.wg.Wait()
 	for _, os := range s.r.ops {
-		for i := range os.procs {
-			os.procs[i].join.Reset()
+		for _, h := range os.hosts {
+			h.join.Reset()
 		}
 	}
 }
