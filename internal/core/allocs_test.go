@@ -86,15 +86,17 @@ func TestRDQueryAllocs(t *testing.T) {
 // off, so that the pools keep what the first returned. A warm round reads
 // every fragment and lent view from the database's placement: a run that
 // fragmented its relations again would copy each one it scans, about 600
-// KiB more per round. Measured on a two-processor machine: 4 090–4 205 KiB
-// in 14 305–14 395 allocations.
+// KiB more per round. Measured on a two-processor machine: 3 397–3 443 KiB
+// in 8 724–8 760 allocations (4 090–4 205 KiB in 14 305–14 395 when every
+// run grew an event heap of its own, allocated each process on its own and
+// grew each queue from nil).
 func TestSimExecAllocs(t *testing.T) {
 	if !exactAllocs {
 		t.Skip("allocation counts are not exact under -race or -tags pooldebug")
 	}
 	const (
-		boundBytes  = 4415 << 10 // the measured 4 205 KiB plus 5 %
-		boundAllocs = 15115      // the measured 14 395 plus 5 %
+		boundBytes  = 3616 << 10 // the measured 3 443 KiB plus 5 %
+		boundAllocs = 9198       // the measured 8 760 plus 5 %
 	)
 	db := sessionDB(t, 10, 500)
 	qs := make([]Query, len(strategy.Kinds))

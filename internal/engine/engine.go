@@ -17,7 +17,10 @@
 // (instance.go: a process, a message and one of four kinds — activate,
 // started, deliver, work done) dispatched by the single fire function, so the
 // cost of an event is what the event does, not a closure and two interface
-// conversions around it.
+// conversions around it. A run allocates what lives as long as it in few
+// pieces: an operator's processes are one slab and their queues another,
+// and the simulator comes from a pool that the previous run returned it to,
+// with the heap and slots that run grew.
 //
 // The base relations are fragmented ideally (Section 4.1) before any query
 // runs: a run reads its scans' fragments and their lent views from the
@@ -33,6 +36,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"multijoin/internal/costmodel"
@@ -96,7 +100,7 @@ type opState struct {
 	// views is a scan's placed fragments lent at the simulator's batch size,
 	// per process.
 	views     [][]relation.Batch
-	instances []*instance
+	instances []instance
 	doneCount int
 	finished  bool
 	finishAt  sim.Time
@@ -160,7 +164,7 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 		params.BatchTuples = 1
 	}
 	e := &engineState{
-		sim:      sim.New[event](),
+		sim:      sims.Get().(*sim.Sim[event]),
 		machine:  sim.NewMachine(params.RecordUtilization),
 		params:   params,
 		ctx:      ctx,
@@ -186,10 +190,17 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 		if n.Op.Kind == xra.OpScan {
 			os.views = place.Lend(base(n.Op.Leaf), n.Op.FragAttr, n.Frags, params.BatchTuples)
 		}
+		// One slab per operator for its processes and one for their queues:
+		// a join's or the collect's queue peaks at about twice its
+		// in-streams (a scan has none and queues its chunks at start).
+		os.instances = make([]instance, len(n.Op.Procs))
+		c := 2 * n.InStreams()
+		queues := make([]operator.Msg, len(n.Op.Procs)*c)
 		for idx, procID := range n.Op.Procs {
-			in := &instance{e: e, op: os, idx: idx, proc: e.machine.Proc(procID), label: opLabel(n.Op)}
+			in := &os.instances[idx]
+			*in = instance{e: e, op: os, idx: idx, proc: e.machine.Proc(procID), label: opLabel(n.Op),
+				queue: queues[idx*c : idx*c : (idx+1)*c]}
 			in.join.Init(n, params.BatchTuples)
-			os.instances = append(os.instances, in)
 			e.stats.Processes++
 			if n.Op.Kind != xra.OpScan && n.Op.Kind != xra.OpCollect {
 				k++
@@ -206,8 +217,17 @@ func newEngine(ctx context.Context, plan *xra.Plan, base func(leaf int) *relatio
 // magnitude.
 func wall[T ~int64](us T) time.Duration { return time.Duration(us) * time.Microsecond }
 
-// run drains the event loop into the sink and assembles the run result.
+// sims keeps the simulators of ended runs, so that a run starts from one
+// whose heap and slots an earlier run grew.
+var sims = sync.Pool{New: func() any { return sim.New[event]() }}
+
+// run drains the event loop into the sink and assembles the run result. Its
+// simulator goes back to sims, reset, however the run ends.
 func (e *engineState) run() (*RunResult, error) {
+	defer func() {
+		e.sim.Reset()
+		sims.Put(e.sim)
+	}()
 	if _, err := e.sim.RunContext(e.ctx, fire); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -224,8 +244,8 @@ func (e *engineState) run() (*RunResult, error) {
 		if os.Op.Kind != xra.OpCollect && os.finishAt > last {
 			last = os.finishAt
 		}
-		for _, in := range os.instances {
-			e.stats.AddTransport(in.out)
+		for i := range os.instances {
+			e.stats.AddTransport(os.instances[i].out)
 		}
 	}
 	e.stats.StartupTime, e.stats.HandshakeTime = wall(e.startup), wall(e.handshake)
@@ -268,8 +288,8 @@ func (e *engineState) opFinished(os *opState) {
 		if !dep.depsDone(e) {
 			continue
 		}
-		for _, inst := range dep.instances {
-			inst.tryActivate()
+		for i := range dep.instances {
+			dep.instances[i].tryActivate()
 		}
 	}
 }

@@ -144,7 +144,7 @@ func (in *instance) start() {
 // after the network latency when it crosses processors.
 func (in *instance) Deliver(d int, m operator.Msg) bool {
 	e := in.op.Out
-	dest := in.e.ops[e.To.Index].instances[e.Target(in.idx, d)]
+	dest := &in.e.ops[e.To.Index].instances[e.Target(in.idx, d)]
 	var latency sim.Duration
 	if m.Remote {
 		latency = in.e.params.NetLatency

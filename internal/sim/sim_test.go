@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -21,14 +22,16 @@ func (s *Sim[E]) Run(fire func(E)) Time {
 }
 
 func (s *Sim[E]) Step(fire func(E)) bool {
-	if len(s.events) == 0 {
+	if !s.pending() {
 		return false
 	}
 	fire(s.pop())
 	return true
 }
 
-func (s *Sim[E]) Pending() int { return len(s.events) }
+// Pending counts events, not heap entries: every event scheduled and not
+// yet fired.
+func (s *Sim[E]) Pending() int { return int(s.seq - s.count) }
 
 func TestDurationConversions(t *testing.T) {
 	if Second.Seconds() != 1.0 {
@@ -424,8 +427,9 @@ func TestFiringOrderMatchesContainerHeap(t *testing.T) {
 }
 
 // TestScheduleAndPopAllocateNothing pins the point of the typed heap: at
-// steady capacity, scheduling an event and popping one allocate nothing —
-// no closure, no boxing — and a popped slot retains no pointer.
+// steady capacity, scheduling events and firing them allocate nothing — no
+// closure, no boxing, no run storage — and no vacated slot retains a
+// pointer (the heap's entries hold none).
 func TestScheduleAndPopAllocateNothing(t *testing.T) {
 	type ev struct {
 		p    *int
@@ -439,19 +443,131 @@ func TestScheduleAndPopAllocateNothing(t *testing.T) {
 	fired := 0
 	fire := func(e ev) { fired += int(e.kind) }
 	allocs := testing.AllocsPerRun(1000, func() {
+		s.After(5, ev{p: x, kind: 1}) // a run of two
 		s.After(5, ev{p: x, kind: 1})
+		fire(s.pop())
 		fire(s.pop())
 	})
 	if allocs != 0 {
-		t.Errorf("At + pop allocate %v times per event, want 0", allocs)
+		t.Errorf("At + pop allocate %v times per two events, want 0", allocs)
 	}
 	s.Run(fire)
 	if fired == 0 || s.Pending() != 0 {
 		t.Fatalf("fired %d, pending %d", fired, s.Pending())
 	}
-	for i, e := range s.events[:cap(s.events)] {
-		if e.e.p != nil {
-			t.Fatalf("vacated heap slot %d still holds its event's pointer", i)
+	for i, sl := range s.slots[:cap(s.slots)] {
+		if sl.e.p != nil {
+			t.Fatalf("vacated slot %d still holds its event's pointer", i)
 		}
+	}
+}
+
+// TestRuns: events scheduled back to back for one time share one heap
+// entry, and an event scheduled while a run fires comes after the run's
+// remaining events — joining the run when it is the newest, else in a run
+// after every other at its time.
+func TestRuns(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		times []Time // ids 0, 1, ... scheduled in this order
+		runs  int
+		want  []int // id 0's fire schedules one more id at Now()
+	}{
+		{"newest run grows while it fires", []Time{5, 5, 5}, 1, []int{0, 1, 2, 3}},
+		{"later run at the same time", []Time{5, 5, 5, 7, 5}, 3, []int{0, 1, 2, 4, 5, 3}},
+	} {
+		s := New[int]()
+		for id, at := range c.times {
+			s.At(at, id)
+		}
+		if len(s.runs) != c.runs || s.Pending() != len(c.times) {
+			t.Errorf("%s: %d events in %d heap entries, want %d in %d", c.name, s.Pending(), len(s.runs), len(c.times), c.runs)
+		}
+		var got []int
+		s.Run(func(id int) {
+			got = append(got, id)
+			if id == 0 {
+				s.At(s.Now(), len(c.times))
+			}
+		})
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: fired %v, want %v", c.name, got, c.want)
+		}
+		if n := uint64(len(c.times) + 1); s.Processed() != n {
+			t.Errorf("%s: processed %d, want %d events", c.name, s.Processed(), n)
+		}
+	}
+}
+
+// TestCancelInsideRun: the context is checked between the events of one
+// run, and the events after the cancellation stay pending, in order.
+func TestCancelInsideRun(t *testing.T) {
+	s := New[int]()
+	for id := 0; id < 4; id++ {
+		s.At(5, id)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var got []int
+	_, err := s.RunContext(ctx, func(id int) {
+		got = append(got, id)
+		if id == 1 {
+			cancel()
+		}
+	})
+	if err != context.Canceled || fmt.Sprint(got) != "[0 1]" || s.Pending() != 2 {
+		t.Fatalf("cancelled after event 1: err %v, fired %v, %d pending; want %v, [0 1], 2", err, got, s.Pending(), context.Canceled)
+	}
+	s.Run(func(id int) { got = append(got, id) })
+	if fmt.Sprint(got) != "[0 1 2 3]" {
+		t.Errorf("resumed run fired %v, want [0 1 2 3]", got)
+	}
+}
+
+// TestEventLimitInsideRun: the limit counts events, so it stops a run of
+// ten after the fifth, as it would ten runs of one.
+func TestEventLimitInsideRun(t *testing.T) {
+	s := New[int]()
+	s.SetEventLimit(5)
+	for id := 0; id < 10; id++ {
+		s.At(5, id)
+	}
+	fired := 0
+	defer func() {
+		if recover() == nil || fired != 5 || s.Processed() != 6 {
+			t.Errorf("limit 5: fired %d, processed %d; want a panic after 5 fired, at the 6th", fired, s.Processed())
+		}
+	}()
+	s.Run(func(int) { fired++ })
+}
+
+// TestReset: a reset Sim, even one cancelled with events pending, starts
+// at time zero with no events, no count, no limit and no pointer held, and
+// runs a program as a fresh one does.
+func TestReset(t *testing.T) {
+	type ev struct{ p *int }
+	s := New[ev]()
+	s.SetEventLimit(100)
+	x := new(int)
+	for i := 0; i < 50; i++ {
+		s.At(Time(i%3), ev{p: x})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s.RunContext(ctx, func(ev) { cancel() })
+	s.Reset()
+	if s.Now() != 0 || s.Pending() != 0 || s.Processed() != 0 || s.limit != 0 || s.pending() {
+		t.Fatalf("reset: now %d, %d pending, %d processed, limit %d", s.Now(), s.Pending(), s.Processed(), s.limit)
+	}
+	for i, sl := range s.slots[:cap(s.slots)] {
+		if sl.e.p != nil {
+			t.Fatalf("reset: slot %d still holds an event's pointer", i)
+		}
+	}
+
+	reused := New[int]()
+	runProgram(reused, 7, 3000)
+	reused.Reset()
+	got, want := runProgram(reused, 1995, 3000), runProgram(New[int](), 1995, 3000)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Error("a reset Sim fires a program differently from a fresh one")
 	}
 }
